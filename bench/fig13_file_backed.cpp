@@ -94,7 +94,7 @@ constexpr unsigned kProcs = 2;
 /// writebacks, so the run-phase ledgers compare against this baseline.
 struct LedgerSnap {
   u64 swap_reads = 0, swap_writes = 0, swap_ins = 0;
-  u64 file_reads = 0, file_drops = 0, file_writebacks = 0;
+  u64 file_reads = 0, file_drops = 0, file_writebacks = 0, shared_releases = 0;
   u64 evictions = 0, client_hits = 0, client_misses = 0;
 };
 
@@ -106,6 +106,7 @@ LedgerSnap snap_pager(paging::Pager& pager) {
   s.file_reads = pager.file_reads();
   s.file_drops = pager.file_drops();
   s.file_writebacks = pager.file_writebacks();
+  s.shared_releases = pager.shared_releases();
   s.evictions = pager.evictions();
   s.client_hits = pager.buffer_cache().client_hits(pager.bcache_client());
   s.client_misses = pager.buffer_cache().client_misses(pager.bcache_client());
@@ -229,8 +230,8 @@ PointResult run_point(const PointOptions& opt) {
     } else {
       // File lifecycle: no swap traffic at all, every refault is a file
       // read attributed to this client, and every pager-driven eviction is
-      // a clean drop or a cache writeback — nothing else can happen to a
-      // file page.
+      // a clean drop, a cache writeback, or the release of a mapping another
+      // process still shares — nothing else can happen to a file page.
       if (now.swap_reads != b.swap_reads || now.swap_writes != b.swap_writes ||
           now.swap_ins != b.swap_ins)
         throw std::runtime_error("fig13: file run touched the swap tier for p" +
@@ -240,7 +241,8 @@ PointResult run_point(const PointOptions& opt) {
         throw std::runtime_error("fig13: pager file_reads != its cache client hits+misses for p" +
                                  std::to_string(i));
       if (now.evictions - b.evictions !=
-          (now.file_drops - b.file_drops) + (now.file_writebacks - b.file_writebacks))
+          (now.file_drops - b.file_drops) + (now.file_writebacks - b.file_writebacks) +
+              (now.shared_releases - b.shared_releases))
         throw std::runtime_error("fig13: eviction ledger unbalanced for p" + std::to_string(i));
     }
   }

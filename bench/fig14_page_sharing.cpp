@@ -58,7 +58,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -127,15 +126,24 @@ paging::BufferCacheConfig bcache_cfg() {
   return cfg;
 }
 
+/// One access of a worker's sweep chain.
+struct Step {
+  VirtAddr va = 0;
+  bool is_write = false;
+  u64 value = 0;
+};
+
 /// One forked worker: its own address space, process, and pager over the
-/// rig's shared substrate, plus the driver-side fault classification the
-/// ledgers are gated against.
+/// rig's shared substrate, the driver-side fault classification the
+/// ledgers are gated against, and the one chain it runs at a time.
 struct WorkerRig {
   std::unique_ptr<mem::AddressSpace> as;
   std::unique_ptr<rt::Process> process;
   std::unique_ptr<paging::Pager> pager;
   u64 read_faults = 0;  // driven faults that entered the unmapped path
   u64 cow_faults = 0;   // driven write faults on resident read-only pages
+  std::vector<Step> steps;  // the chain in flight
+  std::size_t pos = 0;      // next step to issue
 };
 
 /// The machine: one simulator, one frame pool, one swap part, one buffer
@@ -195,73 +203,60 @@ void drain(sim::Simulator& sim) {
   if (!sim.idle()) throw std::runtime_error("fig14: simulator not idle after drain");
 }
 
-/// One access of a worker's sweep chain.
-struct Step {
-  VirtAddr va = 0;
-  bool is_write = false;
-  u64 value = 0;
-};
-
-/// Drives `steps` through worker `w`'s pager, each fault issued from the
-/// previous fault's ready callback (the shape of a thread missing page
+/// Issues worker `w`'s chain from its current step, each fault issued from
+/// the previous fault's ready callback (the shape of a thread missing page
 /// after page). Already-mapped read steps are skipped synchronously; write
 /// steps classify at issue time — unmapped pages refault through the read
 /// path, resident read-only pages take the COW path — which is exactly the
 /// classification the ledger gates compare against.
-void launch_chain(ShareRig& rig, std::size_t w, std::vector<Step> steps, Cycles delay) {
-  struct Chain {
-    std::vector<Step> steps;
-    std::size_t pos = 0;
-    std::function<void()> next;
-  };
-  auto st = std::make_shared<Chain>();
-  st->steps = std::move(steps);
-  st->next = [&rig, w, st] {
-    while (st->pos < st->steps.size()) {
-      const Step s = st->steps[st->pos];
-      WorkerRig& wk = rig.workers[w];
-      if (!s.is_write) {
-        if (wk.as->is_mapped(s.va)) {
-          ++st->pos;
-          continue;
-        }
-        ++wk.read_faults;
-        ++st->pos;
-        wk.pager->handle_fault(s.va, /*is_write=*/false, [&rig, w, st, s] {
-          WorkerRig& done = rig.workers[w];
-          if (!done.as->is_mapped(s.va)) done.process->map_in(s.va);
-          st->next();
-        });
-        return;
-      }
-      const auto pte = wk.as->page_table().lookup(s.va);
-      if (pte && pte->writable) {  // already private (or never shared): plain store
-        wk.as->write_u64(s.va, s.value);
-        ++st->pos;
-        continue;
-      }
-      ++st->pos;
-      if (!pte) {
-        // Evicted underneath us (pressure cell): refault through the read
-        // path, then store — not a COW fault, and counted accordingly.
-        ++wk.read_faults;
-        wk.pager->handle_fault(s.va, /*is_write=*/true, [&rig, w, st, s] {
-          WorkerRig& done = rig.workers[w];
-          if (!done.as->is_mapped(s.va)) done.process->map_in(s.va);
-          done.as->write_u64(s.va, s.value);
-          st->next();
-        });
-      } else {
-        ++wk.cow_faults;
-        wk.pager->handle_fault(s.va, /*is_write=*/true, [&rig, w, st, s] {
-          rig.workers[w].as->write_u64(s.va, s.value);
-          st->next();
-        });
-      }
+void advance(ShareRig& rig, std::size_t w) {
+  WorkerRig& wk = rig.workers[w];
+  while (wk.pos < wk.steps.size()) {
+    const Step s = wk.steps[wk.pos++];
+    if (!s.is_write) {
+      if (wk.as->is_mapped(s.va)) continue;
+      ++wk.read_faults;
+      wk.pager->handle_fault(s.va, /*is_write=*/false, [&rig, w, s] {
+        WorkerRig& done = rig.workers[w];
+        if (!done.as->is_mapped(s.va)) done.process->map_in(s.va);
+        advance(rig, w);
+      });
       return;
     }
-  };
-  rig.sim.schedule_in(delay, [st] { st->next(); });
+    const auto pte = wk.as->page_table().lookup(s.va);
+    if (pte && pte->writable) {  // already private (or never shared): plain store
+      wk.as->write_u64(s.va, s.value);
+      continue;
+    }
+    if (!pte) {
+      // Evicted underneath us (pressure cell): refault through the read
+      // path, then store — not a COW fault, and counted accordingly.
+      ++wk.read_faults;
+      wk.pager->handle_fault(s.va, /*is_write=*/true, [&rig, w, s] {
+        WorkerRig& done = rig.workers[w];
+        if (!done.as->is_mapped(s.va)) done.process->map_in(s.va);
+        done.as->write_u64(s.va, s.value);
+        advance(rig, w);
+      });
+    } else {
+      ++wk.cow_faults;
+      wk.pager->handle_fault(s.va, /*is_write=*/true, [&rig, w, s] {
+        rig.workers[w].as->write_u64(s.va, s.value);
+        advance(rig, w);
+      });
+    }
+    return;
+  }
+}
+
+/// Starts `steps` on worker `w` after `delay`; the worker's previous chain
+/// must have finished.
+void launch_chain(ShareRig& rig, std::size_t w, std::vector<Step> steps, Cycles delay) {
+  WorkerRig& wk = rig.workers[w];
+  if (wk.pos != wk.steps.size()) throw std::runtime_error("fig14: worker chain still in flight");
+  wk.steps = std::move(steps);
+  wk.pos = 0;
+  rig.sim.schedule_in(delay, [&rig, w] { advance(rig, w); });
 }
 
 /// Per-pager bucket snapshot for delta ledgers (setup traffic excluded).

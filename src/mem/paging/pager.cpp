@@ -1,6 +1,7 @@
 #include "mem/paging/pager.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "rt/os.hpp"
@@ -167,7 +168,8 @@ void Pager::evict_resident(u64 vpn) {
   // Pinned pages back in-flight DMA and committed bus transactions; every
   // victim-selection path (own policy, pool sweep, reclaim) must have
   // filtered them out. Evicting one would retarget the frame mid-transfer.
-  require(!as_.is_pinned_vpn(vpn), name_ + ": pinned page selected as eviction victim");
+  if (as_.is_pinned_vpn(vpn))
+    throw std::invalid_argument(name_ + ": pinned page selected as eviction victim");
   settle_speculative(vpn);
   process_.evict(vpn << page_bits(), 1);  // shoots down TLBs + flushes walk caches
   evictions_.add();

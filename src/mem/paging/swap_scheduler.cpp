@@ -65,8 +65,9 @@ unsigned SwapScheduler::register_owner(const std::string& owner_name) {
 }
 
 u64 SwapScheduler::pack(unsigned owner, u64 vpn) const {
-  require(owner < owners_.size(), name_ + ": unregistered swap owner");
-  require(vpn < (1ull << kOwnerShift), name_ + ": vpn does not fit the key packing");
+  if (owner >= owners_.size()) throw std::invalid_argument(name_ + ": unregistered swap owner");
+  if (vpn >= (1ull << kOwnerShift))
+    throw std::invalid_argument(name_ + ": vpn does not fit the key packing");
   return (static_cast<u64>(owner) << kOwnerShift) | vpn;
 }
 
@@ -126,8 +127,8 @@ void SwapScheduler::note_swapped(unsigned owner, u64 vpn) {
 
 void SwapScheduler::read(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventFn done,
                          u64 trace_id) {
-  require(cls == SwapReqClass::kDemandRead || cls == SwapReqClass::kPrefetchRead,
-          name_ + ": reads must be demand or prefetch class");
+  if (cls != SwapReqClass::kDemandRead && cls != SwapReqClass::kPrefetchRead)
+    throw std::invalid_argument(name_ + ": reads must be demand or prefetch class");
   const u64 key = pack(owner, vpn);
   if (!device_.holds(key))
     throw std::logic_error(name_ + ": swap-in of page not held for '" + owners_.at(owner).name +
@@ -150,7 +151,8 @@ void SwapScheduler::read(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventFn
 
 void SwapScheduler::write(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventFn done,
                           u64 trace_id) {
-  require(is_write_class(cls), name_ + ": writes must be demand-write or writeback class");
+  if (!is_write_class(cls))
+    throw std::invalid_argument(name_ + ": writes must be demand-write or writeback class");
   note_swapped(owner, vpn);  // slot allocated at enqueue: holds() is true at once
   Request r;
   r.owner = owner;

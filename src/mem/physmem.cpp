@@ -1,6 +1,8 @@
 #include "mem/physmem.hpp"
 
-#include <algorithm>
+#include <sys/mman.h>
+
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -9,63 +11,19 @@ namespace vmsls::mem {
 PhysicalMemory::PhysicalMemory(u64 size_bytes) : size_(size_bytes) {
   require(size_bytes > 0, "physical memory size must be nonzero");
   require(is_aligned(size_bytes, kChunkBytes), "physical memory size must be 4 KiB aligned");
+  void* p = ::mmap(nullptr, size_bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  base_ = static_cast<u8*>(p);
+  written_.assign(ceil_div(size_bytes / kChunkBytes, 64), 0);
 }
 
-void PhysicalMemory::check_range(PhysAddr addr, u64 bytes) const {
-  if (addr + bytes > size_ || addr + bytes < addr)
-    throw std::out_of_range("physical access [" + std::to_string(addr) + ", +" +
-                            std::to_string(bytes) + ") outside memory of size " +
-                            std::to_string(size_));
-}
+PhysicalMemory::~PhysicalMemory() { ::munmap(base_, size_); }
 
-std::vector<u8>& PhysicalMemory::chunk(u64 index) {
-  auto& c = chunks_[index];
-  if (c.empty()) c.assign(kChunkBytes, 0);
-  return c;
-}
-
-const std::vector<u8>* PhysicalMemory::find_chunk(u64 index) const {
-  auto it = chunks_.find(index);
-  return it == chunks_.end() ? nullptr : &it->second;
-}
-
-void PhysicalMemory::read(PhysAddr addr, std::span<u8> out) const {
-  check_range(addr, out.size());
-  u64 done = 0;
-  while (done < out.size()) {
-    const u64 a = addr + done;
-    const u64 off = a % kChunkBytes;
-    const u64 n = std::min<u64>(kChunkBytes - off, out.size() - done);
-    if (const auto* c = find_chunk(a / kChunkBytes))
-      std::memcpy(out.data() + done, c->data() + off, n);
-    else
-      std::memset(out.data() + done, 0, n);
-    done += n;
-  }
-}
-
-void PhysicalMemory::write(PhysAddr addr, std::span<const u8> data) {
-  check_range(addr, data.size());
-  u64 done = 0;
-  while (done < data.size()) {
-    const u64 a = addr + done;
-    const u64 off = a % kChunkBytes;
-    const u64 n = std::min<u64>(kChunkBytes - off, data.size() - done);
-    std::memcpy(chunk(a / kChunkBytes).data() + off, data.data() + done, n);
-    done += n;
-  }
-}
-
-void PhysicalMemory::clear(PhysAddr addr, u64 bytes) {
-  check_range(addr, bytes);
-  u64 done = 0;
-  while (done < bytes) {
-    const u64 a = addr + done;
-    const u64 off = a % kChunkBytes;
-    const u64 n = std::min<u64>(kChunkBytes - off, bytes - done);
-    std::memset(chunk(a / kChunkBytes).data() + off, 0, n);
-    done += n;
-  }
+void PhysicalMemory::throw_out_of_range(PhysAddr addr, u64 bytes) const {
+  throw std::out_of_range("physical access [" + std::to_string(addr) + ", +" +
+                          std::to_string(bytes) + ") outside memory of size " +
+                          std::to_string(size_));
 }
 
 }  // namespace vmsls::mem

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -87,14 +86,14 @@ TrafficDriver::TrafficDriver(ProcessGroup& group, const TrafficConfig& cfg,
   }
 }
 
-std::vector<TrafficDriver::Touch> TrafficDriver::make_episode(u64 id) const {
+void TrafficDriver::make_episode(u64 id, std::vector<Touch>& out) const {
   const Episode kind = mix_[id % mix_.size()];
   // Per-request stream: f(traffic seed, request id). SplitMix-style mixing
   // keeps neighboring ids decorrelated; Rng reseeds through SplitMix64
   // again, so even seed 0 behaves.
   Rng rng(cfg_.arrival.seed ^ (0x9E3779B97F4A7C15ull * (id + 1)));
   const u64 pages = cfg_.arena_pages;
-  std::vector<Touch> out;
+  out.clear();
   out.reserve(cfg_.episode_touches);
   u64 idx = rng.below(pages);
   const u64 stride = 2 + rng.below(5);
@@ -118,7 +117,6 @@ std::vector<TrafficDriver::Touch> TrafficDriver::make_episode(u64 id) const {
     }
     out.push_back(Touch{idx, rng.chance(cfg_.write_ratio)});
   }
-  return out;
 }
 
 void TrafficDriver::on_arrival() {
@@ -170,59 +168,61 @@ void TrafficDriver::on_arrival() {
 
 void TrafficDriver::dispatch(const Pending& req, std::size_t worker) {
   Worker& wk = workers_[worker];
-  require(!wk.busy, name_ + ": dispatch to a busy worker");
+  if (wk.busy) throw std::invalid_argument(name_ + ": dispatch to a busy worker");
   wk.busy = true;
   ++busy_;
   report_.peak_busy = std::max(report_.peak_busy, busy_);
-  const Cycles dispatched = sim_.now();
-  queue_wait_.record(dispatched - req.arrival);
+  wk.req = req;
+  wk.dispatched = sim_.now();
+  queue_wait_.record(wk.dispatched - req.arrival);
   VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "service", req.trace_id, worker);
 
-  // The episode chain: each touch charges touch_cost compute, then either
+  // The episode: each touch charges touch_cost compute, then either
   // proceeds synchronously (resident page) or suspends on the worker
   // pager's fault path — fault stalls, swap queue waits, and writebacks
   // all land inside this request's service span.
-  struct Chain {
-    std::vector<Touch> touches;
-    std::size_t pos = 0;
-    std::function<void()> next;
-  };
-  auto st = std::make_shared<Chain>();
-  st->touches = make_episode(req.id);
-  st->next = [this, st, req, worker, dispatched] {
-    if (st->pos == st->touches.size()) {
-      complete(req, worker, dispatched);
-      return;
-    }
-    const Touch t = st->touches[st->pos++];
-    const VirtAddr va = workers_[worker].arena + t.page * page_bytes_;
-    auto access = [this, st, va, t, worker] {
-      Worker& w = workers_[worker];
-      if (!w.as->is_mapped(va)) {
-        w.pager->handle_fault(va, t.is_write, [this, st, va, t, worker] {
-          Worker& done = workers_[worker];
-          if (!done.as->is_mapped(va)) done.process->map_in(va);
-          if (t.is_write) done.as->write_u64(va, st->pos);
-          st->next();
-        });
-        return;
-      }
-      if (t.is_write)
-        w.as->write_u64(va, st->pos);
-      else
-        (void)w.as->read_u64(va);
-      st->next();
-    };
-    if (cfg_.touch_cost > 0)
-      sim_.schedule_in(cfg_.touch_cost, std::move(access));
-    else
-      sim_.schedule_now(std::move(access));
-  };
-  st->next();
+  make_episode(req.id, wk.touches);
+  wk.pos = 0;
+  advance(worker);
 }
 
-void TrafficDriver::complete(const Pending& req, std::size_t worker, Cycles dispatched) {
+void TrafficDriver::advance(std::size_t worker) {
   Worker& wk = workers_[worker];
+  if (wk.pos == wk.touches.size()) {
+    complete(worker);
+    return;
+  }
+  const Touch t = wk.touches[wk.pos++];
+  const VirtAddr va = wk.arena + t.page * page_bytes_;
+  auto access = [this, worker, va, is_write = t.is_write] { touch(worker, va, is_write); };
+  if (cfg_.touch_cost > 0)
+    sim_.schedule_in(cfg_.touch_cost, access);
+  else
+    sim_.schedule_now(access);
+}
+
+void TrafficDriver::touch(std::size_t worker, VirtAddr va, bool is_write) {
+  Worker& wk = workers_[worker];
+  if (!wk.as->is_mapped(va)) {
+    wk.pager->handle_fault(va, is_write, [this, worker, va, is_write] {
+      Worker& done = workers_[worker];
+      if (!done.as->is_mapped(va)) done.process->map_in(va);
+      if (is_write) done.as->write_u64(va, done.pos);
+      advance(worker);
+    });
+    return;
+  }
+  if (is_write)
+    wk.as->write_u64(va, wk.pos);
+  else
+    (void)wk.as->read_u64(va);
+  advance(worker);
+}
+
+void TrafficDriver::complete(std::size_t worker) {
+  Worker& wk = workers_[worker];
+  const Pending req = wk.req;
+  const Cycles dispatched = wk.dispatched;
   wk.busy = false;
   --busy_;
   completed_.add();

@@ -97,6 +97,21 @@ class TrafficDriver {
  private:
   enum class Episode { kSweep, kStrided, kRandom, kChase };
 
+  struct Pending {
+    u64 id = 0;
+    Cycles arrival = 0;
+    u64 trace_id = 0;
+  };
+
+  /// One episode step: a page index into the worker arena plus a store flag.
+  struct Touch {
+    u64 page = 0;
+    bool is_write = false;
+  };
+
+  /// A worker serves one request at a time, so the episode in flight lives
+  /// here: the request, when it was dispatched, its touches (the vector's
+  /// capacity is reused across requests), and the next touch to issue.
   struct Worker {
     System* system = nullptr;
     paging::Pager* pager = nullptr;
@@ -104,24 +119,23 @@ class TrafficDriver {
     mem::AddressSpace* as = nullptr;
     VirtAddr arena = 0;
     bool busy = false;
-  };
-
-  struct Pending {
-    u64 id = 0;
-    Cycles arrival = 0;
-    u64 trace_id = 0;
+    Pending req;
+    Cycles dispatched = 0;
+    std::vector<Touch> touches;
+    std::size_t pos = 0;
   };
 
   void on_arrival();
   void dispatch(const Pending& req, std::size_t worker);
-  void complete(const Pending& req, std::size_t worker, Cycles dispatched);
-  /// Episode step addresses for request `id`: seeded page indices into the
-  /// worker arena plus a store flag per touch.
-  struct Touch {
-    u64 page = 0;
-    bool is_write = false;
-  };
-  std::vector<Touch> make_episode(u64 id) const;
+  /// Issues the worker's next touch after touch_cost, or completes the
+  /// request when the episode is exhausted.
+  void advance(std::size_t worker);
+  /// Performs one touch: synchronously on a resident page, else through the
+  /// worker pager's fault path. Either way the episode then advances.
+  void touch(std::size_t worker, VirtAddr va, bool is_write);
+  void complete(std::size_t worker);
+  /// Fills `out` with the seeded episode steps for request `id`.
+  void make_episode(u64 id, std::vector<Touch>& out) const;
 
   sim::Simulator& sim_;
   ProcessGroup& group_;

@@ -47,12 +47,23 @@ constexpr u64 ceil_div(u64 a, u64 b) noexcept { return (a + b - 1) / b; }
 
 /// Throws std::invalid_argument with `msg` when `cond` is false. Used for
 /// validating user-supplied configuration at API boundaries.
+///
+/// The `const char*` overloads of require/ensure let literal messages on
+/// hot paths skip the std::string construction (a heap allocation past the
+/// SSO size) that every passing check would otherwise pay. A hot check with
+/// a concatenated message should branch and throw itself instead.
 inline void require(bool cond, const std::string& msg) {
+  if (!cond) throw std::invalid_argument(msg);
+}
+inline void require(bool cond, const char* msg) {
   if (!cond) throw std::invalid_argument(msg);
 }
 
 /// Throws std::logic_error; used for internal invariant violations.
 inline void ensure(bool cond, const std::string& msg) {
+  if (!cond) throw std::logic_error(msg);
+}
+inline void ensure(bool cond, const char* msg) {
   if (!cond) throw std::logic_error(msg);
 }
 

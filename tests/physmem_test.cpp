@@ -28,7 +28,9 @@ TEST(PhysicalMemory, CrossChunkBlockAccess) {
   std::vector<u8> back(data.size());
   pm.read(4090, std::span<u8>(back.data(), back.size()));
   EXPECT_EQ(back, data);
-  EXPECT_GE(pm.touched_chunks(), 3u);
+  // [4090, 14090) covers the tail of chunk 0, all of chunks 1-2, and the
+  // head of chunk 3.
+  EXPECT_EQ(pm.touched_chunks(), 4u);
 }
 
 TEST(PhysicalMemory, OutOfRangeThrows) {
@@ -36,6 +38,17 @@ TEST(PhysicalMemory, OutOfRangeThrows) {
   EXPECT_THROW(pm.read_u64(64 * KiB), std::out_of_range);
   EXPECT_THROW(pm.write_u64(64 * KiB - 4, 1), std::out_of_range);
   EXPECT_NO_THROW(pm.write_u64(64 * KiB - 8, 1));
+}
+
+TEST(PhysicalMemory, WrappingRangeThrows) {
+  PhysicalMemory pm(64 * KiB);
+  u64 v = 0;
+  const auto out = std::span<u8>(reinterpret_cast<u8*>(&v), sizeof(v));
+  // addr + bytes wraps past 2^64 to a small value inside memory.
+  EXPECT_THROW(pm.read(~0ull - 3, out), std::out_of_range);
+  EXPECT_THROW(pm.write(~0ull - 3, out), std::out_of_range);
+  EXPECT_THROW(pm.clear(8, ~0ull - 3), std::out_of_range);
+  EXPECT_EQ(pm.touched_chunks(), 0u);
 }
 
 TEST(PhysicalMemory, ClearZeroes) {
@@ -54,6 +67,21 @@ TEST(PhysicalMemory, SparseStorageStaysSmall) {
   PhysicalMemory pm(512 * MiB);
   pm.write_u64(400 * MiB, 1);
   EXPECT_EQ(pm.touched_chunks(), 1u);
+}
+
+TEST(PhysicalMemory, FullSizeMemoryRoundTripsLastWord) {
+  PhysicalMemory pm(1 * GiB);  // zynq7045 DRAM
+  pm.write_u64(1 * GiB - 8, 0x0123456789abcdefull);
+  EXPECT_EQ(pm.read_u64(1 * GiB - 8), 0x0123456789abcdefull);
+  EXPECT_EQ(pm.touched_chunks(), 1u);
+}
+
+TEST(PhysicalMemory, ReadOfUnwrittenRangeIsZeroAndUntouched) {
+  PhysicalMemory pm(1 * MiB);
+  std::vector<u8> back(3 * 4096, 0xff);
+  pm.read(2048, std::span<u8>(back.data(), back.size()));
+  EXPECT_EQ(back, std::vector<u8>(back.size(), 0));
+  EXPECT_EQ(pm.touched_chunks(), 0u);
 }
 
 // --- frame allocator ---
