@@ -148,6 +148,16 @@ inline RunResult run_workload(const workloads::Workload& wl, const RunOptions& o
   return r;
 }
 
+/// Steps `sim` until its event queue drains: in-flight prefetches, pageouts,
+/// writebacks and cache flushes must retire — a stuck request chain is a
+/// bug. Throws, naming `who`, past the deadline or if not idle afterwards.
+inline void drain(sim::Simulator& sim, const std::string& who) {
+  const Cycles deadline = sim.now() + 2'000'000'000ull;
+  while (sim.step())
+    if (sim.now() > deadline) throw std::runtime_error(who + ": event queue failed to drain");
+  if (!sim.idle()) throw std::runtime_error(who + ": simulator not idle after drain");
+}
+
 /// Evicts every workload buffer so the run demand-faults its working set.
 inline void evict_all_buffers(sls::System& system) {
   for (const auto& buf : system.image().app().buffers)

@@ -146,9 +146,7 @@ OffloadRun run_offload_under_pressure(const workloads::Workload& wl,
     throw std::runtime_error(wl.name + ": DMA-under-pressure verification failed");
   // The acceptance gates: the event queue must drain (no orphaned waiter or
   // daemon) and every transfer pin must be released.
-  while (sim.step()) {
-  }
-  if (!sim.idle()) throw std::runtime_error(wl.name + ": event queue did not drain");
+  bench::drain(sim, wl.name);
   if (system->address_space().pinned_pages() != 0)
     throw std::runtime_error(wl.name + ": offload pins leaked");
   r.stats = sim.stats().snapshot();

@@ -23,12 +23,12 @@
 //        (priority dispatch + clustering prefetch win back a measurable
 //        share of the contention penalty; accuracy/coverage reported).
 //
-// Gates (hard errors): every run drains its event queue; per-owner swap
-// ledgers balance (owner reads == swap-ins + prefetches, owner writes ==
-// writebacks + pageouts) and partition the device totals; the residency
-// ledger balances; a single-member shared device is bit-identical to a
-// private one (the determinism contract); the contention and recovery
-// regimes both actually show (12a/12b headline directions).
+// Gates (hard errors): every run drains its event queue; the run balances
+// the paging ledger (mem/paging/ledger.hpp: per-owner swap reads/writes
+// and their partition of the device totals, the unmap partition); a
+// single-member shared device is bit-identical to a private one (the
+// determinism contract); the contention and recovery regimes both actually
+// show (12a/12b headline directions).
 //
 // Artifacts: BENCH_fig12_swap.json (engine-report schema) and
 // fig12_swap_summary.txt (headline numbers + write_swap_summary /
@@ -53,6 +53,7 @@
 
 #include "bench_util.hpp"
 #include "mem/paging/frame_pool.hpp"
+#include "mem/paging/ledger.hpp"
 #include "mem/paging/swap_scheduler.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/trace.hpp"
@@ -197,18 +198,14 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
       system.process().evict(system.buffer(buf.name), buf.bytes);
   }
 
+  // The cold-start evictions are setup traffic: the ledger checks the run.
+  const paging::MachineLedger before = paging::MachineLedger::of(group.pagers());
   group.start_all();
   MixResult r;
   const u64 events_before = sim.events_executed();
   bench::WallTimer timer;
   r.cycles = group.run_to_completion();
-  // Drained-queue gate: in-flight prefetches, pageouts, and writebacks must
-  // retire once the threads halt — a stuck request chain is a bug, not tail
-  // noise.
-  const Cycles drain_deadline = sim.now() + 1'000'000'000ull;
-  while (sim.step())
-    if (sim.now() > drain_deadline)
-      throw std::runtime_error("fig12: event queue failed to drain after completion");
+  bench::drain(sim, "fig12");
   r.host_ms = timer.ms();
   r.events = sim.events_executed() - events_before;
 
@@ -216,13 +213,15 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
     if (!wls[i].verify(group.process(i)))
       throw std::runtime_error("fig12: workload '" + wls[i].name + "' (p" + std::to_string(i) +
                                ") failed verification");
+  const paging::MachineLedger run = paging::MachineLedger::of(group.pagers()) - before;
+  paging::require_balanced(run.check(), "fig12");
+  paging::require_balanced(paging::check_machine(group.pagers()), "fig12");
 
   const auto stats = sim.stats().snapshot();
   const auto at = [&stats](const std::string& name) {
     auto it = stats.find(name);
     return it == stats.end() ? 0.0 : it->second;
   };
-  u64 owner_reads_total = 0, owner_writes_total = 0;
   for (unsigned i = 0; i < opt.processes; ++i) {
     const std::string prefix = "p" + std::to_string(i) + ".";
     auto* pager = group.process(i).pager();
@@ -232,22 +231,13 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
     r.prefetch_useful += pager->prefetch_useful();
     r.prefetch_late += pager->prefetch_late();
     r.prefetch_wasted += pager->prefetch_wasted();
-    // Ledger gates, per owner: reads/writes attributable to this process
-    // must match its pager's own accounting exactly.
     r.pager_fault_stall_max.emplace_back(prefix + "pager",
                                          at(prefix + "pager.fault_stall.max"));
-    const u64 reads = pager->swap().reads();
-    const u64 writes = pager->swap().writes();
-    if (reads != pager->swap_ins() + pager->prefetches())
-      throw std::runtime_error("fig12: swap read ledger unbalanced for p" + std::to_string(i));
-    if (writes != pager->writebacks() + pager->pageouts())
-      throw std::runtime_error("fig12: swap write ledger unbalanced for p" + std::to_string(i));
-    owner_reads_total += reads;
-    owner_writes_total += writes;
+    // The owner windows partition the device totals (checked above).
+    r.device_reads += run.pagers[i].swap_reads;
+    r.device_writes += run.pagers[i].swap_writes;
   }
   if (opt.device == DeviceMode::kPrivate) {
-    r.device_reads = owner_reads_total;
-    r.device_writes = owner_writes_total;
     // Mean of the per-pager queue-wait means, weighted by sample counts.
     double wait_sum = 0, wait_count = 0;
     for (unsigned i = 0; i < opt.processes; ++i) {
@@ -257,14 +247,8 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
     }
     r.queue_wait_mean = wait_count > 0 ? wait_sum / wait_count : 0.0;
   } else {
-    auto* sched = group.shared_swap();
-    r.device_reads = sched->reads();
-    r.device_writes = sched->writes();
-    r.wb_promotions = sched->wb_promotions();
+    r.wb_promotions = group.shared_swap()->wb_promotions();
     r.queue_wait_mean = at("swap.queue_wait.mean");
-    // The owner ledgers must partition the shared device's totals.
-    if (r.device_reads != owner_reads_total || r.device_writes != owner_writes_total)
-      throw std::runtime_error("fig12: per-owner ledgers do not partition the device totals");
   }
   if (opt.dump_summaries) {
     for (unsigned i = 0; i < opt.processes; ++i) {

@@ -20,14 +20,11 @@
 // evictions are clean drops.
 //
 // Gates (hard errors): every run drains its event queue (including the
-// buffer cache's background flush writes); per-owner ledgers partition all
-// fault traffic by lifecycle (anon: owner swap reads == swap-ins and zero
-// file-tier traffic; file: zero swap traffic, pager file_reads == its
-// buffer-cache client hits + misses, client counters partition the cache
-// totals, cache misses == device reads + merged reads, and run-phase
-// evictions == clean drops + file writebacks); workloads verify in every
-// cell; and one grid point rerun on a fresh simulator is bit-identical down
-// to the full stat snapshot (the determinism contract).
+// buffer cache's background flush writes); the run phase balances the
+// paging ledger (mem/paging/ledger.hpp) and keeps its lifecycle (anon never
+// touches the file tier, file never touches swap); workloads verify in
+// every cell; and one grid point rerun on a fresh simulator is
+// bit-identical down to the full stat snapshot (the determinism contract).
 //
 // Artifacts: BENCH_fig13_file.json (engine-report schema) and
 // fig13_file_summary.txt (headline + write_file_cache_summary /
@@ -36,7 +33,6 @@
 // --smoke mode (CI's Release run): the 100% and 50% residency pairs plus
 // every gate above including bit-identity; writes the same artifacts.
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -47,6 +43,7 @@
 #include "bench_util.hpp"
 #include "mem/backing_file.hpp"
 #include "mem/paging/frame_pool.hpp"
+#include "mem/paging/ledger.hpp"
 #include "sls/process_group.hpp"
 #include "sls/report_writer.hpp"
 #include "util/table.hpp"
@@ -73,12 +70,9 @@ struct PointResult {
   u64 swap_ins = 0;
   u64 file_reads = 0;
   u64 file_drops = 0;
-  u64 file_writebacks = 0;
   u64 bc_hits = 0;
   u64 bc_misses = 0;
   u64 bc_merged = 0;
-  u64 bc_device_reads = 0;
-  u64 bc_device_writes = 0;
   std::map<std::string, double> snapshot;  // full registry, for bit-identity
 
   double hit_rate() const {
@@ -88,30 +82,6 @@ struct PointResult {
 };
 
 constexpr unsigned kProcs = 2;
-
-/// Per-pager counter snapshot for delta-based ledgers: the setup phase
-/// (writing the input + the cold-start eviction) produces its own file
-/// writebacks, so the run-phase ledgers compare against this baseline.
-struct LedgerSnap {
-  u64 swap_reads = 0, swap_writes = 0, swap_ins = 0;
-  u64 file_reads = 0, file_drops = 0, file_writebacks = 0, shared_releases = 0;
-  u64 evictions = 0, client_hits = 0, client_misses = 0;
-};
-
-LedgerSnap snap_pager(paging::Pager& pager) {
-  LedgerSnap s;
-  s.swap_reads = pager.swap().reads();
-  s.swap_writes = pager.swap().writes();
-  s.swap_ins = pager.swap_ins();
-  s.file_reads = pager.file_reads();
-  s.file_drops = pager.file_drops();
-  s.file_writebacks = pager.file_writebacks();
-  s.shared_releases = pager.shared_releases();
-  s.evictions = pager.evictions();
-  s.client_hits = pager.buffer_cache().client_hits(pager.bcache_client());
-  s.client_misses = pager.buffer_cache().client_misses(pager.bcache_client());
-  return s;
-}
 
 PointResult run_point(const PointOptions& opt) {
   const u64 page = 4 * KiB;
@@ -166,28 +136,19 @@ PointResult run_point(const PointOptions& opt) {
   }
   // Settle the setup phase: in file mode the cold-start evictions queued
   // background writebacks through the buffer cache; drain them so the
-  // measured run starts from a quiet device.
-  while (sim.step()) {
-  }
-
-  std::vector<LedgerSnap> before;
-  for (unsigned i = 0; i < kProcs; ++i) before.push_back(snap_pager(*group.process(i).pager()));
-  paging::BufferCache& bc = group.buffer_cache();
-  const u64 bc_hits0 = bc.hits(), bc_misses0 = bc.misses(), bc_merged0 = bc.merged_reads();
-  const u64 bc_reads0 = bc.device_reads(), bc_writes0 = bc.device_writes();
+  // measured run starts from a quiet device and the run-phase ledger leaves
+  // the setup traffic out.
+  bench::drain(sim, "fig13");
+  const paging::MachineLedger before = paging::MachineLedger::of(group.pagers());
+  const u64 merged_before = group.buffer_cache().merged_reads();
 
   group.start_all();
   PointResult r;
   const u64 events_before = sim.events_executed();
   bench::WallTimer timer;
   r.cycles = group.run_to_completion();
-  // Drained-queue gate: pending buffer-cache flushes and swap requests must
-  // retire once the threads halt — a stuck request chain is a bug.
-  const Cycles drain_deadline = sim.now() + 1'000'000'000ull;
-  while (sim.step())
-    if (sim.now() > drain_deadline)
-      throw std::runtime_error("fig13: event queue failed to drain after completion");
-  if (bc.busy())
+  bench::drain(sim, "fig13");
+  if (group.buffer_cache().busy())
     throw std::runtime_error("fig13: buffer cache still busy after the event queue drained");
   r.host_ms = timer.ms();
   r.events = sim.events_executed() - events_before;
@@ -197,63 +158,28 @@ PointResult run_point(const PointOptions& opt) {
       throw std::runtime_error("fig13: pointer_chase p" + std::to_string(i) +
                                " failed verification");
 
-  r.bc_hits = bc.hits() - bc_hits0;
-  r.bc_misses = bc.misses() - bc_misses0;
-  r.bc_merged = bc.merged_reads() - bc_merged0;
-  r.bc_device_reads = bc.device_reads() - bc_reads0;
-  r.bc_device_writes = bc.device_writes() - bc_writes0;
-
-  // --- per-owner lifecycle ledgers (run-phase deltas) ---
-  u64 client_hits_total = 0, client_misses_total = 0;
+  const paging::MachineLedger run = paging::MachineLedger::of(group.pagers()) - before;
+  paging::require_balanced(run.check(), "fig13");
+  paging::require_balanced(paging::check_machine(group.pagers()), "fig13");
   for (unsigned i = 0; i < kProcs; ++i) {
-    const std::string prefix = "p" + std::to_string(i) + ".";
-    paging::Pager& pager = *group.process(i).pager();
-    const LedgerSnap now = snap_pager(pager);
-    const LedgerSnap& b = before[i];
-    r.faults += static_cast<u64>(sim.stats().counter_value(prefix + "faults.faults"));
-    r.swap_ins += now.swap_ins - b.swap_ins;
-    r.file_reads += now.file_reads - b.file_reads;
-    r.file_drops += now.file_drops - b.file_drops;
-    r.file_writebacks += now.file_writebacks - b.file_writebacks;
-    client_hits_total += now.client_hits - b.client_hits;
-    client_misses_total += now.client_misses - b.client_misses;
-    if (opt.mode == MemMode::kAnon) {
-      // Anon lifecycle: all refaults are swap-ins on the owner's device and
-      // the file tier is never touched.
-      if (now.swap_reads - b.swap_reads != now.swap_ins - b.swap_ins)
-        throw std::runtime_error("fig13: anon swap read ledger unbalanced for p" +
-                                 std::to_string(i));
-      if (now.file_reads != b.file_reads || now.file_drops != b.file_drops ||
-          now.file_writebacks != b.file_writebacks)
-        throw std::runtime_error("fig13: anon run touched the file tier for p" +
-                                 std::to_string(i));
-    } else {
-      // File lifecycle: no swap traffic at all, every refault is a file
-      // read attributed to this client, and every pager-driven eviction is
-      // a clean drop, a cache writeback, or the release of a mapping another
-      // process still shares — nothing else can happen to a file page.
-      if (now.swap_reads != b.swap_reads || now.swap_writes != b.swap_writes ||
-          now.swap_ins != b.swap_ins)
-        throw std::runtime_error("fig13: file run touched the swap tier for p" +
-                                 std::to_string(i));
-      if (now.file_reads - b.file_reads !=
-          (now.client_hits - b.client_hits) + (now.client_misses - b.client_misses))
-        throw std::runtime_error("fig13: pager file_reads != its cache client hits+misses for p" +
-                                 std::to_string(i));
-      if (now.evictions - b.evictions !=
-          (now.file_drops - b.file_drops) + (now.file_writebacks - b.file_writebacks) +
-              (now.shared_releases - b.shared_releases))
-        throw std::runtime_error("fig13: eviction ledger unbalanced for p" + std::to_string(i));
-    }
+    const paging::Ledger& l = run.pagers[i];
+    r.faults += static_cast<u64>(
+        sim.stats().counter_value("p" + std::to_string(i) + ".faults.faults"));
+    r.swap_ins += l.swap_ins;
+    r.file_reads += l.file_reads;
+    r.file_drops += l.file_drops;
+    r.bc_hits += l.client_hits;  // the client windows partition the cache
+    r.bc_misses += l.client_misses;
+    // The lifecycles never cross: anon refaults never touch the file tier,
+    // file refaults never touch swap.
+    const bool crossed = opt.mode == MemMode::kAnon
+                             ? l.file_reads + l.file_drops + l.file_writebacks != 0
+                             : l.swap_reads + l.swap_writes + l.swap_ins != 0;
+    if (crossed)
+      throw std::runtime_error(std::string("fig13: ") + mode_name(opt.mode) +
+                               " run crossed into the other tier for p" + std::to_string(i));
   }
-  if (opt.mode == MemMode::kFile) {
-    // The per-client windows must partition the machine-wide cache totals,
-    // and every miss must be accounted as one device read or one merge.
-    if (client_hits_total != r.bc_hits || client_misses_total != r.bc_misses)
-      throw std::runtime_error("fig13: client counters do not partition the cache totals");
-    if (r.bc_misses != r.bc_device_reads + r.bc_merged)
-      throw std::runtime_error("fig13: cache misses != device reads + merged reads");
-  }
+  r.bc_merged = group.buffer_cache().merged_reads() - merged_before;
 
   if (opt.dump_summaries) {
     for (unsigned i = 0; i < kProcs; ++i) {

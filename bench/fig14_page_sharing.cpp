@@ -23,17 +23,10 @@
 //                its refcount-1 faults upgrade in place (cow_upgrades).
 //
 // Gates (hard errors, every cell):
-//   * refcount identity — summing each worker's resident mappings per
-//     frame must reproduce FrameAllocator::refcount exactly, total
-//     mappings == pool.mapped_pages(), unique frames ==
-//     pool.resident_pages(),
-//   * fault ledger — per pager, driven unmapped faults ==
-//     swap_ins + file_reads + zero_fills + share_hits + inherited_fills,
-//     and driven write faults on resident read-only pages ==
-//     cow_copies + cow_upgrades,
-//   * eviction ledger — per pager, evictions == swap_releases +
-//     file_drops + file_writebacks + shared_releases (each unmap lands in
-//     exactly one bucket: the double-count audit),
+//   * the paging ledger (mem/paging/ledger.hpp) over the measured phases,
+//     with the driver's fault classification closing the read-side and
+//     COW partitions, plus the refcount identity; without pressure every
+//     bucket is exactly predictable per worker,
 //   * read-only sharing never copies — COW counters are zero before the
 //     divergence phase,
 //   * divergence — every worker reads back its own value, the parent its
@@ -56,14 +49,12 @@
 // --smoke mode (CI's Release run): drops the 1024-worker cell, keeps every
 // gate including bit-identity and the sharded rerun.
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -73,6 +64,7 @@
 #include "mem/frames.hpp"
 #include "mem/paging/buffer_cache.hpp"
 #include "mem/paging/frame_pool.hpp"
+#include "mem/paging/ledger.hpp"
 #include "mem/paging/pager.hpp"
 #include "mem/physmem.hpp"
 #include "rt/process.hpp"
@@ -195,14 +187,6 @@ struct ShareRig {
   }
 };
 
-void drain(sim::Simulator& sim) {
-  const Cycles deadline = sim.now() + 2'000'000'000ull;
-  while (sim.step())
-    if (sim.now() > deadline)
-      throw std::runtime_error("fig14: event queue failed to drain");
-  if (!sim.idle()) throw std::runtime_error("fig14: simulator not idle after drain");
-}
-
 /// Issues worker `w`'s chain from its current step, each fault issued from
 /// the previous fault's ready callback (the shape of a thread missing page
 /// after page). Already-mapped read steps are skipped synchronously; write
@@ -258,33 +242,6 @@ void launch_chain(ShareRig& rig, std::size_t w, std::vector<Step> steps, Cycles 
   wk.pos = 0;
   rig.sim.schedule_in(delay, [&rig, w] { advance(rig, w); });
 }
-
-/// Per-pager bucket snapshot for delta ledgers (setup traffic excluded).
-struct LedgerSnap {
-  u64 swap_ins = 0, file_reads = 0, zero_fills = 0, share_hits = 0, inherited_fills = 0;
-  u64 cow_copies = 0, cow_upgrades = 0;
-  u64 evictions = 0, swap_releases = 0, file_drops = 0, file_writebacks = 0, shared_releases = 0;
-
-  static LedgerSnap of(const paging::Pager& p) {
-    LedgerSnap s;
-    s.swap_ins = p.swap_ins();
-    s.file_reads = p.file_reads();
-    s.zero_fills = p.zero_fills();
-    s.share_hits = p.share_hits();
-    s.inherited_fills = p.inherited_fills();
-    s.cow_copies = p.cow_copies();
-    s.cow_upgrades = p.cow_upgrades();
-    s.evictions = p.evictions();
-    s.swap_releases = p.swap_releases();
-    s.file_drops = p.file_drops();
-    s.file_writebacks = p.file_writebacks();
-    s.shared_releases = p.shared_releases();
-    return s;
-  }
-  u64 reads() const { return swap_ins + file_reads + zero_fills + share_hits + inherited_fills; }
-  u64 cows() const { return cow_copies + cow_upgrades; }
-  u64 unmaps() const { return swap_releases + file_drops + file_writebacks + shared_releases; }
-};
 
 struct PointResult {
   u64 workers = 0;
@@ -354,11 +311,11 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     WorkerRig& child = rig.add_worker();
     parent.process->fork(*child.process);
   }
-  drain(sim);
+  bench::drain(sim, "fig14");
 
-  std::vector<LedgerSnap> base;
-  base.reserve(rig.workers.size());
-  for (const auto& w : rig.workers) base.push_back(LedgerSnap::of(*w.pager));
+  std::vector<const paging::Pager*> pagers;
+  for (const auto& w : rig.workers) pagers.push_back(w.pager.get());
+  const paging::MachineLedger base = paging::MachineLedger::of(pagers);
 
   // --- phase A: cold fill ---------------------------------------------
   // Worker 1 faults the untouched file half (the run's only device reads);
@@ -370,7 +327,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     std::vector<Step> refault;
     for (u64 p = 0; p < E; ++p) refault.push_back({evict_base + p * kPage, false, 0});
     launch_chain(rig, 0, std::move(refault), 0);
-    drain(sim);
+    bench::drain(sim, "fig14");
   }
 
   // --- phase B: the share sweep (measured) -----------------------------
@@ -388,7 +345,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
       for (u64 p = 0; p < Z; ++p) sweep.push_back({zero_base + p * kPage, false, 0});
       launch_chain(rig, i, std::move(sweep), i * kStagger);
     }
-    drain(sim);
+    bench::drain(sim, "fig14");
     r.share_cycles = sim.now() - t0;
     r.share_events = sim.events_executed() - e0;
   }
@@ -408,7 +365,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
       for (u64 p = 0; p < A; ++p) writes.push_back({anon_base + p * kPage, true, child_word(i, p)});
       launch_chain(rig, i, std::move(writes), i * kStagger);
     }
-    drain(sim);
+    bench::drain(sim, "fig14");
     r.cow_cycles = sim.now() - t0;
     r.cow_events = sim.events_executed() - e0;
   }
@@ -418,56 +375,33 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     std::vector<Step> writes;
     for (u64 p = 0; p < A; ++p) writes.push_back({anon_base + p * kPage, true, parent_final(p)});
     launch_chain(rig, 0, std::move(writes), 0);
-    drain(sim);
+    bench::drain(sim, "fig14");
   }
   for (const auto& w : rig.workers) r.cow_faults += w.cow_faults;
 
   // --- ledgers ---------------------------------------------------------
-  for (std::size_t i = 0; i < rig.workers.size(); ++i) {
-    const WorkerRig& w = rig.workers[i];
-    const LedgerSnap now = LedgerSnap::of(*w.pager);
-    const LedgerSnap& b = base[i];
-    require_gate(now.reads() - b.reads() == w.read_faults,
-                 "read-fault ledger unbalanced for " + w.pager->name());
-    require_gate(now.cows() - b.cows() == w.cow_faults,
-                 "COW ledger unbalanced for " + w.pager->name());
-    require_gate(now.evictions - b.evictions == now.unmaps() - b.unmaps(),
-                 "eviction ledger unbalanced for " + w.pager->name());
-    if (opt.pool_budget == 0) {
-      // No pressure: every bucket is exactly predictable per worker.
-      const u64 share_exp = i >= 2 ? S / 2 : 0;
-      const u64 file_exp = i == 1 ? S - S / 2 : 0;
-      require_gate(now.evictions == b.evictions, "unexpected eviction in an unpressured cell");
+  const paging::MachineLedger run = paging::MachineLedger::of(pagers) - base;
+  std::vector<paging::LedgerExpect> expect;
+  for (const auto& w : rig.workers) expect.push_back({w.read_faults, w.cow_faults, 0});
+  paging::require_balanced(run.check(expect), "fig14");
+  paging::require_balanced(paging::check_machine(pagers, &rig.pool), "fig14");
+  if (opt.pool_budget == 0) {
+    // No pressure: every bucket is exactly predictable per worker.
+    for (std::size_t i = 0; i < run.pagers.size(); ++i) {
+      const paging::Ledger& l = run.pagers[i];
+      require_gate(l.evictions == 0, "unexpected eviction in an unpressured cell");
       if (i == 0)
-        require_gate(now.swap_ins - b.swap_ins == E && now.cow_upgrades - b.cow_upgrades == A &&
-                         now.cow_copies == b.cow_copies,
+        require_gate(l.swap_ins == E && l.cow_upgrades == A && l.cow_copies == 0,
                      "parent bucket mismatch");
       else
-        require_gate(now.share_hits - b.share_hits == share_exp &&
-                         now.file_reads - b.file_reads == file_exp &&
-                         now.inherited_fills - b.inherited_fills == E &&
-                         now.zero_fills - b.zero_fills == Z &&
-                         now.cow_copies - b.cow_copies == A && now.cow_upgrades == b.cow_upgrades,
-                     "worker bucket mismatch for " + w.pager->name());
+        require_gate(l.share_hits == (i >= 2 ? S / 2 : 0) &&
+                         l.file_reads == (i == 1 ? S - S / 2 : 0) && l.inherited_fills == E &&
+                         l.zero_fills == Z && l.cow_copies == A && l.cow_upgrades == 0,
+                     "worker bucket mismatch for " + l.name);
     }
   }
-
-  // --- refcount identity -----------------------------------------------
-  std::unordered_map<u64, u64> per_frame;
-  u64 mappings = 0;
-  for (const auto& w : rig.workers) {
-    w.as->for_each_resident([&](u64 vpn) {
-      ++per_frame[*w.as->frame_of(vpn)];
-      ++mappings;
-    });
-  }
-  require_gate(mappings == rig.pool.mapped_pages(), "pool mapped_pages != sum of residency");
-  require_gate(per_frame.size() == rig.pool.resident_pages(), "pool resident != unique frames");
-  for (const auto& [frame, count] : per_frame)
-    require_gate(rig.frames.refcount(frame) == count,
-                 "frame refcount != mapping count for frame " + std::to_string(frame));
-  r.mapped = mappings;
-  r.unique_frames = per_frame.size();
+  r.mapped = rig.pool.mapped_pages();
+  r.unique_frames = rig.pool.resident_pages();
   r.dedup = rig.pool.dedup_ratio();
   r.evictions = rig.pool.evictions();
   if (N >= 256)
@@ -615,10 +549,10 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shard_workers = static_cast<unsigned>(std::strtoul(arg.c_str() + 9, nullptr, 10));
+    } else if (arg == "--shards" && i + 1 < argc) {
+      shard_workers = static_cast<unsigned>(std::stoul(argv[++i]));
     } else {
-      std::cerr << "usage: bench_fig14_page_sharing [--smoke] [--shards=N]\n";
+      std::cerr << "usage: bench_fig14_page_sharing [--smoke] [--shards N]\n";
       return arg == "--help" || arg == "-h" ? 0 : 2;
     }
   }

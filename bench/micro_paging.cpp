@@ -74,12 +74,6 @@ paging::SwapConfig fast_swap() {
   return cfg;
 }
 
-void drain(sim::Simulator& sim) {
-  while (sim.step()) {
-  }
-  if (!sim.idle()) throw std::runtime_error("micro_paging: queue failed to drain");
-}
-
 /// A process + pager over a small physical memory — the fault path without
 /// the MMU/walker front end (handle_fault is driven directly, and the OS
 /// tail is played by mapping the page in the ready callback).
@@ -134,7 +128,7 @@ struct FaultRig {
       });
     };
     chain();
-    drain(sim);
+    bench::drain(sim, "micro_paging");
     if (next != count) throw std::runtime_error("micro_paging: fault chain stalled");
   }
 };
@@ -196,14 +190,14 @@ Rate bench_swap_enqueue(u64 n, paging::SwapSchedPolicy policy) {
         for (u64 j = 0; j < kBurst; ++j)
           sched.write(owner, i + j, paging::SwapReqClass::kWriteback, [&done] { ++done; });
       });
-      drain(sim);
+      bench::drain(sim, "micro_paging");
       // Contiguous vpns share a cluster region: the burst dispatches as one
       // clustered device read.
       sched.batched([&] {
         for (u64 j = 0; j < kBurst; ++j)
           sched.read(owner, i + j, paging::SwapReqClass::kDemandRead, [&done] { ++done; });
       });
-      drain(sim);
+      bench::drain(sim, "micro_paging");
     }
     if (done != ops) throw std::runtime_error("micro_paging: swap op count mismatch");
     covered = sim.now();

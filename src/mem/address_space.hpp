@@ -59,6 +59,7 @@ class AddressSpace {
   const PageTable& page_table() const noexcept { return pt_; }
   u64 page_bytes() const noexcept { return pt_.page_bytes(); }
   FrameAllocator& frames() noexcept { return frames_; }
+  const FrameAllocator& frames() const noexcept { return frames_; }
 
   /// Reserves a virtual range (bump allocator); nothing is mapped yet.
   VirtAddr alloc(u64 bytes, u64 align = 16);

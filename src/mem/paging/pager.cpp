@@ -95,20 +95,14 @@ void Pager::on_unmap(u64 vpn, bool dirty, u64 frame, u64 sharers_left) {
   // the accessed bit still readable.
   if (speculative_.erase(vpn) > 0) prefetch_wasted_.add();
   // Lifecycle fork — each unmap lands in exactly ONE bucket, whoever
-  // initiated it (own eviction loop, pool global sweep, emergency reclaim,
-  // experiment-setup evictions), so the buckets partition all eviction
-  // traffic and a frame unmapped by N sharers contributes N bucket entries,
-  // never more (the double-count audit this ledger encodes). Anonymous
-  // pages — and private file pages once they hold a diverged copy in the
-  // backing store — live in swap: the page gets a slot and every refault
-  // pays a swap-in (`swap_releases`). File pages whose truth is the file
-  // get no slot: dirty shared ones write back through the buffer cache
-  // (bookkeeping now, device time absorbed in the background; concurrent
-  // sharers' writebacks of one block dedup into a single device write
-  // inside the cache — "exactly one writeback" per shared frame), clean
-  // ones whose frame other sharers still hold release for free
-  // (`shared_releases`), and the last clean mapping drops the frame
-  // (`file_drops`).
+  // initiated it, so a frame unmapped by N sharers contributes N entries
+  // (the unmap partition, mem/paging/ledger.hpp). Anonymous pages — and
+  // private file pages holding a diverged copy — live in swap: a slot, and
+  // every refault pays a swap-in. File pages whose truth is the file get no
+  // slot: dirty shared ones write back through the buffer cache (sharers'
+  // writebacks of one block dedup into one device write there), clean ones
+  // another sharer still holds release for free, and the last clean
+  // mapping drops the frame.
   const auto fp = as_.file_page(vpn);
   if (!fp || (!fp->shared && as_.has_backing(vpn))) {
     swap_releases_.add();
@@ -621,7 +615,8 @@ void Pager::pageout_tick() {
               as_.sync_page(vpn);
             }
             if (fp && fp->shared) {
-              file_writebacks_.add();
+              // Cleaning is not an unmap: the page's later eviction lands in
+              // its own bucket, and the cache's write counters record this.
               bcache_->write(bcache_client_, fp->file->id(), fp->block,
                              VMSLS_TRACE_NEW_ID(sim_.trace()));
             } else {

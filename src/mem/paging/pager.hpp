@@ -118,6 +118,7 @@ class Pager final : public mem::ResidencyObserver {
   ReplacementPolicy& policy() noexcept { return *policy_; }
   rt::Process& process() noexcept { return process_; }
   mem::AddressSpace& space() noexcept { return as_; }
+  const mem::AddressSpace& space() const noexcept { return as_; }
 
   /// This pager's per-owner window onto the swap front end (device traffic
   /// attributable to this process).
@@ -135,6 +136,7 @@ class Pager final : public mem::ResidencyObserver {
   };
   SwapView swap() const noexcept { return SwapView(*sched_, swap_owner_); }
   SwapScheduler& swap_scheduler() noexcept { return *sched_; }
+  const SwapScheduler& swap_scheduler() const noexcept { return *sched_; }
   unsigned swap_owner() const noexcept { return swap_owner_; }
 
   /// The file-I/O front end (owned or the group's shared cache) and this
@@ -229,19 +231,16 @@ class Pager final : public mem::ResidencyObserver {
   /// never count file pages — the two lifecycles partition fault traffic):
   /// demand faults served from the file tier (buffer-cache hit or device
   /// read), clean file pages dropped for free at eviction, and dirty
-  /// shared-file pages written back through the buffer cache.
+  /// shared-file pages written back through the buffer cache at unmap (the
+  /// pageout daemon's cleanings are not unmaps and count only in the cache).
   u64 file_reads() const noexcept { return file_reads_.value(); }
   u64 file_drops() const noexcept { return file_drops_.value(); }
   u64 file_writebacks() const noexcept { return file_writebacks_.value(); }
   /// Demand faults that needed neither swap nor file: first-touch zero-fill.
   u64 zero_fills() const noexcept { return zero_fills_.value(); }
   /// Sharing ledger. Together with the file/swap counters these partition
-  /// every primary fault and every unmap exactly once:
-  ///   read faults  == swap_ins + file_reads + zero_fills
-  ///                   + share_hits + inherited_fills
-  ///   write faults on resident RO pages == cow_copies + cow_upgrades
-  ///   unmaps == swap_releases + file_drops + file_writebacks
-  ///             + shared_releases
+  /// every primary fault and every unmap exactly once (the identities live
+  /// in mem/paging/ledger.hpp).
   /// `share_hits`: MAP_SHARED faults resolved to a frame another process
   /// already holds resident — no device read, no buffer-cache trip.
   u64 share_hits() const noexcept { return share_hits_.value(); }

@@ -40,6 +40,14 @@ class ProcessGroup {
   System& process(std::size_t i) { return *systems_.at(i); }
   std::size_t size() const noexcept { return systems_.size(); }
 
+  /// Every member's pager in member order (members without one skipped) —
+  /// the set a paging::MachineLedger snapshots.
+  std::vector<const paging::Pager*> pagers() const {
+    std::vector<const paging::Pager*> out;
+    for (const auto& s : systems_) if (s->pager() != nullptr) out.push_back(s->pager());
+    return out;
+  }
+
   /// The substrate-sizing platform the group was built with (page size,
   /// DRAM, telemetry, traffic knobs) — what a serving driver layers on.
   const PlatformSpec& platform() const noexcept { return platform_; }

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "mem/paging/ledger.hpp"
 #include "util/rng.hpp"
 
 namespace vmsls::sls {
@@ -250,6 +251,7 @@ TrafficDriver::Report TrafficDriver::run(Cycles max_cycles) {
   require(!ran_, name_ + ": a TrafficDriver runs once (build a fresh one per run)");
   ran_ = true;
   if (sim::TelemetrySampler* t = group_.telemetry(); t != nullptr && !t->armed()) t->start();
+  const paging::MachineLedger base = paging::MachineLedger::of(group_.pagers());
   const Cycles t0 = sim_.now();
   sim_.schedule_in(arrivals_gen_.next_gap(sim_.now()), [this] { on_arrival(); });
   while (sim_.step())
@@ -265,9 +267,13 @@ TrafficDriver::Report TrafficDriver::run(Cycles max_cycles) {
   gate(report_.admitted + report_.rejected == report_.arrivals,
        "admitted + rejected != arrivals");
   gate(report_.completed == report_.admitted, "completed != admitted after drain");
+  gate(report_.latency.size() == report_.completed, "latency samples != completions");
   gate(queue_.empty(), "admission queue not drained");
   gate(busy_ == 0, "workers still in service after drain");
   gate(sim_.idle(), "simulator not idle after drain");
+  for (const Worker& w : workers_) gate(!w.pager->swap().busy(), "swap queue not drained");
+  paging::require_balanced((paging::MachineLedger::of(group_.pagers()) - base).check(), name_);
+  paging::require_balanced(paging::check_machine(group_.pagers()), name_);
   if (report_.completed > 0) report_.span = last_completion_ - first_arrival_;
   return report_;
 }

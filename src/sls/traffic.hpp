@@ -25,7 +25,9 @@
 // worker goes idle:
 //
 //   arrivals == admitted + rejected == config requests
-//   completed == admitted
+//   completed == admitted == latency samples
+//
+// and the workers' pagers balance the paging ledger (mem/paging/ledger.hpp).
 //
 // Per-request spans reuse the PR 6 trace plumbing: a causal id is minted at
 // arrival and threads through "request" (arrival -> completion), "queue"

@@ -7,14 +7,9 @@
 // evictions. After every storm the invariants that define the sharing
 // model are re-checked:
 //
-//   * refcount identity — per-frame mapping counts reconstructed from the
-//     address spaces equal FrameAllocator::refcount, and the pool's
-//     mapped/resident aggregates match,
-//   * fault ledger — per pager, driven unmapped faults == swap_ins +
-//     file_reads + zero_fills + share_hits + inherited_fills, and driven
-//     permission faults == cow_copies + cow_upgrades,
-//   * unmap partition — per pager, bucket entries == pager evictions +
-//     externally evicted pages (each unmap lands in exactly one bucket),
+//   * the paging ledger (mem/paging/ledger.hpp) with the driven fault
+//     classification and the external evictions, and the refcount
+//     identity,
 //   * content — every process reads back exactly the value the reference
 //     model last wrote for it (divergence is never lost, sharing is never
 //     broken), and
@@ -31,6 +26,7 @@
 #include "mem/backing_file.hpp"
 #include "mem/frame_share.hpp"
 #include "mem/paging/frame_pool.hpp"
+#include "mem/paging/ledger.hpp"
 #include "mem/paging/pager.hpp"
 #include "rt/process.hpp"
 #include "sls/sharded_runner.hpp"
@@ -62,9 +58,7 @@ struct Storm {
   std::vector<std::unique_ptr<rt::Process>> procs;
   std::vector<std::unique_ptr<Pager>> pagers;
   // Driver-side classification + the reference content model.
-  std::vector<u64> driven_reads{std::vector<u64>(kProcs, 0)};
-  std::vector<u64> driven_cows{std::vector<u64>(kProcs, 0)};
-  std::vector<u64> external_evicted{std::vector<u64>(kProcs, 0)};
+  std::vector<LedgerExpect> expect{std::vector<LedgerExpect>(kProcs, {0, 0, 0})};
   std::vector<std::vector<u64>> anon_model;  // [proc][page] expected value
   std::vector<u64> file_model;               // [page] expected value (shared)
   VirtAddr file_base = 0, anon_base = 0, zero_base = 0;
@@ -122,10 +116,7 @@ struct Storm {
     mem::AddressSpace& as = *spaces[w];
     const auto pte = as.page_table().lookup(va);
     if (pte && (!is_write || pte->writable)) return;  // nothing to fault
-    if (!pte)
-      ++driven_reads[w];
-    else
-      ++driven_cows[w];
+    ++*(pte ? expect[w].cow_faults : expect[w].read_faults);
     bool done = false;
     pagers[w]->handle_fault(va, is_write, [&] {
       if (!as.is_mapped(va)) procs[w]->map_in(va);
@@ -165,7 +156,7 @@ struct Storm {
           const u64 p = rng() % (kFilePages + kAnonPages);
           const VirtAddr va = (p < kFilePages ? file_base + p * kPageSz
                                               : anon_base + (p - kFilePages) * kPageSz);
-          external_evicted[w] += procs[w]->evict(va, kPageSz);
+          expect[w].external_unmaps += procs[w]->evict(va, kPageSz);
           break;
         }
         case 4: {  // driven read fault on an evicted/fresh anon page
@@ -184,31 +175,10 @@ struct Storm {
   }
 
   void check_invariants() {
-    // Refcount identity.
-    std::map<u64, u64> per_frame;
-    u64 mappings = 0;
-    for (const auto& as : spaces)
-      as->for_each_resident([&](u64 vpn) {
-        ++per_frame[*as->frame_of(vpn)];
-        ++mappings;
-      });
-    EXPECT_EQ(mappings, pool.mapped_pages());
-    EXPECT_EQ(per_frame.size(), pool.resident_pages());
-    for (const auto& [frame, count] : per_frame) EXPECT_EQ(frames.refcount(frame), count);
-
-    // Ledgers.
-    for (u64 w = 0; w < kProcs; ++w) {
-      const Pager& pg = *pagers[w];
-      EXPECT_EQ(pg.swap_ins() + pg.file_reads() + pg.zero_fills() + pg.share_hits() +
-                    pg.inherited_fills(),
-                driven_reads[w])
-          << "read-fault ledger, w" << w;
-      EXPECT_EQ(pg.cow_copies() + pg.cow_upgrades(), driven_cows[w]) << "COW ledger, w" << w;
-      EXPECT_EQ(pg.swap_releases() + pg.file_drops() + pg.file_writebacks() +
-                    pg.shared_releases(),
-                pg.evictions() + external_evicted[w])
-          << "unmap partition, w" << w;
-    }
+    std::vector<const Pager*> members;
+    for (const auto& pg : pagers) members.push_back(pg.get());
+    EXPECT_EQ(check_machine(members, &pool), std::vector<std::string>{});
+    EXPECT_EQ(MachineLedger::of(members).check(expect), std::vector<std::string>{});
 
     // Content: divergence preserved, sharing coherent.
     for (u64 w = 0; w < kProcs; ++w)

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "mem/backing_file.hpp"
 #include "mem/mmu.hpp"
 #include "mem/paging/buffer_cache.hpp"
+#include "mem/paging/ledger.hpp"
 #include "mem/paging/pager.hpp"
 #include "mem/walker.hpp"
 #include "rt/os.hpp"
@@ -317,9 +320,7 @@ TEST_F(FilePagerFixture, EvictionForkSendsDirtySharedThroughTheCacheNeverSwap) {
 
   ASSERT_NE(translate_sync(base + 2 * kPage), ~0ull);  // evicts clean page 1
   EXPECT_EQ(pager->file_drops(), 1u);
-  // Eviction ledger on a pure-file working set: every pager eviction is a
-  // clean drop or a cache write-through — nothing else can happen.
-  EXPECT_EQ(pager->evictions(), pager->file_drops() + pager->file_writebacks());
+  EXPECT_EQ(Ledger::of(*pager).check(), std::vector<std::string>{});
 }
 
 TEST_F(FilePagerFixture, FaultLedgerPartitionsFileSwapAndZeroFillTraffic) {
@@ -335,6 +336,7 @@ TEST_F(FilePagerFixture, FaultLedgerPartitionsFileSwapAndZeroFillTraffic) {
   const VirtAddr fresh = ms.as.alloc(kPage, kPage);
 
   const u64 faults_before = static_cast<u64>(ms.sim.stats().counter_value("faults.faults"));
+  const Ledger before = Ledger::of(*pager);
   for (u64 p = 0; p < 4; ++p) ASSERT_NE(translate_sync(file_base + p * kPage), ~0ull);
   ASSERT_NE(translate_sync(anon), ~0ull);
   ASSERT_NE(translate_sync(fresh, /*write=*/true), ~0ull);
@@ -344,9 +346,9 @@ TEST_F(FilePagerFixture, FaultLedgerPartitionsFileSwapAndZeroFillTraffic) {
   EXPECT_EQ(pager->file_reads(), 4u);
   EXPECT_EQ(pager->swap_ins(), 1u);
   EXPECT_EQ(pager->zero_fills(), 1u);
-  // The partition identity: every primary fault is exactly one of a file
-  // read, a swap-in, or a zero-fill.
-  EXPECT_EQ(faults, pager->file_reads() + pager->swap_ins() + pager->zero_fills());
+  LedgerExpect expect;
+  expect.read_faults = faults;
+  EXPECT_EQ((Ledger::of(*pager) - before).check(expect), std::vector<std::string>{});
   EXPECT_EQ(ms.as.read_u64(anon), 0x1234);  // swap round trip intact
 }
 

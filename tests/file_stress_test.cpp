@@ -7,14 +7,15 @@
 // bit-identically down to the full stats registry.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <map>
 #include <string>
 
 #include "mem/backing_file.hpp"
 #include "mem/paging/frame_pool.hpp"
+#include "mem/paging/ledger.hpp"
 #include "sls/process_group.hpp"
 #include "sls/synthesis.hpp"
+#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 namespace vmsls {
@@ -67,49 +68,29 @@ RunOutcome run_seed(u64 seed, u64 bcache_capacity) {
     wls[i].setup(sys);
     sys.process().evict(sys.buffer(buf.name), buf.bytes);  // cold start
   }
-  while (sim.step()) {
-  }
+  test::run_until_drained(sim);
   // The cold-start evicts above route through the lifecycle fork too (the
-  // setup pages are dirty, so they write through the cache) — the eviction
-  // ledger below is therefore a run-phase delta.
-  std::vector<std::array<u64, 4>> before;  // evictions, drops, writebacks, shared_releases
-  for (unsigned i = 0; i < kProcs; ++i) {
-    paging::Pager& pager = *group.process(i).pager();
-    before.push_back({pager.evictions(), pager.file_drops(), pager.file_writebacks(),
-                      pager.shared_releases()});
-  }
+  // setup pages are dirty, so they write through the cache) — the ledger
+  // below is therefore a run-phase delta.
+  const paging::MachineLedger before = paging::MachineLedger::of(group.pagers());
 
   group.start_all();
   RunOutcome r;
   const u64 events_before = sim.events_executed();
   r.cycles = group.run_to_completion();
-  const Cycles deadline = sim.now() + 1'000'000'000ull;
-  while (sim.step())
-    if (sim.now() > deadline) throw std::runtime_error("stress: queue failed to drain");
+  test::run_until_drained(sim);
   EXPECT_FALSE(group.buffer_cache().busy());
   r.events = sim.events_executed() - events_before;
 
+  const paging::MachineLedger run = paging::MachineLedger::of(group.pagers()) - before;
+  EXPECT_EQ(run.check(), std::vector<std::string>{}) << "seed " << seed;
+  EXPECT_EQ(paging::check_machine(group.pagers()), std::vector<std::string>{}) << "seed " << seed;
   for (unsigned i = 0; i < kProcs; ++i) {
     EXPECT_TRUE(wls[i].verify(group.process(i))) << "seed " << seed << " p" << i;
-    paging::Pager& pager = *group.process(i).pager();
-    // File-backed working set: zero swap traffic, every pager eviction a
-    // clean drop, a cache write-through, or — now that the frames are
-    // refcounted — a release of a frame other sharers still hold; every
-    // refault a cache lookup.
-    EXPECT_EQ(pager.swap().reads(), 0u) << "seed " << seed;
-    EXPECT_EQ(pager.swap().writes(), 0u) << "seed " << seed;
-    EXPECT_EQ(pager.swap_ins(), 0u) << "seed " << seed;
-    EXPECT_EQ(pager.evictions() - before[i][0],
-              (pager.file_drops() - before[i][1]) + (pager.file_writebacks() - before[i][2]) +
-                  (pager.shared_releases() - before[i][3]))
-        << "seed " << seed;
-    EXPECT_EQ(pager.file_reads(),
-              pager.buffer_cache().client_hits(pager.bcache_client()) +
-                  pager.buffer_cache().client_misses(pager.bcache_client()))
-        << "seed " << seed;
+    // File-backed working set: zero swap traffic.
+    const paging::Ledger& l = run.pagers[i];
+    EXPECT_EQ(l.swap_reads + l.swap_writes + l.swap_ins, 0u) << "seed " << seed << " p" << i;
   }
-  const paging::BufferCache& bc = group.buffer_cache();
-  EXPECT_EQ(bc.misses(), bc.device_reads() + bc.merged_reads()) << "seed " << seed;
 
   r.snapshot = sim.stats().snapshot();
   return r;

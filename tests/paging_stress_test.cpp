@@ -14,6 +14,7 @@
 
 #include "dma/dma_engine.hpp"
 #include "dma/offload.hpp"
+#include "mem/paging/ledger.hpp"
 #include "mem/paging/pager.hpp"
 #include "rt/os.hpp"
 #include "rt/process.hpp"
@@ -68,6 +69,7 @@ StressSnapshot run_chaos(u64 seed) {
   process.evict(base, kRegionPages * 4096);
   const auto pinned = driver.alloc_pinned(kPinnedPages * 4096);
   const u64 maps_at_start = ms.as.faults_serviced();
+  const Ledger before = Ledger::of(pager);
 
   Rng rng(seed);
   auto issued = std::make_shared<u64>(0);
@@ -111,10 +113,8 @@ StressSnapshot run_chaos(u64 seed) {
   EXPECT_EQ(*completed, *issued) << "seed " << seed;
   EXPECT_EQ(ms.as.pinned_pages(), 0u) << "seed " << seed;
   EXPECT_EQ(driver.pins_held(), 0u) << "seed " << seed;
-  // Swap ledger: every pager swap-in is exactly one device read, and every
-  // device write is either a fault-path writeback or a daemon pageout.
-  EXPECT_EQ(pager.swap().reads(), pager.swap_ins()) << "seed " << seed;
-  EXPECT_EQ(pager.swap().writes(), pager.writebacks() + pager.pageouts()) << "seed " << seed;
+  // The paging ledger over the run (the cold-start eviction is setup).
+  EXPECT_EQ((Ledger::of(pager) - before).check(), std::vector<std::string>{}) << "seed " << seed;
   // Residency ledger: pages mapped since the cold start minus evictions is
   // exactly what remains resident (nothing leaks, nothing double-frees).
   EXPECT_EQ(ms.as.resident_pages(), ms.as.faults_serviced() - maps_at_start - pager.evictions())

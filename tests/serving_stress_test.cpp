@@ -5,13 +5,13 @@
 //   arrivals == admitted + rejected == configured requests
 //   completed == admitted
 //
-// drain every queue, and leave every worker idle (TrafficDriver::run
-// throws on any violation — the assertions here re-check from the returned
-// report so a silent driver bug cannot pass). One seed is rerun and must
-// be bit-identical, per the repo-wide determinism contract.
+// drain every queue, leave every worker idle, and balance the paging ledger
+// (TrafficDriver::run throws on any violation — the assertions here
+// re-check the request ledger and the drain from outside the driver so a
+// silent driver bug cannot pass). One seed is rerun and must be
+// bit-identical, per the repo-wide determinism contract.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
 #include "sls/process_group.hpp"
@@ -75,7 +75,9 @@ TrafficDriver::Report run_once(const PlatformSpec& plat, unsigned workers) {
   EXPECT_EQ(driver.queue_depth(), 0u);
   EXPECT_EQ(driver.busy_workers(), 0u);
   EXPECT_NE(group.shared_swap(), nullptr);
-  if (group.shared_swap() != nullptr) EXPECT_EQ(group.shared_swap()->queue_depth(), 0u);
+  if (group.shared_swap() != nullptr) {
+    EXPECT_EQ(group.shared_swap()->queue_depth(), 0u);
+  }
   EXPECT_TRUE(sim.idle());
   return rep;
 }

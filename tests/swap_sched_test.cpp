@@ -14,6 +14,7 @@
 
 #include <algorithm>
 
+#include "mem/paging/ledger.hpp"
 #include "mem/paging/pager.hpp"
 #include "mem/paging/swap_scheduler.hpp"
 #include "rt/os.hpp"
@@ -241,7 +242,8 @@ TEST(SwapReadahead, PrefetchesNeighborsLandsCleanAndBalancesLedger) {
   // allocator packs them into adjacent slots.
   const VirtAddr base = h.ms.as.alloc(6 * 4096, 4096);
   for (u64 p = 0; p < 6; ++p) h.ms.as.write_u64(base + p * 4096, 0xAB00 + p);
-  h.process.evict(base, 6 * 4096);
+  LedgerExpect expect;
+  expect.external_unmaps = h.process.evict(base, 6 * 4096);
   const u64 vpn0 = base >> 12;
 
   // One demand fault on page 2 must swap in page 2 and prefetch pages 3, 4.
@@ -267,8 +269,7 @@ TEST(SwapReadahead, PrefetchesNeighborsLandsCleanAndBalancesLedger) {
   EXPECT_FALSE(h.pager.is_speculative(vpn0 + 2));  // demanded, not speculative
   // Contents really came from the backing store.
   EXPECT_EQ(h.ms.as.read_u64(base + 3 * 4096), 0xAB03u);
-  // Ledger: every device read is a swap-in or a prefetch.
-  EXPECT_EQ(h.pager.swap().reads(), h.pager.swap_ins() + h.pager.prefetches());
+  EXPECT_EQ(Ledger::of(h.pager).check(expect), std::vector<std::string>{});
 
   // A reference observed through the accessed-bit funnel graduates the
   // page: accuracy counters move, the speculative flag clears.
