@@ -4,18 +4,27 @@
 // workload, synthesize, elaborate, (optionally) perturb memory state, run,
 // verify, and collect cycles + component statistics. Results print through
 // util/Table so outputs are uniform and scrapable.
+//
+// The gated benches (fig12–fig15, micro_core) also share their main():
+// run_main parses the shared flags into a Cli and maps failures to exit
+// codes, run_sharded is the serial == sharded gate, and write_artifacts
+// writes the BENCH JSON + summary pair.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <functional>
+#include <iostream>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "sls/sharded_runner.hpp"
 #include "sls/synthesis.hpp"
 #include "sls/system.hpp"
+#include "util/table.hpp"
 #include "workloads/workloads.hpp"
 
 namespace vmsls::bench {
@@ -162,6 +171,115 @@ inline void drain(sim::Simulator& sim, const std::string& who) {
 inline void evict_all_buffers(sls::System& system) {
   for (const auto& buf : system.image().app().buffers)
     system.process().evict(system.buffer(buf.name), buf.bytes);
+}
+
+/// Writes a figure's two artifacts: the engine report as BENCH_<stem>.json
+/// and <stem>_summary.txt holding `headline`, then `table` printed under
+/// `title` (when given), then `tail`.
+inline void write_artifacts(const EngineBenchReport& engine, const std::string& stem,
+                            const std::string& headline, const Table* table = nullptr,
+                            const std::string& title = "", const std::string& tail = "") {
+  engine.write_json("BENCH_" + stem + ".json");
+  std::ofstream summary(stem + "_summary.txt");
+  summary << headline;
+  if (table != nullptr) table->print(summary, title);
+  summary << tail;
+}
+
+/// Runs `shards` on `workers` host threads, re-runs them serially and
+/// throws on the first divergence (cycles, events, or the merged stat
+/// snapshot), then prints the one-line verdict naming `what`.
+inline sls::ShardedReport run_sharded(const std::vector<sls::Shard>& shards, unsigned workers,
+                                      const std::string& what) {
+  const sls::ShardedRunner runner(workers);
+  sls::ShardedReport report = runner.run(shards);
+  runner.verify_against_serial(shards, report);
+  std::cout << "[shards] " << what << " on " << workers
+            << " host threads == serial (bit-identical)\n";
+  return report;
+}
+
+/// The flags the fig benches share; each bench names the subset it takes.
+enum CliFlag : unsigned {
+  kSmoke = 1u << 0,   // --smoke: the CI-sized run
+  kShards = 1u << 1,  // --shards N: host threads for the serial == sharded gate
+  kTracing = 1u << 2, // --trace PATH, --telemetry PATH, --telemetry-period N
+};
+
+struct Cli {
+  bool smoke = false;
+  bool help = false;
+  unsigned shards = 2;
+  std::string trace;      // Perfetto JSON artifact of the --smoke run
+  std::string telemetry;  // telemetry CSV artifact of the --smoke run
+  u64 telemetry_period = 20'000;
+};
+
+/// A malformed invocation: run_main prints it with the usage line, exits 2.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+template <typename T>
+T parse_positive(const std::string& flag, const std::string& text) {
+  T v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || v == 0)
+    throw UsageError(flag + " expects a whole positive number, got '" + text + "'");
+  return v;
+}
+
+inline Cli parse_cli(int argc, char** argv, unsigned flags) {
+  Cli cli;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto value = [&] {
+      if (i + 1 >= argc) throw UsageError("missing value for " + arg);
+      return std::string(argv[++i]);
+    };
+    if (arg == "--help" || arg == "-h") {
+      cli.help = true;
+      return cli;
+    }
+    if ((flags & kSmoke) && arg == "--smoke") cli.smoke = true;
+    else if ((flags & kShards) && arg == "--shards")
+      cli.shards = parse_positive<unsigned>(arg, value());
+    else if ((flags & kTracing) && arg == "--trace") cli.trace = value();
+    else if ((flags & kTracing) && arg == "--telemetry") cli.telemetry = value();
+    else if ((flags & kTracing) && arg == "--telemetry-period")
+      cli.telemetry_period = parse_positive<u64>(arg, value());
+    else throw UsageError("unknown argument '" + arg + "'");
+  }
+  if (!cli.smoke && !(cli.trace.empty() && cli.telemetry.empty()))
+    throw UsageError("--trace and --telemetry name --smoke artifacts; add --smoke");
+  return cli;
+}
+
+/// A bench's whole main(): parses the `flags` it accepts, then runs `body`.
+/// A malformed invocation exits 2 with the usage line, --help exits 0, and
+/// any exception prints "<name> FAILED: <what>" and exits 1.
+inline int run_main(int argc, char** argv, const std::string& name, unsigned flags,
+                    const std::function<void(const Cli&)>& body) {
+  const std::string prog = std::string(argv[0]).substr(std::string(argv[0]).rfind('/') + 1);
+  const std::string usage =
+      "usage: " + prog + (flags & kSmoke ? " [--smoke]" : "") +
+      (flags & kShards ? " [--shards N]" : "") +
+      (flags & kTracing ? " [--trace PATH] [--telemetry PATH] [--telemetry-period N]" : "");
+  try {
+    const Cli cli = parse_cli(argc, argv, flags);
+    if (cli.help) {
+      std::cout << usage << "\n";
+      return 0;
+    }
+    body(cli);
+    return 0;
+  } catch (const UsageError& e) {
+    std::cerr << name << ": " << e.what() << "\n" << usage << "\n";
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << name << " FAILED: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace vmsls::bench

@@ -27,24 +27,24 @@
 // the paging ledger (mem/paging/ledger.hpp: per-owner swap reads/writes
 // and their partition of the device totals, the unmap partition); a
 // single-member shared device is bit-identical to a private one (the
-// determinism contract); the contention and recovery regimes both actually
-// show (12a/12b headline directions).
+// determinism contract); the grid run on --shards N host threads (default
+// 2) is bit-identical to the serial walk; the contention and recovery
+// regimes both actually show (12a/12b headline directions).
 //
 // Artifacts: BENCH_fig12_swap.json (engine-report schema) and
 // fig12_swap_summary.txt (headline numbers + write_swap_summary /
 // write_pager_summary dumps) for the CI artifact upload.
 //
-// --smoke mode (CI's traced run): skips the tables and runs the worked
-// example twice — once bare, once with a trace sink and the telemetry
-// sampler attached — and gates that (a) tracing perturbs nothing (cycles,
-// events, and ledgers bit-identical), (b) every span balances and every
-// fault span decomposes exactly into its evict + queue + io sub-spans with
-// the per-pager maximum matching the fault_stall histogram, and (c) the
-// telemetry time-series covers the whole run at the configured cadence.
-// --trace/--telemetry name the artifact files.
+// --smoke mode (CI's traced run): skips the tables, keeps the determinism
+// gate, and runs the worked example twice — once bare, once with a trace
+// sink and the telemetry sampler attached — and gates that (a) tracing
+// perturbs nothing (cycles, events, and ledgers bit-identical), (b) every
+// span balances and every fault span decomposes exactly into its evict +
+// queue + io sub-spans with the per-pager maximum matching the fault_stall
+// histogram, and (c) the telemetry time-series covers the whole run at the
+// configured cadence.
+// --trace/--telemetry name the artifact files and need --smoke.
 
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -59,7 +59,6 @@
 #include "sim/trace.hpp"
 #include "sls/process_group.hpp"
 #include "sls/report_writer.hpp"
-#include "sls/sharded_runner.hpp"
 #include "util/table.hpp"
 
 using namespace vmsls;
@@ -409,20 +408,20 @@ void validate_telemetry(const MixResult& r, u64 period) {
             << r.cycles << "\n";
 }
 
-int run_smoke(const std::string& trace_path, const std::string& telemetry_csv, u64 period) {
+void run_smoke(const bench::Cli& cli) {
   MixOptions base;  // the worked example: 4 processes, shared-priority, ra=4
   base.processes = 4;
   base.device = DeviceMode::kSharedPriority;
   base.readahead = 4;
-  base.telemetry_period = period;
+  base.telemetry_period = cli.telemetry_period;
 
   const MixResult control = run_mix(base);
 
   MemorySink captured;
   MixOptions traced = base;
-  traced.trace_path = trace_path;
+  traced.trace_path = cli.trace;
   traced.extra_sink = &captured;
-  traced.telemetry_csv = telemetry_csv;
+  traced.telemetry_csv = cli.telemetry;
   const MixResult t = run_mix(traced);
 
   // Tracing is observation only: the traced run must be bit-identical.
@@ -434,53 +433,14 @@ int run_smoke(const std::string& trace_path, const std::string& telemetry_csv, u
             << " faults=" << t.faults << " (bit-identical)\n";
 
   validate_spans(captured.events, t.trace_tracks, t.pager_fault_stall_max);
-  validate_telemetry(t, period);
-  if (!trace_path.empty())
-    std::cout << "[smoke] wrote " << trace_path << " (" << captured.events.size()
+  validate_telemetry(t, cli.telemetry_period);
+  if (!cli.trace.empty())
+    std::cout << "[smoke] wrote " << cli.trace << " (" << captured.events.size()
               << " trace events)\n";
-  if (!telemetry_csv.empty()) std::cout << "[smoke] wrote " << telemetry_csv << "\n";
-  return 0;
+  if (!cli.telemetry.empty()) std::cout << "[smoke] wrote " << cli.telemetry << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  bool smoke = false;
-  unsigned shards = 1;
-  std::string trace_path;
-  std::string telemetry_csv;
-  u64 telemetry_period = 20'000;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << "fig12: missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--smoke") smoke = true;
-    else if (arg == "--shards") shards = static_cast<unsigned>(std::stoul(value()));
-    else if (arg == "--trace") trace_path = value();
-    else if (arg == "--telemetry") telemetry_csv = value();
-    else if (arg == "--telemetry-period") telemetry_period = std::stoull(value());
-    else {
-      std::cerr << "usage: bench_fig12_shared_swap [--smoke] [--shards N] [--trace PATH] "
-                   "[--telemetry PATH] [--telemetry-period N]\n";
-      return arg == "--help" || arg == "-h" ? 0 : 2;
-    }
-  }
-  if (smoke) {
-    try {
-      return run_smoke(trace_path, telemetry_csv, telemetry_period);
-    } catch (const std::exception& e) {
-      std::cerr << "fig12 --smoke FAILED: " << e.what() << "\n";
-      return 1;
-    }
-  }
-
-  determinism_gate();
-
+void run_grid(const bench::Cli& cli) {
   bench::EngineBenchReport engine;
   std::ostringstream headline;
 
@@ -521,22 +481,7 @@ int main(int argc, char** argv) {
     shard_list.push_back({grid[i].label, [&results, &grid, i](sim::Simulator& sim) {
                             results[i] = run_mix_on(sim, grid[i].opt);
                           }});
-  sls::ShardedRunner runner(shards);
-  bench::WallTimer sharded_timer;
-  const sls::ShardedReport report = runner.run(shard_list);
-  const double sharded_ms = sharded_timer.ms();
-  if (shards > 1) {
-    // Verification pass: the whole grid again, serially, and a hard compare
-    // of every shard's cycles/events plus the full merged stat snapshot.
-    // Throws (and fails the bench) on the first divergence.
-    bench::WallTimer serial_timer;
-    runner.verify_against_serial(shard_list, report);
-    const double serial_ms = serial_timer.ms();
-    std::cout << "[sharded] " << grid.size() << " grid points on " << shards
-              << " workers: " << sharded_ms << " ms vs " << serial_ms
-              << " ms serial (speedup " << serial_ms / sharded_ms
-              << "x) — bit-identical\n";
-  }
+  bench::run_sharded(shard_list, cli.shards, std::to_string(grid.size()) + " grid points");
 
   // --- 12a: contention — process count x device mode, readahead off ------
   Table table_a({"processes", "device", "cycles", "faults", "swap reads", "queue wait",
@@ -633,15 +578,21 @@ int main(int argc, char** argv) {
             << " prefetches=" << r.prefetches << " accuracy=" << r.accuracy()
             << " coverage=" << r.coverage() << " wb_promotions=" << r.wb_promotions << "\n";
 
-  engine.write_json("BENCH_fig12_swap.json");
-  {
-    std::ofstream summary("fig12_swap_summary.txt");
-    summary << headline.str();
-    summary << "[4p shared-priority ra=4] swap_ins=" << r.swap_ins
-            << " prefetches=" << r.prefetches << " useful=" << r.prefetch_useful
-            << " late=" << r.prefetch_late << " wasted=" << r.prefetch_wasted
-            << " accuracy=" << r.accuracy() << " coverage=" << r.coverage()
-            << " queue_wait_mean=" << r.queue_wait_mean << "\n";
-  }
-  return 0;
+  std::ostringstream tail;
+  tail << "[4p shared-priority ra=4] swap_ins=" << r.swap_ins << " prefetches=" << r.prefetches
+       << " useful=" << r.prefetch_useful << " late=" << r.prefetch_late
+       << " wasted=" << r.prefetch_wasted << " accuracy=" << r.accuracy()
+       << " coverage=" << r.coverage() << " queue_wait_mean=" << r.queue_wait_mean << "\n";
+  bench::write_artifacts(engine, "fig12_swap", headline.str(), nullptr, "", tail.str());
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, "fig12", bench::kSmoke | bench::kShards | bench::kTracing,
+                         [](const bench::Cli& cli) {
+                           determinism_gate();
+                           if (cli.smoke) run_smoke(cli);
+                           else run_grid(cli);
+                         });
 }

@@ -33,7 +33,6 @@
 // --smoke mode (CI's Release run): the 100% and 50% residency pairs plus
 // every gate above including bit-identity; writes the same artifacts.
 
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -249,14 +248,14 @@ void add_rows(Table& table, bench::EngineBenchReport& engine, unsigned pct, cons
   }
 }
 
-int run_grid(bool smoke) {
+void run_grid(const bench::Cli& cli) {
   determinism_gate();
 
   bench::EngineBenchReport engine;
   Table table({"residency %", "mode", "cycles", "faults", "swap ins", "file reads", "bc hits",
                "bc misses", "hit rate", "clean drops", "speedup vs anon"});
-  std::vector<unsigned> sweep = smoke ? std::vector<unsigned>{100, 50}
-                                      : std::vector<unsigned>{100, 70, 50, 35};
+  std::vector<unsigned> sweep = cli.smoke ? std::vector<unsigned>{100, 50}
+                                          : std::vector<unsigned>{100, 70, 50, 35};
   std::map<unsigned, Cell> cells;
   for (unsigned pct : sweep) cells[pct] = run_pair(pct);
   for (unsigned pct : sweep) add_rows(table, engine, pct, cells.at(pct));
@@ -288,33 +287,11 @@ int run_grid(bool smoke) {
   worked.dump_summaries = true;
   run_point(worked);
 
-  engine.write_json("BENCH_fig13_file.json");
-  {
-    std::ofstream summary("fig13_file_summary.txt");
-    summary << headline.str();
-    std::ostringstream table_txt;
-    table.print(table_txt, "Figure 13");
-    summary << table_txt.str();
-  }
-  return 0;
+  bench::write_artifacts(engine, "fig13_file", headline.str(), &table, "Figure 13");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    else {
-      std::cerr << "usage: bench_fig13_file_backed [--smoke]\n";
-      return arg == "--help" || arg == "-h" ? 0 : 2;
-    }
-  }
-  try {
-    return run_grid(smoke);
-  } catch (const std::exception& e) {
-    std::cerr << "fig13 FAILED: " << e.what() << "\n";
-    return 1;
-  }
+  return bench::run_main(argc, argv, "fig13", bench::kSmoke, run_grid);
 }

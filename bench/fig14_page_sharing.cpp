@@ -49,7 +49,6 @@
 // --smoke mode (CI's Release run): drops the 1024-worker cell, keeps every
 // gate including bit-identity and the sharded rerun.
 
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -69,7 +68,6 @@
 #include "mem/physmem.hpp"
 #include "rt/process.hpp"
 #include "sim/simulator.hpp"
-#include "sls/sharded_runner.hpp"
 #include "util/table.hpp"
 
 using namespace vmsls;
@@ -462,29 +460,23 @@ void determinism_gate() {
             << " entries (bit-identical)\n";
 }
 
-void sharded_gate(unsigned shard_workers) {
-  // Four instances of the smallest cell, each on its own simulator: the
-  // parallel merged registry must be bit-identical to the serial one —
-  // page sharing adds no hidden cross-shard state.
-  std::vector<sls::Shard> shards;
-  for (unsigned i = 0; i < 4; ++i)
-    shards.push_back(
-        {"s" + std::to_string(i), [](sim::Simulator& sim) { run_point_on(sim, small_point()); }});
-  sls::ShardedRunner runner(shard_workers);
-  const sls::ShardedReport report = runner.run(shards);
-  runner.verify_against_serial(shards, report);
-  std::cout << "[shards] 4x16-worker cells on " << shard_workers
-            << " host threads == serial (bit-identical)\n";
-}
-
-int run_grid(bool smoke, unsigned shard_workers) {
+void run_grid(const bench::Cli& cli) {
   determinism_gate();
-  sharded_gate(shard_workers);
+  {
+    // Four instances of the smallest cell, each on its own simulator: the
+    // parallel merged registry must be bit-identical to the serial one —
+    // page sharing adds no hidden cross-shard state.
+    std::vector<sls::Shard> shards;
+    for (unsigned i = 0; i < 4; ++i)
+      shards.push_back(
+          {"s" + std::to_string(i), [](sim::Simulator& sim) { run_point_on(sim, small_point()); }});
+    bench::run_sharded(shards, cli.shards, "4x16-worker cells");
+  }
 
   bench::EngineBenchReport engine;
   Table table({"workers", "mapped pages", "frames", "dedup", "share flt", "cyc/share flt",
                "cow flt", "cyc/cow flt", "evictions"});
-  std::vector<u64> sweep = smoke ? std::vector<u64>{64, 256} : std::vector<u64>{64, 256, 1024};
+  std::vector<u64> sweep = cli.smoke ? std::vector<u64>{64, 256} : std::vector<u64>{64, 256, 1024};
   std::vector<PointResult> cells;
   for (const u64 n : sweep) {
     PointOptions opt;
@@ -529,37 +521,11 @@ int run_grid(bool smoke, unsigned shard_workers) {
            << "  and the run is bit-identical across reruns and shard counts\n";
   std::cout << headline.str();
 
-  engine.write_json("BENCH_fig14_sharing.json");
-  {
-    std::ofstream summary("fig14_sharing_summary.txt");
-    summary << headline.str();
-    std::ostringstream table_txt;
-    table.print(table_txt, "Figure 14");
-    summary << table_txt.str();
-  }
-  return 0;
+  bench::write_artifacts(engine, "fig14_sharing", headline.str(), &table, "Figure 14");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  unsigned shard_workers = 2;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shard_workers = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else {
-      std::cerr << "usage: bench_fig14_page_sharing [--smoke] [--shards N]\n";
-      return arg == "--help" || arg == "-h" ? 0 : 2;
-    }
-  }
-  try {
-    return run_grid(smoke, shard_workers);
-  } catch (const std::exception& e) {
-    std::cerr << "fig14 FAILED: " << e.what() << "\n";
-    return 1;
-  }
+  return bench::run_main(argc, argv, "fig14", bench::kSmoke | bench::kShards, run_grid);
 }

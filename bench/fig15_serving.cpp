@@ -36,8 +36,6 @@
 // --smoke mode (CI's Release run): fewer requests per point and a single
 // rerun cell, every gate kept.
 
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -48,7 +46,6 @@
 #include "mem/paging/swap_scheduler.hpp"
 #include "sls/process_group.hpp"
 #include "sls/report_writer.hpp"
-#include "sls/sharded_runner.hpp"
 #include "sls/traffic.hpp"
 #include "util/table.hpp"
 
@@ -165,47 +162,36 @@ void determinism_gate(const PointOptions& opt) {
             << " entries (bit-identical)\n";
 }
 
-void sharded_gate(const std::vector<PointOptions>& grid, unsigned shard_workers) {
-  // Every rate point of the grid as its own shard: the merged registry must
-  // be bit-identical to the serial walk — open-arrival sampling adds no
-  // hidden cross-shard state.
-  std::vector<sls::Shard> shards;
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    shards.push_back({"r" + std::to_string(i),
-                      [opt = grid[i]](sim::Simulator& sim) { run_point_on(sim, opt); }});
-  sls::ShardedRunner runner(shard_workers);
-  const sls::ShardedReport report = runner.run(shards);
-  runner.verify_against_serial(shards, report);
-  std::cout << "[shards] " << grid.size() << " rate points on " << shard_workers
-            << " host threads == serial (bit-identical)\n";
-}
-
-int run_grid(bool smoke, unsigned shard_workers) {
+void run_grid(const bench::Cli& cli) {
   // Rate grid, slowest first (gaps descending = rate ascending). The knee
   // must land inside the grid for both policies, with >= 4 sustainable
   // points below it.
   const std::vector<Cycles> gaps = {20000, 14000, 10000, 7000, 5000, 3500, 2500, 1800, 1200, 800};
   const Cycles p99_bound = 60'000;
-  const u64 requests = smoke ? 300 : 600;
+  const u64 requests = cli.smoke ? 300 : 600;
 
   {
     PointOptions det;
     det.mean_gap = 7000;
-    det.requests = smoke ? 150 : 300;
+    det.requests = cli.smoke ? 150 : 300;
     determinism_gate(det);
   }
   {
-    std::vector<PointOptions> shard_grid;
+    // Every rate point of the grid as its own shard: the merged registry
+    // must be bit-identical to the serial walk — open-arrival sampling adds
+    // no hidden cross-shard state.
+    std::vector<sls::Shard> shards;
     for (const Cycles gap : {14000, 5000}) {
       for (const auto policy : {paging::SwapSchedPolicy::kFifo, paging::SwapSchedPolicy::kPriority}) {
         PointOptions opt;
         opt.policy = policy;
         opt.mean_gap = gap;
-        opt.requests = smoke ? 150 : 300;
-        shard_grid.push_back(opt);
+        opt.requests = cli.smoke ? 150 : 300;
+        shards.push_back({"r" + std::to_string(shards.size()),
+                          [opt](sim::Simulator& sim) { run_point_on(sim, opt); }});
       }
     }
-    sharded_gate(shard_grid, shard_workers);
+    bench::run_sharded(shards, cli.shards, std::to_string(shards.size()) + " rate points");
   }
 
   bench::EngineBenchReport engine;
@@ -276,41 +262,16 @@ int run_grid(bool smoke, unsigned shard_workers) {
            << "  all queues drained, and the run is bit-identical across reruns and shards\n";
   std::cout << headline.str();
 
-  engine.write_json("BENCH_fig15_serving.json");
-  {
-    std::ofstream summary("fig15_serving_summary.txt");
-    summary << headline.str();
-    std::ostringstream table_txt;
-    table.print(table_txt, "Figure 15");
-    summary << table_txt.str();
-    for (const auto& [pname, knee] : knee_points) {
-      summary << "\n-- " << pname << " @ max sustainable rate --\n"
-              << knee.serving_summary << knee.swap_summary;
-    }
-  }
-  return 0;
+  std::ostringstream knees;
+  for (const auto& [pname, knee] : knee_points)
+    knees << "\n-- " << pname << " @ max sustainable rate --\n"
+          << knee.serving_summary << knee.swap_summary;
+  bench::write_artifacts(engine, "fig15_serving", headline.str(), &table, "Figure 15",
+                         knees.str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  unsigned shard_workers = 2;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shard_workers = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else {
-      std::cerr << "usage: bench_fig15_serving [--smoke] [--shards N]\n";
-      return arg == "--help" || arg == "-h" ? 0 : 2;
-    }
-  }
-  try {
-    return run_grid(smoke, shard_workers);
-  } catch (const std::exception& e) {
-    std::cerr << "fig15 FAILED: " << e.what() << "\n";
-    return 1;
-  }
+  return bench::run_main(argc, argv, "fig15", bench::kSmoke | bench::kShards, run_grid);
 }

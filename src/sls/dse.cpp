@@ -30,6 +30,8 @@ DseResult DesignSpaceExplorer::explore_pager_tlb(const AppSpec& app, const std::
                                                  const std::vector<PagerCandidate>& pager_candidates,
                                                  const Evaluator& evaluate) {
   require(!entry_candidates.empty(), "DSE needs at least one TLB candidate");
+  for (unsigned entries : entry_candidates)
+    require(entries > 0, "DSE TLB candidates need at least one entry");
   require(!pager_candidates.empty(), "DSE needs at least one pager candidate");
   app.thread(thread);  // throws for unknown thread names
 

@@ -337,5 +337,14 @@ TEST(Dse, UnknownThreadRejected) {
   EXPECT_THROW(dse.explore_tlb(small_app(), "ghost", {4}), std::out_of_range);
 }
 
+TEST(Dse, ZeroEntryTlbRejected) {
+  // A 0-entry candidate must be refused, not reach the ways-legalisation
+  // loop, where 0 % 0 would kill the process.
+  DesignSpaceExplorer dse(zynq7020());
+  EXPECT_THROW(dse.explore_tlb(small_app(), "worker", {0}), std::invalid_argument);
+  EXPECT_THROW(dse.explore_pager_tlb(small_app(), "worker", {8, 0}, {PagerCandidate{}}),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace vmsls::sls
