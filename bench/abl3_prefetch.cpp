@@ -19,10 +19,7 @@ bench::RunResult run_case(const std::string& workload, u64 n, unsigned tlb_entri
   p.n = n;
   auto wl = workloads::make_workload(workload, p);
   auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
-  mem::TlbConfig tlb;
-  tlb.entries = tlb_entries;
-  tlb.ways = std::min(2u, tlb_entries);
-  app.threads[0].tlb_override = tlb;
+  app.threads[0].tlb_override = mem::TlbConfig{.ways = 2}.with_entries(tlb_entries);
   app.threads[0].prefetch_next_page = prefetch;
 
   sls::SynthesisFlow flow(sls::zynq7020());

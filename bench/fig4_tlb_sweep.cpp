@@ -25,10 +25,7 @@ Point run_point(const std::string& workload, u64 n, unsigned tlb_entries, unsign
   p.n = n;
   auto wl = workloads::make_workload(workload, p);
   auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
-  mem::TlbConfig tlb;
-  tlb.entries = tlb_entries;
-  tlb.ways = std::min(4u, tlb_entries);
-  app.threads[0].tlb_override = tlb;
+  app.threads[0].tlb_override = mem::TlbConfig{}.with_entries(tlb_entries);
 
   sls::PlatformSpec plat = sls::zynq7020();
   plat.page_table.page_bits = page_bits;

@@ -26,10 +26,7 @@ bench::RunResult run_case(u64 nodes, bool evict, unsigned tlb_entries) {
   // Pin the TLB geometry so reach is controlled by the experiment.
   wl.footprint_hint_bytes = 0;
   auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
-  mem::TlbConfig tlb;
-  tlb.entries = tlb_entries;
-  tlb.ways = std::min(4u, tlb_entries);
-  app.threads[0].tlb_override = tlb;
+  app.threads[0].tlb_override = mem::TlbConfig{}.with_entries(tlb_entries);
   app.threads[0].footprint_hint_bytes = 0;
 
   sls::SynthesisFlow flow(opt.platform);

@@ -4,6 +4,15 @@
 
 namespace vmsls::mem {
 
+TlbConfig TlbConfig::with_entries(unsigned n) const {
+  require(n > 0, "TLB needs at least one entry");
+  TlbConfig c = *this;
+  c.entries = n;
+  c.ways = std::clamp(ways, 1u, n);
+  while (n % c.ways != 0) c.ways /= 2;
+  return c;
+}
+
 Tlb::Tlb(const TlbConfig& cfg, StatRegistry& stats, std::string name)
     : cfg_(cfg),
       hits_(stats.counter(name + ".hits")),

@@ -20,6 +20,11 @@ struct TlbConfig {
   unsigned entries = 16;
   unsigned ways = 4;       // set-associativity (entries/ways sets)
   Cycles hit_latency = 1;  // cycles added to a translated access on a hit
+
+  /// This config resized to `entries`, with a legal geometry: ways are
+  /// clamped to [1, entries], then halved until they divide the entry count
+  /// (16 × 4 resized to 6 gives 6 × 2). Throws std::invalid_argument for 0.
+  TlbConfig with_entries(unsigned entries) const;
 };
 
 struct TlbEntry {

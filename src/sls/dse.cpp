@@ -1,12 +1,105 @@
 #include "sls/dse.hpp"
 
-#include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "util/parallel.hpp"
 
 namespace vmsls::sls {
+namespace {
+
+/// One grid point while its axes' mutators build it; `thread` points at the
+/// explored thread inside `app`.
+struct Point {
+  PlatformSpec platform;
+  AppSpec app;
+  SynthesisOptions options;
+  DseCandidate candidate;
+  ThreadSpec* thread = nullptr;
+};
+
+/// One grid axis: each mutator sets this axis's fields of a point.
+using Axis = std::vector<std::function<void(Point&)>>;
+
+template <typename T, typename Set>
+Axis make_axis(const std::vector<T>& values, Set set) {
+  Axis axis;
+  for (const T& v : values) axis.push_back([v, set](Point& p) { set(p, v); });
+  return axis;
+}
+
+Axis pager_axis(const std::vector<PagerCandidate>& pagers) {
+  return make_axis(pagers, [](Point& p, const PagerCandidate& pc) {
+    p.platform.pager.frame_budget = p.candidate.frame_budget = pc.frame_budget;
+    p.platform.pager.policy = p.candidate.policy = pc.policy;
+  });
+}
+
+/// The fastest fitting candidate when measured, otherwise the largest
+/// fitting TLB; -1 if nothing fits.
+int pick_best(const std::vector<DseCandidate>& candidates) {
+  int best = -1;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const DseCandidate& c = candidates[i];
+    if (!c.fits) continue;
+    const DseCandidate* b = best < 0 ? nullptr : &candidates[static_cast<std::size_t>(best)];
+    if (!b || (c.measured ? c.cycles < b->cycles : c.tlb_entries > b->tlb_entries))
+      best = static_cast<int>(i);
+  }
+  return best;
+}
+
+/// The one explorer loop. Phase 1 (serial) walks the cartesian product of
+/// `axes`, first axis outermost, and synthesizes every point with its own
+/// flow: host-microseconds per point, and the flow's passes are const over
+/// its platform and options, so this equals a flow shared across points.
+/// Phase 2 (parallel) scores the fitting candidates. Every candidate
+/// elaborates onto its own Simulator inside `evaluate`, so workers share
+/// nothing; each writes only its own slot, and the result is byte-identical
+/// to the serial sweep whatever the thread count.
+DseResult explore_grid(const PlatformSpec& platform, const SynthesisOptions& options,
+                       unsigned threads, const AppSpec& app, const std::string& thread,
+                       const std::vector<Axis>& axes,
+                       const DesignSpaceExplorer::Evaluator& evaluate) {
+  std::size_t points = 1;
+  for (const Axis& axis : axes) {
+    require(!axis.empty(), "DSE needs at least one candidate per axis");
+    points *= axis.size();
+  }
+  // Throws for unknown thread names.
+  const auto target = static_cast<std::size_t>(&app.thread(thread) - app.threads.data());
+
+  DseResult result;
+  std::vector<SystemImage> images;
+  images.reserve(points);
+  std::vector<std::size_t> at(axes.size(), 0);  // odometer, last axis fastest
+  for (std::size_t n = 0; n < points; ++n) {
+    Point p{platform, app, options, {}, nullptr};
+    p.thread = &p.app.threads[target];
+    for (std::size_t a = 0; a < axes.size(); ++a) axes[a][at[a]](p);
+    images.push_back(SynthesisFlow(std::move(p.platform), p.options).synthesize(p.app));
+    const SynthesisReport& report = images.back().report();
+    p.candidate.total = report.total;
+    p.candidate.resource_utilization = report.utilization;
+    p.candidate.fits = report.fits_budget;
+    result.candidates.push_back(p.candidate);
+    for (std::size_t a = axes.size(); a-- > 0 && ++at[a] == axes[a].size();) at[a] = 0;
+  }
+
+  if (evaluate) {
+    std::vector<std::size_t> work;
+    for (std::size_t i = 0; i < result.candidates.size(); ++i)
+      if (result.candidates[i].fits) work.push_back(i);
+    parallel_for(threads, work.size(), [&](std::size_t j) {
+      DseCandidate& c = result.candidates[work[j]];
+      c.cycles = evaluate(images[work[j]]);
+      c.measured = true;
+    });
+  }
+  result.best = pick_best(result.candidates);
+  return result;
+}
+
+}  // namespace
 
 DesignSpaceExplorer::DesignSpaceExplorer(PlatformSpec platform, SynthesisOptions options)
     : platform_(std::move(platform)), options_(options) {
@@ -19,9 +112,7 @@ DseResult DesignSpaceExplorer::explore_tlb(const AppSpec& app, const std::string
                                            const Evaluator& evaluate) {
   // A single pager point — the platform's configured operating point — so
   // this stays the plain TLB sweep it always was.
-  PagerCandidate base;
-  base.frame_budget = platform_.pager.frame_budget;
-  base.policy = platform_.pager.policy;
+  const PagerCandidate base{platform_.pager.frame_budget, platform_.pager.policy};
   return explore_pager_tlb(app, thread, entry_candidates, {base}, evaluate);
 }
 
@@ -29,172 +120,46 @@ DseResult DesignSpaceExplorer::explore_pager_tlb(const AppSpec& app, const std::
                                                  const std::vector<unsigned>& entry_candidates,
                                                  const std::vector<PagerCandidate>& pager_candidates,
                                                  const Evaluator& evaluate) {
-  require(!entry_candidates.empty(), "DSE needs at least one TLB candidate");
-  for (unsigned entries : entry_candidates)
-    require(entries > 0, "DSE TLB candidates need at least one entry");
-  require(!pager_candidates.empty(), "DSE needs at least one pager candidate");
-  app.thread(thread);  // throws for unknown thread names
-
-  DseResult result;
-
-  // Phase 1 (serial): synthesize every grid point. This is host-microseconds
-  // per point; keeping it on one thread keeps SynthesisFlow single-threaded.
-  std::vector<SystemImage> images;
-  images.reserve(entry_candidates.size() * pager_candidates.size());
-  for (const PagerCandidate& pc : pager_candidates) {
-    PlatformSpec plat = platform_;
-    plat.pager.frame_budget = pc.frame_budget;
-    plat.pager.policy = pc.policy;
-    SynthesisFlow flow(plat, options_);
-    for (unsigned entries : entry_candidates) {
-      AppSpec variant = app;
-      for (auto& t : variant.threads) {
-        if (t.name != thread) continue;
-        mem::TlbConfig tlb = t.tlb_override.value_or(platform_.default_tlb);
-        tlb.entries = entries;
-        tlb.ways = std::min(tlb.ways, entries);
-        while (entries % tlb.ways != 0) tlb.ways /= 2;  // keep geometry legal
-        t.tlb_override = tlb;
-      }
-
-      images.push_back(flow.synthesize(variant));
-      DseCandidate cand;
-      cand.tlb_entries = entries;
-      cand.frame_budget = pc.frame_budget;
-      cand.policy = pc.policy;
-      cand.total = images.back().report().total;
-      cand.resource_utilization = images.back().report().utilization;
-      cand.fits = images.back().report().fits_budget;
-      result.candidates.push_back(cand);
-    }
-  }
-
-  score(images, result, evaluate);
-  pick_best(result);
-  return result;
+  const mem::TlbConfig base = app.thread(thread).tlb_override.value_or(platform_.default_tlb);
+  std::vector<mem::TlbConfig> tlbs;
+  for (unsigned entries : entry_candidates) tlbs.push_back(base.with_entries(entries));
+  const Axis tlb_axis = make_axis(tlbs, [](Point& p, const mem::TlbConfig& tlb) {
+    p.thread->tlb_override = tlb;
+    p.candidate.tlb_entries = tlb.entries;
+  });
+  return explore_grid(platform_, options_, threads_, app, thread,
+                      {pager_axis(pager_candidates), tlb_axis}, evaluate);
 }
 
 DseResult DesignSpaceExplorer::explore_offload_pager(
     const AppSpec& app, const std::string& thread,
     const std::vector<OffloadCandidate>& offload_candidates,
     const std::vector<PagerCandidate>& pager_candidates, const Evaluator& evaluate) {
-  require(!offload_candidates.empty(), "DSE needs at least one offload candidate");
-  require(!pager_candidates.empty(), "DSE needs at least one pager candidate");
-  app.thread(thread);  // throws for unknown thread names
-
-  DseResult result;
-
-  // Phase 1 (serial): synthesize the offload × pager grid. A DMA point
-  // runs the kernel against physical addresses (the copy-based flow), so
-  // the target thread's addressing flips per offload candidate.
-  std::vector<SystemImage> images;
-  images.reserve(offload_candidates.size() * pager_candidates.size());
-  for (const OffloadCandidate& oc : offload_candidates) {
-    AppSpec variant = app;
-    for (auto& t : variant.threads) {
-      if (t.name != thread) continue;
-      t.addressing = oc.include_dma ? Addressing::kPhysical : Addressing::kVirtual;
-    }
-    SynthesisOptions opts = options_;
-    opts.include_dma = oc.include_dma;
-    for (const PagerCandidate& pc : pager_candidates) {
-      PlatformSpec plat = platform_;
-      plat.pager.frame_budget = pc.frame_budget;
-      plat.pager.policy = pc.policy;
-      plat.offload.mode = oc.mode;
-      SynthesisFlow flow(plat, opts);
-
-      images.push_back(flow.synthesize(variant));
-      DseCandidate cand;
-      cand.frame_budget = pc.frame_budget;
-      cand.policy = pc.policy;
-      cand.include_dma = oc.include_dma;
-      cand.copy_mode = oc.mode;
-      cand.total = images.back().report().total;
-      cand.resource_utilization = images.back().report().utilization;
-      cand.fits = images.back().report().fits_budget;
-      result.candidates.push_back(cand);
-    }
-  }
-
-  score(images, result, evaluate);
-  pick_best(result);
-  return result;
+  // A DMA point runs the kernel against physical addresses (the copy-based
+  // flow), so the target thread's addressing flips per offload candidate.
+  const auto set_offload = [](Point& p, const OffloadCandidate& oc) {
+    p.thread->addressing = oc.include_dma ? Addressing::kPhysical : Addressing::kVirtual;
+    p.options.include_dma = p.candidate.include_dma = oc.include_dma;
+    p.platform.offload.mode = p.candidate.copy_mode = oc.mode;
+  };
+  return explore_grid(platform_, options_, threads_, app, thread,
+                      {make_axis(offload_candidates, set_offload), pager_axis(pager_candidates)},
+                      evaluate);
 }
 
 DseResult DesignSpaceExplorer::explore_swap(const AppSpec& app, const std::string& thread,
                                             const std::vector<SwapCandidate>& swap_candidates,
                                             const std::vector<PagerCandidate>& pager_candidates,
                                             const Evaluator& evaluate) {
-  require(!swap_candidates.empty(), "DSE needs at least one swap candidate");
-  require(!pager_candidates.empty(), "DSE needs at least one pager candidate");
-  app.thread(thread);  // throws for unknown thread names
-
-  DseResult result;
-
-  // Phase 1 (serial): synthesize the swap × pager grid. The swap knobs are
-  // runtime configuration, not fabric, so every point reuses the same
-  // resource shape — but each still elaborates with its own scheduler
-  // policy and readahead depth for scoring.
-  std::vector<SystemImage> images;
-  images.reserve(swap_candidates.size() * pager_candidates.size());
-  for (const SwapCandidate& sc : swap_candidates) {
-    for (const PagerCandidate& pc : pager_candidates) {
-      PlatformSpec plat = platform_;
-      plat.pager.frame_budget = pc.frame_budget;
-      plat.pager.policy = pc.policy;
-      plat.pager.swap.sched = sc.sched;
-      plat.pager.swap.readahead = sc.readahead;
-      SynthesisFlow flow(plat, options_);
-
-      images.push_back(flow.synthesize(app));
-      DseCandidate cand;
-      cand.frame_budget = pc.frame_budget;
-      cand.policy = pc.policy;
-      cand.swap_sched = sc.sched;
-      cand.readahead = sc.readahead;
-      cand.total = images.back().report().total;
-      cand.resource_utilization = images.back().report().utilization;
-      cand.fits = images.back().report().fits_budget;
-      result.candidates.push_back(cand);
-    }
-  }
-
-  score(images, result, evaluate);
-  pick_best(result);
-  return result;
-}
-
-void DesignSpaceExplorer::pick_best(DseResult& result) {
-  for (std::size_t i = 0; i < result.candidates.size(); ++i) {
-    const auto& c = result.candidates[i];
-    if (!c.fits) continue;
-    if (result.best < 0) {
-      result.best = static_cast<int>(i);
-      continue;
-    }
-    const auto& b = result.candidates[static_cast<std::size_t>(result.best)];
-    const bool better = c.measured ? (c.cycles < b.cycles) : (c.tlb_entries > b.tlb_entries);
-    if (better) result.best = static_cast<int>(i);
-  }
-}
-
-// Phase 2 (parallel): score the fitting candidates. Every candidate
-// elaborates onto its own Simulator inside `evaluate`, so workers share
-// nothing; each writes only its own slot, and the result vector is
-// byte-identical to the serial sweep whatever the thread count.
-void DesignSpaceExplorer::score(std::vector<SystemImage>& images, DseResult& result,
-                                const Evaluator& evaluate) {
-  if (!evaluate) return;
-  std::vector<std::size_t> work;
-  for (std::size_t i = 0; i < result.candidates.size(); ++i)
-    if (result.candidates[i].fits) work.push_back(i);
-
-  parallel_for(threads_, work.size(), [&](std::size_t j) {
-    const std::size_t i = work[j];
-    result.candidates[i].cycles = evaluate(images[i]);
-    result.candidates[i].measured = true;
+  // The swap knobs are runtime configuration, not fabric, so every point
+  // shares one resource shape but elaborates with its own scheduler policy
+  // and readahead depth for scoring.
+  const Axis swap_axis = make_axis(swap_candidates, [](Point& p, const SwapCandidate& sc) {
+    p.platform.pager.swap.sched = p.candidate.swap_sched = sc.sched;
+    p.platform.pager.swap.readahead = p.candidate.readahead = sc.readahead;
   });
+  return explore_grid(platform_, options_, threads_, app, thread,
+                      {swap_axis, pager_axis(pager_candidates)}, evaluate);
 }
 
 }  // namespace vmsls::sls

@@ -6,8 +6,10 @@
 // replacement policy). The explorer synthesizes one image per candidate,
 // checks the resource budget, and (optionally) scores candidates by
 // running the elaborated system — the measure-everything approach a
-// simulator substrate makes cheap. Scoring fans out over a host thread
-// pool; results are bit-identical to the serial sweep.
+// simulator substrate makes cheap. The four explore_* grids are one loop
+// over axes (each a list of spec mutators, the cartesian product walked
+// first axis outermost). Scoring fans out over a host thread pool; results
+// are bit-identical to the serial sweep.
 #pragma once
 
 #include <functional>
@@ -67,7 +69,8 @@ struct DseResult {
   std::vector<DseCandidate> candidates;
   /// Index into `candidates` of the chosen point: the fastest fitting
   /// candidate when measured, otherwise the largest fitting TLB (monotone
-  /// miss-rate assumption). -1 if nothing fits.
+  /// miss-rate assumption) — on a grid with no TLB axis, the first fitting
+  /// candidate. -1 if nothing fits.
   int best = -1;
 };
 
@@ -85,8 +88,9 @@ class DesignSpaceExplorer {
 
   explicit DesignSpaceExplorer(PlatformSpec platform, SynthesisOptions options = {});
 
-  /// Host threads used to score candidates. 1 (the default) evaluates on
-  /// the calling thread; N > 1 fans candidates out over a worker pool.
+  /// Host threads used to score candidates, on every explore_* grid. 1 (the
+  /// default) evaluates on the calling thread; N > 1 fans candidates out
+  /// over a worker pool.
   /// Synthesis itself stays serial (it is microseconds per candidate), and
   /// results — candidate order, every cycle count, and the chosen best
   /// point — are bit-identical to the serial sweep regardless of N.
@@ -130,9 +134,6 @@ class DesignSpaceExplorer {
                          const Evaluator& evaluate = nullptr);
 
  private:
-  void score(std::vector<SystemImage>& images, DseResult& result, const Evaluator& evaluate);
-  static void pick_best(DseResult& result);
-
   PlatformSpec platform_;
   SynthesisOptions options_;
   unsigned threads_ = 1;

@@ -302,9 +302,7 @@ void SynthesisFlow::pass_interface_synthesis(const AppSpec& app, SystemImage& im
       const u64 pages = ceil_div(t.footprint_hint_bytes, page);
       unsigned entries = round_up_pow2(static_cast<unsigned>(std::min<u64>(pages, 1u << 20)));
       entries = std::clamp(entries, options_.auto_tlb_min, options_.auto_tlb_max);
-      plan.tlb = platform_.default_tlb;
-      plan.tlb.entries = entries;
-      plan.tlb.ways = std::min(plan.tlb.ways, entries);
+      plan.tlb = platform_.default_tlb.with_entries(entries);
     } else {
       plan.tlb = platform_.default_tlb;
     }

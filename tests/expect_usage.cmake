@@ -1,5 +1,5 @@
 # Runs BIN with ARGS (one space-separated string) and passes only if it
-# exits 2 and prints its usage line: the contract for a malformed bench
+# exits 2 and prints its usage line: the contract for a malformed
 # invocation (no abort, no silently accepted flag).
 #   cmake -DBIN=<path> "-DARGS=<args>" -P expect_usage.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")

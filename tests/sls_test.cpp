@@ -346,5 +346,28 @@ TEST(Dse, ZeroEntryTlbRejected) {
                std::invalid_argument);
 }
 
+TEST(Dse, PagerTlbGridIsPagerMajor) {
+  // Candidate i is pager point i / 3 × TLB size i % 3, and the image scored
+  // for it was synthesized with exactly that point.
+  const std::vector<unsigned> tlbs{4, 16, 64};
+  const std::vector<PagerCandidate> pagers{{64, paging::PolicyKind::kFifo},
+                                           {128, paging::PolicyKind::kLruApprox}};
+  DesignSpaceExplorer dse(zynq7020());
+  const auto result =
+      dse.explore_pager_tlb(small_app(), "worker", tlbs, pagers, [](const SystemImage& image) {
+        return image.platform().pager.frame_budget * 1000 + image.hw_plans()[0].tlb.entries;
+      });
+  ASSERT_EQ(result.candidates.size(), 6u);
+  for (std::size_t i = 0; i < result.candidates.size(); ++i) {
+    const DseCandidate& c = result.candidates[i];
+    const PagerCandidate& pc = pagers[i / tlbs.size()];
+    EXPECT_EQ(c.frame_budget, pc.frame_budget) << i;
+    EXPECT_EQ(c.policy, pc.policy) << i;
+    EXPECT_EQ(c.tlb_entries, tlbs[i % tlbs.size()]) << i;
+    ASSERT_TRUE(c.measured) << i;
+    EXPECT_EQ(c.cycles, pc.frame_budget * 1000 + c.tlb_entries) << i;
+  }
+}
+
 }  // namespace
 }  // namespace vmsls::sls

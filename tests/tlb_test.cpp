@@ -111,6 +111,28 @@ TEST(Tlb, InvalidGeometryRejected) {
   EXPECT_THROW(Tlb(cfg(6, 4), stats, "t"), std::invalid_argument);  // 6 % 4 != 0
 }
 
+TEST(Tlb, WithEntriesKeepsGeometryLegal) {
+  const auto geometry = [](const TlbConfig& c) { return std::pair{c.entries, c.ways}; };
+  const TlbConfig four_way = cfg(16, 4);
+  EXPECT_EQ(geometry(four_way.with_entries(6)), std::pair(6u, 2u));
+  EXPECT_EQ(geometry(four_way.with_entries(1)), std::pair(1u, 1u));
+  EXPECT_EQ(geometry(four_way.with_entries(64)), std::pair(64u, 4u));
+  const TlbConfig two_way = cfg(16, 2);
+  EXPECT_EQ(geometry(two_way.with_entries(2)), std::pair(2u, 2u));
+  EXPECT_EQ(geometry(two_way.with_entries(7)), std::pair(7u, 1u));
+  EXPECT_EQ(geometry(two_way.with_entries(64)), std::pair(64u, 2u));
+  // Everything but the geometry carries over, and the result is buildable.
+  TlbConfig slow = cfg(16, 4);
+  slow.hit_latency = 3;
+  EXPECT_EQ(slow.with_entries(6).hit_latency, 3u);
+  StatRegistry stats;
+  EXPECT_NO_THROW(Tlb(four_way.with_entries(6), stats, "t"));
+}
+
+TEST(Tlb, WithZeroEntriesThrows) {
+  EXPECT_THROW(cfg(16, 4).with_entries(0), std::invalid_argument);
+}
+
 // Property sweep: for any geometry, a TLB holding at most `entries`
 // translations never evicts when the working set fits, and always hits
 // after a fill pass.

@@ -13,6 +13,7 @@
 // workers, one Simulator per replica, and prints a per-seed table plus the
 // merged statistics — bit-identical for any N (see sls::ShardedRunner).
 
+#include <charconv>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -61,15 +62,15 @@ struct Options {
   u64 serve_queue = 16;        // bounded admission-queue capacity
   std::string arrival = "poisson";  // poisson | fixed
   std::string serve_mix;       // episode mix; empty = TrafficConfig default
-  std::string serve_sweep;     // comma list of gaps, fastest last
+  std::vector<Cycles> serve_sweep;  // gaps to walk, fastest last
   Cycles p99_bound = 60'000;   // rate-sweep latency bound
 
-  static void usage() {
-    std::cout <<
+  static void usage(std::ostream& os) {
+    os <<
         "usage: vmsls_run [options]\n"
         "  --workload NAME   one of:";
-    for (const auto& name : workloads::workload_names()) std::cout << " " << name;
-    std::cout << "\n"
+    for (const auto& name : workloads::workload_names()) os << " " << name;
+    os << "\n"
         "  --n N             problem size (default 4096)\n"
         "  --tile T          burst tile elements (default 256)\n"
         "  --seed S          input data seed (default 42)\n"
@@ -103,6 +104,17 @@ struct Options {
   }
 };
 
+/// Parses a numeric flag's value whole as a non-negative integer; "256abc",
+/// "-1" and out-of-range values are rejected, not truncated or wrapped.
+template <typename T>
+T parse_num(const std::string& flag, const std::string& text) {
+  T v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size())
+    throw std::invalid_argument(flag + " expects a non-negative integer, got '" + text + "'");
+  return v;
+}
+
 bool parse(int argc, char** argv, Options& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -111,30 +123,35 @@ bool parse(int argc, char** argv, Options& opt) {
       return argv[++i];
     };
     if (arg == "--workload") opt.workload = value();
-    else if (arg == "--n") opt.n = std::stoull(value());
-    else if (arg == "--tile") opt.tile = std::stoull(value());
-    else if (arg == "--seed") opt.seed = std::stoull(value());
+    else if (arg == "--n") opt.n = parse_num<u64>(arg, value());
+    else if (arg == "--tile") opt.tile = parse_num<u64>(arg, value());
+    else if (arg == "--seed") opt.seed = parse_num<u64>(arg, value());
     else if (arg == "--kind") opt.kind = value();
     else if (arg == "--platform") opt.platform = value();
-    else if (arg == "--tlb") opt.tlb_entries = static_cast<unsigned>(std::stoul(value()));
-    else if (arg == "--page-bits") opt.page_bits = static_cast<unsigned>(std::stoul(value()));
+    else if (arg == "--tlb") opt.tlb_entries = parse_num<unsigned>(arg, value());
+    else if (arg == "--page-bits") opt.page_bits = parse_num<unsigned>(arg, value());
     else if (arg == "--cold") opt.cold = true;
     else if (arg == "--prefetch") opt.prefetch = true;
     else if (arg == "--stats") opt.dump_stats = true;
     else if (arg == "--trace") opt.trace_path = value();
     else if (arg == "--telemetry") opt.telemetry_path = value();
-    else if (arg == "--telemetry-period") opt.telemetry_period = std::stoull(value());
-    else if (arg == "--sweep-seeds") opt.sweep_seeds = static_cast<unsigned>(std::stoul(value()));
-    else if (arg == "--shards") opt.shards = static_cast<unsigned>(std::stoul(value()));
-    else if (arg == "--serve") opt.serve = std::stoull(value());
-    else if (arg == "--serve-workers") opt.serve_workers = static_cast<unsigned>(std::stoul(value()));
-    else if (arg == "--serve-gap") opt.serve_gap = std::stoull(value());
-    else if (arg == "--serve-queue") opt.serve_queue = std::stoull(value());
+    else if (arg == "--telemetry-period") opt.telemetry_period = parse_num<u64>(arg, value());
+    else if (arg == "--sweep-seeds") opt.sweep_seeds = parse_num<unsigned>(arg, value());
+    else if (arg == "--shards") opt.shards = parse_num<unsigned>(arg, value());
+    else if (arg == "--serve") opt.serve = parse_num<u64>(arg, value());
+    else if (arg == "--serve-workers") opt.serve_workers = parse_num<unsigned>(arg, value());
+    else if (arg == "--serve-gap") opt.serve_gap = parse_num<Cycles>(arg, value());
+    else if (arg == "--serve-queue") opt.serve_queue = parse_num<u64>(arg, value());
     else if (arg == "--arrival") opt.arrival = value();
     else if (arg == "--serve-mix") opt.serve_mix = value();
-    else if (arg == "--serve-sweep") opt.serve_sweep = value();
-    else if (arg == "--p99-bound") opt.p99_bound = std::stoull(value());
-    else if (arg == "--help" || arg == "-h") { Options::usage(); return false; }
+    else if (arg == "--serve-sweep") {
+      std::string item;
+      std::istringstream list(value());
+      while (std::getline(list, item, ','))
+        opt.serve_sweep.push_back(parse_num<Cycles>(arg, item));
+    }
+    else if (arg == "--p99-bound") opt.p99_bound = parse_num<Cycles>(arg, value());
+    else if (arg == "--help" || arg == "-h") { Options::usage(std::cout); return false; }
     else throw std::invalid_argument("unknown option " + arg);
   }
   return true;
@@ -153,12 +170,8 @@ workloads::Workload make_run_workload(const Options& opt, u64 seed) {
 sls::AppSpec make_run_app(const Options& opt, const workloads::Workload& wl) {
   const auto kind = opt.kind == "sw" ? sls::ThreadKind::kSoftware : sls::ThreadKind::kHardware;
   auto app = workloads::single_thread_app(wl, kind, sls::Addressing::kVirtual, !opt.cold);
-  if (opt.tlb_entries > 0) {
-    mem::TlbConfig tlb;
-    tlb.entries = opt.tlb_entries;
-    tlb.ways = std::min(4u, opt.tlb_entries);
-    app.threads[0].tlb_override = tlb;
-  }
+  if (opt.tlb_entries > 0)
+    app.threads[0].tlb_override = mem::TlbConfig{}.with_entries(opt.tlb_entries);
   app.threads[0].prefetch_next_page = opt.prefetch;
   return app;
 }
@@ -284,12 +297,8 @@ int run_serve(const Options& opt) {
               << "/" << rep.latency_p(0.95) << "/" << rep.latency_p(0.99) << " cycles\n";
     return 0;
   }
-  std::vector<Cycles> gaps;
-  std::string item;
-  std::istringstream list(opt.serve_sweep);
-  while (std::getline(list, item, ',')) gaps.push_back(std::stoull(item));
   Table table({"gap", "qps/Mcyc", "p99", "rej", "verdict"});
-  const auto sweep = sls::sweep_rates(gaps, opt.p99_bound, [&](Cycles gap) {
+  const auto sweep = sls::sweep_rates(opt.serve_sweep, opt.p99_bound, [&](Cycles gap) {
     return run_serve_point(opt, gap, false);
   });
   for (const auto& pt : sweep.points)
@@ -307,6 +316,12 @@ int main(int argc, char** argv) {
   Options opt;
   try {
     if (!parse(argc, argv, opt)) return 0;
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    Options::usage(std::cerr);
+    return 2;
+  }
+  try {
     if (opt.serve > 0) return run_serve(opt);
     if (opt.sweep_seeds > 1) return run_sweep(opt);
 
