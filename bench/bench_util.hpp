@@ -157,20 +157,41 @@ inline RunResult run_workload(const workloads::Workload& wl, const RunOptions& o
   return r;
 }
 
-/// Steps `sim` until its event queue drains: in-flight prefetches, pageouts,
-/// writebacks and cache flushes must retire — a stuck request chain is a
-/// bug. Throws, naming `who`, past the deadline or if not idle afterwards.
-inline void drain(sim::Simulator& sim, const std::string& who) {
-  const Cycles deadline = sim.now() + 2'000'000'000ull;
-  while (sim.step())
-    if (sim.now() > deadline) throw std::runtime_error(who + ": event queue failed to drain");
-  if (!sim.idle()) throw std::runtime_error(who + ": simulator not idle after drain");
-}
+/// The benches' drain budget (Simulator::drain, ProcessGroup::drain).
+inline constexpr Cycles kDrainCycles = 2'000'000'000ull;
 
 /// Evicts every workload buffer so the run demand-faults its working set.
 inline void evict_all_buffers(sls::System& system) {
   for (const auto& buf : system.image().app().buffers)
     system.process().evict(system.buffer(buf.name), buf.bytes);
+}
+
+/// The copy-based offload flow's copy phase: copies each buffer in `names`
+/// into its pinned twin (`to_pinned`) or back out to user memory, one
+/// transfer after another as one ioctl would drive them, and runs the
+/// simulator until the last completes.
+inline void copy_buffers(sls::System& system,
+                         const std::map<std::string, dma::PinnedBuffer>& pinned,
+                         const std::vector<std::string>& names, bool to_pinned) {
+  std::size_t next = 0;
+  bool done = false;
+  std::function<void()> copy_next = [&] {
+    if (next >= names.size()) {
+      done = true;
+      return;
+    }
+    const std::string& name = names[next++];
+    u64 bytes = 0;
+    for (const auto& buf : system.image().app().buffers)
+      if (buf.name == name) bytes = buf.bytes;
+    if (to_pinned)
+      system.offload().copy_in(system.buffer(name), pinned.at(name), 0, bytes, copy_next);
+    else
+      system.offload().copy_out(pinned.at(name), 0, system.buffer(name), bytes, copy_next);
+  };
+  copy_next();
+  if (!system.simulator().run_until([&done] { return done; }))
+    throw std::runtime_error(to_pinned ? "copy-in stalled" : "copy-out stalled");
 }
 
 /// Writes a figure's two artifacts: the engine report as BENCH_<stem>.json

@@ -99,46 +99,14 @@ OffloadRun run_offload_under_pressure(const workloads::Workload& wl,
   for (const auto& buf : app.buffers) pinned[buf.name] = system->offload().alloc_pinned(buf.bytes);
 
   const Cycles t0 = sim.now();
-  // Copy-in phase (sequential, as one ioctl would drive it).
-  std::size_t next_in = 0;
-  bool in_done = in.empty();
-  std::function<void()> copy_next = [&] {
-    if (next_in >= in.size()) {
-      in_done = true;
-      return;
-    }
-    const std::string name = in[next_in++];
-    u64 bytes = 0;
-    for (const auto& buf : app.buffers)
-      if (buf.name == name) bytes = buf.bytes;
-    system->offload().copy_in(system->buffer(name), pinned[name], 0, bytes, copy_next);
-  };
-  copy_next();
-  while (!in_done)
-    if (!sim.step()) throw std::runtime_error("copy-in stalled");
+  bench::copy_buffers(*system, pinned, in, /*to_pinned=*/true);
 
   if (fixup) fixup(*system, pinned);
   for (i64 a : make_args(*system, pinned, seed_args)) args.put(a, [] {});
   system->start_all();
   system->run_to_completion();
 
-  // Copy-out phase.
-  std::size_t next_out = 0;
-  bool out_done = out.empty();
-  std::function<void()> copy_back = [&] {
-    if (next_out >= out.size()) {
-      out_done = true;
-      return;
-    }
-    const std::string name = out[next_out++];
-    u64 bytes = 0;
-    for (const auto& buf : app.buffers)
-      if (buf.name == name) bytes = buf.bytes;
-    system->offload().copy_out(pinned[name], 0, system->buffer(name), bytes, copy_back);
-  };
-  copy_back();
-  while (!out_done)
-    if (!sim.step()) throw std::runtime_error("copy-out stalled");
+  bench::copy_buffers(*system, pinned, out, /*to_pinned=*/false);
 
   OffloadRun r;
   r.cycles = sim.now() - t0;
@@ -146,7 +114,7 @@ OffloadRun run_offload_under_pressure(const workloads::Workload& wl,
     throw std::runtime_error(wl.name + ": DMA-under-pressure verification failed");
   // The acceptance gates: the event queue must drain (no orphaned waiter or
   // daemon) and every transfer pin must be released.
-  bench::drain(sim, wl.name);
+  sim.drain(bench::kDrainCycles);
   if (system->address_space().pinned_pages() != 0)
     throw std::runtime_error(wl.name + ": offload pins leaked");
   r.stats = sim.stats().snapshot();

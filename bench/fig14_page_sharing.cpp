@@ -309,7 +309,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     WorkerRig& child = rig.add_worker();
     parent.process->fork(*child.process);
   }
-  bench::drain(sim, "fig14");
+  sim.drain(bench::kDrainCycles);
 
   std::vector<const paging::Pager*> pagers;
   for (const auto& w : rig.workers) pagers.push_back(w.pager.get());
@@ -325,7 +325,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     std::vector<Step> refault;
     for (u64 p = 0; p < E; ++p) refault.push_back({evict_base + p * kPage, false, 0});
     launch_chain(rig, 0, std::move(refault), 0);
-    bench::drain(sim, "fig14");
+    sim.drain(bench::kDrainCycles);
   }
 
   // --- phase B: the share sweep (measured) -----------------------------
@@ -343,7 +343,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
       for (u64 p = 0; p < Z; ++p) sweep.push_back({zero_base + p * kPage, false, 0});
       launch_chain(rig, i, std::move(sweep), i * kStagger);
     }
-    bench::drain(sim, "fig14");
+    sim.drain(bench::kDrainCycles);
     r.share_cycles = sim.now() - t0;
     r.share_events = sim.events_executed() - e0;
   }
@@ -363,7 +363,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
       for (u64 p = 0; p < A; ++p) writes.push_back({anon_base + p * kPage, true, child_word(i, p)});
       launch_chain(rig, i, std::move(writes), i * kStagger);
     }
-    bench::drain(sim, "fig14");
+    sim.drain(bench::kDrainCycles);
     r.cow_cycles = sim.now() - t0;
     r.cow_events = sim.events_executed() - e0;
   }
@@ -373,7 +373,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     std::vector<Step> writes;
     for (u64 p = 0; p < A; ++p) writes.push_back({anon_base + p * kPage, true, parent_final(p)});
     launch_chain(rig, 0, std::move(writes), 0);
-    bench::drain(sim, "fig14");
+    sim.drain(bench::kDrainCycles);
   }
   for (const auto& w : rig.workers) r.cow_faults += w.cow_faults;
 

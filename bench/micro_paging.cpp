@@ -128,7 +128,7 @@ struct FaultRig {
       });
     };
     chain();
-    bench::drain(sim, "micro_paging");
+    sim.drain(bench::kDrainCycles);
     if (next != count) throw std::runtime_error("micro_paging: fault chain stalled");
   }
 };
@@ -190,14 +190,14 @@ Rate bench_swap_enqueue(u64 n, paging::SwapSchedPolicy policy) {
         for (u64 j = 0; j < kBurst; ++j)
           sched.write(owner, i + j, paging::SwapReqClass::kWriteback, [&done] { ++done; });
       });
-      bench::drain(sim, "micro_paging");
+      sim.drain(bench::kDrainCycles);
       // Contiguous vpns share a cluster region: the burst dispatches as one
       // clustered device read.
       sched.batched([&] {
         for (u64 j = 0; j < kBurst; ++j)
           sched.read(owner, i + j, paging::SwapReqClass::kDemandRead, [&done] { ++done; });
       });
-      bench::drain(sim, "micro_paging");
+      sim.drain(bench::kDrainCycles);
     }
     if (done != ops) throw std::runtime_error("micro_paging: swap op count mismatch");
     covered = sim.now();

@@ -96,8 +96,7 @@ Cycles run_dma_baseline() {
       done = true;
     });
   });
-  while (!done)
-    if (!sim_ref.step()) throw std::runtime_error("copy-in stalled");
+  if (!sim_ref.run_until([&done] { return done; })) throw std::runtime_error("copy-in stalled");
 
   // The list is one full cycle through all nodes, so traversal from any
   // start yields the same sum; launch from node 0 of the pinned copy.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace vmsls::sim {
@@ -131,14 +133,44 @@ bool Simulator::step() {
   return true;
 }
 
-u64 Simulator::run(Cycles max_cycles) {
-  const Cycles deadline = (max_cycles == ~0ull) ? ~0ull : now_ + max_cycles;
-  u64 executed = 0;
-  while (EventNode* n = pop_next(deadline)) {
+bool Simulator::loop(Cycles max_cycles, bool guarded, bool (*done)(void*), void* ctx) {
+  const Cycles deadline = max_cycles > ~0ull - now_ ? ~0ull : now_ + max_cycles;
+  const auto fail = [&](const std::string& why) {
+    throw std::runtime_error("simulator: " + why + " (now " + std::to_string(now_) + ", budget " +
+                             std::to_string(max_cycles) + " cycles, " + std::to_string(pending_) +
+                             " events pending)");
+  };
+  Cycles last = now_;
+  u64 same = 0;  // events run at cycle `last`
+  while (done == nullptr || !done(ctx)) {
+    EventNode* n = pop_next(deadline);
+    if (n == nullptr) {
+      if (guarded && pending_ != 0) fail("next event lies past the budget");
+      return false;
+    }
     execute(n);
-    ++executed;
+    if (!guarded) continue;
+    if (now_ != last) {
+      last = now_;
+      same = 1;
+    } else if (++same > kMaxSameCycleEvents) {
+      fail("more than " + std::to_string(kMaxSameCycleEvents) +
+           " events ran at one cycle, a zero-time livelock");
+    }
   }
-  return executed;
+  return true;
+}
+
+u64 Simulator::run(Cycles max_cycles) {
+  const u64 before = events_executed_;
+  loop(max_cycles, false, nullptr, nullptr);
+  return events_executed_ - before;
+}
+
+u64 Simulator::drain(Cycles max_cycles) {
+  const u64 before = events_executed_;
+  loop(max_cycles, true, nullptr, nullptr);
+  return events_executed_ - before;
 }
 
 }  // namespace vmsls::sim

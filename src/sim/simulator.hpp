@@ -60,9 +60,30 @@ class Simulator {
 
   void schedule_at(Cycles when, EventFn fn);
 
-  /// Runs until the event queue drains or `max_cycles` elapse. Returns the
-  /// number of events executed.
+  /// Most events drain()/run_until() accept at one cycle; one more is a
+  /// zero-time livelock. Real runs stay in the hundreds.
+  static constexpr u64 kMaxSameCycleEvents = 1'000'000;
+
+  /// Runs until the event queue drains or `max_cycles` elapse, silently
+  /// stopping at the bound. Returns the number of events executed.
   u64 run(Cycles max_cycles = ~0ull);
+
+  /// The drained-queue gate: steps until the event queue is empty (in-flight
+  /// prefetches, pageouts, writebacks and pin releases all retire). Returns
+  /// the number of events executed. Throws std::runtime_error, naming now(),
+  /// the budget and the pending-event count, if the next event lies more
+  /// than `max_cycles` past the call or more than kMaxSameCycleEvents
+  /// events run at one cycle.
+  u64 drain(Cycles max_cycles = 1'000'000'000ull);
+
+  /// Steps until `done()` holds (checked before every event) under the same
+  /// guards as drain(). Returns false when the queue empties first: a stall,
+  /// which the caller names.
+  template <class Done>
+  bool run_until(Done done, Cycles max_cycles = 1'000'000'000ull) {
+    const auto call = [](void* d) { return static_cast<bool>((*static_cast<Done*>(d))()); };
+    return loop(max_cycles, true, call, &done);
+  }
 
   /// Executes the single next event. Returns false if the queue is empty.
   bool step();
@@ -121,6 +142,13 @@ class Simulator {
   EventNode* pop_next(Cycles deadline);
 
   void execute(EventNode* n);
+
+  /// The one step loop behind run(), drain() and run_until(): executes
+  /// events until `done(ctx)` holds (never, when null), the queue empties,
+  /// or the next event lies more than `max_cycles` past the call. With
+  /// `guarded`, the budget and the same-cycle bound throw instead of
+  /// stopping. Returns whether `done` was reached.
+  bool loop(Cycles max_cycles, bool guarded, bool (*done)(void*), void* ctx);
 
   std::unique_ptr<Slot[]> wheel_;               // lazily sized to kWheelSlots
   std::array<u64, kWheelWords> occupied_{};     // bitmap over wheel slots

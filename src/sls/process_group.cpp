@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "mem/paging/ledger.hpp"
+
 namespace vmsls::sls {
 
 ProcessGroup::ProcessGroup(sim::Simulator& sim, const PlatformSpec& platform,
@@ -117,24 +119,18 @@ bool ProcessGroup::all_halted() const noexcept {
 Cycles ProcessGroup::run_to_completion(Cycles max_cycles) {
   require(!systems_.empty(), "process group has no processes");
   const Cycles t0 = sim_.now();
-  while (!all_halted()) {
-    if (!sim_.step()) {
-      std::string blocked;
-      for (const auto& s : systems_) blocked += s->running_thread_names();
-      throw std::runtime_error("deadlock: event queue empty with threads blocked:" + blocked);
-    }
-    if (sim_.now() - t0 > max_cycles)
-      throw std::runtime_error("simulation exceeded " + std::to_string(max_cycles) + " cycles");
+  if (!sim_.run_until([this] { return all_halted(); }, max_cycles)) {
+    std::string blocked;
+    for (const auto& s : systems_) blocked += s->running_thread_names();
+    throw std::runtime_error("deadlock: event queue empty with threads blocked:" + blocked);
   }
   return sim_.now() - t0;
 }
 
 Cycles ProcessGroup::drain(Cycles max_cycles) {
   const Cycles t0 = sim_.now();
-  while (sim_.step())
-    if (sim_.now() - t0 > max_cycles)
-      throw std::runtime_error("event queue failed to drain within " +
-                               std::to_string(max_cycles) + " cycles");
+  sim_.drain(max_cycles);
+  paging::require_balanced(paging::check_machine(pagers(), pool_.get()), "ProcessGroup::drain");
   return sim_.now() - t0;
 }
 

@@ -88,11 +88,12 @@ class ProcessGroup {
   /// deadlock or when `max_cycles` elapse. Returns cycles elapsed.
   Cycles run_to_completion(Cycles max_cycles = 4'000'000'000ull);
 
-  /// The drained-queue gate, as a primitive: steps the simulator until the
-  /// event queue is empty (in-flight prefetches, pageouts, writebacks, and
-  /// flush daemons must all retire) or `max_cycles` elapse — the latter
-  /// throws. Returns cycles elapsed. Serving-mode drivers and the fig12+
-  /// benches share this instead of each open-coding the loop.
+  /// The end-of-run gate: Simulator::drain (every in-flight prefetch,
+  /// pageout, writeback and flush retires within `max_cycles`), then the
+  /// machine ledger over every pager and the pool, refcounts included
+  /// (paging::check_machine). Throws on a stuck queue or a violated
+  /// identity. Returns cycles elapsed. TrafficDriver, fig12, fig13 and
+  /// perfbench end their runs here.
   Cycles drain(Cycles max_cycles = 1'000'000'000ull);
 
  private:

@@ -243,13 +243,9 @@ std::string System::running_thread_names() const {
 
 Cycles System::run_to_completion(Cycles max_cycles) {
   const Cycles t0 = sim_.now();
-  while (!all_halted()) {
-    if (!sim_.step())
-      throw std::runtime_error("deadlock: event queue empty with threads blocked:" +
-                               running_thread_names());
-    if (sim_.now() - t0 > max_cycles)
-      throw std::runtime_error("simulation exceeded " + std::to_string(max_cycles) + " cycles");
-  }
+  if (!sim_.run_until([this] { return all_halted(); }, max_cycles))
+    throw std::runtime_error("deadlock: event queue empty with threads blocked:" +
+                             running_thread_names());
   return sim_.now() - t0;
 }
 

@@ -86,8 +86,8 @@ class TrafficDriver {
   TrafficDriver(const TrafficDriver&) = delete;
   TrafficDriver& operator=(const TrafficDriver&) = delete;
 
-  /// Injects the configured arrivals and steps the simulator until every
-  /// request completes and the event queue drains. Throws on a ledger
+  /// Injects the configured arrivals and drains the group (every request
+  /// completes, ProcessGroup::drain's gates hold). Throws on a ledger
   /// violation, a stuck queue, or `max_cycles` elapsing. One run per
   /// driver instance.
   Report run(Cycles max_cycles = 4'000'000'000ull);

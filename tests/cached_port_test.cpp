@@ -17,8 +17,7 @@ struct CachedPortFixture : ::testing::Test {
   std::vector<u8> read_sync(VirtAddr va, u32 bytes) {
     std::vector<u8> out;
     port.read(va, bytes, [&](std::vector<u8> data) { out = std::move(data); });
-    while (ms.sim.step()) {
-    }
+    ms.sim.drain();
     return out;
   }
 
@@ -26,8 +25,7 @@ struct CachedPortFixture : ::testing::Test {
     const Cycles t0 = ms.sim.now();
     bool done = false;
     port.write(va, data, [&] { done = true; });
-    while (ms.sim.step()) {
-    }
+    ms.sim.drain();
     EXPECT_TRUE(done);
     return ms.sim.now() - t0;
   }

@@ -98,7 +98,7 @@ struct Storm {
     for (u64 p = 0; p < kFilePages / 2; ++p)  // half the file resident at fork
       (void)spaces[0]->read_u64(file_base + p * kPageSz);
     for (u64 i = 1; i < kProcs; ++i) procs[0]->fork(*procs[i]);
-    test::run_until_drained(sim);
+    sim.drain();
   }
 
   static FramePoolConfig pool_cfg() {
@@ -122,7 +122,7 @@ struct Storm {
       if (!as.is_mapped(va)) procs[w]->map_in(va);
       done = true;
     });
-    test::run_until_drained(sim);
+    sim.drain();
     ASSERT_TRUE(done);
   }
 
@@ -171,7 +171,7 @@ struct Storm {
         }
       }
     }
-    test::run_until_drained(sim);
+    sim.drain();
   }
 
   void check_invariants() {

@@ -63,7 +63,7 @@ struct CowFixture : ::testing::Test {
     pool->attach(*pg1);
   }
 
-  void run_all() { test::run_until_drained(sim); }
+  void run_all() { sim.drain(); }
 
   /// Drives one fault to completion, mapping in the ready callback when the
   /// page is still unmapped (the OS tail the bench drivers play).
@@ -299,14 +299,14 @@ TEST(CowSharded, SerialEqualsShardedOnCowStorm) {
       });
     };
     chain();
-    test::run_until_drained(sim);
+    sim.drain();
     for (u64 p = 0; p < 4; ++p) {
       const VirtAddr va = base + p * kPageSz;
       pg0.handle_fault(va, /*is_write=*/true, [&, va] {
         if (!as0.is_mapped(va)) p0.map_in(va);
         as0.write_u64(va, 0xAB + p);
       });
-      test::run_until_drained(sim);
+      sim.drain();
     }
   };
 

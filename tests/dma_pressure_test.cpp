@@ -68,7 +68,7 @@ TEST_F(PressureRig, BudgetSmallerThanRunChunksAndDrains) {
 
   bool done = false;
   driver->copy_in(base, buf, 0, 6 * 4096, [&] { done = true; });
-  test::run_until_drained(ms.sim);
+  ms.sim.drain();
 
   EXPECT_TRUE(done);
   EXPECT_EQ(driver->chunked_runs(), 1u);
@@ -97,7 +97,7 @@ TEST_F(PressureRig, ConcurrentOffloadsSerializeInsteadOfDeadlocking) {
   bool done_a = false, done_b = false;
   driver->copy_in(base, buf_a, 0, 3 * 4096, [&] { done_a = true; });
   driver->copy_in(base + 3 * 4096, buf_b, 0, 3 * 4096, [&] { done_b = true; });
-  test::run_until_drained(ms.sim);
+  ms.sim.drain();
 
   EXPECT_TRUE(done_a);
   EXPECT_TRUE(done_b);
@@ -116,7 +116,7 @@ TEST_F(PressureRig, PinnedPagesAreNeverSelectedAsVictims) {
   // Eviction pressure lands while a transfer holds its chunk pinned: victim
   // selection must route around the pinned pages. The PinnedProbe hook
   // observes the policy consulting (and skipping) pin state, and
-  // Pager::evict_resident hard-fails (throwing out of run_until_drained)
+  // Pager::evict_resident hard-fails (throwing out of Simulator::drain)
   // if a pinned page is ever nominated.
   make(/*budget=*/3);
   const VirtAddr base = cold_region(4);
@@ -142,9 +142,7 @@ TEST_F(PressureRig, PinnedPagesAreNeverSelectedAsVictims) {
     ms.as.for_each_resident([this, &n](u64 vpn) { n += ms.as.is_pinned_vpn(vpn) ? 1 : 0; });
     return n;
   };
-  while (pinned_resident() == 0 && ms.sim.step()) {
-  }
-  ASSERT_GT(pinned_resident(), 0u);
+  ASSERT_TRUE(ms.sim.run_until([&] { return pinned_resident() > 0; }));
   ASSERT_GT(driver->pins_held(), 0u);
 
   // Worst-case pressure: an exhaustive reclaim sweep takes every page the
@@ -165,7 +163,7 @@ TEST_F(PressureRig, PinnedPagesAreNeverSelectedAsVictims) {
       if (!ms.as.is_mapped(storm + i * 4096)) ms.as.map_page(storm + i * 4096);
     });
   }
-  test::run_until_drained(ms.sim);
+  ms.sim.drain();
 
   EXPECT_TRUE(done);
   EXPECT_EQ(ms.as.pinned_pages(), 0u);
@@ -188,7 +186,7 @@ TEST_F(PressureRig, CopyOutDirtiesUserPagesAndReleasesPins) {
 
   bool done = false;
   driver->copy_out(buf, 0, base, 2 * 4096, [&] { done = true; });
-  test::run_until_drained(ms.sim);
+  ms.sim.drain();
 
   EXPECT_TRUE(done);
   EXPECT_EQ(ms.as.pinned_pages(), 0u);
@@ -210,7 +208,7 @@ TEST_F(PressureRig, CpuCopyFaultsThroughThePagerUnderBudget) {
 
   bool done = false;
   driver->copy_in(base, buf, 0, 4 * 4096, [&] { done = true; });
-  test::run_until_drained(ms.sim);
+  ms.sim.drain();
 
   EXPECT_TRUE(done);
   EXPECT_EQ(pager->swap_ins(), 4u);  // every cold page charged through swap
@@ -256,8 +254,7 @@ TEST(DseOffloadGrid, SerialAndParallelGridIdentical) {
         bool done = false;
         system->offload().copy_in(system->buffer(buf.name), pb, 0, buf.bytes,
                                   [&done] { done = true; });
-        while (!done)
-          if (!sim.step()) throw std::runtime_error("copy-in stalled");
+        if (!sim.run_until([&done] { return done; })) throw std::runtime_error("copy-in stalled");
       }
       return sim.now() - t0;
     }

@@ -82,8 +82,7 @@ struct BusFixture : ::testing::Test {
   Cycles run_request(PhysAddr addr, u32 bytes, bool write) {
     Cycles done_at = 0;
     bus.request(BusRequest{addr, bytes, write, [&] { done_at = sim.now(); }});
-    while (sim.step()) {
-    }
+    sim.drain();
     return done_at;
   }
 };
@@ -105,8 +104,7 @@ TEST_F(BusFixture, ContentionSerializes) {
   Cycles first = 0, second = 0;
   bus.request(BusRequest{0, 256, false, [&] { first = sim.now(); }});
   bus.request(BusRequest{8 * KiB, 256, false, [&] { second = sim.now(); }});
-  while (sim.step()) {
-  }
+  sim.drain();
   EXPECT_GT(second, first);  // shared channel forces ordering
 }
 
@@ -117,8 +115,7 @@ TEST_F(BusFixture, LargerTransfersTakeLonger) {
   MemoryBus bus2{sim2, dram2, BusConfig{}, "bus2"};
   Cycles big = 0;
   bus2.request(BusRequest{0, 4096, false, [&] { big = sim2.now(); }});
-  while (sim2.step()) {
-  }
+  sim2.drain();
   EXPECT_GT(big, small);
 }
 
@@ -127,8 +124,7 @@ TEST_F(BusFixture, ManyRequestsAllComplete) {
   for (int i = 0; i < 100; ++i)
     bus.request(BusRequest{static_cast<PhysAddr>(i) * 64, 64, (i % 2) == 0,
                            [&] { ++completed; }});
-  while (sim.step()) {
-  }
+  sim.drain();
   EXPECT_EQ(completed, 100);
   EXPECT_GT(bus.busy_cycles(), 0u);
 }
@@ -140,8 +136,7 @@ TEST_F(BusFixture, RejectsMalformedRequests) {
 
 TEST_F(BusFixture, QueueWaitRecorded) {
   for (int i = 0; i < 10; ++i) bus.request(BusRequest{0, 512, false, [] {}});
-  while (sim.step()) {
-  }
+  sim.drain();
   EXPECT_GT(sim.stats().histograms().at("bus.queue_wait").max(), 0u);
 }
 

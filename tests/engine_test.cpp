@@ -93,8 +93,7 @@ struct EngineFixture : ::testing::Test {
         engine->attach_mem_port(p, &mem);
     engine->attach_os_port(&os);
     engine->start([this] { halted = true; });
-    while (sim.step()) {
-    }
+    sim.drain();
   }
 };
 
@@ -176,8 +175,7 @@ TEST_F(EngineFixture, ScratchpadOutOfBoundsTraps) {
   engine = std::make_unique<Engine>(sim, kb.build(), EngineConfig{}, "eng");
   engine->attach_os_port(&os);
   engine->start([] {});
-  EXPECT_THROW(
-      while (sim.step()) {}, std::runtime_error);
+  EXPECT_THROW(sim.drain(), std::runtime_error);
 }
 
 TEST_F(EngineFixture, LoadStoreThroughPort) {
@@ -233,8 +231,7 @@ TEST_F(EngineFixture, BurstOverflowTraps) {
   engine->attach_mem_port(0, &mem);
   engine->attach_os_port(&os);
   engine->start([] {});
-  EXPECT_THROW(
-      while (sim.step()) {}, std::runtime_error);
+  EXPECT_THROW(sim.drain(), std::runtime_error);
 }
 
 TEST_F(EngineFixture, MailboxRoundTrip) {
@@ -280,8 +277,7 @@ TEST_F(EngineFixture, ClockDomainScalesCost) {
   e2.attach_os_port(&os);
   bool done2 = false;
   e2.start([&] { done2 = true; });
-  while (sim2.step()) {
-  }
+  sim2.drain();
   EXPECT_TRUE(done2);
   EXPECT_LT(e2.halt_time(), slow_time);
 }

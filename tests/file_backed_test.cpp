@@ -24,7 +24,6 @@ namespace vmsls::paging {
 namespace {
 
 using test::MemorySystem;
-using test::run_until_drained;
 
 constexpr u64 kPage = 4 * KiB;
 
@@ -162,7 +161,7 @@ TEST_F(BufferCacheFixture, MissPaysTheDeviceThenHitIsSynchronousAndFree) {
   bc->read(c0, 0, 3, [&] { ++done; });
   EXPECT_EQ(done, 0);  // miss: queued, not synchronous
   const Cycles t0 = sim.now();
-  run_until_drained(sim);
+  sim.drain();
   EXPECT_EQ(done, 1);
   EXPECT_EQ(sim.now() - t0, transfer_time(cfg.read_latency));
   EXPECT_EQ(bc->misses(), 1u);
@@ -185,7 +184,7 @@ TEST_F(BufferCacheFixture, ConcurrentMissesOnOneBlockMergeIntoOneDeviceRead) {
   int done = 0;
   bc->read(c0, 0, 7, [&] { ++done; });
   bc->read(c1, 0, 7, [&] { ++done; });  // process B waits on A's buffer lock
-  run_until_drained(sim);
+  sim.drain();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(bc->device_reads(), 1u);  // one transfer served both
   EXPECT_EQ(bc->merged_reads(), 1u);
@@ -199,7 +198,7 @@ TEST_F(BufferCacheFixture, WriteIsNonBlockingAndTheFlushDaemonDrains) {
   EXPECT_EQ(sim.now(), t0);  // pure bookkeeping, zero cycles
   EXPECT_TRUE(bc->block_dirty(0, 1));
   EXPECT_EQ(bc->dirty_blocks(), 1u);
-  run_until_drained(sim);  // daemon fires, cleans, disarms — queue drains
+  sim.drain();  // daemon fires, cleans, disarms — queue drains
   EXPECT_FALSE(bc->block_dirty(0, 1));
   EXPECT_TRUE(bc->block_cached(0, 1));  // write-allocate: stays cached clean
   EXPECT_EQ(bc->flushes(), 1u);
@@ -215,7 +214,7 @@ TEST_F(BufferCacheFixture, CapacityEvictionWritesBackDirtyVictims) {
   EXPECT_EQ(bc->evictions(), 1u);
   EXPECT_EQ(bc->cached_blocks(), 2u);
   EXPECT_FALSE(bc->block_cached(0, 0));
-  run_until_drained(sim);
+  sim.drain();
   EXPECT_EQ(bc->device_writes(), 1u);  // the victim's background write
   // Blocks 1 and 2 stay dirty forever (daemon off) — but nothing is queued,
   // so the event loop still drained above: dirtiness is not pending work.
@@ -227,13 +226,13 @@ TEST_F(BufferCacheFixture, ZeroCapacityStreamsStraightThrough) {
   int done = 0;
   bc->read(c0, 0, 4, [&] { ++done; });
   bc->write(c0, 0, 5);
-  run_until_drained(sim);
+  sim.drain();
   EXPECT_EQ(done, 1);
   EXPECT_EQ(bc->device_reads(), 1u);
   EXPECT_EQ(bc->device_writes(), 1u);
   EXPECT_EQ(bc->cached_blocks(), 0u);  // nothing retained
   bc->read(c0, 0, 4, [&] { ++done; });  // same block: misses again
-  run_until_drained(sim);
+  sim.drain();
   EXPECT_EQ(bc->hits(), 0u);
   EXPECT_EQ(bc->misses(), 2u);
 }
@@ -312,7 +311,7 @@ TEST_F(FilePagerFixture, EvictionForkSendsDirtySharedThroughTheCacheNeverSwap) {
 
   ASSERT_NE(translate_sync(base, /*write=*/true), ~0ull);  // page 0 dirty
   ASSERT_NE(translate_sync(base + kPage), ~0ull);          // evicts page 0
-  run_until_drained(ms.sim);  // background cache write retires
+  ms.sim.drain();  // background cache write retires
   EXPECT_EQ(pager->file_writebacks(), 1u);
   EXPECT_EQ(pager->writebacks(), 0u);     // swap writeback counter untouched
   EXPECT_EQ(pager->swap().writes(), 0u);  // and no swap device traffic

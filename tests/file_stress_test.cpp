@@ -68,7 +68,7 @@ RunOutcome run_seed(u64 seed, u64 bcache_capacity) {
     wls[i].setup(sys);
     sys.process().evict(sys.buffer(buf.name), buf.bytes);  // cold start
   }
-  test::run_until_drained(sim);
+  sim.drain();
   // The cold-start evicts above route through the lifecycle fork too (the
   // setup pages are dirty, so they write through the cache) — the ledger
   // below is therefore a run-phase delta.
@@ -78,7 +78,7 @@ RunOutcome run_seed(u64 seed, u64 bcache_capacity) {
   RunOutcome r;
   const u64 events_before = sim.events_executed();
   r.cycles = group.run_to_completion();
-  test::run_until_drained(sim);
+  sim.drain();
   EXPECT_FALSE(group.buffer_cache().busy());
   r.events = sim.events_executed() - events_before;
 

@@ -219,8 +219,7 @@ TEST(Integration, ContentionSlowsSharedBus) {
     if (second_thread) system->start_thread("tb");
     // Measure thread ta's completion time.
     auto& eng = system->engine("ta");
-    while (!eng.halted())
-      if (!sim.step()) throw std::runtime_error("stall");
+    if (!sim.run_until([&eng] { return eng.halted(); })) throw std::runtime_error("stall");
     return eng.halt_time() - eng.start_time();
   };
   const Cycles alone = run_pair(false);

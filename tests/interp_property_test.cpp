@@ -17,8 +17,7 @@ InterpResult run_engine(const Kernel& kernel, const EngineConfig& cfg = {}) {
   Engine engine(sim, kernel, cfg, "dut");
   bool halted = false;
   engine.start([&] { halted = true; });
-  while (sim.step()) {
-  }
+  sim.drain();
   EXPECT_TRUE(halted);
   InterpResult r;
   for (unsigned i = 0; i < kNumRegs; ++i) r.regs[i] = engine.reg(i);

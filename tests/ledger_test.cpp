@@ -67,7 +67,7 @@ TEST(LedgerTest, AnOwnerMissingFromThePagerSetUnbalancesTheSwapPartition) {
   const unsigned other = swap.register_owner("other");
   swap.note_swapped(other, 7);
   swap.read(other, 7, SwapReqClass::kDemandRead, [] {});
-  test::run_until_drained(ms.sim);
+  ms.sim.drain();
   EXPECT_EQ(check_machine({&pager}), Violations{"swap: owner reads 0 != device reads 1"});
 }
 
@@ -109,7 +109,7 @@ TEST(LedgerTest, PageoutCleaningOfSharedFilePagesIsNotAnUnmap) {
       if (!ms.as.is_mapped(va)) process.map_in(va);
       if (write) ms.as.write_u64(va, 0xD1'0000 + p);
     });
-    test::run_until_drained(ms.sim);
+    ms.sim.drain();
   };
   for (u64 p = 0; p < 3; ++p) touch(p, /*write=*/true);
   for (u64 p = 3; p < 8; ++p) touch(p, /*write=*/false);

@@ -6,6 +6,8 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,7 +46,7 @@ struct PoolFixture : ::testing::Test {
     pool->attach(*pg1);
   }
 
-  void run_all() { test::run_until_drained(sim); }
+  void run_all() { sim.drain(); }
 
   /// Maps `count` data pages into `as` by writing distinct words.
   static void map_pages(mem::AddressSpace& as, unsigned count) {
@@ -152,7 +154,7 @@ std::pair<Cycles, std::map<std::string, double>> run_budget_scenario(BudgetMode 
     });
   };
   step();
-  test::run_until_drained(sim);
+  sim.drain();
   return {sim.now(), sim.stats().snapshot_prefix("pager.")};
 }
 
@@ -348,6 +350,38 @@ TEST(ProcessGroup, Fig10ScenarioIsRunToRunDeterministic) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.stats, b.stats);  // every counter and histogram moment
+}
+
+TEST(ProcessGroup, DrainChecksTheMachineLedger) {
+  workloads::WorkloadParams p;
+  p.n = 64;
+  const auto wl = workloads::make_workload("vecadd", p);
+  sim::Simulator sim;
+  sls::ProcessGroup group(sim, sls::zynq7020(), paging::FramePoolConfig{});
+  sls::SynthesisFlow flow(sls::zynq7020());
+  auto& system = group.add_process(
+      flow.synthesize(workloads::single_thread_app(wl, sls::ThreadKind::kHardware)), "p0");
+  wl.setup(system);
+  group.drain();  // balanced after setup
+
+  std::optional<u64> frame;
+  system.address_space().for_each_resident([&](u64 vpn) {
+    if (!frame) frame = system.address_space().frame_of(vpn);
+  });
+  ASSERT_TRUE(frame.has_value());
+  group.frames().ref(*frame);  // a reference no page table accounts for
+  try {
+    group.drain();
+    FAIL() << "drain must check frame refcounts";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    std::string want = "frame ";
+    want += std::to_string(*frame);
+    want += ": refcount 2 != page-table mappings 1";
+    EXPECT_NE(msg.find(want), std::string::npos) << msg;
+  }
+  group.frames().free(*frame);
+  group.drain();
 }
 
 // --- DSE: pager × TLB grid ------------------------------------------------

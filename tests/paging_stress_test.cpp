@@ -107,7 +107,7 @@ StressSnapshot run_chaos(u64 seed) {
   next_op(kOps);
 
   StressSnapshot s;
-  s.events = test::run_until_drained(ms.sim, /*max_cycles=*/500'000'000ull);
+  s.events = ms.sim.drain(500'000'000ull);
 
   // --- post-drain invariants ---
   EXPECT_EQ(*completed, *issued) << "seed " << seed;

@@ -79,7 +79,7 @@ void run_scenario(sim::Simulator& sim, const Scenario& sc) {
     });
   };
   chain();
-  test::run_until_drained(sim);
+  sim.drain();
   if (next != faults) throw std::runtime_error("sharded scenario stalled");
 }
 

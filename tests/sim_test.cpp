@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/clock.hpp"
@@ -187,9 +189,77 @@ TEST(Simulator, ThrowingEventPropagatesAndQueueSurvives) {
   int fired = 0;
   s.schedule_in(1, [] { throw std::runtime_error("trap"); });
   s.schedule_in(2, [&] { ++fired; });
+  s.schedule_in(3, [] { throw std::runtime_error("trap"); });
+  s.schedule_in(4, [&] { ++fired; });
   EXPECT_THROW(s.run(), std::runtime_error);
-  s.run();  // the remaining event is still runnable
+  EXPECT_THROW(s.drain(), std::runtime_error);  // the guarded loop propagates too
   EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.drain(), 1u);  // the remaining event is still runnable
+  EXPECT_EQ(fired, 2);
+}
+
+// --- drain / run_until: the guarded run loop ---
+
+TEST(Simulator, DrainReturnsEventsExecutedAndLeavesItIdle) {
+  Simulator s;
+  for (int i = 0; i < 5; ++i) s.schedule_in(static_cast<Cycles>(10 * i), [] {});
+  s.schedule_in(9000, [] {});  // beyond the wheel horizon
+  EXPECT_EQ(s.drain(), 6u);
+  EXPECT_TRUE(s.idle());
+  EXPECT_EQ(s.now(), 9000u);
+  EXPECT_EQ(s.drain(), 0u);  // an empty queue drains trivially
+}
+
+TEST(Simulator, DrainBudgetThrowsOnSelfReschedulingFarEvent) {
+  Simulator s;
+  std::function<void()> tick = [&] { s.schedule_in(5000, tick); };
+  s.schedule_in(5000, tick);
+  try {
+    s.drain(100'000);
+    FAIL() << "drain must throw past its budget";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("budget 100000 cycles"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("1 events pending"), std::string::npos) << msg;
+  }
+  EXPECT_LE(s.now(), 100'000u);  // the event past the budget never ran
+  EXPECT_FALSE(s.idle());
+}
+
+TEST(Simulator, ZeroTimeLivelockThrowsNamingTheCount) {
+  Simulator s;
+  u64 fired = 0;
+  std::function<void()> spin = [&] {
+    ++fired;
+    s.schedule_now(spin);
+  };
+  s.schedule_in(3, spin);
+  try {
+    s.drain();
+    FAIL() << "a zero-time loop must not drain";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(std::to_string(Simulator::kMaxSameCycleEvents) + " events"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("now 3,"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(fired, Simulator::kMaxSameCycleEvents + 1);
+  EXPECT_EQ(s.now(), 3u);
+}
+
+TEST(Simulator, RunUntilStopsAtThePredicateOrReportsAStall) {
+  Simulator s;
+  int fired = 0;
+  for (int i = 1; i <= 4; ++i) s.schedule_in(static_cast<Cycles>(i), [&] { ++fired; });
+  EXPECT_TRUE(s.run_until([&] { return fired == 2; }));
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(s.now(), 2u);
+  EXPECT_TRUE(s.run_until([] { return true; }));  // already holds: no event runs
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(s.run_until([&] { return fired == 10; }));  // queue empties first
+  EXPECT_EQ(fired, 4);
+  EXPECT_TRUE(s.idle());
 }
 
 // --- EventFn: small-buffer, move-only callback type ---

@@ -20,13 +20,13 @@ TEST(SwapDevice, TransfersPayLatencyPlusBandwidth) {
 
   Cycles write_done = 0, read_done = 0;
   dev.write_page(7, [&] { write_done = sim.now(); });
-  test::run_until_drained(sim);
+  sim.drain();
   EXPECT_EQ(write_done, 100u + 4096 / 8);
   EXPECT_TRUE(dev.holds(7));
 
   const Cycles t0 = sim.now();
   dev.read_page(7, [&] { read_done = sim.now(); });
-  test::run_until_drained(sim);
+  sim.drain();
   EXPECT_EQ(read_done - t0, 50u + 4096 / 8);
 }
 
@@ -41,7 +41,7 @@ TEST(SwapDevice, OperationsSerializeOnThePort) {
   Cycles first = 0, second = 0;
   dev.write_page(1, [&] { first = sim.now(); });
   dev.write_page(2, [&] { second = sim.now(); });
-  test::run_until_drained(sim);
+  sim.drain();
   EXPECT_EQ(first, per_op);
   EXPECT_EQ(second, 2 * per_op);
   EXPECT_EQ(dev.slots_in_use(), 2u);
@@ -81,7 +81,7 @@ TEST(SwapDevice, SlotFreedOnReadCompletionAndReallocatedOnReEviction) {
   cfg.bytes_per_cycle = 8;
   SwapDevice dev(sim, cfg, 4096, "swap");
   dev.write_page(5, [] {});
-  test::run_until_drained(sim);
+  sim.drain();
   ASSERT_TRUE(dev.holds(5));
 
   // The slot stays allocated for the whole transfer — freeing it at issue
@@ -91,7 +91,7 @@ TEST(SwapDevice, SlotFreedOnReadCompletionAndReallocatedOnReEviction) {
   dev.read_page(5, [&] { read_done = true; });
   EXPECT_TRUE(dev.holds(5));  // still held: the transfer is in flight
   EXPECT_EQ(dev.slots_in_use(), 1u);
-  test::run_until_drained(sim);
+  sim.drain();
   EXPECT_TRUE(read_done);
   EXPECT_FALSE(dev.holds(5));  // freed at completion
   EXPECT_EQ(dev.slots_in_use(), 0u);
@@ -99,7 +99,7 @@ TEST(SwapDevice, SlotFreedOnReadCompletionAndReallocatedOnReEviction) {
   // Re-eviction of the same page allocates a fresh slot and pays a second
   // write: occupancy tracks pages that are out, not pages that ever were.
   dev.write_page(5, [] {});
-  test::run_until_drained(sim);
+  sim.drain();
   EXPECT_TRUE(dev.holds(5));
   EXPECT_EQ(dev.slots_in_use(), 1u);
   EXPECT_EQ(dev.writes(), 2u);
@@ -126,10 +126,9 @@ TEST(SwapDevice, BusyWindowCoversQueuedTransfers) {
 
   // Step to the first completion: the second transfer still occupies the
   // port, so the window must not have closed early.
-  while (sim.now() < per_op && sim.step()) {
-  }
+  sim.run_until([&] { return sim.now() >= per_op; });
   EXPECT_TRUE(busy_at_first_completion);
-  test::run_until_drained(sim);
+  sim.drain();
   EXPECT_FALSE(busy_at_second_completion);  // port free at its own completion
   EXPECT_FALSE(dev.busy());
 }

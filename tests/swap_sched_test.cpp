@@ -54,7 +54,7 @@ TEST(SwapScheduler, PrioritySchedulerNeverStarvesWritebacks) {
   sched.write(owner, 7, SwapReqClass::kWriteback, [&] { order.push_back("writeback"); });
   for (u64 vpn = 1; vpn < 16; ++vpn)
     sched.read(owner, 100 + vpn, SwapReqClass::kDemandRead, [&] { order.push_back("read"); });
-  test::run_until_drained(sim);
+  sim.drain();
 
   ASSERT_EQ(order.size(), 17u);
   const auto wb_pos = static_cast<std::size_t>(
@@ -85,7 +85,7 @@ TEST(SwapScheduler, WritebacksBoundedUnderSustainedPrefetchTraffic) {
   for (u64 vpn = 1; vpn < 10; ++vpn)
     sched.read(owner, 100 + vpn, SwapReqClass::kPrefetchRead,
                [&] { order.push_back("prefetch"); });
-  test::run_until_drained(sim);
+  sim.drain();
 
   ASSERT_EQ(order.size(), 11u);
   const auto wb_pos = static_cast<std::size_t>(
@@ -108,7 +108,7 @@ TEST(SwapScheduler, DemandReadsOvertakeQueuedPrefetches) {
   for (u64 vpn = 0; vpn < 4; ++vpn)
     sched.read(owner, vpn, SwapReqClass::kPrefetchRead, [&] { order.push_back("prefetch"); });
   sched.read(owner, 7, SwapReqClass::kDemandRead, [&] { order.push_back("demand"); });
-  test::run_until_drained(sim);
+  sim.drain();
 
   ASSERT_EQ(order.size(), 5u);
   EXPECT_EQ(order[1], "demand");  // right behind the in-flight prefetch
@@ -131,7 +131,7 @@ TEST(SwapScheduler, SameClusterReadsMergeIntoOneDeviceOperation) {
       sched.read(owner, 10 + i, SwapReqClass::kPrefetchRead,
                  [&, i] { done_at[i] = sim.now(); });
   });
-  test::run_until_drained(sim);
+  sim.drain();
   // One clustered op: latency once, bandwidth for all four pages — not
   // four serialized full ops.
   const Cycles expect = 50 + 4 * (4096 / 64);
@@ -151,7 +151,7 @@ TEST(SwapScheduler, FifoServicesArrivalOrderAcrossClasses) {
   sched.read(owner, 0, SwapReqClass::kPrefetchRead, [&] { order.push_back("p0"); });
   sched.read(owner, 1, SwapReqClass::kPrefetchRead, [&] { order.push_back("p1"); });
   sched.read(owner, 3, SwapReqClass::kDemandRead, [&] { order.push_back("d"); });
-  test::run_until_drained(sim);
+  sim.drain();
   EXPECT_EQ(order, (std::vector<std::string>{"p0", "p1", "d"}));
 }
 
@@ -252,7 +252,7 @@ TEST(SwapReadahead, PrefetchesNeighborsLandsCleanAndBalancesLedger) {
     if (!h.ms.as.is_mapped(base + 2 * 4096)) h.ms.as.map_page(base + 2 * 4096);
     ready = true;
   });
-  test::run_until_drained(h.ms.sim);
+  h.ms.sim.drain();
 
   EXPECT_TRUE(ready);
   EXPECT_EQ(h.pager.swap_ins(), 1u);
@@ -295,7 +295,7 @@ TEST(SwapReadahead, PrefetchStopsAtBudgetAndWrongPathIsReclaimedFirst) {
     h.pager.handle_fault(va, false, [&h, va] {
       if (!h.ms.as.is_mapped(va)) h.ms.as.map_page(va);
     });
-    test::run_until_drained(h.ms.sim);
+    h.ms.sim.drain();
   };
 
   // One demand fault pulls its whole neighborhood: readahead may overshoot
@@ -363,7 +363,7 @@ GroupRun run_single_member(bool shared) {
   const u64 before = sim.events_executed();
   r.cycles = group.run_to_completion();
   if (!wl.verify(group.process(0))) throw std::runtime_error("verification failed");
-  test::run_until_drained(sim);  // queued writebacks/prefetches finish
+  sim.drain();  // queued writebacks/prefetches finish
   r.events = sim.events_executed() - before;
   auto* pager = system.pager();
   r.swap_ins = pager->swap_ins();
@@ -450,7 +450,7 @@ TEST(SwapSummary, PagerSummarySurfacesQueueWaitAndPrefetchCounters) {
     h.pager.handle_fault(va, false, [&h, va] {
       if (!h.ms.as.is_mapped(va)) h.ms.as.map_page(va);
     });
-    test::run_until_drained(h.ms.sim);
+    h.ms.sim.drain();
   }
 
   std::ostringstream pager_out;

@@ -1,9 +1,6 @@
 // Shared test fixtures: a small but complete memory system.
 #pragma once
 
-#include <stdexcept>
-#include <string>
-
 #include "mem/address_space.hpp"
 #include "mem/bus.hpp"
 #include "mem/dram.hpp"
@@ -13,30 +10,6 @@
 #include "sim/simulator.hpp"
 
 namespace vmsls::test {
-
-/// Steps `sim` until the event queue drains, throwing if `max_cycles`
-/// simulated cycles elapse first (a stuck pin-release chain or an
-/// un-gated daemon would otherwise spin a test forever). A zero-time
-/// self-rescheduling loop never advances the clock, so an event cap backs
-/// the cycle cap. Returns events executed. The drained-queue
-/// postcondition — what every activity-gated service and offload
-/// admission queue must guarantee — is asserted here instead of being
-/// re-rolled per test.
-inline u64 run_until_drained(sim::Simulator& sim, Cycles max_cycles = 1'000'000'000ull,
-                             u64 max_events = 100'000'000ull) {
-  const Cycles deadline = sim.now() + max_cycles;
-  u64 events = 0;
-  while (sim.step()) {
-    if (sim.now() > deadline)
-      throw std::runtime_error("run_until_drained: exceeded " + std::to_string(max_cycles) +
-                               " cycles with events still pending");
-    if (++events > max_events)
-      throw std::runtime_error("run_until_drained: exceeded " + std::to_string(max_events) +
-                               " events with events still pending (zero-time loop?)");
-  }
-  if (!sim.idle()) throw std::runtime_error("run_until_drained: queue failed to drain");
-  return events;
-}
 
 /// Simulator + physical memory + DRAM/bus models + one address space, wired
 /// with 4 KiB pages over 64 MiB. Enough substrate for most unit tests.
@@ -56,7 +29,7 @@ struct MemorySystem {
         as(pm, make_frames(pt_cfg), pt_cfg) {}
 
   /// Drains the event queue; returns events executed.
-  u64 run_all() { return run_until_drained(sim); }
+  u64 run_all() { return sim.drain(); }
 
  private:
   static mem::DramConfig make_dram_cfg() {

@@ -74,7 +74,7 @@ TEST(TraceContext, EventsCarrySimulatedTime) {
   sim.trace().set_sink(&sink);
   const auto t = sim.trace().track("comp");
   sim.schedule_in(7, [&] { sim.trace().instant(t, "mark", 0, 42); });
-  test::run_until_drained(sim);
+  sim.drain();
   ASSERT_EQ(sink.events.size(), 1u);
   EXPECT_EQ(sink.events[0].ts, 7u);
   EXPECT_EQ(sink.events[0].aux, 42u);
@@ -117,7 +117,7 @@ RunResult run_pressured(bool traced) {
   system->start_all();
   RunResult r;
   r.cycles = system->run_to_completion();
-  test::run_until_drained(sim);  // trailing writebacks/prefetches retire
+  sim.drain();  // trailing writebacks/prefetches retire
   EXPECT_TRUE(wl.verify(*system));
   r.events = sim.events_executed();
   r.stats = sim.stats().snapshot();
@@ -271,7 +271,7 @@ TEST(TelemetrySampler, SamplesAtCadenceThenDisarms) {
   for (u64 i = 1; i <= 10; ++i) sim.schedule_in(i * 4, [&x] { ++x; });
   ts.start();
   EXPECT_TRUE(ts.armed());
-  test::run_until_drained(sim);  // the sampler must not keep the run alive
+  sim.drain();  // the sampler must not keep the run alive
   EXPECT_FALSE(ts.armed());
 
   const auto& rows = ts.rows();
@@ -297,7 +297,7 @@ TEST(TelemetrySampler, ValidatesConfiguration) {
   ts.start();
   EXPECT_THROW(ts.start(), std::logic_error);  // double start
   EXPECT_THROW(ts.add_probe("y", [] { return 2.0; }), std::logic_error);
-  test::run_until_drained(sim);
+  sim.drain();
 }
 
 TEST(TelemetrySampler, MirrorsSamplesOntoCounterTracks) {
@@ -308,7 +308,7 @@ TEST(TelemetrySampler, MirrorsSamplesOntoCounterTracks) {
   ts.add_probe("x", [] { return 2.5; });
   sim.schedule_in(15, [] {});
   ts.start();
-  test::run_until_drained(sim);
+  sim.drain();
   sim.trace().set_sink(nullptr);
   u64 counters = 0;
   for (const auto& ev : sink.events)

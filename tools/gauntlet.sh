@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Sanitizer gauntlet: builds the whole tree under ASan + UBSan (LeakSanitizer
 # on) in build-asan/ and runs the tier1, stress and smoke labels there — the
-# unit tests, the seeded stress suites and the fig9..fig15 smokes. Any test
-# failure, sanitizer report or leak exits non-zero.
+# unit tests, the seeded stress suites, the fig5 and fig9..fig15 smokes and
+# the examples. Any test failure, sanitizer report or leak exits non-zero.
 #
 #   tools/gauntlet.sh                        # from anywhere in the repo
 #   JOBS=2 tools/gauntlet.sh
