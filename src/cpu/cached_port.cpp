@@ -5,15 +5,6 @@
 
 namespace vmsls::cpu {
 
-struct CachedMemPort::Xfer {
-  VirtAddr va = 0;
-  u64 pos = 0;
-  std::vector<u8> buf;
-  bool is_write = false;
-  std::function<void(std::vector<u8>)> on_read_done;
-  std::function<void()> on_write_done;
-};
-
 CachedMemPort::CachedMemPort(sim::Simulator& sim, mem::AddressSpace& as,
                              mem::CacheHierarchy& caches, std::string name)
     : sim_(sim),
@@ -23,43 +14,45 @@ CachedMemPort::CachedMemPort(sim::Simulator& sim, mem::AddressSpace& as,
       reads_(sim.stats().counter(name_ + ".reads")),
       writes_(sim.stats().counter(name_ + ".writes")) {}
 
-void CachedMemPort::read(VirtAddr va, u32 bytes, std::function<void(std::vector<u8>)> done) {
-  require(bytes > 0, "zero-byte CPU read");
+void CachedMemPort::read(VirtAddr va, std::span<u8> dst, sim::Callback<> done) {
+  require(!dst.empty(), "zero-byte CPU read");
   reads_.add();
-  auto x = std::make_shared<Xfer>();
-  x->va = va;
-  x->buf.resize(bytes);
-  x->is_write = false;
-  x->on_read_done = std::move(done);
-  step(x);
+  start(va, dst.data(), nullptr, dst.size(), std::move(done));
 }
 
-void CachedMemPort::write(VirtAddr va, std::span<const u8> data, std::function<void()> done) {
+void CachedMemPort::write(VirtAddr va, std::span<const u8> data, sim::Callback<> done) {
   require(!data.empty(), "zero-byte CPU write");
   writes_.add();
-  auto x = std::make_shared<Xfer>();
+  start(va, nullptr, data.data(), data.size(), std::move(done));
+}
+
+void CachedMemPort::start(VirtAddr va, u8* rd, const u8* wr, u64 bytes, sim::Callback<> done) {
+  Xfer* x = xfers_.acquire();
   x->va = va;
-  x->buf.assign(data.begin(), data.end());
-  x->is_write = true;
-  x->on_write_done = std::move(done);
+  x->rd = rd;
+  x->wr = wr;
+  x->bytes = bytes;
+  x->pos = 0;
+  x->is_write = wr != nullptr;
+  x->done = std::move(done);
   step(x);
 }
 
-void CachedMemPort::step(const std::shared_ptr<Xfer>& x) {
-  if (x->pos >= x->buf.size()) {
-    if (x->is_write) {
-      as_.write(x->va, std::span<const u8>(x->buf.data(), x->buf.size()));
-      x->on_write_done();
-    } else {
-      as_.read(x->va, std::span<u8>(x->buf.data(), x->buf.size()));
-      x->on_read_done(std::move(x->buf));
-    }
+void CachedMemPort::step(Xfer* x) {
+  if (x->pos >= x->bytes) {
+    if (x->is_write)
+      as_.write(x->va, std::span<const u8>(x->wr, x->bytes));
+    else
+      as_.read(x->va, std::span<u8>(x->rd, x->bytes));
+    auto done = std::move(x->done);
+    xfers_.release(x);
+    done();
     return;
   }
   const u64 page = as_.page_bytes();
   const VirtAddr va = x->va + x->pos;
   const u64 to_page_end = page - (va & (page - 1));
-  const u32 chunk = static_cast<u32>(std::min<u64>(to_page_end, x->buf.size() - x->pos));
+  const u32 chunk = static_cast<u32>(std::min<u64>(to_page_end, x->bytes - x->pos));
 
   // Software page touch: demand-map with zero modeled cost (resident
   // baseline assumption; see header comment).

@@ -7,13 +7,13 @@
 // favors the baseline and keeps our speedup claims conservative).
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "hwt/ports.hpp"
 #include "mem/address_space.hpp"
 #include "mem/cache.hpp"
 #include "sim/simulator.hpp"
+#include "util/pool.hpp"
 
 namespace vmsls::cpu {
 
@@ -22,17 +22,27 @@ class CachedMemPort final : public hwt::MemPort {
   CachedMemPort(sim::Simulator& sim, mem::AddressSpace& as, mem::CacheHierarchy& caches,
                 std::string name);
 
-  void read(VirtAddr va, u32 bytes, std::function<void(std::vector<u8>)> done) override;
-  void write(VirtAddr va, std::span<const u8> data, std::function<void()> done) override;
+  void read(VirtAddr va, std::span<u8> dst, sim::Callback<> done) override;
+  void write(VirtAddr va, std::span<const u8> data, sim::Callback<> done) override;
 
  private:
-  struct Xfer;
-  void step(const std::shared_ptr<Xfer>& x);
+  struct Xfer {
+    VirtAddr va = 0;
+    u8* rd = nullptr;        // read destination (caller-owned)
+    const u8* wr = nullptr;  // write source (caller-owned)
+    u64 bytes = 0;
+    u64 pos = 0;
+    bool is_write = false;
+    sim::Callback<> done;
+  };
+  void start(VirtAddr va, u8* rd, const u8* wr, u64 bytes, sim::Callback<> done);
+  void step(Xfer* x);
 
   sim::Simulator& sim_;
   mem::AddressSpace& as_;
   mem::CacheHierarchy& caches_;
   std::string name_;
+  Pool<Xfer> xfers_;
   Counter& reads_;
   Counter& writes_;
 };

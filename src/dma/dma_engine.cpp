@@ -1,17 +1,8 @@
 #include "dma/dma_engine.hpp"
 
 #include <algorithm>
-#include <vector>
 
 namespace vmsls::dma {
-
-struct DmaEngine::Xfer {
-  PhysAddr src = 0;
-  PhysAddr dst = 0;
-  u64 bytes = 0;
-  u64 pos = 0;
-  std::function<void()> done;
-};
 
 DmaEngine::DmaEngine(sim::Simulator& sim, mem::MemoryBus& bus, mem::PhysicalMemory& pm,
                      const DmaConfig& cfg, std::string name)
@@ -25,35 +16,36 @@ DmaEngine::DmaEngine(sim::Simulator& sim, mem::MemoryBus& bus, mem::PhysicalMemo
   require(cfg.chunk_bytes > 0, "DMA chunk size must be nonzero");
 }
 
-void DmaEngine::copy(PhysAddr src, PhysAddr dst, u64 bytes, std::function<void()> done) {
+void DmaEngine::copy(PhysAddr src, PhysAddr dst, u64 bytes, sim::Callback<> done) {
   require(bytes > 0, "zero-byte DMA transfer");
   transfers_.add();
   bytes_.add(bytes);
-  auto x = std::make_shared<Xfer>();
+  Xfer* x = xfers_.acquire();
   x->src = src;
   x->dst = dst;
   x->bytes = bytes;
+  x->pos = 0;
   x->done = std::move(done);
   sim_.schedule_in(cfg_.setup_latency, [this, x] { step(x); });
 }
 
-void DmaEngine::step(const std::shared_ptr<Xfer>& x) {
+void DmaEngine::step(Xfer* x) {
   if (x->pos >= x->bytes) {
-    x->done();
+    auto done = std::move(x->done);
+    xfers_.release(x);
+    done();
     return;
   }
-  const u32 chunk = static_cast<u32>(std::min<u64>(cfg_.chunk_bytes, x->bytes - x->pos));
-  const PhysAddr src = x->src + x->pos;
-  const PhysAddr dst = x->dst + x->pos;
-  bus_.request(mem::BusRequest{src, chunk, false, [this, x, src, dst, chunk] {
-    bus_.request(mem::BusRequest{dst, chunk, true, [this, x, src, dst, chunk] {
-      std::vector<u8> tmp(chunk);
-      pm_.read(src, std::span<u8>(tmp.data(), tmp.size()));
-      pm_.write(dst, std::span<const u8>(tmp.data(), tmp.size()));
-      x->pos += chunk;
-      step(x);
-    }});
+  x->chunk = static_cast<u32>(std::min<u64>(cfg_.chunk_bytes, x->bytes - x->pos));
+  bus_.request(mem::BusRequest{x->src + x->pos, x->chunk, false, [this, x] {
+    bus_.request(mem::BusRequest{x->dst + x->pos, x->chunk, true, [this, x] { on_chunk_done(x); }});
   }});
+}
+
+void DmaEngine::on_chunk_done(Xfer* x) {
+  pm_.copy(x->src + x->pos, x->dst + x->pos, x->chunk);
+  x->pos += x->chunk;
+  step(x);
 }
 
 }  // namespace vmsls::dma

@@ -348,9 +348,7 @@ void OffloadDriver::cpu_copy(VirtAddr va, PhysAddr pinned, u64 bytes, bool to_pi
                                  [this, src, dst, chunk, page_va, to_pinned, self] {
       bus_.request(mem::BusRequest{dst, chunk, true,
                                    [this, src, dst, chunk, page_va, to_pinned, self] {
-        std::vector<u8> tmp(chunk);
-        pm_.read(src, std::span<u8>(tmp.data(), tmp.size()));
-        pm_.write(dst, std::span<const u8>(tmp.data(), tmp.size()));
+        pm_.copy(src, dst, chunk);
         if (pager_ != nullptr) {
           auto& sp = process_.address_space();
           // Copy-out writes user memory behind the MMU: dirty the PTE so a

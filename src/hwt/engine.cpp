@@ -1,7 +1,6 @@
 #include "hwt/engine.hpp"
 
 #include <cstring>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -71,15 +70,21 @@ void Engine::trap(const std::string& what) const {
   throw std::runtime_error(name_ + " @pc=" + std::to_string(pc_) + ": " + what);
 }
 
+bool Engine::spad_fits(u64 offset, u64 bytes) const noexcept {
+  // Written so `offset + bytes` is never formed: a negative register
+  // address or a huge burst length must not wrap into range.
+  return offset <= spad_.size() && bytes <= spad_.size() - offset;
+}
+
 u64 Engine::spad_read(u64 offset, u8 size) const {
-  if (offset + size > spad_.size()) trap("scratchpad read out of bounds");
+  if (!spad_fits(offset, size)) trap("scratchpad read out of bounds");
   u64 v = 0;
   std::memcpy(&v, spad_.data() + offset, size);
   return v;
 }
 
 void Engine::spad_write(u64 offset, u8 size, u64 value) {
-  if (offset + size > spad_.size()) trap("scratchpad write out of bounds");
+  if (!spad_fits(offset, size)) trap("scratchpad write out of bounds");
   std::memcpy(spad_.data() + offset, &value, size);
 }
 
@@ -228,88 +233,34 @@ void Engine::resume() {
         return;
       }
 
-      case Op::kLoad: {
-        ++instret_;
-        stat_mem_ops_.add();
-        const VirtAddr va = static_cast<VirtAddr>(regs_[in.ra] + in.imm);
-        const Instr snapshot = in;
-        const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
-        sim_.schedule_in(issue, [this, va, snapshot] {
-          const Cycles issued_at = sim_.now();
-          mem_ports_[snapshot.port]->read(va, snapshot.size,
-                                          [this, snapshot, issued_at](std::vector<u8> data) {
-            u64 v = 0;
-            std::memcpy(&v, data.data(), snapshot.size);
-            regs_[snapshot.rd] = static_cast<i64>(v);
-            ++pc_;
-            finish_mem_op(issued_at);
-          });
-        });
-        return;
-      }
-
+      case Op::kLoad:
       case Op::kStore: {
         ++instret_;
         stat_mem_ops_.add();
         const VirtAddr va = static_cast<VirtAddr>(regs_[in.ra] + in.imm);
-        const u64 v = static_cast<u64>(regs_[in.rb]);
-        const Instr snapshot = in;
+        const u64 v = in.op == Op::kStore ? static_cast<u64>(regs_[in.rb]) : 0;
         const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
-        sim_.schedule_in(issue, [this, va, v, snapshot] {
-          const Cycles issued_at = sim_.now();
-          std::vector<u8> bytes(snapshot.size);
-          std::memcpy(bytes.data(), &v, snapshot.size);
-          auto* port = mem_ports_[snapshot.port];
-          // Keep the byte buffer alive across the asynchronous write.
-          auto data = std::make_shared<std::vector<u8>>(std::move(bytes));
-          port->write(va, std::span<const u8>(data->data(), data->size()),
-                      [this, issued_at, data] {
-            ++pc_;
-            finish_mem_op(issued_at);
-          });
+        sim_.schedule_in(issue, [this, va, v] {
+          mem_word_ = v;
+          issue_mem(va, std::span<u8>(reinterpret_cast<u8*>(&mem_word_), kernel_.code[pc_].size));
         });
         return;
       }
 
-      case Op::kBurstLoad: {
-        ++instret_;
-        stat_mem_ops_.add();
-        const u64 spad_off = static_cast<u64>(regs_[in.rd]);
-        const VirtAddr va = static_cast<VirtAddr>(regs_[in.ra]);
-        const u64 bytes = static_cast<u64>(regs_[in.rb]);
-        if (bytes == 0) trap("zero-length burst load");
-        if (spad_off + bytes > spad_.size()) trap("burst load overflows scratchpad");
-        const Instr snapshot = in;
-        const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
-        sim_.schedule_in(issue, [this, va, bytes, spad_off, snapshot] {
-          const Cycles issued_at = sim_.now();
-          mem_ports_[snapshot.port]->read(va, static_cast<u32>(bytes),
-                                          [this, spad_off, issued_at](std::vector<u8> data) {
-            std::memcpy(spad_.data() + spad_off, data.data(), data.size());
-            ++pc_;
-            finish_mem_op(issued_at);
-          });
-        });
-        return;
-      }
-
+      case Op::kBurstLoad:
       case Op::kBurstStore: {
         ++instret_;
         stat_mem_ops_.add();
+        const bool load = in.op == Op::kBurstLoad;
         const u64 spad_off = static_cast<u64>(regs_[in.rd]);
         const VirtAddr va = static_cast<VirtAddr>(regs_[in.ra]);
         const u64 bytes = static_cast<u64>(regs_[in.rb]);
-        if (bytes == 0) trap("zero-length burst store");
-        if (spad_off + bytes > spad_.size()) trap("burst store overruns scratchpad");
-        const Instr snapshot = in;
+        if (bytes == 0) trap(load ? "zero-length burst load" : "zero-length burst store");
+        if (!spad_fits(spad_off, bytes))
+          trap(load ? "burst load overflows scratchpad" : "burst store overruns scratchpad");
         const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
-        sim_.schedule_in(issue, [this, va, bytes, spad_off, snapshot] {
-          const Cycles issued_at = sim_.now();
-          mem_ports_[snapshot.port]->write(
-              va, std::span<const u8>(spad_.data() + spad_off, bytes), [this, issued_at] {
-                ++pc_;
-                finish_mem_op(issued_at);
-              });
+        sim_.schedule_in(issue, [this, va, bytes, spad_off] {
+          issue_mem(va, std::span<u8>(spad_.data() + spad_off, bytes));
         });
         return;
       }
@@ -375,7 +326,24 @@ void Engine::resume() {
   }
 }
 
+// A memory op stays at pc_ until its port completes, so neither the issue
+// nor the completion needs a copy of the instruction. `buf` is mem_word_
+// for a load/store and the scratchpad for a burst; the engine is blocked,
+// so it stays valid and untouched until the port's completion fires.
+void Engine::issue_mem(VirtAddr va, std::span<u8> buf) {
+  const Instr& op = kernel_.code[pc_];
+  MemPort* port = mem_ports_[op.port];
+  auto done = [this, issued_at = sim_.now()] { finish_mem_op(issued_at); };
+  if (op.op == Op::kLoad || op.op == Op::kBurstLoad)
+    port->read(va, buf, std::move(done));
+  else
+    port->write(va, buf, std::move(done));
+}
+
 void Engine::finish_mem_op(Cycles issued_at) {
+  const Instr& op = kernel_.code[pc_];
+  if (op.op == Op::kLoad) regs_[op.rd] = static_cast<i64>(mem_word_);
+  ++pc_;
   const Cycles waited = sim_.now() - issued_at;
   stall_cycles_ += waited;
   stat_mem_latency_.record(waited);

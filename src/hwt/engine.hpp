@@ -84,10 +84,12 @@ class Engine {
   /// Raw accumulated op cost -> datapath cycles (ILP credit, rounding up).
   Cycles effective(Cycles local_cost) const noexcept;
   void yield_then_resume(Cycles local_cost);
+  void issue_mem(VirtAddr va, std::span<u8> buf);
   void finish_mem_op(Cycles issued_at);
   [[noreturn]] void trap(const std::string& what) const;
 
   void exec_alu(const Instr& in);
+  bool spad_fits(u64 offset, u64 bytes) const noexcept;
   u64 spad_read(u64 offset, u8 size) const;
   void spad_write(u64 offset, u8 size, u64 value);
 
@@ -100,6 +102,7 @@ class Engine {
   std::vector<u8> spad_;
   std::array<MemPort*, 4> mem_ports_{};
   OsPort* os_port_ = nullptr;
+  u64 mem_word_ = 0;  // the caller-owned buffer of an in-flight load/store
 
   u64 pc_ = 0;
   bool started_ = false;

@@ -5,15 +5,6 @@
 
 namespace vmsls::hwt {
 
-struct HwMemPort::Xfer {
-  VirtAddr va = 0;
-  u64 pos = 0;  // bytes completed
-  std::vector<u8> buf;
-  bool is_write = false;
-  std::function<void(std::vector<u8>)> on_read_done;
-  std::function<void()> on_write_done;
-};
-
 HwMemPort::HwMemPort(sim::Simulator& sim, mem::Mmu& mmu, mem::MemoryBus& bus,
                      mem::PhysicalMemory& pm, const HwPortConfig& cfg, std::string name)
     : sim_(sim),
@@ -28,59 +19,62 @@ HwMemPort::HwMemPort(sim::Simulator& sim, mem::Mmu& mmu, mem::MemoryBus& bus,
   require(cfg.max_burst_bytes > 0, "burst cap must be nonzero");
 }
 
-void HwMemPort::read(VirtAddr va, u32 bytes, std::function<void(std::vector<u8>)> done) {
-  require(bytes > 0, "zero-byte port read");
+void HwMemPort::read(VirtAddr va, std::span<u8> dst, sim::Callback<> done) {
+  require(!dst.empty(), "zero-byte port read");
   reads_.add();
-  bytes_.add(bytes);
-  auto x = std::make_shared<Xfer>();
-  x->va = va;
-  x->buf.resize(bytes);
-  x->is_write = false;
-  x->on_read_done = std::move(done);
-  step(x);
+  start(va, dst.data(), nullptr, dst.size(), std::move(done));
 }
 
-void HwMemPort::write(VirtAddr va, std::span<const u8> data, std::function<void()> done) {
+void HwMemPort::write(VirtAddr va, std::span<const u8> data, sim::Callback<> done) {
   require(!data.empty(), "zero-byte port write");
   writes_.add();
-  bytes_.add(data.size());
-  auto x = std::make_shared<Xfer>();
+  start(va, nullptr, data.data(), data.size(), std::move(done));
+}
+
+void HwMemPort::start(VirtAddr va, u8* rd, const u8* wr, u64 bytes, sim::Callback<> done) {
+  bytes_.add(bytes);
+  Xfer* x = xfers_.acquire();
   x->va = va;
-  x->buf.assign(data.begin(), data.end());
-  x->is_write = true;
-  x->on_write_done = std::move(done);
+  x->rd = rd;
+  x->wr = wr;
+  x->bytes = bytes;
+  x->pos = 0;
+  x->is_write = wr != nullptr;
+  x->done = std::move(done);
   step(x);
 }
 
-void HwMemPort::step(const std::shared_ptr<Xfer>& x) {
-  if (x->pos >= x->buf.size()) {
-    if (x->is_write)
-      x->on_write_done();
-    else
-      x->on_read_done(std::move(x->buf));
+void HwMemPort::step(Xfer* x) {
+  if (x->pos >= x->bytes) {
+    auto done = std::move(x->done);
+    xfers_.release(x);  // recycle before the continuation issues the next access
+    done();
     return;
   }
   const u64 page = 1ull << mmu_.page_bits();
   const VirtAddr va = x->va + x->pos;
   const u64 to_page_end = page - (va & (page - 1));
-  const u32 chunk = static_cast<u32>(
-      std::min<u64>({to_page_end, x->buf.size() - x->pos, cfg_.max_burst_bytes}));
+  x->chunk = static_cast<u32>(
+      std::min<u64>({to_page_end, x->bytes - x->pos, cfg_.max_burst_bytes}));
 
   // The pin covers translation (including any fault service) through bus
   // completion: the physical address captured below stays valid because no
   // replacement policy will victimize a pinned page.
   if (as_ != nullptr) as_->pin(va);
-  mmu_.translate(va, x->is_write, [this, x, va, chunk](PhysAddr pa) {
-    bus_.request(mem::BusRequest{pa, chunk, x->is_write, [this, x, va, pa, chunk] {
-      if (x->is_write)
-        pm_.write(pa, std::span<const u8>(x->buf.data() + x->pos, chunk));
-      else
-        pm_.read(pa, std::span<u8>(x->buf.data() + x->pos, chunk));
-      if (as_ != nullptr) as_->unpin(va);
-      x->pos += chunk;
-      step(x);
-    }});
+  mmu_.translate(va, x->is_write, [this, x](PhysAddr pa) {
+    x->pa = pa;
+    bus_.request(mem::BusRequest{pa, x->chunk, x->is_write, [this, x] { on_chunk_done(x); }});
   });
+}
+
+void HwMemPort::on_chunk_done(Xfer* x) {
+  if (x->is_write)
+    pm_.write(x->pa, std::span<const u8>(x->wr + x->pos, x->chunk));
+  else
+    pm_.read(x->pa, std::span<u8>(x->rd + x->pos, x->chunk));
+  if (as_ != nullptr) as_->unpin(x->va + x->pos);
+  x->pos += x->chunk;
+  step(x);
 }
 
 }  // namespace vmsls::hwt

@@ -5,10 +5,11 @@
 // translation is valid for one page) and at the port's maximum burst
 // length (AXI-style), translated through the thread's MMU, then issued on
 // the shared memory bus. Functional data moves against PhysicalMemory at
-// each chunk's completion time.
+// each chunk's completion time, straight into (or out of) the caller's
+// span; the transfer itself is a pooled record, so an access allocates
+// nothing once the pool has warmed up.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "hwt/ports.hpp"
@@ -17,6 +18,7 @@
 #include "mem/mmu.hpp"
 #include "mem/physmem.hpp"
 #include "sim/simulator.hpp"
+#include "util/pool.hpp"
 
 namespace vmsls::hwt {
 
@@ -29,8 +31,8 @@ class HwMemPort final : public MemPort {
   HwMemPort(sim::Simulator& sim, mem::Mmu& mmu, mem::MemoryBus& bus, mem::PhysicalMemory& pm,
             const HwPortConfig& cfg, std::string name);
 
-  void read(VirtAddr va, u32 bytes, std::function<void(std::vector<u8>)> done) override;
-  void write(VirtAddr va, std::span<const u8> data, std::function<void()> done) override;
+  void read(VirtAddr va, std::span<u8> dst, sim::Callback<> done) override;
+  void write(VirtAddr va, std::span<const u8> data, sim::Callback<> done) override;
 
   mem::Mmu& mmu() noexcept { return mmu_; }
 
@@ -41,8 +43,21 @@ class HwMemPort final : public MemPort {
   void set_address_space(mem::AddressSpace* as) noexcept { as_ = as; }
 
  private:
-  struct Xfer;
-  void step(const std::shared_ptr<Xfer>& x);
+  struct Xfer {
+    VirtAddr va = 0;
+    u8* rd = nullptr;        // read destination (caller-owned)
+    const u8* wr = nullptr;  // write source (caller-owned)
+    u64 bytes = 0;
+    u64 pos = 0;  // bytes completed
+    bool is_write = false;
+    // The chunk in flight: translated address and length.
+    PhysAddr pa = 0;
+    u32 chunk = 0;
+    sim::Callback<> done;
+  };
+  void start(VirtAddr va, u8* rd, const u8* wr, u64 bytes, sim::Callback<> done);
+  void step(Xfer* x);
+  void on_chunk_done(Xfer* x);
 
   sim::Simulator& sim_;
   mem::Mmu& mmu_;
@@ -51,6 +66,7 @@ class HwMemPort final : public MemPort {
   mem::AddressSpace* as_ = nullptr;
   HwPortConfig cfg_;
   std::string name_;
+  Pool<Xfer> xfers_;
 
   Counter& reads_;
   Counter& writes_;

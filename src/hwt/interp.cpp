@@ -41,14 +41,18 @@ InterpResult Interpreter::run(u64 max_instructions) {
   auto& r = st.regs;
   u64 pc = 0;
 
+  // Never forms `off + n`: a negative address or huge length must not wrap.
+  auto spad_fits = [&](u64 off, u64 n) {
+    return off <= st.spad.size() && n <= st.spad.size() - off;
+  };
   auto spad_load = [&](u64 off, unsigned bytes) -> u64 {
-    if (off + bytes > st.spad.size()) throw std::runtime_error("interp: scratchpad read OOB");
+    if (!spad_fits(off, bytes)) throw std::runtime_error("interp: scratchpad read OOB");
     u64 v = 0;
     for (unsigned i = 0; i < bytes; ++i) v |= static_cast<u64>(st.spad[off + i]) << (8 * i);
     return v;
   };
   auto spad_store = [&](u64 off, unsigned bytes, u64 v) {
-    if (off + bytes > st.spad.size()) throw std::runtime_error("interp: scratchpad write OOB");
+    if (!spad_fits(off, bytes)) throw std::runtime_error("interp: scratchpad write OOB");
     for (unsigned i = 0; i < bytes; ++i) st.spad[off + i] = static_cast<u8>(v >> (8 * i));
   };
 
@@ -96,7 +100,7 @@ InterpResult Interpreter::run(u64 max_instructions) {
       case Op::kBurstLoad: {
         const u64 off = static_cast<u64>(r[in.rd]);
         const u64 n = static_cast<u64>(r[in.rb]);
-        if (off + n > st.spad.size()) throw std::runtime_error("interp: burst load OOB");
+        if (!spad_fits(off, n)) throw std::runtime_error("interp: burst load OOB");
         for (u64 i = 0; i < n; ++i)
           st.spad[off + i] = static_cast<u8>(load(static_cast<u64>(r[in.ra]) + i, 1));
         break;
@@ -104,7 +108,7 @@ InterpResult Interpreter::run(u64 max_instructions) {
       case Op::kBurstStore: {
         const u64 off = static_cast<u64>(r[in.rd]);
         const u64 n = static_cast<u64>(r[in.rb]);
-        if (off + n > st.spad.size()) throw std::runtime_error("interp: burst store OOB");
+        if (!spad_fits(off, n)) throw std::runtime_error("interp: burst store OOB");
         for (u64 i = 0; i < n; ++i) store(static_cast<u64>(r[in.ra]) + i, 1, st.spad[off + i]);
         break;
       }

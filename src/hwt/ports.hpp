@@ -5,12 +5,20 @@
 // OS interface; the software configuration plugs in a cached CPU port and
 // the direct syscall interface. This is the seam that lets one kernel
 // description serve as both the accelerator and its software baseline.
+//
+// Completion contract (every per-access interface down to the walker):
+//   * `done` is a move-only sim::Callback; a port keeps it in a pooled
+//     record and fires it exactly once.
+//   * Buffers belong to the caller. A read lands in `dst`, a write takes
+//     its bytes from `data`; both spans must stay valid and untouched
+//     until `done` fires. Ports never copy or allocate a data buffer.
+//   * `done` may fire inside the call (a zero-latency path completes
+//     inline), so callers must not assume it runs after they return.
 #pragma once
 
-#include <functional>
 #include <span>
-#include <vector>
 
+#include "sim/event_fn.hpp"
 #include "util/units.hpp"
 
 namespace vmsls::hwt {
@@ -22,8 +30,8 @@ class MemPort {
  public:
   virtual ~MemPort() = default;
 
-  virtual void read(VirtAddr va, u32 bytes, std::function<void(std::vector<u8>)> done) = 0;
-  virtual void write(VirtAddr va, std::span<const u8> data, std::function<void()> done) = 0;
+  virtual void read(VirtAddr va, std::span<u8> dst, sim::Callback<> done) = 0;
+  virtual void write(VirtAddr va, std::span<const u8> data, sim::Callback<> done) = 0;
 };
 
 /// The OS-service interface (mailboxes and semaphores). Blocking semantics:
@@ -33,10 +41,10 @@ class OsPort {
  public:
   virtual ~OsPort() = default;
 
-  virtual void mbox_get(unsigned mbox, std::function<void(i64)> done) = 0;
-  virtual void mbox_put(unsigned mbox, i64 value, std::function<void()> done) = 0;
-  virtual void sem_wait(unsigned sem, std::function<void()> done) = 0;
-  virtual void sem_post(unsigned sem, std::function<void()> done) = 0;
+  virtual void mbox_get(unsigned mbox, sim::Callback<i64> done) = 0;
+  virtual void mbox_put(unsigned mbox, i64 value, sim::Callback<> done) = 0;
+  virtual void sem_wait(unsigned sem, sim::Callback<> done) = 0;
+  virtual void sem_post(unsigned sem, sim::Callback<> done) = 0;
 };
 
 }  // namespace vmsls::hwt

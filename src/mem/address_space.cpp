@@ -233,13 +233,15 @@ AddressSpace::CowResult AddressSpace::cow_resolve(VirtAddr va) {
   return CowResult{true, *frame};
 }
 
-void AddressSpace::pin(VirtAddr va) { ++pins_[va / page_bytes()]; }
+void AddressSpace::pin(VirtAddr va) {
+  if (pins_[va / page_bytes()]++ == 0) ++pinned_pages_;
+}
 
 void AddressSpace::unpin(VirtAddr va) {
   const u64 vpn = va / page_bytes();
   auto it = pins_.find(vpn);
-  require(it != pins_.end(), "unpin of a page that holds no pins");
-  if (--it->second == 0) pins_.erase(it);
+  require(it != pins_.end() && it->second != 0, "unpin of a page that holds no pins");
+  if (--it->second == 0) --pinned_pages_;
 }
 
 std::optional<PhysAddr> AddressSpace::translate(VirtAddr va) const {

@@ -180,8 +180,11 @@ class AddressSpace {
   /// (a faulting page is pinned before it maps).
   void pin(VirtAddr va);
   void unpin(VirtAddr va);
-  bool is_pinned_vpn(u64 vpn) const { return pins_.count(vpn) != 0; }
-  u64 pinned_pages() const noexcept { return static_cast<u64>(pins_.size()); }
+  bool is_pinned_vpn(u64 vpn) const {
+    const auto it = pins_.find(vpn);
+    return it != pins_.end() && it->second != 0;
+  }
+  u64 pinned_pages() const noexcept { return pinned_pages_; }
 
   /// At most one observer; pass nullptr to detach.
   void set_residency_observer(ResidencyObserver* obs) noexcept { observer_ = obs; }
@@ -218,7 +221,10 @@ class AddressSpace {
   VirtAddr brk_;
   std::unordered_map<u64, std::vector<u8>> backing_;  // vpn -> page contents
   std::vector<FileRegion> regions_;                   // sorted by first_vpn, non-overlapping
-  std::unordered_map<u64, u32> pins_;                 // vpn -> in-flight access count
+  // vpn -> in-flight access count. A count that drops to 0 keeps its node,
+  // so pinning a page again (once per port access) never allocates.
+  std::unordered_map<u64, u32> pins_;
+  u64 pinned_pages_ = 0;  // entries of pins_ with a nonzero count
   std::set<u64> resident_vpns_;  // ordered: deterministic policy seeding
   u64 demand_maps_ = 0;
   ResidencyObserver* observer_ = nullptr;

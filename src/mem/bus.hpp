@@ -9,11 +9,11 @@
 // an outstanding-transaction-capable AXI port.
 #pragma once
 
-#include <deque>
 #include <string>
 
 #include "mem/dram.hpp"
 #include "sim/simulator.hpp"
+#include "util/pool.hpp"
 #include "util/stats.hpp"
 
 namespace vmsls::mem {
@@ -51,7 +51,7 @@ class MemoryBus {
  private:
   struct Pending {
     BusRequest req;
-    Cycles enqueued;
+    Cycles enqueued = 0;
   };
 
   void pump();
@@ -60,7 +60,7 @@ class MemoryBus {
   DramModel& dram_;
   BusConfig cfg_;
   std::string name_;
-  std::deque<Pending> queue_;
+  Fifo<Pending> queue_;
   Cycles channel_free_ = 0;
   bool pump_scheduled_ = false;
   Cycles busy_cycles_ = 0;

@@ -57,13 +57,6 @@ void CacheLevel::flush() {
   for (auto& way : ways_) way.valid = false;
 }
 
-struct CacheHierarchy::Walk {
-  PhysAddr next_line = 0;
-  PhysAddr end = 0;
-  bool is_write = false;
-  std::function<void()> done;
-};
-
 CacheHierarchy::CacheHierarchy(sim::Simulator& sim, MemoryBus& bus,
                                const CacheHierarchyConfig& cfg, std::string name)
     : sim_(sim),
@@ -74,9 +67,9 @@ CacheHierarchy::CacheHierarchy(sim::Simulator& sim, MemoryBus& bus,
   require(cfg.l1.line_bytes == cfg.l2.line_bytes, "L1/L2 line sizes must match");
 }
 
-void CacheHierarchy::access(PhysAddr addr, u32 bytes, bool is_write, std::function<void()> done) {
+void CacheHierarchy::access(PhysAddr addr, u32 bytes, bool is_write, sim::Callback<> done) {
   require(bytes > 0, "cache access must touch at least one byte");
-  auto w = std::make_shared<Walk>();
+  Walk* w = walks_.acquire();
   const u64 line_bytes = cfg_.l1.line_bytes;
   w->next_line = align_down(addr, line_bytes);
   w->end = addr + bytes;
@@ -85,10 +78,16 @@ void CacheHierarchy::access(PhysAddr addr, u32 bytes, bool is_write, std::functi
   step(w);
 }
 
-void CacheHierarchy::step(const std::shared_ptr<Walk>& w) {
+void CacheHierarchy::finish(Walk* w) {
+  auto done = std::move(w->done);
+  walks_.release(w);
+  done();
+}
+
+void CacheHierarchy::step(Walk* w) {
   const u64 line_bytes = cfg_.l1.line_bytes;
   if (w->next_line >= w->end) {
-    sim_.schedule_now([w] { w->done(); });
+    sim_.schedule_now([this, w] { finish(w); });
     return;
   }
   const PhysAddr line_addr = w->next_line;

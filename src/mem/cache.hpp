@@ -8,13 +8,12 @@
 // contend for DRAM exactly as they would on a Zynq-class SoC.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "mem/bus.hpp"
 #include "sim/simulator.hpp"
+#include "util/pool.hpp"
 
 namespace vmsls::mem {
 
@@ -82,20 +81,28 @@ class CacheHierarchy {
 
   /// Performs the timing for a CPU access of `bytes` at physical `addr`
   /// (split internally at line boundaries); `done` fires at completion.
-  void access(PhysAddr addr, u32 bytes, bool is_write, std::function<void()> done);
+  void access(PhysAddr addr, u32 bytes, bool is_write, sim::Callback<> done);
 
   CacheLevel& l1() noexcept { return l1_; }
   CacheLevel& l2() noexcept { return l2_; }
 
  private:
-  struct Walk;  // per-access state machine
-  void step(const std::shared_ptr<Walk>& w);
+  /// Per-access state machine (pooled).
+  struct Walk {
+    PhysAddr next_line = 0;
+    PhysAddr end = 0;
+    bool is_write = false;
+    sim::Callback<> done;
+  };
+  void step(Walk* w);
+  void finish(Walk* w);
 
   sim::Simulator& sim_;
   MemoryBus& bus_;
   CacheHierarchyConfig cfg_;
   CacheLevel l1_;
   CacheLevel l2_;
+  Pool<Walk> walks_;
 };
 
 }  // namespace vmsls::mem

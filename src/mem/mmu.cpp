@@ -1,5 +1,6 @@
 #include "mem/mmu.hpp"
 
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -34,7 +35,29 @@ void Mmu::maybe_prefetch(u64 missed_vpn) {
   });
 }
 
-void Mmu::translate(VirtAddr va, bool is_write, std::function<void(PhysAddr)> done) {
+Mmu::Pending* Mmu::park(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done) {
+  Pending* p = pending_.acquire();
+  p->va = va;
+  p->is_write = is_write;
+  p->done = std::move(done);
+  return p;
+}
+
+void Mmu::complete(Pending* p, PhysAddr pa) {
+  auto done = std::move(p->done);
+  pending_.release(p);  // recycle before the continuation translates again
+  done(pa);
+}
+
+void Mmu::retry(Pending* p) {
+  const VirtAddr va = p->va;
+  const bool is_write = p->is_write;
+  auto done = std::move(p->done);
+  pending_.release(p);
+  translate(va, is_write, std::move(done));
+}
+
+void Mmu::translate(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done) {
   if (!cfg_.translation_enabled) {
     // Physical pass-through: the "MMU-less" accelerator of the DMA baseline.
     // Zero modeled latency, so complete inline — no scheduler traffic at
@@ -66,40 +89,45 @@ void Mmu::translate(VirtAddr va, bool is_write, std::function<void(PhysAddr)> do
         inline_completions_.add();
         done(pa);
       } else {
-        sim_.schedule_in(hit_latency, [done = std::move(done), pa] { done(pa); });
+        Pending* p = park(va, is_write, std::move(done));
+        p->pa = pa;
+        sim_.schedule_in(hit_latency, [this, p] { complete(p, p->pa); });
       }
       return;
     }
   }
 
-  walker_.walk(va, [this, va, is_write, done = std::move(done)](const WalkResult& r) {
-    on_walk_done(va, is_write, done, r);
-  });
+  Pending* p = park(va, is_write, std::move(done));
+  walker_.walk(va, [this, p](const WalkResult& r) { on_walk_done(p, r); });
   maybe_prefetch(vpn);
 }
 
-void Mmu::on_walk_done(VirtAddr va, bool is_write, std::function<void(PhysAddr)> done,
-                       const WalkResult& r) {
+void Mmu::on_walk_done(Pending* p, const WalkResult& r) {
+  const VirtAddr va = p->va;
+  const bool is_write = p->is_write;
   const unsigned page_bits = walker_.page_bits();
   const bool permission_fault = !r.fault && is_write && !r.writable;
   if (r.fault || permission_fault) {
     fault_raises_.add();
-    if (sink_ == nullptr)
-      throw std::runtime_error(name_ + ": unhandled " +
-                               (permission_fault ? std::string("permission") : std::string("page")) +
-                               " fault at va=0x" + std::to_string(va));
+    if (sink_ == nullptr) {
+      p->done = nullptr;
+      pending_.release(p);
+      std::ostringstream msg;
+      msg << name_ << ": unhandled " << (permission_fault ? "permission" : "page")
+          << " fault at va=0x" << std::hex << va;
+      throw std::runtime_error(msg.str());
+    }
     FaultRequest req;
     req.thread_id = thread_id_;
     req.va = va;
     req.is_write = is_write;
-    req.retry = [this, va, is_write, done] { translate(va, is_write, done); };
+    req.retry = [this, p] { retry(p); };
     sink_->raise(std::move(req));
     return;
   }
   if (is_write) walker_.note_ad_update(va, /*dirty=*/true);
   tlb_.insert(va >> page_bits, r.frame, r.writable);
-  const PhysAddr pa = (r.frame << page_bits) | (va & ((1ull << page_bits) - 1));
-  done(pa);
+  complete(p, (r.frame << page_bits) | (va & ((1ull << page_bits) - 1)));
 }
 
 void Mmu::shootdown(VirtAddr va) { tlb_.invalidate(va >> walker_.page_bits()); }

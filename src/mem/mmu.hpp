@@ -12,24 +12,29 @@
 //
 // With `translation_enabled = false` the MMU degenerates to a physical
 // pass-through, which is how the copy-based DMA baseline's kernels run.
+//
+// A translation that cannot complete inline (timed TLB hit, walk, fault)
+// parks its completion in a pooled Pending record; every closure the MMU
+// hands the scheduler, the walker or the fault sink captures only `this`
+// and that record.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "mem/tlb.hpp"
 #include "mem/walker.hpp"
 #include "sim/simulator.hpp"
+#include "util/pool.hpp"
 
 namespace vmsls::mem {
 
 /// A fault forwarded to the OS model. `retry` restarts the faulting
-/// translation after service.
+/// translation after service; it must be invoked exactly once.
 struct FaultRequest {
   unsigned thread_id = 0;
   VirtAddr va = 0;
   bool is_write = false;
-  std::function<void()> retry;
+  sim::Callback<> retry;
 };
 
 class FaultSink {
@@ -74,7 +79,7 @@ class Mmu {
   /// synchronously, inside this call, without touching the scheduler
   /// (counted in `<name>.inline_completions`). Callers must therefore not
   /// assume `done` runs after the current event returns.
-  void translate(VirtAddr va, bool is_write, std::function<void(PhysAddr)> done);
+  void translate(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done);
 
   /// Translations completed synchronously (no scheduler round-trip).
   u64 inline_completions() const noexcept { return inline_completions_.value(); }
@@ -90,8 +95,17 @@ class Mmu {
   void shootdown_all();
 
  private:
-  void on_walk_done(VirtAddr va, bool is_write, std::function<void(PhysAddr)> done,
-                    const WalkResult& r);
+  /// A translation waiting on the scheduler, the walker or fault service.
+  struct Pending {
+    VirtAddr va = 0;
+    bool is_write = false;
+    PhysAddr pa = 0;  // result of a timed TLB hit
+    sim::Callback<PhysAddr> done;
+  };
+  Pending* park(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done);
+  void complete(Pending* p, PhysAddr pa);
+  void retry(Pending* p);
+  void on_walk_done(Pending* p, const WalkResult& r);
   void maybe_prefetch(u64 missed_vpn);
 
   sim::Simulator& sim_;
@@ -102,6 +116,7 @@ class Mmu {
   Tlb tlb_;
   FaultSink* sink_ = nullptr;
   u64 prefetch_inflight_vpn_ = ~0ull;
+  Pool<Pending> pending_;
 
   Counter& translations_;
   Counter& fault_raises_;

@@ -48,6 +48,16 @@ class PhysicalMemory {
     std::memcpy(base_ + addr, data.data(), data.size());
   }
 
+  /// Copies `bytes` from `src` to `dst` (ranges may overlap), as a read
+  /// into a buffer followed by a write would, without the buffer.
+  void copy(PhysAddr src, PhysAddr dst, u64 bytes) {
+    check_range(src, bytes);
+    check_range(dst, bytes);
+    if (bytes == 0) return;
+    mark_written(dst, bytes);
+    std::memmove(base_ + dst, base_ + src, bytes);
+  }
+
   /// Typed helpers for naturally aligned scalar access.
   template <typename T>
   T read_scalar(PhysAddr addr) const {

@@ -75,42 +75,23 @@ void PageWalker::note_ad_update(VirtAddr va, bool dirty) {
     bus_.request(BusRequest{*leaf, 8, /*is_write=*/true, [] {}});
 }
 
-void PageWalker::walk(VirtAddr va, std::function<void(WalkResult)> done) {
-  queue_.push_back(Job{va, std::move(done), sim_.now()});
+void PageWalker::walk(VirtAddr va, sim::Callback<const WalkResult&> done) {
+  Walk* w = walk_pool_.acquire();
+  w->va = va;
+  w->done = std::move(done);
+  w->enqueued = sim_.now();
+  queue_.push_back(w);
   try_start();
 }
 
 void PageWalker::try_start() {
-  while (active_ < cfg_.ports && !queue_.empty()) {
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
-    begin(std::move(job));
-  }
+  while (active_ < cfg_.ports && !queue_.empty()) begin(queue_.pop_front());
 }
 
-PageWalker::Walk* PageWalker::acquire_walk() {
-  if (walk_free_.empty()) {
-    walk_pool_.push_back(std::make_unique<Walk>());
-    return walk_pool_.back().get();
-  }
-  Walk* w = walk_free_.back();
-  walk_free_.pop_back();
-  return w;
-}
-
-void PageWalker::release_walk(Walk* w) noexcept {
-  w->done = nullptr;  // drop the closure now; the slot may idle a long time
-  walk_free_.push_back(w);
-}
-
-void PageWalker::begin(Job job) {
+void PageWalker::begin(Walk* w) {
   ++active_;
-  queue_wait_.record(sim_.now() - job.enqueued);
+  queue_wait_.record(sim_.now() - w->enqueued);
   walks_.add();
-
-  Walk* w = acquire_walk();
-  w->va = job.va;
-  w->done = std::move(job.done);
   w->started = sim_.now();
 
   PhysAddr cached_base = 0;
@@ -165,7 +146,7 @@ void PageWalker::finish(Walk* w, const WalkResult& r) {
   walk_latency_.record(sim_.now() - w->started);
   --active_;
   auto done = std::move(w->done);
-  release_walk(w);  // recycle before the continuation starts new walks
+  walk_pool_.release(w);  // recycle before the continuation starts new walks
   done(r);
   try_start();
 }

@@ -9,15 +9,13 @@
 // walked regions, cutting full walks to a single memory read (ablation A1).
 #pragma once
 
-#include <deque>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "mem/bus.hpp"
 #include "mem/pagetable.hpp"
 #include "sim/simulator.hpp"
+#include "util/pool.hpp"
 
 namespace vmsls::mem {
 
@@ -51,7 +49,7 @@ class PageWalker {
 
   /// Starts (or queues) a walk for `va`; `done` fires when the walk
   /// completes, successfully or with a fault.
-  void walk(VirtAddr va, std::function<void(WalkResult)> done);
+  void walk(VirtAddr va, sim::Callback<const WalkResult&> done);
 
   /// Drops all cached interior entries. The OS model calls this as part of
   /// TLB shootdown whenever it changes the page tables.
@@ -69,19 +67,16 @@ class PageWalker {
   unsigned active_walks() const noexcept { return active_; }
 
  private:
-  struct Job {
-    VirtAddr va;
-    std::function<void(WalkResult)> done;
-    Cycles enqueued;
-  };
-  /// Per-walk state machine; several may be in flight. Instances are
-  /// pooled and recycled (each callback chain holds exactly one live
-  /// pointer at a time), so steady-state walks do not allocate.
+  /// Per-walk state machine, from enqueue to completion; several may be
+  /// in flight. Instances are pooled and recycled (each callback chain
+  /// holds exactly one live pointer at a time), so steady-state walks do
+  /// not allocate.
   struct Walk {
     VirtAddr va = 0;
     unsigned level = 0;
     PhysAddr base = 0;
-    std::function<void(WalkResult)> done;
+    sim::Callback<const WalkResult&> done;
+    Cycles enqueued = 0;
     Cycles started = 0;
   };
   struct CacheSlot {
@@ -92,13 +87,10 @@ class PageWalker {
   };
 
   void try_start();
-  void begin(Job job);
+  void begin(Walk* w);
   void read_level(Walk* w);
   void on_pte(Walk* w, u64 raw);
   void finish(Walk* w, const WalkResult& r);
-
-  Walk* acquire_walk();
-  void release_walk(Walk* w) noexcept;
 
   bool cache_lookup(VirtAddr va, PhysAddr& base);
   void cache_fill(VirtAddr va, PhysAddr base);
@@ -111,11 +103,9 @@ class PageWalker {
   WalkerConfig cfg_;
   std::string name_;
 
-  std::deque<Job> queue_;
+  Fifo<Walk*> queue_;
   unsigned active_ = 0;
-
-  std::vector<std::unique_ptr<Walk>> walk_pool_;  // owns every Walk ever made
-  std::vector<Walk*> walk_free_;                  // recycled, ready for reuse
+  Pool<Walk> walk_pool_;
 
   std::vector<CacheSlot> cache_;
   u64 cache_tick_ = 0;

@@ -10,7 +10,6 @@
 // contend realistically.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "mem/mmu.hpp"
 #include "rt/sync.hpp"
 #include "sim/simulator.hpp"
+#include "util/pool.hpp"
 
 namespace vmsls::paging {
 class Pager;
@@ -54,7 +54,7 @@ class OsModel {
   /// Runs `work` after acquiring a core and spending `pre_cost` cycles on
   /// it; the core frees at that point (callbacks that then block, e.g. on a
   /// mailbox, sleep off-core).
-  void exec_service(Cycles pre_cost, std::function<void()> work);
+  void exec_service(Cycles pre_cost, sim::Callback<> work);
 
   u64 services() const noexcept { return services_.value(); }
 
@@ -85,10 +85,19 @@ class FaultHandler final : public mem::FaultSink {
   u64 faults_serviced() const noexcept { return faults_.value(); }
 
  private:
+  /// A fault from raise() to retry; every closure on the way captures
+  /// only `this` and this pooled record.
+  struct InService {
+    mem::FaultRequest req;
+    Cycles raised_at = 0;
+    u64 trace_id = 0;  // the "service" span raise() opened
+    Cycles post = 0;   // map + copy + response tail
+  };
+
   /// Shared fault completion: maps the page if still unmapped, records the
-  /// service latency, and retries the faulting access. Callers charge the
-  /// time first. `trace_id` closes the "service" span raise() opened.
-  void finish_fault(mem::FaultRequest req, Cycles raised_at, u64 trace_id);
+  /// service latency, closes the "service" span and retries the faulting
+  /// access. Callers charge the time first.
+  void finish_fault(InService* f);
 
   sim::Simulator& sim_;
   OsModel& os_;
@@ -96,6 +105,7 @@ class FaultHandler final : public mem::FaultSink {
   std::string name_;
   sim::TraceTrack trace_track_ = 0;
   paging::Pager* pager_ = nullptr;
+  Pool<InService> in_service_;
   Counter& faults_;
   Histogram& latency_;
 };
@@ -126,10 +136,10 @@ class DelegateOsPort final : public hwt::OsPort {
 
   void set_bindings(OsBindings bindings) { bindings_ = std::move(bindings); }
 
-  void mbox_get(unsigned mbox, std::function<void(i64)> done) override;
-  void mbox_put(unsigned mbox, i64 value, std::function<void()> done) override;
-  void sem_wait(unsigned sem, std::function<void()> done) override;
-  void sem_post(unsigned sem, std::function<void()> done) override;
+  void mbox_get(unsigned mbox, sim::Callback<i64> done) override;
+  void mbox_put(unsigned mbox, i64 value, sim::Callback<> done) override;
+  void sem_wait(unsigned sem, sim::Callback<> done) override;
+  void sem_post(unsigned sem, sim::Callback<> done) override;
 
  private:
   sim::Simulator& sim_;
@@ -147,10 +157,10 @@ class DirectOsPort final : public hwt::OsPort {
 
   void set_bindings(OsBindings bindings) { bindings_ = std::move(bindings); }
 
-  void mbox_get(unsigned mbox, std::function<void(i64)> done) override;
-  void mbox_put(unsigned mbox, i64 value, std::function<void()> done) override;
-  void sem_wait(unsigned sem, std::function<void()> done) override;
-  void sem_post(unsigned sem, std::function<void()> done) override;
+  void mbox_get(unsigned mbox, sim::Callback<i64> done) override;
+  void mbox_put(unsigned mbox, i64 value, sim::Callback<> done) override;
+  void sem_wait(unsigned sem, sim::Callback<> done) override;
+  void sem_post(unsigned sem, sim::Callback<> done) override;
 
  private:
   sim::Simulator& sim_;

@@ -17,7 +17,7 @@ void Mailbox::drain_putters() {
   }
 }
 
-void Mailbox::get(std::function<void(i64)> taker) {
+void Mailbox::get(sim::Callback<i64> taker) {
   if (!items_.empty()) {
     const i64 v = items_.front();
     items_.pop_front();
@@ -37,7 +37,7 @@ void Mailbox::get(std::function<void(i64)> taker) {
   takers_.push_back(std::move(taker));
 }
 
-void Mailbox::put(i64 value, std::function<void()> done) {
+void Mailbox::put(i64 value, sim::Callback<> done) {
   if (!takers_.empty()) {
     auto taker = std::move(takers_.front());
     takers_.pop_front();
@@ -63,7 +63,7 @@ bool Mailbox::try_get(i64& out) {
 
 Semaphore::Semaphore(u64 initial, std::string name) : count_(initial), name_(std::move(name)) {}
 
-void Semaphore::wait(std::function<void()> acquired) {
+void Semaphore::wait(sim::Callback<> acquired) {
   if (count_ > 0) {
     --count_;
     acquired();
@@ -87,7 +87,7 @@ Barrier::Barrier(unsigned parties, std::string name)
   require(parties > 0, "barrier needs at least one party");
 }
 
-void Barrier::arrive(std::function<void()> released) {
+void Barrier::arrive(sim::Callback<> released) {
   waiting_.push_back(std::move(released));
   if (waiting_.size() == parties_) {
     auto batch = std::move(waiting_);

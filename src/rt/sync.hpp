@@ -8,10 +8,10 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "sim/event_fn.hpp"
 #include "util/units.hpp"
 
 namespace vmsls::rt {
@@ -24,11 +24,11 @@ class Mailbox {
 
   /// Takes the next value; `taker` fires immediately if data is available,
   /// otherwise when a producer delivers.
-  void get(std::function<void(i64)> taker);
+  void get(sim::Callback<i64> taker);
 
   /// Deposits a value; `done` fires immediately if there is room (or a
   /// waiting consumer), otherwise when space frees up.
-  void put(i64 value, std::function<void()> done);
+  void put(i64 value, sim::Callback<> done);
 
   /// Non-blocking probe used by tests and the run executive.
   bool try_get(i64& out);
@@ -45,8 +45,8 @@ class Mailbox {
   unsigned depth_;
   std::string name_;
   std::deque<i64> items_;
-  std::deque<std::function<void(i64)>> takers_;
-  std::deque<std::pair<i64, std::function<void()>>> putters_;
+  std::deque<sim::Callback<i64>> takers_;
+  std::deque<std::pair<i64, sim::Callback<>>> putters_;
 };
 
 /// Counting semaphore.
@@ -54,7 +54,7 @@ class Semaphore {
  public:
   explicit Semaphore(u64 initial = 0, std::string name = "sem");
 
-  void wait(std::function<void()> acquired);
+  void wait(sim::Callback<> acquired);
   void post();
 
   u64 count() const noexcept { return count_; }
@@ -64,14 +64,14 @@ class Semaphore {
  private:
   u64 count_;
   std::string name_;
-  std::deque<std::function<void()>> waiters_;
+  std::deque<sim::Callback<>> waiters_;
 };
 
 /// Mutex = binary semaphore initialized to 1, named for interface clarity.
 class Mutex {
  public:
   explicit Mutex(std::string name = "mutex") : sem_(1, std::move(name)) {}
-  void lock(std::function<void()> acquired) { sem_.wait(std::move(acquired)); }
+  void lock(sim::Callback<> acquired) { sem_.wait(std::move(acquired)); }
   void unlock() { sem_.post(); }
   bool locked() const noexcept { return sem_.count() == 0; }
 
@@ -85,7 +85,7 @@ class Barrier {
   explicit Barrier(unsigned parties, std::string name = "barrier");
 
   /// The callbacks of all parties fire when the last one arrives.
-  void arrive(std::function<void()> released);
+  void arrive(sim::Callback<> released);
 
   unsigned parties() const noexcept { return parties_; }
   std::size_t arrived() const noexcept { return waiting_.size(); }
@@ -93,7 +93,7 @@ class Barrier {
  private:
   unsigned parties_;
   std::string name_;
-  std::vector<std::function<void()>> waiting_;
+  std::vector<sim::Callback<>> waiting_;
 };
 
 }  // namespace vmsls::rt

@@ -1,13 +1,21 @@
-// Move-only small-buffer callback for the event kernel.
+// Move-only small-buffer completions for the event kernel and every
+// per-access interface.
 //
 // std::function heap-allocates any closure larger than its (typically 16B)
 // inline buffer, which puts one malloc/free pair on the critical path of
-// every scheduled event. EventFn widens the inline buffer to 56 bytes —
-// enough for every hot closure in the codebase (a `this` pointer plus a
-// handful of words, or a captured std::function) — and is move-only, so
-// callables never need to be copyable and a move is a flat memcpy-sized
-// relocation. Oversized or over-aligned callables transparently fall back
-// to the heap; behavior is identical either way.
+// every scheduled event and every memory access. Callback<Args...> widens
+// the inline buffer to 56 bytes and is move-only, so callables never need
+// to be copyable and a move is a flat memcpy-sized relocation. EventFn is
+// the argument-free case the scheduler stores; the memory path uses the
+// typed forms (Callback<PhysAddr>, Callback<const WalkResult&>, ...).
+//
+// 56 bytes holds `this` plus a handful of words — the shape of every hot
+// closure, which captures an owner and a pointer to a pooled record. It
+// does NOT hold another Callback (64+ bytes with its two function
+// pointers), so a closure that captures a closure always spills to the
+// heap; per-access paths keep the continuation in the pooled record
+// instead. Oversized or over-aligned callables still work, through a heap
+// fallback; behavior is identical either way.
 #pragma once
 
 #include <cstddef>
@@ -16,19 +24,21 @@
 
 namespace vmsls::sim {
 
-class EventFn {
+template <typename... Args>
+class Callback {
  public:
   /// Inline storage, sized so EventNode (16B header + vtable-free 16B ops +
   /// storage) stays within 96 bytes — 1.5 cache lines per pooled event.
   static constexpr std::size_t kInlineBytes = 56;
   static constexpr std::size_t kInlineAlign = alignof(void*);
 
-  EventFn() noexcept = default;
-  EventFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  Callback() noexcept = default;
+  Callback(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, EventFn> && std::is_invocable_v<D&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
+            typename = std::enable_if_t<!std::is_same_v<D, Callback> &&
+                                        std::is_invocable_v<D&, Args...>>>
+  Callback(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       invoke_ = &inline_invoke<D>;
@@ -40,9 +50,9 @@ class EventFn {
     }
   }
 
-  EventFn(EventFn&& other) noexcept { move_from(other); }
+  Callback(Callback&& other) noexcept { move_from(other); }
 
-  EventFn& operator=(EventFn&& other) noexcept {
+  Callback& operator=(Callback&& other) noexcept {
     if (this != &other) {
       reset();
       move_from(other);
@@ -50,12 +60,12 @@ class EventFn {
     return *this;
   }
 
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
+  Callback(const Callback&) = delete;
+  Callback& operator=(const Callback&) = delete;
 
-  ~EventFn() { reset(); }
+  ~Callback() { reset(); }
 
-  void operator()() { invoke_(storage_); }
+  void operator()(Args... args) { invoke_(storage_, std::forward<Args>(args)...); }
 
   explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
@@ -77,12 +87,12 @@ class EventFn {
  private:
   // Relocate = move-construct into `dst` and destroy `src`; destroy-only
   // when `dst` is null. One pointer covers move, destroy, and heap free.
-  using Invoke = void (*)(void*);
+  using Invoke = void (*)(void*, Args...);
   using Relocate = void (*)(void* src, void* dst) noexcept;
 
   template <typename D>
-  static void inline_invoke(void* s) {
-    (*static_cast<D*>(s))();
+  static void inline_invoke(void* s, Args... args) {
+    (*static_cast<D*>(s))(std::forward<Args>(args)...);
   }
   template <typename D>
   static void inline_relocate(void* src, void* dst) noexcept {
@@ -91,8 +101,8 @@ class EventFn {
     f->~D();
   }
   template <typename D>
-  static void heap_invoke(void* s) {
-    (**static_cast<D**>(s))();
+  static void heap_invoke(void* s, Args... args) {
+    (**static_cast<D**>(s))(std::forward<Args>(args)...);
   }
   template <typename D>
   static void heap_relocate(void* src, void* dst) noexcept {
@@ -103,7 +113,7 @@ class EventFn {
       delete *p;
   }
 
-  void move_from(EventFn& other) noexcept {
+  void move_from(Callback& other) noexcept {
     invoke_ = other.invoke_;
     relocate_ = other.relocate_;
     if (invoke_ != nullptr) {
@@ -117,5 +127,8 @@ class EventFn {
   Relocate relocate_ = nullptr;
   alignas(kInlineAlign) unsigned char storage_[kInlineBytes];
 };
+
+/// The scheduler's event callback: a Callback taking no arguments.
+using EventFn = Callback<>;
 
 }  // namespace vmsls::sim

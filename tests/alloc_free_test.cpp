@@ -1,0 +1,207 @@
+// Exact allocation gate for the hardware-thread memory path.
+//
+// This binary replaces the global operator new/delete with a counting pair,
+// then asserts that once the pools have warmed up, a hardware thread's
+// memory traffic — port, MMU/TLB, shared walker, fault retry, bus and the
+// engine driving them — performs zero heap allocations. The count is a
+// deterministic work count, so the gate is exact and host-independent.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <new>
+
+#include "hwt/builder.hpp"
+#include "hwt/engine.hpp"
+#include "hwt/hw_port.hpp"
+#include "test_util.hpp"
+
+namespace {
+unsigned long long g_allocs = 0;
+
+void* counted_alloc(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace vmsls::hwt {
+namespace {
+
+using test::MemorySystem;
+
+/// Heap allocations `fn` performs.
+template <typename Fn>
+unsigned long long allocs_during(Fn&& fn) {
+  const unsigned long long before = g_allocs;
+  fn();
+  return g_allocs - before;
+}
+
+constexpr unsigned kPages = 64;
+
+struct AllocFreeFixture : ::testing::Test, mem::FaultSink {
+  MemorySystem ms;
+  std::unique_ptr<mem::PageWalker> walker;
+  std::unique_ptr<mem::Mmu> mmu;
+  std::unique_ptr<HwMemPort> port;
+  VirtAddr base = 0;
+  mem::FaultRequest parked;  // the fault in service
+  u64 spare_frame = 0;
+  unsigned faults = 0;
+
+  void SetUp() override {
+    base = ms.as.alloc(kPages * 4096, 4096);
+    ms.as.populate(base, kPages * 4096);
+    spare_frame = *ms.frames.alloc();
+  }
+
+  void make_port(unsigned tlb_entries) {
+    walker = std::make_unique<mem::PageWalker>(ms.sim, ms.bus, ms.pm, ms.as.page_table(),
+                                               mem::WalkerConfig{}, "w");
+    mem::MmuConfig cfg;
+    cfg.tlb = cfg.tlb.with_entries(tlb_entries);
+    mmu = std::make_unique<mem::Mmu>(ms.sim, *walker, cfg, "mmu", 0);
+    mmu->set_fault_sink(this);
+    port = std::make_unique<HwMemPort>(ms.sim, *mmu, ms.bus, ms.pm, HwPortConfig{}, "port");
+  }
+
+  // The sink maps the page straight into the page table with a frame set
+  // aside up front, then retries from a stored request: no allocation of
+  // its own, so the count isolates the MMU/walker/port fault path.
+  void raise(mem::FaultRequest req) override {
+    ++faults;
+    parked = std::move(req);
+    ms.sim.schedule_in(50, [this] {
+      ms.as.page_table().map(parked.va, spare_frame, /*writable=*/true);
+      auto retry = std::move(parked.retry);
+      retry();
+    });
+  }
+
+  /// Reads then writes one word on each of `pages` pages, draining after
+  /// every access.
+  void sweep(unsigned pages) {
+    for (unsigned p = 0; p < pages; ++p) {
+      const VirtAddr va = base + p * 4096ull + 8 * (p % 16);
+      u64 word = 0;
+      bool done = false;
+      port->read(va, std::span<u8>(reinterpret_cast<u8*>(&word), 8), [&done] { done = true; });
+      ms.run_all();
+      ASSERT_TRUE(done);
+      ++word;
+      done = false;
+      port->write(va, std::span<const u8>(reinterpret_cast<const u8*>(&word), 8),
+                  [&done] { done = true; });
+      ms.run_all();
+      ASSERT_TRUE(done);
+    }
+  }
+};
+
+TEST_F(AllocFreeFixture, TlbHitsDoNotAllocate) {
+  make_port(/*tlb_entries=*/16);
+  sweep(4);  // warm-up: TLB fill, pools, bus ring
+  const u64 walks = ms.sim.stats().counter_value("w.walks");
+  EXPECT_EQ(allocs_during([&] {
+              for (int i = 0; i < 200; ++i) sweep(4);
+            }),
+            0u);
+  EXPECT_EQ(ms.sim.stats().counter_value("w.walks"), walks);  // every access hit
+}
+
+TEST_F(AllocFreeFixture, TlbMissesAndWalksDoNotAllocate) {
+  make_port(/*tlb_entries=*/4);
+  sweep(kPages);  // warm-up
+  const u64 walks = ms.sim.stats().counter_value("w.walks");
+  EXPECT_EQ(allocs_during([&] {
+              for (int i = 0; i < 10; ++i) sweep(kPages);
+            }),
+            0u);
+  // 64 pages through a 4-entry TLB: every read misses and walks.
+  EXPECT_GE(ms.sim.stats().counter_value("w.walks") - walks, 10u * kPages);
+}
+
+TEST_F(AllocFreeFixture, FaultAndRetryDoesNotAllocate) {
+  make_port(/*tlb_entries=*/16);
+  const VirtAddr va = base + kPages * 4096ull;  // past the populated buffer
+  auto fault_round_trip = [&] {
+    u64 word = 0;
+    bool done = false;
+    port->read(va, std::span<u8>(reinterpret_cast<u8*>(&word), 8), [&done] { done = true; });
+    ms.run_all();
+    ASSERT_TRUE(done);
+    ms.as.page_table().unmap(va);
+    mmu->shootdown(va);
+  };
+  ms.as.page_table().map(va, spare_frame, true);  // build the interior tables
+  ms.as.page_table().unmap(va);
+  fault_round_trip();  // warm-up
+  EXPECT_EQ(faults, 1u);
+  EXPECT_EQ(allocs_during(fault_round_trip), 0u);
+  EXPECT_EQ(faults, 2u);
+}
+
+/// An engine kernel that runs `iters` rounds of load, store, burst load and
+/// burst store through a real HwMemPort.
+Kernel mem_loop(VirtAddr buf, i64 iters) {
+  KernelBuilder kb("memloop", /*spad_bytes=*/1024);
+  kb.li(1, static_cast<i64>(buf))  // r1 = buffer
+      .li(2, 0)                    // r2 = i
+      .li(3, iters)
+      .li(6, 0)      // r6 = scratchpad offset
+      .li(7, 1024)   // r7 = burst length (spans a page boundary below)
+      .label("loop")
+      .seq(4, 2, 3)
+      .bnez(4, "out")
+      .load(5, 1, 8)
+      .addi(5, 5, 1)
+      .store(1, 5, 8)
+      .burst_load(6, 8, 7)
+      .burst_store(8, 6, 7)
+      .addi(2, 2, 1)
+      .jmp("loop")
+      .label("out")
+      .halt();
+  return kb.build();
+}
+
+/// Allocations of a whole engine run of mem_loop(iters) on a fresh system.
+unsigned long long engine_run_allocs(i64 iters) {
+  MemorySystem ms;
+  const VirtAddr buf = ms.as.alloc(4 * 4096, 4096);
+  ms.as.populate(buf, 4 * 4096);
+  mem::PageWalker walker(ms.sim, ms.bus, ms.pm, ms.as.page_table(), mem::WalkerConfig{}, "w");
+  mem::Mmu mmu(ms.sim, walker, mem::MmuConfig{}, "mmu", 0);
+  HwMemPort port(ms.sim, mmu, ms.bus, ms.pm, HwPortConfig{}, "port");
+  Kernel k = mem_loop(buf, iters);
+  // r8 = burst address: 1 KiB straddling the first page boundary.
+  Engine engine(ms.sim, std::move(k), EngineConfig{}, "eng");
+  engine.set_reg(8, static_cast<i64>(buf + 4096 - 512));
+  engine.attach_mem_port(0, &port);
+  bool halted = false;
+  const unsigned long long n = allocs_during([&] {
+    engine.start([&halted] { halted = true; });
+    ms.run_all();
+  });
+  EXPECT_TRUE(halted);
+  EXPECT_EQ(ms.pm.read_u64(*ms.as.translate(buf + 8)), static_cast<u64>(iters));
+  return n;
+}
+
+TEST(AllocFree, EngineMemoryLoopAllocatesNothingPerIteration) {
+  // Warm-up cost is the same for any iteration count; steady state is 0.
+  const unsigned long long short_run = engine_run_allocs(100);
+  EXPECT_GT(short_run, 0u);  // the counter does see the warm-up
+  EXPECT_EQ(engine_run_allocs(400), short_run);
+}
+
+}  // namespace
+}  // namespace vmsls::hwt

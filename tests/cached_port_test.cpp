@@ -15,9 +15,11 @@ struct CachedPortFixture : ::testing::Test {
   CachedMemPort port{ms.sim, ms.as, caches, "p"};
 
   std::vector<u8> read_sync(VirtAddr va, u32 bytes) {
-    std::vector<u8> out;
-    port.read(va, bytes, [&](std::vector<u8> data) { out = std::move(data); });
+    std::vector<u8> out(bytes);
+    bool done = false;
+    port.read(va, out, [&] { done = true; });
     ms.sim.drain();
+    EXPECT_TRUE(done);
     return out;
   }
 

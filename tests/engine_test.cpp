@@ -15,16 +15,13 @@ class FakeMemPort final : public MemPort {
  public:
   FakeMemPort(sim::Simulator& sim, Cycles latency = 5) : sim_(sim), latency_(latency) {}
 
-  void read(VirtAddr va, u32 bytes, std::function<void(std::vector<u8>)> done) override {
+  void read(VirtAddr va, std::span<u8> dst, sim::Callback<> done) override {
     ++reads;
-    std::vector<u8> out(bytes);
-    for (u32 i = 0; i < bytes; ++i) out[i] = mem_[va + i];
-    sim_.schedule_in(latency_, [done = std::move(done), out = std::move(out)]() mutable {
-      done(std::move(out));
-    });
+    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = mem_[va + i];
+    sim_.schedule_in(latency_, std::move(done));
   }
 
-  void write(VirtAddr va, std::span<const u8> data, std::function<void()> done) override {
+  void write(VirtAddr va, std::span<const u8> data, sim::Callback<> done) override {
     ++writes;
     for (std::size_t i = 0; i < data.size(); ++i) mem_[va + i] = data[i];
     sim_.schedule_in(latency_, std::move(done));
@@ -53,20 +50,20 @@ class FakeOsPort final : public OsPort {
  public:
   explicit FakeOsPort(sim::Simulator& sim) : sim_(sim) {}
 
-  void mbox_get(unsigned mbox, std::function<void(i64)> done) override {
+  void mbox_get(unsigned mbox, sim::Callback<i64> done) override {
     const i64 v = gets[mbox].front();
     gets[mbox].pop_front();
-    sim_.schedule_in(3, [done = std::move(done), v] { done(v); });
+    sim_.schedule_in(3, [done = std::move(done), v]() mutable { done(v); });
   }
-  void mbox_put(unsigned mbox, i64 value, std::function<void()> done) override {
+  void mbox_put(unsigned mbox, i64 value, sim::Callback<> done) override {
     puts[mbox].push_back(value);
     sim_.schedule_in(3, std::move(done));
   }
-  void sem_wait(unsigned sem, std::function<void()> done) override {
+  void sem_wait(unsigned sem, sim::Callback<> done) override {
     ++waits[sem];
     sim_.schedule_in(3, std::move(done));
   }
-  void sem_post(unsigned sem, std::function<void()> done) override {
+  void sem_post(unsigned sem, sim::Callback<> done) override {
     ++posts[sem];
     sim_.schedule_in(3, std::move(done));
   }
@@ -170,12 +167,16 @@ TEST_F(EngineFixture, ScratchpadSubWordSizes) {
 }
 
 TEST_F(EngineFixture, ScratchpadOutOfBoundsTraps) {
-  KernelBuilder kb("k", 16);
-  kb.li(1, 1).li(2, 12).spad_store(2, 1).halt();  // 8 B store at 12 overruns 16
-  engine = std::make_unique<Engine>(sim, kb.build(), EngineConfig{}, "eng");
-  engine->attach_os_port(&os);
-  engine->start([] {});
-  EXPECT_THROW(sim.drain(), std::runtime_error);
+  KernelBuilder overrun("k", 16);
+  overrun.li(1, 1).li(2, 12).spad_store(2, 1).halt();  // 8 B store at 12 overruns 16
+  KernelBuilder negative("k", 16);
+  negative.li(2, -8).spad_load(3, 2).halt();  // -8 + 8 wraps to 0
+  for (KernelBuilder* kb : {&overrun, &negative}) {
+    sim::Simulator s;
+    Engine e(s, kb->build(), EngineConfig{}, "eng");
+    e.start([] {});
+    EXPECT_THROW(s.drain(), std::runtime_error);
+  }
 }
 
 TEST_F(EngineFixture, LoadStoreThroughPort) {
@@ -225,13 +226,18 @@ TEST_F(EngineFixture, BurstMovesThroughScratchpad) {
 }
 
 TEST_F(EngineFixture, BurstOverflowTraps) {
-  KernelBuilder kb("k", 32);
-  kb.li(1, 0).li(2, 0x100).li(3, 64).burst_load(1, 2, 3).halt();  // 64 B into 32 B spad
-  engine = std::make_unique<Engine>(sim, kb.build(), EngineConfig{}, "eng");
-  engine->attach_mem_port(0, &mem);
-  engine->attach_os_port(&os);
-  engine->start([] {});
-  EXPECT_THROW(sim.drain(), std::runtime_error);
+  KernelBuilder overrun("k", 32);
+  overrun.li(1, 0).li(2, 0x100).li(3, 64).burst_load(1, 2, 3).halt();  // 64 B into 32 B spad
+  KernelBuilder huge("k", 32);
+  huge.li(1, 8).li(2, 0x100).li(3, -8).burst_load(1, 2, 3).halt();  // 8 + 2^64 - 8 wraps to 0
+  for (KernelBuilder* kb : {&overrun, &huge}) {
+    sim::Simulator s;
+    Engine e(s, kb->build(), EngineConfig{}, "eng");
+    e.attach_mem_port(0, &mem);
+    e.start([] {});
+    EXPECT_THROW(s.drain(), std::runtime_error);
+  }
+  EXPECT_EQ(mem.reads, 0);
 }
 
 TEST_F(EngineFixture, MailboxRoundTrip) {

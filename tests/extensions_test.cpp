@@ -126,7 +126,7 @@ struct PrefetchFixture : ::testing::Test, mem::FaultSink {
 
   void raise(mem::FaultRequest req) override {
     ms.as.map_page(req.va);
-    ms.sim.schedule_in(100, [retry = req.retry] { retry(); });
+    ms.sim.schedule_in(100, [retry = std::move(req.retry)]() mutable { retry(); });
   }
 
   void make(bool prefetch) {

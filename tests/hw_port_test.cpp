@@ -19,7 +19,7 @@ struct HwPortFixture : ::testing::Test, mem::FaultSink {
   void raise(mem::FaultRequest req) override {
     ++faults;
     ms.as.map_page(req.va);
-    ms.sim.schedule_in(50, [retry = req.retry] { retry(); });
+    ms.sim.schedule_in(50, [retry = std::move(req.retry)]() mutable { retry(); });
   }
 
   void make_port(HwPortConfig cfg = {}) {
@@ -31,9 +31,11 @@ struct HwPortFixture : ::testing::Test, mem::FaultSink {
   }
 
   std::vector<u8> read_sync(VirtAddr va, u32 bytes) {
-    std::vector<u8> out;
-    port->read(va, bytes, [&](std::vector<u8> data) { out = std::move(data); });
+    std::vector<u8> out(bytes);
+    bool done = false;
+    port->read(va, out, [&] { done = true; });
     ms.run_all();
+    EXPECT_TRUE(done);
     return out;
   }
 
@@ -111,7 +113,8 @@ TEST_F(HwPortFixture, StatsCountTraffic) {
 
 TEST_F(HwPortFixture, ZeroByteAccessRejected) {
   make_port();
-  EXPECT_THROW(port->read(0, 0, [](std::vector<u8>) {}), std::invalid_argument);
+  EXPECT_THROW(port->read(0, std::span<u8>(), [] {}), std::invalid_argument);
+  EXPECT_THROW(port->write(0, std::span<const u8>(), [] {}), std::invalid_argument);
 }
 
 }  // namespace

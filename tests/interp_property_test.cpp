@@ -99,6 +99,41 @@ TEST(Interpreter, LivelockGuard) {
   EXPECT_THROW(in.run(10000), std::runtime_error);
 }
 
+/// A port the trapping kernels below must never reach.
+class UnreachablePort final : public MemPort {
+ public:
+  void read(VirtAddr, std::span<u8>, sim::Callback<>) override { ADD_FAILURE() << "read issued"; }
+  void write(VirtAddr, std::span<const u8>, sim::Callback<>) override {
+    ADD_FAILURE() << "write issued";
+  }
+};
+
+TEST(ScratchpadBounds, WrappingAccessesTrapOnBothExecutors) {
+  // Each access's `offset + length` wraps past 2^64 into range; both
+  // executors must still reject it.
+  constexpr Reg OFF = 1, ADDR = 2, LEN = 3, V = 4;
+  std::vector<std::pair<const char*, KernelBuilder>> cases;
+  cases.emplace_back("negative spad load", KernelBuilder("k", 64));
+  cases.back().second.li(OFF, -8).spad_load(V, OFF);
+  cases.emplace_back("negative spad store", KernelBuilder("k", 64));
+  cases.back().second.li(OFF, -8).spad_store(OFF, V);
+  cases.emplace_back("huge burst load", KernelBuilder("k", 64));
+  cases.back().second.li(OFF, 8).li(ADDR, 0x200).li(LEN, -8).burst_load(OFF, ADDR, LEN);
+  cases.emplace_back("negative burst store", KernelBuilder("k", 64));
+  cases.back().second.li(OFF, -8).li(ADDR, 0x200).li(LEN, 16).burst_store(ADDR, OFF, LEN);
+  for (auto& [name, kb] : cases) {
+    const Kernel kernel = kb.halt().build();
+    Interpreter ref(kernel);
+    EXPECT_THROW(ref.run(), std::runtime_error) << name;
+    sim::Simulator sim;
+    Engine engine(sim, kernel, EngineConfig{}, "dut");
+    UnreachablePort port;
+    engine.attach_mem_port(0, &port);
+    engine.start([] {});
+    EXPECT_THROW(sim.drain(), std::runtime_error) << name;
+  }
+}
+
 TEST(Interpreter, BurstThroughScratchpad) {
   KernelBuilder kb("b", 64);
   kb.li(1, 0x200).li(2, 0).li(3, 16)

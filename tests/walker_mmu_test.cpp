@@ -113,7 +113,7 @@ struct MmuFixture : ::testing::Test, FaultSink {
     if (auto_service) {
       ms.as.map_page(req.va);
       // Retry on a fresh event, as the OS path would.
-      ms.sim.schedule_in(100, [retry = req.retry] { retry(); });
+      ms.sim.schedule_in(100, [retry = std::move(req.retry)]() mutable { retry(); });
     }
     faults.push_back(std::move(req));
   }
@@ -175,6 +175,21 @@ TEST_F(MmuFixture, UnhandledFaultThrowsWithoutSink) {
   mmu->set_fault_sink(nullptr);
   mmu->translate(0x60000, false, [](PhysAddr) {});
   EXPECT_THROW(ms.run_all(), std::runtime_error);
+}
+
+TEST_F(MmuFixture, UnhandledFaultMessageNamesTheAddressInHex) {
+  make_mmu();
+  mmu->set_fault_sink(nullptr);
+  mmu->translate(0x6a123, false, [](PhysAddr) { ADD_FAILURE() << "faulting access completed"; });
+  try {
+    ms.run_all();
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "mmu: unhandled page fault at va=0x6a123");
+  }
+  // The MMU stays usable after the throw.
+  ms.as.populate(0x10000, 4096);
+  EXPECT_EQ(translate_sync(0x10008), *ms.as.translate(0x10008));
 }
 
 TEST_F(MmuFixture, PassThroughWhenDisabled) {

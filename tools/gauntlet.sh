@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Sanitizer gauntlet: builds the whole tree under ASan + UBSan (LeakSanitizer
-# on) in build-asan/ and runs the tier1, stress and smoke labels there — the
-# unit tests, the seeded stress suites, the fig5 and fig9..fig15 smokes and
-# the examples. Any test failure, sanitizer report or leak exits non-zero.
+# on) in build-asan/ and runs the tier1, stress, smoke and paper labels
+# there — the unit tests, the seeded stress suites, the fig5 and fig9..fig15
+# smokes, the examples and the paper binaries against their goldens. Any
+# test failure, sanitizer report or leak exits non-zero.
 #
 #   tools/gauntlet.sh                        # from anywhere in the repo
 #   JOBS=2 tools/gauntlet.sh
@@ -20,4 +21,4 @@ cmake --build "${build}" -j "${jobs}"
 export ASAN_OPTIONS="detect_leaks=1:halt_on_error=1:strict_string_checks=1"
 export LSAN_OPTIONS="exitcode=23"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
-ctest --test-dir "${build}" --output-on-failure -L 'tier1|stress|smoke' -j "${jobs}"
+ctest --test-dir "${build}" --output-on-failure -L 'tier1|stress|smoke|paper' -j "${jobs}"
