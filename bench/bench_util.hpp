@@ -5,10 +5,10 @@
 // verify, and collect cycles + component statistics. Results print through
 // util/Table so outputs are uniform and scrapable.
 //
-// The gated benches (fig12–fig15, micro_core) also share their main():
+// The gated benches (fig12–fig15, micro_core, micro_paging) share main():
 // run_main parses the shared flags into a Cli and maps failures to exit
 // codes, run_sharded is the serial == sharded gate, and write_artifacts
-// writes the BENCH JSON + summary pair.
+// writes the BENCH JSON + summary pair. The micro benches share measure().
 #pragma once
 
 #include <charconv>
@@ -42,6 +42,52 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+constexpr double kMinSampleMs = 200.0;
+
+/// A host-throughput sample of the micro benches (micro_core, micro_paging).
+struct Rate {
+  double items_per_sec = 0;
+  double host_ms = 0;   // of the final (reported) repetition batch
+  u64 items = 0;        // per repetition
+  u64 cycles = 0;       // simulated cycles per repetition; 0 = host-only section
+};
+
+/// Times one batch of `reps` calls of `body`, each processing `items` units.
+template <typename F>
+Rate batch(u64 items, u64 reps, F& body) {
+  WallTimer t;
+  for (u64 r = 0; r < reps; ++r) body();
+  const double ms = t.ms();
+  Rate rate;
+  rate.items = items * reps;
+  rate.host_ms = ms;
+  rate.items_per_sec = static_cast<double>(items * reps) / (ms / 1000.0);
+  return rate;
+}
+
+/// Repeats `body` (which processes `items` units per call) until the batch
+/// has run for at least kMinSampleMs, then reports the steady-state rate.
+template <typename F>
+Rate measure(u64 items, F&& body) {
+  body();  // warm-up: page in code, size pools
+  for (u64 reps = 1;;) {
+    const Rate rate = batch(items, reps, body);
+    if (rate.host_ms >= kMinSampleMs) return rate;
+    reps = rate.host_ms > 1.0
+               ? 1 + static_cast<u64>(static_cast<double>(reps) * kMinSampleMs / rate.host_ms)
+               : reps * 8;
+  }
+}
+
+/// Fast swap timings for rigs that measure fault-path structure, not flash.
+inline paging::SwapConfig fast_swap() {
+  paging::SwapConfig cfg;
+  cfg.read_latency = 50;
+  cfg.write_latency = 100;
+  cfg.bytes_per_cycle = 64;
+  return cfg;
+}
 
 struct RunResult {
   Cycles cycles = 0;

@@ -4,8 +4,8 @@
 // anonymous state, then forks N workers (N up to 1024). Fork maps every
 // resident parent page into the child by reference: file pages stay
 // writable against the one shared frame, anonymous pages are downgraded to
-// read-only in both spaces and split on first write. The experiment drives
-// three phases through the timed fault path:
+// read-only in both spaces and split on first write. Three phases, each a
+// touch list per worker on sls::EpisodeDriver, drive the timed fault path:
 //
 //   cold fill  — one worker demand-faults the untouched half of the file
 //                (buffer-cache misses: the only device reads in the run)
@@ -18,15 +18,16 @@
 //                ride along for bucket coverage,
 //   divergence — every worker writes its private anonymous pages: each
 //                first write is a COW fault that copies the shared frame
-//                (cow_copies, charged as one page-sized bus burst); the
-//                parent then writes last, after every child diverged, so
-//                its refcount-1 faults upgrade in place (cow_upgrades).
+//                (cow_copies; no bus is wired, so the copy moves no bus
+//                traffic); the parent then writes last, after every child
+//                diverged, so its refcount-1 faults upgrade in place
+//                (cow_upgrades).
 //
 // Gates (hard errors, every cell):
 //   * the paging ledger (mem/paging/ledger.hpp) over the measured phases,
-//     with the driver's fault classification closing the read-side and
-//     COW partitions, plus the refcount identity; without pressure every
-//     bucket is exactly predictable per worker,
+//     the driver's fault classification closing the read-side and COW
+//     partitions; the machine ledger with refcounts after every drain;
+//     without pressure every bucket is exactly predictable per worker,
 //   * read-only sharing never copies — COW counters are zero before the
 //     divergence phase,
 //   * divergence — every worker reads back its own value, the parent its
@@ -68,6 +69,7 @@
 #include "mem/physmem.hpp"
 #include "rt/process.hpp"
 #include "sim/simulator.hpp"
+#include "sls/episode.hpp"
 #include "util/table.hpp"
 
 using namespace vmsls;
@@ -96,17 +98,6 @@ u64 parent_final(u64 p) { return parent_word(p) ^ 0xFFFF; }
 u64 evict_word(u64 p) { return 0xE71C'7000'0000'0000ull + p; }
 u64 child_word(u64 w, u64 p) { return 0xC0DE'0000'0000'0000ull + (w << 8) + p; }
 
-/// Fast device timings: the figure measures fault-path structure (share
-/// hits vs device trips vs COW copies), not flash latency.
-paging::SwapConfig swap_cfg() {
-  paging::SwapConfig cfg;
-  cfg.read_latency = 50;
-  cfg.write_latency = 100;
-  cfg.bytes_per_cycle = 64;
-  cfg.readahead = 0;
-  return cfg;
-}
-
 paging::BufferCacheConfig bcache_cfg() {
   paging::BufferCacheConfig cfg;
   cfg.capacity_blocks = 4096;
@@ -116,24 +107,11 @@ paging::BufferCacheConfig bcache_cfg() {
   return cfg;
 }
 
-/// One access of a worker's sweep chain.
-struct Step {
-  VirtAddr va = 0;
-  bool is_write = false;
-  u64 value = 0;
-};
-
-/// One forked worker: its own address space, process, and pager over the
-/// rig's shared substrate, the driver-side fault classification the
-/// ledgers are gated against, and the one chain it runs at a time.
+/// One forked worker: its own address space, process and pager.
 struct WorkerRig {
   std::unique_ptr<mem::AddressSpace> as;
   std::unique_ptr<rt::Process> process;
   std::unique_ptr<paging::Pager> pager;
-  u64 read_faults = 0;  // driven faults that entered the unmapped path
-  u64 cow_faults = 0;   // driven write faults on resident read-only pages
-  std::vector<Step> steps;  // the chain in flight
-  std::size_t pos = 0;      // next step to issue
 };
 
 /// The machine: one simulator, one frame pool, one swap part, one buffer
@@ -148,12 +126,14 @@ struct ShareRig {
   paging::SwapScheduler swap;
   paging::BufferCache bcache;
   std::vector<WorkerRig> workers;  // [0] = parent
+  sls::EpisodeDriver episodes;     // worker i is episode worker i
 
   ShareRig(sim::Simulator& sim_, const PointOptions& opt)
       : sim(sim_),
         pool(sim_, pool_cfg(opt), "pool"),
-        swap(sim_, swap_cfg(), kPage, "swap"),
-        bcache(sim_, bcache_cfg(), kPage, "bcache") {
+        swap(sim_, bench::fast_swap(), kPage, "swap"),
+        bcache(sim_, bcache_cfg(), kPage, "bcache"),
+        episodes(sim_) {
     workers.reserve(opt.workers + 1);
   }
 
@@ -176,70 +156,28 @@ struct ShareRig {
     cfg.frame_budget = 0;  // the pool's machine-wide budget is the only cap
     cfg.budget_mode = paging::BudgetMode::kGlobal;
     cfg.policy = paging::PolicyKind::kClock;
-    cfg.swap = swap_cfg();
+    cfg.swap = bench::fast_swap();
     w.pager = std::make_unique<paging::Pager>(sim, *w.process, cfg,
                                               "w" + std::to_string(i) + ".pager", &swap, &bcache);
     pool.attach(*w.pager);
+    episodes.add_worker(*w.as, *w.process, *w.pager);
     workers.push_back(std::move(w));
     return workers.back();
   }
-};
 
-/// Issues worker `w`'s chain from its current step, each fault issued from
-/// the previous fault's ready callback (the shape of a thread missing page
-/// after page). Already-mapped read steps are skipped synchronously; write
-/// steps classify at issue time — unmapped pages refault through the read
-/// path, resident read-only pages take the COW path — which is exactly the
-/// classification the ledger gates compare against.
-void advance(ShareRig& rig, std::size_t w) {
-  WorkerRig& wk = rig.workers[w];
-  while (wk.pos < wk.steps.size()) {
-    const Step s = wk.steps[wk.pos++];
-    if (!s.is_write) {
-      if (wk.as->is_mapped(s.va)) continue;
-      ++wk.read_faults;
-      wk.pager->handle_fault(s.va, /*is_write=*/false, [&rig, w, s] {
-        WorkerRig& done = rig.workers[w];
-        if (!done.as->is_mapped(s.va)) done.process->map_in(s.va);
-        advance(rig, w);
-      });
-      return;
-    }
-    const auto pte = wk.as->page_table().lookup(s.va);
-    if (pte && pte->writable) {  // already private (or never shared): plain store
-      wk.as->write_u64(s.va, s.value);
-      continue;
-    }
-    if (!pte) {
-      // Evicted underneath us (pressure cell): refault through the read
-      // path, then store — not a COW fault, and counted accordingly.
-      ++wk.read_faults;
-      wk.pager->handle_fault(s.va, /*is_write=*/true, [&rig, w, s] {
-        WorkerRig& done = rig.workers[w];
-        if (!done.as->is_mapped(s.va)) done.process->map_in(s.va);
-        done.as->write_u64(s.va, s.value);
-        advance(rig, w);
-      });
-    } else {
-      ++wk.cow_faults;
-      wk.pager->handle_fault(s.va, /*is_write=*/true, [&rig, w, s] {
-        rig.workers[w].as->write_u64(s.va, s.value);
-        advance(rig, w);
-      });
-    }
-    return;
+  /// Starts worker `w` on `touches` after `delay`, one fault after another.
+  void launch(std::size_t w, const std::vector<sls::EpisodeDriver::Touch>& touches,
+              Cycles delay) {
+    episodes.touches(w) = touches;
+    episodes.start(w, delay);
   }
-}
 
-/// Starts `steps` on worker `w` after `delay`; the worker's previous chain
-/// must have finished.
-void launch_chain(ShareRig& rig, std::size_t w, std::vector<Step> steps, Cycles delay) {
-  WorkerRig& wk = rig.workers[w];
-  if (wk.pos != wk.steps.size()) throw std::runtime_error("fig14: worker chain still in flight");
-  wk.steps = std::move(steps);
-  wk.pos = 0;
-  rig.sim.schedule_in(delay, [&rig, w] { advance(rig, w); });
-}
+  u64 read_faults() const {
+    u64 n = 0;
+    for (std::size_t i = 0; i < workers.size(); ++i) n += episodes.read_faults(i);
+    return n;
+  }
+};
 
 struct PointResult {
   u64 workers = 0;
@@ -309,46 +247,46 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     WorkerRig& child = rig.add_worker();
     parent.process->fork(*child.process);
   }
-  sim.drain(bench::kDrainCycles);
-
   std::vector<const paging::Pager*> pagers;
   for (const auto& w : rig.workers) pagers.push_back(w.pager.get());
+  // Every phase ends drained with the machine ledger balanced.
+  const auto drain = [&] {
+    paging::drain_balanced(sim, pagers, &rig.pool, bench::kDrainCycles, "fig14");
+  };
+  drain();
   const paging::MachineLedger base = paging::MachineLedger::of(pagers);
+  using Touch = sls::EpisodeDriver::Touch;
 
   // --- phase A: cold fill ---------------------------------------------
   // Worker 1 faults the untouched file half (the run's only device reads);
   // the parent refaults its evicted pages (demand swap-ins).
   {
-    std::vector<Step> cold;
+    std::vector<Touch> cold;
     for (u64 p = S / 2; p < S; ++p) cold.push_back({file_base + p * kPage, false, 0});
-    launch_chain(rig, 1, std::move(cold), 0);
-    std::vector<Step> refault;
+    rig.launch(1, cold, 0);
+    std::vector<Touch> refault;
     for (u64 p = 0; p < E; ++p) refault.push_back({evict_base + p * kPage, false, 0});
-    launch_chain(rig, 0, std::move(refault), 0);
-    sim.drain(bench::kDrainCycles);
+    rig.launch(0, refault, 0);
+    drain();
   }
 
   // --- phase B: the share sweep (measured) -----------------------------
   PointResult r;
   r.workers = N;
-  u64 faults_before = 0;
-  for (const auto& w : rig.workers) faults_before += w.read_faults;
+  const u64 faults_before = rig.read_faults();
   {
     const Cycles t0 = sim.now();
     const u64 e0 = sim.events_executed();
-    for (u64 i = 1; i <= N; ++i) {
-      std::vector<Step> sweep;
-      for (u64 p = 0; p < S; ++p) sweep.push_back({file_base + p * kPage, false, 0});
-      for (u64 p = 0; p < E; ++p) sweep.push_back({evict_base + p * kPage, false, 0});
-      for (u64 p = 0; p < Z; ++p) sweep.push_back({zero_base + p * kPage, false, 0});
-      launch_chain(rig, i, std::move(sweep), i * kStagger);
-    }
-    sim.drain(bench::kDrainCycles);
+    std::vector<Touch> sweep;
+    for (u64 p = 0; p < S; ++p) sweep.push_back({file_base + p * kPage, false, 0});
+    for (u64 p = 0; p < E; ++p) sweep.push_back({evict_base + p * kPage, false, 0});
+    for (u64 p = 0; p < Z; ++p) sweep.push_back({zero_base + p * kPage, false, 0});
+    for (u64 i = 1; i <= N; ++i) rig.launch(i, sweep, i * kStagger);
+    drain();
     r.share_cycles = sim.now() - t0;
     r.share_events = sim.events_executed() - e0;
   }
-  for (const auto& w : rig.workers) r.share_faults += w.read_faults;
-  r.share_faults -= faults_before;
+  r.share_faults = rig.read_faults() - faults_before;
   // Read-only sharing never copies: no COW traffic before anyone writes.
   for (const auto& w : rig.workers)
     require_gate(w.pager->cow_copies() == 0 && w.pager->cow_upgrades() == 0,
@@ -359,30 +297,31 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     const Cycles t0 = sim.now();
     const u64 e0 = sim.events_executed();
     for (u64 i = 1; i <= N; ++i) {
-      std::vector<Step> writes;
+      std::vector<Touch> writes;
       for (u64 p = 0; p < A; ++p) writes.push_back({anon_base + p * kPage, true, child_word(i, p)});
-      launch_chain(rig, i, std::move(writes), i * kStagger);
+      rig.launch(i, writes, i * kStagger);
     }
-    sim.drain(bench::kDrainCycles);
+    drain();
     r.cow_cycles = sim.now() - t0;
     r.cow_events = sim.events_executed() - e0;
   }
   // Parent writes last: every child has its private copy, so the parent's
   // refcount-1 faults upgrade in place instead of copying.
   {
-    std::vector<Step> writes;
+    std::vector<Touch> writes;
     for (u64 p = 0; p < A; ++p) writes.push_back({anon_base + p * kPage, true, parent_final(p)});
-    launch_chain(rig, 0, std::move(writes), 0);
-    sim.drain(bench::kDrainCycles);
+    rig.launch(0, writes, 0);
+    drain();
   }
-  for (const auto& w : rig.workers) r.cow_faults += w.cow_faults;
 
   // --- ledgers ---------------------------------------------------------
   const paging::MachineLedger run = paging::MachineLedger::of(pagers) - base;
   std::vector<paging::LedgerExpect> expect;
-  for (const auto& w : rig.workers) expect.push_back({w.read_faults, w.cow_faults, 0});
+  for (std::size_t i = 0; i < rig.workers.size(); ++i) {
+    expect.push_back({rig.episodes.read_faults(i), rig.episodes.cow_faults(i), 0});
+    r.cow_faults += rig.episodes.cow_faults(i);
+  }
   paging::require_balanced(run.check(expect), "fig14");
-  paging::require_balanced(paging::check_machine(pagers, &rig.pool), "fig14");
   if (opt.pool_budget == 0) {
     // No pressure: every bucket is exactly predictable per worker.
     for (std::size_t i = 0; i < run.pagers.size(); ++i) {
@@ -516,7 +455,7 @@ void run_grid(const bench::Cli& cli) {
            << "  share-sweep fault  " << big.share_fault_cycles() << " cycles/fault ("
            << big.share_faults << " faults, no device reads — FrameShareIndex hits)\n"
            << "  COW divergence     " << big.cow_fault_cycles() << " cycles/fault ("
-           << big.cow_faults << " first-write copies, each one page-sized bus burst)\n"
+           << big.cow_faults << " first-write copies; no bus in this rig, so no copy traffic)\n"
            << "  refcounts sum to mappings, every unmap lands in exactly one ledger bucket,\n"
            << "  and the run is bit-identical across reruns and shard counts\n";
   std::cout << headline.str();

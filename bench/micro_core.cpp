@@ -29,42 +29,11 @@ namespace {
 
 using namespace vmsls;
 
-constexpr double kMinSampleMs = 200.0;
+using bench::batch;
+using bench::kMinSampleMs;
+using bench::measure;
+using bench::Rate;
 constexpr int kPairRounds = 16;  // alternating batch pairs in measure_pair
-
-struct Rate {
-  double items_per_sec = 0;
-  double host_ms = 0;   // of the final (reported) repetition batch
-  u64 items = 0;        // per repetition
-  u64 cycles = 0;       // simulated cycles per repetition; 0 = host-only section
-};
-
-/// Times one batch of `reps` calls of `body`, each processing `items` units.
-template <typename F>
-Rate batch(u64 items, u64 reps, F& body) {
-  bench::WallTimer t;
-  for (u64 r = 0; r < reps; ++r) body();
-  const double ms = t.ms();
-  Rate rate;
-  rate.items = items * reps;
-  rate.host_ms = ms;
-  rate.items_per_sec = static_cast<double>(items * reps) / (ms / 1000.0);
-  return rate;
-}
-
-/// Repeats `body` (which processes `items` units per call) until the batch
-/// has run for at least kMinSampleMs, then reports the steady-state rate.
-template <typename F>
-Rate measure(u64 items, F&& body) {
-  body();  // warm-up: page in code, size pools
-  for (u64 reps = 1;;) {
-    const Rate rate = batch(items, reps, body);
-    if (rate.host_ms >= kMinSampleMs) return rate;
-    reps = rate.host_ms > 1.0
-               ? 1 + static_cast<u64>(static_cast<double>(reps) * kMinSampleMs / rate.host_ms)
-               : reps * 8;
-  }
-}
 
 /// Measures two bodies for a ratio between them: after sizing a batch of
 /// each at kMinSampleMs / 4, the batches alternate kPairRounds times, so

@@ -13,7 +13,6 @@
 // files to tools/check_bench.py.
 
 #include <algorithm>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -26,57 +25,19 @@
 #include "mem/physmem.hpp"
 #include "rt/process.hpp"
 #include "sim/simulator.hpp"
+#include "sls/episode.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace vmsls;
 
-constexpr double kMinSampleMs = 200.0;
-
-struct Rate {
-  double items_per_sec = 0;
-  double host_ms = 0;   // of the final (reported) repetition batch
-  u64 items = 0;        // per repetition batch
-  u64 cycles = 0;       // simulated cycles per repetition
-};
-
-/// Repeats `body` (which processes `items` units per call) until the batch
-/// has run for at least kMinSampleMs, then reports the steady-state rate.
-/// (Same harness as micro_core; each body call builds a fresh Simulator so
-/// repetitions are bit-identical.)
-template <typename F>
-Rate measure(u64 items, F&& body) {
-  body();  // warm-up: page in code, size pools
-  u64 reps = 1;
-  for (;;) {
-    bench::WallTimer t;
-    for (u64 r = 0; r < reps; ++r) body();
-    const double ms = t.ms();
-    if (ms >= kMinSampleMs) {
-      Rate rate;
-      rate.items = items * reps;
-      rate.host_ms = ms;
-      rate.items_per_sec = static_cast<double>(items * reps) / (ms / 1000.0);
-      return rate;
-    }
-    reps = ms > 1.0 ? 1 + static_cast<u64>(static_cast<double>(reps) * kMinSampleMs / ms) : reps * 8;
-  }
-}
-
-/// Fast device timings keep the simulated span short: the host cost per
-/// fault is what these sections measure, not the modeled flash latency.
-paging::SwapConfig fast_swap() {
-  paging::SwapConfig cfg;
-  cfg.read_latency = 50;
-  cfg.write_latency = 100;
-  cfg.bytes_per_cycle = 64;
-  return cfg;
-}
+using bench::measure;
+using bench::Rate;
 
 /// A process + pager over a small physical memory — the fault path without
-/// the MMU/walker front end (handle_fault is driven directly, and the OS
-/// tail is played by mapping the page in the ready callback).
+/// the MMU/walker front end (an sls::EpisodeDriver issues the faults and
+/// plays the OS tail by mapping the page in once it is ready).
 struct FaultRig {
   sim::Simulator sim;
   mem::PhysicalMemory pm{32 * MiB};
@@ -84,6 +45,7 @@ struct FaultRig {
   mem::AddressSpace as;
   rt::Process process;
   std::unique_ptr<paging::Pager> pager;
+  sls::EpisodeDriver episodes{sim};
   VirtAddr base = 0;
   u64 pages = 0;
 
@@ -94,6 +56,7 @@ struct FaultRig {
     cfg.policy = paging::PolicyKind::kClock;
     cfg.swap = swap;
     pager = std::make_unique<paging::Pager>(sim, process, cfg, "pager");
+    episodes.add_worker(as, process, *pager);
     base = as.alloc(pages * page(), page());
     // Materialize every page with distinct data (maps them all; budget is
     // only enforced on the fault path, so setup may exceed it).
@@ -113,23 +76,19 @@ struct FaultRig {
   /// Chains `count` demand faults on pages `first, first+stride, ...`
   /// (wrapping modulo `pages`), each issued from the previous fault's ready
   /// callback — the shape of a hardware thread missing page after page.
-  /// `dirty` re-dirties each page after mapping so its next eviction pays
-  /// the writeback path.
+  /// `dirty` makes each touch a store, so the page's next eviction pays the
+  /// writeback path.
   void fault_chain(u64 count, u64 first, u64 stride, bool dirty) {
-    u64 next = 0;
-    std::function<void()> chain = [this, &next, count, first, stride, dirty, &chain] {
-      if (next >= count) return;
-      const VirtAddr a = va((first + next * stride) % pages);
-      ++next;
-      pager->handle_fault(a, dirty, [this, a, dirty, &chain] {
-        process.map_in(a);
-        if (dirty) as.page_table().set_accessed_dirty(a, /*dirty=*/true);
-        chain();
-      });
-    };
-    chain();
+    auto& touches = episodes.touches(0);
+    touches.clear();
+    for (u64 i = 0; i < count; ++i)
+      touches.push_back({va((first + i * stride) % pages), dirty, i + 1});
+    bool done = false;
+    episodes.start(0, 0, [&done] { done = true; });
     sim.drain(bench::kDrainCycles);
-    if (next != count) throw std::runtime_error("micro_paging: fault chain stalled");
+    if (!done) throw std::runtime_error("micro_paging: fault chain stalled");
+    if (episodes.read_faults(0) != count)
+      throw std::runtime_error("micro_paging: a chained page was still resident");
   }
 };
 
@@ -140,7 +99,7 @@ Rate bench_fault_clean(u64 pages, u64 budget, u64 rounds) {
   const u64 faults = pages * rounds;
   Cycles covered = 0;
   Rate r = measure(faults, [&] {
-    FaultRig rig(pages, budget, fast_swap());
+    FaultRig rig(pages, budget, bench::fast_swap());
     rig.clear_dirty_bits();
     rig.evict_all();
     rig.fault_chain(faults, 0, 1, /*dirty=*/false);
@@ -159,7 +118,7 @@ Rate bench_fault_dirty(u64 pages, u64 budget, u64 rounds) {
   const u64 faults = pages * rounds;
   Cycles covered = 0;
   Rate r = measure(faults, [&] {
-    FaultRig rig(pages, budget, fast_swap());
+    FaultRig rig(pages, budget, bench::fast_swap());
     rig.evict_all();  // setup writes left every page dirty
     rig.fault_chain(faults, 0, 1, /*dirty=*/true);
     if (rig.pager->writebacks() == 0)
@@ -180,7 +139,7 @@ Rate bench_swap_enqueue(u64 n, paging::SwapSchedPolicy policy) {
   Cycles covered = 0;
   Rate r = measure(ops, [&] {
     sim::Simulator sim;
-    paging::SwapConfig cfg = fast_swap();
+    paging::SwapConfig cfg = bench::fast_swap();
     cfg.sched = policy;
     paging::SwapScheduler sched(sim, cfg, 4 * KiB, "swap");
     const unsigned owner = sched.register_owner("swap");
@@ -212,7 +171,7 @@ Rate bench_swap_enqueue(u64 n, paging::SwapSchedPolicy policy) {
 Rate bench_readahead(u64 pages, unsigned ra) {
   const u64 stride = ra + 1;
   const u64 demand = pages / stride;
-  paging::SwapConfig cfg0 = fast_swap();
+  paging::SwapConfig cfg0 = bench::fast_swap();
   cfg0.sched = paging::SwapSchedPolicy::kPriority;
   cfg0.readahead = ra;
   // Readahead clips at cluster-region boundaries (neighbors never cross a
@@ -248,8 +207,8 @@ Rate bench_readahead(u64 pages, unsigned ra) {
 
 }  // namespace
 
-int main() {
-  try {
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, "micro_paging", 0, [](const bench::Cli&) {
     bench::EngineBenchReport report;
     Table table({"section", "items/s", "host ms", "items"});
     auto row = [&](const std::string& name, const Rate& r) {
@@ -268,9 +227,5 @@ int main() {
     table.print(std::cout, "Paging fault-path microbenchmarks");
     report.write_json("BENCH_paging.json");
     std::cout << "wrote BENCH_paging.json\n";
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "micro_paging FAILED: " << e.what() << "\n";
-    return 1;
-  }
+  });
 }

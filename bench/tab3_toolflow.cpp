@@ -5,6 +5,8 @@
 // resource-estimate totals. Expected shape: cost grows linearly with
 // thread count and stays in the milliseconds — system-level synthesis is
 // cheap next to the (out-of-scope) RTL implementation run.
+// Stdout holds the deterministic columns (bench/golden/tab3_toolflow.txt);
+// host microseconds per pass go to stderr.
 
 #include <iostream>
 
@@ -33,8 +35,8 @@ sls::AppSpec multi_thread_app(unsigned hw_threads) {
 }  // namespace
 
 int main() {
-  Table table({"app", "HW threads", "synthesis us", "validate us", "iface-synth us",
-               "estimate us", "emit us", "instances", "nets", "addr-map", "LUT total"});
+  Table table({"app", "HW threads", "instances", "nets", "addr-map", "LUT total"});
+  Table host({"app", "synthesis us", "validate us", "iface-synth us", "estimate us", "emit us"});
 
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     const auto app = multi_thread_app(threads);
@@ -50,14 +52,15 @@ int main() {
       if (t.pass == "estimate") estimate = t.microseconds;
       if (t.pass == "emit") emit = t.microseconds;
     }
-    table.add_row({app.name, Table::num(static_cast<u64>(threads)), Table::num(total, 1),
-                   Table::num(validate, 1), Table::num(iface, 1), Table::num(estimate, 1),
-                   Table::num(emit, 1), Table::num(rep.netlist_instances),
-                   Table::num(rep.netlist_nets),
+    table.add_row({app.name, Table::num(static_cast<u64>(threads)),
+                   Table::num(rep.netlist_instances), Table::num(rep.netlist_nets),
                    Table::num(static_cast<u64>(rep.address_map.size())),
                    Table::num(rep.total.luts)});
+    host.add_row({app.name, Table::num(total, 1), Table::num(validate, 1), Table::num(iface, 1),
+                  Table::num(estimate, 1), Table::num(emit, 1)});
   }
 
-  table.print(std::cout, "Table 3: toolflow statistics (host wall-clock)");
+  table.print(std::cout, "Table 3: toolflow statistics (generated artifacts)");
+  host.print(std::cerr, "Table 3: synthesis passes (host wall-clock)");
   return 0;
 }

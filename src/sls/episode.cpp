@@ -1,0 +1,64 @@
+#include "sls/episode.hpp"
+
+#include <stdexcept>
+
+namespace vmsls::sls {
+
+void EpisodeDriver::start(std::size_t w, Cycles delay, sim::Callback<> done) {
+  Worker& wk = workers_.at(w);
+  if (wk.busy) throw std::logic_error("EpisodeDriver: start on a busy worker");
+  wk.busy = true;
+  wk.pos = 0;
+  wk.done = std::move(done);
+  sim_.schedule_in(delay + touch_cost_, [this, w] { run(w); });
+}
+
+void EpisodeDriver::run(std::size_t w) {
+  Worker& wk = workers_[w];
+  if (wk.pos == wk.touches.size() || touch(w)) next(w);
+}
+
+void EpisodeDriver::next(std::size_t w) {
+  Worker& wk = workers_[w];
+  if (touch_cost_ > 0 && wk.pos < wk.touches.size()) {
+    sim_.schedule_in(touch_cost_, [this, w] { run(w); });
+    return;
+  }
+  while (wk.pos < wk.touches.size())
+    if (!touch(w)) return;
+  wk.busy = false;
+  sim::Callback<> done = std::move(wk.done);
+  if (done) done();
+}
+
+bool EpisodeDriver::touch(std::size_t w) {
+  Worker& wk = workers_[w];
+  const Touch t = wk.touches[wk.pos++];
+  const auto pte = wk.as->page_table().lookup(t.va);
+  if (pte && (!t.is_write || pte->writable)) {
+    if (t.is_write)
+      wk.as->write_u64(t.va, t.value);
+    else
+      (void)wk.as->read_u64(t.va);
+    return true;
+  }
+  if (!pte) {
+    // Never mapped, or evicted underneath the worker: not a COW fault.
+    ++wk.read_faults;
+    wk.pager->handle_fault(t.va, t.is_write, [this, w, t] {
+      Worker& k = workers_[w];
+      if (!k.as->is_mapped(t.va)) k.process->map_in(t.va);
+      if (t.is_write) k.as->write_u64(t.va, t.value);
+      next(w);
+    });
+  } else {
+    ++wk.cow_faults;
+    wk.pager->handle_fault(t.va, /*is_write=*/true, [this, w, t] {
+      workers_[w].as->write_u64(t.va, t.value);
+      next(w);
+    });
+  }
+  return false;
+}
+
+}  // namespace vmsls::sls

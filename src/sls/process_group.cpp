@@ -128,10 +128,7 @@ Cycles ProcessGroup::run_to_completion(Cycles max_cycles) {
 }
 
 Cycles ProcessGroup::drain(Cycles max_cycles) {
-  const Cycles t0 = sim_.now();
-  sim_.drain(max_cycles);
-  paging::require_balanced(paging::check_machine(pagers(), pool_.get()), "ProcessGroup::drain");
-  return sim_.now() - t0;
+  return paging::drain_balanced(sim_, pagers(), pool_.get(), max_cycles, "ProcessGroup::drain");
 }
 
 }  // namespace vmsls::sls

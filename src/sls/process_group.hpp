@@ -88,12 +88,8 @@ class ProcessGroup {
   /// deadlock or when `max_cycles` elapse. Returns cycles elapsed.
   Cycles run_to_completion(Cycles max_cycles = 4'000'000'000ull);
 
-  /// The end-of-run gate: Simulator::drain (every in-flight prefetch,
-  /// pageout, writeback and flush retires within `max_cycles`), then the
-  /// machine ledger over every pager and the pool, refcounts included
-  /// (paging::check_machine). Throws on a stuck queue or a violated
-  /// identity. Returns cycles elapsed. TrafficDriver, fig12, fig13 and
-  /// perfbench end their runs here.
+  /// The end-of-run gate: paging::drain_balanced over every member pager and
+  /// the pool. TrafficDriver, fig12, fig13 and perfbench end their runs here.
   Cycles drain(Cycles max_cycles = 1'000'000'000ull);
 
  private:

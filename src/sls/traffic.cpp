@@ -30,6 +30,7 @@ TrafficDriver::TrafficDriver(ProcessGroup& group, const TrafficConfig& cfg,
       cfg_(cfg),
       name_(name),
       arrivals_gen_(cfg.arrival),
+      episodes_(sim_, cfg.touch_cost),
       arrivals_(sim_.stats().counter(name + ".arrivals")),
       admitted_(sim_.stats().counter(name + ".admitted")),
       rejected_(sim_.stats().counter(name + ".rejected")),
@@ -74,20 +75,16 @@ TrafficDriver::TrafficDriver(ProcessGroup& group, const TrafficConfig& cfg,
   workers_.reserve(group_.size());
   for (std::size_t i = 0; i < group_.size(); ++i) {
     System& sys = group_.process(i);
-    Worker w;
-    w.system = &sys;
-    w.pager = sys.pager();
-    require(w.pager != nullptr,
+    require(sys.pager() != nullptr,
             name_ + ": worker process '" + sys.instance() + "' has no pager (serving mode "
             "needs a paging plane — set a frame budget)");
-    w.process = &sys.process();
-    w.as = &sys.address_space();
-    w.arena = w.process->alloc(cfg_.arena_pages * page_bytes_, page_bytes_);
-    workers_.push_back(w);
+    episodes_.add_worker(sys.address_space(), sys.process(), *sys.pager());
+    workers_.push_back({sys.process().alloc(cfg_.arena_pages * page_bytes_, page_bytes_)});
   }
 }
 
-void TrafficDriver::make_episode(u64 id, std::vector<Touch>& out) const {
+void TrafficDriver::make_episode(u64 id, VirtAddr arena,
+                                 std::vector<EpisodeDriver::Touch>& out) const {
   const Episode kind = mix_[id % mix_.size()];
   // Per-request stream: f(traffic seed, request id). SplitMix-style mixing
   // keeps neighboring ids decorrelated; Rng reseeds through SplitMix64
@@ -116,7 +113,7 @@ void TrafficDriver::make_episode(u64 id, std::vector<Touch>& out) const {
         idx = (idx * 6364136223846793005ull + 1442695040888963407ull) % pages;
         break;
     }
-    out.push_back(Touch{idx, rng.chance(cfg_.write_ratio)});
+    out.push_back({arena + idx * page_bytes_, rng.chance(cfg_.write_ratio), i + 1});
   }
 }
 
@@ -140,13 +137,8 @@ void TrafficDriver::on_arrival() {
   // reject. A worker can only be idle when the queue is empty (completions
   // re-dispatch from the queue in the same cycle), so dispatch-first never
   // reorders around queued requests.
-  std::size_t idle = workers_.size();
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (!workers_[w].busy) {
-      idle = w;
-      break;
-    }
-  }
+  std::size_t idle = 0;
+  while (idle < workers_.size() && episodes_.busy(idle)) ++idle;
   if (idle < workers_.size() && queue_.empty()) {
     admitted_.add();
     ++report_.admitted;
@@ -169,8 +161,7 @@ void TrafficDriver::on_arrival() {
 
 void TrafficDriver::dispatch(const Pending& req, std::size_t worker) {
   Worker& wk = workers_[worker];
-  if (wk.busy) throw std::invalid_argument(name_ + ": dispatch to a busy worker");
-  wk.busy = true;
+  if (episodes_.busy(worker)) throw std::invalid_argument(name_ + ": dispatch to a busy worker");
   ++busy_;
   report_.peak_busy = std::max(report_.peak_busy, busy_);
   wk.req = req;
@@ -178,53 +169,16 @@ void TrafficDriver::dispatch(const Pending& req, std::size_t worker) {
   queue_wait_.record(wk.dispatched - req.arrival);
   VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "service", req.trace_id, worker);
 
-  // The episode: each touch charges touch_cost compute, then either
-  // proceeds synchronously (resident page) or suspends on the worker
-  // pager's fault path — fault stalls, swap queue waits, and writebacks
-  // all land inside this request's service span.
-  make_episode(req.id, wk.touches);
-  wk.pos = 0;
-  advance(worker);
-}
-
-void TrafficDriver::advance(std::size_t worker) {
-  Worker& wk = workers_[worker];
-  if (wk.pos == wk.touches.size()) {
-    complete(worker);
-    return;
-  }
-  const Touch t = wk.touches[wk.pos++];
-  const VirtAddr va = wk.arena + t.page * page_bytes_;
-  auto access = [this, worker, va, is_write = t.is_write] { touch(worker, va, is_write); };
-  if (cfg_.touch_cost > 0)
-    sim_.schedule_in(cfg_.touch_cost, access);
-  else
-    sim_.schedule_now(access);
-}
-
-void TrafficDriver::touch(std::size_t worker, VirtAddr va, bool is_write) {
-  Worker& wk = workers_[worker];
-  if (!wk.as->is_mapped(va)) {
-    wk.pager->handle_fault(va, is_write, [this, worker, va, is_write] {
-      Worker& done = workers_[worker];
-      if (!done.as->is_mapped(va)) done.process->map_in(va);
-      if (is_write) done.as->write_u64(va, done.pos);
-      advance(worker);
-    });
-    return;
-  }
-  if (is_write)
-    wk.as->write_u64(va, wk.pos);
-  else
-    (void)wk.as->read_u64(va);
-  advance(worker);
+  // Fault stalls, swap queue waits and writebacks of the episode all land
+  // inside this request's service span.
+  make_episode(req.id, wk.arena, episodes_.touches(worker));
+  episodes_.start(worker, 0, [this, worker] { complete(worker); });
 }
 
 void TrafficDriver::complete(std::size_t worker) {
   Worker& wk = workers_[worker];
   const Pending req = wk.req;
   const Cycles dispatched = wk.dispatched;
-  wk.busy = false;
   --busy_;
   completed_.add();
   ++report_.completed;
@@ -266,7 +220,8 @@ TrafficDriver::Report TrafficDriver::run(Cycles max_cycles) {
   gate(report_.latency.size() == report_.completed, "latency samples != completions");
   gate(queue_.empty(), "admission queue not drained");
   gate(busy_ == 0, "workers still in service after drain");
-  for (const Worker& w : workers_) gate(!w.pager->swap().busy(), "swap queue not drained");
+  for (std::size_t i = 0; i < group_.size(); ++i)
+    gate(!group_.process(i).pager()->swap().busy(), "swap queue not drained");
   paging::require_balanced((paging::MachineLedger::of(group_.pagers()) - base).check(), name_);
   if (report_.completed > 0) report_.span = last_completion_ - first_arrival_;
   return report_;

@@ -6,14 +6,11 @@
 // sustains under a p99 bound? Requests arrive on a seeded ArrivalProcess
 // (sim/arrival.hpp), wait in a bounded admission queue, and are dispatched
 // to the lowest-indexed idle worker process of a ProcessGroup. A request's
-// service is a *workload episode*: a chain of page touches over the
-// worker's arena, shaped like one of the workload generators' access
-// patterns (sequential sweep, strided, uniform random, dependent chase),
-// driven through the worker's Pager fault path — so service time is
-// touch_cost compute per touch plus every fault stall, eviction, swap
-// queue wait, and writeback the episode provokes. Load-dependent pressure
-// is the point: a saturated pool backs the swap queue up, and the p99
-// latency curve bends exactly where the paging layer stops keeping up.
+// service is a *workload episode* on the EpisodeDriver (sls/episode.hpp):
+// page touches over the worker's arena shaped like a workload family
+// (sweep, strided, random, chase), so service time is touch_cost per touch
+// plus every fault stall, eviction, swap queue wait and writeback. The p99
+// curve bends exactly where the paging layer stops keeping up.
 //
 // Determinism: arrival gaps and episode shapes derive from TrafficConfig
 // seeds only (no wall clock); dispatch is lowest-idle-index; the queue is
@@ -29,10 +26,10 @@
 //
 // and the workers' pagers balance the paging ledger (mem/paging/ledger.hpp).
 //
-// Per-request spans reuse the PR 6 trace plumbing: a causal id is minted at
-// arrival and threads through "request" (arrival -> completion), "queue"
-// (arrival -> dispatch), and "service" (dispatch -> completion) async
-// spans, with rejected arrivals marked by an instant event.
+// Per-request spans: a causal id is minted at arrival and threads through
+// "request" (arrival -> completion), "queue" (arrival -> dispatch), and
+// "service" (dispatch -> completion) async spans, with rejected arrivals
+// marked by an instant event.
 #pragma once
 
 #include <deque>
@@ -40,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "sls/episode.hpp"
 #include "sls/process_group.hpp"
 
 namespace vmsls::sls {
@@ -105,39 +103,19 @@ class TrafficDriver {
     u64 trace_id = 0;
   };
 
-  /// One episode step: a page index into the worker arena plus a store flag.
-  struct Touch {
-    u64 page = 0;
-    bool is_write = false;
-  };
-
-  /// A worker serves one request at a time, so the episode in flight lives
-  /// here: the request, when it was dispatched, its touches (the vector's
-  /// capacity is reused across requests), and the next touch to issue.
+  /// Worker i is episodes_ worker i; it serves one request at a time.
   struct Worker {
-    System* system = nullptr;
-    paging::Pager* pager = nullptr;
-    rt::Process* process = nullptr;
-    mem::AddressSpace* as = nullptr;
     VirtAddr arena = 0;
-    bool busy = false;
-    Pending req;
+    Pending req{};
     Cycles dispatched = 0;
-    std::vector<Touch> touches;
-    std::size_t pos = 0;
   };
 
   void on_arrival();
   void dispatch(const Pending& req, std::size_t worker);
-  /// Issues the worker's next touch after touch_cost, or completes the
-  /// request when the episode is exhausted.
-  void advance(std::size_t worker);
-  /// Performs one touch: synchronously on a resident page, else through the
-  /// worker pager's fault path. Either way the episode then advances.
-  void touch(std::size_t worker, VirtAddr va, bool is_write);
   void complete(std::size_t worker);
-  /// Fills `out` with the seeded episode steps for request `id`.
-  void make_episode(u64 id, std::vector<Touch>& out) const;
+  /// Fills `out` with the seeded episode touches for request `id` over the
+  /// arena at `arena`; a write stores the touch's 1-based position.
+  void make_episode(u64 id, VirtAddr arena, std::vector<EpisodeDriver::Touch>& out) const;
 
   sim::Simulator& sim_;
   ProcessGroup& group_;
@@ -145,6 +123,7 @@ class TrafficDriver {
   std::string name_;
   std::vector<Episode> mix_;
   sim::ArrivalProcess arrivals_gen_;
+  EpisodeDriver episodes_;
   std::vector<Worker> workers_;
   std::deque<Pending> queue_;
   u64 page_bytes_ = 0;

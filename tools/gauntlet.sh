@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Sanitizer gauntlet: builds the whole tree under ASan + UBSan (LeakSanitizer
 # on) in build-asan/ and runs the tier1, stress, smoke and paper labels
-# there — the unit tests, the seeded stress suites, the fig5 and fig9..fig15
-# smokes, the examples and the paper binaries against their goldens. Any
+# there — the unit tests, the seeded stress suites, the fig12..fig15
+# --smoke runs, the examples and the 21 bench goldens (fig3..fig15,
+# tab1..tab3, abl1..abl5). Any
 # test failure, sanitizer report or leak exits non-zero.
 #
 #   tools/gauntlet.sh                        # from anywhere in the repo
