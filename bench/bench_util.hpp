@@ -29,6 +29,13 @@
 
 namespace vmsls::bench {
 
+/// Paper shape gate: the simulated trend a figure reports must hold. A
+/// violation throws naming the figure and row, so the bench exits non-zero
+/// with the reason before printing, and its golden case fails.
+inline void shape_gate(bool holds, const std::string& what) {
+  if (!holds) throw std::runtime_error("shape gate failed: " + what);
+}
+
 /// Host wall-clock stopwatch for measuring the harness itself.
 class WallTimer {
  public:

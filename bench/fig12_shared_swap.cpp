@@ -6,9 +6,9 @@
 // working-set slices), and the experiment varies who owns the backing
 // store and how its queue is scheduled:
 //
-//   private          — each pager pages against its own SwapDevice (the
-//                      PR 1–4 model; devices never queue against each
-//                      other — the unrealistically optimistic baseline),
+//   private          — each pager pages against its own SwapScheduler
+//                      (devices never queue against each other — the
+//                      unrealistically optimistic baseline),
 //   shared fifo      — one SwapScheduler for the whole group, arrival-
 //                      order dispatch,
 //   shared priority  — the same single device with class-aware dispatch

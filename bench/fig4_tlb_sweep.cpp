@@ -6,8 +6,13 @@
 // knee — larger pages cover the same footprint with fewer entries.
 // Expected shape: hit rate saturates once TLB reach >= working set; the
 // pointer chase needs the full footprint, matmul needs only a few entries.
+// Gates: in 4a cycles never rise and hit % never falls as entries grow; in
+// 4b a larger page never lowers the hit % at the same entry count.
 
 #include <iostream>
+#include <map>
+#include <optional>
+#include <string>
 
 #include "bench_util.hpp"
 #include "util/table.hpp"
@@ -48,9 +53,19 @@ int main() {
   {
     Table table({"tlb entries", "matmul cycles", "matmul hit %", "ptr-chase cycles",
                  "ptr-chase hit %"});
+    const auto gate = [](const char* kernel, unsigned e, const Point& cur,
+                         std::optional<Point>& prev) {
+      bench::shape_gate(!prev || (cur.cycles <= prev->cycles && cur.hit_rate >= prev->hit_rate),
+                        std::string("fig4a ") + kernel + " at " + std::to_string(e) +
+                            " entries: more entries raised cycles or lowered hit %");
+      prev = cur;
+    };
+    std::optional<Point> prev_mm, prev_pc;
     for (unsigned e : entries) {
       const Point mm = run_point("matmul", 32, e, 12);
       const Point pc = run_point("pointer_chase", 8192, e, 12);  // 64-page footprint
+      gate("matmul", e, mm, prev_mm);
+      gate("ptr-chase", e, pc, prev_pc);
       table.add_row({Table::num(static_cast<u64>(e)), Table::num(mm.cycles),
                      Table::num(mm.hit_rate * 100.0, 2), Table::num(pc.cycles),
                      Table::num(pc.hit_rate * 100.0, 2)});
@@ -60,11 +75,16 @@ int main() {
 
   {
     Table table({"page size", "entries", "ptr-chase cycles", "hit %"});
+    std::map<unsigned, double> prev_hit;  // entries -> hit rate at the previous page size
     for (const auto& [bits, label] :
          std::vector<std::pair<unsigned, std::string>>{{12, "4 KiB"}, {16, "64 KiB"},
                                                        {21, "2 MiB"}}) {
       for (unsigned e : {4u, 16u}) {
         const Point pc = run_point("pointer_chase", 8192, e, bits);
+        bench::shape_gate(!prev_hit.contains(e) || pc.hit_rate >= prev_hit[e],
+                          "fig4b " + label + " with " + std::to_string(e) +
+                              " entries: a larger page lowered the hit %");
+        prev_hit[e] = pc.hit_rate;
         table.add_row({label, Table::num(static_cast<u64>(e)), Table::num(pc.cycles),
                        Table::num(pc.hit_rate * 100.0, 2)});
       }

@@ -4,9 +4,10 @@
 // demand-faults the cold pages as its row bursts reach them. Expected
 // shape: runtime decays to the pinned case as residency approaches 100%;
 // each fault costs the full OS path but sequential access amortizes it to
-// one fault per page.
+// one fault per page. Gate: slowdown is non-increasing in residency.
 
 #include <iostream>
+#include <string>
 
 #include "bench_util.hpp"
 #include "util/table.hpp"
@@ -20,6 +21,7 @@ int main() {
 
   Table table({"resident %", "cycles", "faults", "mean fault cyc", "slowdown vs pinned"});
   Cycles pinned_cycles = 0;
+  Cycles prev_cycles = 0;
 
   for (unsigned resident : {100u, 75u, 50u, 25u, 0u}) {
     bench::RunOptions opt;
@@ -38,6 +40,11 @@ int main() {
       }
     };
     const auto r = bench::run_workload(wl, opt);
+    // Rows run from most to least resident, so cycles may only grow.
+    bench::shape_gate(r.cycles >= prev_cycles,
+                      "fig7 " + std::to_string(resident) +
+                          "% resident runs faster than the row above it");
+    prev_cycles = r.cycles;
     if (resident == 100) pinned_cycles = r.cycles;
     table.add_row({Table::num(static_cast<u64>(resident)), Table::num(r.cycles),
                    Table::num(static_cast<u64>(r.stat("faults.faults"))),

@@ -4,9 +4,13 @@
 // faults and shallower walks (the radix tree loses levels) but each fault
 // copies a whole page in and each TLB entry covers more; tiny pages fault
 // constantly. Expected shape: a sweet spot in the middle — the classic
-// page-size trade-off the MMU design must navigate.
+// page-size trade-off the MMU design must navigate. Gate: walker reads and
+// pinned cycles are non-increasing in page size.
 
 #include <iostream>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "util/table.hpp"
@@ -21,6 +25,7 @@ int main() {
   Table table({"page size", "walk levels", "cycles (cold)", "faults", "mean fault cyc",
                "walker reads", "cycles (pinned)"});
 
+  std::optional<std::pair<double, Cycles>> prev;  // walker reads, pinned cycles
   for (const auto& [bits, label] : std::vector<std::pair<unsigned, std::string>>{
            {12, "4 KiB"}, {14, "16 KiB"}, {16, "64 KiB"}, {21, "2 MiB"}}) {
     sls::PlatformSpec plat = sls::zynq7020();
@@ -35,6 +40,10 @@ int main() {
     bench::RunOptions pinned;
     pinned.platform = plat;
     const auto rp = bench::run_workload(wl, pinned);
+    const double walker_reads = r.stat("walker.mem_reads");
+    bench::shape_gate(!prev || (walker_reads <= prev->first && rp.cycles <= prev->second),
+                      "fig8 " + label + " pages raised walker reads or pinned cycles");
+    prev = {walker_reads, rp.cycles};
 
     // Walk depth from the geometry: ceil((32 - page_bits) / (page_bits-3)).
     const unsigned levels =
@@ -42,7 +51,7 @@ int main() {
     table.add_row({label, Table::num(static_cast<u64>(levels)), Table::num(r.cycles),
                    Table::num(static_cast<u64>(r.stat("faults.faults"))),
                    Table::num(r.stat("faults.latency.mean"), 1),
-                   Table::num(static_cast<u64>(r.stat("walker.mem_reads"))),
+                   Table::num(static_cast<u64>(walker_reads)),
                    Table::num(rp.cycles)});
   }
 

@@ -223,9 +223,7 @@ AddressSpace::CowResult AddressSpace::cow_resolve(VirtAddr va) {
   auto frame = frames_.alloc();
   if (!frame && reclaim_ && reclaim_(1) > 0) frame = frames_.alloc();
   if (!frame) throw std::runtime_error("AddressSpace: out of physical frames for a COW copy");
-  std::vector<u8> buf(page);
-  pm_.read(frames_.frame_addr(pte->frame), std::span<u8>(buf.data(), buf.size()));
-  pm_.write(frames_.frame_addr(*frame), std::span<const u8>(buf.data(), buf.size()));
+  pm_.copy(frames_.frame_addr(pte->frame), frames_.frame_addr(*frame), page);
   pt_.unmap(base);
   pt_.map(base, *frame, /*writable=*/true);
   frames_.free(pte->frame);  // drop this space's reference on the shared frame

@@ -3,7 +3,7 @@
 // A BackingFile is the machine-wide, process-independent byte store a
 // file-backed AddressSpace region resolves to — the role /usr/lib/libc.so
 // or a data file plays on a real machine. Like the AddressSpace backing
-// store (swap contents) and the SwapDevice (swap timing), the split is
+// store (swap contents) and the SwapScheduler (swap timing), the split is
 // strict: BackingFile holds *bytes* and completes in zero simulated time;
 // the *cost* of moving those bytes is charged by the paging layer
 // (paging::BufferCache) when the OS paths invoke it.

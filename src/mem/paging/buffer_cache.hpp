@@ -22,7 +22,7 @@
 // once the cache is clean — the same activity-gating contract as the
 // pager's pageout daemon.
 //
-// Like the SwapDevice, this class is timing + bookkeeping only: block
+// Like the SwapScheduler, this class is timing + bookkeeping only: block
 // *bytes* live in mem::BackingFile, which the functional layer
 // (AddressSpace) reads and writes directly.
 #pragma once

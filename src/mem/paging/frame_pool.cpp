@@ -86,6 +86,10 @@ u64 FramePool::members() const noexcept {
 
 void FramePool::attach(Pager& pager) {
   require(pager.pool_ == nullptr, "pager is already attached to a frame pool");
+  require(pager.config().budget_mode == cfg_.mode,
+          name_ + ": pager '" + pager.name() + "' has budget mode " +
+              budget_mode_name(pager.config().budget_mode) + " but the pool's is " +
+              budget_mode_name(cfg_.mode));
   // auto_budget silently degrading to a static split would be the worst
   // failure mode — every member must actually produce WS estimates.
   require(!cfg_.auto_budget || cfg_.mode != BudgetMode::kPerProcess ||
@@ -187,25 +191,13 @@ void FramePool::note_pending(i64 delta) {
   VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "pending", static_cast<double>(pending_));
 }
 
-bool FramePool::over_budget() const noexcept {
-  return cfg_.mode == BudgetMode::kGlobal && cfg_.total_frames > 0 &&
-         resident_ + pending_ > cfg_.total_frames;
-}
-
-bool FramePool::over_watermark(u64 pct) const noexcept {
-  if (cfg_.total_frames == 0) return false;
-  return (resident_ + pending_) * 100 >= cfg_.total_frames * pct;
-}
-
-std::optional<FramePool::Victim> FramePool::pick_victim() {
+bool FramePool::pick_victim(Victim& out) {
   const auto key = policy_->pick_victim();
-  if (!key) return std::nullopt;
+  if (!key) return false;
   const auto it = owners_.find(*key);
   require(it != owners_.end() && !it->second.empty(), "pool victim frame has no owner-set");
-  Victim v;
-  v.frame = *key;
-  v.sharers = it->second;  // snapshot: eviction mutates the live set
-  return v;
+  out.sharers.assign(it->second.begin(), it->second.end());  // snapshot: eviction mutates the live set
+  return true;
 }
 
 void FramePool::record_eviction(const Pager& asking, bool cross, u64 trace_id) {

@@ -65,10 +65,9 @@ class FramePool {
   /// One mapping of a frame: the owning pager and the vpn it maps there.
   using Sharer = std::pair<Pager*, u64>;
 
-  /// A nominated victim *frame* and every mapping it backs (attach/map
-  /// order — deterministic). Freeing the frame means evicting all of them.
+  /// Every mapping of a nominated victim frame (attach/map order —
+  /// deterministic). Freeing the frame means evicting all of them.
   struct Victim {
-    u64 frame = 0;
     std::vector<Sharer> sharers;
   };
 
@@ -81,7 +80,9 @@ class FramePool {
 
   /// Registers a pager with the pool (and the pool with the pager). Pages
   /// already resident in the pager's address space are seeded into the
-  /// global sweep. Member order is attach order — deterministic.
+  /// global sweep. Member order is attach order — deterministic. The
+  /// pager's budget_mode must match the pool's mode: a kGlobal pager asks
+  /// the pool for victims, which only a kGlobal pool's sweep can nominate.
   void attach(Pager& pager);
 
   /// Unregisters; the member's pages leave the global sweep.
@@ -100,17 +101,10 @@ class FramePool {
   /// total_frames between members proportional to their estimates.
   void note_ws_update();
 
-  /// kGlobal mode: aggregate residency (plus in-flight fault reservations)
-  /// exceeds the machine-wide budget.
-  bool over_budget() const noexcept;
-
-  /// True when aggregate residency crossed `pct` percent of the budget —
-  /// the pageout daemon's pressure signal.
-  bool over_watermark(u64 pct) const noexcept;
-
-  /// Nominates the next victim across every member (global sweep). The
+  /// Nominates the next victim across every member (global sweep) into
+  /// `out`, reusing its storage; false when nothing is evictable. The
   /// caller evicts through the owner; eviction feeds back via note_unmap.
-  std::optional<Victim> pick_victim();
+  bool pick_victim(Victim& out);
 
   /// Caller reports the frame eviction it performed (one per victim frame,
   /// however many sharers were shot down) so cross-process pressure is

@@ -80,7 +80,7 @@ Pager::~Pager() {
 }
 
 void Pager::on_map(u64 vpn, u64 frame) {
-  if (pending_maps_.erase(vpn) > 0 && pool_) pool_->note_pending(-1);
+  release_frame(vpn);
   policy_->on_insert(vpn);
   if (track_ws_) ws_last_ref_[vpn] = sim_.now();  // a fresh mapping is a reference
   if (pool_) pool_->note_map(*this, vpn, frame);
@@ -120,7 +120,7 @@ void Pager::on_unmap(u64 vpn, bool dirty, u64 frame, u64 sharers_left) {
 }
 
 void Pager::on_cow(u64 vpn, u64 old_frame, u64 new_frame) {
-  if (pending_maps_.erase(vpn) > 0 && pool_) pool_->note_pending(-1);
+  release_frame(vpn);
   // The page never left residency — own-policy tracking (vpn-keyed) and the
   // WS clock are untouched; only the pool's frame-keyed owner-set moves.
   if (pool_) pool_->note_cow(*this, vpn, old_frame, new_frame);
@@ -170,196 +170,116 @@ void Pager::evict_resident(u64 vpn) {
   VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "shootdown", 0, vpn);
 }
 
-u64 Pager::pin_quota() const noexcept {
-  // The quota floors at 1: a transfer must be able to pin at least one
-  // page to make progress, so at degenerate budgets (1 frame per process,
-  // or a global budget at or below the member count) pins may consume the
-  // whole budget and the one-frame headroom lapses. Victim selection then
-  // finds no candidate and the fault path proceeds over budget — graceful
-  // degradation, bounded by the floor, in configurations too small to
-  // page in anyway.
-  if (pool_ != nullptr && cfg_.budget_mode == BudgetMode::kGlobal) {
-    // The machine-wide budget is shared: every member process may host an
-    // offload driver pinning against it, and the drivers admit
-    // independently, so each gets an equal slice with one frame of
-    // headroom.
-    const u64 budget = pool_->budget();
-    if (budget == 0) return 0;
-    const u64 share = budget / std::max<u64>(1, pool_->members());
-    return share > 1 ? share - 1 : 1;
-  }
-  const u64 budget = cfg_.frame_budget;
-  if (budget == 0) return 0;
-  return budget > 1 ? budget - 1 : 1;
-}
-
-void Pager::ensure_frame_available(u64 trace_id, sim::EventFn then) {
-  // Clean victims evict in a plain loop; a dirty victim suspends the loop
-  // until its writeback completes on the device port (the callback arrives
-  // on a fresh stack from the event loop, so eviction bursts of any size
-  // are stack-safe).
-  // Frames reserved by not-yet-mapped faults count against the budget, or
-  // two in-flight faults would double-spend one freed frame.
-  if (pool_ != nullptr && cfg_.budget_mode == BudgetMode::kGlobal) {
-    // Machine-wide budget: the pool's global sweep nominates victim
-    // *frames*, which may be shared — eviction fans out one shootdown per
-    // sharer (each through its owner's Process, preserving that process's
-    // shootdown invariants) but frees exactly one frame and counts as one
-    // pool eviction. Dirty swap-lifecycle sharers each absorb a writeback
-    // on their own swap front end; this pager's fault merely waits for the
-    // frame, resuming once the *last* of those writebacks lands.
-    while (pool_->over_budget()) {
-      const auto victim = pool_->pick_victim();
-      if (!victim) break;
-      struct SwapWb {
-        Pager* owner;
-        u64 vpn;
-      };
-      std::vector<SwapWb> swap_wbs;
-      bool cross = false;
-      for (const auto& [owner, svpn] : victim->sharers) {
-        // Lifecycle must be read *before* the eviction invalidates the PTE.
-        // Dirty *shared-file* sharers write back through the buffer cache
-        // inside on_unmap and never block — only dirty swap-lifecycle pages
-        // suspend this loop on the device port.
-        const bool dirty = owner->page_dirty(svpn);
-        const auto vfp = owner->as_.file_page(svpn);
-        log_debug(name_, "global evict ", owner->name_, " vpn=0x", std::hex, svpn,
-                  dirty ? " (dirty)" : " (clean)");
-        if (owner != this) cross = true;
-        owner->evict_resident(svpn);
-        if (dirty && (!vfp || !vfp->shared)) swap_wbs.push_back({owner, svpn});
-      }
-      pool_->record_eviction(*this, cross, trace_id);
-      if (!swap_wbs.empty()) {
-        // Barrier over the sharers' writebacks: the loop resumes on a fresh
-        // stack when the last one completes.
-        auto remaining = std::make_shared<u64>(swap_wbs.size());
-        auto resume = std::make_shared<sim::EventFn>(std::move(then));
-        for (const auto& wb : swap_wbs) {
-          wb.owner->writebacks_.add();
-          const u64 wid = VMSLS_TRACE_NEW_ID(sim_.trace());
-          wb.owner->sched_->write(wb.owner->swap_owner_, wb.vpn, SwapReqClass::kDemandWrite,
-                                  [this, trace_id, remaining, resume]() mutable {
-                                    if (--*remaining == 0)
-                                      ensure_frame_available(trace_id, std::move(*resume));
-                                  },
-                                  wid);
-        }
-        return;
-      }
-    }
-    then();
-    return;
-  }
-  while (cfg_.frame_budget != 0 &&
-         as_.resident_pages() + pending_maps_.size() > cfg_.frame_budget) {
-    const auto victim = policy_->pick_victim();
-    if (!victim) break;
-    const bool dirty = page_dirty(*victim);
-    const auto vfp = as_.file_page(*victim);
-    const bool swap_wb = dirty && (!vfp || !vfp->shared);
-    log_debug(name_, "evict vpn=0x", std::hex, *victim, dirty ? " (dirty)" : " (clean)");
-    evict_resident(*victim);
-    if (swap_wb) {
-      writebacks_.add();
-      const u64 wid = VMSLS_TRACE_NEW_ID(sim_.trace());
-      sched_->write(swap_owner_, *victim, SwapReqClass::kDemandWrite,
-                    [this, trace_id, then = std::move(then)]() mutable {
-                      ensure_frame_available(trace_id, std::move(then));
-                    },
-                    wid);
-      return;
-    }
-  }
-  then();
-}
-
-void Pager::complete_fault(u64 vpn, Cycles start, sim::EventFn& ready) {
-  InflightFault& entry = inflight_faults_[vpn];
-  const u64 fid = entry.trace_id;
-  auto waiters = std::move(entry.waiters);
-  inflight_faults_.erase(vpn);
-  fault_stall_.record(sim_.now() - start);
-  VMSLS_TRACE_END(sim_.trace(), trace_track_, "fault", fid, vpn);
-  ready();
-  for (auto& w : waiters) w();
-}
-
-void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
-  note_activity();
-  const Cycles start = sim_.now();
-  const u64 vpn = va >> page_bits();
-  if (as_.is_mapped(va)) {
-    // A write against a resident read-only page is a COW (or write-upgrade)
-    // fault, not a spurious retry — it has its own service path.
-    if (is_write) {
-      if (const auto pte = as_.page_table().lookup(va); pte && !pte->writable) {
-        handle_cow_fault(va, vpn, start, std::move(ready));
-        return;
-      }
-    }
-    // A concurrent fault on the same page already completed: no frame and
-    // no swap-in needed — and crucially no victim eviction either.
-    fault_stall_.record(0);
-    ready();
-    return;
-  }
-  ++faults_since_sweep_;
-  if (auto it = inflight_faults_.find(vpn); it != inflight_faults_.end()) {
-    // A fault on this page is already securing a frame — possibly suspended
-    // mid-eviction on an async dirty writeback — or mid swap-in; or a
-    // prefetch read for the page is in flight. Coalesce before any budget
-    // work: this fault consumes no frame of its own and must not issue a
-    // second device read (the double swap-in race).
-    if (inflight_prefetch_.count(vpn) != 0) {
-      // Late exactly once per prefetched page, however many faults pile
-      // onto it — the accuracy ratio divides by prefetches issued.
-      if (it->second.waiters.empty()) prefetch_late_.add();
-      // If the prefetch read is still queued, it now blocks a real thread:
-      // upgrade it to demand class so priority dispatch stops bypassing it.
-      sched_->promote(swap_owner_, vpn);
-    }
-    VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "coalesce", it->second.trace_id, vpn);
-    it->second.waiters.push_back([this, ready = std::move(ready), start]() mutable {
-      fault_stall_.record(sim_.now() - start);
-      ready();
-    });
-    return;
-  }
-  // One causal id per primary fault, threaded through frame reservation,
-  // victim eviction, the swap queue, and the device transfer — so the
-  // "fault" span decomposes exactly into "evict" + "queue" + "io".
-  const u64 fid = VMSLS_TRACE_NEW_ID(sim_.trace());
-  inflight_faults_.emplace(vpn, InflightFault{fid, {}});
-  // The vpn can already be pending: a prior fault's `ready` fired (erasing
-  // its inflight entry) but the OS tail has not mapped the page yet. The
-  // reservation is then already counted — don't count it twice.
+void Pager::reserve_frame(u64 vpn) {
   if (pending_maps_.insert(vpn).second && pool_) pool_->note_pending(+1);
-  VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "fault", fid, vpn);
-  VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "evict", fid, vpn);
-  ensure_frame_available(fid, [this, va, vpn, fid, ready = std::move(ready), start]() mutable {
-    VMSLS_TRACE_END(sim_.trace(), trace_track_, "evict", fid, vpn);
-    // A concurrent fault may have brought the page in already — don't pay
-    // (or serialize on) a second device read for a resident page.
-    if (!as_.is_mapped(va) && sched_->holds(swap_owner_, vpn)) {
-      swap_ins_.add();
-      // The demand read and its readahead enqueue atomically, so they
-      // dispatch as one clustered device operation (one access latency for
-      // the whole neighborhood) whenever the port is free — and otherwise
-      // merge at dispatch time with any queued same-cluster reads.
-      sched_->batched([this, vpn, fid, &ready, start] {
-        sched_->read(
-            swap_owner_, vpn, SwapReqClass::kDemandRead,
-            [this, vpn, ready = std::move(ready), start]() mutable {
-              complete_fault(vpn, start, ready);
-            },
-            fid);
-        issue_readahead(vpn);
-      });
-      return;
+}
+
+void Pager::release_frame(u64 vpn) {
+  if (pending_maps_.erase(vpn) > 0 && pool_) pool_->note_pending(-1);
+}
+
+FramePool* Pager::global_pool() const noexcept {
+  return cfg_.budget_mode == BudgetMode::kGlobal ? pool_ : nullptr;
+}
+
+Pager::Budget Pager::budget() const noexcept {
+  if (const FramePool* pool = global_pool())
+    return {pool->budget(), pool->resident_pages() + pool->pending_pages(), pool->members()};
+  return {cfg_.frame_budget, as_.resident_pages() + pending_maps_.size(), 1};
+}
+
+u64 Pager::pin_quota() const noexcept {
+  // Every member process may host an offload driver pinning against the
+  // budget, and the drivers admit independently, so each gets an equal
+  // slice with one frame of headroom. The quota floors at 1: a transfer
+  // must be able to pin at least one page to make progress, so at
+  // degenerate budgets (1 frame per process, or a global budget at or below
+  // the member count) pins may consume the whole budget and the one-frame
+  // headroom lapses. Victim selection then finds no candidate and the fault
+  // path proceeds over budget — graceful degradation, bounded by the floor,
+  // in configurations too small to page in anyway.
+  const Budget b = budget();
+  if (b.limit == 0) return 0;
+  const u64 share = b.limit / std::max<u64>(1, b.members);
+  return share > 1 ? share - 1 : 1;
+}
+
+bool Pager::pick_victim() {
+  if (FramePool* pool = global_pool()) return pool->pick_victim(victim_);
+  const auto vpn = policy_->pick_victim();
+  if (!vpn) return false;
+  victim_.sharers.assign(1, {this, *vpn});
+  return true;
+}
+
+void Pager::secure_frame(u64 vpn) {
+  // Frames reserved by not-yet-mapped faults count against the budget, or
+  // two in-flight faults would double-spend one freed frame. A victim frame
+  // may be shared: eviction fans out one shootdown per sharer (each through
+  // its owner's Process, preserving that process's shootdown invariants)
+  // but frees exactly one frame. Dirty swap-lifecycle sharers each absorb a
+  // writeback on their own swap front end, and the loop suspends until the
+  // last of them lands (on a fresh stack from the event loop, so eviction
+  // bursts of any size are stack-safe). Dirty shared-file sharers write
+  // back through the buffer cache inside on_unmap and never block.
+  InflightFault& f = inflight_faults_.at(vpn);
+  for (Budget b = budget(); b.limit != 0 && b.used > b.limit; b = budget()) {
+    if (!pick_victim()) break;
+    bool cross = false;
+    std::size_t writebacks = 0;  // victim_.sharers[0, writebacks) owe one
+    for (const auto& [owner, svpn] : victim_.sharers) {
+      // Lifecycle must be read *before* the eviction invalidates the PTE.
+      const bool dirty = owner->page_dirty(svpn);
+      const auto vfp = owner->as_.file_page(svpn);
+      log_debug(name_, "evict ", owner->name_, " vpn=0x", std::hex, svpn,
+                dirty ? " (dirty)" : " (clean)");
+      if (owner != this) cross = true;
+      owner->evict_resident(svpn);
+      if (dirty && (!vfp || !vfp->shared)) victim_.sharers[writebacks++] = {owner, svpn};
     }
-    if (!as_.is_mapped(va)) {
+    if (FramePool* pool = global_pool()) pool->record_eviction(*this, cross, f.trace_id);
+    if (writebacks == 0) continue;
+    f.pending_writebacks = writebacks;
+    for (std::size_t i = 0; i < writebacks; ++i) {
+      const auto [owner, svpn] = victim_.sharers[i];
+      owner->writebacks_.add();
+      // A writeback is a device request of its own: a fresh causal id.
+      const u64 wid = VMSLS_TRACE_NEW_ID(sim_.trace());
+      owner->sched_->write(owner->swap_owner_, svpn, SwapReqClass::kDemandWrite,
+                           [this, vpn] {
+                             if (--inflight_faults_.at(vpn).pending_writebacks == 0)
+                               secure_frame(vpn);
+                           },
+                           wid);
+    }
+    return;
+  }
+  frame_secured(vpn);
+}
+
+void Pager::frame_secured(u64 vpn) {
+  InflightFault& f = inflight_faults_.at(vpn);
+  VMSLS_TRACE_END(sim_.trace(), trace_track_, "evict", f.trace_id, vpn);
+  switch (f.kind) {
+    case FaultKind::kDemand:
+      // A concurrent fault may have brought the page in already — don't pay
+      // (or serialize on) a second device read for a resident page.
+      if (as_.is_mapped(f.va)) break;
+      if (sched_->holds(swap_owner_, vpn)) {
+        swap_ins_.add();
+        // The demand read and its readahead enqueue atomically, so they
+        // dispatch as one clustered device operation (one access latency
+        // for the whole neighborhood) whenever the port is free — and
+        // otherwise merge at dispatch time with any queued same-cluster
+        // reads.
+        sched_->batched([&] {
+          sched_->read(
+              swap_owner_, vpn, SwapReqClass::kDemandRead, [this, vpn] { complete_fault(vpn); },
+              f.trace_id);
+          issue_readahead(vpn);
+        });
+        return;
+      }
       if (as_.has_backing(vpn)) {
         // A backing copy without a swap slot is fork-inherited: the parent
         // evicted the page before forking, so the child holds the bytes but
@@ -378,107 +298,145 @@ void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
           // demand-class device read on a miss.
           file_reads_.add();
           bcache_->read(bcache_client_, fp->file->id(), fp->block,
-                        [this, vpn, ready = std::move(ready), start]() mutable {
-                          complete_fault(vpn, start, ready);
-                        },
-                        fid);
+                        [this, vpn] { complete_fault(vpn); }, f.trace_id);
           return;
         }
       } else {
         zero_fills_.add();
       }
+      break;
+    case FaultKind::kCow: {
+      const auto r = process_.cow_break(f.va);
+      as_.unpin(f.va);
+      if (!r.copied) {
+        // The last other sharer released the frame while this fault waited
+        // on eviction: cow_break upgraded in place and the reservation dies
+        // unclaimed (on_cow never fired, so clear it here).
+        release_frame(vpn);
+        cow_upgrades_.add();
+        break;
+      }
+      cow_copies_.add();
+      VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "cow_copy", f.trace_id, vpn);
+      if (bus_ != nullptr) {
+        // The page copy is real memory traffic: charge one page-sized write
+        // burst at the new frame before the store retries.
+        bus_->request(mem::BusRequest{as_.frames().frame_addr(r.frame),
+                                      static_cast<u32>(as_.page_bytes()), true,
+                                      [this, vpn] { complete_fault(vpn); }});
+        return;
+      }
+      break;
     }
-    complete_fault(vpn, start, ready);
-  });
+    case FaultKind::kPrefetch:
+      throw std::logic_error(name_ + ": prefetch records never run the eviction loop");
+  }
+  complete_fault(vpn);
 }
 
-void Pager::handle_cow_fault(VirtAddr va, u64 vpn, Cycles start, sim::EventFn ready) {
+void Pager::wake(Waiter& w) {
+  fault_stall_.record(sim_.now() - w.start);
+  w.ready();
+}
+
+void Pager::complete_fault(u64 vpn) {
+  // Out of the map before anyone wakes: a woken thread may fault the page
+  // again at once, which opens a fresh record.
+  auto node = inflight_faults_.extract(vpn);
+  InflightFault& f = node.mapped();
+  VMSLS_TRACE_END(sim_.trace(), trace_track_, "fault", f.trace_id, vpn);
+  wake(f.primary);
+  for (Waiter& w : f.waiters) wake(w);
+}
+
+void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
+  note_activity();
+  const Cycles start = sim_.now();
+  const u64 vpn = va >> page_bits();
+  FaultKind kind = FaultKind::kDemand;
+  if (as_.is_mapped(va)) {
+    // A write against a resident read-only page is a COW (or write-upgrade)
+    // fault, not a spurious retry — it has its own service path.
+    const auto pte = is_write ? as_.page_table().lookup(va) : std::nullopt;
+    if (!pte || pte->writable) {
+      // A concurrent fault on the same page already completed: no frame and
+      // no swap-in needed — and crucially no victim eviction either.
+      fault_stall_.record(0);
+      ready();
+      return;
+    }
+    kind = FaultKind::kCow;
+  }
   ++faults_since_sweep_;
   if (auto it = inflight_faults_.find(vpn); it != inflight_faults_.end()) {
-    // Another fault on this page is already in flight (typically a second
-    // hardware thread hitting the same COW page): coalesce. The primary's
-    // cow_break resolves the permission for every waiter.
-    VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "coalesce", it->second.trace_id, vpn);
-    it->second.waiters.push_back([this, ready = std::move(ready), start]() mutable {
-      fault_stall_.record(sim_.now() - start);
-      ready();
-    });
+    // A fault on this page is already securing a frame — possibly suspended
+    // mid-eviction on an async dirty writeback — or mid swap-in or COW copy;
+    // or a prefetch read for the page is in flight. Coalesce before any
+    // budget work: this fault consumes no frame of its own and must not
+    // issue a second device read (the double swap-in race).
+    InflightFault& f = it->second;
+    if (f.kind == FaultKind::kPrefetch) {
+      // Late exactly once per prefetched page, however many faults pile
+      // onto it — the accuracy ratio divides by prefetches issued.
+      if (f.waiters.empty()) prefetch_late_.add();
+      // If the prefetch read is still queued, it now blocks a real thread:
+      // upgrade it to demand class so priority dispatch stops bypassing it.
+      sched_->promote(swap_owner_, vpn);
+    }
+    VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "coalesce", f.trace_id, vpn);
+    f.waiters.push_back({std::move(ready), start});
     return;
   }
+  // One causal id per primary fault, threaded through frame reservation,
+  // victim eviction, the swap queue, and the device transfer — so the
+  // "fault" span decomposes exactly into "evict" + "queue" + "io".
   const u64 fid = VMSLS_TRACE_NEW_ID(sim_.trace());
-  inflight_faults_.emplace(vpn, InflightFault{fid, {}});
-  VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "fault", fid, vpn);
-  const auto frame = as_.frame_of(vpn);
-  require(frame.has_value(), name_ + ": COW fault on a non-resident page");
-  if (as_.frames().refcount(*frame) <= 1) {
-    // Sole mapping left (the other sharers evicted or diverged already):
-    // re-enable write in place — no frame, no budget work, no copy traffic.
-    process_.cow_break(va);
-    cow_upgrades_.add();
-    complete_fault(vpn, start, ready);
-    return;
-  }
-  // The private copy needs a frame of its own: reserve it against the
-  // budget and run the eviction loop. Pin the faulting page first — the
-  // global sweep must not nominate the very frame being split (the
-  // owner-set pin probe protects it for every sharer), and the in-flight
-  // write targets these exact bytes.
-  as_.pin(va);
-  if (pending_maps_.insert(vpn).second && pool_) pool_->note_pending(+1);
-  VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "evict", fid, vpn);
-  ensure_frame_available(fid, [this, va, vpn, fid, ready = std::move(ready), start]() mutable {
-    VMSLS_TRACE_END(sim_.trace(), trace_track_, "evict", fid, vpn);
-    const auto r = process_.cow_break(va);
-    as_.unpin(va);
-    if (!r.copied) {
-      // The last other sharer released the frame while this fault waited on
-      // eviction: cow_break upgraded in place and the reservation dies
-      // unclaimed (on_cow never fired, so clear it here).
-      if (pending_maps_.erase(vpn) > 0 && pool_) pool_->note_pending(-1);
+  inflight_faults_.emplace(vpn, InflightFault{kind, va, fid, {std::move(ready), start}, {}, 0});
+  if (kind == FaultKind::kDemand) {
+    // The vpn can already be pending: a prior fault's `ready` fired (erasing
+    // its record) but the OS tail has not mapped the page yet. The
+    // reservation is then already counted — reserve_frame counts it once.
+    reserve_frame(vpn);
+    VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "fault", fid, vpn);
+  } else {
+    VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "fault", fid, vpn);
+    const auto frame = as_.frame_of(vpn);
+    require(frame.has_value(), name_ + ": COW fault on a non-resident page");
+    if (as_.frames().refcount(*frame) <= 1) {
+      // Sole mapping left (the other sharers evicted or diverged already):
+      // re-enable write in place — no frame, no budget work, no copy traffic.
+      process_.cow_break(va);
       cow_upgrades_.add();
-      complete_fault(vpn, start, ready);
+      complete_fault(vpn);
       return;
     }
-    cow_copies_.add();
-    VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "cow_copy", fid, vpn);
-    if (bus_ != nullptr) {
-      // The page copy is real memory traffic: charge one page-sized write
-      // burst at the new frame before the store retries.
-      bus_->request(mem::BusRequest{as_.frames().frame_addr(r.frame),
-                                    static_cast<u32>(as_.page_bytes()), true,
-                                    [this, vpn, ready = std::move(ready), start]() mutable {
-                                      complete_fault(vpn, start, ready);
-                                    }});
-      return;
-    }
-    complete_fault(vpn, start, ready);
-  });
+    // The private copy needs a frame of its own: reserve it against the
+    // budget and run the eviction loop. Pin the faulting page first — the
+    // global sweep must not nominate the very frame being split (the
+    // owner-set pin probe protects it for every sharer), and the in-flight
+    // write targets these exact bytes.
+    as_.pin(va);
+    reserve_frame(vpn);
+  }
+  VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "evict", fid, vpn);
+  secure_frame(vpn);
 }
 
 // --- swap-in readahead ----------------------------------------------------
-
-bool Pager::prefetch_headroom() const {
-  // Prefetch never evicts *synchronously*: it rides free headroom, plus a
-  // bounded overshoot of at most the readahead depth (the swap-cache
-  // model). The next demand fault trims the overshoot through the normal
-  // eviction loop, and the SpeculativeProbe makes unreferenced landings the
-  // first victims — so a wrong-path prefetch costs one slot-turn, never a
-  // working-set page.
-  const u64 slack = cfg_.swap.readahead;
-  if (pool_ != nullptr && cfg_.budget_mode == BudgetMode::kGlobal) {
-    const u64 budget = pool_->budget();
-    return budget == 0 || pool_->resident_pages() + pool_->pending_pages() < budget + slack;
-  }
-  return cfg_.frame_budget == 0 ||
-         as_.resident_pages() + pending_maps_.size() < cfg_.frame_budget + slack;
-}
 
 void Pager::issue_readahead(u64 demand_vpn) {
   if (cfg_.swap.readahead == 0) return;
   for (const u64 vpn : sched_->neighbors(swap_owner_, demand_vpn, cfg_.swap.readahead)) {
     if (as_.is_mapped(vpn << page_bits())) continue;
     if (inflight_faults_.count(vpn) != 0) continue;
-    if (!prefetch_headroom()) break;  // deeper neighbors are no cheaper
+    // Prefetch never evicts *synchronously*: it rides free headroom, plus a
+    // bounded overshoot of at most the readahead depth (the swap-cache
+    // model). The next demand fault trims the overshoot through the normal
+    // eviction loop, and the SpeculativeProbe makes unreferenced landings
+    // the first victims — so a wrong-path prefetch costs one slot-turn,
+    // never a working-set page. Deeper neighbors are no cheaper.
+    const Budget b = budget();
+    if (b.limit != 0 && b.used >= b.limit + cfg_.swap.readahead) break;
     start_prefetch(vpn);
   }
 }
@@ -486,12 +444,12 @@ void Pager::issue_readahead(u64 demand_vpn) {
 void Pager::start_prefetch(u64 vpn) {
   // A prefetch is a synthetic fault: it reserves its frame through
   // pending_maps_ (so concurrent demand faults cannot double-spend it) and
-  // registers in inflight_faults_ (so a demand fault on the page coalesces
-  // onto this read instead of issuing a second one).
+  // opens an in-flight record (so a demand fault on the page coalesces onto
+  // this read instead of issuing a second one).
   const u64 pid = VMSLS_TRACE_NEW_ID(sim_.trace());
-  inflight_faults_.emplace(vpn, InflightFault{pid, {}});
-  inflight_prefetch_.insert(vpn);
-  if (pending_maps_.insert(vpn).second && pool_) pool_->note_pending(+1);
+  inflight_faults_.emplace(vpn,
+                           InflightFault{FaultKind::kPrefetch, vpn << page_bits(), pid, {}, {}, 0});
+  reserve_frame(vpn);
   prefetches_.add();
   log_debug(name_, "prefetch vpn=0x", std::hex, vpn);
   VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "prefetch", pid, vpn);
@@ -501,22 +459,18 @@ void Pager::start_prefetch(u64 vpn) {
 }
 
 void Pager::finish_prefetch(u64 vpn) {
-  inflight_prefetch_.erase(vpn);
-  auto waiters = std::move(inflight_faults_[vpn].waiters);
-  inflight_faults_.erase(vpn);
+  auto node = inflight_faults_.extract(vpn);
+  std::vector<Waiter>& waiters = node.mapped().waiters;
   // Land resident-clean: map_page installs the PTE with accessed and dirty
   // both clear and fills the frame from the backing store — on_map clears
   // the pending reservation and enters the page into policy tracking.
   if (!as_.is_mapped(vpn << page_bits())) process_.map_in(vpn << page_bits());
-  if (waiters.empty()) {
-    // Unclaimed so far: speculative until the first observed reference, and
-    // first in line for reclaim should the prediction miss.
-    speculative_.insert(vpn);
-  } else {
-    // A demand fault arrived mid-read (counted prefetch_late at coalesce
-    // time): the page is demanded, not speculative.
-    for (auto& w : waiters) w();
-  }
+  // Unclaimed so far: speculative until the first observed reference, and
+  // first in line for reclaim should the prediction miss. Otherwise a
+  // demand fault arrived mid-read (counted prefetch_late at coalesce time):
+  // the page is demanded, not speculative.
+  if (waiters.empty()) speculative_.insert(vpn);
+  for (Waiter& w : waiters) wake(w);
 }
 
 u64 Pager::reclaim(u64 pages) {
@@ -580,21 +534,14 @@ void Pager::ws_sweep() {
   }
 }
 
-bool Pager::over_pageout_watermark() const {
-  if (pool_ != nullptr && cfg_.budget_mode == BudgetMode::kGlobal)
-    return pool_->over_watermark(cfg_.pageout_watermark_pct);
-  if (cfg_.frame_budget == 0) return false;
-  return (resident_pages() + pending_pages()) * 100 >=
-         cfg_.frame_budget * cfg_.pageout_watermark_pct;
-}
-
 void Pager::pageout_tick() {
   // The scan itself is functional; the tick's CPU time (when an OS model is
   // attached) and the page writes (on the swap device port) are timed.
   auto work = [this] {
     u64 cleaned = 0;
     bool port_blocked = false;
-    if (over_pageout_watermark()) {
+    const Budget b = budget();
+    if (b.limit != 0 && b.used * 100 >= b.limit * cfg_.pageout_watermark_pct) {
       // Yield to demand traffic: if the device is mid-transfer (or requests
       // wait in the shared queue) when the tick fires, defer the whole
       // batch to a later tick. Once the front end idles, submit up to

@@ -43,6 +43,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -266,21 +267,77 @@ class Pager final : public mem::ResidencyObserver {
  private:
   friend class FramePool;  // attach/detach set pool_
 
-  /// `trace_id` is the asking fault's causal id: it labels pool eviction
-  /// instants, while each dirty writeback issued here gets a fresh id of
-  /// its own (a writeback is a distinct device request with its own
-  /// queue/io spans).
-  void ensure_frame_available(u64 trace_id, sim::EventFn then);
-  /// Write fault on a resident read-only page: budget work + the copy's bus
-  /// charge for a shared frame, a free in-place upgrade for a sole mapping.
-  void handle_cow_fault(VirtAddr va, u64 vpn, Cycles start, sim::EventFn ready);
-  void complete_fault(u64 vpn, Cycles start, sim::EventFn& ready);
+  /// What an in-flight record resolves: a demand fault on a non-resident
+  /// page, a write fault on a resident read-only (COW) page, or a readahead
+  /// read no thread has asked for yet.
+  enum class FaultKind : u8 { kDemand, kCow, kPrefetch };
+  /// A stalled faulter: its continuation and the cycle it faulted at (the
+  /// fault_stall sample taken when it wakes).
+  struct Waiter {
+    sim::EventFn ready;
+    Cycles start = 0;
+  };
+  /// One record per page with a fault in flight, carrying all of that
+  /// fault's continuation state, so every completion handed to the swap
+  /// scheduler, buffer cache or bus captures only the vpn. Faults arriving
+  /// while the frame is being secured or the contents are mid-read coalesce
+  /// as waiters: one reservation + one device read serve them all (the
+  /// kernel's wait-on-page-lock behavior). A record exists from the moment
+  /// the first fault passes the residency check until its `ready` fires.
+  /// In-flight prefetches register here too, so demand faults coalesce onto
+  /// them instead of double-reading the device. `trace_id` is the primary
+  /// fault's (or prefetch's) causal id, shared by the coalesce instants and
+  /// the span end.
+  struct InflightFault {
+    FaultKind kind = FaultKind::kDemand;
+    VirtAddr va = 0;
+    u64 trace_id = 0;
+    Waiter primary;  // empty for a prefetch
+    std::vector<Waiter> waiters;
+    /// Dirty victim writebacks the eviction loop is suspended on.
+    u64 pending_writebacks = 0;
+  };
+
+  /// The budget this pager's fault path enforces: its own frame_budget
+  /// (one member), or the attached pool's machine-wide budget in kGlobal
+  /// mode, shared by every member. `limit` 0 = unlimited; `used` counts
+  /// resident frames plus in-flight fault reservations.
+  struct Budget {
+    u64 limit = 0;
+    u64 used = 0;
+    u64 members = 1;
+  };
+  Budget budget() const noexcept;
+  /// The pool that picks victims and owns the budget (kGlobal mode), or
+  /// null when this pager enforces its own frame_budget.
+  FramePool* global_pool() const noexcept;
+  /// Fills victim_ with the next victim frame's mappings: the pool's
+  /// global sweep in kGlobal mode, else this pager's own policy pick as a
+  /// single sharer. False when nothing is evictable.
+  bool pick_victim();
+  /// The eviction loop for the in-flight fault on `vpn`: evicts victims
+  /// until the budget fits (suspending on their dirty writebacks), then
+  /// calls frame_secured.
+  void secure_frame(u64 vpn);
+  /// Budget work is done: a demand fault fills the page (swap-in with
+  /// readahead, buffer-cache read, fork-inherited copy, shared frame or
+  /// zero fill), a COW fault breaks the share and charges the copy.
+  void frame_secured(u64 vpn);
+  /// Retires the record: ends the fault span and wakes the primary faulter,
+  /// then every coalesced waiter.
+  void complete_fault(u64 vpn);
+  /// Records the waiter's fault_stall sample and resumes it.
+  void wake(Waiter& w);
   /// Issues prefetch-class reads for the demand swap-in's slot neighbors
   /// that fit under free budget headroom.
   void issue_readahead(u64 demand_vpn);
   void start_prefetch(u64 vpn);
+  /// Lands the prefetched page and wakes any demand faults coalesced on it.
   void finish_prefetch(u64 vpn);
-  bool prefetch_headroom() const;
+  /// Counts a frame reservation for a not-yet-mapped page (once per vpn)
+  /// against the budget, and releases it.
+  void reserve_frame(u64 vpn);
+  void release_frame(u64 vpn);
   /// Retires the speculative flag at eviction time, attributing the page
   /// to `prefetch_useful` (accessed bit set) or `prefetch_wasted`.
   void settle_speculative(u64 vpn);
@@ -288,7 +345,6 @@ class Pager final : public mem::ResidencyObserver {
   void arm_daemons();
   void ws_sweep();
   void pageout_tick();
-  bool over_pageout_watermark() const;
   /// Cached at construction: chased through three pointers per fault before,
   /// and the page-table geometry never changes after elaboration.
   unsigned page_bits() const noexcept { return page_bits_; }
@@ -316,25 +372,13 @@ class Pager final : public mem::ResidencyObserver {
   /// were dead weight on the fault path.
   bool track_ws_ = false;
 
-  /// Faults coalescing on a page whose frame is being secured or whose
-  /// contents are mid-read: one reservation + one device read serve all
-  /// waiters (the kernel's wait-on-page-lock behavior). An entry exists
-  /// from the moment the first fault passes the residency check until its
-  /// `ready` fires. In-flight prefetches register here too, so demand
-  /// faults coalesce onto them instead of double-reading the device.
-  /// `trace_id` is the primary fault's (or prefetch's) causal id, shared by
-  /// the coalesce instants and the span end.
-  struct InflightFault {
-    u64 trace_id = 0;
-    std::vector<sim::EventFn> waiters;
-  };
   std::unordered_map<u64, InflightFault> inflight_faults_;
+  /// secure_frame's current victim; one buffer reused by every eviction.
+  FramePool::Victim victim_;
   /// Pages a fault has reserved a frame for but not yet mapped. Counted
   /// against the budget so concurrent faults cannot double-spend one freed
   /// frame; entries clear when the page maps (on_map).
   std::unordered_set<u64> pending_maps_;
-  /// In-flight prefetch reads (subset of inflight_faults_ keys).
-  std::unordered_set<u64> inflight_prefetch_;
   /// Resident readahead landings not yet referenced (reclaimed first).
   std::unordered_set<u64> speculative_;
 

@@ -6,6 +6,14 @@
 
 namespace vmsls::paging {
 
+const char* swap_sched_name(SwapSchedPolicy policy) noexcept {
+  switch (policy) {
+    case SwapSchedPolicy::kFifo: return "fifo";
+    case SwapSchedPolicy::kPriority: return "priority";
+  }
+  return "?";
+}
+
 const char* swap_req_class_name(SwapReqClass cls) noexcept {
   switch (cls) {
     case SwapReqClass::kDemandRead: return "demand_read";
@@ -27,8 +35,11 @@ SwapScheduler::SwapScheduler(sim::Simulator& sim, const SwapConfig& cfg, u64 pag
                              std::string name)
     : sim_(sim),
       cfg_(cfg),
+      page_bytes_(page_bytes),
       name_(std::move(name)),
-      device_(sim, cfg, page_bytes, name_),
+      reads_(sim.stats().counter(name_ + ".reads")),
+      writes_(sim.stats().counter(name_ + ".writes")),
+      bytes_(sim.stats().counter(name_ + ".bytes")),
       queue_wait_(sim.stats().histogram(name_ + ".queue_wait")),
       queue_depth_(sim.stats().histogram(name_ + ".sched.queue_depth")),
       demand_reads_(sim.stats().counter(name_ + ".sched.demand_reads")),
@@ -37,6 +48,8 @@ SwapScheduler::SwapScheduler(sim::Simulator& sim, const SwapConfig& cfg, u64 pag
       writebacks_(sim.stats().counter(name_ + ".sched.writebacks")),
       wb_promotions_(sim.stats().counter(name_ + ".sched.wb_promotions")),
       prefetch_promotions_(sim.stats().counter(name_ + ".sched.prefetch_promotions")) {
+  require(cfg.bytes_per_cycle > 0, "swap device needs nonzero bandwidth");
+  require(page_bytes > 0, "swap device needs a page size");
   require(cfg.cluster_pages > 0, "swap scheduler needs a nonzero cluster size");
   require(cfg.writeback_starvation_limit > 0,
           "swap scheduler needs a nonzero writeback starvation limit");
@@ -52,13 +65,13 @@ unsigned SwapScheduler::register_owner(const std::string& owner_name) {
   o.name = owner_name;
   // The private single-owner case names its per-owner counters onto the
   // device's own aggregates ("pager.swap" + ".reads"); the registry hands
-  // back the same object, which the device already bumps — alias, don't
+  // back the same object, which dispatch already bumps — alias, don't
   // double-count.
   Counter& reads = sim_.stats().counter(owner_name + ".swap.reads");
   Counter& writes = sim_.stats().counter(owner_name + ".swap.writes");
   Histogram& wait = sim_.stats().histogram(owner_name + ".swap.queue_wait");
-  o.reads = (&reads == &sim_.stats().counter(name_ + ".reads")) ? nullptr : &reads;
-  o.writes = (&writes == &sim_.stats().counter(name_ + ".writes")) ? nullptr : &writes;
+  o.reads = (&reads == &reads_) ? nullptr : &reads;
+  o.writes = (&writes == &writes_) ? nullptr : &writes;
   o.queue_wait = (&wait == &queue_wait_) ? nullptr : &wait;
   owners_.push_back(std::move(o));
   return static_cast<unsigned>(owners_.size() - 1);
@@ -72,30 +85,38 @@ u64 SwapScheduler::pack(unsigned owner, u64 vpn) const {
 }
 
 bool SwapScheduler::holds(unsigned owner, u64 vpn) const {
-  return device_.holds((static_cast<u64>(owner) << kOwnerShift) | vpn);
+  return slot_of_.count((static_cast<u64>(owner) << kOwnerShift) | vpn) != 0;
 }
 
-void SwapScheduler::alloc_slot(unsigned owner, u64 vpn) {
+void SwapScheduler::note_swapped(unsigned owner, u64 vpn) {
   const u64 key = pack(owner, vpn);
-  if (slot_of_.count(key) != 0) return;  // re-note of a held page
-  const u64 cluster_key = pack(owner, vpn / cfg_.cluster_pages);
-  u64 region;
-  if (auto it = region_of_cluster_.find(cluster_key); it != region_of_cluster_.end()) {
-    region = it->second;
-  } else if (!free_regions_.empty()) {
-    region = *free_regions_.begin();
-    free_regions_.erase(free_regions_.begin());
-    region_of_cluster_.emplace(cluster_key, region);
-    cluster_of_region_.emplace(region, cluster_key);
-  } else {
-    region = next_region_++;
-    region_of_cluster_.emplace(cluster_key, region);
-    cluster_of_region_.emplace(region, cluster_key);
+  if (slot_of_.count(key) == 0) {
+    if (slot_of_.size() >= cfg_.slot_limit)
+      throw std::runtime_error(name_ + ": out of swap slots (" +
+                               std::to_string(slot_of_.size()) + "/" +
+                               std::to_string(cfg_.slot_limit) + " in use) on swap-out from '" +
+                               owners_.at(owner).name + "'");
+    const u64 cluster_key = pack(owner, vpn / cfg_.cluster_pages);
+    u64 region;
+    if (auto it = region_of_cluster_.find(cluster_key); it != region_of_cluster_.end()) {
+      region = it->second;
+    } else {
+      if (!free_regions_.empty()) {
+        region = *free_regions_.begin();
+        free_regions_.erase(free_regions_.begin());
+      } else {
+        region = next_region_++;
+      }
+      region_of_cluster_.emplace(cluster_key, region);
+      cluster_of_region_.emplace(region, cluster_key);
+    }
+    const u64 slot = region * cfg_.cluster_pages + vpn % cfg_.cluster_pages;
+    slot_of_.emplace(key, slot);
+    page_at_.emplace(slot, key);
+    ++region_pop_[region];
   }
-  const u64 slot = region * cfg_.cluster_pages + vpn % cfg_.cluster_pages;
-  slot_of_.emplace(key, slot);
-  page_at_.emplace(slot, key);
-  ++region_pop_[region];
+  VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "slots_in_use",
+                      static_cast<double>(slot_of_.size()));
 }
 
 void SwapScheduler::free_slot(u64 key) {
@@ -114,29 +135,19 @@ void SwapScheduler::free_slot(u64 key) {
   }
 }
 
-void SwapScheduler::note_swapped(unsigned owner, u64 vpn) {
-  const u64 key = pack(owner, vpn);
-  if (!device_.holds(key) && device_.slots_in_use() >= cfg_.slot_limit)
-    throw std::runtime_error(name_ + ": out of swap slots (" +
-                             std::to_string(device_.slots_in_use()) + "/" +
-                             std::to_string(cfg_.slot_limit) + " in use) on swap-out from '" +
-                             owners_.at(owner).name + "'");
-  alloc_slot(owner, vpn);
-  device_.note_swapped(key);
-}
-
 void SwapScheduler::read(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventFn done,
                          u64 trace_id) {
   if (cls != SwapReqClass::kDemandRead && cls != SwapReqClass::kPrefetchRead)
     throw std::invalid_argument(name_ + ": reads must be demand or prefetch class");
   const u64 key = pack(owner, vpn);
-  if (!device_.holds(key))
+  const auto slot = slot_of_.find(key);
+  if (slot == slot_of_.end())
     throw std::logic_error(name_ + ": swap-in of page not held for '" + owners_.at(owner).name +
                            "'");
   Request r;
   r.owner = owner;
   r.key = key;
-  r.slot = slot_of_.at(key);
+  r.slot = slot->second;
   r.cls = cls;
   r.enqueued = sim_.now();
   r.trace_id = trace_id;
@@ -212,13 +223,6 @@ void SwapScheduler::promote(unsigned owner, u64 vpn) {
   }
 }
 
-void SwapScheduler::batched(const std::function<void()>& fill) {
-  ++defer_;
-  fill();
-  --defer_;
-  pump();
-}
-
 void SwapScheduler::pump() {
   if (defer_ > 0 || in_flight_ || queue_.empty()) return;
   const std::size_t idx = select_next();
@@ -270,33 +274,42 @@ void SwapScheduler::dispatch(std::vector<Request> batch) {
   // already waiting. Within a batch, continuations fire in batch order
   // (selected request first).
   if (is_write_class(batch[0].cls)) {
-    auto finish = [this, tid = batch[0].trace_id, done = std::move(batch[0].done)]() mutable {
-      VMSLS_TRACE_END(sim_.trace(), trace_track_, "io", tid);
-      in_flight_ = false;
-      pump();
-      done();
-    };
-    const u64 key = batch[0].key;
+    Request& w = batch[0];
+    // The slot was taken at enqueue, but a swap-in of the page may have
+    // dispatched ahead of this write and freed it: the write holds it again.
+    note_swapped(w.owner, w.key & kVpnMask);
+    writes_.add();
+    transfer(cfg_.write_latency, page_bytes_,
+             [this, tid = w.trace_id, done = std::move(w.done)]() mutable {
+               VMSLS_TRACE_END(sim_.trace(), trace_track_, "io", tid);
+               in_flight_ = false;
+               pump();
+               done();
+             });
     recycle_batch(std::move(batch));
-    device_.write_page(key, std::move(finish));
     return;
   }
-  // The batch itself rides into the device completion: keys are copied out
-  // once for the wire, and trace ids / continuations stay in the Requests
-  // instead of being unpacked into parallel vectors.
-  std::vector<u64> keys;
-  keys.reserve(batch.size());
-  for (const Request& r : batch) keys.push_back(r.key);
-  device_.read_pages(std::move(keys), [this, batch = std::move(batch)]() mutable {
-    for (const Request& r : batch) {
-      VMSLS_TRACE_END(sim_.trace(), trace_track_, "io", r.trace_id);
-      free_slot(r.key);
-    }
+  // A clustered read streams every page in one operation (one access
+  // latency, then the whole run's bytes); all slots free at the shared
+  // completion instant. The batch rides into the completion, so trace ids
+  // and continuations stay in the Requests.
+  reads_.add(batch.size());
+  const u64 bytes = batch.size() * page_bytes_;
+  transfer(cfg_.read_latency, bytes, [this, batch = std::move(batch)]() mutable {
+    for (const Request& r : batch) free_slot(r.key);
+    VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "slots_in_use",
+                        static_cast<double>(slot_of_.size()));
+    for (const Request& r : batch) VMSLS_TRACE_END(sim_.trace(), trace_track_, "io", r.trace_id);
     in_flight_ = false;
     pump();
     for (Request& r : batch) r.done();
     recycle_batch(std::move(batch));
   });
+}
+
+void SwapScheduler::transfer(Cycles latency, u64 bytes, sim::EventFn done) {
+  bytes_.add(bytes);
+  sim_.schedule_in(latency + bytes / cfg_.bytes_per_cycle, std::move(done));
 }
 
 std::vector<SwapScheduler::Request> SwapScheduler::take_batch() {
@@ -328,19 +341,19 @@ std::vector<u64> SwapScheduler::neighbors(unsigned owner, u64 vpn, unsigned k) c
   for (u64 s = slot + 1; s <= last; ++s) {
     const auto page = page_at_.find(s);
     if (page == page_at_.end()) continue;
-    out.push_back(page->second & ((1ull << kOwnerShift) - 1));  // same owner by construction
+    out.push_back(page->second & kVpnMask);  // same owner by construction
   }
   return out;
 }
 
 u64 SwapScheduler::owner_reads(unsigned owner) const {
   const Owner& o = owners_.at(owner);
-  return o.reads != nullptr ? o.reads->value() : device_.reads();
+  return o.reads != nullptr ? o.reads->value() : reads_.value();
 }
 
 u64 SwapScheduler::owner_writes(unsigned owner) const {
   const Owner& o = owners_.at(owner);
-  return o.writes != nullptr ? o.writes->value() : device_.writes();
+  return o.writes != nullptr ? o.writes->value() : writes_.value();
 }
 
 }  // namespace vmsls::paging

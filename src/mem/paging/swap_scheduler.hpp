@@ -1,10 +1,7 @@
-// Shared swap I/O front end: one device, N pagers, a real request queue.
+// Swap I/O: one device, N pagers, a real request queue.
 //
-// The per-pager SwapDevice of PRs 1–4 serialized transfers on a private
-// `port_free_` timestamp, so N over-subscribed processes paged against N
-// independent flash parts that never queued against each other. This class
-// promotes the swap path to a first-class shared I/O subsystem, analogous
-// to the shared memory bus:
+// Models a single-ported block device (SD/flash-class on a Zynq board) and
+// the queue in front of it, analogous to the shared memory bus:
 //
 //   * N pagers register as *owners* of one scheduler (per ProcessGroup,
 //     when `SwapConfig::shared` is set) or one pager owns a private
@@ -14,34 +11,73 @@
 //     background writeback) and wait in a real request queue; a pluggable
 //     dispatch policy (FIFO, or priority with a bounded-bypass
 //     writeback-starvation guard) picks what the single device port
-//     services next.
+//     services next. Only an idle port dispatches, so one transfer is in
+//     flight at a time: it pays a fixed access latency plus
+//     bytes/bandwidth, and concurrent fault storms queue here exactly like
+//     walker misses queue on the memory bus.
 //   * A clustering slot allocator keeps a process's evicted
 //     virtually-neighboring pages in adjacent numeric slots (per-owner
 //     regions of `cluster_pages` slots keyed by vpn), so the pager's
 //     readahead can ask for the `neighbors` of a demand swap-in and pull
 //     the pages the process is statistically about to fault on.
 //
-// The timing primitive stays SwapDevice: the scheduler hands it one
-// transfer at a time, with pages identified by (owner, vpn) keys packed
-// like the FramePool's. Per-owner counters land under "<owner>.swap.*" so
-// per-process summaries keep working when the device itself is shared; in
-// the private case those names coincide with the device's own and are
-// aliased, not double-counted.
+// The scheduler tracks *which* pages the device holds (the slot table) and
+// charges time; page *bytes* stay in the AddressSpace backing store, which
+// plays the role of swap-file contents for the functional model. Pages are
+// identified by (owner, vpn) keys packed like the FramePool's. Per-owner
+// counters land under "<owner>.swap.*" so per-process summaries keep
+// working when the device itself is shared; in the private case those
+// names coincide with the device's own and are aliased, not double-counted.
 #pragma once
 
 #include <array>
 #include <deque>
-#include <functional>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "mem/paging/swap_device.hpp"
 #include "sim/simulator.hpp"
 #include "util/stats.hpp"
 
 namespace vmsls::paging {
+
+/// Dispatch order for a SwapScheduler's request queue.
+enum class SwapSchedPolicy {
+  kFifo,      ///< strict arrival order, class-blind
+  kPriority,  ///< demand reads >> fault-path demand writes >> prefetch
+              ///< reads >> background writebacks, with a bounded-bypass
+              ///< starvation guard on everything below demand reads
+};
+
+const char* swap_sched_name(SwapSchedPolicy policy) noexcept;
+
+struct SwapConfig {
+  Cycles read_latency = 4000;     // per-operation device access latency
+  Cycles write_latency = 6000;    // writes are slower on flash-class media
+  unsigned bytes_per_cycle = 4;   // transfer bandwidth across the device port
+  u64 slot_limit = 1ull << 20;    // capacity in pages; exceeded = hard error
+
+  // --- shared swap I/O subsystem knobs (threaded through PlatformSpec::pager.swap) ---
+
+  /// In a ProcessGroup, members share one device + scheduler ("one flash
+  /// part, N pagers") instead of each pager owning a private device.
+  /// Ignored by a standalone System — there is nobody to share with.
+  bool shared = false;
+  /// Request-queue dispatch policy.
+  SwapSchedPolicy sched = SwapSchedPolicy::kFifo;
+  /// Swap-in readahead: on each demand swap-in, prefetch up to this many
+  /// neighboring slots (same owner, same cluster). 0 disables prefetch.
+  unsigned readahead = 0;
+  /// Slot-allocator clustering granularity: a process's evicted pages land
+  /// in per-cluster regions of this many adjacent slots, keyed by vpn, so
+  /// virtually-neighboring evictions occupy neighboring slots and
+  /// readahead pulls pages the process is likely to touch next.
+  u64 cluster_pages = 64;
+  /// Priority mode: a queued writeback is dispatched after at most this
+  /// many reads bypass it (the starvation guard).
+  u64 writeback_starvation_limit = 8;
+};
 
 /// Request classes in descending dispatch priority (kPriority mode).
 /// Demand *writes* are the fault path's eviction writebacks — a demand
@@ -68,26 +104,37 @@ class SwapScheduler {
   /// ("<owner_name>.swap.reads" / ".writes" / ".queue_wait").
   unsigned register_owner(const std::string& owner_name);
 
-  /// True when the device holds a copy of the owner's page.
+  /// True when the device holds a copy of the owner's page (slot allocated).
   bool holds(unsigned owner, u64 vpn) const;
 
-  /// Slot bookkeeping without device time (experiment-setup evictions).
+  /// Slot bookkeeping without device time: pages evicted "by fiat" during
+  /// experiment setup land in swap instantly, so later faults on them pay
+  /// the swap-in cost. Re-noting a held page is a no-op; a new slot past
+  /// `slot_limit` is a hard error naming the device, owner and usage.
   void note_swapped(unsigned owner, u64 vpn);
 
   /// Queues a timed page read (swap-in). Requires holds(owner, vpn); the
-  /// slot frees when the transfer completes on the device port. When the
-  /// read dispatches, any other queued reads on slots in the SAME cluster
-  /// region ride along as one clustered device operation (one access
-  /// latency, streamed bytes) — this is what makes readahead nearly free
-  /// next to the demand read it follows. `trace_id` threads the requester's
-  /// causal id through the "queue" and "io" trace spans (0 = untraced).
+  /// slot stays held for the whole transfer and frees at its completion
+  /// (a later eviction of the page re-writes it, so occupancy tracks pages
+  /// that are out, not pages that ever were). When the read dispatches,
+  /// any other queued reads on slots in the SAME cluster region ride along
+  /// as one clustered device operation (one access latency, streamed
+  /// bytes) — this is what makes readahead nearly free next to the demand
+  /// read it follows. `trace_id` threads the requester's causal id through
+  /// the "queue" and "io" trace spans (0 = untraced).
   void read(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventFn done, u64 trace_id = 0);
 
   /// Runs `fill` with dispatch deferred, then pumps once: requests enqueued
   /// inside land in the queue atomically, so a demand read and its
   /// readahead dispatch as one clustered operation instead of the first
   /// read racing out alone on an idle port.
-  void batched(const std::function<void()>& fill);
+  template <typename Fill>
+  void batched(Fill&& fill) {
+    ++defer_;
+    fill();
+    --defer_;
+    pump();
+  }
 
   /// Queues a timed page write (swap-out / writeback); `cls` must be
   /// kDemandWrite (fault-path eviction) or kWriteback (background
@@ -110,9 +157,9 @@ class SwapScheduler {
   std::vector<u64> neighbors(unsigned owner, u64 vpn, unsigned k) const;
 
   // --- introspection ---
-  u64 reads() const noexcept { return device_.reads(); }
-  u64 writes() const noexcept { return device_.writes(); }
-  u64 slots_in_use() const noexcept { return device_.slots_in_use(); }
+  u64 reads() const noexcept { return reads_.value(); }
+  u64 writes() const noexcept { return writes_.value(); }
+  u64 slots_in_use() const noexcept { return slot_of_.size(); }
   u64 queue_depth() const noexcept { return queue_.size(); }
   /// Queued requests of one class (telemetry probe; linear scan — swap
   /// queues are short).
@@ -124,6 +171,7 @@ class SwapScheduler {
 
  private:
   static constexpr unsigned kOwnerShift = 44;  // vpns fit far below 2^44
+  static constexpr u64 kVpnMask = (1ull << kOwnerShift) - 1;
 
   struct Request {
     unsigned owner = 0;
@@ -140,8 +188,8 @@ class SwapScheduler {
   };
 
   /// Per-owner counters. Null pointers mean the name aliased the device's
-  /// own aggregate counter (the private single-owner case) — the device
-  /// already bumps it, so the scheduler must not bump it again.
+  /// own aggregate counter (the private single-owner case), which is
+  /// already bumped, so the owner's must not be bumped again.
   struct Owner {
     std::string name;
     Counter* reads = nullptr;
@@ -150,8 +198,10 @@ class SwapScheduler {
   };
 
   u64 pack(unsigned owner, u64 vpn) const;
-  void alloc_slot(unsigned owner, u64 vpn);
   void free_slot(u64 key);
+  /// Occupies the device port for one operation: the access latency plus
+  /// `bytes` at the configured bandwidth; `done` fires at completion.
+  void transfer(Cycles latency, u64 bytes, sim::EventFn done);
   std::size_t select_next();
   void pump();
   /// Issues one device operation: a single write, or a read batch (the
@@ -166,8 +216,8 @@ class SwapScheduler {
 
   sim::Simulator& sim_;
   SwapConfig cfg_;
+  u64 page_bytes_;
   std::string name_;
-  SwapDevice device_;
   sim::TraceTrack trace_track_ = 0;
   std::vector<Owner> owners_;
 
@@ -181,7 +231,7 @@ class SwapScheduler {
   /// otherwise bypass forever.
   u64 wb_bypassed_ = 0;
 
-  // --- clustering slot allocator ---
+  // --- clustering slot allocator (the device's slot table) ---
   std::unordered_map<u64, u64> slot_of_;            // packed key -> numeric slot
   std::unordered_map<u64, u64> page_at_;            // numeric slot -> packed key
   std::unordered_map<u64, u64> region_of_cluster_;  // packed (owner, vpn/cluster) -> region
@@ -190,6 +240,9 @@ class SwapScheduler {
   std::set<u64> free_regions_;                      // lowest-first reuse: deterministic
   u64 next_region_ = 0;
 
+  Counter& reads_;  // pages transferred, device-wide
+  Counter& writes_;
+  Counter& bytes_;
   Histogram& queue_wait_;
   Histogram& queue_depth_;
   /// Queue wait split by request class ("<name>.sched.wait_<class>"): the

@@ -18,7 +18,7 @@
 
 #include "dma/offload.hpp"
 #include "mem/paging/replacement.hpp"
-#include "mem/paging/swap_device.hpp"
+#include "mem/paging/swap_scheduler.hpp"
 #include "sls/synthesis.hpp"
 
 namespace vmsls::sls {

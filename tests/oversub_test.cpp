@@ -120,6 +120,35 @@ TEST_F(PoolFixture, DirtyCrossProcessVictimPaysWritebackOnOwnersDevice) {
   EXPECT_EQ(pg1->swap().writes(), 0u);
 }
 
+TEST_F(PoolFixture, GlobalPagerOnPerProcessPoolIsRejected) {
+  // A kGlobal pager asks the pool for victims, but a kPerProcess pool keeps
+  // no sweep ring: no victim would ever come back, and residency would grow
+  // past the budget silently.
+  FramePoolConfig pc;
+  pc.mode = BudgetMode::kPerProcess;
+  pc.total_frames = 2;
+  PagerConfig global_pager;
+  global_pager.budget_mode = BudgetMode::kGlobal;
+  EXPECT_THROW(make(pc, global_pager, global_pager), std::invalid_argument);
+}
+
+TEST_F(PoolFixture, PerProcessPagerOnGlobalPoolIsRejected) {
+  // The reverse pairing would enforce only the pager's own frame_budget and
+  // ignore the machine-wide one.
+  FramePoolConfig pc;
+  pc.mode = BudgetMode::kGlobal;
+  pc.total_frames = 2;
+  try {
+    make(pc);
+    FAIL() << "a per-process pager must not attach to a global pool";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("p0.pager"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("per-process"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("global"), std::string::npos) << msg;
+  }
+}
+
 // --- budget-mode equivalence --------------------------------------------
 
 /// Drives one pager through a fixed revisit-heavy fault chain and returns

@@ -1,7 +1,7 @@
 // Paging subsystem: replacement-policy victim order, pager budget
 // enforcement, and the eviction correctness backbone (TLB shootdown +
-// walk-cache flush + backing-store round trip). SwapDevice units live in
-// swap_device_test.cpp.
+// walk-cache flush + backing-store round trip). Swap device units live in
+// swap_device_test.cpp, the swap queue in swap_sched_test.cpp.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,7 +9,7 @@
 #include "mem/mmu.hpp"
 #include "mem/paging/pager.hpp"
 #include "mem/paging/replacement.hpp"
-#include "mem/paging/swap_device.hpp"
+#include "mem/paging/swap_scheduler.hpp"
 #include "mem/walker.hpp"
 #include "rt/os.hpp"
 #include "rt/process.hpp"

@@ -88,7 +88,7 @@ TEST(PlatformKnobs, EveryConfigStructMemberIsDocumented) {
       {"src/rt/os.hpp", "OsConfig"},
       {"src/cpu/cpu.hpp", "CpuConfig"},
       {"src/mem/paging/pager.hpp", "PagerConfig"},
-      {"src/mem/paging/swap_device.hpp", "SwapConfig"},
+      {"src/mem/paging/swap_scheduler.hpp", "SwapConfig"},
       {"src/mem/paging/buffer_cache.hpp", "BufferCacheConfig"},
       {"src/mem/paging/frame_pool.hpp", "FramePoolConfig"},
       {"src/dma/dma_engine.hpp", "DmaConfig"},

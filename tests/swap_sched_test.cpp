@@ -1,4 +1,5 @@
-// SwapScheduler unit/integration tests: the request queue's dispatch
+// SwapScheduler unit/integration tests (the device's transfer timing and slot
+// bookkeeping are in swap_device_test): the request queue's dispatch
 // policies (priority with the writeback starvation guard, demand-over-
 // prefetch ordering, FIFO arrival order), the clustering slot allocator's
 // neighbor geometry and owner isolation, the slot-limit diagnostics, the
@@ -191,6 +192,7 @@ TEST(SwapScheduler, SlotLimitErrorNamesDeviceOwnerAndUsage) {
   const unsigned owner = sched.register_owner("p7.pager");
   sched.note_swapped(owner, 1);
   sched.note_swapped(owner, 2);
+  EXPECT_NO_THROW(sched.note_swapped(owner, 2));  // re-note of a held page takes no slot
   try {
     sched.note_swapped(owner, 3);
     FAIL() << "slot limit should be a hard error";
@@ -200,6 +202,19 @@ TEST(SwapScheduler, SlotLimitErrorNamesDeviceOwnerAndUsage) {
     EXPECT_NE(msg.find("p7.pager"), std::string::npos) << msg;
     EXPECT_NE(msg.find("2/2"), std::string::npos) << msg;
   }
+  // A write allocates through the same bookkeeping, so a new page hits the
+  // same wall; a held page can still be re-written (no new slot).
+  EXPECT_THROW(sched.write(owner, 4, SwapReqClass::kDemandWrite, [] {}), std::runtime_error);
+  EXPECT_NO_THROW(sched.write(owner, 1, SwapReqClass::kDemandWrite, [] {}));
+  sim.drain();
+  EXPECT_EQ(sched.slots_in_use(), 2u);
+  // A write queued behind a swap-in of the same page re-holds the slot the
+  // read freed when it dispatches: still within the limit.
+  sched.read(owner, 2, SwapReqClass::kDemandRead, [] {});
+  EXPECT_NO_THROW(sched.write(owner, 2, SwapReqClass::kDemandWrite, [] {}));
+  sim.drain();
+  EXPECT_TRUE(sched.holds(owner, 2));
+  EXPECT_EQ(sched.slots_in_use(), 2u);
 }
 
 TEST(ReplacementSpeculative, WrongPathPrefetchesAreReclaimedFirst) {
