@@ -228,7 +228,9 @@ inline void copy_buffers(sls::System& system,
                          const std::vector<std::string>& names, bool to_pinned) {
   std::size_t next = 0;
   bool done = false;
-  std::function<void()> copy_next = [&] {
+  // Each transfer's completion starts the next one through a reference to
+  // this loop, so the move-only completion carries no copy of it.
+  auto copy_next = [&](auto& self) -> void {
     if (next >= names.size()) {
       done = true;
       return;
@@ -238,11 +240,13 @@ inline void copy_buffers(sls::System& system,
     for (const auto& buf : system.image().app().buffers)
       if (buf.name == name) bytes = buf.bytes;
     if (to_pinned)
-      system.offload().copy_in(system.buffer(name), pinned.at(name), 0, bytes, copy_next);
+      system.offload().copy_in(system.buffer(name), pinned.at(name), 0, bytes,
+                               [&self] { self(self); });
     else
-      system.offload().copy_out(pinned.at(name), 0, system.buffer(name), bytes, copy_next);
+      system.offload().copy_out(pinned.at(name), 0, system.buffer(name), bytes,
+                                [&self] { self(self); });
   };
-  copy_next();
+  copy_next(copy_next);
   if (!system.simulator().run_until([&done] { return done; }))
     throw std::runtime_error(to_pinned ? "copy-in stalled" : "copy-out stalled");
 }

@@ -11,29 +11,34 @@
 // The driver accounts each phase separately so the SVM-vs-DMA experiment
 // can report the copy/compute breakdown.
 //
-// Under memory pressure (a Pager attached via set_pager) the driver plays
-// by the paging subsystem's rules instead of snapshotting translations:
-// every page of a scatter-gather run is faulted in through the pager (so
-// swap-in and victim-writeback time is charged) and pinned for the
-// transfer's lifetime, and admission is budget-aware — a run whose pin
-// demand meets or exceeds the pin quota is chunked into quota-sized pieces,
-// and chunks queue behind earlier pin releases rather than deadlocking the
+// Every transfer is one pooled `Transfer` record driven through one loop,
+// chunk by chunk: size the chunk, admit it, fault-in step (pin each page of
+// the chunk; an unmapped page faults in through the pager, or maps
+// directly when there is none), move the chunk's pieces, then unpin and
+// advance. Two piece movers differ only in the last step: the CPU mode
+// moves `cpu_copy_chunk`-sized pieces (one per chunk) with a bus
+// read/write pair, the scatter-gather (SG) mode moves page-bounded pieces
+// through `DmaEngine::copy`.
+//
+// Without a pager an SG transfer is a single chunk admitted at launch, and
+// its pin cost rides on the launch service. Under memory pressure (a Pager
+// passed at construction) every page is faulted in through the pager (so
+// swap-in and victim-writeback time is charged) and pinned for its
+// chunk's lifetime, and admission is budget-aware: a run whose pin demand
+// meets or exceeds the pin quota is chunked into quota-sized pieces, and
+// chunks queue behind earlier pin releases rather than deadlocking the
 // fault path. `offload.pin_stalls` / `offload.chunked_runs` count both
 // pressure reliefs.
 #pragma once
 
-#include <cstddef>
-#include <deque>
-#include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "dma/dma_engine.hpp"
 #include "mem/address_space.hpp"
 #include "mem/frames.hpp"
 #include "rt/os.hpp"
 #include "rt/process.hpp"
+#include "util/pool.hpp"
 
 namespace vmsls::paging {
 class Pager;
@@ -65,19 +70,17 @@ struct PinnedBuffer {
 
 class OffloadDriver {
  public:
+  /// `pager` (nullable, fixed for the driver's lifetime) attaches the
+  /// memory-pressure model: copies fault user pages in through it (charging
+  /// swap time) and pin them per chunk, with budget-aware chunked
+  /// admission. nullptr is the pressure-free model: pages map on demand.
+  /// The pager must outlive the driver.
   OffloadDriver(sim::Simulator& sim, rt::OsModel& os, rt::Process& process, DmaEngine& dma,
                 mem::MemoryBus& bus, mem::PhysicalMemory& pm, const OffloadConfig& cfg,
-                std::string name);
+                std::string name, paging::Pager* pager);
 
   OffloadDriver(const OffloadDriver&) = delete;
   OffloadDriver& operator=(const OffloadDriver&) = delete;
-
-  /// Attaches the memory-pressure model: copies fault user pages in through
-  /// the pager (charging swap time) and pin them for the transfer's
-  /// lifetime, with budget-aware chunked admission. nullptr detaches (the
-  /// pressure-free model: pages map on demand, no pinning). The pager must
-  /// outlive the driver or be detached first.
-  void set_pager(paging::Pager* pager) noexcept { pager_ = pager; }
 
   /// Allocates a pinned contiguous buffer from the process's frame pool
   /// (zero simulated time: done at setup).
@@ -86,11 +89,11 @@ class OffloadDriver {
 
   /// Copies user [va, va+bytes) into the pinned buffer at offset `off`.
   void copy_in(VirtAddr va, const PinnedBuffer& buf, u64 off, u64 bytes,
-               std::function<void()> done);
+               sim::Callback<> done);
 
   /// Copies pinned data back to user memory.
   void copy_out(const PinnedBuffer& buf, u64 off, VirtAddr va, u64 bytes,
-                std::function<void()> done);
+                sim::Callback<> done);
 
   const OffloadConfig& config() const noexcept { return cfg_; }
   u64 bytes_copied() const noexcept { return bytes_copied_.value(); }
@@ -100,37 +103,33 @@ class OffloadDriver {
   u64 pins_held() const noexcept { return pins_held_; }
 
  private:
-  /// One scatter-gather transfer under memory pressure, processed as a
-  /// sequence of pin-quota-sized chunks.
-  struct SgXfer {
+  /// One transfer, processed as a sequence of chunks. A chunk is the unit
+  /// of pinning: quota-sized for SG under a pager, the whole transfer for
+  /// SG without one, one piece for the CPU mode.
+  struct Transfer {
     VirtAddr va = 0;
     PhysAddr pinned = 0;
     u64 bytes = 0;
     bool to_pinned = false;
-    u64 pos = 0;        // bytes fully transferred (completed chunks)
-    u64 chunk_end = 0;  // byte bound of the chunk in flight
-    u64 pin_cursor = 0;  // next byte whose page still needs pinning
-    u64 seg_cursor = 0;  // next byte to DMA within the chunk
-    u64 chunk_pages = 0;
+    u64 pos = 0;          // bytes fully transferred (completed chunks)
+    u64 chunk_end = 0;    // byte bound of the chunk in flight
+    u64 chunk_pages = 0;  // user pages the chunk pins
+    u64 cursor = 0;       // next byte to pin, then next byte to move
     bool counted_chunked = false;
-    std::function<void()> done;
+    sim::Callback<> done;
   };
 
-  /// Resolves user pages (mapping on demand, as pinning does) and runs one
-  /// DMA or CPU-copy per contiguous piece.
-  void run_copy(VirtAddr va, PhysAddr pinned, u64 bytes, bool to_pinned,
-                std::function<void()> done);
-  void cpu_copy(VirtAddr va, PhysAddr pinned, u64 bytes, bool to_pinned,
-                std::function<void()> done);
-
-  // --- pressure-aware scatter-gather path (pager attached) ---
-  /// Sizes x's next chunk from x->pos against `quota` (0 = unlimited).
-  void sg_size_chunk(const std::shared_ptr<SgXfer>& x, u64 quota);
-  void sg_start_chunk(const std::shared_ptr<SgXfer>& x);
-  void sg_admit(const std::shared_ptr<SgXfer>& x);
-  void sg_pin_next(const std::shared_ptr<SgXfer>& x);
-  void sg_dma_next(const std::shared_ptr<SgXfer>& x);
-  void sg_finish_chunk(const std::shared_ptr<SgXfer>& x);
+  void launch(VirtAddr va, PhysAddr pinned, u64 bytes, bool to_pinned, sim::Callback<> done);
+  /// Sizes x's next chunk from x->pos: one CPU piece, or SG pages up to
+  /// `quota` (0 = unlimited).
+  void size_chunk(Transfer* x, u64 quota);
+  void next_chunk(Transfer* x);
+  /// Takes the chunk's pins; the SG mode pays their cost (plus `extra`) in
+  /// one OS service first.
+  void admit(Transfer* x, Cycles extra);
+  void fault_in(Transfer* x);
+  void move_next(Transfer* x);
+  void finish_chunk(Transfer* x);
   void pump_pin_waiters();
 
   sim::Simulator& sim_;
@@ -141,14 +140,15 @@ class OffloadDriver {
   mem::PhysicalMemory& pm_;
   OffloadConfig cfg_;
   std::string name_;
-  paging::Pager* pager_ = nullptr;
+  paging::Pager* const pager_;
+  Pool<Transfer> transfers_;
 
   /// Pages currently pinned across all in-flight transfers; admission keeps
   /// this at or below the pager's pin quota so victim selection never runs
   /// out of candidate frames (the deadlock the quota exists to prevent).
   u64 pins_held_ = 0;
   /// Chunks waiting for earlier pin releases, admitted FIFO.
-  std::deque<std::shared_ptr<SgXfer>> pin_waiters_;
+  Fifo<Transfer*> pin_waiters_;
 
   Counter& copies_;
   Counter& bytes_copied_;

@@ -101,12 +101,12 @@ void System::build(const SharedSubstrate* shared) {
   // --- baseline DMA components ---
   if (image_.options().include_dma) {
     dma_ = std::make_unique<dma::DmaEngine>(sim_, *bus_, *pm_, plat.dma, inst_ + "dma");
+    // Under memory pressure the driver fault-pins its transfers through the
+    // pager with budget-aware chunked admission — the wiring that lets the
+    // SVM-vs-DMA comparison run in the paging regime.
     offload_ = std::make_unique<dma::OffloadDriver>(sim_, *os_, *process_, *dma_, *bus_, *pm_,
-                                                    plat.offload, inst_ + "offload");
-    // Under memory pressure the driver fault-pins its scatter-gather runs
-    // through the pager with budget-aware chunked admission — the wiring
-    // that lets the SVM-vs-DMA comparison run in the paging regime.
-    offload_->set_pager(pager_.get());
+                                                    plat.offload, inst_ + "offload",
+                                                    pager_.get());
   }
 
   // --- threads ---

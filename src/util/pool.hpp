@@ -49,6 +49,7 @@ template <typename T>
 class Fifo {
  public:
   bool empty() const noexcept { return size_ == 0; }
+  T& front() noexcept { return slots_[head_]; }
 
   void push_back(T v) {
     if (size_ == slots_.size()) grow();

@@ -3,16 +3,22 @@
 // This binary replaces the global operator new/delete with a counting pair,
 // then asserts that once the pools have warmed up, a hardware thread's
 // memory traffic — port, MMU/TLB, shared walker, fault retry, bus and the
-// engine driving them — performs zero heap allocations. The count is a
+// engine driving them — performs zero heap allocations, and so does a
+// copy-based offload transfer in either copy mode. The count is a
 // deterministic work count, so the gate is exact and host-independent.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
 
+#include "dma/dma_engine.hpp"
+#include "dma/offload.hpp"
 #include "hwt/builder.hpp"
 #include "hwt/engine.hpp"
 #include "hwt/hw_port.hpp"
+#include "mem/paging/pager.hpp"
+#include "rt/os.hpp"
+#include "rt/process.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -205,3 +211,76 @@ TEST(AllocFree, EngineMemoryLoopAllocatesNothingPerIteration) {
 
 }  // namespace
 }  // namespace vmsls::hwt
+
+namespace vmsls::dma {
+namespace {
+
+using hwt::allocs_during;
+using test::MemorySystem;
+
+/// An offload driver over eight resident user pages, with an optional pager.
+struct OffloadAllocFixture : ::testing::Test {
+  static constexpr u64 kBytes = 8 * 4096;
+  MemorySystem ms;
+  rt::OsModel os{ms.sim, rt::OsConfig{}, "os"};
+  rt::Process process{ms.sim, ms.as, "p"};
+  DmaEngine dma{ms.sim, ms.bus, ms.pm, DmaConfig{}, "dma"};
+  std::unique_ptr<paging::Pager> pager;
+  std::unique_ptr<OffloadDriver> driver;
+  VirtAddr va = 0;
+  PinnedBuffer buf;
+
+  /// `frame_budget` 0 runs without a pager.
+  void make(CopyMode mode, u64 frame_budget) {
+    va = ms.as.alloc(kBytes, 4096);
+    ms.as.populate(va, kBytes);
+    if (frame_budget > 0) {
+      paging::PagerConfig pc;
+      pc.frame_budget = frame_budget;
+      pager = std::make_unique<paging::Pager>(ms.sim, process, pc, "pager");
+    }
+    OffloadConfig cfg;
+    cfg.mode = mode;
+    driver = std::make_unique<OffloadDriver>(ms.sim, os, process, dma, ms.bus, ms.pm, cfg,
+                                             "offload", pager.get());
+    buf = driver->alloc_pinned(kBytes);
+  }
+
+  void copy(bool in) {
+    bool done = false;
+    if (in)
+      driver->copy_in(va, buf, 0, kBytes, [&done] { done = true; });
+    else
+      driver->copy_out(buf, 0, va, kBytes, [&done] { done = true; });
+    ms.run_all();
+    ASSERT_TRUE(done);
+  }
+
+  void round_trip() {
+    copy(/*in=*/true);
+    copy(/*in=*/false);
+  }
+};
+
+TEST_F(OffloadAllocFixture, SgTransferWithoutPagerDoesNotAllocate) {
+  make(CopyMode::kSgDma, /*frame_budget=*/0);
+  round_trip();  // warm-up: transfer and DMA pools, pin table, bus ring
+  EXPECT_EQ(allocs_during([&] { round_trip(); }), 0u);
+}
+
+TEST_F(OffloadAllocFixture, SgTransferUnderCoveringBudgetDoesNotAllocate) {
+  make(CopyMode::kSgDma, /*frame_budget=*/32);
+  round_trip();
+  EXPECT_EQ(allocs_during([&] { round_trip(); }), 0u);
+  EXPECT_EQ(driver->chunked_runs(), 0u);  // the quota covers the range
+  EXPECT_EQ(ms.sim.stats().counter_value("offload.pin_faults"), 0u);
+}
+
+TEST_F(OffloadAllocFixture, CpuCopyInDoesNotAllocate) {
+  make(CopyMode::kCpuCopy, /*frame_budget=*/0);
+  copy(/*in=*/true);
+  EXPECT_EQ(allocs_during([&] { copy(/*in=*/true); }), 0u);
+}
+
+}  // namespace
+}  // namespace vmsls::dma

@@ -2,9 +2,10 @@
 // its deadlock-safe admission. Pins the nasty cases — a frame budget
 // smaller than one scatter-gather run (must chunk and drain), two
 // concurrent offloads whose combined pin demand exceeds the budget (must
-// serialize, not deadlock), pin-count invariants (every pin released at
-// completion, no pinned page ever selected as victim), the CPU-copy
-// fault-through-pager path, and the DSE offload × pager grid.
+// serialize, not deadlock), a chunked run that starts mid-page, pin-count
+// invariants (every pin released at completion, no pinned page ever
+// selected as victim), the CPU-copy fault-through-pager path, and the DSE
+// offload × pager grid.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -41,8 +42,7 @@ struct PressureRig : ::testing::Test {
     pc.frame_budget = budget;
     pager = std::make_unique<paging::Pager>(ms.sim, process, pc, "pager");
     driver = std::make_unique<OffloadDriver>(ms.sim, os, process, dma, ms.bus, ms.pm, cfg,
-                                             "offload");
-    driver->set_pager(pager.get());
+                                             "offload", pager.get());
   }
 
   /// Allocates `pages` user pages, writes one marker word per page, and
@@ -110,6 +110,50 @@ TEST_F(PressureRig, ConcurrentOffloadsSerializeInsteadOfDeadlocking) {
     ms.pm.read(buf_b.pa + p * 4096, std::span<u8>(reinterpret_cast<u8*>(&word), sizeof(word)));
     EXPECT_EQ(word, 0xC0DE0000 + 3 + p) << "page " << p;
   }
+}
+
+TEST_F(PressureRig, UnalignedChunkedTransfersMoveEveryByte) {
+  // A range starting 100 bytes into a page and spanning five pages, under
+  // pin quota 1: every chunk but the first starts page-aligned, and the
+  // first and last pieces are partial pages.
+  make(/*budget=*/2);
+  constexpr u64 kOff = 100;
+  constexpr u64 kBytes = 4 * 4096 + 1000;  // ends inside the fifth page
+  const VirtAddr base = ms.as.alloc(5 * 4096, 4096);
+  std::vector<u8> user(kBytes);
+  for (std::size_t i = 0; i < user.size(); ++i) user[i] = static_cast<u8>(i * 7 + 1);
+  ms.as.write(base + kOff, std::span<const u8>(user.data(), user.size()));
+  process.evict(base, 5 * 4096);
+  const auto buf = driver->alloc_pinned(kBytes);
+
+  bool done = false;
+  driver->copy_in(base + kOff, buf, 0, kBytes, [&] { done = true; });
+  ms.sim.drain();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(driver->chunked_runs(), 1u);
+  EXPECT_EQ(stat("offload.pages_pinned"), 5u);
+  EXPECT_EQ(ms.as.pinned_pages(), 0u);
+  EXPECT_EQ(driver->pins_held(), 0u);
+  std::vector<u8> pinned(kBytes);
+  ms.pm.read(buf.pa, std::span<u8>(pinned.data(), pinned.size()));
+  EXPECT_EQ(pinned, user);
+
+  // Copy a fresh pattern back out: it must survive the evictions the
+  // budget forces, so every chunk's pages must have been marked dirty.
+  for (std::size_t i = 0; i < pinned.size(); ++i) pinned[i] = static_cast<u8>(i * 13 + 5);
+  ms.pm.write(buf.pa, std::span<const u8>(pinned.data(), pinned.size()));
+  done = false;
+  driver->copy_out(buf, 0, base + kOff, kBytes, [&] { done = true; });
+  ms.sim.drain();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(driver->chunked_runs(), 2u);
+  EXPECT_EQ(stat("offload.pages_pinned"), 10u);
+  EXPECT_EQ(ms.as.pinned_pages(), 0u);
+  EXPECT_EQ(driver->pins_held(), 0u);
+  EXPECT_LE(ms.as.resident_pages(), 2u);
+  std::vector<u8> back(kBytes);
+  ms.as.read(base + kOff, std::span<u8>(back.data(), back.size()));
+  EXPECT_EQ(back, pinned);
 }
 
 TEST_F(PressureRig, PinnedPagesAreNeverSelectedAsVictims) {

@@ -67,7 +67,7 @@ struct OffloadRig {
 
   void make(OffloadConfig cfg = {}) {
     driver = std::make_unique<OffloadDriver>(ms.sim, os, process, dma, ms.bus, ms.pm, cfg,
-                                             "off");
+                                             "off", /*pager=*/nullptr);
   }
 
   Cycles copy_in_sync(VirtAddr va, const PinnedBuffer& buf, u64 bytes) {
@@ -155,6 +155,9 @@ TEST_F(OffloadFixture, OverrunRejected) {
   make();
   const auto buf = driver->alloc_pinned(4096);
   EXPECT_THROW(driver->copy_in(0, buf, 4000, 200, [] {}), std::invalid_argument);
+  // `off + bytes` wraps past zero for both of these; the bound must not.
+  EXPECT_THROW(driver->copy_in(0, buf, ~0ull, 2, [] {}), std::invalid_argument);
+  EXPECT_THROW(driver->copy_out(buf, ~0ull - 10, 0, 16, [] {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -59,8 +59,7 @@ StressSnapshot run_chaos(u64 seed) {
   pager.set_os(&os, rt::OsConfig{}.daemon_service);
 
   dma::OffloadConfig oc;
-  dma::OffloadDriver driver(ms.sim, os, process, dma, ms.bus, ms.pm, oc, "offload");
-  driver.set_pager(&pager);
+  dma::OffloadDriver driver(ms.sim, os, process, dma, ms.bus, ms.pm, oc, "offload", &pager);
 
   // Region with known contents, then fully cold: every later touch goes
   // through the timed fault path and the swap device.
