@@ -1,11 +1,13 @@
 // Figure 14 — Copy-on-write page sharing at scale.
 //
 // One parent process maps a MAP_SHARED "library" file plus private
-// anonymous state, then forks N workers (N up to 1024). Fork maps every
-// resident parent page into the child by reference: file pages stay
-// writable against the one shared frame, anonymous pages are downgraded to
-// read-only in both spaces and split on first write. Three phases, each a
-// touch list per worker on sls::EpisodeDriver, drive the timed fault path:
+// anonymous state, then forks N workers (N up to 1024). Every process is a
+// pager-only member of one sls::ProcessGroup, the same machine the
+// threaded benches run on. Fork maps every resident parent page into the
+// child by reference: file pages stay writable against the one shared
+// frame, anonymous pages are downgraded to read-only in both spaces and
+// split on first write. Three phases, each a touch list per worker on
+// sls::EpisodeDriver, drive the timed fault path:
 //
 //   cold fill  — one worker demand-faults the untouched half of the file
 //                (buffer-cache misses: the only device reads in the run)
@@ -18,9 +20,9 @@
 //                ride along for bucket coverage,
 //   divergence — every worker writes its private anonymous pages: each
 //                first write is a COW fault that copies the shared frame
-//                (cow_copies; no bus is wired, so the copy moves no bus
-//                traffic); the parent then writes last, after every child
-//                diverged, so its refcount-1 faults upgrade in place
+//                (cow_copies), paid as one page-sized write burst on the
+//                group's bus; the parent then writes last, after every
+//                child diverged, so its refcount-1 faults upgrade in place
 //                (cow_upgrades).
 //
 // Gates (hard errors, every cell):
@@ -52,24 +54,15 @@
 
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "mem/address_space.hpp"
 #include "mem/backing_file.hpp"
-#include "mem/frame_share.hpp"
-#include "mem/frames.hpp"
-#include "mem/paging/buffer_cache.hpp"
-#include "mem/paging/frame_pool.hpp"
 #include "mem/paging/ledger.hpp"
-#include "mem/paging/pager.hpp"
-#include "mem/physmem.hpp"
-#include "rt/process.hpp"
-#include "sim/simulator.hpp"
 #include "sls/episode.hpp"
+#include "sls/process_group.hpp"
 #include "util/table.hpp"
 
 using namespace vmsls;
@@ -98,43 +91,27 @@ u64 parent_final(u64 p) { return parent_word(p) ^ 0xFFFF; }
 u64 evict_word(u64 p) { return 0xE71C'7000'0000'0000ull + p; }
 u64 child_word(u64 w, u64 p) { return 0xC0DE'0000'0000'0000ull + (w << 8) + p; }
 
-paging::BufferCacheConfig bcache_cfg() {
-  paging::BufferCacheConfig cfg;
-  cfg.capacity_blocks = 4096;
-  cfg.read_latency = 200;
-  cfg.write_latency = 300;
-  cfg.bytes_per_cycle = 64;
-  return cfg;
-}
-
-/// One forked worker: its own address space, process and pager.
-struct WorkerRig {
-  std::unique_ptr<mem::AddressSpace> as;
-  std::unique_ptr<rt::Process> process;
-  std::unique_ptr<paging::Pager> pager;
-};
-
-/// The machine: one simulator, one frame pool, one swap part, one buffer
-/// cache, one share index — and N+1 processes contending for all of them.
+/// The machine: one ProcessGroup — one frame pool, swap part, buffer cache,
+/// share index and DRAM + bus — and N+1 pager-only members contending for
+/// all of them.
 struct ShareRig {
-  sim::Simulator& sim;
-  mem::PhysicalMemory pm{128 * MiB};
-  mem::FrameAllocator frames{0, (128 * MiB) / kPage, kPage};
-  mem::FileStore files{kPage};
-  mem::FrameShareIndex share;
-  paging::FramePool pool;
-  paging::SwapScheduler swap;
-  paging::BufferCache bcache;
-  std::vector<WorkerRig> workers;  // [0] = parent
-  sls::EpisodeDriver episodes;     // worker i is episode worker i
+  sls::ProcessGroup group;
+  sls::EpisodeDriver episodes;  // member i is episode worker i
 
-  ShareRig(sim::Simulator& sim_, const PointOptions& opt)
-      : sim(sim_),
-        pool(sim_, pool_cfg(opt), "pool"),
-        swap(sim_, bench::fast_swap(), kPage, "swap"),
-        bcache(sim_, bcache_cfg(), kPage, "bcache"),
-        episodes(sim_) {
-    workers.reserve(opt.workers + 1);
+  ShareRig(sim::Simulator& sim, const PointOptions& opt)
+      : group(sim, platform(), pool_cfg(opt)), episodes(sim) {}
+
+  static sls::PlatformSpec platform() {
+    sls::PlatformSpec p;
+    p.dram.size_bytes = 128 * MiB;
+    p.pager.budget_mode = paging::BudgetMode::kGlobal;  // the pool's budget is the only cap
+    p.pager.policy = paging::PolicyKind::kClock;
+    p.pager.swap = bench::fast_swap();
+    p.pager.swap.shared = true;
+    p.pager.bcache.read_latency = 200;
+    p.pager.bcache.write_latency = 300;
+    p.pager.bcache.bytes_per_cycle = 64;
+    return p;
   }
 
   static paging::FramePoolConfig pool_cfg(const PointOptions& opt) {
@@ -146,24 +123,13 @@ struct ShareRig {
     return cfg;
   }
 
-  WorkerRig& add_worker() {
-    const auto i = workers.size();
-    WorkerRig w;
-    w.as = std::make_unique<mem::AddressSpace>(pm, frames, mem::PageTableConfig{});
-    w.as->set_share_index(&share);
-    w.process = std::make_unique<rt::Process>(sim, *w.as, "w" + std::to_string(i));
-    paging::PagerConfig cfg;
-    cfg.frame_budget = 0;  // the pool's machine-wide budget is the only cap
-    cfg.budget_mode = paging::BudgetMode::kGlobal;
-    cfg.policy = paging::PolicyKind::kClock;
-    cfg.swap = bench::fast_swap();
-    w.pager = std::make_unique<paging::Pager>(sim, *w.process, cfg,
-                                              "w" + std::to_string(i) + ".pager", &swap, &bcache);
-    pool.attach(*w.pager);
-    episodes.add_worker(*w.as, *w.process, *w.pager);
-    workers.push_back(std::move(w));
-    return workers.back();
+  /// Binds `w` as the next episode worker (worker index == member index).
+  sls::System& bind(sls::System& w) {
+    episodes.add_worker(w.address_space(), w.process(), *w.pager());
+    return w;
   }
+
+  mem::AddressSpace& as(std::size_t w) { return group.process(w).address_space(); }
 
   /// Starts worker `w` on `touches` after `delay`, one fault after another.
   void launch(std::size_t w, const std::vector<sls::EpisodeDriver::Touch>& touches,
@@ -174,7 +140,7 @@ struct ShareRig {
 
   u64 read_faults() const {
     u64 n = 0;
-    for (std::size_t i = 0; i < workers.size(); ++i) n += episodes.read_faults(i);
+    for (std::size_t i = 0; i < group.size(); ++i) n += episodes.read_faults(i);
     return n;
   }
 };
@@ -216,8 +182,9 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   ShareRig rig(sim, opt);
 
   // --- setup: the parent's pre-fork image ------------------------------
-  WorkerRig& parent = rig.add_worker();
-  mem::BackingFile& file = rig.files.create("lib.dat", S * kPage);
+  sls::System& parent = rig.bind(rig.group.add_process("w0"));
+  mem::AddressSpace& pas = parent.address_space();
+  mem::BackingFile& file = rig.group.files().create("lib.dat", S * kPage);
   for (u64 p = 0; p < S; ++p) {
     std::vector<u8> block(kPage, 0);
     for (u64 w = 0; w < kPage / 8; ++w) {
@@ -226,33 +193,27 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     }
     file.write(p * kPage, block);
   }
-  const VirtAddr file_base = parent.process->mmap(file, 0, S * kPage, /*shared=*/true);
-  const VirtAddr anon_base = parent.as->alloc(A * kPage, kPage);
-  const VirtAddr evict_base = parent.as->alloc(E * kPage, kPage);
-  const VirtAddr zero_base = parent.as->alloc(Z * kPage, kPage);
+  const VirtAddr file_base = parent.process().mmap(file, 0, S * kPage, /*shared=*/true);
+  const VirtAddr anon_base = pas.alloc(A * kPage, kPage);
+  const VirtAddr evict_base = pas.alloc(E * kPage, kPage);
+  const VirtAddr zero_base = pas.alloc(Z * kPage, kPage);
   // Software pre-touch of the first file half: these frames are what fork
   // shares by reference into every child.
-  for (u64 p = 0; p < S / 2; ++p) (void)parent.as->read_u64(file_base + p * kPage);
+  for (u64 p = 0; p < S / 2; ++p) (void)pas.read_u64(file_base + p * kPage);
   // One dirty shared-file word: under pressure its eviction must write back
   // through the buffer cache (file_writebacks bucket), and every reader
   // afterwards must still see the sentinel — the one-writeback correctness
   // probe.
-  parent.as->write_u64(file_base + 8, kSentinel);
-  for (u64 p = 0; p < A; ++p) parent.as->write_u64(anon_base + p * kPage, parent_word(p));
-  for (u64 p = 0; p < E; ++p) parent.as->write_u64(evict_base + p * kPage, evict_word(p));
-  parent.process->evict(evict_base, E * kPage);  // children inherit backing, parent keeps a slot
+  pas.write_u64(file_base + 8, kSentinel);
+  for (u64 p = 0; p < A; ++p) pas.write_u64(anon_base + p * kPage, parent_word(p));
+  for (u64 p = 0; p < E; ++p) pas.write_u64(evict_base + p * kPage, evict_word(p));
+  parent.process().evict(evict_base, E * kPage);  // children inherit backing, parent keeps a slot
 
   // --- fork ------------------------------------------------------------
-  for (u64 i = 0; i < N; ++i) {
-    WorkerRig& child = rig.add_worker();
-    parent.process->fork(*child.process);
-  }
-  std::vector<const paging::Pager*> pagers;
-  for (const auto& w : rig.workers) pagers.push_back(w.pager.get());
+  for (u64 i = 1; i <= N; ++i) rig.bind(rig.group.fork(parent, "w" + std::to_string(i)));
+  const std::vector<const paging::Pager*> pagers = rig.group.pagers();
   // Every phase ends drained with the machine ledger balanced.
-  const auto drain = [&] {
-    paging::drain_balanced(sim, pagers, &rig.pool, bench::kDrainCycles, "fig14");
-  };
+  const auto drain = [&] { rig.group.drain(bench::kDrainCycles); };
   drain();
   const paging::MachineLedger base = paging::MachineLedger::of(pagers);
   using Touch = sls::EpisodeDriver::Touch;
@@ -288,9 +249,9 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   }
   r.share_faults = rig.read_faults() - faults_before;
   // Read-only sharing never copies: no COW traffic before anyone writes.
-  for (const auto& w : rig.workers)
-    require_gate(w.pager->cow_copies() == 0 && w.pager->cow_upgrades() == 0,
-                 "read-only sharing triggered a COW on " + w.pager->name());
+  for (const paging::Pager* pg : pagers)
+    require_gate(pg->cow_copies() == 0 && pg->cow_upgrades() == 0,
+                 "read-only sharing triggered a COW on " + pg->name());
 
   // --- phase C: divergence (measured) ----------------------------------
   {
@@ -317,7 +278,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   // --- ledgers ---------------------------------------------------------
   const paging::MachineLedger run = paging::MachineLedger::of(pagers) - base;
   std::vector<paging::LedgerExpect> expect;
-  for (std::size_t i = 0; i < rig.workers.size(); ++i) {
+  for (std::size_t i = 0; i < pagers.size(); ++i) {
     expect.push_back({rig.episodes.read_faults(i), rig.episodes.cow_faults(i), 0});
     r.cow_faults += rig.episodes.cow_faults(i);
   }
@@ -337,10 +298,11 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
                      "worker bucket mismatch for " + l.name);
     }
   }
-  r.mapped = rig.pool.mapped_pages();
-  r.unique_frames = rig.pool.resident_pages();
-  r.dedup = rig.pool.dedup_ratio();
-  r.evictions = rig.pool.evictions();
+  const paging::FramePool& pool = rig.group.pool();
+  r.mapped = pool.mapped_pages();
+  r.unique_frames = pool.resident_pages();
+  r.dedup = pool.dedup_ratio();
+  r.evictions = pool.evictions();
   if (N >= 256)
     require_gate(r.dedup >= 0.9, "dedup ratio " + std::to_string(r.dedup) + " below 0.9 at " +
                                      std::to_string(N) + " workers");
@@ -349,25 +311,25 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   // Software reads (zero cost, demand-map on touch) so evicted pages in the
   // pressure cell still verify against their backing truth.
   for (u64 p = 0; p < A; ++p) {
-    require_gate(parent.as->read_u64(anon_base + p * kPage) == parent_final(p),
+    require_gate(pas.read_u64(anon_base + p * kPage) == parent_final(p),
                  "parent anon value corrupted");
     for (u64 i = 1; i <= N; ++i)
-      require_gate(rig.workers[i].as->read_u64(anon_base + p * kPage) == child_word(i, p),
+      require_gate(rig.as(i).read_u64(anon_base + p * kPage) == child_word(i, p),
                    "worker " + std::to_string(i) + " anon divergence lost");
   }
-  for (auto& w : rig.workers) {
+  for (u64 i = 0; i <= N; ++i) {
+    mem::AddressSpace& as = rig.as(i);
     for (u64 p = 0; p < S; ++p)
-      require_gate(w.as->read_u64(file_base + p * kPage) == file_word(p),
+      require_gate(as.read_u64(file_base + p * kPage) == file_word(p),
                    "shared file page corrupted");
-    require_gate(w.as->read_u64(file_base + 8) == kSentinel, "dirty shared word lost");
+    require_gate(as.read_u64(file_base + 8) == kSentinel, "dirty shared word lost");
     for (u64 p = 0; p < E; ++p)
-      require_gate(w.as->read_u64(evict_base + p * kPage) == evict_word(p),
+      require_gate(as.read_u64(evict_base + p * kPage) == evict_word(p),
                    "inherited page corrupted");
   }
   for (u64 i = 1; i <= N; ++i)
     for (u64 p = 0; p < Z; ++p)
-      require_gate(rig.workers[i].as->read_u64(zero_base + p * kPage) == 0,
-                   "zero-fill page not zero");
+      require_gate(rig.as(i).read_u64(zero_base + p * kPage) == 0, "zero-fill page not zero");
 
   r.host_ms = timer.ms();
   r.snapshot = sim.stats().snapshot();
@@ -455,7 +417,7 @@ void run_grid(const bench::Cli& cli) {
            << "  share-sweep fault  " << big.share_fault_cycles() << " cycles/fault ("
            << big.share_faults << " faults, no device reads — FrameShareIndex hits)\n"
            << "  COW divergence     " << big.cow_fault_cycles() << " cycles/fault ("
-           << big.cow_faults << " first-write copies; no bus in this rig, so no copy traffic)\n"
+           << big.cow_faults << " first-write copies, each a page-sized bus write burst)\n"
            << "  refcounts sum to mappings, every unmap lands in exactly one ledger bucket,\n"
            << "  and the run is bit-identical across reruns and shard counts\n";
   std::cout << headline.str();

@@ -14,18 +14,13 @@
 
 #include <algorithm>
 #include <iostream>
-#include <memory>
 #include <stdexcept>
 
 #include "bench_util.hpp"
-#include "mem/address_space.hpp"
-#include "mem/frames.hpp"
-#include "mem/paging/pager.hpp"
 #include "mem/paging/swap_scheduler.hpp"
-#include "mem/physmem.hpp"
-#include "rt/process.hpp"
 #include "sim/simulator.hpp"
 #include "sls/episode.hpp"
+#include "sls/process_group.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -35,33 +30,40 @@ using namespace vmsls;
 using bench::measure;
 using bench::Rate;
 
-/// A process + pager over a small physical memory — the fault path without
-/// the MMU/walker front end (an sls::EpisodeDriver issues the faults and
-/// plays the OS tail by mapping the page in once it is ready).
+/// One pager-only ProcessGroup member over a small physical memory — the
+/// fault path without the MMU/walker front end (an sls::EpisodeDriver issues
+/// the faults and plays the OS tail by mapping the page in once it is ready).
 struct FaultRig {
   sim::Simulator sim;
-  mem::PhysicalMemory pm{32 * MiB};
-  mem::FrameAllocator frames{0, (32 * MiB) / (4 * KiB), 4 * KiB};
-  mem::AddressSpace as;
-  rt::Process process;
-  std::unique_ptr<paging::Pager> pager;
+  sls::ProcessGroup group;
+  sls::System& sys;
+  mem::AddressSpace& as;
+  paging::Pager& pager;
   sls::EpisodeDriver episodes{sim};
   VirtAddr base = 0;
   u64 pages = 0;
 
   FaultRig(u64 pages_, u64 budget, const paging::SwapConfig& swap)
-      : as(pm, frames, mem::PageTableConfig{}), process(sim, as, "proc"), pages(pages_) {
-    paging::PagerConfig cfg;
-    cfg.frame_budget = budget;
-    cfg.policy = paging::PolicyKind::kClock;
-    cfg.swap = swap;
-    pager = std::make_unique<paging::Pager>(sim, process, cfg, "pager");
-    episodes.add_worker(as, process, *pager);
+      : group(sim, platform(budget, swap), paging::FramePoolConfig{}),
+        sys(group.add_process("p0")),
+        as(sys.address_space()),
+        pager(*sys.pager()),
+        pages(pages_) {
+    episodes.add_worker(as, sys.process(), pager);
     base = as.alloc(pages * page(), page());
     // Materialize every page with distinct data (maps them all; budget is
     // only enforced on the fault path, so setup may exceed it).
     for (u64 p = 0; p < pages; ++p)
       for (u64 w = 0; w < 4; ++w) as.write_u64(va(p) + w * 8, p * 1000 + w);
+  }
+
+  static sls::PlatformSpec platform(u64 budget, const paging::SwapConfig& swap) {
+    sls::PlatformSpec p;
+    p.dram.size_bytes = 32 * MiB;
+    p.pager.frame_budget = budget;
+    p.pager.policy = paging::PolicyKind::kClock;
+    p.pager.swap = swap;
+    return p;
   }
 
   u64 page() const { return as.page_bytes(); }
@@ -71,7 +73,7 @@ struct FaultRig {
     for (u64 p = 0; p < pages; ++p) as.page_table().test_and_clear_dirty(va(p));
   }
 
-  void evict_all() { process.evict(base, pages * page()); }
+  void evict_all() { sys.process().evict(base, pages * page()); }
 
   /// Chains `count` demand faults on pages `first, first+stride, ...`
   /// (wrapping modulo `pages`), each issued from the previous fault's ready
@@ -85,7 +87,7 @@ struct FaultRig {
       touches.push_back({va((first + i * stride) % pages), dirty, i + 1});
     bool done = false;
     episodes.start(0, 0, [&done] { done = true; });
-    sim.drain(bench::kDrainCycles);
+    group.drain(bench::kDrainCycles);
     if (!done) throw std::runtime_error("micro_paging: fault chain stalled");
     if (episodes.read_faults(0) != count)
       throw std::runtime_error("micro_paging: a chained page was still resident");
@@ -103,7 +105,7 @@ Rate bench_fault_clean(u64 pages, u64 budget, u64 rounds) {
     rig.clear_dirty_bits();
     rig.evict_all();
     rig.fault_chain(faults, 0, 1, /*dirty=*/false);
-    if (rig.pager->swap_ins() != faults)
+    if (rig.pager.swap_ins() != faults)
       throw std::runtime_error("micro_paging: clean-fault swap-in count mismatch");
     covered = rig.sim.now();
   });
@@ -121,7 +123,7 @@ Rate bench_fault_dirty(u64 pages, u64 budget, u64 rounds) {
     FaultRig rig(pages, budget, bench::fast_swap());
     rig.evict_all();  // setup writes left every page dirty
     rig.fault_chain(faults, 0, 1, /*dirty=*/true);
-    if (rig.pager->writebacks() == 0)
+    if (rig.pager.writebacks() == 0)
       throw std::runtime_error("micro_paging: dirty-fault loop paid no writebacks");
     covered = rig.sim.now();
   });
@@ -139,9 +141,11 @@ Rate bench_swap_enqueue(u64 n, paging::SwapSchedPolicy policy) {
   Cycles covered = 0;
   Rate r = measure(ops, [&] {
     sim::Simulator sim;
-    paging::SwapConfig cfg = bench::fast_swap();
-    cfg.sched = policy;
-    paging::SwapScheduler sched(sim, cfg, 4 * KiB, "swap");
+    sls::PlatformSpec plat = FaultRig::platform(0, bench::fast_swap());
+    plat.pager.swap.sched = policy;
+    plat.pager.swap.shared = true;  // the group's one swap part, no member attached
+    sls::ProcessGroup group(sim, plat, paging::FramePoolConfig{});
+    paging::SwapScheduler& sched = *group.shared_swap();
     const unsigned owner = sched.register_owner("swap");
     u64 done = 0;
     for (u64 i = 0; i < n; i += kBurst) {
@@ -193,11 +197,11 @@ Rate bench_readahead(u64 pages, unsigned ra) {
     rig.clear_dirty_bits();
     rig.evict_all();  // in-vpn-order eviction clusters the swap slots
     rig.fault_chain(demand, 0, stride, /*dirty=*/false);
-    if (rig.pager->swap_ins() != demand)
+    if (rig.pager.swap_ins() != demand)
       throw std::runtime_error("micro_paging: readahead demand swap-in count mismatch");
-    if (rig.pager->prefetches() != expected_prefetch)
+    if (rig.pager.prefetches() != expected_prefetch)
       throw std::runtime_error("micro_paging: readahead prefetch count mismatch (got " +
-                               std::to_string(rig.pager->prefetches()) + ", want " +
+                               std::to_string(rig.pager.prefetches()) + ", want " +
                                std::to_string(expected_prefetch) + ")");
     covered = rig.sim.now();
   });

@@ -6,7 +6,6 @@
 
 #include "mem/frames.hpp"
 #include "mem/paging/pager.hpp"
-#include "sim/simulator.hpp"
 
 namespace vmsls::paging {
 
@@ -140,14 +139,6 @@ void require_balanced(const std::vector<std::string>& violations, const std::str
   std::string msg = who + ": ledger violation — ";
   for (std::size_t i = 0; i < violations.size(); ++i) msg += (i ? "; " : "") + violations[i];
   throw std::runtime_error(msg);
-}
-
-Cycles drain_balanced(sim::Simulator& sim, const std::vector<const Pager*>& pagers,
-                      const FramePool* pool, Cycles max_cycles, const std::string& who) {
-  const Cycles t0 = sim.now();
-  sim.drain(max_cycles);
-  require_balanced(check_machine(pagers, pool), who);
-  return sim.now() - t0;
 }
 
 }  // namespace vmsls::paging

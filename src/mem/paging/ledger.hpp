@@ -13,10 +13,6 @@
 
 #include "util/units.hpp"
 
-namespace vmsls::sim {
-class Simulator;
-}
-
 namespace vmsls::paging {
 
 class FramePool;
@@ -67,11 +63,5 @@ std::vector<std::string> check_machine(const std::vector<const Pager*>& pagers,
 /// Throws std::runtime_error("<who>: ledger violation — <v1>; <v2>...")
 /// unless `violations` is empty.
 void require_balanced(const std::vector<std::string>& violations, const std::string& who);
-
-/// The end-of-phase gate: Simulator::drain within `max_cycles`, then
-/// check_machine(pagers, pool). Throws on a stuck queue or a violated
-/// identity, naming `who`. Returns cycles elapsed.
-Cycles drain_balanced(sim::Simulator& sim, const std::vector<const Pager*>& pagers,
-                      const FramePool* pool, Cycles max_cycles, const std::string& who);
 
 }  // namespace vmsls::paging

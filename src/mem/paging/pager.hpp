@@ -155,8 +155,8 @@ class Pager final : public mem::ResidencyObserver {
 
   /// COW page copies are charged as bus traffic (one page-sized write
   /// burst) when a bus is wired; without one the copy is functional-only
-  /// and the OS tail's copy cost is the only charge. Optional because
-  /// bench rigs drive the fault path without a memory fabric.
+  /// and the OS tail's copy cost is the only charge. Every sls::System
+  /// wires its bus; only unit tests of the paging classes run without one.
   void set_bus(mem::MemoryBus* bus) noexcept { bus_ = bus; }
 
   // --- mem::ResidencyObserver (driven by the address space) ---

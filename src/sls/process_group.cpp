@@ -105,6 +105,22 @@ System& ProcessGroup::add_process(const SystemImage& image, const std::string& i
   return sys;
 }
 
+System& ProcessGroup::add_process(const std::string& instance) {
+  // Built here, not by SynthesisFlow, which rejects an application with no
+  // threads: no threads, buffers or OS objects leave only the pager.
+  SystemImage image;
+  image.app_.name = "proc";
+  image.platform_ = platform_;
+  image.netlist_ = std::make_shared<Netlist>("proc_top");
+  return add_process(image, instance);
+}
+
+System& ProcessGroup::fork(System& parent, const std::string& instance) {
+  System& child = add_process(instance);
+  parent.process().fork(child.process());
+  return child;
+}
+
 void ProcessGroup::start_all() {
   for (auto& s : systems_) s->start_all();
   if (telemetry_ != nullptr && !telemetry_->armed()) telemetry_->start();
@@ -128,7 +144,10 @@ Cycles ProcessGroup::run_to_completion(Cycles max_cycles) {
 }
 
 Cycles ProcessGroup::drain(Cycles max_cycles) {
-  return paging::drain_balanced(sim_, pagers(), pool_.get(), max_cycles, "ProcessGroup::drain");
+  const Cycles t0 = sim_.now();
+  sim_.drain(max_cycles);
+  paging::require_balanced(paging::check_machine(pagers(), pool_.get()), "ProcessGroup::drain");
+  return sim_.now() - t0;
 }
 
 }  // namespace vmsls::sls

@@ -37,6 +37,16 @@ class ProcessGroup {
   /// Instance names must be unique; attach order fixes pool member ids.
   System& add_process(const SystemImage& image, const std::string& instance);
 
+  /// A pager-only member: an address space, process and pager on the
+  /// group's own platform, with no threads — what driver-fed rigs
+  /// (sls::EpisodeDriver) page against. It counts as halted.
+  System& add_process(const std::string& instance);
+
+  /// Adds pager-only member `instance` and forks `parent` into it: every
+  /// resident parent page is mapped into the child by reference (COW for
+  /// anonymous pages, see rt::Process::fork).
+  System& fork(System& parent, const std::string& instance);
+
   System& process(std::size_t i) { return *systems_.at(i); }
   std::size_t size() const noexcept { return systems_.size(); }
 
@@ -84,12 +94,15 @@ class ProcessGroup {
   void start_all();
   bool all_halted() const noexcept;
 
-  /// Runs until every started thread in every process halts. Throws on
-  /// deadlock or when `max_cycles` elapse. Returns cycles elapsed.
+  /// Runs until every started thread in every process halts (pager-only
+  /// members count as halted). Throws on deadlock or when `max_cycles`
+  /// elapse. Returns cycles elapsed.
   Cycles run_to_completion(Cycles max_cycles = 4'000'000'000ull);
 
-  /// The end-of-run gate: paging::drain_balanced over every member pager and
-  /// the pool. TrafficDriver, fig12, fig13 and perfbench end their runs here.
+  /// The end-of-phase gate: Simulator::drain within `max_cycles`, then
+  /// paging::check_machine over every member pager and the pool. Throws on
+  /// a stuck queue or a violated identity. Every rig that drives a pager
+  /// ends its runs here. Returns cycles elapsed.
   Cycles drain(Cycles max_cycles = 1'000'000'000ull);
 
  private:

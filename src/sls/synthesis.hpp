@@ -123,6 +123,7 @@ class SystemImage {
 
  private:
   friend class SynthesisFlow;
+  friend class ProcessGroup;  // builds the thread-less pager-only image
   AppSpec app_;
   PlatformSpec platform_;
   SynthesisOptions options_;

@@ -114,7 +114,11 @@ class System {
   void start_thread(const std::string& thread);
   void start_all();
 
-  bool all_halted() const noexcept { return running_ == 0 && started_ > 0; }
+  /// True once every started thread halted; a system with no threads (a
+  /// ProcessGroup's pager-only member) is always halted.
+  bool all_halted() const noexcept {
+    return running_ == 0 && (started_ > 0 || (hw_.empty() && sw_.empty()));
+  }
   unsigned threads_running() const noexcept { return running_; }
 
   /// Names of threads currently running (deadlock diagnostics).

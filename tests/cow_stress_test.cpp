@@ -7,9 +7,9 @@
 // evictions. After every storm the invariants that define the sharing
 // model are re-checked:
 //
-//   * the paging ledger (mem/paging/ledger.hpp) with the driven fault
-//     classification and the external evictions, and the refcount
-//     identity,
+//   * the paging ledger (mem/paging/ledger.hpp) with the episode driver's
+//     fault classification and the external evictions, and the refcount
+//     identity (every drain goes through ProcessGroup::drain),
 //   * content — every process reads back exactly the value the reference
 //     model last wrote for it (divergence is never lost, sharing is never
 //     broken), and
@@ -18,18 +18,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "mem/backing_file.hpp"
-#include "mem/frame_share.hpp"
-#include "mem/paging/frame_pool.hpp"
 #include "mem/paging/ledger.hpp"
-#include "mem/paging/pager.hpp"
-#include "rt/process.hpp"
-#include "sls/sharded_runner.hpp"
+#include "sls/episode.hpp"
+#include "sls/process_group.hpp"
 #include "test_util.hpp"
 
 namespace vmsls::paging {
@@ -47,37 +43,23 @@ struct StormResult {
   std::map<std::string, double> snapshot;
 };
 
+/// Pager-only members of one ProcessGroup driven by one EpisodeDriver:
+/// member w is episode worker w.
 struct Storm {
   sim::Simulator sim;
-  mem::PhysicalMemory pm{32 * MiB};
-  mem::FrameAllocator frames{0, (32 * MiB) / kPageSz, kPageSz};
-  mem::FileStore files{kPageSz};
-  mem::FrameShareIndex share;
-  FramePool pool;
-  std::vector<std::unique_ptr<mem::AddressSpace>> spaces;
-  std::vector<std::unique_ptr<rt::Process>> procs;
-  std::vector<std::unique_ptr<Pager>> pagers;
-  // Driver-side classification + the reference content model.
-  std::vector<LedgerExpect> expect{std::vector<LedgerExpect>(kProcs, {0, 0, 0})};
+  sls::ProcessGroup group{sim, platform(), pool_cfg()};
+  sls::EpisodeDriver driver{sim};
+  std::vector<u64> external_unmaps = std::vector<u64>(kProcs, 0);
+  // The reference content model.
   std::vector<std::vector<u64>> anon_model;  // [proc][page] expected value
   std::vector<u64> file_model;               // [page] expected value (shared)
   VirtAddr file_base = 0, anon_base = 0, zero_base = 0;
 
-  Storm() : pool(sim, pool_cfg(), "pool") {
-    for (u64 i = 0; i < kProcs; ++i) {
-      auto as = std::make_unique<mem::AddressSpace>(pm, frames, mem::PageTableConfig{});
-      as->set_share_index(&share);
-      auto pr = std::make_unique<rt::Process>(sim, *as, "w" + std::to_string(i));
-      PagerConfig cfg;
-      cfg.budget_mode = BudgetMode::kGlobal;
-      auto pg = std::make_unique<Pager>(sim, *pr, cfg, "w" + std::to_string(i) + ".pager");
-      pool.attach(*pg);
-      spaces.push_back(std::move(as));
-      procs.push_back(std::move(pr));
-      pagers.push_back(std::move(pg));
-    }
+  Storm() {
+    sls::System& parent = group.add_process("w0");
+    mem::AddressSpace& as = parent.address_space();
     // Parent image: a seeded MAP_SHARED file plus dirty anonymous pages.
-    mem::BackingFile& file = files.create("storm.dat", kFilePages * kPageSz);
+    mem::BackingFile& file = group.files().create("storm.dat", kFilePages * kPageSz);
     file_model.assign(kFilePages, 0);
     for (u64 p = 0; p < kFilePages; ++p) {
       std::vector<u8> block(kPageSz, 0);
@@ -86,19 +68,30 @@ struct Storm {
       file.write(p * kPageSz, block);
       file_model[p] = v;
     }
-    file_base = procs[0]->mmap(file, 0, kFilePages * kPageSz, /*shared=*/true);
-    anon_base = spaces[0]->alloc(kAnonPages * kPageSz, kPageSz);
-    zero_base = spaces[0]->alloc(2 * kPageSz, kPageSz);
+    file_base = parent.process().mmap(file, 0, kFilePages * kPageSz, /*shared=*/true);
+    anon_base = as.alloc(kAnonPages * kPageSz, kPageSz);
+    zero_base = as.alloc(2 * kPageSz, kPageSz);
     anon_model.assign(kProcs, std::vector<u64>(kAnonPages, 0));
     for (u64 p = 0; p < kAnonPages; ++p) {
       const u64 v = 0xA000 + p;
-      spaces[0]->write_u64(anon_base + p * kPageSz, v);
+      as.write_u64(anon_base + p * kPageSz, v);
       for (u64 i = 0; i < kProcs; ++i) anon_model[i][p] = v;
     }
     for (u64 p = 0; p < kFilePages / 2; ++p)  // half the file resident at fork
-      (void)spaces[0]->read_u64(file_base + p * kPageSz);
-    for (u64 i = 1; i < kProcs; ++i) procs[0]->fork(*procs[i]);
-    sim.drain();
+      (void)as.read_u64(file_base + p * kPageSz);
+    for (const char* child : {"w1", "w2", "w3"}) group.fork(parent, child);
+    for (u64 i = 0; i < kProcs; ++i) {
+      sls::System& s = group.process(i);
+      driver.add_worker(s.address_space(), s.process(), *s.pager());
+    }
+    group.drain();
+  }
+
+  static sls::PlatformSpec platform() {
+    sls::PlatformSpec plat;
+    plat.dram.size_bytes = 32 * MiB;
+    plat.pager.budget_mode = BudgetMode::kGlobal;
+    return plat;
   }
 
   static FramePoolConfig pool_cfg() {
@@ -109,21 +102,15 @@ struct Storm {
     return cfg;
   }
 
-  /// Drives one fault synchronously (drain after issue), classifying it the
-  /// way the ledgers partition: unmapped -> read bucket, resident
-  /// read-only + write -> COW bucket.
-  void drive(u64 w, VirtAddr va, bool is_write) {
-    mem::AddressSpace& as = *spaces[w];
-    const auto pte = as.page_table().lookup(va);
-    if (pte && (!is_write || pte->writable)) return;  // nothing to fault
-    ++*(pte ? expect[w].cow_faults : expect[w].read_faults);
-    bool done = false;
-    pagers[w]->handle_fault(va, is_write, [&] {
-      if (!as.is_mapped(va)) procs[w]->map_in(va);
-      done = true;
-    });
-    sim.drain();
-    ASSERT_TRUE(done);
+  mem::AddressSpace& as(u64 w) { return group.process(w).address_space(); }
+
+  /// Runs one touch on worker `w` to completion; the driver classifies it
+  /// the way the ledgers partition (unmapped -> read bucket, resident
+  /// read-only + write -> COW bucket) and a write stores `value`.
+  void drive(u64 w, VirtAddr va, bool is_write, u64 value = 0) {
+    driver.touches(w) = {{va, is_write, value}};
+    driver.start(w, 0);
+    group.drain();
   }
 
   void run_ops(u64 seed) {
@@ -133,10 +120,8 @@ struct Storm {
       switch (rng() % 6) {
         case 0: {  // COW (or refault) write to an anonymous page
           const u64 p = rng() % kAnonPages;
-          const VirtAddr va = anon_base + p * kPageSz;
-          drive(w, va, /*is_write=*/true);
           const u64 v = 0xC0DE0000 + (w << 8) + (rng() & 0xFF);
-          spaces[w]->write_u64(va, v);
+          drive(w, anon_base + p * kPageSz, /*is_write=*/true, v);
           anon_model[w][p] = v;
           break;
         }
@@ -148,7 +133,7 @@ struct Storm {
         case 2: {  // software store to a MAP_SHARED page: visible machine-wide
           const u64 p = rng() % kFilePages;
           const u64 v = 0x5A5A0000 + (w << 8) + (rng() & 0xFF);
-          spaces[w]->write_u64(file_base + p * kPageSz, v);
+          as(w).write_u64(file_base + p * kPageSz, v);
           file_model[p] = v;
           break;
         }
@@ -156,7 +141,7 @@ struct Storm {
           const u64 p = rng() % (kFilePages + kAnonPages);
           const VirtAddr va = (p < kFilePages ? file_base + p * kPageSz
                                               : anon_base + (p - kFilePages) * kPageSz);
-          expect[w].external_unmaps += procs[w]->evict(va, kPageSz);
+          external_unmaps[w] += group.process(w).process().evict(va, kPageSz);
           break;
         }
         case 4: {  // driven read fault on an evicted/fresh anon page
@@ -171,23 +156,23 @@ struct Storm {
         }
       }
     }
-    sim.drain();
+    group.drain();
   }
 
   void check_invariants() {
-    std::vector<const Pager*> members;
-    for (const auto& pg : pagers) members.push_back(pg.get());
-    EXPECT_EQ(check_machine(members, &pool), std::vector<std::string>{});
-    EXPECT_EQ(MachineLedger::of(members).check(expect), std::vector<std::string>{});
+    std::vector<LedgerExpect> expect;
+    for (u64 w = 0; w < kProcs; ++w)
+      expect.push_back({driver.read_faults(w), driver.cow_faults(w), external_unmaps[w]});
+    EXPECT_EQ(MachineLedger::of(group.pagers()).check(expect), std::vector<std::string>{});
 
     // Content: divergence preserved, sharing coherent.
     for (u64 w = 0; w < kProcs; ++w)
       for (u64 p = 0; p < kAnonPages; ++p)
-        EXPECT_EQ(spaces[w]->read_u64(anon_base + p * kPageSz), anon_model[w][p])
+        EXPECT_EQ(as(w).read_u64(anon_base + p * kPageSz), anon_model[w][p])
             << "anon w" << w << " p" << p;
     for (u64 w = 0; w < kProcs; ++w)
       for (u64 p = 0; p < kFilePages; ++p)
-        EXPECT_EQ(spaces[w]->read_u64(file_base + p * kPageSz), file_model[p])
+        EXPECT_EQ(as(w).read_u64(file_base + p * kPageSz), file_model[p])
             << "file w" << w << " p" << p;
   }
 };

@@ -7,15 +7,12 @@
 // in bench/fig14_page_sharing.cpp.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "mem/backing_file.hpp"
-#include "mem/frame_share.hpp"
-#include "mem/paging/frame_pool.hpp"
-#include "mem/paging/pager.hpp"
-#include "rt/process.hpp"
+#include "sls/episode.hpp"
+#include "sls/process_group.hpp"
 #include "sls/sharded_runner.hpp"
 #include "test_util.hpp"
 
@@ -24,46 +21,42 @@ namespace {
 
 constexpr u64 kPageSz = 4096;
 
+/// Pager-only members of one ProcessGroup: parent "p0" and a second
+/// process "p1", forked from p0 or added fresh.
 struct CowFixture : ::testing::Test {
-  static constexpr u64 kMemBytes = 64 * MiB;
-
   sim::Simulator sim;
-  mem::PhysicalMemory pm{kMemBytes};
-  mem::FrameAllocator frames{0, kMemBytes / kPageSz, kPageSz};
-  mem::FileStore files{kPageSz};
-  mem::FrameShareIndex share;
-  mem::AddressSpace as0{pm, frames, mem::PageTableConfig{}};
-  mem::AddressSpace as1{pm, frames, mem::PageTableConfig{}};
-  rt::Process p0{sim, as0, "p0"};
-  rt::Process p1{sim, as1, "p1"};
-  std::unique_ptr<FramePool> pool;
-  std::unique_ptr<Pager> pg0, pg1;
+  std::unique_ptr<sls::ProcessGroup> group;
+  sls::System* s0 = nullptr;
+  sls::System* s1 = nullptr;
 
-  void SetUp() override {
-    as0.set_share_index(&share);
-    as1.set_share_index(&share);
-  }
-
-  /// Pagers without a pool: COW mechanics only, no budget enforcement.
-  void make_pagers(PagerConfig cfg = {}) {
-    pg0 = std::make_unique<Pager>(sim, p0, cfg, "p0.pager");
-    pg1 = std::make_unique<Pager>(sim, p1, cfg, "p1.pager");
-  }
-
-  /// Pagers attached to a kGlobal pool with `budget` machine-wide frames.
-  void make_pool(u64 budget) {
+  /// Creates the group and p0. `budget` > 0 puts every member under a
+  /// kGlobal pool of that many machine-wide frames; 0 leaves them unbudgeted
+  /// (COW mechanics only).
+  void make(u64 budget = 0) {
+    sls::PlatformSpec plat;
+    plat.dram.size_bytes = 64 * MiB;
     FramePoolConfig pc;
-    pc.mode = BudgetMode::kGlobal;
-    pc.total_frames = budget;
-    pool = std::make_unique<FramePool>(sim, pc, "pool");
-    PagerConfig cfg;
-    cfg.budget_mode = BudgetMode::kGlobal;
-    make_pagers(cfg);
-    pool->attach(*pg0);
-    pool->attach(*pg1);
+    if (budget > 0) {
+      pc.mode = BudgetMode::kGlobal;
+      pc.total_frames = budget;
+      plat.pager.budget_mode = BudgetMode::kGlobal;
+    }
+    group = std::make_unique<sls::ProcessGroup>(sim, plat, pc);
+    s0 = &group->add_process("p0");
   }
+  void fork() { s1 = &group->fork(*s0, "p1"); }
+  void add_p1() { s1 = &group->add_process("p1"); }
 
-  void run_all() { sim.drain(); }
+  mem::AddressSpace& as0() { return s0->address_space(); }
+  mem::AddressSpace& as1() { return s1->address_space(); }
+  rt::Process& p0() { return s0->process(); }
+  rt::Process& p1() { return s1->process(); }
+  Pager& pg0() { return *s0->pager(); }
+  Pager& pg1() { return *s1->pager(); }
+  FramePool& pool() { return group->pool(); }
+  mem::FrameAllocator& frames() { return group->frames(); }
+
+  void run_all() { group->drain(); }
 
   /// Drives one fault to completion, mapping in the ready callback when the
   /// page is still unmapped (the OS tail the bench drivers play).
@@ -85,148 +78,153 @@ struct CowFixture : ::testing::Test {
 };
 
 TEST_F(CowFixture, ForkSharesThenDivergesOnFirstWrite) {
-  make_pagers();
-  const VirtAddr va = as0.alloc(2 * kPageSz, kPageSz);
-  as0.write_u64(va, 0xAAAA);
-  as0.write_u64(va + kPageSz, 0xBBBB);
+  make();
+  const VirtAddr va = as0().alloc(2 * kPageSz, kPageSz);
+  as0().write_u64(va, 0xAAAA);
+  as0().write_u64(va + kPageSz, 0xBBBB);
 
-  EXPECT_EQ(p0.fork(p1), 2u);
-  const u64 f0 = frame_at(as0, va);
-  EXPECT_EQ(frame_at(as1, va), f0);  // one frame backs both mappings
-  EXPECT_EQ(frames.refcount(f0), 2u);
-  EXPECT_FALSE(as0.page_table().lookup(va)->writable);  // both sides downgraded
-  EXPECT_FALSE(as1.page_table().lookup(va)->writable);
-  EXPECT_EQ(as1.read_u64(va), 0xAAAAu);  // child reads the parent's bytes
+  fork();
+  EXPECT_EQ(as1().resident_pages(), 2u);  // every resident page shared
+  const u64 f0 = frame_at(as0(), va);
+  EXPECT_EQ(frame_at(as1(), va), f0);  // one frame backs both mappings
+  EXPECT_EQ(frames().refcount(f0), 2u);
+  EXPECT_FALSE(as0().page_table().lookup(va)->writable);  // both sides downgraded
+  EXPECT_FALSE(as1().page_table().lookup(va)->writable);
+  EXPECT_EQ(as1().read_u64(va), 0xAAAAu);  // child reads the parent's bytes
 
   // Child's first write: a COW fault that splits the frame.
-  const u64 child_shootdowns = p1.shootdowns();
-  fault(*pg1, p1, va, /*is_write=*/true);
-  as1.write_u64(va, 0xA1A1);
-  EXPECT_EQ(pg1->cow_copies(), 1u);
-  EXPECT_EQ(pg1->cow_upgrades(), 0u);
-  const u64 f1 = frame_at(as1, va);
+  const u64 child_shootdowns = p1().shootdowns();
+  fault(pg1(), p1(), va, /*is_write=*/true);
+  as1().write_u64(va, 0xA1A1);
+  EXPECT_EQ(pg1().cow_copies(), 1u);
+  EXPECT_EQ(pg1().cow_upgrades(), 0u);
+  const u64 f1 = frame_at(as1(), va);
   EXPECT_NE(f1, f0);  // private copy
-  EXPECT_EQ(frames.refcount(f0), 1u);
-  EXPECT_EQ(frames.refcount(f1), 1u);
-  EXPECT_GT(p1.shootdowns(), child_shootdowns);  // stale translation flushed
-  EXPECT_EQ(as1.read_u64(va), 0xA1A1u);          // diverged...
-  EXPECT_EQ(as0.read_u64(va), 0xAAAAu);          // ...and the parent kept its value
+  EXPECT_EQ(frames().refcount(f0), 1u);
+  EXPECT_EQ(frames().refcount(f1), 1u);
+  EXPECT_GT(p1().shootdowns(), child_shootdowns);  // stale translation flushed
+  EXPECT_EQ(as1().read_u64(va), 0xA1A1u);          // diverged...
+  EXPECT_EQ(as0().read_u64(va), 0xAAAAu);          // ...and the parent kept its value
 
   // Parent's write after the split: refcount is 1, so the fault upgrades
   // the mapping in place — same frame, no copy.
-  fault(*pg0, p0, va, /*is_write=*/true);
-  as0.write_u64(va, 0xA0A0);
-  EXPECT_EQ(pg0->cow_upgrades(), 1u);
-  EXPECT_EQ(pg0->cow_copies(), 0u);
-  EXPECT_EQ(frame_at(as0, va), f0);
-  EXPECT_TRUE(as0.page_table().lookup(va)->writable);
-  EXPECT_EQ(as0.read_u64(va), 0xA0A0u);
-  EXPECT_EQ(as1.read_u64(va), 0xA1A1u);
+  fault(pg0(), p0(), va, /*is_write=*/true);
+  as0().write_u64(va, 0xA0A0);
+  EXPECT_EQ(pg0().cow_upgrades(), 1u);
+  EXPECT_EQ(pg0().cow_copies(), 0u);
+  EXPECT_EQ(frame_at(as0(), va), f0);
+  EXPECT_TRUE(as0().page_table().lookup(va)->writable);
+  EXPECT_EQ(as0().read_u64(va), 0xA0A0u);
+  EXPECT_EQ(as1().read_u64(va), 0xA1A1u);
 }
 
 TEST_F(CowFixture, ReadOnlySharingNeverCopies) {
-  make_pagers();
-  const VirtAddr va = as0.alloc(4 * kPageSz, kPageSz);
-  for (u64 p = 0; p < 4; ++p) as0.write_u64(va + p * kPageSz, 0x100 + p);
-  EXPECT_EQ(p0.fork(p1), 4u);
-  const u64 f0 = frame_at(as0, va);
+  make();
+  const VirtAddr va = as0().alloc(4 * kPageSz, kPageSz);
+  for (u64 p = 0; p < 4; ++p) as0().write_u64(va + p * kPageSz, 0x100 + p);
+  fork();
+  EXPECT_EQ(as1().resident_pages(), 4u);  // every resident page shared
+  const u64 f0 = frame_at(as0(), va);
 
   // Reads from both sides — driven faults on the resident pages and plain
   // software reads — must not touch the COW machinery or the refcounts.
   for (u64 p = 0; p < 4; ++p) {
-    fault(*pg1, p1, va + p * kPageSz, /*is_write=*/false);
-    EXPECT_EQ(as1.read_u64(va + p * kPageSz), 0x100 + p);
-    EXPECT_EQ(as0.read_u64(va + p * kPageSz), 0x100 + p);
+    fault(pg1(), p1(), va + p * kPageSz, /*is_write=*/false);
+    EXPECT_EQ(as1().read_u64(va + p * kPageSz), 0x100 + p);
+    EXPECT_EQ(as0().read_u64(va + p * kPageSz), 0x100 + p);
   }
-  EXPECT_EQ(pg0->cow_copies() + pg0->cow_upgrades(), 0u);
-  EXPECT_EQ(pg1->cow_copies() + pg1->cow_upgrades(), 0u);
-  EXPECT_EQ(frames.refcount(f0), 2u);
-  EXPECT_EQ(frame_at(as1, va), f0);
+  EXPECT_EQ(pg0().cow_copies() + pg0().cow_upgrades(), 0u);
+  EXPECT_EQ(pg1().cow_copies() + pg1().cow_upgrades(), 0u);
+  EXPECT_EQ(frames().refcount(f0), 2u);
+  EXPECT_EQ(frame_at(as1(), va), f0);
 }
 
 TEST_F(CowFixture, MapSharedFaultResolvesToTheSharersFrame) {
-  make_pagers();
-  mem::BackingFile& file = files.create("lib.dat", kPageSz);
+  make();
+  add_p1();
+  mem::BackingFile& file = group->files().create("lib.dat", kPageSz);
   file.write(0, std::vector<u8>(kPageSz, 0x5A));
-  const VirtAddr va0 = p0.mmap(file, 0, kPageSz, /*shared=*/true);
-  (void)as0.read_u64(va0);  // p0 faults the block in (software, zero cost)
-  const u64 f = frame_at(as0, va0);
+  const VirtAddr va0 = p0().mmap(file, 0, kPageSz, /*shared=*/true);
+  (void)as0().read_u64(va0);  // p0 faults the block in (software, zero cost)
+  const u64 f = frame_at(as0(), va0);
 
   // p1 maps the same file: its demand fault must resolve to p0's frame
   // through the share index — no device read, no new frame, no COW.
-  const VirtAddr va1 = p1.mmap(file, 0, kPageSz, /*shared=*/true);
-  fault(*pg1, p1, va1, /*is_write=*/false);
-  EXPECT_EQ(pg1->share_hits(), 1u);
-  EXPECT_EQ(pg1->file_reads(), 0u);
-  EXPECT_EQ(frame_at(as1, va1), f);
-  EXPECT_EQ(frames.refcount(f), 2u);
+  const VirtAddr va1 = p1().mmap(file, 0, kPageSz, /*shared=*/true);
+  fault(pg1(), p1(), va1, /*is_write=*/false);
+  EXPECT_EQ(pg1().share_hits(), 1u);
+  EXPECT_EQ(pg1().file_reads(), 0u);
+  EXPECT_EQ(frame_at(as1(), va1), f);
+  EXPECT_EQ(frames().refcount(f), 2u);
 
   // MAP_SHARED stays writable: a store from one sharer lands in the one
   // frame and is visible to the other — sharing, not COW.
-  as1.write_u64(va1, 0xD00Du);
-  EXPECT_EQ(as0.read_u64(va0), 0xD00Du);
-  EXPECT_EQ(pg1->cow_copies() + pg1->cow_upgrades(), 0u);
+  as1().write_u64(va1, 0xD00Du);
+  EXPECT_EQ(as0().read_u64(va0), 0xD00Du);
+  EXPECT_EQ(pg1().cow_copies() + pg1().cow_upgrades(), 0u);
 }
 
 TEST_F(CowFixture, SharedFrameEvictionShootsDownEverySharerExactlyOnce) {
-  make_pool(/*budget=*/1);
-  const VirtAddr va = as0.alloc(kPageSz, kPageSz);
-  as0.write_u64(va, 0xD1D1);  // parent's mapping is dirty
-  EXPECT_EQ(p0.fork(p1), 1u);
-  EXPECT_EQ(pool->resident_pages(), 1u);  // one frame...
-  EXPECT_EQ(pool->mapped_pages(), 2u);    // ...two mappings
+  make(/*budget=*/1);
+  const VirtAddr va = as0().alloc(kPageSz, kPageSz);
+  as0().write_u64(va, 0xD1D1);  // parent's mapping is dirty
+  fork();
+  EXPECT_EQ(as1().resident_pages(), 1u);  // every resident page shared
+  EXPECT_EQ(pool().resident_pages(), 1u);  // one frame...
+  EXPECT_EQ(pool().mapped_pages(), 2u);    // ...two mappings
 
   // p1 faults a fresh page: the global sweep's only candidate is the shared
   // frame — evicting it must fan out across BOTH sharers.
-  const u64 sd0 = p0.shootdowns(), sd1 = p1.shootdowns();
+  const u64 sd0 = p0().shootdowns(), sd1 = p1().shootdowns();
   const VirtAddr fresh = va + 16 * kPageSz;
-  fault(*pg1, p1, fresh, /*is_write=*/false);
+  fault(pg1(), p1(), fresh, /*is_write=*/false);
 
-  EXPECT_FALSE(as0.is_mapped(va));
-  EXPECT_FALSE(as1.is_mapped(va));
-  EXPECT_EQ(p0.shootdowns(), sd0 + 1);  // each sharer shot down exactly once
-  EXPECT_EQ(p1.shootdowns(), sd1 + 1);
-  EXPECT_EQ(pool->evictions(), 1u);  // one victim frame, however many sharers
-  EXPECT_EQ(pg0->evictions(), 1u);   // each owner performed its own unmap
-  EXPECT_EQ(pg1->evictions(), 1u);
+  EXPECT_FALSE(as0().is_mapped(va));
+  EXPECT_FALSE(as1().is_mapped(va));
+  EXPECT_EQ(p0().shootdowns(), sd0 + 1);  // each sharer shot down exactly once
+  EXPECT_EQ(p1().shootdowns(), sd1 + 1);
+  EXPECT_EQ(pool().evictions(), 1u);  // one victim frame, however many sharers
+  EXPECT_EQ(pg0().evictions(), 1u);   // each owner performed its own unmap
+  EXPECT_EQ(pg1().evictions(), 1u);
   // Exactly one writeback: the parent's mapping was dirty, the child's
   // fork-inherited mapping was clean — the frame's bytes are paid out once.
-  EXPECT_EQ(pg0->writebacks(), 1u);
-  EXPECT_EQ(pg1->writebacks(), 0u);
-  EXPECT_EQ(pg0->swap_releases(), 1u);
-  EXPECT_EQ(pg1->swap_releases(), 1u);
+  EXPECT_EQ(pg0().writebacks(), 1u);
+  EXPECT_EQ(pg1().writebacks(), 0u);
+  EXPECT_EQ(pg0().swap_releases(), 1u);
+  EXPECT_EQ(pg1().swap_releases(), 1u);
   // Both diverge into private swap lifecycles and keep their bytes.
-  EXPECT_EQ(as0.read_u64(va), 0xD1D1u);
-  EXPECT_EQ(as1.read_u64(va), 0xD1D1u);
+  EXPECT_EQ(as0().read_u64(va), 0xD1D1u);
+  EXPECT_EQ(as1().read_u64(va), 0xD1D1u);
 }
 
 TEST_F(CowFixture, DirtySharedFileFrameWritesBackExactlyOnce) {
-  make_pool(/*budget=*/1);
-  mem::BackingFile& file = files.create("data.dat", kPageSz);
-  const VirtAddr va0 = p0.mmap(file, 0, kPageSz, /*shared=*/true);
-  const VirtAddr va1 = p1.mmap(file, 0, kPageSz, /*shared=*/true);
-  as0.write_u64(va0, 0xFACE);  // p0 faults it in and dirties it
+  make(/*budget=*/1);
+  add_p1();
+  mem::BackingFile& file = group->files().create("data.dat", kPageSz);
+  const VirtAddr va0 = p0().mmap(file, 0, kPageSz, /*shared=*/true);
+  const VirtAddr va1 = p1().mmap(file, 0, kPageSz, /*shared=*/true);
+  as0().write_u64(va0, 0xFACE);  // p0 faults it in and dirties it
   // p1 maps through the share index on the software path: with a one-frame
   // budget, a driven fault would evict the very frame it is about to share
   // (reservation runs before classification).
-  as1.write_u64(va1, 0xFEED);  // shares the frame and dirties its PTE too
-  EXPECT_EQ(pool->mapped_pages(), 2u);
+  as1().write_u64(va1, 0xFEED);  // shares the frame and dirties its PTE too
+  EXPECT_EQ(pool().mapped_pages(), 2u);
   run_all();
-  const u64 device_writes0 = pg0->buffer_cache().device_writes();
+  const u64 device_writes0 = pg0().buffer_cache().device_writes();
 
   // Evict the shared frame: both sharers are dirty, both report a
   // file_writeback — but the buffer cache dedups the two writes of the one
   // block into a single device write ("exactly one writeback").
-  const VirtAddr fresh = as0.alloc(kPageSz, kPageSz);
-  fault(*pg0, p0, fresh, /*is_write=*/false);
+  const VirtAddr fresh = as0().alloc(kPageSz, kPageSz);
+  fault(pg0(), p0(), fresh, /*is_write=*/false);
   run_all();
-  EXPECT_FALSE(as0.is_mapped(va0));
-  EXPECT_FALSE(as1.is_mapped(va1));
-  EXPECT_EQ(pg0->file_writebacks(), 1u);
-  EXPECT_EQ(pg1->file_writebacks(), 1u);
-  EXPECT_EQ(pg0->buffer_cache().device_writes() - device_writes0, 1u);
+  EXPECT_FALSE(as0().is_mapped(va0));
+  EXPECT_FALSE(as1().is_mapped(va1));
+  EXPECT_EQ(pg0().file_writebacks(), 1u);
+  EXPECT_EQ(pg1().file_writebacks(), 1u);
+  EXPECT_EQ(pg0().buffer_cache().device_writes() - device_writes0, 1u);
   // The file holds the final bytes; a fresh fault re-reads them.
-  EXPECT_EQ(as1.read_u64(va1), 0xFEEDu);
+  EXPECT_EQ(as1().read_u64(va1), 0xFEEDu);
 }
 
 TEST_F(CowFixture, PinBySharerProtectsFrameForAllSharers) {
@@ -234,30 +232,31 @@ TEST_F(CowFixture, PinBySharerProtectsFrameForAllSharers) {
   // Before the fix, a pin held by one sharer only protected that sharer's
   // own fault path — another process's fault could still nominate the
   // frame and rip it out from under the pinner.
-  make_pool(/*budget=*/2);
-  const VirtAddr shared_va = as0.alloc(kPageSz, kPageSz);
-  as0.write_u64(shared_va, 0x11);
-  EXPECT_EQ(p0.fork(p1), 1u);
-  const u64 shared_frame = frame_at(as0, shared_va);
+  make(/*budget=*/2);
+  const VirtAddr shared_va = as0().alloc(kPageSz, kPageSz);
+  as0().write_u64(shared_va, 0x11);
+  fork();
+  EXPECT_EQ(as1().resident_pages(), 1u);  // every resident page shared
+  const u64 shared_frame = frame_at(as0(), shared_va);
 
   // p1 maps a private page of its own: the pool is now at budget (2 frames)
   // with the shared frame first in the clock ring.
   const VirtAddr own_va = shared_va + 8 * kPageSz;
-  as1.write_u64(own_va, 0x22);
-  EXPECT_EQ(pool->resident_pages(), 2u);
+  as1().write_u64(own_va, 0x22);
+  EXPECT_EQ(pool().resident_pages(), 2u);
 
   // p0 pins the shared page (in-flight DMA, say); p1 — a different process
   // — faults a third page. The sweep must skip the pinned shared frame and
   // evict p1's own unpinned page instead.
-  as0.pin(shared_va);
-  fault(*pg1, p1, own_va + 8 * kPageSz, /*is_write=*/false);
-  as0.unpin(shared_va);
+  as0().pin(shared_va);
+  fault(pg1(), p1(), own_va + 8 * kPageSz, /*is_write=*/false);
+  as0().unpin(shared_va);
 
-  EXPECT_TRUE(as0.is_mapped(shared_va));  // survived, for every sharer
-  EXPECT_TRUE(as1.is_mapped(shared_va));
-  EXPECT_EQ(frames.refcount(shared_frame), 2u);
-  EXPECT_FALSE(as1.is_mapped(own_va));  // the unpinned page paid instead
-  EXPECT_EQ(pool->evictions(), 1u);
+  EXPECT_TRUE(as0().is_mapped(shared_va));  // survived, for every sharer
+  EXPECT_TRUE(as1().is_mapped(shared_va));
+  EXPECT_EQ(frames().refcount(shared_frame), 2u);
+  EXPECT_FALSE(as1().is_mapped(own_va));  // the unpinned page paid instead
+  EXPECT_EQ(pool().evictions(), 1u);
 }
 
 TEST(CowSharded, SerialEqualsShardedOnCowStorm) {
@@ -265,49 +264,32 @@ TEST(CowSharded, SerialEqualsShardedOnCowStorm) {
   // the merged registry must be bit-identical whether the shards ran
   // serially or on a host thread pool (fig14's --shards gate in miniature).
   const auto body = [](sim::Simulator& sim) {
-    mem::PhysicalMemory pm{8 * MiB};
-    mem::FrameAllocator frames{0, 8 * MiB / kPageSz, kPageSz};
-    mem::AddressSpace as0{pm, frames, mem::PageTableConfig{}};
-    mem::AddressSpace as1{pm, frames, mem::PageTableConfig{}};
-    rt::Process p0{sim, as0, "p0"};
-    rt::Process p1{sim, as1, "p1"};
+    sls::PlatformSpec plat;
+    plat.dram.size_bytes = 8 * MiB;
+    plat.pager.budget_mode = BudgetMode::kGlobal;
     FramePoolConfig pc;
     pc.mode = BudgetMode::kGlobal;
     pc.total_frames = 6;
-    FramePool pool{sim, pc, "pool"};
-    PagerConfig cfg;
-    cfg.budget_mode = BudgetMode::kGlobal;
-    Pager pg0{sim, p0, cfg, "p0.pager"};
-    Pager pg1{sim, p1, cfg, "p1.pager"};
-    pool.attach(pg0);
-    pool.attach(pg1);
+    sls::ProcessGroup group(sim, plat, pc);
+    sls::System& parent = group.add_process("p0");
+    const VirtAddr base = parent.address_space().alloc(4 * kPageSz, kPageSz);
+    for (u64 p = 0; p < 4; ++p) parent.address_space().write_u64(base + p * kPageSz, 0x40 + p);
+    sls::System& child = group.fork(parent, "p1");
 
-    const VirtAddr base = as0.alloc(4 * kPageSz, kPageSz);
-    for (u64 p = 0; p < 4; ++p) as0.write_u64(base + p * kPageSz, 0x40 + p);
-    p0.fork(p1);
     // Child COW-writes every page, chained fault to fault; the parent then
     // upgrades its now-sole mappings. Budget pressure (6 frames, up to 8
     // mappings) keeps the global sweep in play during the storm.
-    u64 next = 0;
-    std::function<void()> chain = [&] {
-      if (next >= 4) return;
-      const VirtAddr va = base + (next++) * kPageSz;
-      pg1.handle_fault(va, /*is_write=*/true, [&, va] {
-        if (!as1.is_mapped(va)) p1.map_in(va);
-        as1.write_u64(va, 0xC0DE + va);
-        chain();
-      });
-    };
-    chain();
-    sim.drain();
+    sls::EpisodeDriver driver(sim);
+    for (sls::System* s : {&parent, &child})
+      driver.add_worker(s->address_space(), s->process(), *s->pager());
     for (u64 p = 0; p < 4; ++p) {
-      const VirtAddr va = base + p * kPageSz;
-      pg0.handle_fault(va, /*is_write=*/true, [&, va] {
-        if (!as0.is_mapped(va)) p0.map_in(va);
-        as0.write_u64(va, 0xAB + p);
-      });
-      sim.drain();
+      driver.touches(1).push_back({base + p * kPageSz, true, 0xC0DE + p});
+      driver.touches(0).push_back({base + p * kPageSz, true, 0xAB + p});
     }
+    driver.start(1, 0);
+    group.drain();
+    driver.start(0, 0);
+    group.drain();
   };
 
   std::vector<sls::Shard> shards;

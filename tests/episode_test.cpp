@@ -9,9 +9,8 @@
 #include <stdexcept>
 
 #include "mem/paging/ledger.hpp"
-#include "mem/paging/pager.hpp"
-#include "rt/process.hpp"
 #include "sls/episode.hpp"
+#include "sls/process_group.hpp"
 #include "test_util.hpp"
 
 namespace vmsls::sls {
@@ -20,24 +19,28 @@ namespace {
 constexpr u64 kPage = 4096;
 using Touch = EpisodeDriver::Touch;
 
-/// A parent and its forked child, each with a pager, bound as workers 0
-/// and 1 of one driver.
+/// A parent process, a pager-only ProcessGroup member, bound as worker 0 of
+/// one driver; a test that forks binds the child as worker 1.
 struct EpisodeFixture : ::testing::Test {
   sim::Simulator sim;
-  mem::PhysicalMemory pm{16 * MiB};
-  mem::FrameAllocator frames{0, (16 * MiB) / kPage, kPage};
-  mem::AddressSpace as0{pm, frames, mem::PageTableConfig{}};
-  mem::AddressSpace as1{pm, frames, mem::PageTableConfig{}};
-  rt::Process p0{sim, as0, "p0"};
-  rt::Process p1{sim, as1, "p1"};
-  paging::Pager pg0{sim, p0, paging::PagerConfig{}, "p0.pager"};
-  paging::Pager pg1{sim, p1, paging::PagerConfig{}, "p1.pager"};
+  ProcessGroup group{sim, platform(), paging::FramePoolConfig{}};
+  System& parent = group.add_process("p0");
+  mem::AddressSpace& as0 = parent.address_space();
   std::unique_ptr<EpisodeDriver> driver;
+
+  static PlatformSpec platform() {
+    PlatformSpec p;
+    p.dram.size_bytes = 16 * MiB;
+    return p;
+  }
 
   void bind(Cycles touch_cost) {
     driver = std::make_unique<EpisodeDriver>(sim, touch_cost);
-    ASSERT_EQ(driver->add_worker(as0, p0, pg0), 0u);
-    ASSERT_EQ(driver->add_worker(as1, p1, pg1), 1u);
+    ASSERT_EQ(add_worker(parent), 0u);
+  }
+
+  std::size_t add_worker(System& s) {
+    return driver->add_worker(s.address_space(), s.process(), *s.pager());
   }
 
   /// `n` pages of the parent, each written once so it is resident.
@@ -52,8 +55,12 @@ TEST_F(EpisodeFixture, ClassifiesEachTouchOnAForkedPair) {
   bind(0);
   const VirtAddr shared = resident_pages(2);  // read-only in both after fork
   const VirtAddr absent = as0.alloc(kPage, kPage);
-  ASSERT_EQ(p0.fork(p1), 2u);
-  const paging::MachineLedger base = paging::MachineLedger::of({&pg0, &pg1});
+  System& child = group.fork(parent, "p1");
+  mem::AddressSpace& as1 = child.address_space();
+  const paging::Pager& pg1 = *child.pager();
+  ASSERT_EQ(as1.resident_pages(), 2u);
+  ASSERT_EQ(add_worker(child), 1u);
+  const paging::MachineLedger base = paging::MachineLedger::of(group.pagers());
 
   driver->touches(1) = {
       {shared, false, 0},         // resident read: functional, no fault
@@ -65,7 +72,7 @@ TEST_F(EpisodeFixture, ClassifiesEachTouchOnAForkedPair) {
   int done = 0;
   driver->start(1, 0, [&] { ++done; });
   EXPECT_TRUE(driver->busy(1));
-  sim.drain();
+  group.drain();  // the machine ledger balances
 
   EXPECT_EQ(done, 1);
   EXPECT_FALSE(driver->busy(1));
@@ -78,11 +85,10 @@ TEST_F(EpisodeFixture, ClassifiesEachTouchOnAForkedPair) {
   EXPECT_EQ(as1.read_u64(absent), 9u);
   EXPECT_EQ(as0.read_u64(shared + kPage), 101u);  // the parent's copy is untouched
   // The classification is exactly what the ledger's partitions need.
-  const paging::MachineLedger run = paging::MachineLedger::of({&pg0, &pg1}) - base;
+  const paging::MachineLedger run = paging::MachineLedger::of(group.pagers()) - base;
   EXPECT_TRUE(run.check({{driver->read_faults(0), driver->cow_faults(0), 0},
                          {driver->read_faults(1), driver->cow_faults(1), 0}})
                   .empty());
-  EXPECT_TRUE(paging::check_machine({&pg0, &pg1}).empty());
 }
 
 TEST_F(EpisodeFixture, ResidentTouchesTakeExactlyTheTouchCost) {
@@ -95,12 +101,12 @@ TEST_F(EpisodeFixture, ResidentTouchesTakeExactlyTheTouchCost) {
 
   Cycles finished = 0;
   driver->start(0, 0, [&] { finished = sim.now(); });
-  sim.drain();
+  group.drain();
   EXPECT_EQ(finished, kTouches * kCost);
 
   const Cycles t0 = sim.now();
   driver->start(0, kDelay, [&] { finished = sim.now(); });
-  sim.drain();
+  group.drain();
   EXPECT_EQ(finished - t0, kDelay + kTouches * kCost);
   EXPECT_EQ(driver->read_faults(0) + driver->cow_faults(0), 0u);
   EXPECT_EQ(as0.read_u64(base + 3 * kPage), 3u);  // writes store their value
@@ -120,7 +126,7 @@ TEST_F(EpisodeFixture, DoneMayRestartTheSameWorker) {
     if (episodes < 3) driver->start(0, 0, [&] { rearm(); });
   };
   driver->start(0, 0, [&] { rearm(); });
-  sim.drain();
+  group.drain();
   EXPECT_EQ(episodes, 3);
   EXPECT_EQ(sim.now(), 3 * 2 * kCost);
   EXPECT_FALSE(driver->busy(0));
@@ -131,10 +137,10 @@ TEST_F(EpisodeFixture, StartOnABusyWorkerThrows) {
   driver->touches(0) = {{resident_pages(1), false, 0}};
   driver->start(0, 5);
   EXPECT_THROW(driver->start(0, 0), std::logic_error);
-  sim.drain();
+  group.drain();
   EXPECT_FALSE(driver->busy(0));
   EXPECT_NO_THROW(driver->start(0, 0));
-  sim.drain();
+  group.drain();
 }
 
 }  // namespace

@@ -78,13 +78,12 @@ RunOutcome run_seed(u64 seed, u64 bcache_capacity) {
   RunOutcome r;
   const u64 events_before = sim.events_executed();
   r.cycles = group.run_to_completion();
-  sim.drain();
+  group.drain();  // the machine ledger, pool refcounts included
   EXPECT_FALSE(group.buffer_cache().busy());
   r.events = sim.events_executed() - events_before;
 
   const paging::MachineLedger run = paging::MachineLedger::of(group.pagers()) - before;
   EXPECT_EQ(run.check(), std::vector<std::string>{}) << "seed " << seed;
-  EXPECT_EQ(paging::check_machine(group.pagers()), std::vector<std::string>{}) << "seed " << seed;
   for (unsigned i = 0; i < kProcs; ++i) {
     EXPECT_TRUE(wls[i].verify(group.process(i))) << "seed " << seed << " p" << i;
     // File-backed working set: zero swap traffic.

@@ -1,7 +1,8 @@
 // Multi-process over-subscription: the shared FramePool arbiter, global vs
 // per-process budget modes, cross-process eviction invariants, working-set
 // driven auto-budgets, the proactive pageout daemon, the ProcessGroup
-// harness (fig10's substrate), and the pager × TLB DSE grid.
+// harness (fig10's substrate) with its pager-only members and fork, and the
+// pager × TLB DSE grid.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -410,6 +411,65 @@ TEST(ProcessGroup, DrainChecksTheMachineLedger) {
     EXPECT_NE(msg.find(want), std::string::npos) << msg;
   }
   group.frames().free(*frame);
+  group.drain();
+}
+
+TEST(ProcessGroup, ForkSharesFramesAndTheCowCopyPaysTheBus) {
+  sim::Simulator sim;
+  sls::ProcessGroup group(sim, sls::zynq7020(), paging::FramePoolConfig{});
+  sls::System& parent = group.add_process("p0");
+  mem::AddressSpace& as0 = parent.address_space();
+  const VirtAddr va = as0.alloc(2 * 4096, 4096);
+  as0.write_u64(va, 0xAAAA);  // two dirty anonymous pages
+  as0.write_u64(va + 4096, 0xBBBB);
+
+  sls::System& child = group.fork(parent, "p1");
+  mem::AddressSpace& as1 = child.address_space();
+  for (u64 p = 0; p < 2; ++p) {
+    const auto pte0 = as0.page_table().lookup(va + p * 4096);
+    const auto pte1 = as1.page_table().lookup(va + p * 4096);
+    ASSERT_TRUE(pte0.has_value() && pte1.has_value());
+    EXPECT_EQ(pte1->frame, pte0->frame);  // shared by reference
+    EXPECT_EQ(group.frames().refcount(pte0->frame), 2u);
+  }
+  group.drain();
+
+  // The child's first write copies the frame: one page-sized bus write.
+  const Counter& requests = sim.stats().counter("bus.requests");
+  const Counter& bytes = sim.stats().counter("bus.bytes");
+  const u64 requests0 = requests.value(), bytes0 = bytes.value();
+  paging::Pager& pg1 = *child.pager();
+  bool done = false;
+  pg1.handle_fault(va, /*is_write=*/true, [&] { done = true; });
+  group.drain();
+  ASSERT_TRUE(done);
+  as1.write_u64(va, 0xC1C1);
+  EXPECT_EQ(pg1.cow_copies(), 1u);
+  EXPECT_EQ(requests.value() - requests0, 1u);
+  EXPECT_EQ(bytes.value() - bytes0, 4096u);
+  EXPECT_EQ(as0.read_u64(va), 0xAAAAu);
+  EXPECT_EQ(as1.read_u64(va), 0xC1C1u);
+  group.drain();
+}
+
+TEST(ProcessGroup, MixedGroupRunsToCompletionAndListsEveryPager) {
+  workloads::WorkloadParams p;
+  p.n = 64;
+  const auto wl = workloads::make_workload("vecadd", p);
+  sim::Simulator sim;
+  sls::ProcessGroup group(sim, sls::zynq7020(), paging::FramePoolConfig{});
+  sls::SynthesisFlow flow(sls::zynq7020());
+  auto& threaded = group.add_process(
+      flow.synthesize(workloads::single_thread_app(wl, sls::ThreadKind::kHardware)), "p0");
+  auto& pager_only = group.add_process("p1");
+  EXPECT_TRUE(pager_only.all_halted());  // no threads: halted from the start
+  wl.setup(threaded);
+
+  group.start_all();
+  EXPECT_GT(group.run_to_completion(), 0u);  // returns once p0's thread halts
+  EXPECT_TRUE(wl.verify(threaded));
+  EXPECT_EQ(group.pagers(),
+            (std::vector<const paging::Pager*>{threaded.pager(), pager_only.pager()}));
   group.drain();
 }
 

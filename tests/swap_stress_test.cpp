@@ -13,10 +13,7 @@
 #include <vector>
 
 #include "mem/paging/ledger.hpp"
-#include "mem/paging/pager.hpp"
-#include "mem/paging/swap_scheduler.hpp"
-#include "rt/os.hpp"
-#include "rt/process.hpp"
+#include "sls/process_group.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -39,53 +36,47 @@ struct StressSnapshot {
 
 /// One member process paging against the shared device.
 struct Member {
-  std::unique_ptr<mem::AddressSpace> as;
-  std::unique_ptr<rt::Process> process;
-  std::unique_ptr<Pager> pager;
+  sls::System* sys = nullptr;
   VirtAddr base = 0;
   u64 maps_at_start = 0;
 };
 
 StressSnapshot run_chaos(u64 seed) {
-  test::MemorySystem ms;
-  rt::OsModel os{ms.sim, rt::OsConfig{}, "os"};
-
-  SwapConfig swap_cfg;
-  swap_cfg.read_latency = 400;
-  swap_cfg.write_latency = 700;
-  swap_cfg.bytes_per_cycle = 16;
-  swap_cfg.sched = SwapSchedPolicy::kPriority;
-  swap_cfg.readahead = 2;
-  swap_cfg.writeback_starvation_limit = 6;
-  SwapScheduler sched(ms.sim, swap_cfg, 4096, "swap");
-
-  PagerConfig pc;
+  sim::Simulator sim;
+  sls::PlatformSpec plat;
+  plat.dram.size_bytes = 64 * MiB;
+  PagerConfig& pc = plat.pager;
   pc.frame_budget = 6;
   pc.policy = PolicyKind::kClock;
-  pc.swap = swap_cfg;
+  pc.swap.read_latency = 400;
+  pc.swap.write_latency = 700;
+  pc.swap.bytes_per_cycle = 16;
+  pc.swap.sched = SwapSchedPolicy::kPriority;
+  pc.swap.readahead = 2;
+  pc.swap.writeback_starvation_limit = 6;
+  pc.swap.shared = true;
   pc.pageout_interval = 500;
   pc.pageout_watermark_pct = 50;
   pc.ws_interval = 1100;
+  // The group wires each pager's daemon ticks to its OS cores and shares
+  // one SwapScheduler between them.
+  sls::ProcessGroup group(sim, plat, FramePoolConfig{});
+  const SwapScheduler& sched = *group.shared_swap();
 
   std::vector<Member> members(kProcs);
   for (unsigned i = 0; i < kProcs; ++i) {
     Member& m = members[i];
-    const std::string name = "p" + std::to_string(i);
-    m.as = std::make_unique<mem::AddressSpace>(ms.pm, ms.frames, mem::PageTableConfig{});
-    m.process = std::make_unique<rt::Process>(ms.sim, *m.as, name);
-    m.pager = std::make_unique<Pager>(ms.sim, *m.process, pc, name + ".pager", &sched);
-    m.pager->set_os(&os, rt::OsConfig{}.daemon_service);
+    m.sys = &group.add_process("p" + std::to_string(i));
+    mem::AddressSpace& as = m.sys->address_space();
     // A cold region with known contents: every later touch pays the shared
     // device, and the in-order eviction clusters the slots for readahead.
-    m.base = m.as->alloc(kRegionPages * 4096, 4096);
-    for (u64 p = 0; p < kRegionPages; ++p)
-      m.as->write_u64(m.base + p * 4096, (u64{i} << 32) | p);
-    m.process->evict(m.base, kRegionPages * 4096);
-    m.maps_at_start = m.as->faults_serviced();
+    m.base = as.alloc(kRegionPages * 4096, 4096);
+    for (u64 p = 0; p < kRegionPages; ++p) as.write_u64(m.base + p * 4096, (u64{i} << 32) | p);
+    m.sys->process().evict(m.base, kRegionPages * 4096);
+    m.maps_at_start = as.faults_serviced();
   }
   // The cold-start evictions are setup: the ledger checks the run.
-  std::vector<const Pager*> pagers;
-  for (const Member& m : members) pagers.push_back(m.pager.get());
+  const std::vector<const Pager*> pagers = group.pagers();
   const MachineLedger before = MachineLedger::of(pagers);
 
   Rng rng(seed);
@@ -102,20 +93,22 @@ StressSnapshot run_chaos(u64 seed) {
       const VirtAddr va = m.base + rng.below(kRegionPages) * 4096;
       const bool write = rng.chance(0.4);
       ++*issued;
-      mem::AddressSpace& as = *m.as;
-      m.pager->handle_fault(va, write, [&as, va, write, completed] {
+      mem::AddressSpace& as = m.sys->address_space();
+      m.sys->pager()->handle_fault(va, write, [&as, va, write, completed] {
         if (!as.is_mapped(va)) as.map_page(va, /*writable=*/true);
         if (write) as.page_table().set_accessed_dirty(va, /*dirty=*/true);
         ++*completed;
       });
     }  // else: an idle gap — daemon ticks, prefetches, and writebacks drain
     const Cycles gap = rng.range(80, 2200);
-    ms.sim.schedule_in(gap, [&next_op, remaining] { next_op(remaining - 1); });
+    sim.schedule_in(gap, [&next_op, remaining] { next_op(remaining - 1); });
   };
   next_op(kOps);
 
   StressSnapshot s;
-  s.events = ms.sim.drain(500'000'000ull);
+  const u64 events0 = sim.events_executed();
+  group.drain(500'000'000ull);  // the machine ledger balances
+  s.events = sim.events_executed() - events0;
 
   // --- post-drain invariants ---
   EXPECT_EQ(*completed, *issued) << "seed " << seed;
@@ -123,27 +116,27 @@ StressSnapshot run_chaos(u64 seed) {
   // Nobody's traffic is misattributed across the shared queue.
   EXPECT_EQ((MachineLedger::of(pagers) - before).check(), std::vector<std::string>{})
       << "seed " << seed;
-  EXPECT_EQ(check_machine(pagers), std::vector<std::string>{}) << "seed " << seed;
   for (unsigned i = 0; i < kProcs; ++i) {
     const Member& m = members[i];
+    const mem::AddressSpace& as = m.sys->address_space();
+    const Pager& pager = *m.sys->pager();
     // Residency ledger: mappings since the cold start minus evictions is
     // exactly what remains resident.
-    EXPECT_EQ(m.as->resident_pages(),
-              m.as->faults_serviced() - m.maps_at_start - m.pager->evictions())
+    EXPECT_EQ(as.resident_pages(), as.faults_serviced() - m.maps_at_start - pager.evictions())
         << "seed " << seed << " p" << i;
     // Speculative flags never outlive residency.
     const u64 base_vpn = m.base >> 12;
     for (u64 p = 0; p < kRegionPages; ++p) {
-      if (m.pager->is_speculative(base_vpn + p)) {
-        EXPECT_TRUE(m.as->is_mapped(m.base + p * 4096)) << "seed " << seed << " p" << i;
+      if (pager.is_speculative(base_vpn + p)) {
+        EXPECT_TRUE(as.is_mapped(m.base + p * 4096)) << "seed " << seed << " p" << i;
       }
     }
   }
   // The mix must actually exercise contention, prefetch, and eviction.
   EXPECT_GT(sched.reads(), 0u) << "seed " << seed;
 
-  s.cycles = ms.sim.now();
-  s.stats = ms.sim.stats().snapshot();
+  s.cycles = sim.now();
+  s.stats = sim.stats().snapshot();
   return s;
 }
 
