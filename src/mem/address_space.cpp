@@ -191,7 +191,7 @@ u64 AddressSpace::fork_from(AddressSpace& parent) {
   backing_ = parent.backing_;  // inherited swap/file-divergence copies
   const u64 page = page_bytes();
   u64 shared = 0;
-  for (const u64 vpn : parent.resident_vpns_) {
+  parent.resident_vpns_.for_each([&](u64 vpn) {
     const VirtAddr va = vpn * page;
     const auto pte = parent.pt_.lookup(va);
     require(pte.has_value(), "fork_from: resident page has no PTE");
@@ -203,7 +203,7 @@ u64 AddressSpace::fork_from(AddressSpace& parent) {
     resident_vpns_.insert(vpn);
     if (observer_) observer_->on_map(vpn, pte->frame);
     ++shared;
-  }
+  });
   return shared;
 }
 

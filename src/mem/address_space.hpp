@@ -11,7 +11,6 @@
 
 #include <functional>
 #include <optional>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "mem/frames.hpp"
 #include "mem/pagetable.hpp"
 #include "mem/physmem.hpp"
+#include "util/index_table.hpp"
 
 namespace vmsls::mem {
 
@@ -160,12 +160,12 @@ class AddressSpace {
   void write_u32(VirtAddr va, u32 v) { write_scalar<u32>(va, v); }
 
   /// Pages currently resident (mapped leaf PTEs created through this API).
-  u64 resident_pages() const noexcept { return static_cast<u64>(resident_vpns_.size()); }
+  u64 resident_pages() const noexcept { return resident_vpns_.size(); }
   u64 faults_serviced() const noexcept { return demand_maps_; }
 
   /// Iterates resident virtual page numbers in ascending order.
   void for_each_resident(const std::function<void(u64)>& fn) const {
-    for (const u64 vpn : resident_vpns_) fn(vpn);
+    resident_vpns_.for_each(fn);
   }
 
   /// True when the backing store holds saved contents for the page (it has
@@ -225,7 +225,7 @@ class AddressSpace {
   // so pinning a page again (once per port access) never allocates.
   std::unordered_map<u64, u32> pins_;
   u64 pinned_pages_ = 0;  // entries of pins_ with a nonzero count
-  std::set<u64> resident_vpns_;  // ordered: deterministic policy seeding
+  IndexBitmap resident_vpns_;  // ascending walk: deterministic policy seeding
   u64 demand_maps_ = 0;
   ResidencyObserver* observer_ = nullptr;
   FrameShareIndex* share_ = nullptr;

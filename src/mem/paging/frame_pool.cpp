@@ -31,13 +31,11 @@ FramePool::FramePool(sim::Simulator& sim, const FramePoolConfig& cfg, std::strin
   policy_ = make_policy(
       cfg_.policy,
       AccessedProbe([this](u64 frame) {
-        const auto it = owners_.find(frame);
-        if (it == owners_.end()) return false;
         // Probe *every* sharer (each test-and-clears its own PTE bit) and OR
         // the results — short-circuiting would leave later sharers' bits
         // set, making the frame look perpetually hot to the sweep.
         bool any = false;
-        for (const auto& [p, vpn] : it->second)
+        for (const auto& [p, vpn] : owners_.get(frame))
           if (p->probe_accessed(vpn)) any = true;
         return any;
       }),
@@ -47,9 +45,7 @@ FramePool::FramePool(sim::Simulator& sim, const FramePoolConfig& cfg, std::strin
   // (Per-(member, vpn) pin checks let other sharers evict a pinned frame —
   // the sharer-pin bug this owner-set probe fixes.)
   policy_->set_pinned_probe([this](u64 frame) {
-    const auto it = owners_.find(frame);
-    if (it == owners_.end()) return false;
-    for (const auto& [p, vpn] : it->second)
+    for (const auto& [p, vpn] : owners_.get(frame))
       if (p->space().is_pinned_vpn(vpn)) return true;
     return false;
   });
@@ -58,9 +54,9 @@ FramePool::FramePool(sim::Simulator& sim, const FramePoolConfig& cfg, std::strin
   // unreferenced prefetch landing.
   policy_->set_speculative_probe(
       [this](u64 frame) {
-        const auto it = owners_.find(frame);
-        if (it == owners_.end() || it->second.empty()) return false;
-        for (const auto& [p, vpn] : it->second)
+        const auto& sharers = owners_.get(frame);
+        if (sharers.empty()) return false;
+        for (const auto& [p, vpn] : sharers)
           if (!p->is_speculative(vpn)) return false;
         return true;
       },
@@ -133,7 +129,7 @@ void FramePool::detach(Pager& pager) {
 }
 
 void FramePool::add_mapping(Pager& pager, u64 vpn, u64 frame) {
-  auto& sharers = owners_[frame];
+  auto& sharers = owners_.at(frame);
   sharers.emplace_back(&pager, vpn);
   ++mapped_pages_;
   if (sharers.size() == 1) {
@@ -148,16 +144,14 @@ void FramePool::add_mapping(Pager& pager, u64 vpn, u64 frame) {
 }
 
 void FramePool::remove_mapping(Pager& pager, u64 vpn, u64 frame) {
-  const auto it = owners_.find(frame);
-  require(it != owners_.end(), "pool unmap of an untracked frame");
-  auto& sharers = it->second;
+  require(!owners_.get(frame).empty(), "pool unmap of an untracked frame");
+  auto& sharers = owners_.at(frame);
   const auto pos = std::find(sharers.begin(), sharers.end(), Sharer{&pager, vpn});
   require(pos != sharers.end(), "pool unmap of an untracked mapping");
   sharers.erase(pos);
   require(mapped_pages_ > 0, "pool mapped-pages underflow");
   --mapped_pages_;
   if (sharers.empty()) {
-    owners_.erase(it);
     if (cfg_.mode == BudgetMode::kGlobal) policy_->on_remove(frame);
     require(resident_ > 0, "pool residency underflow");
     --resident_;
@@ -194,9 +188,9 @@ void FramePool::note_pending(i64 delta) {
 bool FramePool::pick_victim(Victim& out) {
   const auto key = policy_->pick_victim();
   if (!key) return false;
-  const auto it = owners_.find(*key);
-  require(it != owners_.end() && !it->second.empty(), "pool victim frame has no owner-set");
-  out.sharers.assign(it->second.begin(), it->second.end());  // snapshot: eviction mutates the live set
+  const auto& sharers = owners_.get(*key);
+  require(!sharers.empty(), "pool victim frame has no owner-set");
+  out.sharers.assign(sharers.begin(), sharers.end());  // snapshot: eviction mutates the live set
   return true;
 }
 

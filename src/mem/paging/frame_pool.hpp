@@ -28,12 +28,12 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "mem/paging/replacement.hpp"
 #include "sim/simulator.hpp"
+#include "util/index_table.hpp"
 
 namespace vmsls::paging {
 
@@ -152,9 +152,11 @@ class FramePool {
   sim::TraceTrack trace_track_ = 0;
   std::vector<Pager*> members_;  // index = member id; nullptr after detach
   std::unique_ptr<ReplacementPolicy> policy_;
-  /// frame -> its mappings, in map order. The policy's opaque keys are the
-  /// frame numbers; probes aggregate over this set.
-  std::unordered_map<u64, std::vector<Sharer>> owners_;
+  /// Frame-indexed owner sets: each frame's mappings, in map order. The
+  /// policy's opaque keys are the frame numbers; probes aggregate over the
+  /// set. An emptied set keeps its capacity, so re-mapping the frame
+  /// allocates nothing.
+  IndexTable<std::vector<Sharer>> owners_;
   u64 resident_ = 0;      // unique frames (owner-set count)
   u64 mapped_pages_ = 0;  // total mappings (sum of owner-set sizes)
   u64 pending_ = 0;

@@ -65,7 +65,7 @@ Pager::Pager(sim::Simulator& sim, rt::Process& process, const PagerConfig& cfg, 
   track_ws_ = cfg_.ws_interval > 0;
   policy_->set_pinned_probe([this](u64 vpn) { return as_.is_pinned_vpn(vpn); });
   policy_->set_speculative_probe([this](u64 vpn) { return is_speculative(vpn); },
-                                 [this] { return !speculative_.empty(); });
+                                 [this] { return any_speculative(); });
   as_.set_residency_observer(this);
   as_.set_reclaim_hook([this](u64 pages) { return reclaim(pages); });
   // Pages already resident when the pager attaches (pinned buffers mapped at
@@ -82,18 +82,18 @@ Pager::~Pager() {
 void Pager::on_map(u64 vpn, u64 frame) {
   release_frame(vpn);
   policy_->on_insert(vpn);
-  if (track_ws_) ws_last_ref_[vpn] = sim_.now();  // a fresh mapping is a reference
+  if (track_ws_) ws_last_ref_.at(vpn) = sim_.now();  // a fresh mapping is a reference
   if (pool_) pool_->note_map(*this, vpn, frame);
   note_activity();
 }
 
 void Pager::on_unmap(u64 vpn, bool dirty, u64 frame, u64 sharers_left) {
   policy_->on_remove(vpn);
-  if (track_ws_) ws_last_ref_.erase(vpn);
+  if (track_ws_) ws_last_ref_.at(vpn) = kNeverReferenced;
   // An external unmap (experiment-setup eviction) of a speculative page is
   // wasted work; the pager's own evictions settle the flag beforehand with
   // the accessed bit still readable.
-  if (speculative_.erase(vpn) > 0) prefetch_wasted_.add();
+  if (speculative_.erase(vpn)) prefetch_wasted_.add();
   // Lifecycle fork — each unmap lands in exactly ONE bucket, whoever
   // initiated it, so a frame unmapped by N sharers contributes N entries
   // (the unmap partition, mem/paging/ledger.hpp). Anonymous pages — and
@@ -139,17 +139,15 @@ bool Pager::probe_accessed(u64 vpn) {
   // (The bit is a single hardware resource; without this the estimator
   // undercounts exactly when eviction sweeps run hottest.)
   if (!as_.page_table().test_and_clear_accessed(vpn << page_bits())) return false;
-  if (track_ws_) ws_last_ref_[vpn] = sim_.now();
+  if (track_ws_) ws_last_ref_.at(vpn) = sim_.now();
   // A referenced readahead landing graduates to a real resident page: the
   // prediction was right.
-  if (speculative_.erase(vpn) > 0) prefetch_useful_.add();
+  if (speculative_.erase(vpn)) prefetch_useful_.add();
   return true;
 }
 
 void Pager::settle_speculative(u64 vpn) {
-  auto it = speculative_.find(vpn);
-  if (it == speculative_.end()) return;
-  speculative_.erase(it);
+  if (!speculative_.erase(vpn)) return;
   // The accessed bit is the page's last word: set means the prefetch was
   // used (just never swept), clear means it truly was wrong-path.
   if (as_.page_table().test_and_clear_accessed(vpn << page_bits()))
@@ -171,11 +169,11 @@ void Pager::evict_resident(u64 vpn) {
 }
 
 void Pager::reserve_frame(u64 vpn) {
-  if (pending_maps_.insert(vpn).second && pool_) pool_->note_pending(+1);
+  if (pending_maps_.insert(vpn) && pool_) pool_->note_pending(+1);
 }
 
 void Pager::release_frame(u64 vpn) {
-  if (pending_maps_.erase(vpn) > 0 && pool_) pool_->note_pending(-1);
+  if (pending_maps_.erase(vpn) && pool_) pool_->note_pending(-1);
 }
 
 FramePool* Pager::global_pool() const noexcept {
@@ -222,7 +220,7 @@ void Pager::secure_frame(u64 vpn) {
   // last of them lands (on a fresh stack from the event loop, so eviction
   // bursts of any size are stack-safe). Dirty shared-file sharers write
   // back through the buffer cache inside on_unmap and never block.
-  InflightFault& f = inflight_faults_.at(vpn);
+  InflightFault& f = *inflight_faults_.get(vpn);
   for (Budget b = budget(); b.limit != 0 && b.used > b.limit; b = budget()) {
     if (!pick_victim()) break;
     bool cross = false;
@@ -247,7 +245,7 @@ void Pager::secure_frame(u64 vpn) {
       const u64 wid = VMSLS_TRACE_NEW_ID(sim_.trace());
       owner->sched_->write(owner->swap_owner_, svpn, SwapReqClass::kDemandWrite,
                            [this, vpn] {
-                             if (--inflight_faults_.at(vpn).pending_writebacks == 0)
+                             if (--inflight_faults_.get(vpn)->pending_writebacks == 0)
                                secure_frame(vpn);
                            },
                            wid);
@@ -258,7 +256,7 @@ void Pager::secure_frame(u64 vpn) {
 }
 
 void Pager::frame_secured(u64 vpn) {
-  InflightFault& f = inflight_faults_.at(vpn);
+  InflightFault& f = *inflight_faults_.get(vpn);
   VMSLS_TRACE_END(sim_.trace(), trace_track_, "evict", f.trace_id, vpn);
   switch (f.kind) {
     case FaultKind::kDemand:
@@ -339,14 +337,36 @@ void Pager::wake(Waiter& w) {
   w.ready();
 }
 
+void Pager::open_fault(u64 vpn, FaultKind kind, VirtAddr va, u64 trace_id, Waiter primary) {
+  InflightFault& f = *fault_pool_.acquire();
+  f.kind = kind;
+  f.va = va;
+  f.trace_id = trace_id;
+  f.primary = std::move(primary);
+  f.pending_writebacks = 0;
+  inflight_faults_.at(vpn) = &f;
+}
+
+Pager::InflightFault& Pager::take_fault(u64 vpn) {
+  InflightFault*& slot = inflight_faults_.at(vpn);
+  InflightFault& f = *slot;
+  slot = nullptr;
+  return f;
+}
+
+void Pager::release_fault(InflightFault& f) {
+  // Drop the spent continuations; the waiter list keeps its capacity.
+  f.primary.ready.reset();
+  f.waiters.clear();
+  fault_pool_.release(&f);
+}
+
 void Pager::complete_fault(u64 vpn) {
-  // Out of the map before anyone wakes: a woken thread may fault the page
-  // again at once, which opens a fresh record.
-  auto node = inflight_faults_.extract(vpn);
-  InflightFault& f = node.mapped();
+  InflightFault& f = take_fault(vpn);
   VMSLS_TRACE_END(sim_.trace(), trace_track_, "fault", f.trace_id, vpn);
   wake(f.primary);
   for (Waiter& w : f.waiters) wake(w);
+  release_fault(f);
 }
 
 void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
@@ -368,13 +388,13 @@ void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
     kind = FaultKind::kCow;
   }
   ++faults_since_sweep_;
-  if (auto it = inflight_faults_.find(vpn); it != inflight_faults_.end()) {
+  if (InflightFault* inflight = inflight_faults_.get(vpn)) {
     // A fault on this page is already securing a frame — possibly suspended
     // mid-eviction on an async dirty writeback — or mid swap-in or COW copy;
     // or a prefetch read for the page is in flight. Coalesce before any
     // budget work: this fault consumes no frame of its own and must not
     // issue a second device read (the double swap-in race).
-    InflightFault& f = it->second;
+    InflightFault& f = *inflight;
     if (f.kind == FaultKind::kPrefetch) {
       // Late exactly once per prefetched page, however many faults pile
       // onto it — the accuracy ratio divides by prefetches issued.
@@ -391,7 +411,7 @@ void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
   // victim eviction, the swap queue, and the device transfer — so the
   // "fault" span decomposes exactly into "evict" + "queue" + "io".
   const u64 fid = VMSLS_TRACE_NEW_ID(sim_.trace());
-  inflight_faults_.emplace(vpn, InflightFault{kind, va, fid, {std::move(ready), start}, {}, 0});
+  open_fault(vpn, kind, va, fid, {std::move(ready), start});
   if (kind == FaultKind::kDemand) {
     // The vpn can already be pending: a prior fault's `ready` fired (erasing
     // its record) but the OS tail has not mapped the page yet. The
@@ -428,7 +448,7 @@ void Pager::issue_readahead(u64 demand_vpn) {
   if (cfg_.swap.readahead == 0) return;
   for (const u64 vpn : sched_->neighbors(swap_owner_, demand_vpn, cfg_.swap.readahead)) {
     if (as_.is_mapped(vpn << page_bits())) continue;
-    if (inflight_faults_.count(vpn) != 0) continue;
+    if (inflight_faults_.get(vpn) != nullptr) continue;
     // Prefetch never evicts *synchronously*: it rides free headroom, plus a
     // bounded overshoot of at most the readahead depth (the swap-cache
     // model). The next demand fault trims the overshoot through the normal
@@ -447,8 +467,7 @@ void Pager::start_prefetch(u64 vpn) {
   // opens an in-flight record (so a demand fault on the page coalesces onto
   // this read instead of issuing a second one).
   const u64 pid = VMSLS_TRACE_NEW_ID(sim_.trace());
-  inflight_faults_.emplace(vpn,
-                           InflightFault{FaultKind::kPrefetch, vpn << page_bits(), pid, {}, {}, 0});
+  open_fault(vpn, FaultKind::kPrefetch, vpn << page_bits(), pid, {});
   reserve_frame(vpn);
   prefetches_.add();
   log_debug(name_, "prefetch vpn=0x", std::hex, vpn);
@@ -459,8 +478,8 @@ void Pager::start_prefetch(u64 vpn) {
 }
 
 void Pager::finish_prefetch(u64 vpn) {
-  auto node = inflight_faults_.extract(vpn);
-  std::vector<Waiter>& waiters = node.mapped().waiters;
+  InflightFault& f = take_fault(vpn);
+  std::vector<Waiter>& waiters = f.waiters;
   // Land resident-clean: map_page installs the PTE with accessed and dirty
   // both clear and fills the frame from the backing store — on_map clears
   // the pending reservation and enters the page into policy tracking.
@@ -471,6 +490,7 @@ void Pager::finish_prefetch(u64 vpn) {
   // the page is demanded, not speculative.
   if (waiters.empty()) speculative_.insert(vpn);
   for (Waiter& w : waiters) wake(w);
+  release_fault(f);
 }
 
 u64 Pager::reclaim(u64 pages) {
@@ -515,10 +535,12 @@ void Pager::ws_sweep() {
   const Cycles window = cfg_.ws_window > 0 ? cfg_.ws_window : cfg_.ws_interval;
   // Sample the accessed bits (ordered resident walk — deterministic) and
   // age out pages unreferenced for longer than the window.
-  as_.for_each_resident([this](u64 vpn) { probe_accessed(vpn); });
   u64 ws = 0;
-  for (const auto& [vpn, last] : ws_last_ref_)
-    if (sim_.now() - last <= window) ++ws;
+  as_.for_each_resident([this, window, &ws](u64 vpn) {
+    probe_accessed(vpn);
+    const Cycles last = ws_last_ref_.get(vpn);
+    if (last != kNeverReferenced && sim_.now() - last <= window) ++ws;
+  });
   ws_pages_ = ws;
   // Fault-frequency correction: each fault in the window is a page that
   // wanted residency the references could not show (see ws_demand_pages).

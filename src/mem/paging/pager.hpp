@@ -45,8 +45,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "mem/address_space.hpp"
@@ -56,6 +54,8 @@
 #include "mem/paging/replacement.hpp"
 #include "mem/paging/swap_scheduler.hpp"
 #include "sim/simulator.hpp"
+#include "util/index_table.hpp"
+#include "util/pool.hpp"
 
 namespace vmsls::rt {
 class Process;
@@ -185,7 +185,7 @@ class Pager final : public mem::ResidencyObserver {
   u64 frame_budget() const noexcept { return cfg_.frame_budget; }
   void set_frame_budget(u64 budget) noexcept { cfg_.frame_budget = budget; }
   u64 resident_pages() const noexcept { return as_.resident_pages(); }
-  u64 pending_pages() const noexcept { return static_cast<u64>(pending_maps_.size()); }
+  u64 pending_pages() const noexcept { return pending_maps_.size(); }
   bool page_dirty(u64 vpn) const;
   /// Test-and-clear of the accessed bit (pool global sweep + own policy);
   /// observed references feed the working-set clock and retire the page's
@@ -196,8 +196,9 @@ class Pager final : public mem::ResidencyObserver {
   void evict_resident(u64 vpn);
 
   /// True while the page is an unreferenced readahead landing — the
-  /// replacement policies' reclaim-first probe.
-  bool is_speculative(u64 vpn) const { return speculative_.count(vpn) != 0; }
+  /// replacement policies' reclaim-first probe. False for any vpn the pager
+  /// never prefetched.
+  bool is_speculative(u64 vpn) const noexcept { return speculative_.contains(vpn); }
 
   /// Whether any page is currently speculative — the policies' cheap
   /// emptiness hint, letting them skip the reclaim-first pre-scan.
@@ -287,7 +288,8 @@ class Pager final : public mem::ResidencyObserver {
   /// In-flight prefetches register here too, so demand faults coalesce onto
   /// them instead of double-reading the device. `trace_id` is the primary
   /// fault's (or prefetch's) causal id, shared by the coalesce instants and
-  /// the span end.
+  /// the span end. Records are pooled and keep their waiter list's
+  /// capacity across faults.
   struct InflightFault {
     FaultKind kind = FaultKind::kDemand;
     VirtAddr va = 0;
@@ -326,6 +328,13 @@ class Pager final : public mem::ResidencyObserver {
   /// Retires the record: ends the fault span and wakes the primary faulter,
   /// then every coalesced waiter.
   void complete_fault(u64 vpn);
+  /// Opens the in-flight record for `vpn`.
+  void open_fault(u64 vpn, FaultKind kind, VirtAddr va, u64 trace_id, Waiter primary);
+  /// Takes the record for `vpn` out of the table, before anyone wakes: a
+  /// woken thread may fault the page again at once, which opens a fresh
+  /// record. The caller wakes its waiters, then hands it to release_fault.
+  InflightFault& take_fault(u64 vpn);
+  void release_fault(InflightFault& f);
   /// Records the waiter's fault_stall sample and resumes it.
   void wake(Waiter& w);
   /// Issues prefetch-class reads for the demand swap-in's slot neighbors
@@ -368,22 +377,28 @@ class Pager final : public mem::ResidencyObserver {
   Cycles daemon_tick_cost_ = 0;
   unsigned page_bits_ = 0;
   /// ws_last_ref_ is only ever *read* by the WS estimator, which only runs
-  /// when ws_interval > 0 — without it the per-map/per-probe hash writes
-  /// were dead weight on the fault path.
+  /// when ws_interval > 0 — without it the per-map/per-probe stamps would
+  /// be dead weight on the fault path.
   bool track_ws_ = false;
 
-  std::unordered_map<u64, InflightFault> inflight_faults_;
+  /// vpn -> its in-flight record (null when none); records come from
+  /// fault_pool_.
+  IndexTable<InflightFault*> inflight_faults_;
+  Pool<InflightFault> fault_pool_;
   /// secure_frame's current victim; one buffer reused by every eviction.
   FramePool::Victim victim_;
   /// Pages a fault has reserved a frame for but not yet mapped. Counted
   /// against the budget so concurrent faults cannot double-spend one freed
   /// frame; entries clear when the page maps (on_map).
-  std::unordered_set<u64> pending_maps_;
+  IndexBitmap pending_maps_;
   /// Resident readahead landings not yet referenced (reclaimed first).
-  std::unordered_set<u64> speculative_;
+  IndexBitmap speculative_;
 
   // --- working-set estimator state ---
-  std::unordered_map<u64, Cycles> ws_last_ref_;  // vpn -> last observed reference
+  static constexpr Cycles kNeverReferenced = ~Cycles{0};
+  /// vpn -> last observed reference while resident; kNeverReferenced when
+  /// none (not resident, or resident since attach and never referenced).
+  IndexTable<Cycles> ws_last_ref_{kNeverReferenced};
   u64 ws_pages_ = 0;
   u64 ws_demand_ = 0;
   u64 faults_since_sweep_ = 0;

@@ -1,11 +1,11 @@
 #include "mem/paging/replacement.hpp"
 
 #include <algorithm>
-#include <list>
 #include <map>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
+
+#include "util/index_table.hpp"
 
 namespace vmsls::paging {
 
@@ -32,46 +32,52 @@ namespace {
 /// Second-chance clock: resident pages form a ring; the hand sweeps,
 /// clearing accessed bits, and evicts the first page found unreferenced.
 ///
-/// The ring is a std::list with an unordered_map from key to its node, so
-/// insert and remove are O(1). The fault path calls both once per eviction
-/// (insert the new page, remove the victim) with the ring sized at the full
-/// frame budget, where the previous contiguous ring paid an O(budget)
-/// memmove per call — the single hottest line in the clean-fault profile.
-/// Nomination order is identical to the contiguous ring: the same keys in
-/// the same circular sequence, the hand parked on the same element.
+/// The ring is intrusive and circular: each key's prev/next links live in
+/// tables indexed by the key itself (a vpn for a pager's own policy, a
+/// frame number for the pool's sweep), and the hand is a key. Insert and
+/// remove are O(1) and allocate nothing once the tables cover the keys in
+/// use. A key is in the ring exactly when its next link is present.
 class ClockPolicy final : public ReplacementPolicy {
  public:
   explicit ClockPolicy(AccessedProbe probe) : probe_(std::move(probe)) {}
 
   const char* name() const noexcept override { return "clock"; }
-  u64 tracked_pages() const noexcept override { return ring_.size(); }
+  u64 tracked_pages() const noexcept override { return size_; }
 
   void on_insert(u64 key) override {
     // New pages enter just behind the hand: they get a full sweep before
     // first consideration. (Into an empty ring the new page IS the hand.)
-    if (ring_.empty()) {
-      pos_[key] = ring_.insert(ring_.end(), key);
-      hand_ = ring_.begin();
+    if (size_ == 0) {
+      next_.at(key) = key;
+      prev_.at(key) = key;
+      hand_ = key;
     } else {
-      pos_[key] = ring_.insert(hand_, key);
+      const u64 before = prev_.get(hand_);
+      next_.at(before) = key;
+      prev_.at(key) = before;
+      next_.at(key) = hand_;
+      prev_.at(hand_) = key;
     }
+    ++size_;
   }
 
   void on_remove(u64 key) override {
-    auto it = pos_.find(key);
-    if (it == pos_.end()) return;
-    if (it->second == hand_) {
-      // The page the hand nominated: the hand moves on to its successor.
-      hand_ = ring_.erase(it->second);
-      if (hand_ == ring_.end()) hand_ = ring_.begin();
-    } else {
-      ring_.erase(it->second);
-    }
-    pos_.erase(it);
+    const u64 after = next_.get(key);
+    if (after == kNone) return;
+    const u64 before = prev_.get(key);
+    next_.at(before) = after;
+    prev_.at(after) = before;
+    next_.at(key) = kNone;
+    prev_.at(key) = kNone;
+    // The page the hand nominated: the hand moves on to its successor.
+    if (--size_ == 0)
+      hand_ = kNone;
+    else if (hand_ == key)
+      hand_ = after;
   }
 
   std::optional<u64> pick_victim() override {
-    if (ring_.empty()) return std::nullopt;
+    if (size_ == 0) return std::nullopt;
     // Wrong-path prefetches go first: a speculative page is reclaimed
     // before the hand disturbs anyone else's accessed bits — but only if
     // its own bit is still clear. Probing a *referenced* landing graduates
@@ -80,37 +86,31 @@ class ClockPolicy final : public ReplacementPolicy {
     // The owner's emptiness hint skips the whole scan when nothing is
     // speculative — the common case whenever readahead is off.
     if (maybe_speculative()) {
-      auto it = hand_;
-      for (u64 step = 0; step < ring_.size(); ++step) {
-        const u64 key = *it;
+      u64 key = hand_;
+      for (u64 step = 0; step < size_; ++step, key = next_.get(key))
         if (is_speculative(key) && !is_pinned(key) && !probe_(key)) return key;
-        if (++it == ring_.end()) it = ring_.begin();
-      }
     }
     // At most two sweeps: the first clears every accessed bit, the second
     // must find a victim. Pinned pages behave as permanently referenced
     // (their accessed bits are left alone).
-    for (u64 step = 0; step < 2 * ring_.size(); ++step) {
-      const u64 key = *hand_;
-      if (!is_pinned(key) && !probe_(key)) return key;
-      if (++hand_ == ring_.end()) hand_ = ring_.begin();
-    }
+    for (u64 step = 0; step < 2 * size_; ++step, hand_ = next_.get(hand_))
+      if (!is_pinned(hand_) && !probe_(hand_)) return hand_;
     // Everything stayed referenced: take the first unpinned page at the
     // hand; only pins can make victim selection fail entirely.
-    auto it = hand_;
-    for (u64 step = 0; step < ring_.size(); ++step) {
-      const u64 key = *it;
+    u64 key = hand_;
+    for (u64 step = 0; step < size_; ++step, key = next_.get(key))
       if (!is_pinned(key)) return key;
-      if (++it == ring_.end()) it = ring_.begin();
-    }
     return std::nullopt;
   }
 
  private:
+  static constexpr u64 kNone = ~0ull;
+
   AccessedProbe probe_;
-  std::list<u64> ring_;
-  std::list<u64>::iterator hand_ = ring_.end();
-  std::unordered_map<u64, std::list<u64>::iterator> pos_;
+  IndexTable<u64> next_{kNone};
+  IndexTable<u64> prev_{kNone};
+  u64 hand_ = kNone;
+  u64 size_ = 0;
 };
 
 /// Aging LRU approximation: an 8-bit reference history per page, shifted on

@@ -3,8 +3,9 @@
 // Each policy tracks a set of resident pages and, under memory pressure,
 // nominates the next victim. Pages are opaque 64-bit keys: a per-process
 // pager tracks raw virtual page numbers, while the cross-process FramePool
-// packs (member id, vpn) into one key — the same CLOCK ring that sweeps one
-// process sweeps the whole machine. CLOCK and the LRU approximation consume
+// tracks frame numbers — the same CLOCK ring that sweeps one process sweeps
+// the whole machine. Both key spaces are dense small integers, which CLOCK's
+// key-indexed ring relies on. CLOCK and the LRU approximation consume
 // the accessed bits the MMU/walker set in the PTEs on every translation
 // (read through the AccessedProbe the owner supplies) — the
 // hardware/software contract that makes recency-based replacement

@@ -84,53 +84,53 @@ u64 SwapScheduler::pack(unsigned owner, u64 vpn) const {
   return (static_cast<u64>(owner) << kOwnerShift) | vpn;
 }
 
-bool SwapScheduler::holds(unsigned owner, u64 vpn) const {
-  return slot_of_.count((static_cast<u64>(owner) << kOwnerShift) | vpn) != 0;
+u64 SwapScheduler::slot_of(unsigned owner, u64 vpn) const noexcept {
+  return owner < owners_.size() ? owners_[owner].slot_of.get(vpn) : kNone;
 }
+
+bool SwapScheduler::holds(unsigned owner, u64 vpn) const { return slot_of(owner, vpn) != kNone; }
 
 void SwapScheduler::note_swapped(unsigned owner, u64 vpn) {
   const u64 key = pack(owner, vpn);
-  if (slot_of_.count(key) == 0) {
-    if (slot_of_.size() >= cfg_.slot_limit)
-      throw std::runtime_error(name_ + ": out of swap slots (" +
-                               std::to_string(slot_of_.size()) + "/" +
-                               std::to_string(cfg_.slot_limit) + " in use) on swap-out from '" +
-                               owners_.at(owner).name + "'");
-    const u64 cluster_key = pack(owner, vpn / cfg_.cluster_pages);
-    u64 region;
-    if (auto it = region_of_cluster_.find(cluster_key); it != region_of_cluster_.end()) {
-      region = it->second;
-    } else {
+  Owner& o = owners_[owner];
+  if (o.slot_of.get(vpn) == kNone) {
+    if (slots_in_use_ >= cfg_.slot_limit)
+      throw std::runtime_error(name_ + ": out of swap slots (" + std::to_string(slots_in_use_) +
+                               "/" + std::to_string(cfg_.slot_limit) +
+                               " in use) on swap-out from '" + o.name + "'");
+    const u64 cluster = vpn / cfg_.cluster_pages;
+    u64& region = o.region_of.at(cluster);
+    if (region == kNone) {
       if (!free_regions_.empty()) {
-        region = *free_regions_.begin();
-        free_regions_.erase(free_regions_.begin());
+        region = free_regions_.first();
+        free_regions_.erase(region);
       } else {
         region = next_region_++;
       }
-      region_of_cluster_.emplace(cluster_key, region);
-      cluster_of_region_.emplace(region, cluster_key);
+      cluster_of_region_.at(region) = cluster;
     }
     const u64 slot = region * cfg_.cluster_pages + vpn % cfg_.cluster_pages;
-    slot_of_.emplace(key, slot);
-    page_at_.emplace(slot, key);
-    ++region_pop_[region];
+    o.slot_of.at(vpn) = slot;
+    page_at_.at(slot) = key;
+    ++region_pop_.at(region);
+    ++slots_in_use_;
   }
   VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "slots_in_use",
-                      static_cast<double>(slot_of_.size()));
+                      static_cast<double>(slots_in_use_));
 }
 
-void SwapScheduler::free_slot(u64 key) {
-  auto it = slot_of_.find(key);
-  if (it == slot_of_.end()) return;
-  const u64 slot = it->second;
+void SwapScheduler::free_slot(unsigned owner, u64 vpn) {
+  Owner& o = owners_[owner];
+  const u64 slot = o.slot_of.get(vpn);
+  if (slot == kNone) return;
   const u64 region = slot / cfg_.cluster_pages;
-  slot_of_.erase(it);
-  page_at_.erase(slot);
-  if (--region_pop_[region] == 0) {
-    region_pop_.erase(region);
-    const u64 cluster_key = cluster_of_region_.at(region);
-    cluster_of_region_.erase(region);
-    region_of_cluster_.erase(cluster_key);
+  o.slot_of.at(vpn) = kNone;
+  page_at_.at(slot) = kNone;
+  --slots_in_use_;
+  if (--region_pop_.at(region) == 0) {
+    // Regions are per-owner: the emptied region was this owner's cluster.
+    o.region_of.at(cluster_of_region_.get(region)) = kNone;
+    cluster_of_region_.at(region) = kNone;
     free_regions_.insert(region);
   }
 }
@@ -140,14 +140,14 @@ void SwapScheduler::read(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventFn
   if (cls != SwapReqClass::kDemandRead && cls != SwapReqClass::kPrefetchRead)
     throw std::invalid_argument(name_ + ": reads must be demand or prefetch class");
   const u64 key = pack(owner, vpn);
-  const auto slot = slot_of_.find(key);
-  if (slot == slot_of_.end())
-    throw std::logic_error(name_ + ": swap-in of page not held for '" + owners_.at(owner).name +
+  const u64 slot = slot_of(owner, vpn);
+  if (slot == kNone)
+    throw std::logic_error(name_ + ": swap-in of page not held for '" + owners_[owner].name +
                            "'");
   Request r;
   r.owner = owner;
   r.key = key;
-  r.slot = slot->second;
+  r.slot = slot;
   r.cls = cls;
   r.enqueued = sim_.now();
   r.trace_id = trace_id;
@@ -168,7 +168,7 @@ void SwapScheduler::write(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventF
   Request r;
   r.owner = owner;
   r.key = pack(owner, vpn);
-  r.slot = slot_of_.at(r.key);
+  r.slot = slot_of(owner, vpn);
   r.cls = cls;
   r.enqueued = sim_.now();
   r.trace_id = trace_id;
@@ -194,7 +194,7 @@ std::size_t SwapScheduler::select_next() {
   // suspended fault); a queued prefetch goes stale — the page gets
   // demanded before it lands — if higher-class traffic can bypass it
   // forever. The odometer counts dispatches that bypass the OLDEST queued
-  // request (the deque front, whatever its class — sustained prefetch
+  // request (the queue front, whatever its class — sustained prefetch
   // streams must not starve a writeback either); after
   // `writeback_starvation_limit` bypasses the front goes next, so under
   // saturation every request's wait is bounded by (limit x its arrival
@@ -203,8 +203,8 @@ std::size_t SwapScheduler::select_next() {
     wb_bypassed_ = 0;  // the oldest request is being served anyway
   } else if (++wb_bypassed_ >= cfg_.writeback_starvation_limit) {
     wb_promotions_.add();
-    VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "wb_promotion", queue_.front().trace_id,
-                        class_rank(queue_.front().cls));
+    VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "wb_promotion", queue_[0].trace_id,
+                        class_rank(queue_[0].cls));
     best = 0;
     wb_bypassed_ = 0;
   }
@@ -268,43 +268,41 @@ void SwapScheduler::dispatch(std::vector<Request> batch) {
   }
   VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "queue_depth",
                       static_cast<double>(queue_.size()));
-  // Completion order: free the port and dispatch the next queued request
-  // *before* running the requesters' continuations — a continuation that
-  // immediately enqueues (fault chains do) must queue behind work that was
-  // already waiting. Within a batch, continuations fire in batch order
-  // (selected request first).
-  if (is_write_class(batch[0].cls)) {
-    Request& w = batch[0];
-    // The slot was taken at enqueue, but a swap-in of the page may have
-    // dispatched ahead of this write and freed it: the write holds it again.
-    note_swapped(w.owner, w.key & kVpnMask);
-    writes_.add();
-    transfer(cfg_.write_latency, page_bytes_,
-             [this, tid = w.trace_id, done = std::move(w.done)]() mutable {
-               VMSLS_TRACE_END(sim_.trace(), trace_track_, "io", tid);
-               in_flight_ = false;
-               pump();
-               done();
-             });
-    recycle_batch(std::move(batch));
-    return;
-  }
+  // The batch rides into the completion, so trace ids and continuations
+  // stay in the Requests and the closure holds only `this` and the vector.
   // A clustered read streams every page in one operation (one access
   // latency, then the whole run's bytes); all slots free at the shared
-  // completion instant. The batch rides into the completion, so trace ids
-  // and continuations stay in the Requests.
-  reads_.add(batch.size());
+  // completion instant.
+  const bool write = is_write_class(batch[0].cls);
+  if (write) {
+    // The slot was taken at enqueue, but a swap-in of the page may have
+    // dispatched ahead of this write and freed it: the write holds it again.
+    note_swapped(batch[0].owner, batch[0].key & kVpnMask);
+    writes_.add();
+  } else {
+    reads_.add(batch.size());
+  }
   const u64 bytes = batch.size() * page_bytes_;
-  transfer(cfg_.read_latency, bytes, [this, batch = std::move(batch)]() mutable {
-    for (const Request& r : batch) free_slot(r.key);
+  transfer(write ? cfg_.write_latency : cfg_.read_latency, bytes,
+           [this, batch = std::move(batch)]() mutable { complete(batch); });
+}
+
+void SwapScheduler::complete(std::vector<Request>& batch) {
+  if (!is_write_class(batch[0].cls)) {
+    for (const Request& r : batch) free_slot(r.owner, r.key & kVpnMask);
     VMSLS_TRACE_COUNTER(sim_.trace(), trace_track_, "slots_in_use",
-                        static_cast<double>(slot_of_.size()));
-    for (const Request& r : batch) VMSLS_TRACE_END(sim_.trace(), trace_track_, "io", r.trace_id);
-    in_flight_ = false;
-    pump();
-    for (Request& r : batch) r.done();
-    recycle_batch(std::move(batch));
-  });
+                        static_cast<double>(slots_in_use_));
+  }
+  for (const Request& r : batch) VMSLS_TRACE_END(sim_.trace(), trace_track_, "io", r.trace_id);
+  // Free the port and dispatch the next queued request *before* running
+  // the requesters' continuations — a continuation that immediately
+  // enqueues (fault chains do) must queue behind work that was already
+  // waiting. Within a batch, continuations fire in batch order (selected
+  // request first).
+  in_flight_ = false;
+  pump();
+  for (Request& r : batch) r.done();
+  recycle_batch(std::move(batch));
 }
 
 void SwapScheduler::transfer(Cycles latency, u64 bytes, sim::EventFn done) {
@@ -333,15 +331,13 @@ u64 SwapScheduler::queue_depth_class(SwapReqClass cls) const noexcept {
 
 std::vector<u64> SwapScheduler::neighbors(unsigned owner, u64 vpn, unsigned k) const {
   std::vector<u64> out;
-  const auto it = slot_of_.find((static_cast<u64>(owner) << kOwnerShift) | vpn);
-  if (it == slot_of_.end() || k == 0) return out;
-  const u64 slot = it->second;
+  const u64 slot = slot_of(owner, vpn);
+  if (slot == kNone || k == 0) return out;
   const u64 region_end = (slot / cfg_.cluster_pages + 1) * cfg_.cluster_pages;
   const u64 last = std::min(region_end - 1, slot + k);
   for (u64 s = slot + 1; s <= last; ++s) {
-    const auto page = page_at_.find(s);
-    if (page == page_at_.end()) continue;
-    out.push_back(page->second & kVpnMask);  // same owner by construction
+    const u64 page = page_at_.get(s);
+    if (page != kNone) out.push_back(page & kVpnMask);  // same owner by construction
   }
   return out;
 }

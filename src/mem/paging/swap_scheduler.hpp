@@ -24,20 +24,21 @@
 // The scheduler tracks *which* pages the device holds (the slot table) and
 // charges time; page *bytes* stay in the AddressSpace backing store, which
 // plays the role of swap-file contents for the functional model. Pages are
-// identified by (owner, vpn) keys packed like the FramePool's. Per-owner
+// identified by (owner, vpn) pairs, packed into one u64 key where a request
+// or a slot needs to name its page. The slot table is dense: each owner
+// keeps vpn -> slot and cluster -> region tables, and the device keeps
+// slot- and region-indexed tables plus a free-region bitmap. Per-owner
 // counters land under "<owner>.swap.*" so per-process summaries keep
 // working when the device itself is shared; in the private case those
 // names coincide with the device's own and are aliased, not double-counted.
 #pragma once
 
 #include <array>
-#include <deque>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "util/index_table.hpp"
 #include "util/stats.hpp"
 
 namespace vmsls::paging {
@@ -105,6 +106,7 @@ class SwapScheduler {
   unsigned register_owner(const std::string& owner_name);
 
   /// True when the device holds a copy of the owner's page (slot allocated).
+  /// False for an unregistered owner.
   bool holds(unsigned owner, u64 vpn) const;
 
   /// Slot bookkeeping without device time: pages evicted "by fiat" during
@@ -153,13 +155,19 @@ class SwapScheduler {
   /// Pages of `owner` occupying the `k` slots directly after `vpn`'s slot,
   /// in ascending slot order, clipped to the cluster region (clustering
   /// guarantees they belong to the same owner). The readahead candidates
-  /// for a demand swap-in of `vpn`.
+  /// for a demand swap-in of `vpn`; empty when the owner is unregistered or
+  /// does not hold `vpn`.
   std::vector<u64> neighbors(unsigned owner, u64 vpn, unsigned k) const;
 
   // --- introspection ---
+  /// Absent slot, region or page in the slot table.
+  static constexpr u64 kNone = ~0ull;
+  /// The numeric slot holding the owner's page; kNone when the page is not
+  /// held or the owner is unregistered. Slot / cluster_pages is the region.
+  u64 slot_of(unsigned owner, u64 vpn) const noexcept;
   u64 reads() const noexcept { return reads_.value(); }
   u64 writes() const noexcept { return writes_.value(); }
-  u64 slots_in_use() const noexcept { return slot_of_.size(); }
+  u64 slots_in_use() const noexcept { return slots_in_use_; }
   u64 queue_depth() const noexcept { return queue_.size(); }
   /// Queued requests of one class (telemetry probe; linear scan — swap
   /// queues are short).
@@ -179,7 +187,7 @@ class SwapScheduler {
     /// The key's swap slot, resolved once at enqueue. Valid for the queued
     /// request's whole lifetime: a held page's slot never moves, and the
     /// only free is the page's own read completion — so dispatch clusters
-    /// on this field instead of re-probing slot_of_ per queued request.
+    /// on this field instead of re-probing the slot table per request.
     u64 slot = 0;
     SwapReqClass cls = SwapReqClass::kDemandRead;
     Cycles enqueued = 0;
@@ -187,18 +195,21 @@ class SwapScheduler {
     sim::EventFn done;
   };
 
-  /// Per-owner counters. Null pointers mean the name aliased the device's
-  /// own aggregate counter (the private single-owner case), which is
-  /// already bumped, so the owner's must not be bumped again.
+  /// Per-owner counters and slot-table index. Null counter pointers mean
+  /// the name aliased the device's own aggregate counter (the private
+  /// single-owner case), which is already bumped, so the owner's must not
+  /// be bumped again.
   struct Owner {
     std::string name;
     Counter* reads = nullptr;
     Counter* writes = nullptr;
     Histogram* queue_wait = nullptr;
+    IndexTable<u64> slot_of{kNone};    // vpn -> numeric slot
+    IndexTable<u64> region_of{kNone};  // vpn / cluster_pages -> region
   };
 
   u64 pack(unsigned owner, u64 vpn) const;
-  void free_slot(u64 key);
+  void free_slot(unsigned owner, u64 vpn);
   /// Occupies the device port for one operation: the access latency plus
   /// `bytes` at the configured bandwidth; `done` fires at completion.
   void transfer(Cycles latency, u64 bytes, sim::EventFn done);
@@ -208,6 +219,9 @@ class SwapScheduler {
   /// selected read plus every queued same-cluster read) as one clustered
   /// transfer. `batch[0]` is the selected request.
   void dispatch(std::vector<Request> batch);
+  /// The operation's completion: frees a read batch's slots, frees the
+  /// port, dispatches the next request, then runs the continuations.
+  void complete(std::vector<Request>& batch);
   /// Batch-vector recycling: dispatch hands its vector (and the Requests'
   /// heap nodes) back after completion, so steady-state fault traffic
   /// allocates no batch storage.
@@ -221,24 +235,26 @@ class SwapScheduler {
   sim::TraceTrack trace_track_ = 0;
   std::vector<Owner> owners_;
 
-  std::deque<Request> queue_;
+  /// Queued requests in arrival order. A few entries deep; priority
+  /// dispatch and cluster batching remove from the middle, and the vector
+  /// keeps its capacity.
+  std::vector<Request> queue_;
   std::vector<std::vector<Request>> batch_pool_;  // recycled dispatch batches
   bool in_flight_ = false;
   unsigned defer_ = 0;  // batched() scope depth: pump waits for the scope end
-  /// Dispatches that bypassed the oldest queued request (the deque front,
+  /// Dispatches that bypassed the oldest queued request (the queue front,
   /// whatever its class) — the starvation-guard odometer. Bounds the wait
   /// of writebacks AND prefetches that higher-class traffic would
   /// otherwise bypass forever.
   u64 wb_bypassed_ = 0;
 
   // --- clustering slot allocator (the device's slot table) ---
-  std::unordered_map<u64, u64> slot_of_;            // packed key -> numeric slot
-  std::unordered_map<u64, u64> page_at_;            // numeric slot -> packed key
-  std::unordered_map<u64, u64> region_of_cluster_;  // packed (owner, vpn/cluster) -> region
-  std::unordered_map<u64, u64> cluster_of_region_;  // region -> packed cluster (for freeing)
-  std::unordered_map<u64, u64> region_pop_;         // region -> slots in use
-  std::set<u64> free_regions_;                      // lowest-first reuse: deterministic
+  IndexTable<u64> page_at_{kNone};            // numeric slot -> packed key
+  IndexTable<u64> cluster_of_region_{kNone};  // region -> its owner's cluster (for freeing)
+  IndexTable<u64> region_pop_;                // region -> slots in use
+  IndexBitmap free_regions_;                  // lowest-first reuse: deterministic
   u64 next_region_ = 0;
+  u64 slots_in_use_ = 0;
 
   Counter& reads_;  // pages transferred, device-wide
   Counter& writes_;

@@ -4,8 +4,10 @@
 // then asserts that once the pools have warmed up, a hardware thread's
 // memory traffic — port, MMU/TLB, shared walker, fault retry, bus and the
 // engine driving them — performs zero heap allocations, and so does a
-// copy-based offload transfer in either copy mode. The count is a
-// deterministic work count, so the gate is exact and host-independent.
+// copy-based offload transfer in either copy mode, and so does the pager's
+// fault -> evict -> dirty writeback -> swap-in cycle in either budget mode.
+// The count is a deterministic work count, so the gate is exact and
+// host-independent.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,6 +18,7 @@
 #include "hwt/builder.hpp"
 #include "hwt/engine.hpp"
 #include "hwt/hw_port.hpp"
+#include "mem/paging/frame_pool.hpp"
 #include "mem/paging/pager.hpp"
 #include "rt/os.hpp"
 #include "rt/process.hpp"
@@ -284,3 +287,85 @@ TEST_F(OffloadAllocFixture, CpuCopyInDoesNotAllocate) {
 
 }  // namespace
 }  // namespace vmsls::dma
+
+namespace vmsls::paging {
+namespace {
+
+using hwt::allocs_during;
+using test::MemorySystem;
+
+/// One pager cycling four pages through a two-frame budget: every fault
+/// evicts a dirty victim (a swap write the fault waits on) and swaps its
+/// own page back in.
+struct PagingCycleFixture : ::testing::Test {
+  static constexpr unsigned kPages = 4;
+  static constexpr u64 kBudget = 2;
+  MemorySystem ms;
+  // A small frame region: the allocator hands out frames next-fit, so the
+  // frame numbers the pool's tables are indexed by wrap within warm-up.
+  mem::FrameAllocator frames{1 * MiB, 16, 4096};
+  mem::AddressSpace as{ms.pm, frames, mem::PageTableConfig{}};
+  rt::Process process{ms.sim, as, "p"};
+  std::unique_ptr<FramePool> pool;
+  std::unique_ptr<Pager> pager;
+  VirtAddr base = 0;
+
+  void make(BudgetMode mode) {
+    PagerConfig pc;
+    pc.budget_mode = mode;
+    if (mode == BudgetMode::kGlobal) {
+      FramePoolConfig fc;
+      fc.mode = BudgetMode::kGlobal;
+      fc.total_frames = kBudget;
+      pool = std::make_unique<FramePool>(ms.sim, fc);
+    } else {
+      pc.frame_budget = kBudget;
+    }
+    pager = std::make_unique<Pager>(ms.sim, process, pc, "pager");
+    if (pool) pool->attach(*pager);
+    base = as.alloc(kPages * 4096, 4096);
+  }
+
+  /// Faults every page in turn, writing each once it maps.
+  void cycle() {
+    for (unsigned p = 0; p < kPages; ++p) {
+      const VirtAddr va = base + p * 4096ull;
+      bool done = false;
+      pager->handle_fault(va, /*is_write=*/true, [this, va, &done] {
+        if (!as.is_mapped(va)) process.map_in(va);
+        as.write_u64(va, va);
+        done = true;
+      });
+      ms.run_all();
+      ASSERT_TRUE(done);
+    }
+  }
+
+  void expect_cycles_do_not_allocate() {
+    for (int i = 0; i < 8; ++i) cycle();  // warm-up: tables, pools, queue
+    const u64 writebacks = pager->writebacks();
+    const u64 swap_ins = pager->swap_ins();
+    EXPECT_EQ(allocs_during([&] {
+                for (int i = 0; i < 8; ++i) cycle();
+              }),
+              0u);
+    // Every measured fault paid the whole cycle.
+    EXPECT_EQ(pager->writebacks() - writebacks, 8u * kPages);
+    EXPECT_EQ(pager->swap_ins() - swap_ins, 8u * kPages);
+    EXPECT_LE(as.resident_pages(), kBudget);
+  }
+};
+
+TEST_F(PagingCycleFixture, PerProcessBudgetCycleDoesNotAllocate) {
+  make(BudgetMode::kPerProcess);
+  expect_cycles_do_not_allocate();
+}
+
+TEST_F(PagingCycleFixture, GlobalPoolCycleDoesNotAllocate) {
+  make(BudgetMode::kGlobal);
+  expect_cycles_do_not_allocate();
+  EXPECT_GT(pool->evictions(), 0u);
+}
+
+}  // namespace
+}  // namespace vmsls::paging

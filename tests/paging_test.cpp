@@ -4,7 +4,13 @@
 // swap_device_test.cpp, the swap queue in swap_sched_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <list>
+#include <optional>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "mem/mmu.hpp"
 #include "mem/paging/pager.hpp"
@@ -14,6 +20,7 @@
 #include "rt/os.hpp"
 #include "rt/process.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace vmsls::paging {
 namespace {
@@ -134,6 +141,190 @@ TEST_F(PolicyFixture, RandomIsDeterministicUnderASeed) {
     b->on_insert(vpn(i));
   }
   for (int i = 0; i < 16; ++i) EXPECT_EQ(a->pick_victim(), b->pick_victim());
+}
+
+TEST(ReplacementPolicy, ClockRemoveOfAKeyNeverHeldIsANoOp) {
+  std::set<u64> accessed;
+  auto policy = make_policy(PolicyKind::kClock, AccessedProbe([&accessed](u64 key) {
+                              return accessed.erase(key) != 0;
+                            }));
+  policy->on_remove(7);  // empty ring
+  for (const u64 key : {3, 4, 5}) policy->on_insert(key);
+  policy->on_remove(6);        // inside the tables' range, never held
+  policy->on_remove(1ull << 40);  // far past the tables' end
+  EXPECT_EQ(policy->tracked_pages(), 3u);
+  EXPECT_EQ(policy->pick_victim(), 3u);
+  policy->on_remove(3);
+  policy->on_remove(3);  // already gone
+  EXPECT_EQ(policy->tracked_pages(), 2u);
+  EXPECT_EQ(policy->pick_victim(), 4u);
+}
+
+/// The CLOCK ring as a std::list plus a hash map of iterators: the
+/// reference the key-indexed ring must match nomination for nomination.
+class ListClock {
+ public:
+  ListClock(std::function<bool(u64)> probe, std::function<bool(u64)> pinned,
+            std::function<bool(u64)> speculative)
+      : probe_(std::move(probe)), pinned_(std::move(pinned)), speculative_(std::move(speculative)) {}
+
+  void on_insert(u64 key) {
+    if (ring_.empty()) {
+      pos_[key] = ring_.insert(ring_.end(), key);
+      hand_ = ring_.begin();
+    } else {
+      pos_[key] = ring_.insert(hand_, key);
+    }
+  }
+
+  void on_remove(u64 key) {
+    auto it = pos_.find(key);
+    if (it == pos_.end()) return;
+    if (it->second == hand_) {
+      hand_ = ring_.erase(it->second);
+      if (hand_ == ring_.end()) hand_ = ring_.begin();
+    } else {
+      ring_.erase(it->second);
+    }
+    pos_.erase(it);
+  }
+
+  std::optional<u64> pick_victim() {
+    if (ring_.empty()) return std::nullopt;
+    auto it = hand_;
+    for (u64 step = 0; step < ring_.size(); ++step) {
+      const u64 key = *it;
+      if (speculative_(key) && !pinned_(key) && !probe_(key)) return key;
+      if (++it == ring_.end()) it = ring_.begin();
+    }
+    for (u64 step = 0; step < 2 * ring_.size(); ++step) {
+      const u64 key = *hand_;
+      if (!pinned_(key) && !probe_(key)) return key;
+      if (++hand_ == ring_.end()) hand_ = ring_.begin();
+    }
+    it = hand_;
+    for (u64 step = 0; step < ring_.size(); ++step) {
+      const u64 key = *it;
+      if (!pinned_(key)) return key;
+      if (++it == ring_.end()) it = ring_.begin();
+    }
+    return std::nullopt;
+  }
+
+  u64 size() const { return ring_.size(); }
+
+ private:
+  std::function<bool(u64)> probe_, pinned_, speculative_;
+  std::list<u64> ring_;
+  std::list<u64>::iterator hand_ = ring_.end();
+  std::unordered_map<u64, std::list<u64>::iterator> pos_;
+};
+
+/// Page state one policy sees: accessed bits its probe test-and-clears and
+/// speculative flags a referenced probe retires (the pager's funnel). In
+/// `observe` mode every probe answers false and changes nothing, so
+/// pick_victim returns the hand itself.
+struct ClockWorld {
+  std::set<u64> accessed;
+  std::set<u64> speculative;
+  const std::set<u64>* pinned = nullptr;
+  bool observe = false;
+
+  bool probe(u64 key) {
+    if (observe || accessed.erase(key) == 0) return false;
+    speculative.erase(key);
+    return true;
+  }
+  bool is_pinned(u64 key) const { return !observe && pinned->count(key) != 0; }
+  bool is_speculative(u64 key) const { return !observe && speculative.count(key) != 0; }
+};
+
+/// ~10k seeded insert/remove/pick/touch/pin/speculate operations over keys
+/// `first + [0, span)`, checking every nomination and, after every
+/// operation, the hand position against the list-based reference.
+void expect_clock_matches_list_ring(u64 first, u64 span, u64 seed) {
+  std::set<u64> pinned;
+  ClockWorld mine, ref;
+  mine.pinned = ref.pinned = &pinned;
+  auto policy = make_policy(PolicyKind::kClock,
+                            AccessedProbe([&mine](u64 key) { return mine.probe(key); }));
+  policy->set_pinned_probe([&mine](u64 key) { return mine.is_pinned(key); });
+  policy->set_speculative_probe([&mine](u64 key) { return mine.is_speculative(key); },
+                                [&mine] { return !mine.observe && !mine.speculative.empty(); });
+  ListClock list([&ref](u64 key) { return ref.probe(key); },
+                 [&ref](u64 key) { return ref.is_pinned(key); },
+                 [&ref](u64 key) { return ref.is_speculative(key); });
+
+  Rng rng(seed);
+  std::vector<u64> held;  // keys in the ring, in insertion order
+  std::set<u64> held_set;
+  auto random_key = [&] { return first + rng.below(span); };
+  u64 nominations = 0;
+  for (int op = 0; op < 10000; ++op) {
+    const u64 r = rng.below(100);
+    if (r < 30 || held.empty()) {
+      const u64 key = random_key();
+      if (held_set.insert(key).second) {
+        held.push_back(key);
+        policy->on_insert(key);
+        list.on_insert(key);
+      }
+    } else if (r < 45) {
+      // Remove a held key, or (one time in four) a key the ring may never
+      // have held.
+      u64 key = random_key();
+      if (rng.below(4) != 0) {
+        const std::size_t i = rng.below(held.size());
+        key = held[i];
+      }
+      if (held_set.erase(key) != 0) held.erase(std::find(held.begin(), held.end(), key));
+      mine.accessed.erase(key);
+      ref.accessed.erase(key);
+      mine.speculative.erase(key);
+      ref.speculative.erase(key);
+      policy->on_remove(key);
+      list.on_remove(key);
+    } else if (r < 70) {
+      const u64 key = held[rng.below(held.size())];
+      mine.accessed.insert(key);
+      ref.accessed.insert(key);
+    } else if (r < 78) {
+      const u64 key = held[rng.below(held.size())];
+      if (pinned.erase(key) == 0) pinned.insert(key);
+    } else if (r < 83) {
+      const u64 key = held[rng.below(held.size())];
+      mine.speculative.insert(key);
+      ref.speculative.insert(key);
+    } else {
+      const auto got = policy->pick_victim();
+      ASSERT_EQ(got, list.pick_victim()) << "op " << op;
+      ++nominations;
+      // Usually the owner evicts the nominee, as the pager does.
+      if (got && rng.below(3) != 0) {
+        held_set.erase(*got);
+        held.erase(std::find(held.begin(), held.end(), *got));
+        mine.accessed.erase(*got);
+        ref.accessed.erase(*got);
+        mine.speculative.erase(*got);
+        ref.speculative.erase(*got);
+        policy->on_remove(*got);
+        list.on_remove(*got);
+      }
+    }
+    ASSERT_EQ(policy->tracked_pages(), list.size()) << "op " << op;
+    mine.observe = ref.observe = true;
+    ASSERT_EQ(policy->pick_victim(), list.pick_victim()) << "hand after op " << op;
+    mine.observe = ref.observe = false;
+  }
+  EXPECT_GT(nominations, 1000u);
+}
+
+TEST(ReplacementPolicy, ClockVictimOrderMatchesTheListRingOverVpnKeys) {
+  expect_clock_matches_list_ring(/*first=*/0x10, /*span=*/96, /*seed=*/11);
+}
+
+TEST(ReplacementPolicy, ClockVictimOrderMatchesTheListRingOverFrameKeys) {
+  expect_clock_matches_list_ring(/*first=*/256, /*span=*/4096, /*seed=*/12);
 }
 
 // --- pager integration: budget, shootdown, data round trip ---
@@ -287,6 +478,15 @@ TEST_F(PagerFixture, ConcurrentFaultsDuringWritebackCoalesceToOneSwapIn) {
   EXPECT_EQ(pager->evictions(), evictions_before + 1);      // only B evicted
   EXPECT_EQ(pager->swap().reads(), 1u);
   EXPECT_EQ(pager->writebacks(), 1u);
+}
+
+TEST_F(PagerFixture, SpeculativeProbeOfAnUnseenVpnIsFalse) {
+  make(/*budget=*/2);
+  EXPECT_FALSE(pager->any_speculative());
+  EXPECT_FALSE(pager->is_speculative(0));
+  EXPECT_FALSE(pager->is_speculative(ms.as.alloc(4096, 4096) >> 12));
+  EXPECT_FALSE(pager->is_speculative(1ull << 40));  // far past any table
+  EXPECT_FALSE(pager->swap().holds(1ull << 40));
 }
 
 TEST_F(PagerFixture, ObserverSeedsPolicyWithPagesResidentAtAttach) {

@@ -217,6 +217,71 @@ TEST(SwapScheduler, SlotLimitErrorNamesDeviceOwnerAndUsage) {
   EXPECT_EQ(sched.slots_in_use(), 2u);
 }
 
+TEST(SwapScheduler, LookupsOutsideTheSlotTableAreAbsent) {
+  sim::Simulator sim;
+  SwapScheduler sched(sim, fast_cfg(), 4096, "swap");
+  const unsigned owner = sched.register_owner("pager");
+  sched.note_swapped(owner, 5);
+  EXPECT_TRUE(sched.holds(owner, 5));
+  EXPECT_FALSE(sched.holds(owner, 6));          // inside the table, not held
+  EXPECT_FALSE(sched.holds(owner, 1ull << 40));  // far past the table's end
+  EXPECT_FALSE(sched.holds(owner + 1, 5));       // unregistered owner
+  EXPECT_EQ(sched.slot_of(owner + 1, 5), SwapScheduler::kNone);
+  EXPECT_TRUE(sched.neighbors(owner, 1ull << 40, 4).empty());
+  EXPECT_TRUE(sched.neighbors(owner + 1, 5, 4).empty());
+  EXPECT_TRUE(sched.neighbors(owner, 4, 4).empty());
+}
+
+TEST(SwapScheduler, FreedRegionsAreReusedLowestFirst) {
+  // Two owners' clusters drain in the order regions 1, 3, 0: lowest-first
+  // reuse hands them out as 0, 1, 3 (a FIFO free list would give 1, 3, 0
+  // and a LIFO one 0, 3, 1), then the allocator grows past the top.
+  sim::Simulator sim;
+  SwapConfig cfg = fast_cfg();
+  cfg.cluster_pages = 4;
+  SwapScheduler sched(sim, cfg, 4096, "swap");
+  const unsigned a = sched.register_owner("a");
+  const unsigned b = sched.register_owner("b");
+  auto region = [&](unsigned owner, u64 vpn) {
+    return sched.slot_of(owner, vpn) / cfg.cluster_pages;
+  };
+  for (const auto& [owner, vpn] : std::vector<std::pair<unsigned, u64>>{
+           {a, 0}, {a, 1}, {b, 100}, {a, 8}, {b, 104}, {b, 105}})
+    sched.note_swapped(owner, vpn);
+  EXPECT_EQ(region(a, 0), 0u);
+  EXPECT_EQ(region(b, 100), 1u);
+  EXPECT_EQ(region(a, 8), 2u);
+  EXPECT_EQ(region(b, 104), 3u);
+  for (const auto& [owner, vpn] : std::vector<std::pair<unsigned, u64>>{
+           {b, 100}, {b, 104}, {b, 105}, {a, 0}, {a, 1}})
+    sched.read(owner, vpn, SwapReqClass::kDemandRead, [] {});
+  sim.drain();
+  EXPECT_EQ(sched.slots_in_use(), 1u);  // a's vpn 8, region 2
+
+  sched.note_swapped(b, 200);
+  sched.note_swapped(a, 41);
+  sched.note_swapped(a, 40);  // same cluster as 41
+  sched.note_swapped(b, 300);
+  sched.note_swapped(b, 400);
+  EXPECT_EQ(region(b, 200), 0u);
+  EXPECT_EQ(region(a, 40), 1u);
+  EXPECT_EQ(region(a, 41), 1u);
+  EXPECT_EQ(region(b, 300), 3u);
+  EXPECT_EQ(region(b, 400), 4u);
+  EXPECT_EQ(region(a, 8), 2u);
+
+  // The slot table and the neighbor view agree: every held page is counted
+  // once, and no freed slot still names its old page.
+  EXPECT_EQ(sched.slots_in_use(), 6u);
+  EXPECT_EQ(sched.neighbors(a, 40, 3), std::vector<u64>{41});
+  EXPECT_TRUE(sched.neighbors(b, 200, 3).empty());  // a's old vpn 1 slot is free
+  EXPECT_TRUE(sched.neighbors(b, 300, 3).empty());  // b's old vpn 105 slot is free
+  for (const u64 vpn : {0, 1, 104, 105}) {
+    EXPECT_FALSE(sched.holds(a, vpn));
+    EXPECT_FALSE(sched.holds(b, vpn));
+  }
+}
+
 TEST(ReplacementSpeculative, WrongPathPrefetchesAreReclaimedFirst) {
   for (const auto kind :
        {PolicyKind::kClock, PolicyKind::kLruApprox, PolicyKind::kFifo, PolicyKind::kRandom}) {
