@@ -1,6 +1,7 @@
 #include "hwt/engine.hpp"
 
 #include <cstring>
+#include <initializer_list>
 #include <stdexcept>
 #include <utility>
 
@@ -30,6 +31,15 @@ Engine::Engine(sim::Simulator& sim, Kernel kernel, const EngineConfig& cfg, std:
       stat_os_ops_(sim.stats().counter(name_ + ".os_ops")),
       stat_mem_latency_(sim.stats().histogram(name_ + ".mem_latency")) {
   verify(kernel_);
+  // nop and the plain ALU ops cost `alu`; blocking ops never read the table.
+  op_cost_.fill(cfg_.cost.alu);
+  const auto charge = [this](std::initializer_list<Op> ops, Cycles cost) {
+    for (Op op : ops) op_cost_[static_cast<std::size_t>(op)] = cost;
+  };
+  charge({Op::kMul, Op::kMuli}, cfg_.cost.mul);
+  charge({Op::kDivU, Op::kRemU}, cfg_.cost.divu);
+  charge({Op::kBeqz, Op::kBnez, Op::kJmp}, cfg_.cost.branch);
+  charge({Op::kSpadLoad, Op::kSpadStore}, cfg_.cost.spad);
 }
 
 void Engine::attach_mem_port(unsigned index, MemPort* port) {
@@ -66,7 +76,9 @@ void Engine::set_reg(unsigned r, i64 v) {
   regs_[r] = v;
 }
 
-void Engine::trap(const std::string& what) const {
+void Engine::trap(u64 pc, u64 instret, const char* what) {
+  pc_ = pc;
+  instret_ = instret;
   throw std::runtime_error(name_ + " @pc=" + std::to_string(pc_) + ": " + what);
 }
 
@@ -76,51 +88,26 @@ bool Engine::spad_fits(u64 offset, u64 bytes) const noexcept {
   return offset <= spad_.size() && bytes <= spad_.size() - offset;
 }
 
-u64 Engine::spad_read(u64 offset, u8 size) const {
-  if (!spad_fits(offset, size)) trap("scratchpad read out of bounds");
-  u64 v = 0;
-  std::memcpy(&v, spad_.data() + offset, size);
-  return v;
-}
-
-void Engine::spad_write(u64 offset, u8 size, u64 value) {
-  if (!spad_fits(offset, size)) trap("scratchpad write out of bounds");
-  std::memcpy(spad_.data() + offset, &value, size);
-}
-
-void Engine::exec_alu(const Instr& in) {
-  const i64 a = regs_[in.ra];
-  const i64 b = regs_[in.rb];
-  const u64 ua = static_cast<u64>(a);
-  const u64 ub = static_cast<u64>(b);
-  i64 r = 0;
-  switch (in.op) {
-    case Op::kLi: r = in.imm; break;
-    case Op::kMov: r = a; break;
-    case Op::kAdd: r = static_cast<i64>(ua + ub); break;
-    case Op::kSub: r = static_cast<i64>(ua - ub); break;
-    case Op::kMul: r = static_cast<i64>(ua * ub); break;
-    case Op::kDivU: r = ub == 0 ? -1 : static_cast<i64>(ua / ub); break;
-    case Op::kRemU: r = ub == 0 ? a : static_cast<i64>(ua % ub); break;
-    case Op::kAnd: r = static_cast<i64>(ua & ub); break;
-    case Op::kOr: r = static_cast<i64>(ua | ub); break;
-    case Op::kXor: r = static_cast<i64>(ua ^ ub); break;
-    case Op::kShl: r = static_cast<i64>(ua << (ub & 63)); break;
-    case Op::kShr: r = static_cast<i64>(ua >> (ub & 63)); break;
-    case Op::kAddi: r = static_cast<i64>(ua + static_cast<u64>(in.imm)); break;
-    case Op::kMuli: r = static_cast<i64>(ua * static_cast<u64>(in.imm)); break;
-    case Op::kAndi: r = static_cast<i64>(ua & static_cast<u64>(in.imm)); break;
-    case Op::kShli: r = static_cast<i64>(ua << (in.imm & 63)); break;
-    case Op::kShri: r = static_cast<i64>(ua >> (in.imm & 63)); break;
-    case Op::kSlt: r = a < b ? 1 : 0; break;
-    case Op::kSltu: r = ua < ub ? 1 : 0; break;
-    case Op::kSeq: r = a == b ? 1 : 0; break;
-    case Op::kSne: r = a != b ? 1 : 0; break;
-    case Op::kMin: r = a < b ? a : b; break;
-    case Op::kMax: r = a > b ? a : b; break;
-    default: trap("exec_alu on non-ALU op");
+// One constant-width copy per case: a single load or store at any offset,
+// aligned or not.
+inline u64 Engine::spad_read(u64 offset, u8 size) const noexcept {
+  const u8* p = spad_.data() + offset;
+  switch (size) {
+    case 1: return *p;
+    case 2: { u16 v = 0; std::memcpy(&v, p, 2); return v; }
+    case 4: { u32 v = 0; std::memcpy(&v, p, 4); return v; }
+    default: { u64 v = 0; std::memcpy(&v, p, 8); return v; }
   }
-  regs_[in.rd] = r;
+}
+
+inline void Engine::spad_write(u64 offset, u8 size, u64 value) noexcept {
+  u8* p = spad_.data() + offset;
+  switch (size) {
+    case 1: *p = static_cast<u8>(value); return;
+    case 2: { const u16 v = static_cast<u16>(value); std::memcpy(p, &v, 2); return; }
+    case 4: { const u32 v = static_cast<u32>(value); std::memcpy(p, &v, 4); return; }
+    default: std::memcpy(p, &value, 8); return;
+  }
 }
 
 Cycles Engine::effective(Cycles local_cost) const noexcept {
@@ -133,87 +120,86 @@ void Engine::yield_then_resume(Cycles local_cost) {
 }
 
 void Engine::resume() {
+  // Loop state lives in locals: a `regs_` write is an i64 store that may
+  // alias any u64 member, so members would be reloaded every iteration.
+  // `sync` writes it back before any yield or callback; `trap` takes it.
+  const Instr* const code = kernel_.code.data();
+  const u64 code_size = kernel_.code.size();
+  const Cycles* const op_cost = op_cost_.data();
+  u64 pc = pc_;
+  u64 instret = instret_;
+  const auto sync = [&] {
+    pc_ = pc;
+    instret_ = instret;
+  };
   Cycles local = 0;  // cost accumulated in the engine's own clock domain
-  u64 batch = 0;
+  u64 batch_left = cfg_.batch_limit;
 
   while (true) {
-    if (pc_ >= kernel_.code.size()) trap("fell off end of kernel");
-    const Instr& in = kernel_.code[pc_];
+    if (pc >= code_size) trap(pc, instret, "fell off end of kernel");
+    const Instr& in = code[pc];
+    const Op op = in.op;
 
-    if (++batch > cfg_.batch_limit) {
+    if (batch_left-- == 0) {
       // Yield to keep single events bounded; resume in the same local cycle
       // budget we accumulated.
+      sync();
       yield_then_resume(local);
       return;
     }
 
-    switch (in.op) {
-      case Op::kNop:
-        local += cfg_.cost.alu;
-        ++pc_;
-        break;
+    const i64 a = regs_[in.ra];
+    const i64 b = regs_[in.rb];
+    const u64 ua = static_cast<u64>(a);
+    const u64 ub = static_cast<u64>(b);
+    u64 next = pc + 1;
+    switch (op) {
+      case Op::kNop: break;
+      case Op::kLi: regs_[in.rd] = in.imm; break;
+      case Op::kMov: regs_[in.rd] = a; break;
+      case Op::kAdd: regs_[in.rd] = static_cast<i64>(ua + ub); break;
+      case Op::kSub: regs_[in.rd] = static_cast<i64>(ua - ub); break;
+      case Op::kMul: regs_[in.rd] = static_cast<i64>(ua * ub); break;
+      case Op::kDivU: regs_[in.rd] = ub == 0 ? -1 : static_cast<i64>(ua / ub); break;
+      case Op::kRemU: regs_[in.rd] = ub == 0 ? a : static_cast<i64>(ua % ub); break;
+      case Op::kAnd: regs_[in.rd] = static_cast<i64>(ua & ub); break;
+      case Op::kOr: regs_[in.rd] = static_cast<i64>(ua | ub); break;
+      case Op::kXor: regs_[in.rd] = static_cast<i64>(ua ^ ub); break;
+      case Op::kShl: regs_[in.rd] = static_cast<i64>(ua << (ub & 63)); break;
+      case Op::kShr: regs_[in.rd] = static_cast<i64>(ua >> (ub & 63)); break;
+      case Op::kAddi: regs_[in.rd] = static_cast<i64>(ua + static_cast<u64>(in.imm)); break;
+      case Op::kMuli: regs_[in.rd] = static_cast<i64>(ua * static_cast<u64>(in.imm)); break;
+      case Op::kAndi: regs_[in.rd] = static_cast<i64>(ua & static_cast<u64>(in.imm)); break;
+      case Op::kShli: regs_[in.rd] = static_cast<i64>(ua << (in.imm & 63)); break;
+      case Op::kShri: regs_[in.rd] = static_cast<i64>(ua >> (in.imm & 63)); break;
+      case Op::kSlt: regs_[in.rd] = a < b ? 1 : 0; break;
+      case Op::kSltu: regs_[in.rd] = ua < ub ? 1 : 0; break;
+      case Op::kSeq: regs_[in.rd] = a == b ? 1 : 0; break;
+      case Op::kSne: regs_[in.rd] = a != b ? 1 : 0; break;
+      case Op::kMin: regs_[in.rd] = a < b ? a : b; break;
+      case Op::kMax: regs_[in.rd] = a > b ? a : b; break;
+      case Op::kBeqz: if (a == 0) next = static_cast<u64>(in.imm); break;
+      case Op::kBnez: if (a != 0) next = static_cast<u64>(in.imm); break;
+      case Op::kJmp: next = static_cast<u64>(in.imm); break;
 
-      case Op::kLi: case Op::kMov:
-      case Op::kAdd: case Op::kSub: case Op::kAnd: case Op::kOr: case Op::kXor:
-      case Op::kShl: case Op::kShr: case Op::kAddi: case Op::kAndi:
-      case Op::kShli: case Op::kShri:
-      case Op::kSlt: case Op::kSltu: case Op::kSeq: case Op::kSne:
-      case Op::kMin: case Op::kMax:
-        exec_alu(in);
-        local += cfg_.cost.alu;
-        ++instret_;
-        ++pc_;
+      case Op::kSpadLoad: {
+        const u64 off = ua + static_cast<u64>(in.imm);
+        if (!spad_fits(off, in.size)) trap(pc, instret, "scratchpad read out of bounds");
+        regs_[in.rd] = static_cast<i64>(spad_read(off, in.size));
         break;
+      }
 
-      case Op::kMul: case Op::kMuli:
-        exec_alu(in);
-        local += cfg_.cost.mul;
-        ++instret_;
-        ++pc_;
+      case Op::kSpadStore: {
+        const u64 off = ua + static_cast<u64>(in.imm);
+        if (!spad_fits(off, in.size)) trap(pc, instret, "scratchpad write out of bounds");
+        spad_write(off, in.size, ub);
         break;
-
-      case Op::kDivU: case Op::kRemU:
-        exec_alu(in);
-        local += cfg_.cost.divu;
-        ++instret_;
-        ++pc_;
-        break;
-
-      case Op::kBeqz:
-        local += cfg_.cost.branch;
-        ++instret_;
-        pc_ = (regs_[in.ra] == 0) ? static_cast<u64>(in.imm) : pc_ + 1;
-        break;
-
-      case Op::kBnez:
-        local += cfg_.cost.branch;
-        ++instret_;
-        pc_ = (regs_[in.ra] != 0) ? static_cast<u64>(in.imm) : pc_ + 1;
-        break;
-
-      case Op::kJmp:
-        local += cfg_.cost.branch;
-        ++instret_;
-        pc_ = static_cast<u64>(in.imm);
-        break;
-
-      case Op::kSpadLoad:
-        regs_[in.rd] = static_cast<i64>(spad_read(static_cast<u64>(regs_[in.ra] + in.imm), in.size));
-        local += cfg_.cost.spad;
-        ++instret_;
-        ++pc_;
-        break;
-
-      case Op::kSpadStore:
-        spad_write(static_cast<u64>(regs_[in.ra] + in.imm), in.size, static_cast<u64>(regs_[in.rb]));
-        local += cfg_.cost.spad;
-        ++instret_;
-        ++pc_;
-        break;
+      }
 
       case Op::kDelay: {
-        ++instret_;
-        ++pc_;
+        ++instret;
+        ++pc;
+        sync();
         // The explicit delay is absolute pipeline depth, not subject to ILP.
         sim_.schedule_in(
             cfg_.clock.to_ref(effective(local) + static_cast<Cycles>(in.imm)),
@@ -222,7 +208,8 @@ void Engine::resume() {
       }
 
       case Op::kHalt: {
-        ++instret_;
+        ++instret;
+        sync();
         stat_instret_.add(instret_);
         const Cycles at = cfg_.clock.to_ref(effective(local));
         sim_.schedule_in(at, [this] {
@@ -235,10 +222,11 @@ void Engine::resume() {
 
       case Op::kLoad:
       case Op::kStore: {
-        ++instret_;
+        ++instret;
+        sync();
         stat_mem_ops_.add();
-        const VirtAddr va = static_cast<VirtAddr>(regs_[in.ra] + in.imm);
-        const u64 v = in.op == Op::kStore ? static_cast<u64>(regs_[in.rb]) : 0;
+        const VirtAddr va = ua + static_cast<u64>(in.imm);
+        const u64 v = op == Op::kStore ? ub : 0;
         const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
         sim_.schedule_in(issue, [this, va, v] {
           mem_word_ = v;
@@ -249,15 +237,18 @@ void Engine::resume() {
 
       case Op::kBurstLoad:
       case Op::kBurstStore: {
-        ++instret_;
+        ++instret;
+        sync();
         stat_mem_ops_.add();
-        const bool load = in.op == Op::kBurstLoad;
+        const bool load = op == Op::kBurstLoad;
         const u64 spad_off = static_cast<u64>(regs_[in.rd]);
-        const VirtAddr va = static_cast<VirtAddr>(regs_[in.ra]);
-        const u64 bytes = static_cast<u64>(regs_[in.rb]);
-        if (bytes == 0) trap(load ? "zero-length burst load" : "zero-length burst store");
+        const VirtAddr va = static_cast<VirtAddr>(a);
+        const u64 bytes = ub;
+        if (bytes == 0)
+          trap(pc, instret, load ? "zero-length burst load" : "zero-length burst store");
         if (!spad_fits(spad_off, bytes))
-          trap(load ? "burst load overflows scratchpad" : "burst store overruns scratchpad");
+          trap(pc, instret,
+               load ? "burst load overflows scratchpad" : "burst store overruns scratchpad");
         const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
         sim_.schedule_in(issue, [this, va, bytes, spad_off] {
           issue_mem(va, std::span<u8>(spad_.data() + spad_off, bytes));
@@ -265,64 +256,21 @@ void Engine::resume() {
         return;
       }
 
-      case Op::kMboxGet: {
-        ++instret_;
-        stat_os_ops_.add();
-        const Instr snapshot = in;
-        const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.os_issue);
-        sim_.schedule_in(issue, [this, snapshot] {
-          os_port_->mbox_get(static_cast<unsigned>(snapshot.imm), [this, snapshot](i64 v) {
-            regs_[snapshot.rd] = v;
-            ++pc_;
-            resume();
-          });
-        });
-        return;
-      }
-
-      case Op::kMboxPut: {
-        ++instret_;
-        stat_os_ops_.add();
-        const Instr snapshot = in;
-        const i64 v = regs_[in.ra];
-        const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.os_issue);
-        sim_.schedule_in(issue, [this, snapshot, v] {
-          os_port_->mbox_put(static_cast<unsigned>(snapshot.imm), v, [this] {
-            ++pc_;
-            resume();
-          });
-        });
-        return;
-      }
-
-      case Op::kSemWait: {
-        ++instret_;
-        stat_os_ops_.add();
-        const Instr snapshot = in;
-        const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.os_issue);
-        sim_.schedule_in(issue, [this, snapshot] {
-          os_port_->sem_wait(static_cast<unsigned>(snapshot.imm), [this] {
-            ++pc_;
-            resume();
-          });
-        });
-        return;
-      }
-
+      case Op::kMboxGet:
+      case Op::kMboxPut:
+      case Op::kSemWait:
       case Op::kSemPost: {
-        ++instret_;
+        ++instret;
+        sync();
         stat_os_ops_.add();
-        const Instr snapshot = in;
         const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.os_issue);
-        sim_.schedule_in(issue, [this, snapshot] {
-          os_port_->sem_post(static_cast<unsigned>(snapshot.imm), [this] {
-            ++pc_;
-            resume();
-          });
-        });
+        sim_.schedule_in(issue, [this, a] { issue_os(a); });
         return;
       }
     }
+    local += op_cost[static_cast<std::size_t>(op)];
+    ++instret;
+    pc = next;
   }
 }
 
@@ -338,6 +286,29 @@ void Engine::issue_mem(VirtAddr va, std::span<u8> buf) {
     port->read(va, buf, std::move(done));
   else
     port->write(va, buf, std::move(done));
+}
+
+// An OS call likewise stays at pc_ until the runtime completes it; `value`
+// is the register an mbox_put sends.
+void Engine::issue_os(i64 value) {
+  const Instr& op = kernel_.code[pc_];
+  const auto index = static_cast<unsigned>(op.imm);
+  auto done = [this] {
+    ++pc_;
+    resume();
+  };
+  switch (op.op) {
+    case Op::kMboxGet:
+      os_port_->mbox_get(index, [this](i64 v) {
+        regs_[kernel_.code[pc_].rd] = v;
+        ++pc_;
+        resume();
+      });
+      return;
+    case Op::kMboxPut: os_port_->mbox_put(index, value, std::move(done)); return;
+    case Op::kSemWait: os_port_->sem_wait(index, std::move(done)); return;
+    default: os_port_->sem_post(index, std::move(done)); return;
+  }
 }
 
 void Engine::finish_mem_op(Cycles issued_at) {

@@ -6,6 +6,15 @@
 // every blocking operation (memory, OS call, delay) and at a batch limit,
 // so component interleaving is exact at every externally visible point.
 //
+// The straight-line loop decodes each instruction once, in one switch, and
+// charges it from a per-opcode cost table filled from the CostModel at
+// construction. Its loop state (pc, retired count, code pointer and size,
+// cost table, batch budget) lives in locals, and pc and retired count are
+// written back to the members before any yield, callback or trap, so
+// callbacks and trap messages see the true pc. Scratchpad loads and
+// stores copy a constant 1, 2, 4 or 8 bytes per case (the widths `verify`
+// admits); loads zero-extend.
+//
 // Cost model defaults describe a pipelined HLS datapath (II=1 ALU);
 // the CPU model overrides them (see cpu/cpu.hpp).
 #pragma once
@@ -86,17 +95,21 @@ class Engine {
   void yield_then_resume(Cycles local_cost);
   void issue_mem(VirtAddr va, std::span<u8> buf);
   void finish_mem_op(Cycles issued_at);
-  [[noreturn]] void trap(const std::string& what) const;
+  void issue_os(i64 value);
+  /// Writes `resume`'s loop state back, then throws naming the pc.
+  [[noreturn]] void trap(u64 pc, u64 instret, const char* what);
 
-  void exec_alu(const Instr& in);
   bool spad_fits(u64 offset, u64 bytes) const noexcept;
-  u64 spad_read(u64 offset, u8 size) const;
-  void spad_write(u64 offset, u8 size, u64 value);
+  /// In-bounds access only; the caller checks `spad_fits` and traps.
+  u64 spad_read(u64 offset, u8 size) const noexcept;
+  void spad_write(u64 offset, u8 size, u64 value) noexcept;
 
   sim::Simulator& sim_;
   Kernel kernel_;
   EngineConfig cfg_;
   std::string name_;
+  /// Raw cost of each non-blocking op, by opcode: its cost class from cfg_.cost.
+  std::array<Cycles, static_cast<std::size_t>(Op::kHalt) + 1> op_cost_{};
 
   std::array<i64, kNumRegs> regs_{};
   std::vector<u8> spad_;

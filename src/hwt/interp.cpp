@@ -1,6 +1,7 @@
 #include "hwt/interp.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "hwt/builder.hpp"
 #include "util/rng.hpp"
@@ -155,15 +156,20 @@ Kernel random_kernel(u64 seed, unsigned length, u32 spad_bytes) {
   // Seed registers with random values so dataflow is non-trivial.
   for (Reg reg = 1; reg < 12; ++reg)
     kb.li(reg, static_cast<i64>(rng.next() & 0xffff) - 0x8000);
+  // r29 bounds unaligned scratchpad offsets: x % r29 lies in [0, spad_bytes - 8].
+  kb.li(29, static_cast<i64>(spad_bytes) - 7);
 
   // A bounded loop register ensures termination regardless of the random
-  // body: r31 counts down and every backward branch targets the loop head.
+  // body: r31 counts down, the only backward branch targets the loop head,
+  // and every other branch skips one instruction forward.
   kb.li(31, static_cast<i64>(4 + rng.below(8)));
   kb.label("head");
 
   const auto any_reg = [&] { return static_cast<Reg>(1 + rng.below(12)); };
+  const auto any_width = [&] { return static_cast<u8>(1u << rng.below(4)); };
   for (unsigned i = 0; i < length; ++i) {
-    switch (rng.below(12)) {
+    const u64 kind = rng.below(26);
+    switch (kind) {
       case 0: kb.add(any_reg(), any_reg(), any_reg()); break;
       case 1: kb.sub(any_reg(), any_reg(), any_reg()); break;
       case 2: kb.mul(any_reg(), any_reg(), any_reg()); break;
@@ -182,7 +188,38 @@ Kernel random_kernel(u64 seed, unsigned length, u32 spad_bytes) {
         break;
       }
       case 10: kb.remu(any_reg(), any_reg(), any_reg()); break;
-      default: kb.max(any_reg(), any_reg(), any_reg()); break;
+      case 11: kb.max(any_reg(), any_reg(), any_reg()); break;
+      case 12: kb.mov(any_reg(), any_reg()); break;
+      case 13: kb.and_(any_reg(), any_reg(), any_reg()); break;
+      case 14: kb.or_(any_reg(), any_reg(), any_reg()); break;
+      case 15: kb.shl(any_reg(), any_reg(), any_reg()); break;
+      case 16: kb.shr(any_reg(), any_reg(), any_reg()); break;
+      case 17: kb.sltu(any_reg(), any_reg(), any_reg()); break;
+      case 18: kb.seq(any_reg(), any_reg(), any_reg()); break;
+      case 19: kb.sne(any_reg(), any_reg(), any_reg()); break;
+      case 20: kb.muli(any_reg(), any_reg(), static_cast<i64>(rng.below(1000)) - 500); break;
+      case 21: kb.shli(any_reg(), any_reg(), static_cast<i64>(rng.below(64))); break;
+      case 22: kb.nop(); break;
+      case 23:
+      case 24: {
+        // Forward branch over one instruction.
+        const std::string skip = "skip" + std::to_string(i);
+        if (kind == 23)
+          kb.beqz(any_reg(), skip);
+        else
+          kb.jmp(skip);
+        kb.addi(any_reg(), any_reg(), 1);
+        kb.label(skip);
+        break;
+      }
+      default: {
+        // Store and load of independent widths at an unaligned offset.
+        const Reg a = any_reg(), v = any_reg(), d = any_reg();
+        kb.remu(30, a, 29);
+        kb.spad_store(30, v, 0, any_width());
+        kb.spad_load(d, 30, 0, any_width());
+        break;
+      }
     }
   }
 

@@ -52,8 +52,9 @@ class Interpreter {
 };
 
 /// Generates a random but well-formed straight-line + loop program using
-/// only architectural ops (ALU, scratchpad, branches), suitable for
-/// differential testing. Deterministic in `seed`.
+/// every non-blocking op (ALU, nop, forward branches, scratchpad loads and
+/// stores of every width at unaligned offsets), suitable for differential
+/// testing. `spad_bytes` must be at least 8. Deterministic in `seed`.
 Kernel random_kernel(u64 seed, unsigned length = 64, u32 spad_bytes = 256);
 
 }  // namespace vmsls::hwt

@@ -2,6 +2,9 @@
 
 #include <deque>
 #include <map>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "hwt/builder.hpp"
 #include "hwt/engine.hpp"
@@ -75,6 +78,16 @@ class FakeOsPort final : public OsPort {
  private:
   sim::Simulator& sim_;
 };
+
+/// Drains `sim` and returns the message of the trap it raises ("" if none).
+std::string trap_message(sim::Simulator& sim) {
+  try {
+    sim.drain();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
 
 struct EngineFixture : ::testing::Test {
   sim::Simulator sim;
@@ -171,12 +184,24 @@ TEST_F(EngineFixture, ScratchpadOutOfBoundsTraps) {
   overrun.li(1, 1).li(2, 12).spad_store(2, 1).halt();  // 8 B store at 12 overruns 16
   KernelBuilder negative("k", 16);
   negative.li(2, -8).spad_load(3, 2).halt();  // -8 + 8 wraps to 0
-  for (KernelBuilder* kb : {&overrun, &negative}) {
+  const std::pair<KernelBuilder*, std::string> cases[] = {
+      {&overrun, "eng @pc=2: scratchpad write out of bounds"},
+      {&negative, "eng @pc=1: scratchpad read out of bounds"}};
+  for (const auto& [kb, message] : cases) {
     sim::Simulator s;
     Engine e(s, kb->build(), EngineConfig{}, "eng");
     e.start([] {});
-    EXPECT_THROW(s.drain(), std::runtime_error);
+    EXPECT_EQ(trap_message(s), message);
   }
+}
+
+TEST_F(EngineFixture, FallingOffTheEndTraps) {
+  KernelBuilder kb("k");
+  kb.jmp("last").halt().label("last").li(1, 1);  // the last instruction is not a halt
+  sim::Simulator s;
+  Engine e(s, kb.build(), EngineConfig{}, "eng");
+  e.start([] {});
+  EXPECT_EQ(trap_message(s), "eng @pc=3: fell off end of kernel");
 }
 
 TEST_F(EngineFixture, LoadStoreThroughPort) {
@@ -235,7 +260,7 @@ TEST_F(EngineFixture, BurstOverflowTraps) {
     Engine e(s, kb->build(), EngineConfig{}, "eng");
     e.attach_mem_port(0, &mem);
     e.start([] {});
-    EXPECT_THROW(s.drain(), std::runtime_error);
+    EXPECT_EQ(trap_message(s), "eng @pc=3: burst load overflows scratchpad");
   }
   EXPECT_EQ(mem.reads, 0);
 }
@@ -313,6 +338,47 @@ TEST_F(EngineFixture, InstructionsRetiredCounted) {
   kb.li(1, 1).li(2, 2).add(3, 1, 2).halt();
   run(kb.build());
   EXPECT_EQ(engine->instructions_retired(), 4u);
+}
+
+TEST_F(EngineFixture, EachOpIsChargedItsCostClass) {
+  // One op of every cost class: 4 alu (two li, nop, add), mul, divu, two
+  // branches (one not taken, one taken over a skipped addi), and a
+  // scratchpad store and load; the halt retires but is not charged.
+  KernelBuilder kb("k", 64);
+  kb.li(1, 6).li(2, 3).nop().add(3, 1, 2).mul(4, 1, 2).divu(5, 1, 2)
+      .beqz(1, "skip")   // not taken
+      .bnez(1, "skip")   // taken
+      .addi(6, 6, 1)     // skipped
+      .label("skip")
+      .spad_store(0, 4)
+      .spad_load(7, 0)
+      .halt();
+  const Kernel kernel = kb.build();
+  struct Case {
+    const char* name;
+    CostModel cost;
+    Cycles halt_at;  // ceil(sum of op costs / ilp)
+  };
+  const Case cases[] = {
+      // 4*1 + 1 + 18 + 2*1 + 2*1 = 27 raw cycles at ilp 8.
+      {"fabric", CostModel{}, 4},
+      // 4*1 + 4 + 24 + 2*3 + 2*2 = 42 raw cycles at ilp 1.
+      {"cpu", cpu_cost_model(), 42},
+  };
+  for (const Case& c : cases) {
+    sim::Simulator s;
+    EngineConfig cfg;
+    cfg.cost = c.cost;
+    Engine e(s, kernel, cfg, "eng");
+    bool done = false;
+    e.start([&] { done = true; });
+    s.drain();
+    EXPECT_TRUE(done) << c.name;
+    EXPECT_EQ(e.halt_time(), c.halt_at) << c.name;
+    EXPECT_EQ(e.instructions_retired(), 11u) << c.name;
+    EXPECT_EQ(e.reg(6), 0) << c.name;
+    EXPECT_EQ(e.reg(7), 18) << c.name;
+  }
 }
 
 TEST_F(EngineFixture, DoubleStartRejected) {
