@@ -23,9 +23,15 @@ VirtAddr AddressSpace::alloc(u64 bytes, u64 align) {
 }
 
 std::vector<u8>& AddressSpace::backing_page(u64 vpn) {
-  auto& page = backing_[vpn];
+  auto& page = backing_.at(vpn);
   if (page.empty()) page.assign(page_bytes(), 0);
   return page;
+}
+
+void AddressSpace::save_page(u64 vpn, PhysAddr pa) {
+  if (tracks_saves() && has_backing(vpn) && pm_.saved(pa, page_bytes())) return;
+  auto& store = backing_page(vpn);
+  pm_.read(pa, std::span<u8>(store.data(), store.size()));
 }
 
 VirtAddr AddressSpace::mmap(BackingFile& file, u64 offset, u64 bytes, bool shared) {
@@ -58,10 +64,10 @@ void AddressSpace::bind_file(VirtAddr va, u64 bytes, BackingFile& file, u64 offs
     auto dst = file.block_data(offset / page + i);
     if (const auto pte = pt_.lookup(vpn * page)) {
       pm_.read(frames_.frame_addr(pte->frame), dst);
-    } else if (auto it = backing_.find(vpn); it != backing_.end()) {
-      std::memcpy(dst.data(), it->second.data(), dst.size());
+    } else if (has_backing(vpn)) {
+      std::memcpy(dst.data(), backing_.get(vpn).data(), dst.size());
     }
-    backing_.erase(vpn);
+    if (has_backing(vpn)) backing_.at(vpn) = {};
   }
   FileRegion region{first_vpn, pages, &file, offset / page, shared};
   const auto pos = std::upper_bound(
@@ -91,8 +97,7 @@ void AddressSpace::sync_page(u64 vpn) {
   } else {
     // Anonymous page, or a private file page whose modifications must land
     // in the process-local copy — never in the shared file.
-    auto& store = backing_page(vpn);
-    pm_.read(pa, std::span<u8>(store.data(), store.size()));
+    save_page(vpn, pa);
   }
 }
 
@@ -122,10 +127,11 @@ u64 AddressSpace::map_page(VirtAddr va, bool writable) {
     throw std::runtime_error("AddressSpace: out of physical frames and nothing reclaimable");
   const PhysAddr pa = frames_.frame_addr(*frame);
   // Fill order: a saved anonymous/private copy wins over the file (it holds
-  // the page's private modifications), the file wins over zero-fill.
-  auto it = backing_.find(vpn);
-  if (it != backing_.end()) {
-    pm_.write(pa, std::span<const u8>(it->second.data(), it->second.size()));
+  // the page's private modifications), the file wins over zero-fill. A
+  // frame filled from its saved copy matches it until something writes it.
+  if (const auto& saved = backing_.get(vpn); !saved.empty()) {
+    pm_.write(pa, std::span<const u8>(saved.data(), saved.size()));
+    if (tracks_saves()) pm_.mark_saved(pa, page);
   } else if (fp) {
     pm_.write(pa, fp->file->block_data(fp->block));
   } else {
@@ -156,16 +162,12 @@ u64 AddressSpace::evict(VirtAddr va, u64 bytes) {
     const auto fp = file_page(vpn);
     if (!fp) {
       // Anonymous: contents always survive in the backing store.
-      auto& store = backing_page(vpn);
-      pm_.read(pa, std::span<u8>(store.data(), store.size()));
+      save_page(vpn, pa);
     } else if (!fp->shared) {
       // Private file page: save the process-local copy once it diverges (or
       // has diverged before — a pageout-cleaned page is clean in the PTE but
       // its truth lives in the backing store, which must stay fresh).
-      if (pte->dirty || backing_.count(vpn)) {
-        auto& store = backing_page(vpn);
-        pm_.read(pa, std::span<u8>(store.data(), store.size()));
-      }
+      if (pte->dirty || has_backing(vpn)) save_page(vpn, pa);
     } else {
       // Shared file page: dirty writes back to the file; clean drops free.
       if (pte->dirty) pm_.read(pa, fp->file->block_data(fp->block));
@@ -184,7 +186,7 @@ u64 AddressSpace::evict(VirtAddr va, u64 bytes) {
 u64 AddressSpace::fork_from(AddressSpace& parent) {
   require(&pm_ == &parent.pm_ && &frames_ == &parent.frames_,
           "fork_from requires both address spaces to live on one physical machine");
-  require(resident_vpns_.empty() && regions_.empty() && backing_.empty(),
+  require(resident_vpns_.empty() && regions_.empty() && backing_.size() == 0,
           "fork_from target must be a fresh address space");
   brk_ = parent.brk_;
   regions_ = parent.regions_;
@@ -232,14 +234,13 @@ AddressSpace::CowResult AddressSpace::cow_resolve(VirtAddr va) {
 }
 
 void AddressSpace::pin(VirtAddr va) {
-  if (pins_[va / page_bytes()]++ == 0) ++pinned_pages_;
+  if (pins_.at(va / page_bytes())++ == 0) ++pinned_pages_;
 }
 
 void AddressSpace::unpin(VirtAddr va) {
   const u64 vpn = va / page_bytes();
-  auto it = pins_.find(vpn);
-  require(it != pins_.end() && it->second != 0, "unpin of a page that holds no pins");
-  if (--it->second == 0) --pinned_pages_;
+  require(pins_.get(vpn) != 0, "unpin of a page that holds no pins");
+  if (--pins_.at(vpn) == 0) --pinned_pages_;
 }
 
 std::optional<PhysAddr> AddressSpace::translate(VirtAddr va) const {
@@ -249,16 +250,57 @@ std::optional<PhysAddr> AddressSpace::translate(VirtAddr va) const {
   return frames_.frame_addr(pte->frame) + offset;
 }
 
+AddressSpace::Access AddressSpace::resolve(VirtAddr va, bool is_write, PhysAddr& pa) {
+  auto leaf = pt_.leaf(va);
+  if (!leaf || !leaf->pte.valid) return Access::kUnmapped;
+  if (is_write && !leaf->pte.writable) return Access::kReadOnly;
+  // Dirty truth matters beyond replacement once file regions exist: a
+  // MAP_SHARED page persists to its file only when its dirty bit is set,
+  // and a private file page diverges to swap on the same evidence — a
+  // software store that skipped the bookkeeping would be silently lost at
+  // eviction.
+  if (observer_ || !regions_.empty()) pt_.set_accessed_dirty(*leaf, is_write);
+  pa = frames_.frame_addr(leaf->pte.frame) + (va & (page_bytes() - 1));
+  return Access::kHit;
+}
+
+PhysAddr AddressSpace::resolve_or_fault(VirtAddr va, bool is_write) {
+  PhysAddr pa = 0;
+  const Access found = resolve(va, is_write, pa);
+  if (found == Access::kHit) return pa;
+  if (found == Access::kUnmapped) {
+    map_page(va);
+  } else {
+    // Software store to a COW mapping: break the share first (zero modeled
+    // cost, like every software access). Hardware writes take the MMU
+    // permission-fault path instead, where the pager charges the copy.
+    cow_resolve(va);
+  }
+  require(resolve(va, is_write, pa) == Access::kHit, "software access did not resolve");
+  return pa;
+}
+
+AddressSpace::Access AddressSpace::access_resident_u64(VirtAddr va, bool is_write, u64& value) {
+  require((va & (page_bytes() - 1)) <= page_bytes() - sizeof(u64),
+          "resident access must not cross a page");
+  PhysAddr pa = 0;
+  const Access found = resolve(va, is_write, pa);
+  if (found == Access::kHit) {
+    if (is_write)
+      pm_.write_u64(pa, value);
+    else
+      value = pm_.read_u64(pa);
+  }
+  return found;
+}
+
 void AddressSpace::read(VirtAddr va, std::span<u8> out) {
   const u64 page = page_bytes();
   u64 done = 0;
   while (done < out.size()) {
     const VirtAddr a = va + done;
-    const u64 off = a & (page - 1);
-    const u64 n = std::min<u64>(page - off, out.size() - done);
-    if (!pt_.is_mapped(a)) map_page(a);
-    if (observer_ || !regions_.empty()) pt_.set_accessed_dirty(a, /*dirty=*/false);
-    pm_.read(*translate(a), out.subspan(done, n));
+    const u64 n = std::min<u64>(page - (a & (page - 1)), out.size() - done);
+    pm_.read(resolve_or_fault(a, /*is_write=*/false), out.subspan(done, n));
     done += n;
   }
 }
@@ -268,24 +310,8 @@ void AddressSpace::write(VirtAddr va, std::span<const u8> data) {
   u64 done = 0;
   while (done < data.size()) {
     const VirtAddr a = va + done;
-    const u64 off = a & (page - 1);
-    const u64 n = std::min<u64>(page - off, data.size() - done);
-    const auto pte = pt_.lookup(a);
-    if (!pte) {
-      map_page(a);
-    } else if (!pte->writable) {
-      // Software store to a COW mapping: break the share first (zero modeled
-      // cost, like every software access). Hardware writes take the MMU
-      // permission-fault path instead, where the pager charges the copy.
-      cow_resolve(a);
-    }
-    // Dirty truth matters beyond replacement once file regions exist: a
-    // MAP_SHARED page persists to its file only when its dirty bit is set,
-    // and a private file page diverges to swap on the same evidence — a
-    // software store that skipped the bookkeeping would be silently lost at
-    // eviction.
-    if (observer_ || !regions_.empty()) pt_.set_accessed_dirty(a, /*dirty=*/true);
-    pm_.write(*translate(a), data.subspan(done, n));
+    const u64 n = std::min<u64>(page - (a & (page - 1)), data.size() - done);
+    pm_.write(resolve_or_fault(a, /*is_write=*/true), data.subspan(done, n));
     done += n;
   }
 }

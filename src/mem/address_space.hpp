@@ -12,7 +12,6 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/backing_file.hpp"
@@ -142,6 +141,17 @@ class AddressSpace {
   void read(VirtAddr va, std::span<u8> out);
   void write(VirtAddr va, std::span<const u8> data);
 
+  /// What a software access found at its page: a usable mapping, no
+  /// mapping, or a read-only mapping under a store.
+  enum class Access { kHit, kUnmapped, kReadOnly };
+
+  /// Software u64 access that never maps or splits a page. On a hit it
+  /// loads into `value` (read) or stores `value` (write) exactly as
+  /// read_u64 / write_u64 would; otherwise it changes nothing, and the
+  /// caller runs the miss through its own fault path. The word must lie
+  /// within one page.
+  Access access_resident_u64(VirtAddr va, bool is_write, u64& value);
+
   template <typename T>
   T read_scalar(VirtAddr va) {
     T v{};
@@ -170,7 +180,7 @@ class AddressSpace {
 
   /// True when the backing store holds saved contents for the page (it has
   /// been evicted at least once).
-  bool has_backing(u64 vpn) const { return backing_.count(vpn) != 0; }
+  bool has_backing(u64 vpn) const { return !backing_.get(vpn).empty(); }
 
   /// Page-pin refcounts: a hardware port holds a pin across each in-flight
   /// access (translate -> bus completion), and replacement policies skip
@@ -180,10 +190,7 @@ class AddressSpace {
   /// (a faulting page is pinned before it maps).
   void pin(VirtAddr va);
   void unpin(VirtAddr va);
-  bool is_pinned_vpn(u64 vpn) const {
-    const auto it = pins_.find(vpn);
-    return it != pins_.end() && it->second != 0;
-  }
+  bool is_pinned_vpn(u64 vpn) const { return pins_.get(vpn) != 0; }
   u64 pinned_pages() const noexcept { return pinned_pages_; }
 
   /// At most one observer; pass nullptr to detach.
@@ -215,15 +222,40 @@ class AddressSpace {
 
   std::vector<u8>& backing_page(u64 vpn);
 
+  /// Copies the resident frame at `pa` into vpn's backing copy, unless that
+  /// copy is already current (see backing_).
+  void save_page(u64 vpn, PhysAddr pa);
+
+  /// True when frames are whole PhysicalMemory chunks, so their saved bits
+  /// belong to them alone.
+  bool tracks_saves() const noexcept { return page_bytes() >= PhysicalMemory::kChunkBytes; }
+
+  /// One software access's page: kHit sets `pa` to the physical address of
+  /// `va` and, when an observer or a file region consumes them, the PTE's
+  /// A (and, for a store, D) bits in place. One leaf-PTE read.
+  Access resolve(VirtAddr va, bool is_write, PhysAddr& pa);
+
+  /// resolve() for read/write: a miss is mapped in, and a store to a
+  /// read-only page breaks its share, before the access resolves again.
+  PhysAddr resolve_or_fault(VirtAddr va, bool is_write);
+
   PhysicalMemory& pm_;
   FrameAllocator& frames_;
   PageTable pt_;
   VirtAddr brk_;
-  std::unordered_map<u64, std::vector<u8>> backing_;  // vpn -> page contents
-  std::vector<FileRegion> regions_;                   // sorted by first_vpn, non-overlapping
-  // vpn -> in-flight access count. A count that drops to 0 keeps its node,
+  // vpn -> saved page contents (swap, or a private file page's divergent
+  // copy); an empty vector means none. A frame that map_page filled from
+  // its copy is marked saved in PhysicalMemory, and any later write to the
+  // frame, from software, the bus or DMA, clears the mark: evict skips
+  // the frame -> copy transfer while the mark holds, so a clean page is not
+  // re-saved. The simulated PTE dirty bit plays no part (hardware A/D
+  // tracking can be off). Only the fill marks: a frame still shared after
+  // one space saved it may differ from another sharer's older copy.
+  IndexTable<std::vector<u8>> backing_;
+  std::vector<FileRegion> regions_;  // sorted by first_vpn, non-overlapping
+  // vpn -> in-flight access count. A count that drops to 0 keeps its entry,
   // so pinning a page again (once per port access) never allocates.
-  std::unordered_map<u64, u32> pins_;
+  IndexTable<u32> pins_;
   u64 pinned_pages_ = 0;  // entries of pins_ with a nonzero count
   IndexBitmap resident_vpns_;  // ascending walk: deterministic policy seeding
   u64 demand_maps_ = 0;

@@ -4,33 +4,6 @@
 
 namespace vmsls::mem {
 
-namespace {
-constexpr u64 kValidBit = 1ull << 0;
-constexpr u64 kWriteBit = 1ull << 1;
-constexpr u64 kAccessedBit = 1ull << 2;
-constexpr u64 kDirtyBit = 1ull << 3;
-constexpr unsigned kFrameShift = 16;
-}  // namespace
-
-Pte Pte::decode(u64 raw) noexcept {
-  Pte p;
-  p.valid = (raw & kValidBit) != 0;
-  p.writable = (raw & kWriteBit) != 0;
-  p.accessed = (raw & kAccessedBit) != 0;
-  p.dirty = (raw & kDirtyBit) != 0;
-  p.frame = raw >> kFrameShift;
-  return p;
-}
-
-u64 Pte::encode() const noexcept {
-  u64 raw = frame << kFrameShift;
-  if (valid) raw |= kValidBit;
-  if (writable) raw |= kWriteBit;
-  if (accessed) raw |= kAccessedBit;
-  if (dirty) raw |= kDirtyBit;
-  return raw;
-}
-
 PageTable::PageTable(PhysicalMemory& pm, FrameAllocator& frames, const PageTableConfig& cfg)
     : pm_(pm), frames_(frames), cfg_(cfg) {
   require(cfg.page_bits >= 6 && cfg.page_bits <= 24, "page size must be 64 B .. 16 MiB");
@@ -39,16 +12,18 @@ PageTable::PageTable(PhysicalMemory& pm, FrameAllocator& frames, const PageTable
   idx_bits_ = cfg.page_bits - 3;  // 8-byte PTEs, one table per frame
   const unsigned translated = cfg.va_bits - cfg.page_bits;
   levels_ = static_cast<unsigned>(ceil_div(translated, idx_bits_));
+  dir_shift_ = cfg.page_bits + idx_bits_;
   const auto root_frame = frames_.alloc();
   if (!root_frame) throw std::runtime_error("PageTable: no frame for the root table");
   root_addr_ = frames_.frame_addr(*root_frame);
   pm_.clear(root_addr_, page_bytes());
   table_frames_ = 1;
+  // A one-level table is its own leaf table and covers the whole VA range.
+  if (levels_ == 1) leaf_tables_.at(0) = root_addr_;
 }
 
-void PageTable::check_va(VirtAddr va) const {
-  if (cfg_.va_bits < 64 && (va >> cfg_.va_bits) != 0)
-    throw std::out_of_range("virtual address exceeds configured VA width");
+void PageTable::throw_va_out_of_range() {
+  throw std::out_of_range("virtual address exceeds configured VA width");
 }
 
 u64 PageTable::index_at(VirtAddr va, unsigned level) const noexcept {
@@ -62,20 +37,8 @@ PhysAddr PageTable::pte_addr(PhysAddr table_base, unsigned level, VirtAddr va) c
   return table_base + index_at(va, level) * 8;
 }
 
-std::optional<PhysAddr> PageTable::find_leaf_pte_addr(VirtAddr va) const {
-  check_va(va);
-  PhysAddr base = root_addr_;
-  for (unsigned level = 0; level + 1 < levels_; ++level) {
-    const Pte pte = Pte::decode(pm_.read_u64(pte_addr(base, level, va)));
-    if (!pte.valid) return std::nullopt;
-    base = frames_.frame_addr(pte.frame);
-  }
-  return pte_addr(base, levels_ - 1, va);
-}
-
-std::optional<PhysAddr> PageTable::leaf_pte_addr(VirtAddr va, bool create) {
-  if (!create) return find_leaf_pte_addr(va);
-  check_va(va);
+PhysAddr PageTable::create_leaf_pte_addr(VirtAddr va) {
+  if (const auto leaf = find_leaf_pte_addr(va)) return *leaf;
   PhysAddr base = root_addr_;
   for (unsigned level = 0; level + 1 < levels_; ++level) {
     const PhysAddr pa = pte_addr(base, level, va);
@@ -95,13 +58,21 @@ std::optional<PhysAddr> PageTable::leaf_pte_addr(VirtAddr va, bool create) {
     }
     base = frames_.frame_addr(pte.frame);
   }
+  leaf_tables_.at(dir_key(va)) = base;
   return pte_addr(base, levels_ - 1, va);
 }
 
+PageTable::Leaf PageTable::mapped_leaf(VirtAddr va, const char* what) const {
+  const auto l = leaf(va);
+  if (!l || !l->pte.valid)
+    throw std::logic_error(std::string("PageTable::") + what + ": page not mapped");
+  return *l;
+}
+
 void PageTable::map(VirtAddr va, u64 frame, bool writable) {
-  const PhysAddr leaf = *leaf_pte_addr(va, /*create=*/true);
-  Pte existing = Pte::decode(pm_.read_u64(leaf));
-  if (existing.valid) throw std::logic_error("PageTable::map: page already mapped");
+  const PhysAddr leaf = create_leaf_pte_addr(va);
+  if (Pte::decode(pm_.read_u64(leaf)).valid)
+    throw std::logic_error("PageTable::map: page already mapped");
   Pte pte;
   pte.valid = true;
   pte.writable = writable;
@@ -109,67 +80,25 @@ void PageTable::map(VirtAddr va, u64 frame, bool writable) {
   pm_.write_u64(leaf, pte.encode());
 }
 
-void PageTable::unmap(VirtAddr va) {
-  auto leaf = leaf_pte_addr(va, /*create=*/false);
-  if (!leaf) throw std::logic_error("PageTable::unmap: page not mapped");
-  Pte pte = Pte::decode(pm_.read_u64(*leaf));
-  if (!pte.valid) throw std::logic_error("PageTable::unmap: page not mapped");
-  pm_.write_u64(*leaf, 0);
-}
-
-std::optional<Pte> PageTable::lookup(VirtAddr va) const {
-  check_va(va);
-  PhysAddr base = root_addr_;
-  for (unsigned level = 0; level < levels_; ++level) {
-    const PhysAddr pa = pte_addr(base, level, va);
-    const Pte pte = Pte::decode(pm_.read_u64(pa));
-    if (!pte.valid) return std::nullopt;
-    if (level + 1 == levels_) return pte;
-    base = frames_.frame_addr(pte.frame);
-  }
-  return std::nullopt;  // unreachable; levels_ >= 1
-}
+void PageTable::unmap(VirtAddr va) { pm_.write_u64(mapped_leaf(va, "unmap").addr, 0); }
 
 bool PageTable::set_accessed_dirty(VirtAddr va, bool dirty) const {
-  auto leaf = find_leaf_pte_addr(va);
-  if (!leaf) return false;
-  Pte pte = Pte::decode(pm_.read_u64(*leaf));
-  if (!pte.valid) return false;
-  if (pte.accessed && (pte.dirty || !dirty)) return false;  // already in the target state
-  pte.accessed = true;
-  pte.dirty = pte.dirty || dirty;
-  pm_.write_u64(*leaf, pte.encode());
-  return true;
+  auto l = leaf(va);
+  return l && l->pte.valid && set_accessed_dirty(*l, dirty);
 }
 
 void PageTable::set_writable(VirtAddr va, bool writable) {
-  auto leaf = find_leaf_pte_addr(va);
-  if (!leaf) throw std::logic_error("PageTable::set_writable: page not mapped");
-  Pte pte = Pte::decode(pm_.read_u64(*leaf));
-  if (!pte.valid) throw std::logic_error("PageTable::set_writable: page not mapped");
-  pte.writable = writable;
-  pm_.write_u64(*leaf, pte.encode());
+  Leaf l = mapped_leaf(va, "set_writable");
+  l.pte.writable = writable;
+  pm_.write_u64(l.addr, l.pte.encode());
 }
 
-bool PageTable::test_and_clear_accessed(VirtAddr va) const {
-  auto leaf = find_leaf_pte_addr(va);
-  if (!leaf) return false;
-  Pte pte = Pte::decode(pm_.read_u64(*leaf));
-  if (!pte.valid) return false;
-  const bool was = pte.accessed;
-  pte.accessed = false;
-  pm_.write_u64(*leaf, pte.encode());
-  return was;
-}
-
-bool PageTable::test_and_clear_dirty(VirtAddr va) const {
-  auto leaf = find_leaf_pte_addr(va);
-  if (!leaf) return false;
-  Pte pte = Pte::decode(pm_.read_u64(*leaf));
-  if (!pte.valid) return false;
-  const bool was = pte.dirty;
-  pte.dirty = false;
-  pm_.write_u64(*leaf, pte.encode());
+bool PageTable::test_and_clear(VirtAddr va, bool Pte::*bit) const {
+  auto l = leaf(va);
+  if (!l || !l->pte.valid) return false;
+  const bool was = l->pte.*bit;
+  l->pte.*bit = false;
+  pm_.write_u64(l->addr, l->pte.encode());
   return was;
 }
 

@@ -10,9 +10,17 @@
 //   page 2 MiB  -> 18-bit indices, 1 level
 //
 // which gives the page-size experiments their walk-depth story. The
-// software side (OS model) manipulates entries functionally in zero
-// simulated time; the hardware PageWalker reads the same bytes through the
-// memory bus and pays cycles.
+// hardware PageWalker reads the table bytes through the memory bus level by
+// level and pays cycles for every level it does not skip through its walk
+// cache.
+//
+// The software side (OS model) manipulates entries functionally in zero
+// simulated time, and resolves a leaf PTE in O(1): a leaf-table directory,
+// indexed by the VA bits above one leaf table's reach
+// (va >> (page_bits + index_bits)), records the physical base of every leaf
+// table the create walk in map() has reached. Interior tables are never
+// freed, so the directory never goes stale; a lookup, an A/D update or an
+// unmap is one directory read plus one PTE read, whatever the depth.
 #pragma once
 
 #include <optional>
@@ -20,6 +28,7 @@
 
 #include "mem/frames.hpp"
 #include "mem/physmem.hpp"
+#include "util/index_table.hpp"
 #include "util/units.hpp"
 
 namespace vmsls::mem {
@@ -38,8 +47,31 @@ struct Pte {
   bool dirty = false;
   u64 frame = 0;
 
-  static Pte decode(u64 raw) noexcept;
-  u64 encode() const noexcept;
+  static Pte decode(u64 raw) noexcept {
+    Pte p;
+    p.valid = (raw & kValidBit) != 0;
+    p.writable = (raw & kWriteBit) != 0;
+    p.accessed = (raw & kAccessedBit) != 0;
+    p.dirty = (raw & kDirtyBit) != 0;
+    p.frame = raw >> kFrameShift;
+    return p;
+  }
+
+  u64 encode() const noexcept {
+    u64 raw = frame << kFrameShift;
+    if (valid) raw |= kValidBit;
+    if (writable) raw |= kWriteBit;
+    if (accessed) raw |= kAccessedBit;
+    if (dirty) raw |= kDirtyBit;
+    return raw;
+  }
+
+ private:
+  static constexpr u64 kValidBit = 1ull << 0;
+  static constexpr u64 kWriteBit = 1ull << 1;
+  static constexpr u64 kAccessedBit = 1ull << 2;
+  static constexpr u64 kDirtyBit = 1ull << 3;
+  static constexpr unsigned kFrameShift = 16;
 };
 
 class PageTable {
@@ -67,8 +99,27 @@ class PageTable {
   /// page was not mapped.
   void unmap(VirtAddr va);
 
-  /// Functional walk. Returns nullopt if any level is invalid.
-  std::optional<Pte> lookup(VirtAddr va) const;
+  /// A resolved leaf PTE slot: where it lives and what it holds
+  /// (`pte.valid` is false for an unmapped page whose leaf table exists).
+  struct Leaf {
+    PhysAddr addr = 0;
+    Pte pte;
+  };
+
+  /// The leaf PTE slot for `va`; nullopt when no leaf table covers it.
+  /// The walker aims its timed A/D write-back at `addr`.
+  std::optional<Leaf> leaf(VirtAddr va) const {
+    const auto addr = find_leaf_pte_addr(va);
+    if (!addr) return std::nullopt;
+    return Leaf{*addr, Pte::decode(pm_.read_u64(*addr))};
+  }
+
+  /// Functional lookup. Returns nullopt when the page is not mapped.
+  std::optional<Pte> lookup(VirtAddr va) const {
+    const auto l = leaf(va);
+    if (!l || !l->pte.valid) return std::nullopt;
+    return l->pte;
+  }
 
   bool is_mapped(VirtAddr va) const { return lookup(va).has_value(); }
 
@@ -80,47 +131,74 @@ class PageTable {
   /// walker's timed A/D write-back charges for.
   bool set_accessed_dirty(VirtAddr va, bool dirty) const;
 
+  /// The same on an already-resolved valid leaf, which is kept current.
+  bool set_accessed_dirty(Leaf& leaf, bool dirty) const {
+    Pte& pte = leaf.pte;
+    if (pte.accessed && (pte.dirty || !dirty)) return false;  // already in the target state
+    pte.accessed = true;
+    pte.dirty = pte.dirty || dirty;
+    pm_.write_u64(leaf.addr, pte.encode());
+    return true;
+  }
+
   /// Rewrites the leaf PTE's write permission in place (fork downgrades a
   /// shared page to read-only; COW resolution re-enables write). Accessed
   /// and dirty bits are preserved. Throws if the page is not mapped.
   void set_writable(VirtAddr va, bool writable);
 
-  /// Physical address of the leaf PTE for `va`; nullopt when any interior
-  /// level is missing. The walker uses this to aim its A/D write-back at
-  /// the actual PTE bytes on the bus.
-  std::optional<PhysAddr> leaf_addr(VirtAddr va) const { return find_leaf_pte_addr(va); }
-
   /// Reads and clears the accessed bit (the CLOCK/aging sweep primitive).
   /// Returns false when the page is unmapped.
-  bool test_and_clear_accessed(VirtAddr va) const;
+  bool test_and_clear_accessed(VirtAddr va) const { return test_and_clear(va, &Pte::accessed); }
 
   /// Reads and clears the dirty bit (the pageout daemon's cleaning
   /// primitive: once the writeback is issued the page is clean until the
   /// next write dirties it again). Returns false when the page is unmapped.
-  bool test_and_clear_dirty(VirtAddr va) const;
+  bool test_and_clear_dirty(VirtAddr va) const { return test_and_clear(va, &Pte::dirty); }
 
   /// Number of interior table frames allocated so far (root included).
   u64 table_frames() const noexcept { return table_frames_; }
 
   /// Validates `va` fits in the configured VA width.
-  void check_va(VirtAddr va) const;
+  void check_va(VirtAddr va) const {
+    if ((va >> cfg_.va_bits) != 0) [[unlikely]]
+      throw_va_out_of_range();
+  }
 
  private:
-  /// Walks to the leaf table, creating interior nodes when `create` is set.
-  /// Returns the physical address of the leaf PTE, or nullopt if a level is
-  /// missing and `create` is false.
-  std::optional<PhysAddr> leaf_pte_addr(VirtAddr va, bool create);
+  static constexpr PhysAddr kNoTable = ~0ull;
 
-  /// Read-only leaf walk: nullopt when any interior level is missing.
-  std::optional<PhysAddr> find_leaf_pte_addr(VirtAddr va) const;
+  /// Physical address of the leaf PTE for `va`. A leaf table the directory
+  /// does not know yet is reached by the create walk, which allocates the
+  /// missing interior tables and records the leaf table in the directory.
+  PhysAddr create_leaf_pte_addr(VirtAddr va);
+
+  /// Directory read: nullopt when no leaf table covers `va`.
+  std::optional<PhysAddr> find_leaf_pte_addr(VirtAddr va) const {
+    check_va(va);
+    const PhysAddr table = leaf_tables_.get(dir_key(va));
+    if (table == kNoTable) return std::nullopt;
+    return table + ((va >> cfg_.page_bits) & ((1ull << idx_bits_) - 1)) * 8;
+  }
+
+  [[noreturn]] static void throw_va_out_of_range();
+
+  /// The resolved leaf, which must be valid; `what` names the caller.
+  Leaf mapped_leaf(VirtAddr va, const char* what) const;
+
+  /// Reads and clears one flag of a mapped leaf PTE; false when unmapped.
+  bool test_and_clear(VirtAddr va, bool Pte::*bit) const;
+
+  u64 dir_key(VirtAddr va) const noexcept { return va >> dir_shift_; }
 
   PhysicalMemory& pm_;
   FrameAllocator& frames_;
   PageTableConfig cfg_;
   unsigned idx_bits_;
   unsigned levels_;
+  unsigned dir_shift_;  // page_bits + index_bits: the VA bits one leaf table spans
   PhysAddr root_addr_;
   u64 table_frames_ = 0;
+  IndexTable<PhysAddr> leaf_tables_{kNoTable};  // dir_key(va) -> leaf table base
 };
 
 }  // namespace vmsls::mem

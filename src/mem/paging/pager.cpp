@@ -446,7 +446,8 @@ void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
 
 void Pager::issue_readahead(u64 demand_vpn) {
   if (cfg_.swap.readahead == 0) return;
-  for (const u64 vpn : sched_->neighbors(swap_owner_, demand_vpn, cfg_.swap.readahead)) {
+  sched_->neighbors(swap_owner_, demand_vpn, cfg_.swap.readahead, readahead_);
+  for (const u64 vpn : readahead_) {
     if (as_.is_mapped(vpn << page_bits())) continue;
     if (inflight_faults_.get(vpn) != nullptr) continue;
     // Prefetch never evicts *synchronously*: it rides free headroom, plus a

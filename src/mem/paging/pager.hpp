@@ -393,6 +393,8 @@ class Pager final : public mem::ResidencyObserver {
   IndexBitmap pending_maps_;
   /// Resident readahead landings not yet referenced (reclaimed first).
   IndexBitmap speculative_;
+  /// issue_readahead's neighbor list; one buffer reused by every swap-in.
+  std::vector<u64> readahead_;
 
   // --- working-set estimator state ---
   static constexpr Cycles kNeverReferenced = ~Cycles{0};

@@ -329,17 +329,17 @@ u64 SwapScheduler::queue_depth_class(SwapReqClass cls) const noexcept {
   return n;
 }
 
-std::vector<u64> SwapScheduler::neighbors(unsigned owner, u64 vpn, unsigned k) const {
-  std::vector<u64> out;
+void SwapScheduler::neighbors(unsigned owner, u64 vpn, unsigned k,
+                              std::vector<u64>& out) const {
+  out.clear();
   const u64 slot = slot_of(owner, vpn);
-  if (slot == kNone || k == 0) return out;
+  if (slot == kNone || k == 0) return;
   const u64 region_end = (slot / cfg_.cluster_pages + 1) * cfg_.cluster_pages;
   const u64 last = std::min(region_end - 1, slot + k);
   for (u64 s = slot + 1; s <= last; ++s) {
     const u64 page = page_at_.get(s);
     if (page != kNone) out.push_back(page & kVpnMask);  // same owner by construction
   }
-  return out;
 }
 
 u64 SwapScheduler::owner_reads(unsigned owner) const {

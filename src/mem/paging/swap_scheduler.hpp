@@ -152,12 +152,13 @@ class SwapScheduler {
   /// the pageout daemons' yield signal, now device-wide.
   bool busy() const noexcept { return in_flight_ || !queue_.empty(); }
 
-  /// Pages of `owner` occupying the `k` slots directly after `vpn`'s slot,
-  /// in ascending slot order, clipped to the cluster region (clustering
-  /// guarantees they belong to the same owner). The readahead candidates
-  /// for a demand swap-in of `vpn`; empty when the owner is unregistered or
-  /// does not hold `vpn`.
-  std::vector<u64> neighbors(unsigned owner, u64 vpn, unsigned k) const;
+  /// Replaces `out` with the pages of `owner` occupying the `k` slots
+  /// directly after `vpn`'s slot, in ascending slot order, clipped to the
+  /// cluster region (clustering guarantees they belong to the same owner).
+  /// The readahead candidates for a demand swap-in of `vpn`; empty when the
+  /// owner is unregistered or does not hold `vpn`. A caller that reuses
+  /// `out` allocates nothing once its capacity covers `k`.
+  void neighbors(unsigned owner, u64 vpn, unsigned k, std::vector<u64>& out) const;
 
   // --- introspection ---
   /// Absent slot, region or page in the slot table.

@@ -16,6 +16,7 @@ PhysicalMemory::PhysicalMemory(u64 size_bytes) : size_(size_bytes) {
   if (p == MAP_FAILED) throw std::bad_alloc();
   base_ = static_cast<u8*>(p);
   written_.assign(ceil_div(size_bytes / kChunkBytes, 64), 0);
+  saved_.assign(written_.size(), 0);
 }
 
 PhysicalMemory::~PhysicalMemory() { ::munmap(base_, size_); }
@@ -24,6 +25,25 @@ void PhysicalMemory::throw_out_of_range(PhysAddr addr, u64 bytes) const {
   throw std::out_of_range("physical access [" + std::to_string(addr) + ", +" +
                           std::to_string(bytes) + ") outside memory of size " +
                           std::to_string(size_));
+}
+
+void PhysicalMemory::check_chunks(PhysAddr addr, u64 bytes) const {
+  require(bytes > 0 && is_aligned(addr, kChunkBytes) && is_aligned(bytes, kChunkBytes),
+          "saved-bit range must be whole, chunk-aligned chunks");
+  check_range(addr, bytes);
+}
+
+void PhysicalMemory::mark_saved(PhysAddr addr, u64 bytes) {
+  check_chunks(addr, bytes);
+  for (u64 c = addr / kChunkBytes; c < (addr + bytes) / kChunkBytes; ++c)
+    saved_[c / 64] |= 1ull << (c % 64);
+}
+
+bool PhysicalMemory::saved(PhysAddr addr, u64 bytes) const {
+  check_chunks(addr, bytes);
+  for (u64 c = addr / kChunkBytes; c < (addr + bytes) / kChunkBytes; ++c)
+    if (((saved_[c / 64] >> (c % 64)) & 1) == 0) return false;
+  return true;
 }
 
 }  // namespace vmsls::mem

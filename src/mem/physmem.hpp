@@ -14,6 +14,15 @@
 // chunks backs touched_chunks(). Hosts that disable overcommit
 // (vm.overcommit_memory=2) ignore MAP_NORESERVE and charge the full size
 // against the commit limit for every instance.
+//
+// Saved bits: a second bitmap holds one "saved" bit per chunk, all clear at
+// construction. mark_saved() sets them for whole chunks whose bytes the
+// caller has just filled from a host-side copy; every write, copy
+// or clear that lands in a chunk clears its bit again, whoever issues it —
+// a software store, a bus or DMA completion, a page-table update. While
+// saved() holds, the range is byte-identical to that copy, which is how the
+// address space skips re-saving an unmodified page at eviction without
+// trusting the simulated PTE dirty bit.
 #pragma once
 
 #include <cstring>
@@ -86,16 +95,27 @@ class PhysicalMemory {
   /// footprint introspection). Reads never count.
   std::size_t touched_chunks() const noexcept { return touched_; }
 
- private:
+  /// Granularity of the written and saved bitmaps.
   static constexpr u64 kChunkBytes = 4 * KiB;
 
+  /// Sets the saved bit of every chunk in [addr, addr + bytes): the range
+  /// now matches a host-side copy. It must be whole chunks: nonzero,
+  /// chunk-aligned at both ends.
+  void mark_saved(PhysAddr addr, u64 bytes);
+
+  /// True when every chunk of the whole-chunk range [addr, addr + bytes) is
+  /// saved: nothing has written it since mark_saved.
+  bool saved(PhysAddr addr, u64 bytes) const;
+
+ private:
   void check_range(PhysAddr addr, u64 bytes) const {
     if (addr + bytes > size_ || addr + bytes < addr) [[unlikely]]
       throw_out_of_range(addr, bytes);
   }
   [[noreturn]] void throw_out_of_range(PhysAddr addr, u64 bytes) const;
 
-  /// Sets the written bit of every chunk in [addr, addr + bytes), bytes > 0.
+  /// Sets the written bit and clears the saved bit of every chunk in
+  /// [addr, addr + bytes), bytes > 0.
   void mark_written(PhysAddr addr, u64 bytes) {
     const u64 last = (addr + bytes - 1) / kChunkBytes;
     for (u64 c = addr / kChunkBytes; c <= last; ++c) {
@@ -105,12 +125,17 @@ class PhysicalMemory {
         word |= bit;
         ++touched_;
       }
+      saved_[c / 64] &= ~bit;
     }
   }
+
+  /// Validates a whole-chunk range for the saved-bit calls.
+  void check_chunks(PhysAddr addr, u64 bytes) const;
 
   u64 size_;
   u8* base_ = nullptr;
   std::vector<u64> written_;  ///< one bit per chunk
+  std::vector<u64> saved_;    ///< one bit per chunk
   std::size_t touched_ = 0;
 };
 

@@ -68,11 +68,12 @@ void PageWalker::flush_cache() {
 }
 
 void PageWalker::note_ad_update(VirtAddr va, bool dirty) {
-  if (!pt_.set_accessed_dirty(va, dirty)) return;  // no bit flipped: free
+  auto leaf = pt_.leaf(va);
+  if (!leaf || !leaf->pte.valid || !pt_.set_accessed_dirty(*leaf, dirty))
+    return;  // unmapped, or no bit flipped: free
   if (!cfg_.timed_ad_writeback) return;
   ad_writebacks_.add();
-  if (const auto leaf = pt_.leaf_addr(va))
-    bus_.request(BusRequest{*leaf, 8, /*is_write=*/true, [] {}});
+  bus_.request(BusRequest{leaf->addr, 8, /*is_write=*/true, [] {}});
 }
 
 void PageWalker::walk(VirtAddr va, sim::Callback<const WalkResult&> done) {

@@ -34,15 +34,10 @@ void EpisodeDriver::next(std::size_t w) {
 bool EpisodeDriver::touch(std::size_t w) {
   Worker& wk = workers_[w];
   const Touch t = wk.touches[wk.pos++];
-  const auto pte = wk.as->page_table().lookup(t.va);
-  if (pte && (!t.is_write || pte->writable)) {
-    if (t.is_write)
-      wk.as->write_u64(t.va, t.value);
-    else
-      (void)wk.as->read_u64(t.va);
-    return true;
-  }
-  if (!pte) {
+  u64 value = t.value;
+  const auto found = wk.as->access_resident_u64(t.va, t.is_write, value);
+  if (found == mem::AddressSpace::Access::kHit) return true;
+  if (found == mem::AddressSpace::Access::kUnmapped) {
     // Never mapped, or evicted underneath the worker: not a COW fault.
     ++wk.read_faults;
     wk.pager->handle_fault(t.va, t.is_write, [this, w, t] {

@@ -1,6 +1,8 @@
 // The episode driver: the one loop that walks lists of page touches through
-// a process's pager fault path. Each touch is classified at issue time:
-//   resident, read or written while writable -> read_u64 / write_u64(value);
+// a process's pager fault path. Each touch is classified at issue time, by
+// the same leaf-PTE read that performs it when it hits
+// (AddressSpace::access_resident_u64):
+//   resident, read or written while writable -> the load or store(value);
 //   absent -> the unmapped path (a read fault), map_in if still unmapped,
 //             then the store if it is a write;
 //   resident read-only, written -> the COW path, then the store.

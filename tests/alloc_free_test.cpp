@@ -3,9 +3,11 @@
 // This binary replaces the global operator new/delete with a counting pair,
 // then asserts that once the pools have warmed up, a hardware thread's
 // memory traffic — port, MMU/TLB, shared walker, fault retry, bus and the
-// engine driving them — performs zero heap allocations, and so does a
-// copy-based offload transfer in either copy mode, and so does the pager's
-// fault -> evict -> dirty writeback -> swap-in cycle in either budget mode.
+// engine driving them — performs zero heap allocations, and so do software
+// accesses to resident pages, an address space's evict -> map cycle, a
+// copy-based offload transfer in either copy mode, and the pager's
+// fault -> evict -> dirty writeback -> swap-in cycle in either budget mode
+// and with swap-in readahead.
 // The count is a deterministic work count, so the gate is exact and
 // host-independent.
 #include <gtest/gtest.h>
@@ -205,6 +207,42 @@ unsigned long long engine_run_allocs(i64 iters) {
   return n;
 }
 
+TEST_F(AllocFreeFixture, SoftwareAccessToResidentPagesDoesNotAllocate) {
+  auto touch_all = [&] {
+    for (unsigned p = 0; p < kPages; ++p) {
+      const VirtAddr va = base + p * 4096ull + 8 * (p % 16);
+      ms.as.write_u64(va, ms.as.read_u64(va) + 1);
+    }
+  };
+  EXPECT_EQ(allocs_during(touch_all), 0u);
+  EXPECT_EQ(ms.as.read_u64(base), 1u);
+}
+
+TEST_F(AllocFreeFixture, EvictMapCycleDoesNotAllocate) {
+  // Every page is pinned and unpinned, evicted and mapped back; odd pages
+  // are written in between (a fresh save), even pages are not (the saved
+  // copy is current and the save is skipped). Warm-up sizes the vpn-indexed
+  // backing store and pin table; after it neither grows.
+  auto cycle = [&](u64 value) {
+    for (unsigned p = 0; p < kPages; ++p) {
+      const VirtAddr va = base + p * 4096ull;
+      ms.as.pin(va);
+      ms.as.unpin(va);
+      if (p % 2 == 1) ms.as.write_u64(va, value);
+      ASSERT_EQ(ms.as.evict(va, 4096), 1u);
+      ms.as.map_page(va);
+    }
+  };
+  cycle(1);
+  EXPECT_EQ(allocs_during([&] {
+              for (u64 i = 2; i < 6; ++i) cycle(i);
+            }),
+            0u);
+  EXPECT_EQ(ms.as.read_u64(base), 0u);
+  EXPECT_EQ(ms.as.read_u64(base + 4096), 5u);
+  EXPECT_EQ(ms.as.pinned_pages(), 0u);
+}
+
 TEST(AllocFree, EngineMemoryLoopAllocatesNothingPerIteration) {
   // Warm-up cost is the same for any iteration count; steady state is 0.
   const unsigned long long short_run = engine_run_allocs(100);
@@ -310,9 +348,10 @@ struct PagingCycleFixture : ::testing::Test {
   std::unique_ptr<Pager> pager;
   VirtAddr base = 0;
 
-  void make(BudgetMode mode) {
+  void make(BudgetMode mode, unsigned readahead = 0) {
     PagerConfig pc;
     pc.budget_mode = mode;
+    pc.swap.readahead = readahead;
     if (mode == BudgetMode::kGlobal) {
       FramePoolConfig fc;
       fc.mode = BudgetMode::kGlobal;
@@ -365,6 +404,32 @@ TEST_F(PagingCycleFixture, GlobalPoolCycleDoesNotAllocate) {
   make(BudgetMode::kGlobal);
   expect_cycles_do_not_allocate();
   EXPECT_GT(pool->evictions(), 0u);
+}
+
+TEST_F(PagingCycleFixture, ReadaheadCycleDoesNotAllocate) {
+  // Evicting every page in vpn order clusters their swap slots; faulting
+  // the first back in then fills the readahead neighbor list and pulls the
+  // next two pages as prefetch faults in the same device operation. The
+  // prefetch path must be as allocation-free as the demand one.
+  make(BudgetMode::kPerProcess, /*readahead=*/2);
+  auto readahead_cycle = [this] {
+    process.evict(base, kPages * 4096);
+    bool done = false;
+    pager->handle_fault(base, /*is_write=*/false, [this, &done] {
+      if (!as.is_mapped(base)) process.map_in(base);
+      done = true;
+    });
+    ms.run_all();
+    ASSERT_TRUE(done);
+  };
+  for (int i = 0; i < 8; ++i) cycle();
+  for (int i = 0; i < 8; ++i) readahead_cycle();
+  const u64 prefetches = pager->prefetches();
+  EXPECT_EQ(allocs_during([&] {
+              for (int i = 0; i < 8; ++i) readahead_cycle();
+            }),
+            0u);
+  EXPECT_EQ(pager->prefetches() - prefetches, 8u * 2);
 }
 
 }  // namespace

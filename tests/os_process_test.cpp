@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "hwt/hw_port.hpp"
 #include "mem/mmu.hpp"
 #include "mem/walker.hpp"
 #include "rt/os.hpp"
@@ -197,6 +198,123 @@ TEST_F(OsFixture, ShootdownAllFlushesEverything) {
   ms.run_all();
   process->shootdown_all();
   EXPECT_FALSE(mmu.tlb().peek(va >> 12).has_value());
+}
+
+// --- eviction and saved copies ---
+//
+// An evicted page's bytes go to the backing store; a page mapped back from
+// it is marked saved, and evicting it again skips the copy while nothing has
+// written the frame. The evidence is PhysicalMemory's write tracking, never
+// the PTE dirty bit: none of the writes below sets it (no observer, no file
+// region, hardware A/D tracking off), yet every one must survive.
+
+TEST_F(OsFixture, RemappedPageIsSavedUntilItsFrameIsWritten) {
+  make();
+  const VirtAddr va = ms.as.alloc(4096, 4096);
+  ms.as.write_u64(va, 1);
+  EXPECT_FALSE(ms.pm.saved(*ms.as.translate(va), 4096));  // zero-filled, never saved
+  ASSERT_EQ(process->evict(va, 4096), 1u);
+  process->map_in(va);
+  EXPECT_TRUE(ms.pm.saved(*ms.as.translate(va), 4096));
+  EXPECT_EQ(ms.as.read_u64(va), 1u);  // reads leave the mark
+  EXPECT_TRUE(ms.pm.saved(*ms.as.translate(va), 4096));
+  ms.as.write_u64(va + 8, 2);
+  EXPECT_FALSE(ms.pm.saved(*ms.as.translate(va), 4096));
+  // An unmodified round trip keeps the bytes too.
+  ASSERT_EQ(process->evict(va, 4096), 1u);
+  process->map_in(va);
+  ASSERT_EQ(process->evict(va, 4096), 1u);
+  EXPECT_EQ(ms.as.read_u64(va), 1u);
+  EXPECT_EQ(ms.as.read_u64(va + 8), 2u);
+}
+
+TEST_F(OsFixture, EvictResavesAFrameWrittenBehindThePte) {
+  make();
+  const VirtAddr va = ms.as.alloc(4096, 4096);
+  ms.as.write_u64(va, 1);
+  ASSERT_EQ(process->evict(va, 4096), 1u);
+  process->map_in(va);  // filled from the saved copy
+  // A write straight into the frame, as a bus or DMA completion lands it.
+  ms.pm.write_u64(*ms.as.translate(va + 8), 2);
+  ASSERT_FALSE(ms.as.page_table().lookup(va)->dirty);
+  ASSERT_EQ(process->evict(va, 4096), 1u);
+  EXPECT_EQ(ms.as.read_u64(va), 1u);
+  EXPECT_EQ(ms.as.read_u64(va + 8), 2u);
+}
+
+TEST_F(OsFixture, EvictResavesAHardwareWriteWithAdTrackingOff) {
+  make();
+  mem::PageWalker walker(ms.sim, ms.bus, ms.pm, ms.as.page_table(), mem::WalkerConfig{}, "w");
+  mem::MmuConfig mcfg;
+  mcfg.ad_tracking = false;
+  mem::Mmu mmu(ms.sim, walker, mcfg, "mmu", 0);
+  process->register_mmu(&mmu);
+  process->register_walker(&walker);
+  hwt::HwMemPort port(ms.sim, mmu, ms.bus, ms.pm, hwt::HwPortConfig{}, "port");
+
+  const VirtAddr va = ms.as.alloc(4096, 4096);
+  ms.as.write_u64(va, 1);
+  ASSERT_EQ(process->evict(va, 4096), 1u);
+  process->map_in(va);
+  // A read fills the TLB; the store then hits it, and with A/D tracking
+  // off a TLB hit leaves the PTE alone.
+  u64 word = 0;
+  bool done = false;
+  port.read(va, std::span<u8>(reinterpret_cast<u8*>(&word), 8), [&done] { done = true; });
+  ms.run_all();
+  ASSERT_TRUE(done);
+  ASSERT_EQ(word, 1u);
+  word = 2;
+  done = false;
+  port.write(va + 16, std::span<const u8>(reinterpret_cast<const u8*>(&word), 8),
+             [&done] { done = true; });
+  ms.run_all();
+  ASSERT_TRUE(done);
+  ASSERT_FALSE(ms.as.page_table().lookup(va)->dirty);
+  ASSERT_EQ(process->evict(va, 4096), 1u);
+  EXPECT_EQ(ms.as.read_u64(va), 1u);
+  EXPECT_EQ(ms.as.read_u64(va + 16), 2u);
+}
+
+TEST_F(OsFixture, ForkSharedFramesEvictedFromBothSpacesKeepTheirBytes) {
+  make();
+  mem::AddressSpace child_as(ms.pm, ms.frames, mem::PageTableConfig{});
+  Process child(ms.sim, child_as, "child");
+  // Three pages, each saved once as 1 and mapped back from that copy:
+  // `clean` stays unmodified, `stale` is rewritten in software before the
+  // fork (both spaces then hold an out-of-date copy of it), and `dma` is
+  // written straight into the shared frame after the fork.
+  const VirtAddr va = ms.as.alloc(3 * 4096, 4096);
+  const VirtAddr clean = va, stale = va + 4096, dma = va + 2 * 4096;
+  for (const VirtAddr p : {clean, stale, dma}) ms.as.write_u64(p, 1);
+  ASSERT_EQ(process->evict(va, 3 * 4096), 3u);
+  for (const VirtAddr p : {clean, stale, dma}) process->map_in(p);
+  ms.as.write_u64(stale, 2);
+  ASSERT_EQ(process->fork(child), 3u);
+  ms.pm.write_u64(*child_as.translate(dma), 3);
+  ASSERT_EQ(process->evict(va, 3 * 4096), 3u);
+  ASSERT_EQ(child.evict(va, 3 * 4096), 3u);
+  for (mem::AddressSpace* as : {&ms.as, &child_as}) {
+    EXPECT_EQ(as->read_u64(clean), 1u);
+    EXPECT_EQ(as->read_u64(stale), 2u);
+    EXPECT_EQ(as->read_u64(dma), 3u);
+  }
+}
+
+TEST(SubChunkPages, EvictAlwaysSavesAPageSmallerThanAChunk) {
+  // 1 KiB pages share a 4 KiB saved bit with their neighbours, so the bit
+  // cannot speak for one page: these pages are saved on every eviction.
+  MemorySystem ms{mem::PageTableConfig{32, 10}};
+  const VirtAddr va = ms.as.alloc(2 * 1024, 1024);
+  ms.as.write_u64(va, 1);
+  ms.as.write_u64(va + 1024, 2);
+  ASSERT_EQ(ms.as.evict(va, 2 * 1024), 2u);
+  ms.as.map_page(va);
+  ms.pm.write_u64(*ms.as.translate(va + 8), 3);
+  ASSERT_EQ(ms.as.evict(va, 2 * 1024), 1u);
+  EXPECT_EQ(ms.as.read_u64(va), 1u);
+  EXPECT_EQ(ms.as.read_u64(va + 8), 3u);
+  EXPECT_EQ(ms.as.read_u64(va + 1024), 2u);
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/frames.hpp"
 #include "mem/pagetable.hpp"
 #include "mem/physmem.hpp"
+#include "util/rng.hpp"
 
 namespace vmsls::mem {
 namespace {
@@ -160,6 +164,115 @@ TEST_P(PageSizeSweep, MapLookupUnmapAtEveryGeometry) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometries, PageSizeSweep, ::testing::Values(12u, 14u, 16u, 21u));
+
+// The functional side resolves a leaf PTE through its leaf-table directory;
+// the hardware walker reads every level's raw PTE word through memory. A
+// seeded random mix of map / unmap / set_writable / A-D updates must leave
+// both views agreeing on every VA after every step.
+
+/// The hardware walker's view, computed from the geometry alone: the leaf
+/// PTE's physical address from a level-by-level radix walk over the raw
+/// words in physical memory, or nullopt at the first invalid interior PTE.
+/// Frames are numbered from physical address 0.
+std::optional<PhysAddr> reference_leaf(const PtFixture& f, unsigned page_bits, VirtAddr va) {
+  const unsigned idx_bits = page_bits - 3;
+  const unsigned levels = (32 - page_bits + idx_bits - 1) / idx_bits;
+  const u64 mask = (1ull << idx_bits) - 1;
+  PhysAddr table = f.pt.root_addr();
+  for (unsigned level = 0;; ++level) {
+    const unsigned shift = page_bits + idx_bits * (levels - 1 - level);
+    const PhysAddr pte = table + ((va >> shift) & mask) * 8;
+    if (level + 1 == levels) return pte;
+    const u64 raw = f.pm.read_u64(pte);
+    if ((raw & 1) == 0) return std::nullopt;
+    table = (raw >> 16) << page_bits;
+  }
+}
+
+class DirectoryVsRadixWalk : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(DirectoryVsRadixWalk, RandomOperationsKeepBothViewsInAgreement) {
+  const unsigned page_bits = GetParam();
+  PtFixture f(PageTableConfig{32, page_bits});
+  Rng rng(0x5eed + page_bits);
+  // A fixed VA set spread over the whole 32-bit space (many distinct leaf
+  // tables and interior chains) plus a run of neighbours sharing one leaf
+  // table; few enough pages that 2 MiB frames do not run out.
+  std::vector<VirtAddr> vas;
+  auto add = [&vas](VirtAddr va) {
+    if (std::find(vas.begin(), vas.end(), va) == vas.end()) vas.push_back(va);
+  };
+  while (vas.size() < 12) add(rng.below(1ull << (32 - page_bits)) << page_bits);
+  for (u64 i = 1; i <= 6; ++i) add((vas[0] + (i << page_bits)) % (1ull << 32));
+  std::vector<std::optional<u64>> frame_of(vas.size());  // test's own record
+
+  auto check_all = [&](int step) {
+    for (std::size_t i = 0; i < vas.size(); ++i) {
+      const VirtAddr va = vas[i] + rng.below(1ull << page_bits);  // any offset in the page
+      const auto ref = reference_leaf(f, page_bits, va);
+      const auto leaf = f.pt.leaf(va);
+      ASSERT_EQ(leaf.has_value(), ref.has_value()) << "step " << step << " va " << va;
+      if (leaf) {
+        ASSERT_EQ(leaf->addr, *ref) << "step " << step << " va " << va;
+      }
+      const auto pte = f.pt.lookup(va);
+      const bool valid = ref && Pte::decode(f.pm.read_u64(*ref)).valid;
+      ASSERT_EQ(pte.has_value(), valid) << "step " << step << " va " << va;
+      ASSERT_EQ(valid, frame_of[i].has_value()) << "step " << step << " va " << va;
+      if (!valid) continue;
+      const Pte raw = Pte::decode(f.pm.read_u64(*ref));
+      EXPECT_EQ(pte->frame, raw.frame);
+      EXPECT_EQ(pte->frame, *frame_of[i]);
+      EXPECT_EQ(pte->writable, raw.writable);
+      EXPECT_EQ(pte->accessed, raw.accessed);
+      EXPECT_EQ(pte->dirty, raw.dirty);
+    }
+  };
+
+  for (int step = 0; step < 400; ++step) {
+    const std::size_t i = rng.below(vas.size());
+    const VirtAddr va = vas[i];
+    if (!frame_of[i]) {
+      if (rng.chance(0.5)) {
+        const u64 frame = *f.frames.alloc();
+        f.pt.map(va, frame, rng.chance(0.5));
+        frame_of[i] = frame;
+      } else {
+        EXPECT_THROW(f.pt.set_writable(va, true), std::logic_error);
+        EXPECT_FALSE(f.pt.set_accessed_dirty(va, true));
+        EXPECT_FALSE(f.pt.test_and_clear_accessed(va));
+      }
+    } else {
+      switch (rng.below(5)) {
+        case 0: {
+          const u64 tables = f.pt.table_frames();
+          f.pt.unmap(va);
+          EXPECT_EQ(f.pt.table_frames(), tables);  // interior tables are kept
+          f.frames.free(*frame_of[i]);
+          frame_of[i].reset();
+          break;
+        }
+        case 1:
+          f.pt.set_writable(va, rng.chance(0.5));
+          break;
+        case 2:
+          f.pt.set_accessed_dirty(va, rng.chance(0.5));
+          break;
+        case 3:
+          f.pt.test_and_clear_accessed(va);
+          break;
+        default:
+          f.pt.test_and_clear_dirty(va);
+          break;
+      }
+    }
+    check_all(step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, DirectoryVsRadixWalk,
+                         ::testing::Values(12u, 14u, 16u, 21u));
 
 }  // namespace
 }  // namespace vmsls::mem

@@ -84,6 +84,44 @@ TEST(PhysicalMemory, ReadOfUnwrittenRangeIsZeroAndUntouched) {
   EXPECT_EQ(pm.touched_chunks(), 0u);
 }
 
+TEST(PhysicalMemory, SavedBitsStartClearAndCoverWholeChunks) {
+  PhysicalMemory pm(1 * MiB);
+  EXPECT_FALSE(pm.saved(0, 4096));
+  pm.mark_saved(4096, 2 * 4096);
+  EXPECT_TRUE(pm.saved(4096, 2 * 4096));
+  EXPECT_TRUE(pm.saved(8192, 4096));
+  EXPECT_FALSE(pm.saved(0, 2 * 4096));       // chunk 0 was never marked
+  EXPECT_FALSE(pm.saved(8192, 2 * 4096));    // nor chunk 3
+  EXPECT_EQ(pm.touched_chunks(), 0u);        // marking writes nothing
+}
+
+TEST(PhysicalMemory, WritesCopiesAndClearsDropTheSavedBit) {
+  PhysicalMemory pm(1 * MiB);
+  pm.mark_saved(0, 8 * 4096);
+  pm.write_u64(4096 + 100, 1);                // chunk 1
+  pm.copy(0, 2 * 4096 + 8, 16);               // destination chunk 2; the source keeps its bit
+  pm.clear(3 * 4096 + 4000, 200);             // straddles chunks 3 and 4
+  pm.write_scalar<u8>(5 * 4096 + 4095, 0xab);  // last byte of chunk 5
+  for (u64 c = 0; c < 8; ++c) EXPECT_EQ(pm.saved(c * 4096, 4096), c == 0 || c >= 6) << c;
+  // Reads keep it.
+  EXPECT_EQ(pm.read_u64(6 * 4096), 0u);
+  EXPECT_TRUE(pm.saved(6 * 4096, 2 * 4096));
+  // A marked chunk can be marked again after a write.
+  pm.mark_saved(4096, 4096);
+  EXPECT_TRUE(pm.saved(4096, 4096));
+}
+
+TEST(PhysicalMemory, SavedBitRangesMustBeWholeChunks) {
+  PhysicalMemory pm(64 * KiB);
+  EXPECT_THROW(pm.mark_saved(0, 0), std::invalid_argument);
+  EXPECT_THROW(pm.mark_saved(0, 100), std::invalid_argument);
+  EXPECT_THROW(pm.mark_saved(512, 4096), std::invalid_argument);
+  EXPECT_THROW(pm.mark_saved(4096, 2048), std::invalid_argument);
+  EXPECT_THROW(pm.saved(512, 4096), std::invalid_argument);
+  EXPECT_THROW(pm.mark_saved(60 * KiB, 8 * KiB), std::out_of_range);
+  EXPECT_NO_THROW(pm.mark_saved(60 * KiB, 4 * KiB));
+}
+
 // --- frame allocator ---
 
 TEST(FrameAllocator, AllocReturnsDistinctFrames) {

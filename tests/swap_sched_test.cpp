@@ -37,6 +37,13 @@ SwapConfig fast_cfg() {
   return cfg;
 }
 
+/// The readahead candidates as a fresh vector.
+std::vector<u64> neighbors(const SwapScheduler& sched, unsigned owner, u64 vpn, unsigned k) {
+  std::vector<u64> out{~0ull};  // stale contents are replaced, not appended to
+  sched.neighbors(owner, vpn, k, out);
+  return out;
+}
+
 TEST(SwapScheduler, PrioritySchedulerNeverStarvesWritebacks) {
   sim::Simulator sim;
   SwapConfig cfg = fast_cfg();
@@ -174,11 +181,11 @@ TEST(SwapScheduler, ClusteringKeepsAnOwnersNeighborsAdjacent) {
   sched.note_swapped(b, 11);
   sched.note_swapped(b, 13);
 
-  EXPECT_EQ(sched.neighbors(a, 10, 4), (std::vector<u64>{11, 12}));
-  EXPECT_EQ(sched.neighbors(a, 10, 1), (std::vector<u64>{11}));
-  EXPECT_EQ(sched.neighbors(b, 11, 4), (std::vector<u64>{13}));
+  EXPECT_EQ(neighbors(sched, a, 10, 4), (std::vector<u64>{11, 12}));
+  EXPECT_EQ(neighbors(sched, a, 10, 1), (std::vector<u64>{11}));
+  EXPECT_EQ(neighbors(sched, b, 11, 4), (std::vector<u64>{13}));
   // The cross-cluster page is never a neighbor, however deep the window.
-  const auto deep = sched.neighbors(a, 12, 64);
+  const auto deep = neighbors(sched, a, 12, 64);
   EXPECT_TRUE(deep.empty());
   EXPECT_TRUE(sched.holds(a, 10) && sched.holds(b, 11));
   EXPECT_FALSE(sched.holds(b, 10));
@@ -227,9 +234,9 @@ TEST(SwapScheduler, LookupsOutsideTheSlotTableAreAbsent) {
   EXPECT_FALSE(sched.holds(owner, 1ull << 40));  // far past the table's end
   EXPECT_FALSE(sched.holds(owner + 1, 5));       // unregistered owner
   EXPECT_EQ(sched.slot_of(owner + 1, 5), SwapScheduler::kNone);
-  EXPECT_TRUE(sched.neighbors(owner, 1ull << 40, 4).empty());
-  EXPECT_TRUE(sched.neighbors(owner + 1, 5, 4).empty());
-  EXPECT_TRUE(sched.neighbors(owner, 4, 4).empty());
+  EXPECT_TRUE(neighbors(sched, owner, 1ull << 40, 4).empty());
+  EXPECT_TRUE(neighbors(sched, owner + 1, 5, 4).empty());
+  EXPECT_TRUE(neighbors(sched, owner, 4, 4).empty());
 }
 
 TEST(SwapScheduler, FreedRegionsAreReusedLowestFirst) {
@@ -273,9 +280,9 @@ TEST(SwapScheduler, FreedRegionsAreReusedLowestFirst) {
   // The slot table and the neighbor view agree: every held page is counted
   // once, and no freed slot still names its old page.
   EXPECT_EQ(sched.slots_in_use(), 6u);
-  EXPECT_EQ(sched.neighbors(a, 40, 3), std::vector<u64>{41});
-  EXPECT_TRUE(sched.neighbors(b, 200, 3).empty());  // a's old vpn 1 slot is free
-  EXPECT_TRUE(sched.neighbors(b, 300, 3).empty());  // b's old vpn 105 slot is free
+  EXPECT_EQ(neighbors(sched, a, 40, 3), std::vector<u64>{41});
+  EXPECT_TRUE(neighbors(sched, b, 200, 3).empty());  // a's old vpn 1 slot is free
+  EXPECT_TRUE(neighbors(sched, b, 300, 3).empty());  // b's old vpn 105 slot is free
   for (const u64 vpn : {0, 1, 104, 105}) {
     EXPECT_FALSE(sched.holds(a, vpn));
     EXPECT_FALSE(sched.holds(b, vpn));
