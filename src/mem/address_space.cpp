@@ -122,7 +122,7 @@ u64 AddressSpace::map_page(VirtAddr va, bool writable) {
   // Under exhaustion, reclaim enough for the data frame plus any interior
   // table frames pt_.map may need to create below (at most levels - 1).
   auto frame = frames_.alloc();
-  if (!frame && reclaim_ && reclaim_(pt_.levels()) > 0) frame = frames_.alloc();
+  if (!frame && observer_ && observer_->reclaim(pt_.levels()) > 0) frame = frames_.alloc();
   if (!frame)
     throw std::runtime_error("AddressSpace: out of physical frames and nothing reclaimable");
   const PhysAddr pa = frames_.frame_addr(*frame);
@@ -155,9 +155,10 @@ u64 AddressSpace::evict(VirtAddr va, u64 bytes) {
   const u64 page = page_bytes();
   u64 evicted = 0;
   for (VirtAddr p = align_down(va, page); p < va + bytes; p += page) {
-    const auto pte = pt_.lookup(p);
-    if (!pte) continue;
-    const PhysAddr pa = frames_.frame_addr(pte->frame);
+    const auto leaf = pt_.leaf(p);
+    if (!leaf || !leaf->pte.valid) continue;
+    const Pte& pte = leaf->pte;
+    const PhysAddr pa = frames_.frame_addr(pte.frame);
     const u64 vpn = p / page;
     const auto fp = file_page(vpn);
     if (!fp) {
@@ -167,18 +168,18 @@ u64 AddressSpace::evict(VirtAddr va, u64 bytes) {
       // Private file page: save the process-local copy once it diverges (or
       // has diverged before — a pageout-cleaned page is clean in the PTE but
       // its truth lives in the backing store, which must stay fresh).
-      if (pte->dirty || has_backing(vpn)) save_page(vpn, pa);
+      if (pte.dirty || has_backing(vpn)) save_page(vpn, pa);
     } else {
       // Shared file page: dirty writes back to the file; clean drops free.
-      if (pte->dirty) pm_.read(pa, fp->file->block_data(fp->block));
+      if (pte.dirty) pm_.read(pa, fp->file->block_data(fp->block));
     }
-    pt_.unmap(p);
-    const u64 sharers_left = frames_.free(pte->frame);
+    pt_.unmap(*leaf);
+    const u64 sharers_left = frames_.free(pte.frame);
     resident_vpns_.erase(vpn);
     if (share_ != nullptr && fp && fp->shared && sharers_left == 0)
       share_->erase(fp->file->id(), fp->block);
     ++evicted;
-    if (observer_) observer_->on_unmap(vpn, pte->dirty, pte->frame, sharers_left);
+    if (observer_) observer_->on_unmap(vpn, pte.dirty, pte.frame, sharers_left);
   }
   return evicted;
 }
@@ -223,7 +224,7 @@ AddressSpace::CowResult AddressSpace::cow_resolve(VirtAddr va) {
     return CowResult{false, pte->frame};
   }
   auto frame = frames_.alloc();
-  if (!frame && reclaim_ && reclaim_(1) > 0) frame = frames_.alloc();
+  if (!frame && observer_ && observer_->reclaim(1) > 0) frame = frames_.alloc();
   if (!frame) throw std::runtime_error("AddressSpace: out of physical frames for a COW copy");
   pm_.copy(frames_.frame_addr(pte->frame), frames_.frame_addr(*frame), page);
   pt_.unmap(base);

@@ -9,7 +9,6 @@
 // content.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -34,7 +33,8 @@ struct FilePageRef {
 /// Watches residency changes in an address space. The pager daemon uses
 /// this to keep its replacement policy in sync with *every* map/unmap —
 /// including eager populates at load time and experiment-setup evictions —
-/// not just the ones it initiates itself.
+/// not just the ones it initiates itself — and to reclaim frames when the
+/// allocator runs dry.
 class ResidencyObserver {
  public:
   virtual ~ResidencyObserver() = default;
@@ -47,6 +47,10 @@ class ResidencyObserver {
   /// freshly-copied private `new_frame`. Residency is unchanged; only the
   /// frame identity moved.
   virtual void on_cow(u64 vpn, u64 old_frame, u64 new_frame) = 0;
+  /// Last-resort reclaim under frame exhaustion: asked for `frames` frames,
+  /// returns the frames actually freed. map_page and cow_resolve retry the
+  /// allocation once after calling it.
+  virtual u64 reclaim(u64 frames) = 0;
 };
 
 class AddressSpace {
@@ -173,8 +177,10 @@ class AddressSpace {
   u64 resident_pages() const noexcept { return resident_vpns_.size(); }
   u64 faults_serviced() const noexcept { return demand_maps_; }
 
-  /// Iterates resident virtual page numbers in ascending order.
-  void for_each_resident(const std::function<void(u64)>& fn) const {
+  /// Calls fn(vpn) for every resident page, in ascending order. `fn` must
+  /// not map or unmap pages.
+  template <typename Fn>
+  void for_each_resident(Fn&& fn) const {
     resident_vpns_.for_each(fn);
   }
 
@@ -193,7 +199,8 @@ class AddressSpace {
   bool is_pinned_vpn(u64 vpn) const { return pins_.get(vpn) != 0; }
   u64 pinned_pages() const noexcept { return pinned_pages_; }
 
-  /// At most one observer; pass nullptr to detach.
+  /// At most one observer; pass nullptr to detach. Without one, frame
+  /// exhaustion throws.
   void set_residency_observer(ResidencyObserver* obs) noexcept { observer_ = obs; }
 
   /// Machine-wide shared-frame index (one per ProcessGroup / bench rig):
@@ -203,13 +210,6 @@ class AddressSpace {
   /// nullptr to detach.
   void set_share_index(FrameShareIndex* index) noexcept { share_ = index; }
   const FrameShareIndex* share_index() const noexcept { return share_; }
-
-  /// Last-resort reclaim under frame exhaustion: called with the number of
-  /// frames needed; returns frames actually freed. map_page retries the
-  /// allocation once after invoking it. Pass nullptr (or an empty function)
-  /// to detach.
-  using ReclaimHook = std::function<u64(u64)>;
-  void set_reclaim_hook(ReclaimHook hook) { reclaim_ = std::move(hook); }
 
  private:
   struct FileRegion {
@@ -261,7 +261,6 @@ class AddressSpace {
   u64 demand_maps_ = 0;
   ResidencyObserver* observer_ = nullptr;
   FrameShareIndex* share_ = nullptr;
-  ReclaimHook reclaim_;
 };
 
 }  // namespace vmsls::mem

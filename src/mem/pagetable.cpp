@@ -80,7 +80,7 @@ void PageTable::map(VirtAddr va, u64 frame, bool writable) {
   pm_.write_u64(leaf, pte.encode());
 }
 
-void PageTable::unmap(VirtAddr va) { pm_.write_u64(mapped_leaf(va, "unmap").addr, 0); }
+void PageTable::unmap(VirtAddr va) { unmap(mapped_leaf(va, "unmap")); }
 
 bool PageTable::set_accessed_dirty(VirtAddr va, bool dirty) const {
   auto l = leaf(va);

@@ -141,6 +141,9 @@ class PageTable {
     return true;
   }
 
+  /// unmap() of an already-resolved valid leaf.
+  void unmap(const Leaf& leaf) { pm_.write_u64(leaf.addr, 0); }
+
   /// Rewrites the leaf PTE's write permission in place (fork downgrades a
   /// shared page to read-only; COW resolution re-enables write). Accessed
   /// and dirty bits are preserved. Throws if the page is not mapped.

@@ -21,50 +21,48 @@ FramePool::FramePool(sim::Simulator& sim, const FramePoolConfig& cfg, std::strin
     : sim_(sim),
       cfg_(cfg),
       name_(std::move(name)),
+      // The global sweep reuses the per-process policy implementations over
+      // frame numbers, with the pool answering for each frame.
+      policy_(make_policy(cfg.policy, *this, cfg.policy_seed)),
       evictions_(sim.stats().counter(name_ + ".evictions")),
       cross_evictions_(sim.stats().counter(name_ + ".cross_evictions")),
       rebalances_(sim.stats().counter(name_ + ".rebalances")) {
   trace_track_ = sim_.trace().track(name_);
-  // The global sweep reuses the per-process policy implementations over
-  // frame numbers; probes aggregate over the frame's owner-set, resolving
-  // through each sharer's page table.
-  policy_ = make_policy(
-      cfg_.policy,
-      AccessedProbe([this](u64 frame) {
-        // Probe *every* sharer (each test-and-clears its own PTE bit) and OR
-        // the results — short-circuiting would leave later sharers' bits
-        // set, making the frame look perpetually hot to the sweep.
-        bool any = false;
-        for (const auto& [p, vpn] : owners_.get(frame))
-          if (p->probe_accessed(vpn)) any = true;
-        return any;
-      }),
-      cfg_.policy_seed);
-  // A pin held by *any* sharer excludes the frame for all of them: the
-  // pinned mapping backs an in-flight access against these exact bytes.
+}
+
+bool FramePool::test_and_clear_accessed(u64 frame) {
+  // Probe *every* sharer (each test-and-clears its own PTE bit) and OR the
+  // results — short-circuiting would leave later sharers' bits set, making
+  // the frame look perpetually hot to the sweep.
+  bool any = false;
+  for (const auto& [p, vpn] : owners_.get(frame))
+    if (p->probe_accessed(vpn)) any = true;
+  return any;
+}
+
+bool FramePool::pinned(u64 frame) const {
+  // The pinned mapping backs an in-flight access against these exact bytes.
   // (Per-(member, vpn) pin checks let other sharers evict a pinned frame —
-  // the sharer-pin bug this owner-set probe fixes.)
-  policy_->set_pinned_probe([this](u64 frame) {
-    for (const auto& [p, vpn] : owners_.get(frame))
-      if (p->space().is_pinned_vpn(vpn)) return true;
-    return false;
-  });
-  // Wrong-path readahead landings are reclaimed first machine-wide too: a
-  // frame is speculative only while *every* mapping of it is an
-  // unreferenced prefetch landing.
-  policy_->set_speculative_probe(
-      [this](u64 frame) {
-        const auto& sharers = owners_.get(frame);
-        if (sharers.empty()) return false;
-        for (const auto& [p, vpn] : sharers)
-          if (!p->is_speculative(vpn)) return false;
-        return true;
-      },
-      [this] {
-        for (Pager* p : members_)
-          if (p != nullptr && p->any_speculative()) return true;
-        return false;
-      });
+  // the sharer-pin bug this owner-set rule fixes.)
+  for (const auto& [p, vpn] : owners_.get(frame))
+    if (p->space().is_pinned_vpn(vpn)) return true;
+  return false;
+}
+
+bool FramePool::speculative(u64 frame) const {
+  // Wrong-path readahead landings are reclaimed first machine-wide too, but
+  // a frame another process maps unspeculatively is in use.
+  const auto& sharers = owners_.get(frame);
+  if (sharers.empty()) return false;
+  for (const auto& [p, vpn] : sharers)
+    if (!p->is_speculative(vpn)) return false;
+  return true;
+}
+
+bool FramePool::any_speculative() const {
+  for (const Pager* p : members_)
+    if (p != nullptr && p->any_speculative()) return true;
+  return false;
 }
 
 unsigned FramePool::member_id(const Pager& pager) const {

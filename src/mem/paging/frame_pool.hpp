@@ -19,11 +19,11 @@
 // over *frame numbers*: each frame carries an owner-set of (member, vpn)
 // mappings, so a frame shared by N forked processes occupies one slot in
 // the CLOCK ring, one unit of budget, and one victim nomination — eviction
-// fans out one shootdown per sharer and the probes aggregate across the
-// owner-set (a pin held by *any* sharer protects the frame; the accessed
-// bit is the OR over every sharer's PTE). A single-member pool with
-// unshared frames is cycle-identical to a per-process budget of the same
-// size.
+// fans out one shootdown per sharer and the pool, as the sweep's KeyOwner,
+// answers for a frame across its owner-set (a pin held by *any* sharer
+// protects the frame; the accessed bit is the OR over every sharer's PTE).
+// A single-member pool with unshared frames is cycle-identical to a
+// per-process budget of the same size.
 #pragma once
 
 #include <optional>
@@ -60,7 +60,7 @@ struct FramePoolConfig {
   u64 min_budget = 2;
 };
 
-class FramePool {
+class FramePool final : public KeyOwner {
  public:
   /// One mapping of a frame: the owning pager and the vpn it maps there.
   using Sharer = std::pair<Pager*, u64>;
@@ -141,6 +141,15 @@ class FramePool {
   u64 cross_evictions() const noexcept { return cross_evictions_.value(); }
   u64 rebalances() const noexcept { return rebalances_.value(); }
 
+  // --- KeyOwner: the global sweep's keys are frames ---
+  /// Test-and-clears every sharer's accessed bit and ORs the results.
+  bool test_and_clear_accessed(u64 frame) override;
+  /// A pin held by any sharer protects the frame for all of them.
+  bool pinned(u64 frame) const override;
+  /// True only while every mapping of the frame is an unreferenced landing.
+  bool speculative(u64 frame) const override;
+  bool any_speculative() const override;
+
  private:
   unsigned member_id(const Pager& pager) const;
   void add_mapping(Pager& pager, u64 vpn, u64 frame);
@@ -153,9 +162,9 @@ class FramePool {
   std::vector<Pager*> members_;  // index = member id; nullptr after detach
   std::unique_ptr<ReplacementPolicy> policy_;
   /// Frame-indexed owner sets: each frame's mappings, in map order. The
-  /// policy's opaque keys are the frame numbers; probes aggregate over the
-  /// set. An emptied set keeps its capacity, so re-mapping the frame
-  /// allocates nothing.
+  /// policy's opaque keys are the frame numbers; the KeyOwner answers
+  /// aggregate over the set. An emptied set keeps its capacity, so
+  /// re-mapping the frame allocates nothing.
   IndexTable<std::vector<Sharer>> owners_;
   u64 resident_ = 0;      // unique frames (owner-set count)
   u64 mapped_pages_ = 0;  // total mappings (sum of owner-set sizes)

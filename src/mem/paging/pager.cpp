@@ -17,8 +17,7 @@ Pager::Pager(sim::Simulator& sim, rt::Process& process, const PagerConfig& cfg, 
       as_(process.address_space()),
       cfg_(cfg),
       name_(std::move(name)),
-      policy_(make_policy(
-          cfg.policy, [this](u64 vpn) { return probe_accessed(vpn); }, cfg.policy_seed)),
+      policy_(make_policy(cfg.policy, *this, cfg.policy_seed)),
       evictions_(sim.stats().counter(name_ + ".evictions")),
       swap_ins_(sim.stats().counter(name_ + ".swap_ins")),
       file_reads_(sim.stats().counter(name_ + ".file_reads")),
@@ -63,11 +62,7 @@ Pager::Pager(sim::Simulator& sim, rt::Process& process, const PagerConfig& cfg, 
   bcache_client_ = bcache_->register_client(name_);
   page_bits_ = as_.page_table().config().page_bits;
   track_ws_ = cfg_.ws_interval > 0;
-  policy_->set_pinned_probe([this](u64 vpn) { return as_.is_pinned_vpn(vpn); });
-  policy_->set_speculative_probe([this](u64 vpn) { return is_speculative(vpn); },
-                                 [this] { return any_speculative(); });
   as_.set_residency_observer(this);
-  as_.set_reclaim_hook([this](u64 pages) { return reclaim(pages); });
   // Pages already resident when the pager attaches (pinned buffers mapped at
   // elaboration) enter policy tracking so they are evictable under pressure.
   as_.for_each_resident([this](u64 vpn) { policy_->on_insert(vpn); });
@@ -76,7 +71,6 @@ Pager::Pager(sim::Simulator& sim, rt::Process& process, const PagerConfig& cfg, 
 Pager::~Pager() {
   if (pool_) pool_->detach(*this);
   as_.set_residency_observer(nullptr);
-  as_.set_reclaim_hook(nullptr);
 }
 
 void Pager::on_map(u64 vpn, u64 frame) {
@@ -374,11 +368,11 @@ void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
   const Cycles start = sim_.now();
   const u64 vpn = va >> page_bits();
   FaultKind kind = FaultKind::kDemand;
-  if (as_.is_mapped(va)) {
+  const auto pte = as_.page_table().lookup(va);
+  if (pte) {
     // A write against a resident read-only page is a COW (or write-upgrade)
     // fault, not a spurious retry — it has its own service path.
-    const auto pte = is_write ? as_.page_table().lookup(va) : std::nullopt;
-    if (!pte || pte->writable) {
+    if (!is_write || pte->writable) {
       // A concurrent fault on the same page already completed: no frame and
       // no swap-in needed — and crucially no victim eviction either.
       fault_stall_.record(0);
@@ -420,9 +414,7 @@ void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
     VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "fault", fid, vpn);
   } else {
     VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "fault", fid, vpn);
-    const auto frame = as_.frame_of(vpn);
-    require(frame.has_value(), name_ + ": COW fault on a non-resident page");
-    if (as_.frames().refcount(*frame) <= 1) {
+    if (as_.frames().refcount(pte->frame) <= 1) {
       // Sole mapping left (the other sharers evicted or diverged already):
       // re-enable write in place — no frame, no budget work, no copy traffic.
       process_.cow_break(va);
@@ -433,7 +425,7 @@ void Pager::handle_fault(VirtAddr va, bool is_write, sim::EventFn ready) {
     // The private copy needs a frame of its own: reserve it against the
     // budget and run the eviction loop. Pin the faulting page first — the
     // global sweep must not nominate the very frame being split (the
-    // owner-set pin probe protects it for every sharer), and the in-flight
+    // pool's owner-set pin rule protects it for every sharer), and the in-flight
     // write targets these exact bytes.
     as_.pin(va);
     reserve_frame(vpn);
@@ -453,8 +445,8 @@ void Pager::issue_readahead(u64 demand_vpn) {
     // Prefetch never evicts *synchronously*: it rides free headroom, plus a
     // bounded overshoot of at most the readahead depth (the swap-cache
     // model). The next demand fault trims the overshoot through the normal
-    // eviction loop, and the SpeculativeProbe makes unreferenced landings
-    // the first victims — so a wrong-path prefetch costs one slot-turn,
+    // eviction loop, and every policy takes unreferenced landings as its
+    // first victims — so a wrong-path prefetch costs one slot-turn,
     // never a working-set page. Deeper neighbors are no cheaper.
     const Budget b = budget();
     if (b.limit != 0 && b.used >= b.limit + cfg_.swap.readahead) break;
@@ -494,16 +486,19 @@ void Pager::finish_prefetch(u64 vpn) {
   release_fault(f);
 }
 
-u64 Pager::reclaim(u64 pages) {
-  u64 done = 0;
-  for (u64 i = 0; i < pages; ++i) {
+u64 Pager::reclaim(u64 frames) {
+  // Evicting a sharer of a forked frame unmaps a page but frees nothing:
+  // only a frame's last mapping leaving counts, so keep picking.
+  const u64 free_before = as_.frames().free_frames();
+  u64 freed = 0;
+  while (freed < frames) {
     const auto victim = policy_->pick_victim();
     if (!victim) break;
     evict_resident(*victim);
     reclaims_.add();
-    ++done;
+    freed = as_.frames().free_frames() - free_before;
   }
-  return done;
+  return freed;
 }
 
 // --- background services -------------------------------------------------

@@ -19,8 +19,8 @@
 // SwapConfig::readahead of them are pulled as prefetch-class reads —
 // admitted only under free budget headroom (prefetch never evicts), landing
 // resident-clean, and flagged *speculative* until first reference so every
-// replacement policy reclaims wrong-path prefetches first (the
-// SpeculativeProbe). Accuracy/coverage counters: `prefetches`,
+// replacement policy reclaims wrong-path prefetches first (the pager is its
+// own policy's KeyOwner). Accuracy/coverage counters: `prefetches`,
 // `prefetch_useful` (referenced before eviction), `prefetch_wasted`
 // (evicted unreferenced), `prefetch_late` (a demand fault coalesced onto
 // the in-flight prefetch).
@@ -98,7 +98,7 @@ struct PagerConfig {
   u64 pageout_watermark_pct = 75;
 };
 
-class Pager final : public mem::ResidencyObserver {
+class Pager final : public mem::ResidencyObserver, public KeyOwner {
  public:
   /// `shared_swap` non-null shares that scheduler (the ProcessGroup's "one
   /// flash part"); null gives the pager a private SwapScheduler named
@@ -163,6 +163,9 @@ class Pager final : public mem::ResidencyObserver {
   void on_map(u64 vpn, u64 frame) override;
   void on_unmap(u64 vpn, bool dirty, u64 frame, u64 sharers_left) override;
   void on_cow(u64 vpn, u64 old_frame, u64 new_frame) override;
+  /// Evicts own-policy victims functionally, without device timing, until
+  /// `frames` frames are freed or no victim is left.
+  u64 reclaim(u64 frames) override;
 
   /// Fault-path entry: makes room under the frame budget (evicting victims,
   /// charging writeback time for dirty ones) and charges swap-in time when
@@ -175,11 +178,6 @@ class Pager final : public mem::ResidencyObserver {
   /// A demand fault landing on an in-flight *prefetch* coalesces the same
   /// way (and counts toward `prefetch_late`).
   void handle_fault(VirtAddr va, bool is_write, sim::EventFn ready);
-
-  /// Synchronous emergency reclaim (frame-allocator pressure callback):
-  /// evicts up to `pages` victims functionally, without device timing.
-  /// Returns pages actually reclaimed.
-  u64 reclaim(u64 pages);
 
   // --- FramePool interface ---
   u64 frame_budget() const noexcept { return cfg_.frame_budget; }
@@ -195,14 +193,14 @@ class Pager final : public mem::ResidencyObserver {
   /// cache flush) and counts it; the caller charges any writeback time.
   void evict_resident(u64 vpn);
 
-  /// True while the page is an unreferenced readahead landing — the
-  /// replacement policies' reclaim-first probe. False for any vpn the pager
-  /// never prefetched.
+  /// True while the page is an unreferenced readahead landing — what the
+  /// replacement policies reclaim first. False for any vpn the pager never
+  /// prefetched.
   bool is_speculative(u64 vpn) const noexcept { return speculative_.contains(vpn); }
 
   /// Whether any page is currently speculative — the policies' cheap
   /// emptiness hint, letting them skip the reclaim-first pre-scan.
-  bool any_speculative() const noexcept { return !speculative_.empty(); }
+  bool any_speculative() const noexcept override { return !speculative_.empty(); }
 
   /// Latest working-set estimate (pages referenced within the window);
   /// 0 until the first sweep completes.
@@ -267,6 +265,11 @@ class Pager final : public mem::ResidencyObserver {
 
  private:
   friend class FramePool;  // attach/detach set pool_
+
+  // --- KeyOwner: the own policy's keys are vpns ---
+  bool test_and_clear_accessed(u64 vpn) override { return probe_accessed(vpn); }
+  bool pinned(u64 vpn) const override { return as_.is_pinned_vpn(vpn); }
+  bool speculative(u64 vpn) const override { return is_speculative(vpn); }
 
   /// What an in-flight record resolves: a demand fault on a non-resident
   /// page, a write fault on a resident read-only (COW) page, or a readahead

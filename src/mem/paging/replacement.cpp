@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
-#include <utility>
 
 #include "util/index_table.hpp"
 
@@ -39,7 +38,7 @@ namespace {
 /// use. A key is in the ring exactly when its next link is present.
 class ClockPolicy final : public ReplacementPolicy {
  public:
-  explicit ClockPolicy(AccessedProbe probe) : probe_(std::move(probe)) {}
+  using ReplacementPolicy::ReplacementPolicy;
 
   const char* name() const noexcept override { return "clock"; }
   u64 tracked_pages() const noexcept override { return size_; }
@@ -85,28 +84,27 @@ class ClockPolicy final : public ReplacementPolicy {
     // as a sweep would. Scan order: from the hand, the sweep's own order.
     // The owner's emptiness hint skips the whole scan when nothing is
     // speculative — the common case whenever readahead is off.
-    if (maybe_speculative()) {
+    if (owner_.any_speculative()) {
       u64 key = hand_;
       for (u64 step = 0; step < size_; ++step, key = next_.get(key))
-        if (is_speculative(key) && !is_pinned(key) && !probe_(key)) return key;
+        if (wrong_path(key)) return key;
     }
     // At most two sweeps: the first clears every accessed bit, the second
     // must find a victim. Pinned pages behave as permanently referenced
     // (their accessed bits are left alone).
     for (u64 step = 0; step < 2 * size_; ++step, hand_ = next_.get(hand_))
-      if (!is_pinned(hand_) && !probe_(hand_)) return hand_;
+      if (!owner_.pinned(hand_) && !owner_.test_and_clear_accessed(hand_)) return hand_;
     // Everything stayed referenced: take the first unpinned page at the
     // hand; only pins can make victim selection fail entirely.
     u64 key = hand_;
     for (u64 step = 0; step < size_; ++step, key = next_.get(key))
-      if (!is_pinned(key)) return key;
+      if (!owner_.pinned(key)) return key;
     return std::nullopt;
   }
 
  private:
   static constexpr u64 kNone = ~0ull;
 
-  AccessedProbe probe_;
   IndexTable<u64> next_{kNone};
   IndexTable<u64> prev_{kNone};
   u64 hand_ = kNone;
@@ -118,7 +116,7 @@ class ClockPolicy final : public ReplacementPolicy {
 /// smallest history value is the least recently used page.
 class LruApproxPolicy final : public ReplacementPolicy {
  public:
-  explicit LruApproxPolicy(AccessedProbe probe) : probe_(std::move(probe)) {}
+  using ReplacementPolicy::ReplacementPolicy;
 
   const char* name() const noexcept override { return "lru"; }
   u64 tracked_pages() const noexcept override { return ages_.size(); }
@@ -132,15 +130,15 @@ class LruApproxPolicy final : public ReplacementPolicy {
     // probing a referenced landing graduates it via the owner's funnel
     // without perturbing the aging histories. Skipped outright when the
     // owner's hint says nothing is speculative.
-    if (maybe_speculative())
+    if (owner_.any_speculative())
       for (const auto& [key, age] : ages_)
-        if (is_speculative(key) && !is_pinned(key) && !probe_(key)) return key;
+        if (wrong_path(key)) return key;
     std::optional<u64> victim;
     unsigned best_age = 256;
     for (auto& [key, age] : ages_) {
-      const bool used = probe_(key);
+      const bool used = owner_.test_and_clear_accessed(key);
       age = static_cast<u8>((age >> 1) | (used ? 0x80 : 0));
-      if (is_pinned(key)) continue;  // aged but never nominated
+      if (owner_.pinned(key)) continue;  // aged but never nominated
       if (age < best_age) {  // ties resolve to the lowest key (map order)
         best_age = age;
         victim = key;
@@ -150,13 +148,12 @@ class LruApproxPolicy final : public ReplacementPolicy {
   }
 
  private:
-  AccessedProbe probe_;
   std::map<u64, u8> ages_;  // ordered: deterministic sweep and tie-breaks
 };
 
 class FifoPolicy final : public ReplacementPolicy {
  public:
-  explicit FifoPolicy(AccessedProbe probe) : probe_(std::move(probe)) {}
+  using ReplacementPolicy::ReplacementPolicy;
 
   const char* name() const noexcept override { return "fifo"; }
   u64 tracked_pages() const noexcept override { return queue_.size(); }
@@ -174,25 +171,24 @@ class FifoPolicy final : public ReplacementPolicy {
   }
 
   std::optional<u64> pick_victim() override {
-    // Wrong-path prefetches first, in arrival order. The probe keeps FIFO
-    // locality-blind for everything else; here it only tells a used
+    // Wrong-path prefetches first, in arrival order. FIFO reads no accessed
+    // bit for anything else; here it only tells a used
     // landing (graduated through the owner's funnel) from a wrong one.
-    if (maybe_speculative())
+    if (owner_.any_speculative())
       for (const u64 key : queue_)
-        if (is_speculative(key) && !is_pinned(key) && !probe_(key)) return key;
+        if (wrong_path(key)) return key;
     for (const u64 key : queue_)
-      if (!is_pinned(key)) return key;
+      if (!owner_.pinned(key)) return key;
     return std::nullopt;
   }
 
  private:
-  AccessedProbe probe_;
   std::deque<u64> queue_;
 };
 
 class RandomPolicy final : public ReplacementPolicy {
  public:
-  RandomPolicy(AccessedProbe probe, u64 seed) : probe_(std::move(probe)), rng_(seed) {}
+  RandomPolicy(KeyOwner& owner, u64 seed) : ReplacementPolicy(owner), rng_(seed) {}
 
   const char* name() const noexcept override { return "random"; }
   u64 tracked_pages() const noexcept override { return pages_.size(); }
@@ -214,9 +210,9 @@ class RandomPolicy final : public ReplacementPolicy {
     if (pages_.empty()) return std::nullopt;
     // Wrong-path prefetches first, in insertion order; the RNG is not
     // consumed so runs with and without prefetch hits stay comparable.
-    if (maybe_speculative()) {
+    if (owner_.any_speculative()) {
       for (u64 idx = 0; idx < pages_.size(); ++idx) {
-        if (is_speculative(pages_[idx]) && !is_pinned(pages_[idx]) && !probe_(pages_[idx])) {
+        if (wrong_path(pages_[idx])) {
           last_pick_ = idx;
           return pages_[idx];
         }
@@ -226,7 +222,7 @@ class RandomPolicy final : public ReplacementPolicy {
     const u64 start = rng_.below(pages_.size());
     for (u64 step = 0; step < pages_.size(); ++step) {
       const u64 idx = (start + step) % pages_.size();
-      if (!is_pinned(pages_[idx])) {
+      if (!owner_.pinned(pages_[idx])) {
         last_pick_ = idx;
         return pages_[idx];
       }
@@ -235,7 +231,6 @@ class RandomPolicy final : public ReplacementPolicy {
   }
 
  private:
-  AccessedProbe probe_;
   Rng rng_;
   std::vector<u64> pages_;
   u64 last_pick_ = 0;
@@ -243,12 +238,12 @@ class RandomPolicy final : public ReplacementPolicy {
 
 }  // namespace
 
-std::unique_ptr<ReplacementPolicy> make_policy(PolicyKind kind, AccessedProbe probe, u64 seed) {
+std::unique_ptr<ReplacementPolicy> make_policy(PolicyKind kind, KeyOwner& owner, u64 seed) {
   switch (kind) {
-    case PolicyKind::kClock: return std::make_unique<ClockPolicy>(std::move(probe));
-    case PolicyKind::kLruApprox: return std::make_unique<LruApproxPolicy>(std::move(probe));
-    case PolicyKind::kFifo: return std::make_unique<FifoPolicy>(std::move(probe));
-    case PolicyKind::kRandom: return std::make_unique<RandomPolicy>(std::move(probe), seed);
+    case PolicyKind::kClock: return std::make_unique<ClockPolicy>(owner);
+    case PolicyKind::kLruApprox: return std::make_unique<LruApproxPolicy>(owner);
+    case PolicyKind::kFifo: return std::make_unique<FifoPolicy>(owner);
+    case PolicyKind::kRandom: return std::make_unique<RandomPolicy>(owner, seed);
   }
   throw std::invalid_argument("unknown replacement policy kind");
 }

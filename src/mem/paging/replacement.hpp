@@ -7,7 +7,7 @@
 // the whole machine. Both key spaces are dense small integers, which CLOCK's
 // key-indexed ring relies on. CLOCK and the LRU approximation consume
 // the accessed bits the MMU/walker set in the PTEs on every translation
-// (read through the AccessedProbe the owner supplies) — the
+// (read through the KeyOwner the policy is bound to) — the
 // hardware/software contract that makes recency-based replacement
 // implementable at all; FIFO and RANDOM ignore access history and serve as
 // the locality-blind baselines the memory-pressure experiments compare
@@ -15,13 +15,11 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "mem/pagetable.hpp"
 #include "util/rng.hpp"
 
 namespace vmsls::paging {
@@ -33,40 +31,37 @@ const char* policy_name(PolicyKind kind) noexcept;
 /// Parses "clock" / "lru" / "fifo" / "random"; throws on anything else.
 PolicyKind parse_policy(const std::string& name);
 
-/// Reads-and-clears the accessed bit for a tracked key. The key is whatever
-/// the policy's owner inserted — the owner knows how to resolve it back to a
-/// page table and virtual address.
-using AccessedProbe = std::function<bool(u64 key)>;
+/// The owner of a policy's key space answers for its keys. The key is
+/// whatever the owner inserted: a pager resolves a vpn through its own
+/// page table, the frame pool a frame through every sharer's.
+class KeyOwner {
+ public:
+  virtual ~KeyOwner() = default;
 
-/// True when the page is pinned (an in-flight hardware access holds it).
-/// Every policy skips pinned pages during victim selection — evicting one
-/// would retarget the frame underneath a committed bus transaction.
-using PinnedProbe = std::function<bool(u64 key)>;
+  /// Reads and clears the key's accessed bit. A reference it observes also
+  /// ends the key's speculative state.
+  virtual bool test_and_clear_accessed(u64 key) = 0;
 
-/// True when the page landed through swap-in readahead and has not been
-/// referenced since (a speculative, possibly wrong-path prefetch). Every
-/// policy reclaims such pages *first*: a prediction that missed must not
-/// push out a page the process demonstrably used. The owner (pager) clears
-/// the flag the moment a reference is observed.
-using SpeculativeProbe = std::function<bool(u64 key)>;
+  /// True while an in-flight hardware access holds the page. Every policy
+  /// skips pinned keys: evicting one would retarget the frame underneath a
+  /// committed bus transaction.
+  virtual bool pinned(u64 key) const = 0;
+
+  /// True while the page is a swap-in readahead landing not referenced
+  /// since (a speculative, possibly wrong-path prefetch). Every policy
+  /// reclaims such keys first: a prediction that missed must not push out
+  /// a page the process demonstrably used.
+  virtual bool speculative(u64 key) const = 0;
+
+  /// Whether any key is speculative right now. False lets a policy skip the
+  /// reclaim-first pre-scan, which is pure overhead while readahead is off.
+  virtual bool any_speculative() const = 0;
+};
 
 class ReplacementPolicy {
  public:
+  explicit ReplacementPolicy(KeyOwner& owner) noexcept : owner_(owner) {}
   virtual ~ReplacementPolicy() = default;
-
-  /// Installs the pin filter; absent = nothing is ever pinned.
-  void set_pinned_probe(PinnedProbe pinned) { pinned_ = std::move(pinned); }
-
-  /// Installs the wrong-path-prefetch filter; absent = nothing is
-  /// speculative and victim selection is unchanged. `any` is an optional
-  /// cheap emptiness hint ("is anything speculative right now?"): when it
-  /// returns false, policies skip the speculative pre-scan entirely instead
-  /// of probing every tracked page — on fault paths with readahead off,
-  /// that scan is pure overhead. Absent, every pre-scan runs.
-  void set_speculative_probe(SpeculativeProbe speculative, std::function<bool()> any = {}) {
-    speculative_ = std::move(speculative);
-    any_speculative_ = std::move(any);
-  }
 
   virtual const char* name() const noexcept = 0;
 
@@ -84,31 +79,18 @@ class ReplacementPolicy {
   virtual u64 tracked_pages() const noexcept = 0;
 
  protected:
-  bool is_pinned(u64 key) const { return pinned_ && pinned_(key); }
-  bool is_speculative(u64 key) const { return speculative_ && speculative_(key); }
-  /// Whether the speculative pre-scan can find anything: false short-circuits
-  /// it. Conservatively true when no hint was installed.
-  bool maybe_speculative() const {
-    return speculative_ != nullptr && (!any_speculative_ || any_speculative_());
+  /// The reclaim-first test of the speculative pre-scan: an unpinned
+  /// landing whose accessed bit is still clear. Probing a referenced
+  /// landing ends its speculative state, exactly as a sweep would.
+  bool wrong_path(u64 key) {
+    return owner_.speculative(key) && !owner_.pinned(key) && !owner_.test_and_clear_accessed(key);
   }
 
- private:
-  PinnedProbe pinned_;
-  SpeculativeProbe speculative_;
-  std::function<bool()> any_speculative_;
+  KeyOwner& owner_;
 };
 
-/// `probe` supplies the accessed bits (CLOCK/LRU test-and-clear through it);
-/// `seed` feeds RANDOM's generator so runs stay deterministic.
-std::unique_ptr<ReplacementPolicy> make_policy(PolicyKind kind, AccessedProbe probe, u64 seed = 1);
-
-/// Convenience for single-process policies whose keys are raw virtual page
-/// numbers: probes `pt` directly.
-inline std::unique_ptr<ReplacementPolicy> make_policy(PolicyKind kind, const mem::PageTable& pt,
-                                                      u64 seed = 1) {
-  return make_policy(
-      kind,
-      [&pt](u64 vpn) { return pt.test_and_clear_accessed(vpn << pt.config().page_bits); }, seed);
-}
+/// Binds a policy to the owner of its keys; `seed` feeds RANDOM's generator
+/// so runs stay deterministic.
+std::unique_ptr<ReplacementPolicy> make_policy(PolicyKind kind, KeyOwner& owner, u64 seed = 1);
 
 }  // namespace vmsls::paging

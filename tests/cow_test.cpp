@@ -1,8 +1,10 @@
 // Copy-on-write page sharing: fork's map-by-reference semantics, the COW
 // fault path (split vs in-place upgrade), owner-set eviction of shared
 // frames (one pool victim, one shootdown per sharer, exactly one
-// writeback), the cross-process pin regression (a pin held by ANY sharer
-// protects the frame for ALL sharers), and serial-vs-sharded bit-identity
+// writeback), the pool's owner-set answers (a pin held by ANY sharer
+// protects the frame for ALL sharers; the accessed bit is the OR over every
+// sharer; a frame is speculative only while every mapping is an
+// unreferenced readahead landing), and serial-vs-sharded bit-identity
 // of a COW storm. The full fig14 configuration re-checks the sharded gate
 // in bench/fig14_page_sharing.cpp.
 #include <gtest/gtest.h>
@@ -31,10 +33,11 @@ struct CowFixture : ::testing::Test {
 
   /// Creates the group and p0. `budget` > 0 puts every member under a
   /// kGlobal pool of that many machine-wide frames; 0 leaves them unbudgeted
-  /// (COW mechanics only).
-  void make(u64 budget = 0) {
+  /// (COW mechanics only). `readahead` is every pager's swap-in readahead.
+  void make(u64 budget = 0, unsigned readahead = 0) {
     sls::PlatformSpec plat;
     plat.dram.size_bytes = 64 * MiB;
+    plat.pager.swap.readahead = readahead;
     FramePoolConfig pc;
     if (budget > 0) {
       pc.mode = BudgetMode::kGlobal;
@@ -228,7 +231,7 @@ TEST_F(CowFixture, DirtySharedFileFrameWritesBackExactlyOnce) {
 }
 
 TEST_F(CowFixture, PinBySharerProtectsFrameForAllSharers) {
-  // Regression: the pool's PinnedProbe must aggregate over the owner-set.
+  // Regression: the pool's pinned answer must aggregate over the owner-set.
   // Before the fix, a pin held by one sharer only protected that sharer's
   // own fault path — another process's fault could still nominate the
   // frame and rip it out from under the pinner.
@@ -257,6 +260,52 @@ TEST_F(CowFixture, PinBySharerProtectsFrameForAllSharers) {
   EXPECT_EQ(frames().refcount(shared_frame), 2u);
   EXPECT_FALSE(as1().is_mapped(own_va));  // the unpinned page paid instead
   EXPECT_EQ(pool().evictions(), 1u);
+}
+
+TEST_F(CowFixture, PoolAccessedBitIsTheOrOverEverySharer) {
+  // The pool reads a shared frame's accessed bit through every sharer's
+  // PTE. A short-circuiting OR would stop at the first referenced sharer
+  // and leave the others' bits set, so the frame would look hot forever.
+  make(/*budget=*/8);
+  const VirtAddr va = as0().alloc(kPageSz, kPageSz);
+  as0().write_u64(va, 0x11);
+  fork();
+  const u64 frame = frame_at(as0(), va);
+  EXPECT_EQ(as0().read_u64(va), 0x11u);  // both sharers reference the page
+  EXPECT_EQ(as1().read_u64(va), 0x11u);
+  ASSERT_TRUE(as0().page_table().lookup(va)->accessed);
+  ASSERT_TRUE(as1().page_table().lookup(va)->accessed);
+
+  EXPECT_TRUE(pool().test_and_clear_accessed(frame));  // one reference...
+  EXPECT_FALSE(as0().page_table().lookup(va)->accessed);  // ...consumed from both
+  EXPECT_FALSE(as1().page_table().lookup(va)->accessed);
+  EXPECT_FALSE(pool().test_and_clear_accessed(frame));
+}
+
+TEST_F(CowFixture, PoolFrameIsSpeculativeOnlyWhileEveryMappingIsALanding) {
+  // A readahead landing is reclaimed first, but only while no process
+  // uses the frame: a mapping that is not a landing makes it an ordinary
+  // page for the whole owner-set.
+  make(/*budget=*/16, /*readahead=*/2);
+  const VirtAddr va = as0().alloc(3 * kPageSz, kPageSz);
+  for (u64 p = 0; p < 3; ++p) as0().write_u64(va + p * kPageSz, 0x100 + p);
+  p0().evict(va, 3 * kPageSz);  // three adjacent swap slots
+  fault(pg0(), p0(), va, /*is_write=*/false);  // pages 1 and 2 ride along
+  const VirtAddr landing = va + kPageSz;
+  ASSERT_TRUE(pg0().is_speculative(landing / kPageSz));
+  const u64 frame = frame_at(as0(), landing);
+  EXPECT_TRUE(pool().speculative(frame));  // its one mapping is a landing
+
+  fork();  // p1 maps the frame as a plain resident page
+  EXPECT_TRUE(pg0().is_speculative(landing / kPageSz));
+  EXPECT_FALSE(pg1().is_speculative(landing / kPageSz));
+  EXPECT_FALSE(pool().speculative(frame));
+
+  p1().evict(landing, kPageSz);  // only the landing maps the frame again
+  EXPECT_TRUE(pool().speculative(frame));
+  p0().evict(landing, kPageSz);  // no mapping left
+  EXPECT_FALSE(pool().speculative(frame));
+  run_all();
 }
 
 TEST(CowSharded, SerialEqualsShardedOnCowStorm) {
@@ -293,7 +342,7 @@ TEST(CowSharded, SerialEqualsShardedOnCowStorm) {
   };
 
   std::vector<sls::Shard> shards;
-  for (unsigned i = 0; i < 4; ++i) shards.push_back({"s" + std::to_string(i), body});
+  for (unsigned i = 0; i < 4; ++i) shards.push_back({std::string("s") + std::to_string(i), body});
   sls::ShardedRunner runner(2);
   const sls::ShardedReport report = runner.run(shards);
   EXPECT_NO_THROW(runner.verify_against_serial(shards, report));

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "dma/dma_engine.hpp"
@@ -158,8 +157,7 @@ TEST_F(PressureRig, UnalignedChunkedTransfersMoveEveryByte) {
 
 TEST_F(PressureRig, PinnedPagesAreNeverSelectedAsVictims) {
   // Eviction pressure lands while a transfer holds its chunk pinned: victim
-  // selection must route around the pinned pages. The PinnedProbe hook
-  // observes the policy consulting (and skipping) pin state, and
+  // selection must route around the pinned pages, and
   // Pager::evict_resident hard-fails (throwing out of Simulator::drain)
   // if a pinned page is ever nominated.
   make(/*budget=*/3);
@@ -167,38 +165,33 @@ TEST_F(PressureRig, PinnedPagesAreNeverSelectedAsVictims) {
   const VirtAddr storm = ms.as.alloc(4 * 4096, 4096);
   const auto buf = driver->alloc_pinned(4 * 4096);
 
-  u64 probes = 0;
-  std::set<u64> seen_pinned;
-  pager->policy().set_pinned_probe([&](u64 vpn) {
-    ++probes;
-    const bool pinned = ms.as.is_pinned_vpn(vpn);
-    if (pinned) seen_pinned.insert(vpn);
-    return pinned;
-  });
-
   bool done = false;
   driver->copy_in(base, buf, 0, 4 * 4096, [&] { done = true; });
 
   // Step to the middle of the transfer: the first chunk faulted in, mapped,
   // and still pinned for its in-flight DMA.
   auto pinned_resident = [this] {
-    u64 n = 0;
-    ms.as.for_each_resident([this, &n](u64 vpn) { n += ms.as.is_pinned_vpn(vpn) ? 1 : 0; });
-    return n;
+    std::vector<u64> vpns;
+    ms.as.for_each_resident([this, &vpns](u64 vpn) {
+      if (ms.as.is_pinned_vpn(vpn)) vpns.push_back(vpn);
+    });
+    return vpns;
   };
-  ASSERT_TRUE(ms.sim.run_until([&] { return pinned_resident() > 0; }));
+  ASSERT_TRUE(ms.sim.run_until([&] { return !pinned_resident().empty(); }));
   ASSERT_GT(driver->pins_held(), 0u);
 
   // Worst-case pressure: an exhaustive reclaim sweep takes every page the
-  // policy will surrender. Pinned pages must all survive it — the policy
-  // can only conclude exhaustion by consulting and skipping each of them.
+  // policy will surrender. Every page pinned before it must survive it,
+  // and nothing unpinned may be left behind.
+  const std::vector<u64> pinned_before = pinned_resident();
+  ASSERT_FALSE(pinned_before.empty());
   pager->reclaim(kMemorySystemReclaim);
+  for (const u64 vpn : pinned_before)
+    EXPECT_TRUE(ms.as.is_mapped(vpn * 4096)) << "pinned vpn " << vpn << " was evicted";
   u64 unpinned_survivors = 0;
   ms.as.for_each_resident(
       [this, &unpinned_survivors](u64 vpn) { unpinned_survivors += ms.as.is_pinned_vpn(vpn) ? 0 : 1; });
   EXPECT_EQ(unpinned_survivors, 0u);
-  EXPECT_GT(probes, 0u);              // the policy consulted pin state
-  EXPECT_FALSE(seen_pinned.empty());  // and actually skipped pinned pages
 
   // Fault-path pressure on top: concurrent demand faults must evict around
   // the pins and the whole tangle must still drain.

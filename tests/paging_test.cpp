@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <list>
 #include <optional>
 #include <set>
@@ -38,6 +37,7 @@ TEST(ReplacementPolicy, ParseRoundTrip) {
 
 struct PolicyFixture : ::testing::Test {
   MemorySystem ms;
+  test::KeyOwner owner{ms.as.page_table()};
   static constexpr VirtAddr kBase = 0x10000;
 
   u64 vpn(unsigned i) const { return (kBase >> 12) + i; }
@@ -54,7 +54,7 @@ struct PolicyFixture : ::testing::Test {
 };
 
 TEST_F(PolicyFixture, FifoEvictsInInsertionOrder) {
-  auto policy = make_policy(PolicyKind::kFifo, ms.as.page_table());
+  auto policy = make_policy(PolicyKind::kFifo, owner);
   map_pages(3);
   for (unsigned i = 0; i < 3; ++i) policy->on_insert(vpn(i));
   touch(0);  // FIFO ignores access history
@@ -67,7 +67,7 @@ TEST_F(PolicyFixture, FifoEvictsInInsertionOrder) {
 }
 
 TEST_F(PolicyFixture, ClockGivesAccessedPagesASecondChance) {
-  auto policy = make_policy(PolicyKind::kClock, ms.as.page_table());
+  auto policy = make_policy(PolicyKind::kClock, owner);
   map_pages(3);
   for (unsigned i = 0; i < 3; ++i) policy->on_insert(vpn(i));
   touch(1);
@@ -86,7 +86,7 @@ TEST_F(PolicyFixture, ClockGivesAccessedPagesASecondChance) {
 }
 
 TEST_F(PolicyFixture, ClockEventuallyEvictsEvenWhenAllReferenced) {
-  auto policy = make_policy(PolicyKind::kClock, ms.as.page_table());
+  auto policy = make_policy(PolicyKind::kClock, owner);
   map_pages(3);
   for (unsigned i = 0; i < 3; ++i) {
     policy->on_insert(vpn(i));
@@ -96,7 +96,7 @@ TEST_F(PolicyFixture, ClockEventuallyEvictsEvenWhenAllReferenced) {
 }
 
 TEST_F(PolicyFixture, LruAgingPrefersTheColdestPage) {
-  auto policy = make_policy(PolicyKind::kLruApprox, ms.as.page_table());
+  auto policy = make_policy(PolicyKind::kLruApprox, owner);
   map_pages(3);
   for (unsigned i = 0; i < 3; ++i) policy->on_insert(vpn(i));
   // Several rounds in which pages 0 and 2 stay hot and page 1 goes cold.
@@ -116,25 +116,23 @@ TEST_F(PolicyFixture, EveryPolicySkipsPinnedPages) {
   // transaction. With everything pinned, selection fails outright.
   for (const auto kind : {PolicyKind::kClock, PolicyKind::kLruApprox, PolicyKind::kFifo,
                           PolicyKind::kRandom}) {
-    auto policy = make_policy(kind, ms.as.page_table(), 5);
-    std::set<u64> pinned;
-    policy->set_pinned_probe([&pinned](u64 key) { return pinned.count(key) != 0; });
+    auto policy = make_policy(kind, owner, 5);
     map_pages(3);
     for (unsigned i = 0; i < 3; ++i) policy->on_insert(vpn(i));
-    pinned = {vpn(0), vpn(1)};
+    owner.pins = {vpn(0), vpn(1)};
     for (int round = 0; round < 4; ++round) {
       const auto victim = policy->pick_victim();
       ASSERT_TRUE(victim.has_value()) << policy->name();
       EXPECT_EQ(*victim, vpn(2)) << policy->name();
     }
-    pinned.insert(vpn(2));
+    owner.pins.insert(vpn(2));
     EXPECT_FALSE(policy->pick_victim().has_value()) << policy->name();
   }
 }
 
 TEST_F(PolicyFixture, RandomIsDeterministicUnderASeed) {
-  auto a = make_policy(PolicyKind::kRandom, ms.as.page_table(), 99);
-  auto b = make_policy(PolicyKind::kRandom, ms.as.page_table(), 99);
+  auto a = make_policy(PolicyKind::kRandom, owner, 99);
+  auto b = make_policy(PolicyKind::kRandom, owner, 99);
   map_pages(8);
   for (unsigned i = 0; i < 8; ++i) {
     a->on_insert(vpn(i));
@@ -144,10 +142,9 @@ TEST_F(PolicyFixture, RandomIsDeterministicUnderASeed) {
 }
 
 TEST(ReplacementPolicy, ClockRemoveOfAKeyNeverHeldIsANoOp) {
-  std::set<u64> accessed;
-  auto policy = make_policy(PolicyKind::kClock, AccessedProbe([&accessed](u64 key) {
-                              return accessed.erase(key) != 0;
-                            }));
+  MemorySystem ms;
+  test::KeyOwner owner(ms.as.page_table());  // nothing mapped: nothing referenced
+  auto policy = make_policy(PolicyKind::kClock, owner);
   policy->on_remove(7);  // empty ring
   for (const u64 key : {3, 4, 5}) policy->on_insert(key);
   policy->on_remove(6);        // inside the tables' range, never held
@@ -164,9 +161,7 @@ TEST(ReplacementPolicy, ClockRemoveOfAKeyNeverHeldIsANoOp) {
 /// reference the key-indexed ring must match nomination for nomination.
 class ListClock {
  public:
-  ListClock(std::function<bool(u64)> probe, std::function<bool(u64)> pinned,
-            std::function<bool(u64)> speculative)
-      : probe_(std::move(probe)), pinned_(std::move(pinned)), speculative_(std::move(speculative)) {}
+  explicit ListClock(KeyOwner& owner) : owner_(owner) {}
 
   void on_insert(u64 key) {
     if (ring_.empty()) {
@@ -194,18 +189,19 @@ class ListClock {
     auto it = hand_;
     for (u64 step = 0; step < ring_.size(); ++step) {
       const u64 key = *it;
-      if (speculative_(key) && !pinned_(key) && !probe_(key)) return key;
+      if (owner_.speculative(key) && !owner_.pinned(key) && !owner_.test_and_clear_accessed(key))
+        return key;
       if (++it == ring_.end()) it = ring_.begin();
     }
     for (u64 step = 0; step < 2 * ring_.size(); ++step) {
       const u64 key = *hand_;
-      if (!pinned_(key) && !probe_(key)) return key;
+      if (!owner_.pinned(key) && !owner_.test_and_clear_accessed(key)) return key;
       if (++hand_ == ring_.end()) hand_ = ring_.begin();
     }
     it = hand_;
     for (u64 step = 0; step < ring_.size(); ++step) {
       const u64 key = *it;
-      if (!pinned_(key)) return key;
+      if (!owner_.pinned(key)) return key;
       if (++it == ring_.end()) it = ring_.begin();
     }
     return std::nullopt;
@@ -214,51 +210,40 @@ class ListClock {
   u64 size() const { return ring_.size(); }
 
  private:
-  std::function<bool(u64)> probe_, pinned_, speculative_;
+  KeyOwner& owner_;
   std::list<u64> ring_;
   std::list<u64>::iterator hand_ = ring_.end();
   std::unordered_map<u64, std::list<u64>::iterator> pos_;
 };
 
-/// Page state one policy sees: accessed bits its probe test-and-clears and
-/// speculative flags a referenced probe retires (the pager's funnel). In
-/// `observe` mode every probe answers false and changes nothing, so
-/// pick_victim returns the hand itself.
-struct ClockWorld {
-  std::set<u64> accessed;
-  std::set<u64> speculative;
-  const std::set<u64>* pinned = nullptr;
-  bool observe = false;
-
-  bool probe(u64 key) {
-    if (observe || accessed.erase(key) == 0) return false;
-    speculative.erase(key);
-    return true;
-  }
-  bool is_pinned(u64 key) const { return !observe && pinned->count(key) != 0; }
-  bool is_speculative(u64 key) const { return !observe && speculative.count(key) != 0; }
-};
-
 /// ~10k seeded insert/remove/pick/touch/pin/speculate operations over keys
 /// `first + [0, span)`, checking every nomination and, after every
-/// operation, the hand position against the list-based reference.
+/// operation, the hand position against the list-based reference. Each
+/// side owns one page table mapping every key, so accessed bits are PTE
+/// bits that the side's own probes test-and-clear.
 void expect_clock_matches_list_ring(u64 first, u64 span, u64 seed) {
-  std::set<u64> pinned;
-  ClockWorld mine, ref;
-  mine.pinned = ref.pinned = &pinned;
-  auto policy = make_policy(PolicyKind::kClock,
-                            AccessedProbe([&mine](u64 key) { return mine.probe(key); }));
-  policy->set_pinned_probe([&mine](u64 key) { return mine.is_pinned(key); });
-  policy->set_speculative_probe([&mine](u64 key) { return mine.is_speculative(key); },
-                                [&mine] { return !mine.observe && !mine.speculative.empty(); });
-  ListClock list([&ref](u64 key) { return ref.probe(key); },
-                 [&ref](u64 key) { return ref.is_pinned(key); },
-                 [&ref](u64 key) { return ref.is_speculative(key); });
+  MemorySystem ms;
+  mem::PageTable mine_pt(ms.pm, ms.frames, {});
+  mem::PageTable ref_pt(ms.pm, ms.frames, {});
+  for (u64 key = first; key < first + span; ++key) {
+    mine_pt.map(key << 12, /*frame=*/0, true);  // the frame is never read
+    ref_pt.map(key << 12, /*frame=*/0, true);
+  }
+  test::KeyOwner mine(mine_pt), ref(ref_pt);
+  auto policy = make_policy(PolicyKind::kClock, mine);
+  ListClock list(ref);
 
   Rng rng(seed);
   std::vector<u64> held;  // keys in the ring, in insertion order
   std::set<u64> held_set;
   auto random_key = [&] { return first + rng.below(span); };
+  // Forgets a removed key's accessed bit and speculative state on both sides.
+  auto forget = [&](u64 key) {
+    for (test::KeyOwner* side : {&mine, &ref}) {
+      side->pt.test_and_clear_accessed(key << 12);
+      side->landings.erase(key);
+    }
+  };
   u64 nominations = 0;
   for (int op = 0; op < 10000; ++op) {
     const u64 r = rng.below(100);
@@ -278,23 +263,21 @@ void expect_clock_matches_list_ring(u64 first, u64 span, u64 seed) {
         key = held[i];
       }
       if (held_set.erase(key) != 0) held.erase(std::find(held.begin(), held.end(), key));
-      mine.accessed.erase(key);
-      ref.accessed.erase(key);
-      mine.speculative.erase(key);
-      ref.speculative.erase(key);
+      forget(key);
       policy->on_remove(key);
       list.on_remove(key);
     } else if (r < 70) {
       const u64 key = held[rng.below(held.size())];
-      mine.accessed.insert(key);
-      ref.accessed.insert(key);
+      mine_pt.set_accessed_dirty(key << 12, false);
+      ref_pt.set_accessed_dirty(key << 12, false);
     } else if (r < 78) {
       const u64 key = held[rng.below(held.size())];
-      if (pinned.erase(key) == 0) pinned.insert(key);
+      for (test::KeyOwner* side : {&mine, &ref})
+        if (side->pins.erase(key) == 0) side->pins.insert(key);
     } else if (r < 83) {
       const u64 key = held[rng.below(held.size())];
-      mine.speculative.insert(key);
-      ref.speculative.insert(key);
+      mine.landings.insert(key);
+      ref.landings.insert(key);
     } else {
       const auto got = policy->pick_victim();
       ASSERT_EQ(got, list.pick_victim()) << "op " << op;
@@ -303,18 +286,15 @@ void expect_clock_matches_list_ring(u64 first, u64 span, u64 seed) {
       if (got && rng.below(3) != 0) {
         held_set.erase(*got);
         held.erase(std::find(held.begin(), held.end(), *got));
-        mine.accessed.erase(*got);
-        ref.accessed.erase(*got);
-        mine.speculative.erase(*got);
-        ref.speculative.erase(*got);
+        forget(*got);
         policy->on_remove(*got);
         list.on_remove(*got);
       }
     }
     ASSERT_EQ(policy->tracked_pages(), list.size()) << "op " << op;
-    mine.observe = ref.observe = true;
+    mine.frozen = ref.frozen = true;
     ASSERT_EQ(policy->pick_victim(), list.pick_victim()) << "hand after op " << op;
-    mine.observe = ref.observe = false;
+    mine.frozen = ref.frozen = false;
   }
   EXPECT_GT(nominations, 1000u);
 }
@@ -445,6 +425,37 @@ TEST_F(PagerFixture, FrameExhaustionTriggersReclaimInsteadOfThrowing) {
   for (u64 i = 0; i < 8; ++i) EXPECT_EQ(as.read_u64(base + i * 4096), i + 1);
 }
 
+TEST_F(PagerFixture, ReclaimCountsFramesFreedNotSharersUnmapped) {
+  // Regression: evicting one sharer of a forked frame unmaps a page but
+  // frees nothing. Reclaim used to count it anyway, so when the first
+  // victims CLOCK nominated were all shared, map_page threw "nothing
+  // reclaimable" while a private page was still evictable.
+  mem::FrameAllocator tiny(1 * MiB, 16, 4096);
+  mem::AddressSpace parent(ms.pm, tiny, mem::PageTableConfig{});
+  rt::Process proc(ms.sim, parent, "tiny");
+  PagerConfig cfg;
+  cfg.frame_budget = 1000;  // the fault path never evicts
+  Pager p(ms.sim, proc, cfg, "tiny_pager");
+
+  // Three pages shared with a forked child, then one private page: CLOCK's
+  // ring holds the shared ones first.
+  const VirtAddr base = parent.alloc(5 * 4096, 4096);
+  for (u64 i = 0; i < 3; ++i) parent.write_u64(base + i * 4096, i + 1);
+  mem::AddressSpace child(ms.pm, tiny, mem::PageTableConfig{});
+  ASSERT_EQ(child.fork_from(parent), 3u);
+  parent.write_u64(base + 3 * 4096, 4);
+  while (tiny.alloc()) continue;  // exhaust the allocator
+
+  // map_page asks for one frame per page-table level; only the private
+  // page can free one, and reclaim must reach it past the shared victims.
+  EXPECT_NO_THROW(parent.write_u64(base + 4 * 4096, 5));
+  EXPECT_EQ(parent.read_u64(base + 4 * 4096), 5u);
+  EXPECT_EQ(ms.sim.stats().counter_value("tiny_pager.reclaims"), 4u);
+  EXPECT_FALSE(parent.is_mapped(base + 3 * 4096));
+  EXPECT_EQ(child.resident_pages(), 3u);
+  for (u64 i = 0; i < 3; ++i) EXPECT_EQ(child.read_u64(base + i * 4096), i + 1);
+}
+
 TEST_F(PagerFixture, ConcurrentFaultsDuringWritebackCoalesceToOneSwapIn) {
   // Regression for the double swap-in race: fault 1 on a swapped-out page
   // suspends inside ensure_frame_available on an async dirty writeback;
@@ -480,7 +491,7 @@ TEST_F(PagerFixture, ConcurrentFaultsDuringWritebackCoalesceToOneSwapIn) {
   EXPECT_EQ(pager->writebacks(), 1u);
 }
 
-TEST_F(PagerFixture, SpeculativeProbeOfAnUnseenVpnIsFalse) {
+TEST_F(PagerFixture, SpeculativeFlagOfAnUnseenVpnIsFalse) {
   make(/*budget=*/2);
   EXPECT_FALSE(pager->any_speculative());
   EXPECT_FALSE(pager->is_speculative(0));

@@ -292,8 +292,10 @@ TEST(SwapScheduler, FreedRegionsAreReusedLowestFirst) {
 TEST(ReplacementSpeculative, WrongPathPrefetchesAreReclaimedFirst) {
   for (const auto kind :
        {PolicyKind::kClock, PolicyKind::kLruApprox, PolicyKind::kFifo, PolicyKind::kRandom}) {
-    auto policy = make_policy(kind, AccessedProbe([](u64) { return false; }), /*seed=*/3);
-    policy->set_speculative_probe([](u64 key) { return key == 2; });
+    test::MemorySystem ms;
+    test::KeyOwner owner(ms.as.page_table());  // nothing mapped: nothing referenced
+    owner.landings = {2};
+    auto policy = make_policy(kind, owner, /*seed=*/3);
     policy->on_insert(1);
     policy->on_insert(2);
     policy->on_insert(3);
@@ -301,7 +303,7 @@ TEST(ReplacementSpeculative, WrongPathPrefetchesAreReclaimedFirst) {
     ASSERT_TRUE(victim.has_value()) << policy->name();
     EXPECT_EQ(*victim, 2u) << policy->name();
     // Pinned speculative pages stay untouchable even as preferred victims.
-    policy->set_pinned_probe([](u64 key) { return key == 2; });
+    owner.pins = {2};
     const auto second = policy->pick_victim();
     ASSERT_TRUE(second.has_value()) << policy->name();
     EXPECT_NE(*second, 2u) << policy->name();

@@ -1,10 +1,14 @@
-// Shared test fixtures: a small but complete memory system.
+// Shared test fixtures: a small but complete memory system, and a key owner
+// for replacement-policy unit tests.
 #pragma once
+
+#include <set>
 
 #include "mem/address_space.hpp"
 #include "mem/bus.hpp"
 #include "mem/dram.hpp"
 #include "mem/frames.hpp"
+#include "mem/paging/replacement.hpp"
 #include "mem/physmem.hpp"
 #include "mem/walker.hpp"
 #include "sim/simulator.hpp"
@@ -44,6 +48,30 @@ struct MemorySystem {
     frames = mem::FrameAllocator(0, kMemBytes / page, page);
     return frames;
   }
+};
+
+/// Key owner for replacement-policy unit tests. Keys are vpns of `pt`, and
+/// the policy test-and-clears their PTE accessed bits (an unmapped key
+/// reads as unreferenced); `pins` and `landings` hold the pinned and the
+/// speculative keys. As in the pager, a referenced landing stops being
+/// speculative. While `frozen` holds, every answer is false and nothing
+/// changes, so CLOCK nominates its hand.
+struct KeyOwner final : paging::KeyOwner {
+  explicit KeyOwner(const mem::PageTable& table) : pt(table) {}
+
+  bool test_and_clear_accessed(u64 key) override {
+    if (frozen || !pt.test_and_clear_accessed(key << pt.config().page_bits)) return false;
+    landings.erase(key);
+    return true;
+  }
+  bool pinned(u64 key) const override { return !frozen && pins.contains(key); }
+  bool speculative(u64 key) const override { return !frozen && landings.contains(key); }
+  bool any_speculative() const override { return !frozen && !landings.empty(); }
+
+  const mem::PageTable& pt;
+  std::set<u64> pins;
+  std::set<u64> landings;
+  bool frozen = false;
 };
 
 }  // namespace vmsls::test
