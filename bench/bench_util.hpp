@@ -110,24 +110,20 @@ struct RunResult {
   }
 };
 
-/// Accumulates engine-throughput measurements and writes BENCH_engine.json:
-/// one record per measured section with simulated cycles/events, host
-/// milliseconds, and derived events-per-second — the perf-trajectory data
-/// the ROADMAP's "as fast as the hardware allows" goal is tracked against.
+/// Accumulates a bench's measured sections and writes them as JSON: one
+/// record per section with its simulated cycles, events and pager faults,
+/// plus extra simulated metrics. Host time goes to stderr, never into the
+/// file, so a --smoke artifact is byte-identical on every host and its
+/// smoke test diffs it against a committed copy.
 class EngineBenchReport {
  public:
-  void add(const std::string& name, Cycles cycles, u64 events, double host_ms) {
-    entries_.push_back(Entry{name, cycles, events, host_ms});
+  void add(const std::string& name, Cycles cycles, u64 events, u64 faults, double host_ms) {
+    entries_.push_back(Entry{name, cycles, events, faults, {}});
+    std::cerr << "[host] " << name << " " << host_ms << " ms\n";
   }
 
-  void add(const std::string& name, const RunResult& r) {
-    add(name, r.cycles, r.events, r.host_ms);
-  }
-
-  /// Attaches an extra numeric metric to an already-added section (e.g.
-  /// fig14's dedup_ratio / cow_fault_cycles). Extra metrics land in the JSON
-  /// next to events_per_sec; once present in the committed baseline,
-  /// check_bench.py gates them too.
+  /// Attaches an extra simulated metric to an already-added section (e.g.
+  /// fig14's dedup_ratio / cow_fault_cycles).
   void add_metric(const std::string& section, const std::string& key, double value) {
     for (auto& e : entries_) {
       if (e.name == section) {
@@ -138,33 +134,36 @@ class EngineBenchReport {
     throw std::runtime_error("EngineBenchReport: no section '" + section + "' to attach " + key);
   }
 
+  /// Pager faults over every section.
+  u64 faults() const {
+    u64 n = 0;
+    for (const Entry& e : entries_) n += e.faults;
+    return n;
+  }
+
   /// Writes the accumulated entries as a JSON array. Schema per entry:
-  ///   {"name", "cycles", "events", "host_ms", "events_per_sec", extras...}
+  ///   {"name", "cycles", "events", "faults", extras...}
   /// "cycles" is 0 for host-only sections with no simulated-time span.
-  void write_json(const std::string& path = "BENCH_engine.json") const {
+  void write_json(const std::string& path) const {
     std::ofstream out(path);
     if (!out) throw std::runtime_error("cannot write " + path);
     out << "[\n";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
-      const double eps = e.host_ms > 0 ? static_cast<double>(e.events) / (e.host_ms / 1000.0) : 0;
       out << "  {\"name\": \"" << e.name << "\", \"cycles\": " << e.cycles
-          << ", \"events\": " << e.events << ", \"host_ms\": " << e.host_ms
-          << ", \"events_per_sec\": " << eps;
+          << ", \"events\": " << e.events << ", \"faults\": " << e.faults;
       for (const auto& [key, value] : e.extra) out << ", \"" << key << "\": " << value;
       out << "}" << (i + 1 < entries_.size() ? "," : "") << "\n";
     }
     out << "]\n";
   }
 
-  bool empty() const { return entries_.empty(); }
-
  private:
   struct Entry {
     std::string name;
     Cycles cycles = 0;
     u64 events = 0;
-    double host_ms = 0;
+    u64 faults = 0;
     std::vector<std::pair<std::string, double>> extra;
   };
   std::vector<Entry> entries_;

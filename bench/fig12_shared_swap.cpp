@@ -42,7 +42,10 @@
 // span balances and every fault span decomposes exactly into its evict +
 // queue + io sub-spans with the per-pager maximum matching the fault_stall
 // histogram, and (c) the telemetry time-series covers the whole run at the
-// configured cadence.
+// configured cadence. Its BENCH_fig12_swap.json holds the worked example's
+// cycles, events and faults (smoke_fig12_shared_swap diffs it against
+// bench/golden/smoke/fig12_shared_swap.json), and it prints
+// "mallocs= faults=" on stderr and fails past kSmokeMallocsPerFault.
 // --trace/--telemetry name the artifact files and need --smoke.
 
 #include <iostream>
@@ -51,6 +54,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "alloc_counter.hpp"
 #include "bench_util.hpp"
 #include "mem/paging/frame_pool.hpp"
 #include "mem/paging/ledger.hpp"
@@ -299,6 +303,14 @@ void determinism_gate() {
 
 // --- --smoke: traced worked example with hard validation gates -------------
 
+/// Bound on the smoke's operator-new calls per fault in its artifact. The
+/// count covers the whole process: the determinism gate and both the
+/// untraced and the traced run, while the artifact holds one run's faults,
+/// so one more allocation per fault raises the ratio by more than 2. Set
+/// from 78367 / 2942 = 26.6 (GCC 12 libstdc++) with 5% headroom for other
+/// C++ runtimes.
+constexpr double kSmokeMallocsPerFault = 28.0;
+
 struct MemorySink final : sim::TraceSink {
   std::vector<sim::TraceEvent> events;  // names are literals; safe to retain
   void on_event(const sim::TraceContext&, const sim::TraceEvent& ev) override {
@@ -437,6 +449,12 @@ void run_smoke(const bench::Cli& cli) {
     std::cout << "[smoke] wrote " << cli.trace << " (" << captured.events.size()
               << " trace events)\n";
   if (!cli.telemetry.empty()) std::cout << "[smoke] wrote " << cli.telemetry << "\n";
+
+  bench::EngineBenchReport engine;
+  engine.add("fig12/4p_shared-priority_ra4", control.cycles, control.events, control.faults,
+             control.host_ms);
+  engine.write_json("BENCH_fig12_swap.json");
+  alloc_counter::require_per_fault(engine.faults(), kSmokeMallocsPerFault);
 }
 
 void run_grid(const bench::Cli& cli) {
@@ -502,7 +520,7 @@ void run_grid(const bench::Cli& cli) {
                          Table::num(static_cast<double>(r.cycles) /
                                         static_cast<double>(private_cycles),
                                     2)});
-        engine.add(grid[gi].label, r.cycles, r.events, r.host_ms);
+        engine.add(grid[gi].label, r.cycles, r.events, r.faults, r.host_ms);
         ++gi;
       }
     }
@@ -538,7 +556,7 @@ void run_grid(const bench::Cli& cli) {
                        Table::num(r.prefetch_useful), Table::num(r.prefetch_late),
                        Table::num(r.prefetch_wasted), Table::num(r.accuracy(), 2),
                        Table::num(r.coverage(), 2), Table::num(recovered, 2)});
-      engine.add(grid[gi].label, r.cycles, r.events, r.host_ms);
+      engine.add(grid[gi].label, r.cycles, r.events, r.faults, r.host_ms);
       if (mode == DeviceMode::kSharedPriority && ra == 4 && r.prefetches == 0)
         throw std::runtime_error("fig12: readahead issued no prefetches at depth 4");
       ++gi;

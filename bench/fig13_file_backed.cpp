@@ -31,7 +31,8 @@
 // write_pager_summary dumps).
 //
 // --smoke mode (CI's Release run): the 100% and 50% residency pairs plus
-// every gate above including bit-identity; writes the same artifacts.
+// every gate above including bit-identity; writes the same artifacts, and
+// its BENCH JSON must match bench/golden/smoke/fig13_file_backed.json.
 
 #include <iostream>
 #include <map>
@@ -243,7 +244,7 @@ void add_rows(Table& table, bench::EngineBenchReport& engine, unsigned pct, cons
                    Table::num(static_cast<double>(c.anon.cycles) /
                                   static_cast<double>(r->cycles),
                               2)});
-    engine.add(label, r->cycles, r->events, r->host_ms);
+    engine.add(label, r->cycles, r->events, r->faults, r->host_ms);
   }
 }
 

@@ -46,8 +46,9 @@
 // unmap) carries the eviction-ledger gate.
 //
 // Artifacts: BENCH_fig14_sharing.json (engine-report schema plus
-// dedup_ratio / share_fault_cycles / cow_fault_cycles metrics — gated by
-// tools/check_bench.py once baselined) and fig14_sharing_summary.txt.
+// dedup_ratio / share_fault_cycles / cow_fault_cycles metrics; the --smoke
+// run's must match bench/golden/smoke/fig14_page_sharing.json exactly) and
+// fig14_sharing_summary.txt.
 //
 // --smoke mode (CI's Release run): drops the 1024-worker cell, keeps every
 // gate including bit-identity and the sharded rerun.
@@ -400,7 +401,8 @@ void run_grid(const bench::Cli& cli) {
                    Table::num(r.dedup, 3), Table::num(r.share_faults),
                    Table::num(r.share_fault_cycles(), 1), Table::num(r.cow_faults),
                    Table::num(r.cow_fault_cycles(), 1), Table::num(r.evictions)});
-    engine.add(label, r.share_cycles + r.cow_cycles, r.share_events + r.cow_events, r.host_ms);
+    engine.add(label, r.share_cycles + r.cow_cycles, r.share_events + r.cow_events,
+               r.share_faults + r.cow_faults, r.host_ms);
     engine.add_metric(label, "dedup_ratio", r.dedup);
     engine.add_metric(label, "share_fault_cycles", r.share_fault_cycles());
     engine.add_metric(label, "cow_fault_cycles", r.cow_fault_cycles());

@@ -30,11 +30,13 @@
 //     regime fig12 established, restated in open-loop terms).
 //
 // Artifacts: BENCH_fig15_serving.json (engine-report schema plus
-// p99_latency_cycles / qps_mcycle metrics — gated by tools/check_bench.py
-// once baselined) and fig15_serving_summary.txt.
+// p99_latency_cycles / qps_mcycle metrics; the --smoke run's must match
+// bench/golden/smoke/fig15_serving.json exactly) and
+// fig15_serving_summary.txt.
 //
 // --smoke mode (CI's Release run): fewer requests per point and a single
-// rerun cell, every gate kept.
+// rerun cell, every gate kept; it also prints "mallocs= faults=" on stderr
+// and fails past kSmokeMallocsPerFault.
 
 #include <iostream>
 #include <map>
@@ -42,7 +44,9 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "bench_util.hpp"
+#include "mem/paging/ledger.hpp"
 #include "mem/paging/swap_scheduler.hpp"
 #include "sls/process_group.hpp"
 #include "sls/report_writer.hpp"
@@ -63,6 +67,7 @@ struct PointOptions {
 struct PointResult {
   sls::TrafficDriver::Report rep;
   u64 events = 0;
+  u64 faults = 0;  // the workers' pager faults: every read and COW bucket
   double host_ms = 0;
   std::map<std::string, double> snapshot;  // full registry, for bit-identity
   std::string serving_summary;
@@ -136,6 +141,9 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   r.rep = driver.run();
   r.events = sim.events_executed() - events_before;
   r.host_ms = timer.ms();
+  for (const paging::Ledger& l : paging::MachineLedger::of(group.pagers()).pagers)
+    r.faults += l.swap_ins + l.file_reads + l.zero_fills + l.share_hits + l.inherited_fills +
+                l.cow_copies + l.cow_upgrades;
 
   std::ostringstream serving, swap;
   sls::write_serving_summary(serving, sim.stats());
@@ -161,6 +169,13 @@ void determinism_gate(const PointOptions& opt) {
             << "c p99=" << a.rep.latency_p(0.99) << "c stats=" << a.snapshot.size()
             << " entries (bit-identical)\n";
 }
+
+/// Bound on the smoke's operator-new calls per fault in its artifact. The
+/// count covers the whole process, the rerun and sharded gates included,
+/// while the artifact holds the sweep's faults, so one more allocation per
+/// fault raises the ratio by more than 1. Set from 174366 / 67343 = 2.59
+/// (GCC 12 libstdc++) with 6% headroom for other C++ runtimes.
+constexpr double kSmokeMallocsPerFault = 2.75;
 
 void run_grid(const bench::Cli& cli) {
   // Rate grid, slowest first (gaps descending = rate ascending). The knee
@@ -225,7 +240,7 @@ void run_grid(const bench::Cli& cli) {
                      Table::num(pt.p99), Table::num(sls::TrafficDriver::Report::percentile(
                                              r.rep.queue_wait, 0.99)),
                      Table::num(pt.rejected), pt.violated ? "VIOLATED" : "ok"});
-      engine.add(label, r.rep.span, r.events, r.host_ms);
+      engine.add(label, r.rep.span, r.events, r.faults, r.host_ms);
       engine.add_metric(label, "p99_latency_cycles", static_cast<double>(pt.p99));
       engine.add_metric(label, "qps_mcycle", pt.qps_mcycle);
       if (!pt.violated) {
@@ -268,6 +283,7 @@ void run_grid(const bench::Cli& cli) {
           << knee.serving_summary << knee.swap_summary;
   bench::write_artifacts(engine, "fig15_serving", headline.str(), &table, "Figure 15",
                          knees.str());
+  if (cli.smoke) alloc_counter::require_per_fault(engine.faults(), kSmokeMallocsPerFault);
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 // TLB lookups, IR execution rate, and end-to-end fig-style workload runs —
 // to keep the experiment harness fast enough for wide DSE sweeps.
 //
-// Emits BENCH_engine.json (see bench::EngineBenchReport for the schema) so
-// CI can archive the perf trajectory run over run.
+// Prints host rates as a table on stdout and writes BENCH_engine.json (see
+// bench::EngineBenchReport for the schema). Informational: host rates
+// depend on the host, so no test or CI job gates them.
 
 #include <algorithm>
 #include <iostream>
@@ -118,9 +119,8 @@ Rate bench_event_far(u64 n) {
 /// The tracing-overhead pair: the event-queue loop bare (control) and
 /// with the VMSLS_TRACE_* sites a traced component carries per event. With
 /// no sink attached each site must cost one well-predicted branch; main()
-/// gates the second rate against the first at 20% (an in-process,
-/// machine-independent check — check_bench.py tracks the absolute rates on
-/// top).
+/// gates the second rate against the first at 20% (an in-process ratio,
+/// not an absolute rate).
 std::pair<Rate, Rate> bench_event_trace_pair(u64 n) {
   Cycles ctl_covered = 0, off_covered = 0;
   auto control = [n, &ctl_covered] {
@@ -239,7 +239,7 @@ void run(const bench::Cli&) {
   auto row = [&](const std::string& name, const Rate& r) {
     table.add_row({name, Table::num(r.items_per_sec, 0), Table::num(r.host_ms, 1),
                    Table::num(r.items)});
-    report.add(name, r.cycles, r.items, r.host_ms);
+    report.add(name, r.cycles, r.items, 0, r.host_ms);
   };
 
   row("event_queue_1k", bench_event_queue(1024));
@@ -267,7 +267,7 @@ void run(const bench::Cli&) {
                                                          : 0,
                                            0),
                    Table::num(r.host_ms, 1), Table::num(r.events)});
-    report.add("fig_" + wl, r.cycles, r.events, r.host_ms);
+    report.add("fig_" + wl, r.cycles, r.events, 0, r.host_ms);
   }
 
   // Parallel DSE scaling (identical results by construction; the
@@ -294,7 +294,7 @@ void run(const bench::Cli&) {
       const std::string name = "dse_tlb_" + std::to_string(threads) + "t";
       table.add_row({name, Table::num(static_cast<double>(candidates.size()) / (ms / 1000.0), 2),
                      Table::num(ms, 1), Table::num(static_cast<u64>(result.candidates.size()))});
-      report.add(name, 0, result.candidates.size(), ms);
+      report.add(name, 0, result.candidates.size(), 0, ms);
     }
   }
 

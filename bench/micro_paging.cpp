@@ -3,14 +3,14 @@
 // Not paper data: these measure how fast the host retires the pager's hot
 // loops — demand faults with clean evictions, dirty evictions paying the
 // writeback path, the swap scheduler's enqueue/dispatch/slot-allocator
-// cycle, and clustered readahead — so fault-path regressions gate in CI
-// next to the raw engine-throughput numbers (ROADMAP item 5's ask). The
-// sections drive the Pager/SwapScheduler directly (no MMU or walker in the
-// loop): items/s is faults (or swap ops) retired per host second, the
-// number that bounds every over-subscription sweep in bench/.
+// cycle, and clustered readahead — next to bench_micro_core's engine
+// numbers. The sections drive the Pager/SwapScheduler directly (no MMU or
+// walker in the loop): items/s is faults (or swap ops) retired per host
+// second, the number that bounds every over-subscription sweep in bench/.
 //
-// Emits BENCH_paging.json (same schema as BENCH_engine.json); CI feeds both
-// files to tools/check_bench.py.
+// Writes BENCH_paging.json (same schema as BENCH_engine.json). Its swap-in
+// and prefetch count checks gate under ctest (smoke_micro_paging); its
+// host rates are informational.
 
 #include <algorithm>
 #include <iostream>
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
     auto row = [&](const std::string& name, const Rate& r) {
       table.add_row({name, Table::num(r.items_per_sec, 0), Table::num(r.host_ms, 1),
                      Table::num(r.items)});
-      report.add(name, r.cycles, r.items, r.host_ms);
+      report.add(name, r.cycles, r.items, 0, r.host_ms);
     };
 
     row("paging_fault_clean_2k", bench_fault_clean(2048, 1024, 2));

@@ -1,20 +1,22 @@
 // Exact allocation gate for the hardware-thread memory path.
 //
-// This binary replaces the global operator new/delete with a counting pair,
-// then asserts that once the pools have warmed up, a hardware thread's
-// memory traffic — port, MMU/TLB, shared walker, fault retry, bus and the
-// engine driving them — performs zero heap allocations, and so do software
-// accesses to resident pages, an address space's evict -> map cycle, a
-// copy-based offload transfer in either copy mode, and the pager's
-// fault -> evict -> dirty writeback -> swap-in cycle in either budget mode
-// and with swap-in readahead.
+// This binary links the counting global operator new/delete of
+// alloc_counter.cpp, then asserts that once the pools have warmed up, a
+// hardware thread's memory traffic — port, MMU/TLB, shared walker, fault
+// retry, bus and the engine driving them — performs zero heap allocations,
+// and so do software accesses to resident pages, an address space's
+// evict -> map cycle, a copy-based offload transfer in either copy mode,
+// and the pager's fault -> evict -> dirty writeback -> swap-in cycle in
+// either budget mode and with swap-in readahead.
 // The count is a deterministic work count, so the gate is exact and
 // host-independent.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
+#include <atomic>
+#include <thread>
+#include <vector>
 
+#include "alloc_counter.hpp"
 #include "dma/dma_engine.hpp"
 #include "dma/offload.hpp"
 #include "hwt/builder.hpp"
@@ -26,23 +28,6 @@
 #include "rt/process.hpp"
 #include "test_util.hpp"
 
-namespace {
-unsigned long long g_allocs = 0;
-
-void* counted_alloc(std::size_t n) {
-  ++g_allocs;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace vmsls::hwt {
 namespace {
 
@@ -51,9 +36,9 @@ using test::MemorySystem;
 /// Heap allocations `fn` performs.
 template <typename Fn>
 unsigned long long allocs_during(Fn&& fn) {
-  const unsigned long long before = g_allocs;
+  const unsigned long long before = alloc_counter::count();
   fn();
-  return g_allocs - before;
+  return alloc_counter::count() - before;
 }
 
 constexpr unsigned kPages = 64;
@@ -434,3 +419,37 @@ TEST_F(PagingCycleFixture, ReadaheadCycleDoesNotAllocate) {
 
 }  // namespace
 }  // namespace vmsls::paging
+
+namespace vmsls {
+namespace {
+
+// The sharded smokes allocate on several host threads at once, so the
+// counter must not lose a concurrent increment. The threads start before
+// the first read and stay alive past the second, so thread setup and
+// teardown stay outside the window and the sum is exact.
+TEST(AllocCounter, AllocationsFromSeveralThreadsSumExactly) {
+  constexpr unsigned kThreads = 4;
+  constexpr unsigned kPerThread = 20'000;
+  std::atomic<bool> go{false};
+  std::atomic<unsigned> finished{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      // Direct operator calls: a new-expression pair may be elided.
+      for (unsigned i = 0; i < kPerThread; ++i) ::operator delete(::operator new(16));
+      ++finished;
+      while (!release.load()) std::this_thread::yield();
+    });
+  const unsigned long long before = alloc_counter::count();
+  go = true;
+  while (finished.load() < kThreads) std::this_thread::yield();
+  const unsigned long long after = alloc_counter::count();
+  release = true;
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(after - before, static_cast<unsigned long long>(kThreads) * kPerThread);
+}
+
+}  // namespace
+}  // namespace vmsls

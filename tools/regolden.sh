@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Regenerates bench/golden/<name>.txt, the committed stdout that the
-# `paper` ctest label compares each paper binary against. Run it only for a
-# change that is meant to move a figure, and say in the change log why.
+# Regenerates every golden the `paper` and `smoke` ctest labels compare
+# against: bench/golden/<name>.txt, the committed stdout of a full run of
+# bench_<name>, and bench/golden/smoke/<name>.json, the BENCH JSON of
+# `bench_<name> --smoke` (simulated cycles, events, faults and extras). Run
+# it only for a change that is meant to move a figure or a smoke's work
+# counts, and say in the change log why.
 #
 #   tools/regolden.sh            # uses build/, builds the binaries first
 #   BUILD=build-rel JOBS=2 tools/regolden.sh
@@ -11,13 +14,23 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build="${root}/${BUILD:-build}"
 golden="${root}/bench/golden"
 jobs="${JOBS:-$(nproc)}"
+scratch="$(mktemp -d)"
+trap 'rm -rf "${scratch}"' EXIT
 
 cmake -B "${build}" -S "${root}" >/dev/null
-mkdir -p "${golden}"
 for f in "${golden}"/*.txt; do
   name="$(basename "${f}" .txt)"
   cmake --build "${build}" -j "${jobs}" --target "bench_${name}" >/dev/null
-  "${build}/bench_${name}" >"${f}"
+  (cd "${scratch}" && "${build}/bench_${name}") >"${f}"
   echo "regolden: ${name}"
+done
+# Each smoke writes exactly one BENCH_*.json into its (fresh) directory.
+for f in "${golden}"/smoke/*.json; do
+  name="$(basename "${f}" .json)"
+  cmake --build "${build}" -j "${jobs}" --target "bench_${name}" >/dev/null
+  rm -f "${scratch}"/BENCH_*.json
+  (cd "${scratch}" && "${build}/bench_${name}" --smoke >/dev/null)
+  cp "${scratch}"/BENCH_*.json "${f}"
+  echo "regolden: ${name} --smoke"
 done
 git -C "${root}" diff --stat -- bench/golden
