@@ -57,6 +57,7 @@ struct Rate {
   double items_per_sec = 0;
   double host_ms = 0;   // of the final (reported) repetition batch
   u64 items = 0;        // per repetition
+  u64 reps = 0;         // repetitions in the reported batch
   u64 cycles = 0;       // simulated cycles per repetition; 0 = host-only section
 };
 
@@ -67,7 +68,8 @@ Rate batch(u64 items, u64 reps, F& body) {
   for (u64 r = 0; r < reps; ++r) body();
   const double ms = t.ms();
   Rate rate;
-  rate.items = items * reps;
+  rate.items = items;
+  rate.reps = reps;
   rate.host_ms = ms;
   rate.items_per_sec = static_cast<double>(items * reps) / (ms / 1000.0);
   return rate;

@@ -42,8 +42,8 @@ constexpr int kPairRounds = 16;  // alternating batch pairs in measure_pair
 /// batch.
 template <typename F, typename G>
 std::pair<Rate, Rate> measure_pair(u64 items, F&& a, G&& b) {
-  const u64 reps_a = std::max<u64>(1, measure(items, a).items / items / 4);
-  const u64 reps_b = std::max<u64>(1, measure(items, b).items / items / 4);
+  const u64 reps_a = std::max<u64>(1, measure(items, a).reps / 4);
+  const u64 reps_b = std::max<u64>(1, measure(items, b).reps / 4);
   std::pair<Rate, Rate> best;
   for (int i = 0; i < kPairRounds; ++i) {
     const Rate ra = batch(items, reps_a, a);
@@ -221,7 +221,7 @@ Rate bench_engine_alu() {
     instructions = engine.instructions_retired();
     covered = sim.now();
   });
-  r.items = instructions * r.items;  // measure() counted kernel runs
+  r.items = instructions;  // measure() counted one kernel run per repetition
   r.items_per_sec *= static_cast<double>(instructions);
   r.cycles = covered;
   return r;

@@ -225,14 +225,15 @@ void Engine::resume() {
         ++instret;
         sync();
         stat_mem_ops_.add();
-        const VirtAddr va = ua + static_cast<u64>(in.imm);
-        const u64 v = op == Op::kStore ? ub : 0;
-        const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
-        sim_.schedule_in(issue, [this, va, v] {
-          mem_word_ = v;
-          issue_mem(va, std::span<u8>(reinterpret_cast<u8*>(&mem_word_), kernel_.code[pc_].size));
-        });
-        return;
+        mem_word_ = op == Op::kStore ? ub : 0;
+        const Cycles at = sim_.now() + cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
+        if (!issue_at(at, ua + static_cast<u64>(in.imm),
+                      std::span<u8>(reinterpret_cast<u8*>(&mem_word_), in.size)))
+          return;
+        pc = pc_;  // completed in place: carry on as the resumed engine would
+        local = 0;
+        batch_left = cfg_.batch_limit;
+        continue;
       }
 
       case Op::kBurstLoad:
@@ -249,11 +250,12 @@ void Engine::resume() {
         if (!spad_fits(spad_off, bytes))
           trap(pc, instret,
                load ? "burst load overflows scratchpad" : "burst store overruns scratchpad");
-        const Cycles issue = cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
-        sim_.schedule_in(issue, [this, va, bytes, spad_off] {
-          issue_mem(va, std::span<u8>(spad_.data() + spad_off, bytes));
-        });
-        return;
+        const Cycles at = sim_.now() + cfg_.clock.to_ref(effective(local) + cfg_.cost.mem_issue);
+        if (!issue_at(at, va, std::span<u8>(spad_.data() + spad_off, bytes))) return;
+        pc = pc_;
+        local = 0;
+        batch_left = cfg_.batch_limit;
+        continue;
       }
 
       case Op::kMboxGet:
@@ -311,6 +313,21 @@ void Engine::issue_os(i64 value) {
   }
 }
 
+// The trampoline behind a run-ahead issue: a completion that fires inside
+// issue_mem only records itself, and resume()'s loop carries on in place,
+// so host stack depth does not grow with the number of accesses.
+bool Engine::issue_at(Cycles at, VirtAddr va, std::span<u8> buf) {
+  if (!sim_.try_advance_to(at)) {
+    sim_.schedule_run_ahead(at, [this, va, buf] { issue_mem(va, buf); });
+    return false;
+  }
+  issuing_in_place_ = true;
+  completed_in_place_ = false;
+  issue_mem(va, buf);
+  issuing_in_place_ = false;
+  return completed_in_place_;
+}
+
 void Engine::finish_mem_op(Cycles issued_at) {
   const Instr& op = kernel_.code[pc_];
   if (op.op == Op::kLoad) regs_[op.rd] = static_cast<i64>(mem_word_);
@@ -318,7 +335,10 @@ void Engine::finish_mem_op(Cycles issued_at) {
   const Cycles waited = sim_.now() - issued_at;
   stall_cycles_ += waited;
   stat_mem_latency_.record(waited);
-  resume();
+  if (issuing_in_place_)
+    completed_in_place_ = true;
+  else
+    resume();
 }
 
 }  // namespace vmsls::hwt

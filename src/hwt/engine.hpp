@@ -15,6 +15,11 @@
 // stores copy a constant 1, 2, 4 or 8 bytes per case (the widths `verify`
 // admits); loads zero-extend.
 //
+// A memory op issues in place when the simulator grants the run-ahead step
+// to its issue cycle (sim/simulator.hpp); a port that then completes
+// inside the call hands control back to the loop, which carries on with a
+// fresh batch exactly as the resumed engine would.
+//
 // Cost model defaults describe a pipelined HLS datapath (II=1 ALU);
 // the CPU model overrides them (see cpu/cpu.hpp).
 #pragma once
@@ -94,6 +99,11 @@ class Engine {
   Cycles effective(Cycles local_cost) const noexcept;
   void yield_then_resume(Cycles local_cost);
   void issue_mem(VirtAddr va, std::span<u8> buf);
+  /// Issues the memory op at pc_ at cycle `at` from inside resume()'s
+  /// loop: in place when the simulator grants the run-ahead step, else as
+  /// a run-ahead fallback event. True when the port also completed inside
+  /// the call (finish_mem_op then leaves the resume to the loop).
+  bool issue_at(Cycles at, VirtAddr va, std::span<u8> buf);
   void finish_mem_op(Cycles issued_at);
   void issue_os(i64 value);
   /// Writes `resume`'s loop state back, then throws naming the pc.
@@ -116,6 +126,8 @@ class Engine {
   std::array<MemPort*, 4> mem_ports_{};
   OsPort* os_port_ = nullptr;
   u64 mem_word_ = 0;  // the caller-owned buffer of an in-flight load/store
+  bool issuing_in_place_ = false;
+  bool completed_in_place_ = false;
 
   u64 pc_ = 0;
   bool started_ = false;

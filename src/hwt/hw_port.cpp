@@ -45,26 +45,32 @@ void HwMemPort::start(VirtAddr va, u8* rd, const u8* wr, u64 bytes, sim::Callbac
 }
 
 void HwMemPort::step(Xfer* x) {
-  if (x->pos >= x->bytes) {
-    auto done = std::move(x->done);
-    xfers_.release(x);  // recycle before the continuation issues the next access
-    done();
-    return;
-  }
-  const u64 page = 1ull << mmu_.page_bits();
-  const VirtAddr va = x->va + x->pos;
-  const u64 to_page_end = page - (va & (page - 1));
-  x->chunk = static_cast<u32>(
-      std::min<u64>({to_page_end, x->bytes - x->pos, cfg_.max_burst_bytes}));
+  x->stepping = true;
+  while (x->pos < x->bytes) {
+    const u64 page = 1ull << mmu_.page_bits();
+    const VirtAddr va = x->va + x->pos;
+    const u64 to_page_end = page - (va & (page - 1));
+    x->chunk = static_cast<u32>(
+        std::min<u64>({to_page_end, x->bytes - x->pos, cfg_.max_burst_bytes}));
 
-  // The pin covers translation (including any fault service) through bus
-  // completion: the physical address captured below stays valid because no
-  // replacement policy will victimize a pinned page.
-  if (as_ != nullptr) as_->pin(va);
-  mmu_.translate(va, x->is_write, [this, x](PhysAddr pa) {
-    x->pa = pa;
-    bus_.request(mem::BusRequest{pa, x->chunk, x->is_write, [this, x] { on_chunk_done(x); }});
-  });
+    // The pin covers translation (including any fault service) through bus
+    // completion: the physical address captured below stays valid because
+    // no replacement policy will victimize a pinned page.
+    if (as_ != nullptr) as_->pin(va);
+    x->chunk_done = false;
+    mmu_.translate(va, x->is_write, [this, x](PhysAddr pa) {
+      x->pa = pa;
+      bus_.request(mem::BusRequest{pa, x->chunk, x->is_write, [this, x] { on_chunk_done(x); },
+                                   /*tail_call=*/true});
+    });
+    if (!x->chunk_done) {
+      x->stepping = false;  // on_chunk_done re-enters step() when it fires
+      return;
+    }
+  }
+  auto done = std::move(x->done);
+  xfers_.release(x);  // recycle before the continuation issues the next access
+  done();
 }
 
 void HwMemPort::on_chunk_done(Xfer* x) {
@@ -74,7 +80,10 @@ void HwMemPort::on_chunk_done(Xfer* x) {
     pm_.read(x->pa, std::span<u8>(x->rd + x->pos, x->chunk));
   if (as_ != nullptr) as_->unpin(x->va + x->pos);
   x->pos += x->chunk;
-  step(x);
+  if (x->stepping)
+    x->chunk_done = true;  // step()'s loop issues the next chunk
+  else
+    step(x);
 }
 
 }  // namespace vmsls::hwt

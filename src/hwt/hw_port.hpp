@@ -8,6 +8,13 @@
 // each chunk's completion time, straight into (or out of) the caller's
 // span; the transfer itself is a pooled record, so an access allocates
 // nothing once the pool has warmed up.
+//
+// Every completion on this path ends in a tail call (translate -> bus
+// request -> chunk done -> next chunk or the caller's `done`), so its bus
+// requests are marked tail_call and may run ahead (sim/simulator.hpp).
+// A chunk that completes inside translate() continues step()'s loop
+// instead of recursing, so host stack depth does not grow with a burst's
+// length.
 #pragma once
 
 #include <string>
@@ -53,6 +60,8 @@ class HwMemPort final : public MemPort {
     // The chunk in flight: translated address and length.
     PhysAddr pa = 0;
     u32 chunk = 0;
+    bool stepping = false;    // step()'s loop is on the stack
+    bool chunk_done = false;  // the chunk completed inside that loop
     sim::Callback<> done;
   };
   void start(VirtAddr va, u8* rd, const u8* wr, u64 bytes, sim::Callback<> done);

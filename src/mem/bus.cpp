@@ -24,14 +24,18 @@ void MemoryBus::request(BusRequest req) {
   requests_.add();
   (req.is_write ? write_requests_ : read_requests_).add();
   bytes_.add(req.bytes);
-  queue_.push_back(Pending{std::move(req), sim_.now()});
+  const Cycles now = sim_.now();
+  if (!pump_scheduled_ && queue_.empty() && channel_free_ <= now) {
+    grant(req, now);  // idle channel: the queue would hand it straight back
+    return;
+  }
+  queue_.push_back(Pending{std::move(req), now});
   pump();
 }
 
 void MemoryBus::pump() {
   if (pump_scheduled_ || queue_.empty()) return;
-  const Cycles now = sim_.now();
-  if (channel_free_ > now) {
+  if (channel_free_ > sim_.now()) {
     pump_scheduled_ = true;
     sim_.schedule_at(channel_free_, [this] {
       pump_scheduled_ = false;
@@ -39,21 +43,34 @@ void MemoryBus::pump() {
     });
     return;
   }
-
   Pending p = queue_.pop_front();
-  wait_hist_.record(now - p.enqueued);
+  grant(p.req, p.enqueued);
+}
 
-  const Cycles beats = ceil_div(p.req.bytes, cfg_.width_bytes);
+void MemoryBus::grant(BusRequest& req, Cycles enqueued) {
+  const Cycles now = sim_.now();
+  wait_hist_.record(now - enqueued);
+
+  const Cycles beats = ceil_div(req.bytes, cfg_.width_bytes);
   const Cycles occupancy = cfg_.header_cycles + beats;
   channel_free_ = now + occupancy;
   busy_cycles_ += occupancy;
 
   // The DRAM access begins after the command phase; the response is ready
   // when both the device access and the data beats finish.
-  const Cycles dram_done = dram_.access(p.req.addr, p.req.bytes, p.req.is_write,
-                                        now + cfg_.header_cycles);
+  const Cycles dram_done =
+      dram_.access(req.addr, req.bytes, req.is_write, now + cfg_.header_cycles);
   const Cycles done = std::max(dram_done, channel_free_);
-  sim_.schedule_at(done, std::move(p.req.on_done));
+  if (!req.tail_call) {
+    sim_.schedule_at(done, std::move(req.on_done));
+  } else if (queue_.empty() && sim_.try_advance_to(done)) {
+    // Alone on the channel, with nothing due before its completion: run it
+    // in place. The queue is empty, so nothing is left to pump.
+    req.on_done();
+    return;
+  } else {
+    sim_.schedule_run_ahead(done, std::move(req.on_done));
+  }
 
   pump();  // issue or schedule the next transaction
 }

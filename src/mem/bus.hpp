@@ -32,6 +32,12 @@ struct BusRequest {
   u32 bytes = 0;
   bool is_write = false;
   sim::EventFn on_done;
+  /// The issuer's `on_done` ends in tail calls (see
+  /// sim::Simulator::schedule_run_ahead): a request alone on an idle
+  /// channel may complete in place, inside request(), and its completion
+  /// event otherwise holds the run-ahead token. Only the hardware-thread
+  /// port sets it; walker, A/D write-back and DMA requests never do.
+  bool tail_call = false;
 };
 
 class MemoryBus {
@@ -55,6 +61,9 @@ class MemoryBus {
   };
 
   void pump();
+  /// Gives the channel to `req` now (it waited since `enqueued`) and
+  /// completes, schedules or runs ahead its `on_done`.
+  void grant(BusRequest& req, Cycles enqueued);
 
   sim::Simulator& sim_;
   DramModel& dram_;

@@ -88,10 +88,14 @@ void Mmu::translate(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done) {
         // Combinational TLB: complete inline, same cycle, no event.
         inline_completions_.add();
         done(pa);
+      } else if (const Cycles at = sim_.now() + hit_latency; sim_.try_advance_to(at)) {
+        // Nothing is due before the hit completes: run the completion
+        // event's work in place (a run-ahead step, not an inline one).
+        done(pa);
       } else {
         Pending* p = park(va, is_write, std::move(done));
         p->pa = pa;
-        sim_.schedule_in(hit_latency, [this, p] { complete(p, p->pa); });
+        sim_.schedule_run_ahead(at, [this, p] { complete(p, p->pa); });
       }
       return;
     }

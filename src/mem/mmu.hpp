@@ -77,8 +77,11 @@ class Mmu {
   /// Fast path: when the translation adds zero modeled latency — physical
   /// pass-through, or a TLB hit with hit_latency == 0 — `done` is invoked
   /// synchronously, inside this call, without touching the scheduler
-  /// (counted in `<name>.inline_completions`). Callers must therefore not
-  /// assume `done` runs after the current event returns.
+  /// (counted in `<name>.inline_completions`). A timed TLB hit also runs
+  /// `done` inside this call when the simulator grants the run-ahead step
+  /// to its completion cycle (sim::Simulator::try_advance_to); that is not
+  /// an inline completion. Callers must therefore not assume `done` runs
+  /// after the current event returns.
   void translate(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done);
 
   /// Translations completed synchronously (no scheduler round-trip).

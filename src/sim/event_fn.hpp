@@ -5,7 +5,10 @@
 // inline buffer, which puts one malloc/free pair on the critical path of
 // every scheduled event and every memory access. Callback<Args...> widens
 // the inline buffer to 56 bytes and is move-only, so callables never need
-// to be copyable and a move is a flat memcpy-sized relocation. EventFn is
+// to be copyable and a move is a flat memcpy-sized relocation. A trivially
+// copyable inline callable (the usual closure over `this` and a record
+// pointer) has no relocate function at all: a move copies the buffer and a
+// reset just forgets it, with no indirect call. EventFn is
 // the argument-free case the scheduler stores; the memory path uses the
 // typed forms (Callback<PhysAddr>, Callback<const WalkResult&>, ...).
 //
@@ -19,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -42,7 +46,12 @@ class Callback {
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       invoke_ = &inline_invoke<D>;
-      relocate_ = &inline_relocate<D>;
+      if constexpr (std::is_trivially_copyable_v<D> && std::is_trivially_destructible_v<D>) {
+        // Moves copy the whole buffer: define the bytes past the callable.
+        std::memset(storage_ + sizeof(D), 0, kInlineBytes - sizeof(D));
+      } else {
+        relocate_ = &inline_relocate<D>;
+      }
     } else {
       *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
       invoke_ = &heap_invoke<D>;
@@ -72,7 +81,7 @@ class Callback {
   /// Destroys the held callable (no-op when empty).
   void reset() noexcept {
     if (invoke_ != nullptr) {
-      relocate_(storage_, nullptr);
+      if (relocate_ != nullptr) relocate_(storage_, nullptr);
       invoke_ = nullptr;
       relocate_ = nullptr;
     }
@@ -86,7 +95,8 @@ class Callback {
 
  private:
   // Relocate = move-construct into `dst` and destroy `src`; destroy-only
-  // when `dst` is null. One pointer covers move, destroy, and heap free.
+  // when `dst` is null. One pointer covers move, destroy, and heap free;
+  // null for a trivially copyable inline callable.
   using Invoke = void (*)(void*, Args...);
   using Relocate = void (*)(void* src, void* dst) noexcept;
 
@@ -117,7 +127,10 @@ class Callback {
     invoke_ = other.invoke_;
     relocate_ = other.relocate_;
     if (invoke_ != nullptr) {
-      relocate_(other.storage_, storage_);
+      if (relocate_ != nullptr)
+        relocate_(other.storage_, storage_);
+      else
+        std::memcpy(storage_, other.storage_, kInlineBytes);
       other.invoke_ = nullptr;
       other.relocate_ = nullptr;
     }

@@ -31,11 +31,11 @@ void Simulator::release(EventNode* n) noexcept {
   free_ = n;
 }
 
-void Simulator::schedule_at(Cycles when, EventFn fn) {
+void Simulator::insert(Cycles when, EventFn& fn, bool token) {
   ensure(when >= now_, "cannot schedule an event in the past");
   EventNode* n = acquire();
   n->when = when;
-  n->seq = next_seq_++;
+  n->seq = (next_seq_++ << 1) | (token ? 1 : 0);
   n->fn = std::move(fn);
   n->next = nullptr;
   ++pending_;
@@ -113,17 +113,57 @@ Simulator::EventNode* Simulator::pop_next(Cycles deadline) {
   return n;
 }
 
-void Simulator::execute(EventNode* n) {
-  now_ = n->when;
+bool Simulator::advance(Cycles t) noexcept {
+  now_ = t;
   ++events_executed_;
+  LoopFrame* f = loop_;
+  if (f == nullptr || !f->guarded) return false;
+  if (t != f->last) {
+    f->last = t;
+    f->same = 1;
+    return false;
+  }
+  return ++f->same > kMaxSameCycleEvents;
+}
+
+void Simulator::fail(const LoopFrame& f, const std::string& why) const {
+  throw std::runtime_error("simulator: " + why + " (now " + std::to_string(now_) + ", budget " +
+                           std::to_string(f.budget) + " cycles, " + std::to_string(pending_) +
+                           " events pending)");
+}
+
+void Simulator::fail_livelock(const LoopFrame& f) const {
+  fail(f, "more than " + std::to_string(kMaxSameCycleEvents) +
+              " events ran at one cycle, a zero-time livelock");
+}
+
+void Simulator::execute(EventNode* n) {
   // Recycle even when the callback throws (engine traps propagate to the
-  // caller); the callable itself is destroyed by release().
+  // caller); the callable itself is destroyed by release(). The token is
+  // the executing event's alone.
   struct Recycle {
     Simulator* sim;
     EventNode* node;
-    ~Recycle() { sim->release(node); }
+    ~Recycle() {
+      sim->token_ = false;
+      sim->release(node);
+    }
   } guard{this, n};
+  const bool over = advance(n->when);
+  token_ = (n->seq & 1) != 0;
   n->fn();
+  if (over) [[unlikely]] fail_livelock(*loop_);
+}
+
+bool Simulator::try_advance_to(Cycles t) {
+  const LoopFrame* f = loop_;
+  if (!token_ || f == nullptr || t > f->deadline) return false;
+  ensure(t >= now_, "cannot advance the clock into the past");
+  if (wheel_count_ != 0 && next_wheel_time() <= t) return false;
+  if (!far_.empty() && far_.front()->when <= t) return false;
+  if (f->done != nullptr && f->done(f->ctx)) return false;
+  if (advance(t)) fail_livelock(*f);
+  return true;
 }
 
 bool Simulator::step() {
@@ -134,29 +174,26 @@ bool Simulator::step() {
 }
 
 bool Simulator::loop(Cycles max_cycles, bool guarded, bool (*done)(void*), void* ctx) {
-  const Cycles deadline = max_cycles > ~0ull - now_ ? ~0ull : now_ + max_cycles;
-  const auto fail = [&](const std::string& why) {
-    throw std::runtime_error("simulator: " + why + " (now " + std::to_string(now_) + ", budget " +
-                             std::to_string(max_cycles) + " cycles, " + std::to_string(pending_) +
-                             " events pending)");
-  };
-  Cycles last = now_;
-  u64 same = 0;  // events run at cycle `last`
+  LoopFrame frame;
+  frame.deadline = max_cycles > ~0ull - now_ ? ~0ull : now_ + max_cycles;
+  frame.budget = max_cycles;
+  frame.guarded = guarded;
+  frame.done = done;
+  frame.ctx = ctx;
+  frame.last = now_;
+  struct Enter {
+    Simulator* sim;
+    LoopFrame* outer;
+    ~Enter() { sim->loop_ = outer; }
+  } enter{this, loop_};
+  loop_ = &frame;
   while (done == nullptr || !done(ctx)) {
-    EventNode* n = pop_next(deadline);
+    EventNode* n = pop_next(frame.deadline);
     if (n == nullptr) {
-      if (guarded && pending_ != 0) fail("next event lies past the budget");
+      if (guarded && pending_ != 0) fail(frame, "next event lies past the budget");
       return false;
     }
     execute(n);
-    if (!guarded) continue;
-    if (now_ != last) {
-      last = now_;
-      same = 1;
-    } else if (++same > kMaxSameCycleEvents) {
-      fail("more than " + std::to_string(kMaxSameCycleEvents) +
-           " events ran at one cycle, a zero-time livelock");
-    }
   }
   return true;
 }

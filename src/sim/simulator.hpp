@@ -20,6 +20,15 @@
 //     insertion-order) contract holds across both structures.
 //   * Callbacks are sim::EventFn (see event_fn.hpp): move-only with 56
 //     bytes of inline storage, so typical closures never touch the heap.
+//   * Run-ahead: a site that would schedule a closure at `t` and then
+//     return (a tail call) may instead call try_advance_to(t) and, when it
+//     holds, run the closure in place. The kernel grants this only while
+//     it executes an event that holds the run-ahead token — one a
+//     run-ahead site scheduled as its fallback (schedule_run_ahead) — and
+//     only when no pending event, deadline or run_until predicate would
+//     have come between. A granted advance is one logical event:
+//     events_executed() counts it and every simulated result is unchanged;
+//     events_scheduled() does not, so it measures host work.
 #pragma once
 
 #include <array>
@@ -58,7 +67,23 @@ class Simulator {
   /// no modeled latency yet must preserve event order, e.g. cache walks).
   void schedule_now(EventFn fn) { schedule_at(now_, std::move(fn)); }
 
-  void schedule_at(Cycles when, EventFn fn);
+  void schedule_at(Cycles when, EventFn fn) { insert(when, fn, false); }
+
+  /// The fallback of a run-ahead site: schedule_at, but the event holds the
+  /// run-ahead token while it runs. Only for closures that end in tail
+  /// calls: nothing the closure calls may run more work after a callee
+  /// that advances the clock returns.
+  void schedule_run_ahead(Cycles when, EventFn fn) { insert(when, fn, true); }
+
+  /// Moves now() to `t` as one logical event step, so the caller can run in
+  /// place the closure it would otherwise schedule at `t`. True only inside
+  /// a run()/drain()/run_until() loop, while the current event holds the
+  /// run-ahead token, when no pending event is due at or before `t` (an
+  /// equal-time one would run first), `t` is within the loop's deadline
+  /// and run_until's predicate does not hold yet. A success counts in
+  /// events_executed() and in the same-cycle livelock bound, not in
+  /// events_scheduled(). On false nothing changed: schedule the fallback.
+  bool try_advance_to(Cycles t);
 
   /// Most events drain()/run_until() accept at one cycle; one more is a
   /// zero-time livelock. Real runs stay in the hundreds.
@@ -86,14 +111,15 @@ class Simulator {
   }
 
   /// Executes the single next event. Returns false if the queue is empty.
+  /// Outside a loop nothing runs ahead.
   bool step();
 
   bool idle() const noexcept { return pending_ == 0; }
   u64 events_executed() const noexcept { return events_executed_; }
 
-  /// Total events ever handed to the scheduler. Inline completion paths
-  /// (see Mmu) bypass the scheduler entirely; tests assert this does not
-  /// move on such paths.
+  /// Total events ever handed to the scheduler: the host-work counter.
+  /// Inline completion paths (see Mmu) and granted run-ahead steps bypass
+  /// the scheduler entirely; tests assert this does not move on such paths.
   u64 events_scheduled() const noexcept { return next_seq_; }
 
   /// Shared statistics registry for all components in this simulation.
@@ -108,7 +134,9 @@ class Simulator {
  private:
   struct EventNode {
     Cycles when = 0;
-    u64 seq = 0;  // tie-break: FIFO among same-cycle events
+    // Tie-break, FIFO among same-cycle events: the insertion count shifted
+    // left once, with the run-ahead token in bit 0.
+    u64 seq = 0;
     EventNode* next = nullptr;
     EventFn fn;
   };
@@ -130,6 +158,19 @@ class Simulator {
   static constexpr u64 kWheelWords = kWheelSlots / 64;
   static constexpr std::size_t kSlabNodes = 512;  // pool growth granularity
 
+  /// The state of the running loop() that try_advance_to consults.
+  struct LoopFrame {
+    Cycles deadline = 0;
+    Cycles budget = 0;  // loop()'s max_cycles, for messages
+    bool guarded = false;
+    bool (*done)(void*) = nullptr;
+    void* ctx = nullptr;
+    Cycles last = 0;  // cycle of the last logical event
+    u64 same = 0;     // logical events at `last`
+  };
+
+  /// Queues `fn` (moved from) at `when`.
+  void insert(Cycles when, EventFn& fn, bool token);
   EventNode* acquire();
   void release(EventNode* n) noexcept;
   void grow_pool();
@@ -142,6 +183,12 @@ class Simulator {
   EventNode* pop_next(Cycles deadline);
 
   void execute(EventNode* n);
+
+  /// Moves now() to `t` and counts one logical event. Returns true when
+  /// that event exceeds the running guarded loop's same-cycle bound.
+  bool advance(Cycles t) noexcept;
+  [[noreturn]] void fail(const LoopFrame& f, const std::string& why) const;
+  [[noreturn]] void fail_livelock(const LoopFrame& f) const;
 
   /// The one step loop behind run(), drain() and run_until(): executes
   /// events until `done(ctx)` holds (never, when null), the queue empties,
@@ -161,6 +208,8 @@ class Simulator {
   Cycles now_ = 0;
   u64 next_seq_ = 0;
   u64 events_executed_ = 0;
+  LoopFrame* loop_ = nullptr;  // innermost running loop(), if any
+  bool token_ = false;         // the current event holds the run-ahead token
   StatRegistry stats_;
   TraceContext trace_{&now_};
 };

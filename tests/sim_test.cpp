@@ -262,6 +262,114 @@ TEST(Simulator, RunUntilStopsAtThePredicateOrReportsAStall) {
   EXPECT_TRUE(s.idle());
 }
 
+// --- run-ahead: try_advance_to ---
+
+TEST(RunAhead, TokenEventAdvancesAsOneLogicalEventAndQueuesNothing) {
+  Simulator s;
+  Cycles at = 0;
+  s.schedule_run_ahead(2, [&] {
+    ASSERT_TRUE(s.try_advance_to(7));
+    at = s.now();
+  });
+  s.schedule_in(8, [] {});
+  const u64 scheduled = s.events_scheduled();
+  EXPECT_EQ(s.drain(), 3u);  // the token event, its run-ahead step, the event at 8
+  EXPECT_EQ(at, 7u);
+  EXPECT_EQ(s.events_executed(), 3u);
+  EXPECT_EQ(s.events_scheduled(), scheduled);  // the step is host work saved
+  EXPECT_EQ(s.now(), 8u);
+}
+
+TEST(RunAhead, RefusesWhenAnEventIsDueAtOrBeforeTheTarget) {
+  Simulator s;
+  std::vector<bool> granted;
+  s.schedule_run_ahead(1, [&] {
+    granted.push_back(s.try_advance_to(5));  // the event at 5 would run first
+    granted.push_back(s.try_advance_to(9));
+    granted.push_back(s.try_advance_to(4));
+  });
+  s.schedule_in(5, [] {});
+  s.drain();
+  EXPECT_EQ(granted, (std::vector<bool>{false, false, true}));
+
+  // The same for an event parked in the far-future heap.
+  Simulator far;
+  granted.clear();
+  far.schedule_run_ahead(1, [&] {
+    granted.push_back(far.try_advance_to(6000));
+    granted.push_back(far.try_advance_to(5999));
+  });
+  far.schedule_in(6000, [] {});
+  far.drain();
+  EXPECT_EQ(granted, (std::vector<bool>{false, true}));
+}
+
+TEST(RunAhead, RefusesPastTheRunDeadline) {
+  Simulator s;
+  std::vector<bool> granted;
+  s.schedule_run_ahead(5, [&] {
+    granted.push_back(s.try_advance_to(11));
+    granted.push_back(s.try_advance_to(10));
+  });
+  s.run(10);  // deadline: cycle 10
+  EXPECT_EQ(granted, (std::vector<bool>{false, true}));
+  EXPECT_EQ(s.now(), 10u);
+}
+
+TEST(RunAhead, RefusesOnceRunUntilsPredicateHolds) {
+  Simulator s;
+  bool stop = false;
+  std::vector<bool> granted;
+  s.schedule_run_ahead(1, [&] {
+    granted.push_back(s.try_advance_to(2));
+    stop = true;
+    granted.push_back(s.try_advance_to(3));
+  });
+  EXPECT_TRUE(s.run_until([&] { return stop; }));
+  EXPECT_EQ(granted, (std::vector<bool>{true, false}));
+  EXPECT_EQ(s.now(), 2u);
+}
+
+TEST(RunAhead, RefusesOutsideALoopAndWithoutTheToken) {
+  Simulator s;
+  std::vector<bool> granted;
+  EXPECT_FALSE(s.try_advance_to(1));  // no event is running
+  s.schedule_run_ahead(1, [&] {
+    granted.push_back(s.try_advance_to(2));  // run by step(): no loop
+  });
+  EXPECT_TRUE(s.step());
+  s.schedule_at(3, [&] {
+    granted.push_back(s.try_advance_to(4));  // a plain event holds no token
+  });
+  s.schedule_run_ahead(5, [&] {
+    // An event the token event schedules does not inherit the token.
+    s.schedule_now([&] { granted.push_back(s.try_advance_to(6)); });
+  });
+  s.drain();
+  EXPECT_EQ(granted, (std::vector<bool>{false, false, false}));
+  EXPECT_EQ(s.now(), 5u);
+}
+
+TEST(RunAhead, ZeroTimeRunAheadLoopTripsTheSameCycleGuard) {
+  Simulator s;
+  u64 steps = 0;
+  s.schedule_run_ahead(3, [&] {
+    while (s.try_advance_to(s.now())) ++steps;
+  });
+  try {
+    s.drain();
+    FAIL() << "a zero-time run-ahead loop must not drain";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(std::to_string(Simulator::kMaxSameCycleEvents) + " events"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("now 3,"), std::string::npos) << msg;
+  }
+  // The token event is the first logical event at cycle 3.
+  EXPECT_EQ(steps, Simulator::kMaxSameCycleEvents - 1);
+}
+
 // --- EventFn: small-buffer, move-only callback type ---
 
 TEST(EventFn, InlineForSmallCallables) {
@@ -303,6 +411,32 @@ TEST(EventFn, MoveOnlyCapturesWork) {
   EventFn moved = std::move(fn);
   moved();
   EXPECT_EQ(result, 7);
+}
+
+TEST(EventFn, MovesKeepExactlyOneOwnerOfACapture) {
+  // A trivially copyable closure moves by copying its buffer; one with a
+  // non-trivial capture goes through its relocate function. Either way a
+  // chain of moves leaves one live callable, and reset releases it.
+  u64 sum = 0;
+  EventFn trivial = [&sum, a = u64{40}, b = u64{2}] { sum = a + b; };
+  EventFn hop = std::move(trivial);
+  EventFn last = std::move(hop);
+  EXPECT_FALSE(static_cast<bool>(trivial));
+  EXPECT_FALSE(static_cast<bool>(hop));
+  last();
+  EXPECT_EQ(sum, 42u);
+
+  auto owner = std::make_shared<int>(5);
+  int seen = 0;
+  EventFn shared = [p = owner, &seen] { seen = *p; };
+  EXPECT_EQ(owner.use_count(), 2);
+  EventFn moved = std::move(shared);
+  EventFn again = std::move(moved);
+  EXPECT_EQ(owner.use_count(), 2);
+  again();
+  EXPECT_EQ(seen, 5);
+  again.reset();
+  EXPECT_EQ(owner.use_count(), 1);
 }
 
 TEST(EventFn, SchedulableWithMoveOnlyCapture) {
