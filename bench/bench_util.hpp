@@ -211,6 +211,26 @@ inline RunResult run_workload(const workloads::Workload& wl, const RunOptions& o
   return r;
 }
 
+/// A workload's buffer footprint in pages of `page` bytes.
+inline u64 ws_pages(const workloads::Workload& wl, u64 page) {
+  u64 bytes = 0;
+  for (const auto& buf : wl.buffers) bytes += buf.bytes;
+  return ceil_div(bytes, page);
+}
+
+/// Member `index` of the multi-process mixes (fig10, fig12): hash_join,
+/// pointer_chase and bfs in turn, n = 1024, each on its own data seed.
+inline workloads::Workload make_mix_member(unsigned index) {
+  workloads::WorkloadParams p;
+  p.n = 1024;
+  p.seed = 42 + index;  // distinct data per process
+  switch (index % 3) {
+    case 0: return workloads::make_hash_join(p);
+    case 1: return workloads::make_pointer_chase(p);
+    default: return workloads::make_bfs(p);
+  }
+}
+
 /// The benches' drain budget (Simulator::drain, ProcessGroup::drain).
 inline constexpr Cycles kDrainCycles = 2'000'000'000ull;
 

@@ -22,6 +22,10 @@
 // Deterministic: workload data, attach order, policy seeds, and event
 // order are all fixed — rerunning produces identical tables (pinned by
 // tests/oversub_test.cpp).
+//
+// --smoke runs only the worked example (4 processes, 400%, global, CLOCK)
+// and writes BENCH_fig10_oversub.json: its simulated cycles, events and
+// faults, which the smoke test diffs against a committed golden.
 
 #include <iostream>
 
@@ -37,6 +41,7 @@ namespace {
 
 struct MixResult {
   Cycles cycles = 0;       // makespan: start_all -> last thread halted
+  u64 events = 0;          // scheduler events executed over the makespan
   u64 faults = 0;          // aggregate across processes
   u64 swap_ins = 0;
   u64 pool_evictions = 0;  // global mode only
@@ -65,30 +70,13 @@ struct MixOptions {
   bool dump_summaries = false;
 };
 
-u64 ws_pages(const workloads::Workload& wl, u64 page) {
-  u64 bytes = 0;
-  for (const auto& buf : wl.buffers) bytes += buf.bytes;
-  return ceil_div(bytes, page);
-}
-
-workloads::Workload make_mix_member(unsigned index) {
-  workloads::WorkloadParams p;
-  p.n = 1024;
-  p.seed = 42 + index;  // distinct data per process
-  switch (index % 3) {
-    case 0: return workloads::make_hash_join(p);
-    case 1: return workloads::make_pointer_chase(p);
-    default: return workloads::make_bfs(p);
-  }
-}
-
 MixResult run_mix(const MixOptions& opt) {
   const u64 page = 4 * KiB;
   std::vector<workloads::Workload> wls;
   u64 total_ws = 0;
   for (unsigned i = 0; i < opt.processes; ++i) {
-    wls.push_back(make_mix_member(i));
-    total_ws += ws_pages(wls.back(), page);
+    wls.push_back(bench::make_mix_member(i));
+    total_ws += bench::ws_pages(wls.back(), page);
   }
   const u64 total_budget = std::max<u64>(2 * opt.processes, total_ws * 100 / opt.oversub_pct);
 
@@ -111,7 +99,7 @@ MixResult run_mix(const MixOptions& opt) {
         (opt.mode == paging::BudgetMode::kPerProcess)
             ? std::max<u64>(2, opt.equal_split
                                    ? total_budget / opt.processes
-                                   : ws_pages(wls[i], page) * 100 / opt.oversub_pct)
+                                   : bench::ws_pages(wls[i], page) * 100 / opt.oversub_pct)
             : 0;
     proc_plat.pager.ws_interval = opt.ws_interval;
     proc_plat.pager.ws_window = 4 * opt.ws_interval;  // smooth over several sweeps
@@ -128,7 +116,9 @@ MixResult run_mix(const MixOptions& opt) {
 
   group.start_all();
   MixResult r;
+  const u64 events_before = sim.events_executed();
   r.cycles = group.run_to_completion();
+  r.events = sim.events_executed() - events_before;
   // Peak residency before verification: verify's functional reads re-map
   // evicted pages outside the budgeted fault path.
   r.peak_resident = group.pool().peak_resident_pages();
@@ -246,14 +236,8 @@ void services_table() {
               "Figure 10c: background services on the per-process baseline (4 processes, 250%)");
 }
 
-}  // namespace
-
-int main() {
-  policy_table();
-  scaling_table();
-  services_table();
-
-  // One worked example with the live registry: the thrash corner.
+/// One worked example with the live registry: the thrash corner.
+MixResult worked_example() {
   MixOptions opt;
   opt.processes = 4;
   opt.oversub_pct = 400;
@@ -264,5 +248,28 @@ int main() {
             << " pool_evictions=" << r.pool_evictions
             << " cross_evictions=" << r.cross_evictions << " (budget " << r.budget
             << " pages, peak resident " << r.peak_resident << ")\n";
-  return 0;
+  return r;
+}
+
+void run_smoke() {
+  bench::WallTimer timer;
+  const MixResult r = worked_example();
+  bench::EngineBenchReport engine;
+  engine.add("fig10/4p_400_global_clock", r.cycles, r.events, r.faults, timer.ms());
+  engine.write_json("BENCH_fig10_oversub.json");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bench::run_main(argc, argv, "fig10", bench::kSmoke, [](const bench::Cli& cli) {
+    if (cli.smoke) {
+      run_smoke();
+      return;
+    }
+    policy_table();
+    scaling_table();
+    services_table();
+    worked_example();
+  });
 }

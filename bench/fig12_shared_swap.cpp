@@ -126,23 +126,6 @@ struct MixResult {
   }
 };
 
-u64 ws_pages(const workloads::Workload& wl, u64 page) {
-  u64 bytes = 0;
-  for (const auto& buf : wl.buffers) bytes += buf.bytes;
-  return ceil_div(bytes, page);
-}
-
-workloads::Workload make_mix_member(unsigned index) {
-  workloads::WorkloadParams p;
-  p.n = 1024;
-  p.seed = 42 + index;  // distinct data per process
-  switch (index % 3) {
-    case 0: return workloads::make_hash_join(p);
-    case 1: return workloads::make_pointer_chase(p);
-    default: return workloads::make_bfs(p);
-  }
-}
-
 /// Duplicates the stream to two sinks (--smoke wants both the JSON artifact
 /// and an in-memory copy for validation from one run).
 struct TeeSink final : sim::TraceSink {
@@ -160,7 +143,7 @@ struct TeeSink final : sim::TraceSink {
 MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
   const u64 page = 4 * KiB;
   std::vector<workloads::Workload> wls;
-  for (unsigned i = 0; i < opt.processes; ++i) wls.push_back(make_mix_member(i));
+  for (unsigned i = 0; i < opt.processes; ++i) wls.push_back(bench::make_mix_member(i));
 
   sls::PlatformSpec plat = sls::zynq7045();  // large part: room for 8 processes
   plat.pager.budget_mode = paging::BudgetMode::kPerProcess;
@@ -190,7 +173,7 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
     // Equal pressure everywhere: each process gets its own WS-proportional
     // slice, so the only machine-wide contention is the swap path (and the
     // bus) — the axis under study.
-    proc_plat.pager.frame_budget = std::max<u64>(2, ws_pages(wls[i], page) * 100 / opt.oversub_pct);
+    proc_plat.pager.frame_budget = std::max<u64>(2, bench::ws_pages(wls[i], page) * 100 / opt.oversub_pct);
     sls::SynthesisFlow flow(proc_plat);
     auto app = workloads::single_thread_app(wls[i], sls::ThreadKind::kHardware);
     auto& system = group.add_process(flow.synthesize(app), "p" + std::to_string(i));

@@ -203,7 +203,7 @@ class AddressSpace {
   /// exhaustion throws.
   void set_residency_observer(ResidencyObserver* obs) noexcept { observer_ = obs; }
 
-  /// Machine-wide shared-frame index (one per ProcessGroup / bench rig):
+  /// Machine-wide shared-frame index (one per sls::Machine / bench rig):
   /// when set, demand maps of MAP_SHARED file pages resolve to the frame
   /// another address space already holds resident instead of filling a
   /// duplicate, and the last sharer's eviction retires the entry. Pass

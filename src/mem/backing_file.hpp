@@ -57,9 +57,9 @@ class BackingFile {
   std::vector<u8> data_;
 };
 
-/// Machine-wide file registry: one per SharedSubstrate (every process of a
+/// Machine-wide file registry: one per sls::Machine (every process of a
 /// ProcessGroup maps regions of the same files — that is what makes the
-/// buffer cache shared in a meaningful sense) or one per standalone System.
+/// buffer cache shared in a meaningful sense).
 class FileStore {
  public:
   /// `block_bytes` must equal the platform page size — a file block and a

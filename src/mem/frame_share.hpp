@@ -7,7 +7,7 @@
 // just take a reference. The last unmapping sharer retires the entry.
 //
 // The index is functional bookkeeping shared by every AddressSpace of a
-// machine (a ProcessGroup or a bench rig); the timing consequences — free
+// machine (an sls::Machine or a bench rig); the timing consequences — free
 // share-hit faults, one writeback per frame — are charged by the pagers.
 #pragma once
 

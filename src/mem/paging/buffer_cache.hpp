@@ -10,7 +10,7 @@
 // queue, specialized to two classes), and concurrent misses on one block
 // merge into one device read (the kernel's wait-on-buffer-lock discipline,
 // cross-process: the cache is shared machine-wide through the
-// SharedSubstrate, so process B's miss coalesces onto process A's read).
+// sls::Machine, so process B's miss coalesces onto process A's read).
 //
 // Writes are write-back with write-allocate: dirtying a block is pure
 // bookkeeping and never blocks the writer — eviction of a dirty *page* is

@@ -11,12 +11,16 @@
 namespace vmsls::paging {
 
 Pager::Pager(sim::Simulator& sim, rt::Process& process, const PagerConfig& cfg, std::string name,
-             SwapScheduler* shared_swap, BufferCache* shared_bcache)
+             SwapScheduler& swap, BufferCache& bcache)
     : sim_(sim),
       process_(process),
       as_(process.address_space()),
       cfg_(cfg),
       name_(std::move(name)),
+      sched_(&swap),
+      swap_owner_(swap.register_owner(name_)),
+      bcache_(&bcache),
+      bcache_client_(bcache.register_client(name_)),
       policy_(make_policy(cfg.policy, *this, cfg.policy_seed)),
       evictions_(sim.stats().counter(name_ + ".evictions")),
       swap_ins_(sim.stats().counter(name_ + ".swap_ins")),
@@ -41,25 +45,6 @@ Pager::Pager(sim::Simulator& sim, rt::Process& process, const PagerConfig& cfg, 
       fault_stall_(sim.stats().histogram(name_ + ".fault_stall")),
       ws_hist_(sim.stats().histogram(name_ + ".ws_pages")) {
   trace_track_ = sim_.trace().track(name_);
-  if (shared_swap != nullptr) {
-    require(shared_swap->config().read_latency == cfg_.swap.read_latency &&
-                shared_swap->config().write_latency == cfg_.swap.write_latency,
-            name_ + ": shared swap device timing disagrees with this pager's swap config");
-    sched_ = shared_swap;
-  } else {
-    owned_swap_ = std::make_unique<SwapScheduler>(sim, cfg_.swap, as_.page_bytes(),
-                                                  name_ + ".swap");
-    sched_ = owned_swap_.get();
-  }
-  swap_owner_ = sched_->register_owner(name_);
-  if (shared_bcache != nullptr) {
-    bcache_ = shared_bcache;
-  } else {
-    owned_bcache_ =
-        std::make_unique<BufferCache>(sim, cfg_.bcache, as_.page_bytes(), name_ + ".bcache");
-    bcache_ = owned_bcache_.get();
-  }
-  bcache_client_ = bcache_->register_client(name_);
   page_bits_ = as_.page_table().config().page_bits;
   track_ws_ = cfg_.ws_interval > 0;
   as_.set_residency_observer(this);

@@ -9,9 +9,10 @@
 // time for dirty writebacks and swap-ins. With frame_budget == 0 the pager
 // is inert and the fault path degenerates to the pre-pressure model.
 //
-// Swap traffic goes through a SwapScheduler front end — owned privately,
-// or shared with the other pagers of a ProcessGroup ("one flash part, N
-// pagers") when SwapConfig::shared is set. Requests carry this pager's
+// Swap traffic goes through a SwapScheduler front end the pager borrows
+// from its machine (sls::Machine) — a private one, or one shared with the
+// machine's other pagers ("one flash part, N pagers") when
+// SwapConfig::shared is set. Requests carry this pager's
 // owner id and a class (demand read >> prefetch read >> writeback) and
 // wait in the scheduler's queue. On each demand swap-in the pager may also
 // run readahead: the scheduler's clustering slot allocator keeps the
@@ -70,12 +71,11 @@ struct PagerConfig {
   u64 frame_budget = 0;
   PolicyKind policy = PolicyKind::kClock;
   /// Swap timing plus the shared-device / scheduling / readahead knobs
-  /// (see SwapConfig) — `swap.shared` selects the group-wide device.
+  /// (see SwapConfig) — `swap.shared` selects the machine-wide device.
   SwapConfig swap{};
   /// File-device timing + cache sizing for file-backed regions (see
-  /// BufferCacheConfig). Only consulted when the pager owns a private
-  /// buffer cache; a ProcessGroup builds the machine-wide cache from the
-  /// platform's copy of these knobs instead.
+  /// BufferCacheConfig): configures the machine's file cache, built from
+  /// the platform's copy. The Pager itself never reads it.
   BufferCacheConfig bcache{};
   u64 policy_seed = 1;  // feeds the RANDOM policy only
 
@@ -100,15 +100,13 @@ struct PagerConfig {
 
 class Pager final : public mem::ResidencyObserver, public KeyOwner {
  public:
-  /// `shared_swap` non-null shares that scheduler (the ProcessGroup's "one
-  /// flash part"); null gives the pager a private SwapScheduler named
-  /// "<name>.swap" — the same front end either way, so a single-member
-  /// shared device is cycle-identical to a private one. `shared_bcache`
-  /// follows the same pattern for the file side: non-null shares the
-  /// group's machine-wide BufferCache, null builds a private one named
-  /// "<name>.bcache" from cfg.bcache.
+  /// `swap` and `bcache` are the swap and file front ends the pager
+  /// registers with as an owner / client; both must outlive it. Whether
+  /// other pagers share them is the caller's choice (sls::Machine::swap_for)
+  /// — the same front end either way, so a single-member shared device is
+  /// cycle-identical to a private one.
   Pager(sim::Simulator& sim, rt::Process& process, const PagerConfig& cfg, std::string name,
-        SwapScheduler* shared_swap = nullptr, BufferCache* shared_bcache = nullptr);
+        SwapScheduler& swap, BufferCache& bcache);
   ~Pager() override;
 
   Pager(const Pager&) = delete;
@@ -140,8 +138,8 @@ class Pager final : public mem::ResidencyObserver, public KeyOwner {
   const SwapScheduler& swap_scheduler() const noexcept { return *sched_; }
   unsigned swap_owner() const noexcept { return swap_owner_; }
 
-  /// The file-I/O front end (owned or the group's shared cache) and this
-  /// pager's client id on it — the per-process hit/miss window.
+  /// The file-I/O front end and this pager's client id on it — the
+  /// per-process hit/miss window.
   BufferCache& buffer_cache() noexcept { return *bcache_; }
   const BufferCache& buffer_cache() const noexcept { return *bcache_; }
   unsigned bcache_client() const noexcept { return bcache_client_; }
@@ -367,12 +365,10 @@ class Pager final : public mem::ResidencyObserver, public KeyOwner {
   PagerConfig cfg_;
   std::string name_;
   sim::TraceTrack trace_track_ = 0;
-  std::unique_ptr<SwapScheduler> owned_swap_;  // private front end (no shared device)
-  SwapScheduler* sched_ = nullptr;             // owned_swap_ or the group's shared scheduler
-  unsigned swap_owner_ = 0;
-  std::unique_ptr<BufferCache> owned_bcache_;  // private file front end
-  BufferCache* bcache_ = nullptr;              // owned_bcache_ or the group's shared cache
-  unsigned bcache_client_ = 0;
+  SwapScheduler* sched_;
+  unsigned swap_owner_;
+  BufferCache* bcache_;
+  unsigned bcache_client_;
   std::unique_ptr<ReplacementPolicy> policy_;
   FramePool* pool_ = nullptr;
   mem::MemoryBus* bus_ = nullptr;  // COW copy charging; optional

@@ -3,8 +3,8 @@
 // Models a single-ported block device (SD/flash-class on a Zynq board) and
 // the queue in front of it, analogous to the shared memory bus:
 //
-//   * N pagers register as *owners* of one scheduler (per ProcessGroup,
-//     when `SwapConfig::shared` is set) or one pager owns a private
+//   * N pagers register as *owners* of one scheduler (per sls::Machine,
+//     when `SwapConfig::shared` is set) or one pager uses a private
 //     instance — the same code path either way, so a single-member shared
 //     device is cycle-identical to a private one.
 //   * Requests carry an owner and a class (demand read >> prefetch read >>
@@ -61,9 +61,8 @@ struct SwapConfig {
 
   // --- shared swap I/O subsystem knobs (threaded through PlatformSpec::pager.swap) ---
 
-  /// In a ProcessGroup, members share one device + scheduler ("one flash
-  /// part, N pagers") instead of each pager owning a private device.
-  /// Ignored by a standalone System — there is nobody to share with.
+  /// The machine builds one device + scheduler all its pagers share ("one
+  /// flash part, N pagers") instead of a private device per pager.
   bool shared = false;
   /// Request-queue dispatch policy.
   SwapSchedPolicy sched = SwapSchedPolicy::kFifo;

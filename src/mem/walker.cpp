@@ -71,7 +71,6 @@ void PageWalker::note_ad_update(VirtAddr va, bool dirty) {
   auto leaf = pt_.leaf(va);
   if (!leaf || !leaf->pte.valid || !pt_.set_accessed_dirty(*leaf, dirty))
     return;  // unmapped, or no bit flipped: free
-  if (!cfg_.timed_ad_writeback) return;
   ad_writebacks_.add();
   bus_.request(BusRequest{leaf->addr, 8, /*is_write=*/true, [] {}});
 }
@@ -127,7 +126,7 @@ void PageWalker::on_pte(Walk* w, u64 raw) {
   if (w->level + 1 == pt_.levels()) {
     // Leaf. The walker sets the accessed bit on fill — the hardware side of
     // the contract the replacement policies consume — and charges the PTE
-    // write-back when the bit flipped (timed_ad_writeback).
+    // write-back when the bit flipped.
     note_ad_update(w->va, /*dirty=*/false);
     // Remember the table it lives in for subsequent same-region walks.
     cache_fill(w->va, w->base);

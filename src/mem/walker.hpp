@@ -24,12 +24,6 @@ struct WalkerConfig {
   bool walk_cache_enabled = true;
   unsigned walk_cache_entries = 16;
   unsigned ports = 1;  // concurrent walks serviced
-  /// Charge each accessed/dirty-bit PTE update as a posted 8-byte bus write
-  /// at the leaf PTE's address (real MMUs write the bit back to memory; the
-  /// traffic is visible on the fabric). Off = functional-only updates, the
-  /// pre-PR model. Only *changing* a bit pays — re-setting an already-set
-  /// bit is free, as in hardware.
-  bool timed_ad_writeback = true;
 };
 
 struct WalkResult {
@@ -57,9 +51,10 @@ class PageWalker {
 
   /// Funnel for every hardware accessed/dirty-bit update (walker leaf fills
   /// and the MMU's TLB-hit refreshes): performs the functional PTE update
-  /// and, when a bit actually changed and timed_ad_writeback is on, posts
-  /// the 8-byte PTE write on the memory bus (fire-and-forget — the walk or
-  /// translation does not stall on it, but the fabric carries the traffic).
+  /// and, when a bit actually changed, posts the 8-byte PTE write at the
+  /// leaf PTE's address on the memory bus, as real MMUs write the bit back
+  /// (fire-and-forget — the walk or translation does not stall on it, but
+  /// the fabric carries the traffic). Re-setting an already-set bit is free.
   void note_ad_update(VirtAddr va, bool dirty);
 
   const PageTable& page_table() const noexcept { return pt_; }

@@ -63,7 +63,7 @@ struct PlatformSpec {
   cpu::CpuConfig cpu{};
   /// Memory-pressure model: frame budget, replacement policy, swap-device
   /// timing, and the shared swap I/O knobs (`pager.swap.shared` for one
-  /// device per ProcessGroup, `pager.swap.sched` for the request-queue
+  /// device per Machine, `pager.swap.sched` for the request-queue
   /// dispatch policy, `pager.swap.readahead` for swap-in clustering
   /// prefetch). frame_budget == 0 (the default) disables the pager
   /// entirely.

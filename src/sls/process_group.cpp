@@ -9,58 +9,34 @@ namespace vmsls::sls {
 
 ProcessGroup::ProcessGroup(sim::Simulator& sim, const PlatformSpec& platform,
                            const paging::FramePoolConfig& pool_cfg)
-    : sim_(sim), platform_(platform) {
-  const u64 page = 1ull << platform_.page_table.page_bits;
-  pm_ = std::make_unique<mem::PhysicalMemory>(platform_.dram.size_bytes);
-  frames_ = std::make_unique<mem::FrameAllocator>(0, platform_.dram.size_bytes / page, page);
-  dram_ = std::make_unique<mem::DramModel>(platform_.dram, sim_.stats(), "dram");
-  bus_ = std::make_unique<mem::MemoryBus>(sim_, *dram_, platform_.bus, "bus");
-  os_ = std::make_unique<rt::OsModel>(sim_, platform_.os, "os");
-  pool_ = std::make_unique<paging::FramePool>(sim_, pool_cfg, "pool");
-  // One flash part for the whole group: member pagers register as owners
-  // of this scheduler instead of instantiating private devices, so their
-  // swap traffic queues against each other like bus traffic does.
-  if (platform_.pager.swap.shared)
-    swap_ = std::make_unique<paging::SwapScheduler>(sim_, platform_.pager.swap, page, "swap");
-  // One file tier for the whole group, unconditionally: files are
-  // meaningful only machine-wide (the same bytes mapped by every process),
-  // and the buffer cache in front of the file device is what turns that
-  // sharing into cross-process read hits.
-  files_ = std::make_unique<mem::FileStore>(page);
-  bcache_ = std::make_unique<paging::BufferCache>(sim_, platform_.pager.bcache, page, "bcache");
-  // Resident-frame index for MAP_SHARED pages: the sharing layer above the
-  // buffer cache — a hit here costs no device read *and no frame*.
-  share_ = std::make_unique<mem::FrameShareIndex>();
-  if (platform_.telemetry.period > 0) {
-    telemetry_ = std::make_unique<sim::TelemetrySampler>(sim_, platform_.telemetry.period);
-    telemetry_->trace_counters = platform_.telemetry.trace_counters;
+    : machine_(sim, platform, pool_cfg) {
+  if (platform.telemetry.period > 0) {
+    telemetry_ = std::make_unique<sim::TelemetrySampler>(sim, platform.telemetry.period);
+    telemetry_->trace_counters = platform.telemetry.trace_counters;
+    paging::FramePool& pool = *machine_.pool();
     telemetry_->add_probe("pool.resident",
-                          [this] { return static_cast<double>(pool_->resident_pages()); });
+                          [&pool] { return static_cast<double>(pool.resident_pages()); });
     telemetry_->add_probe("pool.pending",
-                          [this] { return static_cast<double>(pool_->pending_pages()); });
+                          [&pool] { return static_cast<double>(pool.pending_pages()); });
+    mem::FrameAllocator& frames = machine_.frames();
     telemetry_->add_probe("frames.free",
-                          [this] { return static_cast<double>(frames_->free_frames()); });
-    if (swap_ != nullptr) {
+                          [&frames] { return static_cast<double>(frames.free_frames()); });
+    if (paging::SwapScheduler* swap = machine_.shared_swap(); swap != nullptr) {
       using paging::SwapReqClass;
-      telemetry_->add_probe("swap.q_demand_read", [this] {
-        return static_cast<double>(swap_->queue_depth_class(SwapReqClass::kDemandRead));
-      });
-      telemetry_->add_probe("swap.q_demand_write", [this] {
-        return static_cast<double>(swap_->queue_depth_class(SwapReqClass::kDemandWrite));
-      });
-      telemetry_->add_probe("swap.q_prefetch_read", [this] {
-        return static_cast<double>(swap_->queue_depth_class(SwapReqClass::kPrefetchRead));
-      });
-      telemetry_->add_probe("swap.q_writeback", [this] {
-        return static_cast<double>(swap_->queue_depth_class(SwapReqClass::kWriteback));
-      });
+      for (const SwapReqClass cls : {SwapReqClass::kDemandRead, SwapReqClass::kDemandWrite,
+                                     SwapReqClass::kPrefetchRead, SwapReqClass::kWriteback})
+        telemetry_->add_probe(std::string("swap.q_") + paging::swap_req_class_name(cls),
+                              [swap, cls] {
+                                return static_cast<double>(swap->queue_depth_class(cls));
+                              });
     }
+    paging::BufferCache& bcache = machine_.buffer_cache();
     telemetry_->add_probe("bcache.cached",
-                          [this] { return static_cast<double>(bcache_->cached_blocks()); });
+                          [&bcache] { return static_cast<double>(bcache.cached_blocks()); });
     telemetry_->add_probe("bcache.dirty",
-                          [this] { return static_cast<double>(bcache_->dirty_blocks()); });
+                          [&bcache] { return static_cast<double>(bcache.dirty_blocks()); });
     telemetry_->add_probe("bcache.queue",
-                          [this] { return static_cast<double>(bcache_->queue_depth()); });
+                          [&bcache] { return static_cast<double>(bcache.queue_depth()); });
   }
 }
 
@@ -68,20 +44,7 @@ System& ProcessGroup::add_process(const SystemImage& image, const std::string& i
   require(!instance.empty(), "process instance name must be non-empty");
   require(std::find(instances_.begin(), instances_.end(), instance) == instances_.end(),
           "duplicate process instance name '" + instance + "'");
-  require(image.platform().page_table.page_bits == platform_.page_table.page_bits,
-          "process page size does not match the group substrate");
-  SharedSubstrate shared;
-  shared.pm = pm_.get();
-  shared.frames = frames_.get();
-  shared.dram = dram_.get();
-  shared.bus = bus_.get();
-  shared.os = os_.get();
-  shared.pool = pool_.get();
-  shared.swap = swap_.get();
-  shared.files = files_.get();
-  shared.bcache = bcache_.get();
-  shared.share = share_.get();
-  systems_.push_back(image.elaborate(sim_, shared, instance));
+  systems_.push_back(std::make_unique<System>(machine_, image, instance));
   instances_.push_back(instance);
   System& sys = *systems_.back();
   if (telemetry_ != nullptr) {
@@ -91,7 +54,7 @@ System& ProcessGroup::add_process(const SystemImage& image, const std::string& i
     mem::AddressSpace& as = sys.address_space();
     telemetry_->add_probe(inst + "resident",
                           [&as] { return static_cast<double>(as.resident_pages()); });
-    const Counter& faults = sim_.stats().counter(inst + "faults.faults");
+    const Counter& faults = simulator().stats().counter(inst + "faults.faults");
     telemetry_->add_rate_probe(inst + "fault_rate",
                                [&faults] { return static_cast<double>(faults.value()); });
     if (paging::Pager* pager = sys.pager(); pager != nullptr) {
@@ -110,7 +73,7 @@ System& ProcessGroup::add_process(const std::string& instance) {
   // threads: no threads, buffers or OS objects leave only the pager.
   SystemImage image;
   image.app_.name = "proc";
-  image.platform_ = platform_;
+  image.platform_ = platform();
   image.netlist_ = std::make_shared<Netlist>("proc_top");
   return add_process(image, instance);
 }
@@ -134,20 +97,23 @@ bool ProcessGroup::all_halted() const noexcept {
 
 Cycles ProcessGroup::run_to_completion(Cycles max_cycles) {
   require(!systems_.empty(), "process group has no processes");
-  const Cycles t0 = sim_.now();
-  if (!sim_.run_until([this] { return all_halted(); }, max_cycles)) {
+  sim::Simulator& sim = simulator();
+  const Cycles t0 = sim.now();
+  if (!sim.run_until([this] { return all_halted(); }, max_cycles)) {
     std::string blocked;
     for (const auto& s : systems_) blocked += s->running_thread_names();
     throw std::runtime_error("deadlock: event queue empty with threads blocked:" + blocked);
   }
-  return sim_.now() - t0;
+  return sim.now() - t0;
 }
 
 Cycles ProcessGroup::drain(Cycles max_cycles) {
-  const Cycles t0 = sim_.now();
-  sim_.drain(max_cycles);
-  paging::require_balanced(paging::check_machine(pagers(), pool_.get()), "ProcessGroup::drain");
-  return sim_.now() - t0;
+  sim::Simulator& sim = simulator();
+  const Cycles t0 = sim.now();
+  sim.drain(max_cycles);
+  paging::require_balanced(paging::check_machine(pagers(), machine_.pool()),
+                           "ProcessGroup::drain");
+  return sim.now() - t0;
 }
 
 }  // namespace vmsls::sls

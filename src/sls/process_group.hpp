@@ -1,13 +1,13 @@
 // Multi-process over-subscription harness.
 //
-// Builds the machine-wide substrate — one physical memory, one frame
-// allocator, one DRAM + bus pair, one set of OS service cores, and one
-// memory-pressure FramePool — and elaborates several SystemImages onto it
-// as separate processes. Each process keeps its own address space, page
-// tables, walker, fault handler, pager, and swap device; physical frames,
-// bus bandwidth, and OS cores are contended across all of them. This is
-// the configuration the over-subscription experiments (fig10) run: the
-// aggregate working set exceeds the frame budget, so the pagers fight.
+// Owns one sls::Machine with a memory-pressure FramePool and elaborates
+// several SystemImages onto it as separate processes. Each process keeps
+// its own address space, page tables, walker, fault handler, and pager;
+// physical frames, bus bandwidth, OS cores, the file tier and — when the
+// platform sets `pager.swap.shared` — the swap device are contended across
+// all of them. This is the configuration the over-subscription experiments
+// (fig10) run: the aggregate working set exceeds the frame budget, so the
+// pagers fight.
 //
 // Determinism: construction order fixes member ids and stat names; the
 // run loop steps the one shared simulator, so event order is the usual
@@ -24,9 +24,10 @@ namespace vmsls::sls {
 
 class ProcessGroup {
  public:
-  /// `platform` sizes the shared substrate (DRAM, bus, OS cores, page
-  /// size); per-image platforms configure each process's threads, TLBs,
-  /// and pager. The page size must agree across all images.
+  /// `platform` sizes the machine (DRAM, bus, OS cores, page size, file
+  /// cache, shared swap device); per-image platforms configure each
+  /// process's threads, TLBs, and pager. The page size must agree across
+  /// all images.
   ProcessGroup(sim::Simulator& sim, const PlatformSpec& platform,
                const paging::FramePoolConfig& pool_cfg);
 
@@ -58,32 +59,32 @@ class ProcessGroup {
     return out;
   }
 
-  /// The substrate-sizing platform the group was built with (page size,
+  /// The machine-sizing platform the group was built with (page size,
   /// DRAM, telemetry, traffic knobs) — what a serving driver layers on.
-  const PlatformSpec& platform() const noexcept { return platform_; }
+  const PlatformSpec& platform() const noexcept { return machine_.platform(); }
 
-  sim::Simulator& simulator() noexcept { return sim_; }
-  paging::FramePool& pool() noexcept { return *pool_; }
-  mem::FrameAllocator& frames() noexcept { return *frames_; }
-  rt::OsModel& os() noexcept { return *os_; }
-  mem::MemoryBus& bus() noexcept { return *bus_; }
+  sim::Simulator& simulator() noexcept { return machine_.simulator(); }
+  paging::FramePool& pool() noexcept { return *machine_.pool(); }
+  mem::FrameAllocator& frames() noexcept { return machine_.frames(); }
+  rt::OsModel& os() noexcept { return machine_.os(); }
+  mem::MemoryBus& bus() noexcept { return machine_.bus(); }
 
-  /// The group-wide swap front end ("one flash part, N pagers"), present
+  /// The machine-wide swap front end ("one flash part, N pagers"), present
   /// when the platform sets `pager.swap.shared`; nullptr when each process
   /// pages against a private device.
-  paging::SwapScheduler* shared_swap() noexcept { return swap_.get(); }
+  paging::SwapScheduler* shared_swap() noexcept { return machine_.shared_swap(); }
 
-  /// Machine-wide file registry and block cache — always present: every
-  /// member process mmaps regions of the same files, and their pagers share
-  /// one buffer cache (process B's read hits on the block process A
-  /// faulted in — the shared-library effect).
-  mem::FileStore& files() noexcept { return *files_; }
-  paging::BufferCache& buffer_cache() noexcept { return *bcache_; }
+  /// Machine-wide file registry and block cache: every member process
+  /// mmaps regions of the same files, and their pagers share one buffer
+  /// cache (process B's read hits on the block process A faulted in — the
+  /// shared-library effect).
+  mem::FileStore& files() noexcept { return machine_.files(); }
+  paging::BufferCache& buffer_cache() noexcept { return machine_.buffer_cache(); }
 
   /// Machine-wide resident-frame index for MAP_SHARED pages — what lets
   /// process B's fault map the very frame process A faulted in (dedup)
   /// instead of filling a duplicate copy of the same file block.
-  mem::FrameShareIndex& share_index() noexcept { return *share_; }
+  mem::FrameShareIndex& share_index() noexcept { return machine_.share_index(); }
 
   /// The group's pressure time-series sampler, present when the platform
   /// sets `telemetry.period > 0`; probes cover the pool, the frame
@@ -106,18 +107,7 @@ class ProcessGroup {
   Cycles drain(Cycles max_cycles = 1'000'000'000ull);
 
  private:
-  sim::Simulator& sim_;
-  PlatformSpec platform_;
-  std::unique_ptr<mem::PhysicalMemory> pm_;
-  std::unique_ptr<mem::FrameAllocator> frames_;
-  std::unique_ptr<mem::DramModel> dram_;
-  std::unique_ptr<mem::MemoryBus> bus_;
-  std::unique_ptr<rt::OsModel> os_;
-  std::unique_ptr<paging::FramePool> pool_;
-  std::unique_ptr<paging::SwapScheduler> swap_;
-  std::unique_ptr<mem::FileStore> files_;
-  std::unique_ptr<paging::BufferCache> bcache_;
-  std::unique_ptr<mem::FrameShareIndex> share_;
+  Machine machine_;
   std::unique_ptr<sim::TelemetrySampler> telemetry_;
   std::vector<std::unique_ptr<System>> systems_;
   std::vector<std::string> instances_;

@@ -1,6 +1,7 @@
 #include "sls/report_writer.hpp"
 
 #include <fstream>
+#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -47,18 +48,38 @@ void write_stats_csv(std::ostream& os, const StatRegistry& stats) {
   for (const auto& [name, value] : stats.snapshot()) os << name << "," << value << "\n";
 }
 
+namespace {
+
+/// One component's `<name>.*` stats, read by key suffix; a missing key
+/// reads 0. Built empty — after printing `inactive` as its own line — when
+/// the registry holds no stat under the name.
+class StatSection {
+ public:
+  StatSection(std::ostream& os, const StatRegistry& stats, const std::string& name,
+              const std::string& inactive)
+      : prefix_(name + "."), stats_(stats.snapshot_prefix(prefix_)) {
+    if (stats_.empty()) os << inactive << "\n";
+  }
+
+  explicit operator bool() const noexcept { return !stats_.empty(); }
+
+  double operator()(const std::string& key) const {
+    auto it = stats_.find(prefix_ + key);
+    return it == stats_.end() ? 0.0 : it->second;
+  }
+
+ private:
+  std::string prefix_;
+  std::map<std::string, double> stats_;
+};
+
+}  // namespace
+
 void write_pager_summary(std::ostream& os, const StatRegistry& stats,
                          const std::string& pager_name,
                          const std::string& fault_handler_name) {
-  const auto pager = stats.snapshot_prefix(pager_name + ".");
-  if (pager.empty()) {
-    os << "pager: inactive (no frame budget configured)\n";
-    return;
-  }
-  const auto at = [&pager, &pager_name](const std::string& key) {
-    auto it = pager.find(pager_name + "." + key);
-    return it == pager.end() ? 0.0 : it->second;
-  };
+  const StatSection at(os, stats, pager_name, "pager: inactive (no frame budget configured)");
+  if (!at) return;
   os << "pager: evictions=" << at("evictions") << " swap_ins=" << at("swap_ins")
      << " swap_outs=" << at("swap.writes") << " writebacks=" << at("writebacks")
      << " file_reads=" << at("file_reads") << " file_drops=" << at("file_drops")
@@ -86,15 +107,9 @@ void write_pager_summary(std::ostream& os, const StatRegistry& stats,
 
 void write_swap_summary(std::ostream& os, const StatRegistry& stats,
                         const std::string& swap_name) {
-  const auto swap = stats.snapshot_prefix(swap_name + ".");
-  if (swap.empty()) {
-    os << "swap: inactive (no swap front end named '" << swap_name << "')\n";
-    return;
-  }
-  const auto at = [&swap, &swap_name](const std::string& key) {
-    auto it = swap.find(swap_name + "." + key);
-    return it == swap.end() ? 0.0 : it->second;
-  };
+  const StatSection at(os, stats, swap_name,
+                       "swap: inactive (no swap front end named '" + swap_name + "')");
+  if (!at) return;
   os << "swap: reads=" << at("reads") << " writes=" << at("writes") << " bytes=" << at("bytes")
      << " queue_wait_mean=" << at("queue_wait.mean") << " queue_wait_max=" << at("queue_wait.max")
      << " queue_wait_p95=" << at("queue_wait.p95") << " queue_wait_p99=" << at("queue_wait.p99")
@@ -122,15 +137,9 @@ void write_swap_summary(std::ostream& os, const StatRegistry& stats,
 
 void write_serving_summary(std::ostream& os, const StatRegistry& stats,
                            const std::string& traffic_name) {
-  const auto tr = stats.snapshot_prefix(traffic_name + ".");
-  if (tr.empty()) {
-    os << "serving: inactive (no traffic driver named '" << traffic_name << "')\n";
-    return;
-  }
-  const auto at = [&tr, &traffic_name](const std::string& key) {
-    auto it = tr.find(traffic_name + "." + key);
-    return it == tr.end() ? 0.0 : it->second;
-  };
+  const StatSection at(os, stats, traffic_name,
+                       "serving: inactive (no traffic driver named '" + traffic_name + "')");
+  if (!at) return;
   os << "serving: arrivals=" << at("arrivals") << " admitted=" << at("admitted")
      << " rejected=" << at("rejected") << " completed=" << at("completed")
      << " latency_p50=" << at("latency.p50") << " latency_p95=" << at("latency.p95")
@@ -142,15 +151,9 @@ void write_serving_summary(std::ostream& os, const StatRegistry& stats,
 
 void write_file_cache_summary(std::ostream& os, const StatRegistry& stats,
                               const std::string& cache_name) {
-  const auto bc = stats.snapshot_prefix(cache_name + ".");
-  if (bc.empty()) {
-    os << "bcache: inactive (no buffer cache named '" << cache_name << "')\n";
-    return;
-  }
-  const auto at = [&bc, &cache_name](const std::string& key) {
-    auto it = bc.find(cache_name + "." + key);
-    return it == bc.end() ? 0.0 : it->second;
-  };
+  const StatSection at(os, stats, cache_name,
+                       "bcache: inactive (no buffer cache named '" + cache_name + "')");
+  if (!at) return;
   const double lookups = at("hits") + at("misses");
   os << "bcache: hits=" << at("hits") << " misses=" << at("misses")
      << " hit_rate=" << (lookups > 0 ? at("hits") / lookups : 0.0)
@@ -162,30 +165,17 @@ void write_file_cache_summary(std::ostream& os, const StatRegistry& stats,
 
 void write_frame_pool_summary(std::ostream& os, const StatRegistry& stats,
                               const std::string& pool_name) {
-  const auto pool = stats.snapshot_prefix(pool_name + ".");
-  if (pool.empty()) {
-    os << "pool: inactive (no shared frame pool)\n";
-    return;
-  }
-  const auto at = [&pool, &pool_name](const std::string& key) {
-    auto it = pool.find(pool_name + "." + key);
-    return it == pool.end() ? 0.0 : it->second;
-  };
+  const StatSection at(os, stats, pool_name, "pool: inactive (no shared frame pool)");
+  if (!at) return;
   os << "pool: evictions=" << at("evictions") << " cross_evictions=" << at("cross_evictions")
      << " rebalances=" << at("rebalances") << "\n";
 }
 
 void write_offload_summary(std::ostream& os, const StatRegistry& stats,
                            const std::string& offload_name) {
-  const auto off = stats.snapshot_prefix(offload_name + ".");
-  if (off.empty()) {
-    os << "offload: inactive (system synthesized without the DMA baseline)\n";
-    return;
-  }
-  const auto at = [&off, &offload_name](const std::string& key) {
-    auto it = off.find(offload_name + "." + key);
-    return it == off.end() ? 0.0 : it->second;
-  };
+  const StatSection at(os, stats, offload_name,
+                       "offload: inactive (system synthesized without the DMA baseline)");
+  if (!at) return;
   os << "offload: copies=" << at("copies") << " bytes=" << at("bytes")
      << " pages_pinned=" << at("pages_pinned") << " pin_faults=" << at("pin_faults")
      << " pin_stalls=" << at("pin_stalls") << " chunked_runs=" << at("chunked_runs") << "\n";

@@ -44,9 +44,8 @@ void write_swap_summary(std::ostream& os, const StatRegistry& stats,
 
 /// One-line summary of a buffer cache (the file-I/O front end) after a run:
 /// hit rate, merged reads, device transfers, flush-daemon and capacity
-/// writebacks, and read-wait moments. Works for the group-wide cache
-/// (`cache_name` = "bcache") and a private one ("pager.bcache"). Quiet
-/// (prints a note) when the registry holds no such counters.
+/// writebacks, and read-wait moments (the machine's cache is "bcache").
+/// Quiet (prints a note) when the registry holds no such counters.
 void write_file_cache_summary(std::ostream& os, const StatRegistry& stats,
                               const std::string& cache_name = "bcache");
 

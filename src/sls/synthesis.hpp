@@ -31,7 +31,6 @@
 namespace vmsls::sls {
 
 class System;
-struct SharedSubstrate;
 
 struct HwThreadPlan {
   std::string thread;
@@ -113,13 +112,8 @@ class SystemImage {
   const HwThreadPlan& hw_plan(const std::string& thread) const;
 
   /// Instantiates the full system (memory, MMUs, engines, runtime) on the
-  /// given simulator.
+  /// given simulator: a standalone System on a Machine of its own.
   std::unique_ptr<System> elaborate(sim::Simulator& sim) const;
-
-  /// Elaborates against machine-wide shared components (multi-process
-  /// over-subscription); `instance` prefixes the system's stat names.
-  std::unique_ptr<System> elaborate(sim::Simulator& sim, const SharedSubstrate& shared,
-                                    std::string instance) const;
 
  private:
   friend class SynthesisFlow;

@@ -9,83 +9,48 @@ std::unique_ptr<System> SystemImage::elaborate(sim::Simulator& sim) const {
   return std::make_unique<System>(sim, *this);
 }
 
-std::unique_ptr<System> SystemImage::elaborate(sim::Simulator& sim, const SharedSubstrate& shared,
-                                               std::string instance) const {
-  return std::make_unique<System>(sim, *this, shared, std::move(instance));
+System::System(sim::Simulator& sim, const SystemImage& image)
+    : standalone_machine_(std::make_unique<Machine>(sim, image.platform())),
+      machine_(*standalone_machine_),
+      sim_(sim),
+      image_(image) {
+  build();
 }
 
-System::System(sim::Simulator& sim, const SystemImage& image) : sim_(sim), image_(image) {
-  build(nullptr);
-}
-
-System::System(sim::Simulator& sim, const SystemImage& image, const SharedSubstrate& shared,
-               std::string instance)
-    : sim_(sim), image_(image), inst_(std::move(instance)) {
-  require(shared.pm && shared.frames && shared.dram && shared.bus && shared.os,
-          "shared substrate must supply pm, frames, dram, bus, and os");
+System::System(Machine& machine, const SystemImage& image, std::string instance)
+    : machine_(machine), sim_(machine.simulator()), image_(image), inst_(std::move(instance)) {
   if (!inst_.empty() && inst_.back() != '.') inst_ += '.';
-  build(&shared);
+  build();
 }
 
-void System::build(const SharedSubstrate* shared) {
+void System::build() {
   const PlatformSpec& plat = image_.platform();
   const AppSpec& app = image_.app();
-
-  // --- memory system: owned when standalone, borrowed when shared ---
   const u64 page = 1ull << plat.page_table.page_bits;
-  if (shared != nullptr) {
-    pm_ = shared->pm;
-    frames_ = shared->frames;
-    dram_ = shared->dram;
-    bus_ = shared->bus;
-    os_ = shared->os;
-    pool_ = shared->pool;
-    require(frames_->frame_bytes() == page,
-            "shared frame allocator page size does not match the platform page size");
-  } else {
-    owned_pm_ = std::make_unique<mem::PhysicalMemory>(plat.dram.size_bytes);
-    owned_frames_ =
-        std::make_unique<mem::FrameAllocator>(0, plat.dram.size_bytes / page, page);
-    owned_dram_ = std::make_unique<mem::DramModel>(plat.dram, sim_.stats(), "dram");
-    owned_bus_ = std::make_unique<mem::MemoryBus>(sim_, *owned_dram_, plat.bus, "bus");
-    pm_ = owned_pm_.get();
-    frames_ = owned_frames_.get();
-    dram_ = owned_dram_.get();
-    bus_ = owned_bus_.get();
-  }
-  if (shared != nullptr && shared->files != nullptr) {
-    files_ = shared->files;
-    require(files_->block_bytes() == page,
-            "shared file store block size does not match the platform page size");
-  } else {
-    owned_files_ = std::make_unique<mem::FileStore>(page);
-    files_ = owned_files_.get();
-  }
-  as_ = std::make_unique<mem::AddressSpace>(*pm_, *frames_, plat.page_table);
-  if (shared != nullptr && shared->share != nullptr) as_->set_share_index(shared->share);
+  require(page == machine_.page_bytes(), "process page size does not match the machine's");
+  mem::PhysicalMemory& pm = machine_.memory();
+  mem::MemoryBus& bus = machine_.bus();
+  rt::OsModel& os = machine_.os();
+
+  // --- process: address space, page tables, walker ---
+  as_ = std::make_unique<mem::AddressSpace>(pm, machine_.frames(), plat.page_table);
+  as_->set_share_index(&machine_.share_index());
   process_ = std::make_unique<rt::Process>(sim_, *as_, inst_ + app.name);
-  walker_ = std::make_unique<mem::PageWalker>(sim_, *bus_, *pm_, as_->page_table(), plat.walker,
+  walker_ = std::make_unique<mem::PageWalker>(sim_, bus, pm, as_->page_table(), plat.walker,
                                               inst_ + "walker");
   process_->register_walker(walker_.get());
-
-  // --- OS model ---
-  if (shared == nullptr) {
-    owned_os_ = std::make_unique<rt::OsModel>(sim_, plat.os, "os");
-    os_ = owned_os_.get();
-  }
-  faults_ = std::make_unique<rt::FaultHandler>(sim_, *os_, *process_, inst_ + "faults");
+  faults_ = std::make_unique<rt::FaultHandler>(sim_, os, *process_, inst_ + "faults");
 
   // --- pager daemon (memory-pressure model) ---
-  if (plat.pager.frame_budget > 0 || pool_ != nullptr) {
-    // A substrate-supplied SwapScheduler shares one flash part across all
-    // member pagers; otherwise the pager owns a private one.
-    paging::SwapScheduler* shared_swap = shared != nullptr ? shared->swap : nullptr;
-    paging::BufferCache* shared_bcache = shared != nullptr ? shared->bcache : nullptr;
-    pager_ = std::make_unique<paging::Pager>(sim_, *process_, plat.pager, inst_ + "pager",
-                                             shared_swap, shared_bcache);
-    pager_->set_os(os_, plat.os.daemon_service);
-    pager_->set_bus(bus_);  // COW page copies charge as bus write bursts
-    if (pool_ != nullptr) pool_->attach(*pager_);
+  paging::FramePool* pool = machine_.pool();
+  if (plat.pager.frame_budget > 0 || pool != nullptr) {
+    const std::string name = inst_ + "pager";
+    pager_ = std::make_unique<paging::Pager>(sim_, *process_, plat.pager, name,
+                                             machine_.swap_for(name, plat.pager.swap),
+                                             machine_.buffer_cache());
+    pager_->set_os(&os, plat.os.daemon_service);
+    pager_->set_bus(&bus);  // COW page copies charge as bus write bursts
+    if (pool != nullptr) pool->attach(*pager_);
     faults_->set_pager(pager_.get());
   }
 
@@ -100,11 +65,11 @@ void System::build(const SharedSubstrate* shared) {
 
   // --- baseline DMA components ---
   if (image_.options().include_dma) {
-    dma_ = std::make_unique<dma::DmaEngine>(sim_, *bus_, *pm_, plat.dma, inst_ + "dma");
+    dma_ = std::make_unique<dma::DmaEngine>(sim_, bus, pm, plat.dma, inst_ + "dma");
     // Under memory pressure the driver fault-pins its transfers through the
     // pager with budget-aware chunked admission — the wiring that lets the
     // SVM-vs-DMA comparison run in the paging regime.
-    offload_ = std::make_unique<dma::OffloadDriver>(sim_, *os_, *process_, *dma_, *bus_, *pm_,
+    offload_ = std::make_unique<dma::OffloadDriver>(sim_, os, *process_, *dma_, bus, pm,
                                                     plat.offload, inst_ + "offload",
                                                     pager_.get());
   }
@@ -142,7 +107,7 @@ void System::build_hw_thread(const ThreadSpec& spec, const HwThreadPlan& plan) {
   const unsigned ports = std::max(1u, spec.kernel.iface.mem_ports);
   for (unsigned p = 0; p < ports; ++p) {
     t.ports.push_back(std::make_unique<hwt::HwMemPort>(
-        sim_, *t.mmu, *bus_, *pm_, plan.port,
+        sim_, *t.mmu, machine_.bus(), machine_.memory(), plan.port,
         inst_ + "hwt." + spec.name + ".port" + std::to_string(p)));
     // Under memory pressure, in-flight port accesses pin their pages so
     // victim selection (including another process's, via the pool) never
@@ -152,7 +117,7 @@ void System::build_hw_thread(const ThreadSpec& spec, const HwThreadPlan& plan) {
       t.ports.back()->set_address_space(as_.get());
   }
 
-  t.os_port = std::make_unique<rt::DelegateOsPort>(sim_, *os_, *process_,
+  t.os_port = std::make_unique<rt::DelegateOsPort>(sim_, machine_.os(), *process_,
                                                    inst_ + "hwt." + spec.name + ".osif");
   t.os_port->set_bindings(make_bindings(spec));
 
@@ -169,7 +134,7 @@ void System::build_sw_thread(const ThreadSpec& spec) {
   const PlatformSpec& plat = image_.platform();
   SwThread t;
 
-  t.caches = std::make_unique<mem::CacheHierarchy>(sim_, *bus_, plat.cpu.caches,
+  t.caches = std::make_unique<mem::CacheHierarchy>(sim_, machine_.bus(), plat.cpu.caches,
                                                    inst_ + "swt." + spec.name + ".cache");
   t.port = std::make_unique<cpu::CachedMemPort>(sim_, *as_, *t.caches,
                                                 inst_ + "swt." + spec.name + ".port");

@@ -1,18 +1,16 @@
-// The elaborated system: a SystemImage instantiated on the simulator.
+// The elaborated system: a SystemImage instantiated as one process on an
+// sls::Machine.
 //
-// Owns every component of the simulated SoC — physical memory, DRAM/bus
-// models, the process address space and page tables, the shared walker,
-// per-thread MMUs/ports/engines, the OS model with delegate threads and
-// the fault handler, and (optionally) the DMA engine + offload driver.
-// This is the "board" the paper's evaluation runs on.
+// The Machine holds the board's machine-wide parts — physical memory,
+// DRAM/bus models, the OS service cores, the file tier, and the optional
+// frame pool and swap devices. The System owns what is per process: the
+// address space and page tables, the shared walker, per-thread
+// MMUs/ports/engines, delegate OS ports, the fault handler, the pager, and
+// (optionally) the DMA engine + offload driver.
 //
-// A System can alternatively be elaborated *into* a SharedSubstrate: the
-// physical memory, frame allocator, DRAM + bus, OS service cores, and the
-// memory-pressure FramePool come from outside and are shared with other
-// Systems on the same simulator. That is the multi-process
-// over-subscription configuration: each process keeps its own address
-// space, page tables, walker, fault handler, and pager, while frames and
-// bus bandwidth are contended machine-wide (see sls::ProcessGroup).
+// A standalone System is the only process on a pool-less Machine of its
+// own; a ProcessGroup elaborates N Systems onto one Machine, so frames, bus
+// bandwidth and OS cores are contended machine-wide. Both run one build.
 #pragma once
 
 #include <map>
@@ -29,51 +27,24 @@
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/mmu.hpp"
-#include "mem/paging/frame_pool.hpp"
 #include "mem/paging/pager.hpp"
-#include "mem/paging/swap_scheduler.hpp"
-#include "mem/physmem.hpp"
 #include "mem/walker.hpp"
 #include "rt/os.hpp"
 #include "rt/process.hpp"
+#include "sls/machine.hpp"
 #include "sls/synthesis.hpp"
 
 namespace vmsls::sls {
 
-/// Machine-wide components several Systems share on one simulator. All
-/// pointers must outlive every System elaborated against the substrate;
-/// `pool` may be null (no shared memory-pressure arbitration) and `swap`
-/// may be null (each pager keeps a private swap device instead of sharing
-/// one flash part).
-struct SharedSubstrate {
-  mem::PhysicalMemory* pm = nullptr;
-  mem::FrameAllocator* frames = nullptr;
-  mem::DramModel* dram = nullptr;
-  mem::MemoryBus* bus = nullptr;
-  rt::OsModel* os = nullptr;
-  paging::FramePool* pool = nullptr;
-  paging::SwapScheduler* swap = nullptr;
-  /// Machine-wide file registry + block cache for file-backed mappings.
-  /// `files` may be null (processes then cannot mmap through the group) and
-  /// `bcache` may be null (each pager keeps a private buffer cache).
-  mem::FileStore* files = nullptr;
-  paging::BufferCache* bcache = nullptr;
-  /// Machine-wide resident-frame index for MAP_SHARED pages: when set, a
-  /// process faulting a shared file page another process already holds
-  /// resident maps the *same frame* (one frame backs N mappings) instead of
-  /// filling a duplicate. Null = every process fills its own frame.
-  mem::FrameShareIndex* share = nullptr;
-};
-
 class System {
  public:
+  /// A standalone system: the only process on a pool-less Machine of its
+  /// own, built from the image's platform.
   System(sim::Simulator& sim, const SystemImage& image);
 
-  /// Shared-substrate elaboration: memory, bus, OS cores, and the frame
-  /// pool come from outside; `instance` prefixes every component's stat
-  /// names (e.g. "p0.") so multiple processes coexist in one registry.
-  System(sim::Simulator& sim, const SystemImage& image, const SharedSubstrate& shared,
-         std::string instance);
+  /// Process `instance` on `machine`; `instance` prefixes every component's
+  /// stat names (e.g. "p0.") so several processes coexist in one registry.
+  System(Machine& machine, const SystemImage& image, std::string instance);
 
   System(const System&) = delete;
   System& operator=(const System&) = delete;
@@ -82,19 +53,19 @@ class System {
   sim::Simulator& simulator() noexcept { return sim_; }
   rt::Process& process() noexcept { return *process_; }
   mem::AddressSpace& address_space() noexcept { return *as_; }
-  mem::MemoryBus& bus() noexcept { return *bus_; }
+  mem::MemoryBus& bus() noexcept { return machine_.bus(); }
   mem::PageWalker& walker() noexcept { return *walker_; }
-  mem::PhysicalMemory& physical_memory() noexcept { return *pm_; }
-  rt::OsModel& os() noexcept { return *os_; }
+  mem::PhysicalMemory& physical_memory() noexcept { return machine_.memory(); }
+  rt::OsModel& os() noexcept { return machine_.os(); }
   rt::FaultHandler& fault_handler() noexcept { return *faults_; }
 
   /// Present when the platform configures a frame budget (pager.frame_budget
-  /// > 0) or the system shares a FramePool; nullptr otherwise.
+  /// > 0) or the machine has a FramePool; nullptr otherwise.
   paging::Pager* pager() noexcept { return pager_.get(); }
 
-  /// File registry backing mmap regions: the substrate's machine-wide store
-  /// when elaborated into one, else a private store (block size = page size).
-  mem::FileStore& files() noexcept { return *files_; }
+  /// The machine's file registry backing mmap regions (block size = page
+  /// size).
+  mem::FileStore& files() noexcept { return machine_.files(); }
 
   /// Stat-name prefix of this instance ("" for a standalone system).
   const std::string& instance() const noexcept { return inst_; }
@@ -146,32 +117,18 @@ class System {
     std::unique_ptr<hwt::Engine> engine;
   };
 
-  void build(const SharedSubstrate* shared);
+  void build();
   void build_hw_thread(const ThreadSpec& spec, const HwThreadPlan& plan);
   void build_sw_thread(const ThreadSpec& spec);
   rt::OsBindings make_bindings(const ThreadSpec& spec) const;
 
+  std::unique_ptr<Machine> standalone_machine_;  // set by the standalone constructor only
+  Machine& machine_;
   sim::Simulator& sim_;
   SystemImage image_;
   std::string inst_;
 
-  // Shared components: owned_* hold storage when this system stands alone;
-  // the raw pointers are what the rest of the system uses either way.
-  std::unique_ptr<mem::PhysicalMemory> owned_pm_;
-  std::unique_ptr<mem::FrameAllocator> owned_frames_;
-  std::unique_ptr<mem::DramModel> owned_dram_;
-  std::unique_ptr<mem::MemoryBus> owned_bus_;
-  std::unique_ptr<rt::OsModel> owned_os_;
-  mem::PhysicalMemory* pm_ = nullptr;
-  mem::FrameAllocator* frames_ = nullptr;
-  mem::DramModel* dram_ = nullptr;
-  mem::MemoryBus* bus_ = nullptr;
-  rt::OsModel* os_ = nullptr;
-  paging::FramePool* pool_ = nullptr;
-  std::unique_ptr<mem::FileStore> owned_files_;
-  mem::FileStore* files_ = nullptr;
-
-  // Per-process components, always owned.
+  // Per-process components.
   std::unique_ptr<mem::AddressSpace> as_;
   std::unique_ptr<rt::Process> process_;
   std::unique_ptr<mem::PageWalker> walker_;

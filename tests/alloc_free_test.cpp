@@ -251,7 +251,7 @@ struct OffloadAllocFixture : ::testing::Test {
   rt::OsModel os{ms.sim, rt::OsConfig{}, "os"};
   rt::Process process{ms.sim, ms.as, "p"};
   DmaEngine dma{ms.sim, ms.bus, ms.pm, DmaConfig{}, "dma"};
-  std::unique_ptr<paging::Pager> pager;
+  test::PagerPtr pager;
   std::unique_ptr<OffloadDriver> driver;
   VirtAddr va = 0;
   PinnedBuffer buf;
@@ -263,7 +263,7 @@ struct OffloadAllocFixture : ::testing::Test {
     if (frame_budget > 0) {
       paging::PagerConfig pc;
       pc.frame_budget = frame_budget;
-      pager = std::make_unique<paging::Pager>(ms.sim, process, pc, "pager");
+      pager = test::PagerPtr(ms.sim, process, pc, "pager");
     }
     OffloadConfig cfg;
     cfg.mode = mode;
@@ -330,7 +330,7 @@ struct PagingCycleFixture : ::testing::Test {
   mem::AddressSpace as{ms.pm, frames, mem::PageTableConfig{}};
   rt::Process process{ms.sim, as, "p"};
   std::unique_ptr<FramePool> pool;
-  std::unique_ptr<Pager> pager;
+  test::PagerPtr pager;
   VirtAddr base = 0;
 
   void make(BudgetMode mode, unsigned readahead = 0) {
@@ -345,7 +345,7 @@ struct PagingCycleFixture : ::testing::Test {
     } else {
       pc.frame_budget = kBudget;
     }
-    pager = std::make_unique<Pager>(ms.sim, process, pc, "pager");
+    pager = test::PagerPtr(ms.sim, process, pc, "pager");
     if (pool) pool->attach(*pager);
     base = as.alloc(kPages * 4096, 4096);
   }

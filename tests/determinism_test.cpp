@@ -5,8 +5,10 @@
 // are bit-identical to the straightforward priority-queue implementation.
 // These tests pin that contract: repeated runs produce identical cycle
 // counts, event counts, and stat snapshots; the parallel DSE sweep equals
-// the serial one candidate for candidate; and zero-latency translation
-// paths complete without touching the scheduler at all.
+// the serial one candidate for candidate; a standalone System and the same
+// image as the only member of a ProcessGroup are one machine; and
+// zero-latency translation paths complete without touching the scheduler
+// at all.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "mem/physmem.hpp"
 #include "sim/simulator.hpp"
 #include "sls/dse.hpp"
+#include "sls/process_group.hpp"
 #include "sls/synthesis.hpp"
 #include "sls/system.hpp"
 #include "workloads/workloads.hpp"
@@ -105,6 +108,78 @@ TEST(Determinism, SerialAndParallelDseIdentical) {
   EXPECT_EQ(a.best, b.best);
   ASSERT_GE(a.best, 0);
   EXPECT_TRUE(a.candidates[static_cast<std::size_t>(a.best)].measured);
+}
+
+struct MachineRun {
+  Cycles cycles = 0;
+  u64 events = 0;
+  u64 faults = 0;
+  u64 swap_ins = 0;
+  u64 evictions = 0;
+};
+
+/// Cold-starts `system` (every buffer evicted), runs it through `run` and
+/// drains the queue; counts cover the whole run.
+template <typename RunFn>
+MachineRun run_cold(sim::Simulator& sim, sls::System& system, const workloads::Workload& wl,
+                    RunFn run) {
+  wl.setup(system);
+  for (const auto& buf : system.image().app().buffers)
+    system.process().evict(system.buffer(buf.name), buf.bytes);
+  system.start_all();
+  MachineRun r;
+  r.cycles = run();
+  EXPECT_TRUE(wl.verify(system)) << wl.name;
+  sim.drain();
+  r.events = sim.events_executed();
+  r.faults = sim.stats().counter_value(system.instance() + "faults.faults");
+  r.swap_ins = system.pager()->swap_ins();
+  r.evictions = system.pager()->evictions();
+  return r;
+}
+
+TEST(Determinism, StandaloneSystemIsAOneMemberMachine) {
+  // Both entry points elaborate onto an sls::Machine: the standalone one
+  // owns a pool-less machine, the group's adds a per-process FramePool
+  // mirroring the pager. Under pressure they must stay one machine.
+  sls::PlatformSpec plat = sls::zynq7045();
+  plat.pager.budget_mode = paging::BudgetMode::kPerProcess;
+  plat.pager.frame_budget = 12;
+  plat.pager.policy_seed = 7;
+  paging::FramePoolConfig pool_cfg;
+  pool_cfg.mode = paging::BudgetMode::kPerProcess;
+  pool_cfg.policy = plat.pager.policy;
+  pool_cfg.policy_seed = plat.pager.policy_seed;
+
+  u64 evictions = 0;
+  for (const char* name : {"hash_join", "pointer_chase", "bfs", "saxpy"}) {
+    workloads::WorkloadParams p;
+    p.n = 1024;
+    p.seed = 42;
+    const auto wl = workloads::make_workload(name, p);
+    const auto image = sls::SynthesisFlow(plat).synthesize(
+        workloads::single_thread_app(wl, sls::ThreadKind::kHardware));
+
+    sim::Simulator solo_sim;
+    auto solo = image.elaborate(solo_sim);
+    const MachineRun a =
+        run_cold(solo_sim, *solo, wl, [&solo] { return solo->run_to_completion(); });
+
+    sim::Simulator group_sim;
+    sls::ProcessGroup group(group_sim, plat, pool_cfg);
+    sls::System& member = group.add_process(image, "p0");
+    const MachineRun b =
+        run_cold(group_sim, member, wl, [&group] { return group.run_to_completion(); });
+
+    EXPECT_EQ(a.cycles, b.cycles) << name;
+    EXPECT_EQ(a.events, b.events) << name;
+    EXPECT_EQ(a.faults, b.faults) << name;
+    EXPECT_EQ(a.swap_ins, b.swap_ins) << name;
+    EXPECT_EQ(a.evictions, b.evictions) << name;
+    EXPECT_GT(a.faults, 0u) << name;  // the cold start faults every page in
+    evictions += a.evictions;
+  }
+  EXPECT_GT(evictions, 0u);  // hash_join outgrows the budget
 }
 
 /// Fixture providing a minimal translation stack (no full System).

@@ -33,13 +33,13 @@ struct PressureRig : ::testing::Test {
   rt::OsModel os{ms.sim, rt::OsConfig{}, "os"};
   rt::Process process{ms.sim, ms.as, "p"};
   DmaEngine dma{ms.sim, ms.bus, ms.pm, DmaConfig{}, "dma"};
-  std::unique_ptr<paging::Pager> pager;
+  test::PagerPtr pager;
   std::unique_ptr<OffloadDriver> driver;
 
   void make(u64 budget, OffloadConfig cfg = {}) {
     paging::PagerConfig pc;
     pc.frame_budget = budget;
-    pager = std::make_unique<paging::Pager>(ms.sim, process, pc, "pager");
+    pager = test::PagerPtr(ms.sim, process, pc, "pager");
     driver = std::make_unique<OffloadDriver>(ms.sim, os, process, dma, ms.bus, ms.pm, cfg,
                                              "offload", pager.get());
   }

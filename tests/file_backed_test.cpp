@@ -247,7 +247,7 @@ struct FilePagerFixture : ::testing::Test {
   std::unique_ptr<mem::Mmu> mmu;
   std::unique_ptr<rt::OsModel> os;
   std::unique_ptr<rt::FaultHandler> faults;
-  std::unique_ptr<Pager> pager;
+  test::PagerPtr pager;
 
   void make(u64 budget) {
     walker = std::make_unique<mem::PageWalker>(ms.sim, ms.bus, ms.pm, ms.as.page_table(),
@@ -260,7 +260,7 @@ struct FilePagerFixture : ::testing::Test {
     mmu->set_fault_sink(faults.get());
     PagerConfig cfg;
     cfg.frame_budget = budget;
-    pager = std::make_unique<Pager>(ms.sim, process, cfg, "pager");
+    pager = test::PagerPtr(ms.sim, process, cfg, "pager");
     faults->set_pager(pager.get());
   }
 

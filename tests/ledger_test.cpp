@@ -61,7 +61,8 @@ TEST(LedgerTest, AnOwnerMissingFromThePagerSetUnbalancesTheSwapPartition) {
   test::MemorySystem ms;
   rt::Process process{ms.sim, ms.as, "p"};
   SwapScheduler swap(ms.sim, SwapConfig{}, kPage, "swap");
-  Pager pager(ms.sim, process, PagerConfig{}, "pager", &swap);
+  BufferCache bcache(ms.sim, BufferCacheConfig{}, kPage, "bcache");
+  Pager pager(ms.sim, process, PagerConfig{}, "pager", swap, bcache);
   EXPECT_EQ(check_machine({&pager}), Violations{});
 
   const unsigned other = swap.register_owner("other");
@@ -75,7 +76,8 @@ TEST(LedgerTest, RefcountMismatchIsReported) {
   test::MemorySystem ms;
   rt::Process process{ms.sim, ms.as, "p"};
   FramePool pool(ms.sim, FramePoolConfig{}, "pool");  // outlives its member
-  Pager pager(ms.sim, process, PagerConfig{}, "pager");
+  const test::PagerPtr owned(ms.sim, process, PagerConfig{}, "pager");
+  Pager& pager = *owned;
   pool.attach(pager);
   const VirtAddr va = ms.as.alloc(kPage, kPage);
   process.map_in(va);
@@ -101,7 +103,8 @@ TEST(LedgerTest, PageoutCleaningOfSharedFilePagesIsNotAnUnmap) {
   PagerConfig cfg;
   cfg.frame_budget = 4;
   cfg.pageout_interval = 100;
-  Pager pager(ms.sim, process, cfg, "pager");
+  const test::PagerPtr owned(ms.sim, process, cfg, "pager");
+  Pager& pager = *owned;
 
   auto touch = [&](u64 p, bool write) {
     const VirtAddr va = base + p * kPage;

@@ -37,12 +37,12 @@ struct PoolFixture : ::testing::Test {
   rt::Process p0{sim, as0, "p0"};
   rt::Process p1{sim, as1, "p1"};
   std::unique_ptr<FramePool> pool;
-  std::unique_ptr<Pager> pg0, pg1;
+  test::PagerPtr pg0, pg1;
 
   void make(const FramePoolConfig& pool_cfg, PagerConfig cfg0 = {}, PagerConfig cfg1 = {}) {
     pool = std::make_unique<FramePool>(sim, pool_cfg, "pool");
-    pg0 = std::make_unique<Pager>(sim, p0, cfg0, "p0.pager");
-    pg1 = std::make_unique<Pager>(sim, p1, cfg1, "p1.pager");
+    pg0 = test::PagerPtr(sim, p0, cfg0, "p0.pager");
+    pg1 = test::PagerPtr(sim, p1, cfg1, "p1.pager");
     pool->attach(*pg0);
     pool->attach(*pg1);
   }
@@ -170,7 +170,8 @@ std::pair<Cycles, std::map<std::string, double>> run_budget_scenario(BudgetMode 
   PagerConfig cfg;
   cfg.budget_mode = mode;
   cfg.frame_budget = (mode == BudgetMode::kPerProcess) ? budget : 0;
-  Pager pager(sim, proc, cfg, "pager");
+  const test::PagerPtr owned(sim, proc, cfg, "pager");
+  Pager& pager = *owned;
   pool.attach(pager);
 
   const std::vector<unsigned> pattern = {0, 1, 2, 3, 0, 1, 4, 2, 5, 0, 3, 1};

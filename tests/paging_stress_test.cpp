@@ -55,7 +55,8 @@ StressSnapshot run_chaos(u64 seed) {
   pc.ws_interval = 900;
   pc.pageout_interval = 400;
   pc.pageout_watermark_pct = 50;
-  Pager pager(ms.sim, process, pc, "pager");
+  const test::PagerPtr owned(ms.sim, process, pc, "pager");
+  Pager& pager = *owned;
   pager.set_os(&os, rt::OsConfig{}.daemon_service);
 
   dma::OffloadConfig oc;

@@ -316,7 +316,7 @@ struct PagerFixture : ::testing::Test {
   std::unique_ptr<mem::Mmu> mmu;
   std::unique_ptr<rt::OsModel> os;
   std::unique_ptr<rt::FaultHandler> faults;
-  std::unique_ptr<Pager> pager;
+  test::PagerPtr pager;
 
   void make(u64 budget, PolicyKind kind = PolicyKind::kClock) {
     walker = std::make_unique<mem::PageWalker>(ms.sim, ms.bus, ms.pm, ms.as.page_table(),
@@ -330,7 +330,7 @@ struct PagerFixture : ::testing::Test {
     PagerConfig cfg;
     cfg.frame_budget = budget;
     cfg.policy = kind;
-    pager = std::make_unique<Pager>(ms.sim, process, cfg, "pager");
+    pager = test::PagerPtr(ms.sim, process, cfg, "pager");
     faults->set_pager(pager.get());
   }
 
@@ -417,7 +417,7 @@ TEST_F(PagerFixture, FrameExhaustionTriggersReclaimInsteadOfThrowing) {
   rt::Process proc(ms.sim, as, "tiny");
   PagerConfig cfg;
   cfg.frame_budget = 1000;
-  Pager p(ms.sim, proc, cfg, "tiny_pager");
+  const test::PagerPtr p(ms.sim, proc, cfg, "tiny_pager");
 
   const VirtAddr base = as.alloc(8 * 4096, 4096);
   for (u64 i = 0; i < 8; ++i) as.write_u64(base + i * 4096, i + 1);
@@ -435,7 +435,7 @@ TEST_F(PagerFixture, ReclaimCountsFramesFreedNotSharersUnmapped) {
   rt::Process proc(ms.sim, parent, "tiny");
   PagerConfig cfg;
   cfg.frame_budget = 1000;  // the fault path never evicts
-  Pager p(ms.sim, proc, cfg, "tiny_pager");
+  const test::PagerPtr p(ms.sim, proc, cfg, "tiny_pager");
 
   // Three pages shared with a forked child, then one private page: CLOCK's
   // ring holds the shared ones first.

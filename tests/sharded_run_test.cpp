@@ -56,7 +56,8 @@ void run_scenario(sim::Simulator& sim, const Scenario& sc) {
   cfg.swap.bytes_per_cycle = 64;
   cfg.swap.readahead = sc.readahead;
   if (sc.readahead > 0) cfg.swap.sched = paging::SwapSchedPolicy::kPriority;
-  paging::Pager pager{sim, process, cfg, "pager"};
+  const test::PagerPtr owned(sim, process, cfg, "pager");
+  paging::Pager& pager = *owned;
 
   const VirtAddr base = as.alloc(sc.pages * as.page_bytes(), as.page_bytes());
   for (u64 p = 0; p < sc.pages; ++p) as.write_u64(base + p * as.page_bytes(), p);

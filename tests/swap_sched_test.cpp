@@ -315,9 +315,11 @@ struct PagerHarness {
   test::MemorySystem ms;
   rt::OsModel os{ms.sim, rt::OsConfig{}, "os"};
   rt::Process process{ms.sim, ms.as, "p"};
-  Pager pager;
+  test::PagerPtr owned;
+  Pager& pager;
 
-  explicit PagerHarness(const PagerConfig& cfg) : pager(ms.sim, process, cfg, "pager") {}
+  explicit PagerHarness(const PagerConfig& cfg)
+      : owned(ms.sim, process, cfg, "pager"), pager(*owned) {}
 };
 
 TEST(SwapReadahead, PrefetchesNeighborsLandsCleanAndBalancesLedger) {

@@ -1,16 +1,21 @@
-// Shared test fixtures: a small but complete memory system, and a key owner
-// for replacement-policy unit tests.
+// Shared test fixtures: a small but complete memory system, a key owner
+// for replacement-policy unit tests, and a hand-built pager with its own
+// swap and file front ends.
 #pragma once
 
+#include <memory>
 #include <set>
+#include <string>
 
 #include "mem/address_space.hpp"
 #include "mem/bus.hpp"
 #include "mem/dram.hpp"
 #include "mem/frames.hpp"
+#include "mem/paging/pager.hpp"
 #include "mem/paging/replacement.hpp"
 #include "mem/physmem.hpp"
 #include "mem/walker.hpp"
+#include "rt/process.hpp"
 #include "sim/simulator.hpp"
 
 namespace vmsls::test {
@@ -72,6 +77,35 @@ struct KeyOwner final : paging::KeyOwner {
   std::set<u64> pins;
   std::set<u64> landings;
   bool frozen = false;
+};
+
+/// A hand-built Pager together with the swap scheduler and file cache it
+/// borrows, named "<name>.swap" and "<name>.bcache" so every stat stays
+/// under the pager's name. Handled like a std::unique_ptr<paging::Pager>;
+/// the pager goes before its devices.
+class PagerPtr {
+ public:
+  PagerPtr() = default;
+  PagerPtr(sim::Simulator& sim, rt::Process& process, const paging::PagerConfig& cfg,
+           const std::string& name)
+      : rig_(std::make_unique<Rig>(sim, process, cfg, name)) {}
+
+  paging::Pager* get() const noexcept { return rig_ ? &rig_->pager : nullptr; }
+  paging::Pager* operator->() const noexcept { return get(); }
+  paging::Pager& operator*() const noexcept { return *get(); }
+
+ private:
+  struct Rig {
+    Rig(sim::Simulator& sim, rt::Process& process, const paging::PagerConfig& cfg,
+        const std::string& name)
+        : swap(sim, cfg.swap, process.address_space().page_bytes(), name + ".swap"),
+          bcache(sim, cfg.bcache, process.address_space().page_bytes(), name + ".bcache"),
+          pager(sim, process, cfg, name, swap, bcache) {}
+    paging::SwapScheduler swap;
+    paging::BufferCache bcache;
+    paging::Pager pager;
+  };
+  std::unique_ptr<Rig> rig_;
 };
 
 }  // namespace vmsls::test

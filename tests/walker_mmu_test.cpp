@@ -240,10 +240,10 @@ TEST_F(MmuFixture, OffsetPreservedThroughTranslation) {
   EXPECT_EQ(pa & 0xFFF, 0xABCu);
 }
 
-// --- accessed/dirty write-back charging (WalkerConfig::timed_ad_writeback) ---
+// --- accessed/dirty write-back charging ---
 
 TEST_F(WalkerFixture, AdBitFlipChargesOnePostedBusWrite) {
-  make_walker();  // knob defaults on
+  make_walker();
   ms.as.populate(0x10000, 4096);
   EXPECT_EQ(ms.sim.stats().counter_value("bus.writes"), 0u);
   walk_sync(0x10000);  // leaf fill flips the accessed bit
@@ -253,19 +253,6 @@ TEST_F(WalkerFixture, AdBitFlipChargesOnePostedBusWrite) {
   walk_sync(0x10000);
   EXPECT_EQ(ms.sim.stats().counter_value("w.ad_writebacks"), 1u);
   EXPECT_EQ(ms.sim.stats().counter_value("bus.writes"), 1u);
-}
-
-TEST_F(WalkerFixture, AdWritebackKnobOffIsFunctionalOnly) {
-  // Before/after gate for the knob: same walk sequence, knob off — the
-  // bits still get set (functional A/D tracking) but nothing is charged.
-  wcfg.timed_ad_writeback = false;
-  make_walker();
-  ms.as.populate(0x10000, 4096);
-  walk_sync(0x10000);
-  walk_sync(0x10000);
-  EXPECT_TRUE(ms.as.page_table().lookup(0x10000)->accessed);
-  EXPECT_EQ(ms.sim.stats().counter_value("w.ad_writebacks"), 0u);
-  EXPECT_EQ(ms.sim.stats().counter_value("bus.writes"), 0u);
 }
 
 TEST_F(MmuFixture, TlbHitDirtyUpdateChargesThroughTheWalkerFunnel) {
