@@ -24,21 +24,10 @@ bench::RunResult run_case(bool cache_on, unsigned cache_entries) {
   tiny.ways = 4;
   app.threads[0].tlb_override = tiny;  // force walks
 
-  sls::PlatformSpec plat = sls::zynq7020();
-  plat.walker.walk_cache_enabled = cache_on;
-  plat.walker.walk_cache_entries = cache_entries;
-
-  sls::SynthesisFlow flow(plat);
-  const auto image = flow.synthesize(app);
-  sim::Simulator sim;
-  auto system = image.elaborate(sim);
-  wl.setup(*system);
-  system->start_all();
-  bench::RunResult r;
-  r.cycles = system->run_to_completion();
-  if (!wl.verify(*system)) throw std::runtime_error("verification failed");
-  r.stats = sim.stats().snapshot();
-  return r;
+  bench::RunOptions opt;
+  opt.platform.walker.walk_cache_enabled = cache_on;
+  opt.platform.walker.walk_cache_entries = cache_entries;
+  return bench::run_workload(wl, app, opt);
 }
 }  // namespace
 

@@ -21,18 +21,7 @@ bench::RunResult run_case(const std::string& workload, u64 n, unsigned tlb_entri
   auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
   app.threads[0].tlb_override = mem::TlbConfig{.ways = 2}.with_entries(tlb_entries);
   app.threads[0].prefetch_next_page = prefetch;
-
-  sls::SynthesisFlow flow(sls::zynq7020());
-  const auto image = flow.synthesize(app);
-  sim::Simulator sim;
-  auto system = image.elaborate(sim);
-  wl.setup(*system);
-  system->start_all();
-  bench::RunResult r;
-  r.cycles = system->run_to_completion();
-  if (!wl.verify(*system)) throw std::runtime_error("verification failed");
-  r.stats = sim.stats().snapshot();
-  return r;
+  return bench::run_workload(wl, app);
 }
 }  // namespace
 

@@ -50,7 +50,8 @@ Point run_threads(unsigned threads, unsigned walker_ports) {
   auto system = image.elaborate(sim);
 
   // Per-thread chain setup: replicate each workload's node graph under its
-  // own buffer names.
+  // own buffer names, remembering the value sum each chain must return.
+  std::vector<i64> sums(threads, 0);
   for (unsigned t = 0; t < threads; ++t) {
     workloads::WorkloadParams pt_params;
     pt_params.n = 4096;
@@ -66,7 +67,9 @@ Point run_threads(unsigned threads, unsigned walker_ports) {
     auto& as = system->address_space();
     for (u64 k = 0; k < pt_params.n; ++k) {
       as.write_u64(base + order[k] * 32, base + order[(k + 1) % pt_params.n] * 32);
-      as.write_scalar<i64>(base + order[k] * 32 + 8, static_cast<i64>(rng.below(1u << 16)));
+      const i64 value = static_cast<i64>(rng.below(1u << 16));
+      as.write_scalar<i64>(base + order[k] * 32 + 8, value);
+      sums[t] += value;
     }
     auto& args = system->process().mailbox(app.mailbox_index("args" + std::to_string(t)));
     args.put(static_cast<i64>(base + order[0] * 32), [] {});
@@ -77,6 +80,12 @@ Point run_threads(unsigned threads, unsigned walker_ports) {
   Point point;
   point.makespan = system->run_to_completion();
   point.walker_wait_mean = sim.stats().histograms().at("walker.queue_wait").mean();
+  for (unsigned t = 0; t < threads; ++t) {
+    i64 sum = 0;
+    auto& done = system->process().mailbox(app.mailbox_index("done" + std::to_string(t)));
+    if (!done.try_get(sum) || sum != sums[t])
+      throw std::runtime_error("abl4: thread t" + std::to_string(t) + " returned the wrong sum");
+  }
   return point;
 }
 }  // namespace

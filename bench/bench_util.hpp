@@ -1,9 +1,12 @@
 // Shared harness for the experiment binaries.
 //
-// Every table/figure binary follows the same recipe: build the app around a
-// workload, synthesize, elaborate, (optionally) perturb memory state, run,
-// verify, and collect cycles + component statistics. Results print through
-// util/Table so outputs are uniform and scrapable.
+// A bench runs a workload through one of three recipes, each defined only
+// here: a single-thread run (run_workload, run_image), the copy-based
+// offload flow (run_offload) and an over-subscription member (member_pool,
+// add_member, cold_start). Each builds the app around the workload,
+// synthesizes, elaborates, (optionally) perturbs memory state, runs,
+// verifies, and collects cycles + component statistics. Results print
+// through util/Table so outputs are uniform and scrapable.
 //
 // The gated benches (fig12–fig15, micro_core, micro_paging) share main():
 // run_main parses the shared flags into a Cli and maps failures to exit
@@ -21,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "mem/paging/frame_pool.hpp"
+#include "sls/process_group.hpp"
 #include "sls/sharded_runner.hpp"
 #include "sls/synthesis.hpp"
 #include "sls/system.hpp"
@@ -98,18 +103,20 @@ inline paging::SwapConfig fast_swap() {
   return cfg;
 }
 
+/// `name`'s value in a stat snapshot; 0 for a stat the run never registered.
+inline double stat_value(const std::map<std::string, double>& snapshot, const std::string& name) {
+  auto it = snapshot.find(name);
+  return it == snapshot.end() ? 0.0 : it->second;
+}
+
 struct RunResult {
   Cycles cycles = 0;
-  bool verified = false;
   std::map<std::string, double> stats;  // full registry snapshot
   sls::SynthesisReport report;
   u64 events = 0;      // scheduler events executed during the run
   double host_ms = 0;  // host wall-clock spent inside run_to_completion
 
-  double stat(const std::string& name) const {
-    auto it = stats.find(name);
-    return it == stats.end() ? 0.0 : it->second;
-  }
+  double stat(const std::string& name) const { return stat_value(stats, name); }
 };
 
 /// Accumulates a bench's measured sections and writes them as JSON: one
@@ -184,13 +191,19 @@ struct RunOptions {
   Cycles max_cycles = 4'000'000'000ull;
 };
 
-/// Full trip: app -> image -> system -> run -> verify.
-inline RunResult run_workload(const workloads::Workload& wl, const RunOptions& opt = {}) {
-  auto app = workloads::single_thread_app(wl, opt.kind, opt.addressing, opt.pinned_buffers);
-  sls::SynthesisFlow flow(opt.platform);
-  const sls::SystemImage image = flow.synthesize(app);
+/// A run whose workload output disagrees with the workload's golden model.
+struct VerificationError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
-  sim::Simulator sim;
+// --- the run recipes ---------------------------------------------------------
+
+/// Recipe 1 on an already synthesized `image` (what a DSE evaluator gets):
+/// elaborates it onto `sim`, sets the workload up, runs opt.pre_run, runs
+/// to completion and verifies, then snapshots the stats and runs
+/// opt.post_run. Throws VerificationError on a wrong result.
+inline RunResult run_image(const workloads::Workload& wl, const sls::SystemImage& image,
+                           sim::Simulator& sim, const RunOptions& opt = {}) {
   auto system = image.elaborate(sim);
   wl.setup(*system);
   if (opt.pre_run) opt.pre_run(*system);
@@ -202,13 +215,35 @@ inline RunResult run_workload(const workloads::Workload& wl, const RunOptions& o
   r.cycles = system->run_to_completion(opt.max_cycles);
   r.host_ms = timer.ms();
   r.events = sim.events_executed() - events_before;
-  r.verified = wl.verify(*system);
-  if (!r.verified)
-    throw std::runtime_error("workload '" + wl.name + "' failed verification in a bench run");
+  if (!wl.verify(*system))
+    throw VerificationError("workload '" + wl.name + "' failed verification");
   r.stats = sim.stats().snapshot();
   r.report = image.report();
   if (opt.post_run) opt.post_run(*system, sim);
   return r;
+}
+
+/// Recipe 1 for `app`, a single_thread_app the caller may have edited (TLB
+/// override, prefetch, footprint hint): synthesizes it for opt.platform and
+/// runs it on `sim` (opt.kind, addressing and pinned_buffers are the app's
+/// business here).
+inline RunResult run_workload(const workloads::Workload& wl, const sls::AppSpec& app,
+                              sim::Simulator& sim, const RunOptions& opt = {}) {
+  return run_image(wl, sls::SynthesisFlow(opt.platform).synthesize(app), sim, opt);
+}
+
+/// Recipe 1 for `app` on a fresh simulator.
+inline RunResult run_workload(const workloads::Workload& wl, const sls::AppSpec& app,
+                              const RunOptions& opt = {}) {
+  sim::Simulator sim;
+  return run_workload(wl, app, sim, opt);
+}
+
+/// Recipe 1, full trip: app (from opt.kind, addressing, pinned_buffers) ->
+/// image -> system -> run -> verify.
+inline RunResult run_workload(const workloads::Workload& wl, const RunOptions& opt = {}) {
+  return run_workload(
+      wl, workloads::single_thread_app(wl, opt.kind, opt.addressing, opt.pinned_buffers), opt);
 }
 
 /// A workload's buffer footprint in pages of `page` bytes.
@@ -270,6 +305,97 @@ inline void copy_buffers(sls::System& system,
   copy_next(copy_next);
   if (!system.simulator().run_until([&done] { return done; }))
     throw std::runtime_error(to_pinned ? "copy-in stalled" : "copy-out stalled");
+}
+
+/// The physically addressed kernel's arguments, built from the pinned
+/// copies and the virtual-address args the workload's setup pushed
+/// (`seed`: offsets and scalars carry over). It may also rewrite pinned
+/// contents (pointer marshalling), which is charged zero time.
+using OffloadArgs = std::function<std::vector<i64>(
+    sls::System&, const std::map<std::string, dma::PinnedBuffer>&, const std::vector<i64>& seed)>;
+
+/// Recipe 2, the copy-based offload flow: `wl` runs physically addressed
+/// (opt.addressing does not apply) with the DMA engine and offload driver
+/// elaborated on opt.platform. After setup the pushed args are drained,
+/// opt.pre_run runs (a cold start evicts here), every buffer gets a pinned
+/// copy, `in` is copied in, the kernel runs on `make_args`, `out` is copied
+/// back and the result verified. `cycles` spans copy-in to copy-out. Gates:
+/// the event queue drains and every transfer pin is released.
+inline RunResult run_offload(const workloads::Workload& wl, const std::vector<std::string>& in,
+                             const std::vector<std::string>& out, const OffloadArgs& make_args,
+                             const RunOptions& opt = {}) {
+  const auto app = workloads::single_thread_app(wl, opt.kind, sls::Addressing::kPhysical,
+                                                opt.pinned_buffers);
+  sls::SynthesisOptions synth;
+  synth.include_dma = true;
+  const sls::SystemImage image = sls::SynthesisFlow(opt.platform, synth).synthesize(app);
+  sim::Simulator sim;
+  auto system = image.elaborate(sim);
+  wl.setup(*system);
+
+  auto& args = system->process().mailbox(app.mailbox_index("args"));
+  std::vector<i64> seed;
+  for (i64 a = 0; args.try_get(a);) seed.push_back(a);
+  if (opt.pre_run) opt.pre_run(*system);
+
+  std::map<std::string, dma::PinnedBuffer> pinned;
+  for (const auto& buf : app.buffers) pinned[buf.name] = system->offload().alloc_pinned(buf.bytes);
+
+  RunResult r;
+  const Cycles t0 = sim.now();
+  const u64 events_before = sim.events_executed();
+  WallTimer timer;
+  copy_buffers(*system, pinned, in, /*to_pinned=*/true);
+  for (i64 a : make_args(*system, pinned, seed)) args.put(a, [] {});
+  system->start_all();
+  system->run_to_completion(opt.max_cycles);
+  copy_buffers(*system, pinned, out, /*to_pinned=*/false);
+  r.cycles = sim.now() - t0;
+  r.host_ms = timer.ms();
+  r.events = sim.events_executed() - events_before;
+  if (!wl.verify(*system))
+    throw VerificationError("workload '" + wl.name + "' failed verification after offload");
+
+  // No orphaned waiter or daemon, and no pin outlives its transfer.
+  sim.drain(kDrainCycles);
+  if (system->address_space().pinned_pages() != 0)
+    throw std::runtime_error(wl.name + ": offload pins leaked");
+  r.stats = sim.stats().snapshot();
+  r.report = image.report();
+  if (opt.post_run) opt.post_run(*system, sim);
+  return r;
+}
+
+/// Recipe 3's machine: the FramePool config that mirrors `plat`'s pager
+/// budget mode, policy and policy seed.
+inline paging::FramePoolConfig member_pool(const sls::PlatformSpec& plat) {
+  paging::FramePoolConfig cfg;
+  cfg.mode = plat.pager.budget_mode;
+  cfg.policy = plat.pager.policy;
+  cfg.policy_seed = plat.pager.policy_seed;
+  return cfg;
+}
+
+/// Recipe 3, an over-subscription member: `wl` as one hardware thread on a
+/// copy of `plat` whose pager budget is `frame_budget`, added to `group` as
+/// "p<i>" (i = its member index). Neither set up nor evicted: cold_start
+/// does both, after whatever the caller binds first. Unpinned buffers stay
+/// unmapped until first touch, so a file can be bound over them.
+inline sls::System& add_member(sls::ProcessGroup& group, const workloads::Workload& wl,
+                               sls::PlatformSpec plat, u64 frame_budget,
+                               bool pinned_buffers = true) {
+  plat.pager.frame_budget = frame_budget;
+  const auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware,
+                                                sls::Addressing::kVirtual, pinned_buffers);
+  return group.add_process(sls::SynthesisFlow(plat).synthesize(app),
+                           "p" + std::to_string(group.size()));
+}
+
+/// Cold start: the workload writes its inputs, then every buffer page
+/// leaves through the timed fault path.
+inline void cold_start(sls::System& system, const workloads::Workload& wl) {
+  wl.setup(system);
+  evict_all_buffers(system);
 }
 
 /// Writes a figure's two artifacts: the engine report as BENCH_<stem>.json

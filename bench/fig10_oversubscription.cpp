@@ -81,36 +81,27 @@ MixResult run_mix(const MixOptions& opt) {
   const u64 total_budget = std::max<u64>(2 * opt.processes, total_ws * 100 / opt.oversub_pct);
 
   sls::PlatformSpec plat = sls::zynq7045();  // large part: room for 8 processes
-  paging::FramePoolConfig pool_cfg;
-  pool_cfg.mode = opt.mode;
+  plat.pager.budget_mode = opt.mode;
+  plat.pager.policy = opt.policy;
+  plat.pager.policy_seed = 7;
+  plat.pager.ws_interval = opt.ws_interval;
+  plat.pager.ws_window = 4 * opt.ws_interval;  // smooth over several sweeps
+  plat.pager.pageout_interval = opt.pageout_interval;
+  paging::FramePoolConfig pool_cfg = bench::member_pool(plat);
   pool_cfg.total_frames = total_budget;
-  pool_cfg.policy = opt.policy;
-  pool_cfg.policy_seed = 7;
   pool_cfg.auto_budget = opt.auto_budget;
 
   sim::Simulator sim;
   sls::ProcessGroup group(sim, plat, pool_cfg);
   for (unsigned i = 0; i < opt.processes; ++i) {
-    sls::PlatformSpec proc_plat = plat;
-    proc_plat.pager.budget_mode = opt.mode;
-    proc_plat.pager.policy = opt.policy;
-    proc_plat.pager.policy_seed = 7;
-    proc_plat.pager.frame_budget =
+    const u64 budget =
         (opt.mode == paging::BudgetMode::kPerProcess)
             ? std::max<u64>(2, opt.equal_split
                                    ? total_budget / opt.processes
                                    : bench::ws_pages(wls[i], page) * 100 / opt.oversub_pct)
             : 0;
-    proc_plat.pager.ws_interval = opt.ws_interval;
-    proc_plat.pager.ws_window = 4 * opt.ws_interval;  // smooth over several sweeps
-    proc_plat.pager.pageout_interval = opt.pageout_interval;
-    sls::SynthesisFlow flow(proc_plat);
-    auto app = workloads::single_thread_app(wls[i], sls::ThreadKind::kHardware);
-    auto& system = group.add_process(flow.synthesize(app), "p" + std::to_string(i));
-    wls[i].setup(system);
     // Cold start: all buffer pages return through the timed fault path.
-    for (const auto& buf : system.image().app().buffers)
-      system.process().evict(system.buffer(buf.name), buf.bytes);
+    bench::cold_start(bench::add_member(group, wls[i], plat, budget), wls[i]);
   }
   group.pool().reset_peak_residency();
 
@@ -128,10 +119,7 @@ MixResult run_mix(const MixOptions& opt) {
                                ") failed verification");
 
   const auto stats = sim.stats().snapshot();
-  const auto at = [&stats](const std::string& name) {
-    auto it = stats.find(name);
-    return it == stats.end() ? 0.0 : it->second;
-  };
+  const auto at = [&stats](const std::string& name) { return bench::stat_value(stats, name); };
   for (unsigned i = 0; i < opt.processes; ++i) {
     const std::string prefix = "p" + std::to_string(i) + ".";
     r.faults += static_cast<u64>(at(prefix + "faults.faults"));

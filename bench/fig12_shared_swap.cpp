@@ -156,32 +156,21 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
   plat.pager.swap.readahead = opt.readahead;
   plat.telemetry.period = opt.telemetry_period;
 
-  paging::FramePoolConfig pool_cfg;
-  pool_cfg.mode = paging::BudgetMode::kPerProcess;
-  pool_cfg.policy = plat.pager.policy;
-  pool_cfg.policy_seed = 7;
-
   std::unique_ptr<sim::JsonTraceWriter> json;
   if (!opt.trace_path.empty()) json = std::make_unique<sim::JsonTraceWriter>(opt.trace_path);
   TeeSink tee;
   tee.a = json.get();
   tee.b = opt.extra_sink;
   if (tee.a != nullptr || tee.b != nullptr) sim.trace().set_sink(&tee);
-  sls::ProcessGroup group(sim, plat, pool_cfg);
+  sls::ProcessGroup group(sim, plat, bench::member_pool(plat));
   for (unsigned i = 0; i < opt.processes; ++i) {
-    sls::PlatformSpec proc_plat = plat;
     // Equal pressure everywhere: each process gets its own WS-proportional
     // slice, so the only machine-wide contention is the swap path (and the
     // bus) — the axis under study.
-    proc_plat.pager.frame_budget = std::max<u64>(2, bench::ws_pages(wls[i], page) * 100 / opt.oversub_pct);
-    sls::SynthesisFlow flow(proc_plat);
-    auto app = workloads::single_thread_app(wls[i], sls::ThreadKind::kHardware);
-    auto& system = group.add_process(flow.synthesize(app), "p" + std::to_string(i));
-    wls[i].setup(system);
+    const u64 budget = std::max<u64>(2, bench::ws_pages(wls[i], page) * 100 / opt.oversub_pct);
     // Cold start: all buffer pages return through the timed fault path, and
     // the in-vpn-order eviction clusters each process's swap slots.
-    for (const auto& buf : system.image().app().buffers)
-      system.process().evict(system.buffer(buf.name), buf.bytes);
+    bench::cold_start(bench::add_member(group, wls[i], plat, budget), wls[i]);
   }
 
   // The cold-start evictions are setup traffic: the ledger checks the run.
@@ -203,10 +192,7 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
   paging::require_balanced(run.check(), "fig12");
 
   const auto stats = sim.stats().snapshot();
-  const auto at = [&stats](const std::string& name) {
-    auto it = stats.find(name);
-    return it == stats.end() ? 0.0 : it->second;
-  };
+  const auto at = [&stats](const std::string& name) { return bench::stat_value(stats, name); };
   for (unsigned i = 0; i < opt.processes; ++i) {
     const std::string prefix = "p" + std::to_string(i) + ".";
     auto* pager = group.process(i).pager();

@@ -98,12 +98,7 @@ PointResult run_point(const PointOptions& opt) {
   plat.pager.swap.shared = false;  // swap stays private: the file tier is the shared axis
   plat.pager.swap.readahead = 0;
 
-  paging::FramePoolConfig pool_cfg;
-  pool_cfg.mode = paging::BudgetMode::kPerProcess;
-  pool_cfg.policy = plat.pager.policy;
-  pool_cfg.policy_seed = 7;
-
-  sls::ProcessGroup group(sim, plat, pool_cfg);
+  sls::ProcessGroup group(sim, plat, bench::member_pool(plat));
   std::vector<workloads::Workload> wls;
   mem::BackingFile* file = nullptr;
   for (unsigned i = 0; i < kProcs; ++i) {
@@ -113,13 +108,8 @@ PointResult run_point(const PointOptions& opt) {
     // next-pointers in the one shared file valid in every mapping.
     wls.push_back(workloads::make_pointer_chase(params));
     const u64 ws = ceil_div(wls[i].footprint_hint_bytes, page);
-    sls::PlatformSpec proc_plat = plat;
-    proc_plat.pager.frame_budget = std::max<u64>(2, ws * opt.residency_pct / 100);
-    sls::SynthesisFlow flow(proc_plat);
-    auto app = workloads::single_thread_app(wls[i], sls::ThreadKind::kHardware,
-                                            sls::Addressing::kVirtual,
-                                            /*pinned_buffers=*/false);
-    auto& sys = group.add_process(flow.synthesize(app), "p" + std::to_string(i));
+    const u64 budget = std::max<u64>(2, ws * opt.residency_pct / 100);
+    auto& sys = bench::add_member(group, wls[i], plat, budget, /*pinned_buffers=*/false);
     if (opt.mode == MemMode::kFile) {
       const auto& buf = wls[i].buffers.at(0);
       if (file == nullptr) file = &group.files().create("chain.dat", buf.bytes);
@@ -129,10 +119,9 @@ PointResult run_point(const PointOptions& opt) {
       sys.address_space().bind_file(sys.buffer(buf.name), buf.bytes, *file, 0,
                                     /*shared=*/true);
     }
-    wls[i].setup(sys);
     // Cold start: every page returns through the timed fault path — swap-in
     // reads (anon) or buffer-cache reads (file).
-    bench::evict_all_buffers(sys);
+    bench::cold_start(sys, wls[i]);
   }
   // Settle the setup phase: in file mode the cold-start evictions queued
   // background writebacks through the buffer cache; drain them so the

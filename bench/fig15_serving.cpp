@@ -114,12 +114,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   bench::WallTimer timer;
   const sls::PlatformSpec plat = serving_platform(opt);
 
-  paging::FramePoolConfig pool_cfg;
-  pool_cfg.mode = paging::BudgetMode::kPerProcess;
-  pool_cfg.policy = plat.pager.policy;
-  pool_cfg.policy_seed = 7;
-
-  sls::ProcessGroup group(sim, plat, pool_cfg);
+  sls::ProcessGroup group(sim, plat, bench::member_pool(plat));
   for (unsigned i = 0; i < opt.workers; ++i) {
     // Tiny image: the worker's engine never runs — the serving episode IS
     // the workload, driven through the pager. The budget sits well below
@@ -127,12 +122,8 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     workloads::WorkloadParams p;
     p.n = 64;
     p.seed = 1 + i;
-    const workloads::Workload wl = workloads::make_vecadd(p);
-    sls::PlatformSpec proc_plat = plat;
-    proc_plat.pager.frame_budget = 20;  // arena_pages = 48: ~40% resident
-    sls::SynthesisFlow flow(proc_plat);
-    const auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
-    group.add_process(flow.synthesize(app), "p" + std::to_string(i));
+    bench::add_member(group, workloads::make_vecadd(p), plat,
+                      /*frame_budget=*/20);  // arena_pages = 48: ~40% resident
   }
 
   sls::TrafficDriver driver(group, plat.traffic);

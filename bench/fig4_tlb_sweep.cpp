@@ -32,18 +32,14 @@ Point run_point(const std::string& workload, u64 n, unsigned tlb_entries, unsign
   auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
   app.threads[0].tlb_override = mem::TlbConfig{}.with_entries(tlb_entries);
 
-  sls::PlatformSpec plat = sls::zynq7020();
-  plat.page_table.page_bits = page_bits;
-
-  sls::SynthesisFlow flow(plat);
-  const auto image = flow.synthesize(app);
-  sim::Simulator sim;
-  auto system = image.elaborate(sim);
-  wl.setup(*system);
-  system->start_all();
-  const Cycles cycles = system->run_to_completion();
-  if (!wl.verify(*system)) throw std::runtime_error("verification failed");
-  return Point{cycles, system->mmu("worker").tlb().hit_rate()};
+  bench::RunOptions opt;
+  opt.platform.page_table.page_bits = page_bits;
+  double hit_rate = 0;
+  opt.post_run = [&hit_rate](sls::System& system, sim::Simulator&) {
+    hit_rate = system.mmu("worker").tlb().hit_rate();
+  };
+  const Cycles cycles = bench::run_workload(wl, app, opt).cycles;
+  return Point{cycles, hit_rate};
 }
 }  // namespace
 

@@ -22,56 +22,6 @@
 
 using namespace vmsls;
 
-namespace {
-
-/// Runs a workload as a conventional copy-based offload: buffers are copied
-/// into pinned memory, the kernel runs with physical addressing, results
-/// are copied back. `in` names buffers copied in, `out` buffers copied
-/// back; `make_args` receives the pinned physical base per buffer.
-Cycles run_dma_offload(const workloads::Workload& wl, const std::vector<std::string>& in,
-                       const std::vector<std::string>& out,
-                       const std::function<std::vector<i64>(
-                           const std::map<std::string, PhysAddr>&)>& make_args) {
-  auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware,
-                                          sls::Addressing::kPhysical);
-  sls::SynthesisOptions opts;
-  opts.include_dma = true;
-  sls::SynthesisFlow flow(sls::zynq7020(), opts);
-  const auto image = flow.synthesize(app);
-  sim::Simulator sim;
-  auto system = image.elaborate(sim);
-  wl.setup(*system);
-
-  // The workload pushed virtual-address args; the offload flow replaces
-  // them with pinned physical addresses.
-  auto& args = system->process().mailbox(system->image().app().mailbox_index("args"));
-  i64 drained = 0;
-  while (args.try_get(drained)) {
-  }
-
-  std::map<std::string, PhysAddr> pinned_base;
-  std::map<std::string, dma::PinnedBuffer> pinned;
-  for (const auto& buf : app.buffers) {
-    pinned[buf.name] = system->offload().alloc_pinned(buf.bytes);
-    pinned_base[buf.name] = pinned[buf.name].pa;
-  }
-
-  const Cycles t0 = sim.now();
-  bench::copy_buffers(*system, pinned, in, /*to_pinned=*/true);
-
-  for (i64 a : make_args(pinned_base)) args.put(a, [] {});
-  system->start_all();
-  system->run_to_completion();
-
-  bench::copy_buffers(*system, pinned, out, /*to_pinned=*/false);
-
-  const Cycles total = sim.now() - t0;
-  if (!wl.verify(*system)) throw std::runtime_error("DMA offload verification failed");
-  return total;
-}
-
-}  // namespace
-
 int main() {
   {
     Table table({"working set", "n", "SVM cycles", "SVM cold cycles", "DMA cycles",
@@ -88,11 +38,11 @@ int main() {
       cold.pre_run = bench::evict_all_buffers;
       const auto svm_cold = bench::run_workload(wl, cold);
 
-      const Cycles dma = run_dma_offload(
-          wl, {"x", "y"}, {"y"}, [&](const std::map<std::string, PhysAddr>& base) {
-            return std::vector<i64>{static_cast<i64>(base.at("x")),
-                                    static_cast<i64>(base.at("y")), 7, static_cast<i64>(n)};
-          });
+      const Cycles dma = bench::run_offload(
+          wl, {"x", "y"}, {"y"}, [&](sls::System&, const auto& pinned, const auto&) {
+            return std::vector<i64>{static_cast<i64>(pinned.at("x").pa),
+                                    static_cast<i64>(pinned.at("y").pa), 7, static_cast<i64>(n)};
+          }).cycles;
 
       table.add_row({format_bytes(2 * n * 8), Table::num(n), Table::num(svm.cycles),
                      Table::num(svm_cold.cycles), Table::num(dma),
@@ -118,13 +68,13 @@ int main() {
       u64 slots = 4;
       while (slots < 4 * build) slots <<= 1;
       const u64 mask = slots - 1;
-      const Cycles dma = run_dma_offload(
-          wl, {"table", "keys"}, {"out"}, [&](const std::map<std::string, PhysAddr>& base) {
-            return std::vector<i64>{static_cast<i64>(base.at("table")),
-                                    static_cast<i64>(base.at("keys")),
-                                    static_cast<i64>(base.at("out")),
+      const Cycles dma = bench::run_offload(
+          wl, {"table", "keys"}, {"out"}, [&](sls::System&, const auto& pinned, const auto&) {
+            return std::vector<i64>{static_cast<i64>(pinned.at("table").pa),
+                                    static_cast<i64>(pinned.at("keys").pa),
+                                    static_cast<i64>(pinned.at("out").pa),
                                     static_cast<i64>(kProbes), static_cast<i64>(mask)};
-          });
+          }).cycles;
 
       table.add_row({format_bytes(slots * 16), Table::num(kProbes), Table::num(svm.cycles),
                      Table::num(dma),

@@ -46,6 +46,8 @@ ScalingPoint run_threads(const std::string& workload, unsigned threads, u64 n_pe
   sim::Simulator sim;
   auto system = image.elaborate(sim);
 
+  // Each thread's output buffer and the contents it must hold afterwards.
+  std::vector<std::pair<VirtAddr, std::vector<i64>>> expected;
   Rng rng(7);
   for (unsigned t = 0; t < threads; ++t) {
     auto& args = system->process().mailbox(app.mailbox_index("args" + std::to_string(t)));
@@ -55,19 +57,25 @@ ScalingPoint run_threads(const std::string& workload, unsigned threads, u64 n_pe
       for (auto& b : data) b = static_cast<u8>(rng.below(256));
       const VirtAddr va = system->buffer(prefix + "data");
       system->address_space().write(va, std::span<const u8>(data.data(), data.size()));
+      std::vector<i64> bins(256, 0);
+      for (u8 b : data) ++bins[b];
+      expected.emplace_back(system->buffer(prefix + "hist"), std::move(bins));
       args.put(static_cast<i64>(va), [] {});
       args.put(static_cast<i64>(system->buffer(prefix + "hist")), [] {});
       args.put(static_cast<i64>(n_per_thread), [] {});
-    } else {  // saxpy_burst: x, y, alpha, n
-      for (const char* name : {"x", "y"}) {
-        const VirtAddr va = system->buffer(prefix + name);
+    } else {  // saxpy_burst: x, y, alpha, n; afterwards y = y + alpha * x
+      const i64 alpha = 7;
+      std::vector<i64> x, y;
+      for (auto* values : {&x, &y})
         for (u64 i = 0; i < n_per_thread; ++i)
-          system->address_space().write_scalar<i64>(va + i * 8,
-                                                    static_cast<i64>(rng.below(1u << 16)));
-      }
+          values->push_back(static_cast<i64>(rng.below(1u << 16)));
+      workloads::write_i64(*system, system->buffer(prefix + "x"), x);
+      workloads::write_i64(*system, system->buffer(prefix + "y"), y);
+      for (u64 i = 0; i < n_per_thread; ++i) y[i] += alpha * x[i];
+      expected.emplace_back(system->buffer(prefix + "y"), std::move(y));
       args.put(static_cast<i64>(system->buffer(prefix + "x")), [] {});
       args.put(static_cast<i64>(system->buffer(prefix + "y")), [] {});
-      args.put(7, [] {});
+      args.put(alpha, [] {});
       args.put(static_cast<i64>(n_per_thread), [] {});
     }
   }
@@ -79,6 +87,15 @@ ScalingPoint run_threads(const std::string& workload, unsigned threads, u64 n_pe
   point.bus_wait_mean = sim.stats().histograms().at("bus.queue_wait").mean();
   point.bus_busy_frac =
       static_cast<double>(system->bus().busy_cycles()) / static_cast<double>(sim.now());
+  for (unsigned t = 0; t < threads; ++t) {
+    i64 processed = 0;
+    auto& done = system->process().mailbox(app.mailbox_index("done" + std::to_string(t)));
+    const auto& [out, want] = expected[t];
+    if (!done.try_get(processed) || static_cast<u64>(processed) != n_per_thread ||
+        workloads::read_i64(*system, out, want.size()) != want)
+      throw std::runtime_error("fig6: " + workload + " thread t" + std::to_string(t) +
+                               " produced a wrong result");
+  }
   return point;
 }
 

@@ -279,10 +279,7 @@ void run(const bench::Cli&) {
     auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
     auto evaluate = [&wl](const sls::SystemImage& image) {
       sim::Simulator sim;
-      auto system = image.elaborate(sim);
-      wl.setup(*system);
-      system->start_all();
-      return system->run_to_completion();
+      return bench::run_image(wl, image, sim).cycles;
     };
     const std::vector<unsigned> candidates = {4, 8, 16, 32};
     for (unsigned threads : {1u, 4u}) {

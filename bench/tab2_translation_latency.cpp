@@ -21,27 +21,14 @@ namespace {
 bench::RunResult run_case(u64 nodes, bool evict, unsigned tlb_entries) {
   workloads::WorkloadParams p;
   p.n = nodes;
-  auto wl = workloads::make_pointer_chase(p);
-  bench::RunOptions opt;
+  const auto wl = workloads::make_pointer_chase(p);
   // Pin the TLB geometry so reach is controlled by the experiment.
-  wl.footprint_hint_bytes = 0;
   auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
   app.threads[0].tlb_override = mem::TlbConfig{}.with_entries(tlb_entries);
-  app.threads[0].footprint_hint_bytes = 0;
 
-  sls::SynthesisFlow flow(opt.platform);
-  const auto image = flow.synthesize(app);
-  sim::Simulator sim;
-  auto system = image.elaborate(sim);
-  wl.setup(*system);
-  if (evict) bench::evict_all_buffers(*system);
-  system->start_all();
-  bench::RunResult r;
-  r.cycles = system->run_to_completion();
-  r.verified = wl.verify(*system);
-  if (!r.verified) throw std::runtime_error("pointer_chase verification failed");
-  r.stats = sim.stats().snapshot();
-  return r;
+  bench::RunOptions opt;
+  if (evict) opt.pre_run = bench::evict_all_buffers;
+  return bench::run_workload(wl, app, opt);
 }
 }  // namespace
 

@@ -48,7 +48,7 @@ void TelemetrySampler::sample() {
   Row row;
   row.cycle = sim_.now();
   row.values.reserve(probes_.size());
-  const bool mirror = trace_counters && sim_.trace().enabled();
+  const bool mirror = sim_.trace().enabled();
   for (std::size_t i = 0; i < probes_.size(); ++i) {
     Probe& p = probes_[i];
     const double raw = p.fn();

@@ -26,8 +26,7 @@ class Simulator;
 
 /// Platform-level telemetry knobs (see sls::PlatformSpec::telemetry).
 struct TelemetryConfig {
-  Cycles period = 0;           ///< sampling period in cycles; 0 = disabled
-  bool trace_counters = true;  ///< mirror samples onto trace counter tracks
+  Cycles period = 0;  ///< sampling period in cycles; 0 = disabled
 };
 
 class TelemetrySampler {
@@ -59,10 +58,6 @@ class TelemetrySampler {
   bool armed() const noexcept { return armed_; }
 
   Cycles period() const noexcept { return period_; }
-
-  /// When true (default) and a trace sink is attached, each sample also
-  /// lands on the sampler's trace counter tracks.
-  bool trace_counters = true;
 
   const std::vector<Row>& rows() const noexcept { return rows_; }
   const std::vector<std::string>& columns() const noexcept { return columns_; }

@@ -5,9 +5,8 @@
 // not where host time goes. Components register a named track once at
 // construction (always-on, deterministic, costs nothing at runtime) and emit
 // through the VMSLS_TRACE_* macros, which compile to a single predicted
-// branch when no sink is attached (and to nothing at all when
-// VMSLS_TRACING_ENABLED is 0). The emission path never schedules events and
-// never touches the StatRegistry, so a traced run is bit-identical in
+// branch when no sink is attached. The emission path never schedules events
+// and never touches the StatRegistry, so a traced run is bit-identical in
 // cycles, event counts, and stats to an untraced one.
 //
 // Causality: TraceContext::new_id() hands out monotonically increasing
@@ -164,15 +163,9 @@ class JsonTraceWriter final : public TraceSink {
 
 // --- emission macros -------------------------------------------------------
 //
-// All hot-path emission goes through these. With VMSLS_TRACING_ENABLED == 0
-// they expand to nothing (the compile-time kill switch); otherwise they gate
-// on enabled() so a sink-less run pays one well-predicted branch per site.
+// All hot-path emission goes through these. They gate on enabled(), so a
+// sink-less run pays one well-predicted branch per site.
 
-#ifndef VMSLS_TRACING_ENABLED
-#define VMSLS_TRACING_ENABLED 1
-#endif
-
-#if VMSLS_TRACING_ENABLED
 #define VMSLS_TRACE_BEGIN(ctx, ...) \
   do {                              \
     if ((ctx).enabled()) (ctx).begin(__VA_ARGS__); \
@@ -190,20 +183,5 @@ class JsonTraceWriter final : public TraceSink {
     if ((ctx).enabled()) (ctx).counter(__VA_ARGS__); \
   } while (0)
 #define VMSLS_TRACE_NEW_ID(ctx) ((ctx).new_id())
-#else
-#define VMSLS_TRACE_BEGIN(ctx, ...) \
-  do {                              \
-  } while (0)
-#define VMSLS_TRACE_END(ctx, ...) \
-  do {                            \
-  } while (0)
-#define VMSLS_TRACE_INSTANT(ctx, ...) \
-  do {                                \
-  } while (0)
-#define VMSLS_TRACE_COUNTER(ctx, ...) \
-  do {                                \
-  } while (0)
-#define VMSLS_TRACE_NEW_ID(ctx) (::vmsls::u64{0})
-#endif
 
 }  // namespace vmsls::sim

@@ -31,14 +31,35 @@ Machine::Machine(sim::Simulator& sim, const PlatformSpec& platform,
       files_(page_bytes()),
       bcache_(sim_, platform_.pager.bcache, page_bytes(), "bcache") {}
 
+void Machine::require_member(const PlatformSpec& member, const std::string& who) const {
+#define VMSLS_MACHINE_FIELD(field)                                                 \
+  require(member.field == platform_.field,                                         \
+          who + ": " #field " differs from the machine's, the only one in effect")
+  VMSLS_MACHINE_FIELD(page_table.page_bits);
+  VMSLS_MACHINE_FIELD(pager.bcache.capacity_blocks);
+  VMSLS_MACHINE_FIELD(pager.bcache.read_latency);
+  VMSLS_MACHINE_FIELD(pager.bcache.write_latency);
+  VMSLS_MACHINE_FIELD(pager.bcache.bytes_per_cycle);
+  VMSLS_MACHINE_FIELD(pager.bcache.flush_interval);
+  VMSLS_MACHINE_FIELD(pager.bcache.flush_batch);
+  VMSLS_MACHINE_FIELD(pager.bcache.write_starvation_limit);
+  VMSLS_MACHINE_FIELD(pager.swap.shared);
+  if (shared_swap_ != nullptr) {
+    // One device for every pager: only readahead stays per pager.
+    VMSLS_MACHINE_FIELD(pager.swap.read_latency);
+    VMSLS_MACHINE_FIELD(pager.swap.write_latency);
+    VMSLS_MACHINE_FIELD(pager.swap.bytes_per_cycle);
+    VMSLS_MACHINE_FIELD(pager.swap.slot_limit);
+    VMSLS_MACHINE_FIELD(pager.swap.sched);
+    VMSLS_MACHINE_FIELD(pager.swap.cluster_pages);
+    VMSLS_MACHINE_FIELD(pager.swap.writeback_starvation_limit);
+  }
+#undef VMSLS_MACHINE_FIELD
+}
+
 paging::SwapScheduler& Machine::swap_for(const std::string& pager,
                                          const paging::SwapConfig& cfg) {
-  if (shared_swap_ != nullptr) {
-    require(shared_swap_->config().read_latency == cfg.read_latency &&
-                shared_swap_->config().write_latency == cfg.write_latency,
-            pager + ": shared swap device timing disagrees with this pager's swap config");
-    return *shared_swap_;
-  }
+  if (shared_swap_ != nullptr) return *shared_swap_;
   private_swaps_.push_back(
       std::make_unique<paging::SwapScheduler>(sim_, cfg, page_bytes(), pager + ".swap"));
   return *private_swaps_.back();

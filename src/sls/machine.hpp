@@ -62,9 +62,15 @@ class Machine {
   /// unless the platform sets `pager.swap.shared`.
   paging::SwapScheduler* shared_swap() noexcept { return shared_swap_.get(); }
 
-  /// The swap front end pager `pager` pages against: the shared device,
-  /// whose timing must agree with `cfg`, or else a new private scheduler
-  /// "<pager>.swap" built from `cfg`. The machine owns it either way.
+  /// Refuses process `who` when its platform disagrees with the machine's on
+  /// a setting only the machine reads (page size, the file cache, whether
+  /// swap is shared, and the shared device's timing and dispatch), naming
+  /// the field: the process would silently run on the machine's value.
+  void require_member(const PlatformSpec& member, const std::string& who) const;
+
+  /// The swap front end pager `pager` pages against: the shared device, or
+  /// else a new private scheduler "<pager>.swap" built from `cfg`. The
+  /// machine owns it either way.
   paging::SwapScheduler& swap_for(const std::string& pager, const paging::SwapConfig& cfg);
 
  private:

@@ -48,7 +48,6 @@ struct TrafficConfig {
 
 struct PlatformSpec {
   std::string name = "zynq7020";
-  double fabric_mhz = 200.0;
   ResourceBudget budget{};
   unsigned max_hw_threads = 8;
 

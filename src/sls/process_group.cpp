@@ -12,7 +12,6 @@ ProcessGroup::ProcessGroup(sim::Simulator& sim, const PlatformSpec& platform,
     : machine_(sim, platform, pool_cfg) {
   if (platform.telemetry.period > 0) {
     telemetry_ = std::make_unique<sim::TelemetrySampler>(sim, platform.telemetry.period);
-    telemetry_->trace_counters = platform.telemetry.trace_counters;
     paging::FramePool& pool = *machine_.pool();
     telemetry_->add_probe("pool.resident",
                           [&pool] { return static_cast<double>(pool.resident_pages()); });

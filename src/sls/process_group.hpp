@@ -26,8 +26,9 @@ class ProcessGroup {
  public:
   /// `platform` sizes the machine (DRAM, bus, OS cores, page size, file
   /// cache, shared swap device); per-image platforms configure each
-  /// process's threads, TLBs, and pager. The page size must agree across
-  /// all images.
+  /// process's threads, TLBs, and pager. An image that disagrees with
+  /// `platform` on a setting only the machine reads is refused
+  /// (Machine::require_member).
   ProcessGroup(sim::Simulator& sim, const PlatformSpec& platform,
                const paging::FramePoolConfig& pool_cfg);
 

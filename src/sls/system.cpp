@@ -26,8 +26,8 @@ System::System(Machine& machine, const SystemImage& image, std::string instance)
 void System::build() {
   const PlatformSpec& plat = image_.platform();
   const AppSpec& app = image_.app();
-  const u64 page = 1ull << plat.page_table.page_bits;
-  require(page == machine_.page_bytes(), "process page size does not match the machine's");
+  machine_.require_member(plat, inst_ + app.name);
+  const u64 page = machine_.page_bytes();
   mem::PhysicalMemory& pm = machine_.memory();
   mem::MemoryBus& bus = machine_.bus();
   rt::OsModel& os = machine_.os();

@@ -474,6 +474,55 @@ TEST(ProcessGroup, MixedGroupRunsToCompletionAndListsEveryPager) {
   group.drain();
 }
 
+TEST(ProcessGroup, RefusesAMemberThatDisagreesOnAMachineSetting) {
+  workloads::WorkloadParams p;
+  p.n = 64;
+  const auto app =
+      workloads::single_thread_app(workloads::make_vecadd(p), sls::ThreadKind::kHardware);
+  const auto expect_refused = [&](sls::PlatformSpec member, const std::string& field) {
+    sim::Simulator sim;
+    sls::ProcessGroup group(sim, sls::zynq7020(), paging::FramePoolConfig{});
+    group.add_process(sls::SynthesisFlow(sls::zynq7020()).synthesize(app), "p0");
+    try {
+      group.add_process(sls::SynthesisFlow(member).synthesize(app), "p1");
+      FAIL() << "a member with a different " << field << " must be refused";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find("p1.vecadd: " + field), std::string::npos)
+          << e.what();
+    }
+  };
+  sls::PlatformSpec bcache = sls::zynq7020();
+  bcache.pager.bcache.capacity_blocks /= 2;
+  expect_refused(bcache, "pager.bcache.capacity_blocks");
+  sls::PlatformSpec shared = sls::zynq7020();
+  shared.pager.swap.shared = true;
+  expect_refused(shared, "pager.swap.shared");
+  sls::PlatformSpec page = sls::zynq7020();
+  page.page_table.page_bits = 16;
+  expect_refused(page, "page_table.page_bits");
+
+  // Matching members build, and per-process pager settings may differ.
+  sim::Simulator sim;
+  sls::PlatformSpec machine = sls::zynq7020();
+  machine.pager.swap.shared = true;
+  sls::ProcessGroup group(sim, machine, paging::FramePoolConfig{});
+  sls::PlatformSpec member = machine;
+  member.pager.frame_budget = 8;
+  member.pager.swap.readahead = 2;
+  group.add_process(sls::SynthesisFlow(machine).synthesize(app), "p0");
+  group.add_process(sls::SynthesisFlow(member).synthesize(app), "p1");
+  EXPECT_EQ(group.size(), 2u);
+  member.pager.swap.write_latency += 1;  // one device, one timing
+  try {
+    group.add_process(sls::SynthesisFlow(member).synthesize(app), "p2");
+    FAIL() << "a member with different shared swap timing must be refused";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("p2.vecadd: pager.swap.write_latency"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- DSE: pager × TLB grid ------------------------------------------------
 
 TEST(DsePagerGrid, SerialAndParallelGridIdentical) {

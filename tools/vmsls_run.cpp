@@ -21,12 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/trace.hpp"
 #include "sls/process_group.hpp"
 #include "sls/report_writer.hpp"
 #include "sls/sharded_runner.hpp"
-#include "sls/synthesis.hpp"
 #include "sls/system.hpp"
 #include "sls/traffic.hpp"
 #include "util/table.hpp"
@@ -182,6 +182,14 @@ sls::PlatformSpec make_run_platform(const Options& opt) {
   return plat;
 }
 
+/// The run recipe's options: platform, and the cold-start eviction.
+bench::RunOptions make_run_options(const Options& opt) {
+  bench::RunOptions run;
+  run.platform = make_run_platform(opt);
+  if (opt.cold) run.pre_run = bench::evict_all_buffers;
+  return run;
+}
+
 /// --sweep-seeds: K independent replicas across the shard pool. Each shard
 /// synthesizes and simulates its own system; results and merged stats are
 /// bit-identical whatever --shards is.
@@ -201,15 +209,13 @@ int run_sweep(const Options& opt) {
     shards.push_back(
         {"seed" + std::to_string(opt.seed + k), [&opt, &out, k](sim::Simulator& sim) {
            const auto wl = make_run_workload(opt, opt.seed + k);
-           sls::SynthesisFlow flow(make_run_platform(opt));
-           auto system = flow.synthesize(make_run_app(opt, wl)).elaborate(sim);
-           wl.setup(*system);
-           if (opt.cold)
-             for (const auto& buf : system->image().app().buffers)
-               system->process().evict(system->buffer(buf.name), buf.bytes);
-           system->start_all();
-           out[k].cycles = system->run_to_completion();
-           out[k].ok = wl.verify(*system);
+           try {
+             out[k].cycles =
+                 bench::run_workload(wl, make_run_app(opt, wl), sim, make_run_options(opt)).cycles;
+             out[k].ok = true;
+           } catch (const bench::VerificationError&) {
+             // A wrong result is a "NO" row, not an aborted sweep.
+           }
            out[k].faults = sim.stats().counter_value("faults.faults");
          }});
   sls::ShardedRunner runner(opt.shards);
@@ -256,24 +262,16 @@ sls::TrafficDriver::Report run_serve_point(const Options& opt, Cycles mean_gap,
     throw std::invalid_argument("--arrival must be poisson or fixed");
   if (!opt.serve_mix.empty()) plat.traffic.mix = opt.serve_mix;
 
-  paging::FramePoolConfig pool_cfg;
-  pool_cfg.mode = paging::BudgetMode::kPerProcess;
-  pool_cfg.policy = plat.pager.policy;
-
   sim::Simulator sim;
-  sls::ProcessGroup group(sim, plat, pool_cfg);
+  sls::ProcessGroup group(sim, plat, bench::member_pool(plat));
   for (unsigned i = 0; i < opt.serve_workers; ++i) {
     workloads::WorkloadParams p;
     p.n = 64;
     p.seed = opt.seed + i;
-    const auto wl = workloads::make_vecadd(p);
-    sls::PlatformSpec proc_plat = plat;
     // The pressure knob: each worker holds well under half its arena, so
     // steady-state episodes page against the shared swap device.
-    proc_plat.pager.frame_budget = std::max<u64>(4, plat.traffic.arena_pages * 5 / 12);
-    sls::SynthesisFlow flow(proc_plat);
-    const auto app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
-    group.add_process(flow.synthesize(app), "p" + std::to_string(i));
+    bench::add_member(group, workloads::make_vecadd(p), plat,
+                      std::max<u64>(4, plat.traffic.arena_pages * 5 / 12));
   }
 
   sls::TrafficDriver driver(group, plat.traffic);
@@ -326,12 +324,6 @@ int main(int argc, char** argv) {
     if (opt.sweep_seeds > 1) return run_sweep(opt);
 
     const auto wl = make_run_workload(opt, opt.seed);
-    auto app = make_run_app(opt, wl);
-    sls::PlatformSpec plat = make_run_platform(opt);
-
-    sls::SynthesisFlow flow(plat);
-    const auto image = flow.synthesize(app);
-
     sim::Simulator sim;
     // Attach the trace sink before elaboration so construction-time track
     // registration and the first fault both land in the file.
@@ -340,45 +332,51 @@ int main(int argc, char** argv) {
       trace = std::make_unique<sim::JsonTraceWriter>(opt.trace_path);
       sim.trace().set_sink(trace.get());
     }
-    auto system = image.elaborate(sim);
-    wl.setup(*system);
-    if (opt.cold)
-      for (const auto& buf : app.buffers)
-        system->process().evict(system->buffer(buf.name), buf.bytes);
+    bench::RunOptions run = make_run_options(opt);
     std::unique_ptr<sim::TelemetrySampler> telemetry;
-    if (!opt.telemetry_path.empty()) {
-      telemetry = std::make_unique<sim::TelemetrySampler>(sim, opt.telemetry_period);
-      auto& as = system->address_space();
-      telemetry->add_probe("resident",
-                           [&as] { return static_cast<double>(as.resident_pages()); });
-      const Counter& faults = sim.stats().counter("faults.faults");
-      telemetry->add_rate_probe("fault_rate",
-                                [&faults] { return static_cast<double>(faults.value()); });
-      const Counter& walks = sim.stats().counter("walker.walks");
-      telemetry->add_rate_probe("walk_rate",
-                                [&walks] { return static_cast<double>(walks.value()); });
-    }
-    system->start_all();
-    if (telemetry) telemetry->start();
-    const Cycles cycles = system->run_to_completion();
-    const bool ok = wl.verify(*system);
-    if (telemetry) telemetry->save_csv(opt.telemetry_path);
-    if (trace) {
-      trace->finish(sim.trace());
-      sim.trace().set_sink(nullptr);
+    if (!opt.telemetry_path.empty())
+      run.pre_run = [&, cold_start = run.pre_run](sls::System& system) {
+        if (cold_start) cold_start(system);
+        telemetry = std::make_unique<sim::TelemetrySampler>(sim, opt.telemetry_period);
+        auto& as = system.address_space();
+        telemetry->add_probe("resident",
+                             [&as] { return static_cast<double>(as.resident_pages()); });
+        const Counter& faults = sim.stats().counter("faults.faults");
+        telemetry->add_rate_probe("fault_rate",
+                                  [&faults] { return static_cast<double>(faults.value()); });
+        const Counter& walks = sim.stats().counter("walker.walks");
+        telemetry->add_rate_probe("walk_rate",
+                                  [&walks] { return static_cast<double>(walks.value()); });
+        telemetry->start();
+      };
+    double tlb_hit_rate = 0;
+    run.post_run = [&](sls::System& system, sim::Simulator&) {
+      if (telemetry) telemetry->save_csv(opt.telemetry_path);
+      if (trace) {
+        trace->finish(sim.trace());
+        sim.trace().set_sink(nullptr);
+      }
+      if (opt.kind != "sw") tlb_hit_rate = system.mmu("worker").tlb().hit_rate();
+    };
+    bench::RunResult r;
+    try {
+      r = bench::run_workload(wl, make_run_app(opt, wl), sim, run);
+    } catch (const bench::VerificationError& e) {
+      std::cout << opt.workload << " n=" << opt.n << " kind=" << opt.kind << " -> WRONG RESULT ("
+                << e.what() << ")\n";
+      return 1;
     }
 
-    std::cout << opt.workload << " n=" << opt.n << " kind=" << opt.kind << " -> " << cycles
-              << " cycles, " << (ok ? "verified" : "WRONG RESULT") << "\n";
+    std::cout << opt.workload << " n=" << opt.n << " kind=" << opt.kind << " -> " << r.cycles
+              << " cycles, verified\n";
     if (opt.kind != "sw") {
-      std::cout << "  tlb hit rate " << system->mmu("worker").tlb().hit_rate() * 100.0
-                << "%, walks " << sim.stats().counter_value("walker.walks") << ", faults "
-                << sim.stats().counter_value("faults.faults") << "\n";
+      std::cout << "  tlb hit rate " << tlb_hit_rate * 100.0 << "%, walks "
+                << static_cast<u64>(r.stat("walker.walks")) << ", faults "
+                << static_cast<u64>(r.stat("faults.faults")) << "\n";
     }
     if (opt.dump_stats)
-      for (const auto& [name, v] : sim.stats().snapshot())
-        std::cout << "  " << name << " = " << v << "\n";
-    return ok ? 0 : 1;
+      for (const auto& [name, v] : r.stats) std::cout << "  " << name << " = " << v << "\n";
+    return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
