@@ -117,13 +117,15 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   sls::ProcessGroup group(sim, plat, bench::member_pool(plat));
   for (unsigned i = 0; i < opt.workers; ++i) {
     // Tiny image: the worker's engine never runs — the serving episode IS
-    // the workload, driven through the pager. The budget sits well below
+    // the workload, driven through the pager, and no buffer is pinned
+    // because nothing reads one. The budget sits well below
     // the arena, so steady-state episodes fault, evict, and write back.
     workloads::WorkloadParams p;
     p.n = 64;
     p.seed = 1 + i;
     bench::add_member(group, workloads::make_vecadd(p), plat,
-                      /*frame_budget=*/20);  // arena_pages = 48: ~40% resident
+                      /*frame_budget=*/20,  // arena_pages = 48: ~40% resident
+                      /*pinned_buffers=*/false);
   }
 
   sls::TrafficDriver driver(group, plat.traffic);

@@ -36,8 +36,9 @@ int main() {
 
   Table table({"tlb_entries", "LUTs", "fits", "cycles"});
   for (const auto& c : result.candidates)
-    table.add_row({Table::num(static_cast<u64>(c.tlb_entries)), Table::num(c.total.luts),
-                   c.fits ? "yes" : "no", c.measured ? Table::num(c.cycles) : "-"});
+    table.add_row({Table::num(static_cast<u64>(c.tlb_entries)),
+                   Table::num(c.image.report().total.luts), c.fits ? "yes" : "no",
+                   c.measured ? Table::num(c.cycles) : "-"});
   table.print(std::cout, "TLB design space for hash_join (" + std::to_string(params.n) + " keys)");
 
   if (result.best >= 0)

@@ -67,6 +67,7 @@ void Pager::on_map(u64 vpn, u64 frame) {
 }
 
 void Pager::on_unmap(u64 vpn, bool dirty, u64 frame, u64 sharers_left) {
+  unmapped_dirty_ = dirty;
   policy_->on_remove(vpn);
   if (track_ws_) ws_last_ref_.at(vpn) = kNeverReferenced;
   // An external unmap (experiment-setup eviction) of a speculative page is
@@ -135,16 +136,18 @@ void Pager::settle_speculative(u64 vpn) {
     prefetch_wasted_.add();
 }
 
-void Pager::evict_resident(u64 vpn) {
+bool Pager::evict_resident(u64 vpn) {
   // Pinned pages back in-flight DMA and committed bus transactions; every
   // victim-selection path (own policy, pool sweep, reclaim) must have
   // filtered them out. Evicting one would retarget the frame mid-transfer.
   if (as_.is_pinned_vpn(vpn))
     throw std::invalid_argument(name_ + ": pinned page selected as eviction victim");
   settle_speculative(vpn);
+  unmapped_dirty_ = false;
   process_.evict(vpn << page_bits(), 1);  // shoots down TLBs + flushes walk caches
   evictions_.add();
   VMSLS_TRACE_INSTANT(sim_.trace(), trace_track_, "shootdown", 0, vpn);
+  return unmapped_dirty_;
 }
 
 void Pager::reserve_frame(u64 vpn) {
@@ -205,13 +208,11 @@ void Pager::secure_frame(u64 vpn) {
     bool cross = false;
     std::size_t writebacks = 0;  // victim_.sharers[0, writebacks) owe one
     for (const auto& [owner, svpn] : victim_.sharers) {
-      // Lifecycle must be read *before* the eviction invalidates the PTE.
-      const bool dirty = owner->page_dirty(svpn);
       const auto vfp = owner->as_.file_page(svpn);
+      if (owner != this) cross = true;
+      const bool dirty = owner->evict_resident(svpn);
       log_debug(name_, "evict ", owner->name_, " vpn=0x", std::hex, svpn,
                 dirty ? " (dirty)" : " (clean)");
-      if (owner != this) cross = true;
-      owner->evict_resident(svpn);
       if (dirty && (!vfp || !vfp->shared)) victim_.sharers[writebacks++] = {owner, svpn};
     }
     if (FramePool* pool = global_pool()) pool->record_eviction(*this, cross, f.trace_id);

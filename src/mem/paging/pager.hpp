@@ -189,7 +189,8 @@ class Pager final : public mem::ResidencyObserver, public KeyOwner {
   bool probe_accessed(u64 vpn);
   /// Evicts one resident page through the process (TLB shootdown + walk
   /// cache flush) and counts it; the caller charges any writeback time.
-  void evict_resident(u64 vpn);
+  /// Returns the page's dirty bit as the unmap read it.
+  bool evict_resident(u64 vpn);
 
   /// True while the page is an unreferenced readahead landing — what the
   /// replacement policies reclaim first. False for any vpn the pager never
@@ -386,6 +387,9 @@ class Pager final : public mem::ResidencyObserver, public KeyOwner {
   Pool<InflightFault> fault_pool_;
   /// secure_frame's current victim; one buffer reused by every eviction.
   FramePool::Victim victim_;
+  /// The dirty bit of the last page unmapped (on_unmap), which
+  /// evict_resident hands back without a second page-table lookup.
+  bool unmapped_dirty_ = false;
   /// Pages a fault has reserved a frame for but not yet mapped. Counted
   /// against the budget so concurrent faults cannot double-spend one freed
   /// frame; entries clear when the page maps (on_map).

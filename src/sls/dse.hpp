@@ -3,13 +3,14 @@
 // The flow's main tunables are each thread's TLB geometry (more entries
 // cost fabric resources but cut miss/walk traffic) and — once the platform
 // models memory pressure — the pager operating point (frame budget ×
-// replacement policy). The explorer synthesizes one image per candidate,
-// checks the resource budget, and (optionally) scores candidates by
-// running the elaborated system — the measure-everything approach a
-// simulator substrate makes cheap. The four explore_* grids are one loop
-// over axes (each a list of spec mutators, the cartesian product walked
-// first axis outermost). Scoring fans out over a host thread pool; results
-// are bit-identical to the serial sweep.
+// replacement policy), the offload mode and the swap I/O settings. The
+// explorer synthesizes one image per candidate, checks the resource budget,
+// and (optionally) scores candidates by running the elaborated system — the
+// measure-everything approach a simulator substrate makes cheap. A search
+// is one explore() call over a list of axes, each a public value (a list of
+// point mutators); the cartesian product is walked first axis outermost.
+// Scoring fans out over a host thread pool; results are bit-identical to
+// the serial sweep.
 #pragma once
 
 #include <functional>
@@ -23,43 +24,61 @@
 
 namespace vmsls::sls {
 
-/// One pager operating point for the pager × TLB grid sweep.
+/// One pager operating point (pager_axis).
 struct PagerCandidate {
   u64 frame_budget = 0;  // 0 = pressure-free (pager inert)
   paging::PolicyKind policy = paging::PolicyKind::kClock;
 };
 
-/// One offload operating point for the offload-mode × pager grid: the SVM
-/// flow (include_dma = false, virtual addressing) or the copy-based
-/// baseline in one of its copy modes (physical addressing, DMA engine +
-/// offload driver elaborated).
+/// One offload operating point (offload_axis): the SVM flow (include_dma =
+/// false, virtual addressing) or the copy-based baseline in one of its copy
+/// modes (physical addressing, DMA engine + offload driver elaborated).
 struct OffloadCandidate {
   bool include_dma = false;
   dma::CopyMode mode = dma::CopyMode::kSgDma;
 };
 
-/// One swap I/O operating point for the swap grid: request-queue dispatch
-/// policy × swap-in readahead depth.
+/// One swap I/O operating point (swap_axis): request-queue dispatch policy ×
+/// swap-in readahead depth.
 struct SwapCandidate {
   paging::SwapSchedPolicy sched = paging::SwapSchedPolicy::kFifo;
   unsigned readahead = 0;
 };
 
+/// One grid point while the axes build it: the specs it is synthesized
+/// from. `thread` points at the explored thread inside `app`.
+struct DsePoint {
+  PlatformSpec platform;
+  AppSpec app;
+  SynthesisOptions options;
+  ThreadSpec* thread = nullptr;
+};
+
+/// One grid axis: each entry is one value of the axis, a mutator that sets
+/// that value's fields of a point. Any list of mutators is an axis.
+using DseAxis = std::vector<std::function<void(DsePoint&)>>;
+
+/// The explored thread's TLB resized to each entry count, keeping the
+/// point's geometry (its tlb_override, else the platform's default TLB).
+/// Throws std::invalid_argument on a zero entry count when explored.
+DseAxis tlb_axis(const std::vector<unsigned>& entries);
+/// The pager's frame budget and replacement policy.
+DseAxis pager_axis(const std::vector<PagerCandidate>& points);
+/// The offload mode. A DMA point runs the explored thread against physical
+/// addresses with the engine + driver included (the evaluator drives the
+/// copy-in/compute/copy-out flow); an SVM point stays virtually addressed.
+DseAxis offload_axis(const std::vector<OffloadCandidate>& points);
+/// The swap scheduler's dispatch policy and readahead depth: runtime
+/// configuration, not fabric, so every point shares one resource shape.
+DseAxis swap_axis(const std::vector<SwapCandidate>& points);
+
 struct DseCandidate {
+  /// The image this candidate was synthesized as: its operating point is
+  /// image.platform(), image.options() and image.hw_plan(thread), its
+  /// resources image.report().
+  SystemImage image;
+  /// The explored thread's TLB override entries; 0 when it has none.
   unsigned tlb_entries = 0;
-  /// Pager operating point this candidate was synthesized with (the
-  /// platform default for plain TLB sweeps).
-  u64 frame_budget = 0;
-  paging::PolicyKind policy = paging::PolicyKind::kClock;
-  /// Offload operating point (explore_offload_pager axis; SVM otherwise).
-  bool include_dma = false;
-  dma::CopyMode copy_mode = dma::CopyMode::kSgDma;
-  /// Swap I/O operating point (explore_swap axis; the platform default
-  /// otherwise).
-  paging::SwapSchedPolicy swap_sched = paging::SwapSchedPolicy::kFifo;
-  unsigned readahead = 0;
-  Resources total{};
-  double resource_utilization = 0.0;
   bool fits = false;
   bool measured = false;
   Cycles cycles = 0;  // valid when measured
@@ -88,50 +107,28 @@ class DesignSpaceExplorer {
 
   explicit DesignSpaceExplorer(PlatformSpec platform, SynthesisOptions options = {});
 
-  /// Host threads used to score candidates, on every explore_* grid. 1 (the
-  /// default) evaluates on the calling thread; N > 1 fans candidates out
-  /// over a worker pool.
+  /// Host threads used to score candidates. 1 (the default) evaluates on
+  /// the calling thread; N > 1 fans candidates out over a worker pool.
   /// Synthesis itself stays serial (it is microseconds per candidate), and
   /// results — candidate order, every cycle count, and the chosen best
   /// point — are bit-identical to the serial sweep regardless of N.
   void set_threads(unsigned threads) noexcept { threads_ = threads == 0 ? 1 : threads; }
   unsigned threads() const noexcept { return threads_; }
 
+  /// Sweeps the cartesian product of `axes` for `thread` of `app`, first
+  /// axis outermost (candidate order), from the explorer's platform and
+  /// options. Throws std::invalid_argument on an empty axis and
+  /// std::out_of_range on an unknown thread.
+  DseResult explore(const AppSpec& app, const std::string& thread,
+                    const std::vector<DseAxis>& axes, const Evaluator& evaluate = nullptr);
+
   /// Sweeps `thread`'s TLB size over `entry_candidates` at the platform's
   /// configured pager operating point.
   DseResult explore_tlb(const AppSpec& app, const std::string& thread,
                         const std::vector<unsigned>& entry_candidates,
-                        const Evaluator& evaluate = nullptr);
-
-  /// Grid sweep: pager operating points × TLB sizes, all candidates
-  /// synthesized serially and scored through one thread pool. Candidate
-  /// order is pager-major (pager_candidates[0] × every TLB size first).
-  DseResult explore_pager_tlb(const AppSpec& app, const std::string& thread,
-                              const std::vector<unsigned>& entry_candidates,
-                              const std::vector<PagerCandidate>& pager_candidates,
-                              const Evaluator& evaluate = nullptr);
-
-  /// Grid sweep: offload modes × pager operating points — the paper's
-  /// SVM-vs-DMA axis crossed with the memory-pressure axis. DMA candidates
-  /// synthesize `thread` physically addressed with the engine + driver
-  /// included (the evaluator drives the copy-in/compute/copy-out flow and
-  /// can read the operating point off the image); SVM candidates stay
-  /// virtually addressed. Candidate order is offload-major; scoring fans
-  /// out over the same thread pool, bit-identical to the serial sweep.
-  DseResult explore_offload_pager(const AppSpec& app, const std::string& thread,
-                                  const std::vector<OffloadCandidate>& offload_candidates,
-                                  const std::vector<PagerCandidate>& pager_candidates,
-                                  const Evaluator& evaluate = nullptr);
-
-  /// Grid sweep over the shared-swap subsystem's operating points: dispatch
-  /// policy × readahead depth × pager budget point, all scored through the
-  /// same thread pool. Candidate order is swap-major (swap_candidates[0] ×
-  /// every pager point first); results are bit-identical to the serial
-  /// sweep.
-  DseResult explore_swap(const AppSpec& app, const std::string& thread,
-                         const std::vector<SwapCandidate>& swap_candidates,
-                         const std::vector<PagerCandidate>& pager_candidates,
-                         const Evaluator& evaluate = nullptr);
+                        const Evaluator& evaluate = nullptr) {
+    return explore(app, thread, {tlb_axis(entry_candidates)}, evaluate);
+  }
 
  private:
   PlatformSpec platform_;

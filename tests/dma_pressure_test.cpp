@@ -311,29 +311,34 @@ TEST(DseOffloadGrid, SerialAndParallelGridIdentical) {
 
   sls::DesignSpaceExplorer serial(sls::zynq7020());
   serial.set_threads(1);
-  const auto a = serial.explore_offload_pager(app, "worker", offloads, pagers, evaluate);
+  const std::vector<sls::DseAxis> grid = {sls::offload_axis(offloads), sls::pager_axis(pagers)};
+  const auto a = serial.explore(app, "worker", grid, evaluate);
 
   sls::DesignSpaceExplorer parallel(sls::zynq7020());
   parallel.set_threads(4);
-  const auto b = parallel.explore_offload_pager(app, "worker", offloads, pagers, evaluate);
+  const auto b = parallel.explore(app, "worker", grid, evaluate);
 
   ASSERT_EQ(a.candidates.size(), offloads.size() * pagers.size());
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
-    EXPECT_EQ(a.candidates[i].include_dma, b.candidates[i].include_dma);
-    EXPECT_EQ(a.candidates[i].copy_mode, b.candidates[i].copy_mode);
-    EXPECT_EQ(a.candidates[i].frame_budget, b.candidates[i].frame_budget);
+    const sls::SystemImage& ia = a.candidates[i].image;
+    const sls::SystemImage& ib = b.candidates[i].image;
+    EXPECT_EQ(ia.options().include_dma, ib.options().include_dma);
+    EXPECT_EQ(ia.platform().offload.mode, ib.platform().offload.mode);
+    EXPECT_EQ(ia.platform().pager.frame_budget, ib.platform().pager.frame_budget);
     EXPECT_EQ(a.candidates[i].measured, b.candidates[i].measured);
     EXPECT_EQ(a.candidates[i].cycles, b.candidates[i].cycles);
   }
   EXPECT_EQ(a.best, b.best);
   ASSERT_GE(a.best, 0);
   // Candidate order is offload-major over the pager points.
-  EXPECT_FALSE(a.candidates[0].include_dma);
-  EXPECT_EQ(a.candidates[0].frame_budget, 0u);
-  EXPECT_TRUE(a.candidates.back().include_dma);
-  EXPECT_EQ(a.candidates.back().copy_mode, dma::CopyMode::kSgDma);
-  EXPECT_EQ(a.candidates.back().frame_budget, 6u);
+  const sls::SystemImage& first = a.candidates[0].image;
+  const sls::SystemImage& last = a.candidates.back().image;
+  EXPECT_FALSE(first.options().include_dma);
+  EXPECT_EQ(first.platform().pager.frame_budget, 0u);
+  EXPECT_TRUE(last.options().include_dma);
+  EXPECT_EQ(last.platform().offload.mode, dma::CopyMode::kSgDma);
+  EXPECT_EQ(last.platform().pager.frame_budget, 6u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "hwt/interp.hpp"
+#include "interp.hpp"
 
 #include <stdexcept>
 #include <string>

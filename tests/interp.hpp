@@ -1,4 +1,5 @@
-// Reference interpreter for kernel IR.
+// Reference interpreter for kernel IR: test support, built only into the
+// tests that diff the engine against it (never into libvmsls).
 //
 // Executes a kernel functionally — no timing, no simulator, flat byte
 // memory, in-process mailboxes — and is deliberately written as a separate,

@@ -6,7 +6,7 @@
 
 #include "hwt/builder.hpp"
 #include "hwt/engine.hpp"
-#include "hwt/interp.hpp"
+#include "interp.hpp"
 #include "sim/simulator.hpp"
 
 namespace vmsls::hwt {

@@ -549,25 +549,29 @@ TEST(DsePagerGrid, SerialAndParallelGridIdentical) {
 
   sls::DesignSpaceExplorer serial(sls::zynq7020());
   serial.set_threads(1);
-  const auto a = serial.explore_pager_tlb(app, "worker", tlbs, pagers, evaluate);
+  const std::vector<sls::DseAxis> grid = {sls::pager_axis(pagers), sls::tlb_axis(tlbs)};
+  const auto a = serial.explore(app, "worker", grid, evaluate);
 
   sls::DesignSpaceExplorer parallel(sls::zynq7020());
   parallel.set_threads(4);
-  const auto b = parallel.explore_pager_tlb(app, "worker", tlbs, pagers, evaluate);
+  const auto b = parallel.explore(app, "worker", grid, evaluate);
 
   ASSERT_EQ(a.candidates.size(), tlbs.size() * pagers.size());
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
     EXPECT_EQ(a.candidates[i].tlb_entries, b.candidates[i].tlb_entries);
-    EXPECT_EQ(a.candidates[i].frame_budget, b.candidates[i].frame_budget);
-    EXPECT_EQ(a.candidates[i].policy, b.candidates[i].policy);
+    const paging::PagerConfig& pa = a.candidates[i].image.platform().pager;
+    const paging::PagerConfig& pb = b.candidates[i].image.platform().pager;
+    EXPECT_EQ(pa.frame_budget, pb.frame_budget);
+    EXPECT_EQ(pa.policy, pb.policy);
     EXPECT_EQ(a.candidates[i].measured, b.candidates[i].measured);
     EXPECT_EQ(a.candidates[i].cycles, b.candidates[i].cycles);
   }
   EXPECT_EQ(a.best, b.best);
   ASSERT_GE(a.best, 0);
   // Pressure-free candidates must beat the budget-constrained ones.
-  EXPECT_EQ(a.candidates[static_cast<std::size_t>(a.best)].frame_budget, 0u);
+  EXPECT_EQ(a.candidates[static_cast<std::size_t>(a.best)].image.platform().pager.frame_budget,
+            0u);
 }
 
 TEST(DsePagerGrid, ExploreTlbStillSweepsAtThePlatformOperatingPoint) {
@@ -578,7 +582,7 @@ TEST(DsePagerGrid, ExploreTlbStillSweepsAtThePlatformOperatingPoint) {
   sls::DesignSpaceExplorer dse(sls::zynq7020());
   const auto r = dse.explore_tlb(app, "worker", {2, 4, 8});
   ASSERT_EQ(r.candidates.size(), 3u);
-  for (const auto& c : r.candidates) EXPECT_EQ(c.frame_budget, 0u);
+  for (const auto& c : r.candidates) EXPECT_EQ(c.image.platform().pager.frame_budget, 0u);
   EXPECT_GE(r.best, 0);
 }
 

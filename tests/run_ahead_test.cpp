@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "hwt/builder.hpp"
-#include "hwt/interp.hpp"
+#include "interp.hpp"
 #include "sim/simulator.hpp"
 #include "sls/process_group.hpp"
 #include "sls/synthesis.hpp"

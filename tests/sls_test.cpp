@@ -304,7 +304,8 @@ TEST(Dse, SweepsAndPicksFittingPoint) {
   DesignSpaceExplorer dse(zynq7020());
   const auto result = dse.explore_tlb(small_app(), "worker", {4, 16, 64});
   ASSERT_EQ(result.candidates.size(), 3u);
-  EXPECT_LT(result.candidates[0].total.luts, result.candidates[2].total.luts);
+  EXPECT_LT(result.candidates[0].image.report().total.luts,
+            result.candidates[2].image.report().total.luts);
   ASSERT_GE(result.best, 0);
   // Unmeasured: picks the largest fitting TLB.
   EXPECT_EQ(result.candidates[static_cast<std::size_t>(result.best)].tlb_entries, 64u);
@@ -335,6 +336,15 @@ TEST(Dse, MeasuredSweepPicksFastest) {
 TEST(Dse, UnknownThreadRejected) {
   DesignSpaceExplorer dse(zynq7020());
   EXPECT_THROW(dse.explore_tlb(small_app(), "ghost", {4}), std::out_of_range);
+  EXPECT_THROW(dse.explore(small_app(), "ghost", {tlb_axis({4})}), std::out_of_range);
+}
+
+TEST(Dse, EmptyAxisRejected) {
+  DesignSpaceExplorer dse(zynq7020());
+  EXPECT_THROW(dse.explore(small_app(), "worker", {tlb_axis({4}), pager_axis({})}),
+               std::invalid_argument);
+  EXPECT_THROW(dse.explore(small_app(), "worker", {DseAxis{}}), std::invalid_argument);
+  EXPECT_THROW(dse.explore_tlb(small_app(), "worker", {}), std::invalid_argument);
 }
 
 TEST(Dse, ZeroEntryTlbRejected) {
@@ -342,8 +352,9 @@ TEST(Dse, ZeroEntryTlbRejected) {
   // loop, where 0 % 0 would kill the process.
   DesignSpaceExplorer dse(zynq7020());
   EXPECT_THROW(dse.explore_tlb(small_app(), "worker", {0}), std::invalid_argument);
-  EXPECT_THROW(dse.explore_pager_tlb(small_app(), "worker", {8, 0}, {PagerCandidate{}}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      dse.explore(small_app(), "worker", {pager_axis({PagerCandidate{}}), tlb_axis({8, 0})}),
+      std::invalid_argument);
 }
 
 TEST(Dse, PagerTlbGridIsPagerMajor) {
@@ -353,17 +364,19 @@ TEST(Dse, PagerTlbGridIsPagerMajor) {
   const std::vector<PagerCandidate> pagers{{64, paging::PolicyKind::kFifo},
                                            {128, paging::PolicyKind::kLruApprox}};
   DesignSpaceExplorer dse(zynq7020());
-  const auto result =
-      dse.explore_pager_tlb(small_app(), "worker", tlbs, pagers, [](const SystemImage& image) {
-        return image.platform().pager.frame_budget * 1000 + image.hw_plans()[0].tlb.entries;
-      });
+  const auto result = dse.explore(small_app(), "worker", {pager_axis(pagers), tlb_axis(tlbs)},
+                                  [](const SystemImage& image) {
+                                    return image.platform().pager.frame_budget * 1000 +
+                                           image.hw_plans()[0].tlb.entries;
+                                  });
   ASSERT_EQ(result.candidates.size(), 6u);
   for (std::size_t i = 0; i < result.candidates.size(); ++i) {
     const DseCandidate& c = result.candidates[i];
     const PagerCandidate& pc = pagers[i / tlbs.size()];
-    EXPECT_EQ(c.frame_budget, pc.frame_budget) << i;
-    EXPECT_EQ(c.policy, pc.policy) << i;
+    EXPECT_EQ(c.image.platform().pager.frame_budget, pc.frame_budget) << i;
+    EXPECT_EQ(c.image.platform().pager.policy, pc.policy) << i;
     EXPECT_EQ(c.tlb_entries, tlbs[i % tlbs.size()]) << i;
+    EXPECT_EQ(c.image.hw_plan("worker").tlb.entries, c.tlb_entries) << i;
     ASSERT_TRUE(c.measured) << i;
     EXPECT_EQ(c.cycles, pc.frame_budget * 1000 + c.tlb_entries) << i;
   }

@@ -503,27 +503,30 @@ TEST(SwapDse, ExploreSwapGridSerialEqualsParallel) {
 
   sls::DesignSpaceExplorer serial(sls::zynq7020());
   serial.set_threads(1);
-  const auto a = serial.explore_swap(app, "worker", swaps, budgets, evaluate);
+  const std::vector<sls::DseAxis> grid = {sls::swap_axis(swaps), sls::pager_axis(budgets)};
+  const auto a = serial.explore(app, "worker", grid, evaluate);
 
   sls::DesignSpaceExplorer parallel(sls::zynq7020());
   parallel.set_threads(4);
-  const auto b = parallel.explore_swap(app, "worker", swaps, budgets, evaluate);
+  const auto b = parallel.explore(app, "worker", grid, evaluate);
 
   ASSERT_EQ(a.candidates.size(), swaps.size() * budgets.size());
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
   for (std::size_t i = 0; i < a.candidates.size(); ++i) {
-    EXPECT_EQ(a.candidates[i].swap_sched, b.candidates[i].swap_sched);
-    EXPECT_EQ(a.candidates[i].readahead, b.candidates[i].readahead);
-    EXPECT_EQ(a.candidates[i].frame_budget, b.candidates[i].frame_budget);
+    const PagerConfig& pa = a.candidates[i].image.platform().pager;
+    const PagerConfig& pb = b.candidates[i].image.platform().pager;
+    EXPECT_EQ(pa.swap.sched, pb.swap.sched);
+    EXPECT_EQ(pa.swap.readahead, pb.swap.readahead);
+    EXPECT_EQ(pa.frame_budget, pb.frame_budget);
     EXPECT_EQ(a.candidates[i].measured, b.candidates[i].measured);
     EXPECT_EQ(a.candidates[i].cycles, b.candidates[i].cycles);
   }
   EXPECT_EQ(a.best, b.best);
   ASSERT_GE(a.best, 0);
   // The grid is swap-major: candidate order pins the documented layout.
-  EXPECT_EQ(a.candidates[0].readahead, 0u);
-  EXPECT_EQ(a.candidates[2].readahead, 4u);
-  EXPECT_EQ(a.candidates[1].frame_budget, 12u);
+  EXPECT_EQ(a.candidates[0].image.platform().pager.swap.readahead, 0u);
+  EXPECT_EQ(a.candidates[2].image.platform().pager.swap.readahead, 4u);
+  EXPECT_EQ(a.candidates[1].image.platform().pager.frame_budget, 12u);
 }
 
 TEST(SwapSummary, PagerSummarySurfacesQueueWaitAndPrefetchCounters) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates every golden the `paper` and `smoke` ctest labels compare
 # against: bench/golden/<name>.txt, the committed stdout of a full run of
-# bench_<name>, and bench/golden/smoke/<name>.json, the BENCH JSON of
-# `bench_<name> --smoke` (simulated cycles, events, faults and extras). Run
+# bench_<name>; bench/golden/smoke/<name>.json, the BENCH JSON of
+# `bench_<name> --smoke` (simulated cycles, events, faults and extras); and
+# bench/golden/example/<name>.txt, the stdout of example_<name>. Run
 # it only for a change that is meant to move a figure or a smoke's work
 # counts, and say in the change log why.
 #
@@ -32,5 +33,11 @@ for f in "${golden}"/smoke/*.json; do
   (cd "${scratch}" && "${build}/bench_${name}" --smoke >/dev/null)
   cp "${scratch}"/BENCH_*.json "${f}"
   echo "regolden: ${name} --smoke"
+done
+for f in "${golden}"/example/*.txt; do
+  name="$(basename "${f}" .txt)"
+  cmake --build "${build}" -j "${jobs}" --target "example_${name}" >/dev/null
+  (cd "${scratch}" && "${build}/example_${name}") >"${f}"
+  echo "regolden: example_${name}"
 done
 git -C "${root}" diff --stat -- bench/golden

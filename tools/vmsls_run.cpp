@@ -269,9 +269,11 @@ sls::TrafficDriver::Report run_serve_point(const Options& opt, Cycles mean_gap,
     p.n = 64;
     p.seed = opt.seed + i;
     // The pressure knob: each worker holds well under half its arena, so
-    // steady-state episodes page against the shared swap device.
+    // steady-state episodes page against the shared swap device. The engine
+    // never runs, so nothing reads the vecadd buffers: none are pinned.
     bench::add_member(group, workloads::make_vecadd(p), plat,
-                      std::max<u64>(4, plat.traffic.arena_pages * 5 / 12));
+                      std::max<u64>(4, plat.traffic.arena_pages * 5 / 12),
+                      /*pinned_buffers=*/false);
   }
 
   sls::TrafficDriver driver(group, plat.traffic);
