@@ -114,6 +114,7 @@ struct RunResult {
   std::map<std::string, double> stats;  // full registry snapshot
   sls::SynthesisReport report;
   u64 events = 0;      // scheduler events executed during the run
+  u64 scheduled = 0;   // events handed to the scheduler during the run
   double host_ms = 0;  // host wall-clock spent inside run_to_completion
 
   double stat(const std::string& name) const { return stat_value(stats, name); }
@@ -121,13 +122,15 @@ struct RunResult {
 
 /// Accumulates a bench's measured sections and writes them as JSON: one
 /// record per section with its simulated cycles, events and pager faults,
-/// plus extra simulated metrics. Host time goes to stderr, never into the
-/// file, so a --smoke artifact is byte-identical on every host and its
-/// smoke test diffs it against a committed copy.
+/// the events it queued (host work, deterministic), plus extra simulated
+/// metrics. Host time goes to stderr, never into the file, so a --smoke
+/// artifact is byte-identical on every host and its smoke test diffs it
+/// against a committed copy.
 class EngineBenchReport {
  public:
-  void add(const std::string& name, Cycles cycles, u64 events, u64 faults, double host_ms) {
-    entries_.push_back(Entry{name, cycles, events, faults, {}});
+  void add(const std::string& name, Cycles cycles, u64 events, u64 scheduled, u64 faults,
+           double host_ms) {
+    entries_.push_back(Entry{name, cycles, events, scheduled, faults, {}});
     std::cerr << "[host] " << name << " " << host_ms << " ms\n";
   }
 
@@ -151,8 +154,12 @@ class EngineBenchReport {
   }
 
   /// Writes the accumulated entries as a JSON array. Schema per entry:
-  ///   {"name", "cycles", "events", "faults", extras...}
-  /// "cycles" is 0 for host-only sections with no simulated-time span.
+  ///   {"name", "cycles", "events", "scheduled", "faults", extras...}
+  /// "events" is sim::Simulator::events_executed() over the section (the
+  /// logical count), "scheduled" its events_scheduled(): the events that
+  /// went through the queue, which run-ahead and posted writes avoid.
+  /// "cycles" is 0 for host-only sections with no simulated-time span, and
+  /// "scheduled" is 0 for item-rate rows that do not count it.
   void write_json(const std::string& path) const {
     std::ofstream out(path);
     if (!out) throw std::runtime_error("cannot write " + path);
@@ -160,7 +167,8 @@ class EngineBenchReport {
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
       out << "  {\"name\": \"" << e.name << "\", \"cycles\": " << e.cycles
-          << ", \"events\": " << e.events << ", \"faults\": " << e.faults;
+          << ", \"events\": " << e.events << ", \"scheduled\": " << e.scheduled
+          << ", \"faults\": " << e.faults;
       for (const auto& [key, value] : e.extra) out << ", \"" << key << "\": " << value;
       out << "}" << (i + 1 < entries_.size() ? "," : "") << "\n";
     }
@@ -172,6 +180,7 @@ class EngineBenchReport {
     std::string name;
     Cycles cycles = 0;
     u64 events = 0;
+    u64 scheduled = 0;
     u64 faults = 0;
     std::vector<std::pair<std::string, double>> extra;
   };
@@ -211,10 +220,12 @@ inline RunResult run_image(const workloads::Workload& wl, const sls::SystemImage
 
   RunResult r;
   const u64 events_before = sim.events_executed();
+  const u64 scheduled_before = sim.events_scheduled();
   WallTimer timer;
   r.cycles = system->run_to_completion(opt.max_cycles);
   r.host_ms = timer.ms();
   r.events = sim.events_executed() - events_before;
+  r.scheduled = sim.events_scheduled() - scheduled_before;
   if (!wl.verify(*system))
     throw VerificationError("workload '" + wl.name + "' failed verification");
   r.stats = sim.stats().snapshot();
@@ -344,6 +355,7 @@ inline RunResult run_offload(const workloads::Workload& wl, const std::vector<st
   RunResult r;
   const Cycles t0 = sim.now();
   const u64 events_before = sim.events_executed();
+  const u64 scheduled_before = sim.events_scheduled();
   WallTimer timer;
   copy_buffers(*system, pinned, in, /*to_pinned=*/true);
   for (i64 a : make_args(*system, pinned, seed)) args.put(a, [] {});
@@ -353,6 +365,7 @@ inline RunResult run_offload(const workloads::Workload& wl, const std::vector<st
   r.cycles = sim.now() - t0;
   r.host_ms = timer.ms();
   r.events = sim.events_executed() - events_before;
+  r.scheduled = sim.events_scheduled() - scheduled_before;
   if (!wl.verify(*system))
     throw VerificationError("workload '" + wl.name + "' failed verification after offload");
 

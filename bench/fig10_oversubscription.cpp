@@ -25,7 +25,8 @@
 //
 // --smoke runs only the worked example (4 processes, 400%, global, CLOCK)
 // and writes BENCH_fig10_oversub.json: its simulated cycles, events and
-// faults, which the smoke test diffs against a committed golden.
+// faults and its queued-event count, which the smoke test diffs against a
+// committed golden.
 
 #include <iostream>
 
@@ -42,6 +43,7 @@ namespace {
 struct MixResult {
   Cycles cycles = 0;       // makespan: start_all -> last thread halted
   u64 events = 0;          // scheduler events executed over the makespan
+  u64 scheduled = 0;       // events queued over the makespan (host work)
   u64 faults = 0;          // aggregate across processes
   u64 swap_ins = 0;
   u64 pool_evictions = 0;  // global mode only
@@ -108,8 +110,10 @@ MixResult run_mix(const MixOptions& opt) {
   group.start_all();
   MixResult r;
   const u64 events_before = sim.events_executed();
+  const u64 scheduled_before = sim.events_scheduled();
   r.cycles = group.run_to_completion();
   r.events = sim.events_executed() - events_before;
+  r.scheduled = sim.events_scheduled() - scheduled_before;
   // Peak residency before verification: verify's functional reads re-map
   // evicted pages outside the budgeted fault path.
   r.peak_resident = group.pool().peak_resident_pages();
@@ -243,7 +247,8 @@ void run_smoke() {
   bench::WallTimer timer;
   const MixResult r = worked_example();
   bench::EngineBenchReport engine;
-  engine.add("fig10/4p_400_global_clock", r.cycles, r.events, r.faults, timer.ms());
+  engine.add("fig10/4p_400_global_clock", r.cycles, r.events, r.scheduled, r.faults,
+             timer.ms());
   engine.write_json("BENCH_fig10_oversub.json");
 }
 

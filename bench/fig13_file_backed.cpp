@@ -65,6 +65,7 @@ struct PointOptions {
 struct PointResult {
   Cycles cycles = 0;  // makespan: start_all -> last thread halted
   u64 events = 0;
+  u64 scheduled = 0;
   double host_ms = 0;
   u64 faults = 0;
   u64 swap_ins = 0;
@@ -134,6 +135,7 @@ PointResult run_point(const PointOptions& opt) {
   group.start_all();
   PointResult r;
   const u64 events_before = sim.events_executed();
+  const u64 scheduled_before = sim.events_scheduled();
   bench::WallTimer timer;
   r.cycles = group.run_to_completion();
   group.drain(bench::kDrainCycles);
@@ -141,6 +143,7 @@ PointResult run_point(const PointOptions& opt) {
     throw std::runtime_error("fig13: buffer cache still busy after the event queue drained");
   r.host_ms = timer.ms();
   r.events = sim.events_executed() - events_before;
+  r.scheduled = sim.events_scheduled() - scheduled_before;
 
   for (unsigned i = 0; i < kProcs; ++i)
     if (!wls[i].verify(group.process(i)))
@@ -233,7 +236,7 @@ void add_rows(Table& table, bench::EngineBenchReport& engine, unsigned pct, cons
                    Table::num(static_cast<double>(c.anon.cycles) /
                                   static_cast<double>(r->cycles),
                               2)});
-    engine.add(label, r->cycles, r->events, r->faults, r->host_ms);
+    engine.add(label, r->cycles, r->events, r->scheduled, r->faults, r->host_ms);
   }
 }
 
