@@ -20,7 +20,8 @@ MemoryBus::MemoryBus(sim::Simulator& sim, DramModel& dram, const BusConfig& cfg,
 
 void MemoryBus::request(BusRequest req) {
   require(req.bytes > 0, "bus request must move at least one byte");
-  require(static_cast<bool>(req.on_done), "bus request needs a completion callback");
+  require(req.is_write || static_cast<bool>(req.on_done),
+          "bus read needs a completion callback (only a write may be posted)");
   requests_.add();
   (req.is_write ? write_requests_ : read_requests_).add();
   bytes_.add(req.bytes);
@@ -61,7 +62,9 @@ void MemoryBus::grant(BusRequest& req, Cycles enqueued) {
   const Cycles dram_done =
       dram_.access(req.addr, req.bytes, req.is_write, now + cfg_.header_cycles);
   const Cycles done = std::max(dram_done, channel_free_);
-  if (!req.tail_call) {
+  if (!req.on_done) {
+    sim_.post(done);  // a posted write: nothing runs at its completion
+  } else if (!req.tail_call) {
     sim_.schedule_at(done, std::move(req.on_done));
   } else if (queue_.empty() && sim_.try_advance_to(done)) {
     // Alone on the channel, with nothing due before its completion: run it

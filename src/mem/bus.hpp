@@ -27,6 +27,10 @@ struct BusConfig {
 /// issuer then performs its functional data access against PhysicalMemory.
 /// The callback is a sim::EventFn: move-only, with enough inline storage
 /// that enqueueing a request never heap-allocates for typical closures.
+/// A write without `on_done` is posted (fire-and-forget: the walker's A/D
+/// write-backs and the CPU caches' dirty-line write-backs): the bus charges
+/// its channel occupancy and DRAM access and marks its completion with
+/// sim::Simulator::post, queueing no event.
 struct BusRequest {
   PhysAddr addr = 0;
   u32 bytes = 0;
@@ -35,8 +39,8 @@ struct BusRequest {
   /// The issuer's `on_done` ends in tail calls (see
   /// sim::Simulator::schedule_run_ahead): a request alone on an idle
   /// channel may complete in place, inside request(), and its completion
-  /// event otherwise holds the run-ahead token. Only the hardware-thread
-  /// port sets it; walker, A/D write-back and DMA requests never do.
+  /// event otherwise holds the run-ahead token. The hardware-thread port
+  /// sets it on its data and the walker on its PTE reads; DMA never does.
   bool tail_call = false;
 };
 

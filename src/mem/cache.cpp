@@ -99,15 +99,16 @@ void CacheHierarchy::step(Walk* w) {
     return;
   }
   // L1 miss: a dirty L1 victim is absorbed by L2 (both track the line; we
-  // charge the L2 access below). Look up L2.
+  // charge the L2 access below). Look up L2. A dirty L2 victim's write-back
+  // is posted: the access does not wait for it.
   if (o1.writeback) {
     const auto wb = l2_.access(o1.writeback_addr, /*is_write=*/true);
     if (wb.writeback)
-      bus_.request(BusRequest{wb.writeback_addr, static_cast<u32>(line_bytes), true, [] {}});
+      bus_.request(BusRequest{wb.writeback_addr, static_cast<u32>(line_bytes), true, nullptr});
   }
   const auto o2 = l2_.access(line_addr, w->is_write);
   if (o2.writeback)
-    bus_.request(BusRequest{o2.writeback_addr, static_cast<u32>(line_bytes), true, [] {}});
+    bus_.request(BusRequest{o2.writeback_addr, static_cast<u32>(line_bytes), true, nullptr});
   const Cycles lookup_cost = cfg_.l1.hit_latency + cfg_.l2.hit_latency;
   if (o2.hit) {
     sim_.schedule_in(lookup_cost, [this, w] { step(w); });

@@ -101,8 +101,11 @@ void Mmu::translate(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done) {
     }
   }
 
+  // The demand walk is a tail call unless a prefetch walk must queue
+  // behind it at this cycle.
   Pending* p = park(va, is_write, std::move(done));
-  walker_.walk(va, [this, p](const WalkResult& r) { on_walk_done(p, r); });
+  walker_.walk(va, [this, p](const WalkResult& r) { on_walk_done(p, r); },
+               /*tail_call=*/!cfg_.prefetch_next_page);
   maybe_prefetch(vpn);
 }
 
@@ -126,6 +129,7 @@ void Mmu::on_walk_done(Pending* p, const WalkResult& r) {
     req.va = va;
     req.is_write = is_write;
     req.retry = [this, p] { retry(p); };
+    sim_.forgo_run_ahead();  // the OS is not a tail call
     sink_->raise(std::move(req));
     return;
   }

@@ -79,9 +79,10 @@ class Mmu {
   /// synchronously, inside this call, without touching the scheduler
   /// (counted in `<name>.inline_completions`). A timed TLB hit also runs
   /// `done` inside this call when the simulator grants the run-ahead step
-  /// to its completion cycle (sim::Simulator::try_advance_to); that is not
-  /// an inline completion. Callers must therefore not assume `done` runs
-  /// after the current event returns.
+  /// to its completion cycle (sim::Simulator::try_advance_to), and so does
+  /// a miss whose walk runs ahead; neither is an inline completion. Callers
+  /// must therefore not assume `done` runs after the current event
+  /// returns, and `done` must end in tail calls.
   void translate(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done);
 
   /// Translations completed synchronously (no scheduler round-trip).

@@ -22,7 +22,7 @@ Tlb::Tlb(const TlbConfig& cfg, StatRegistry& stats, std::string name)
   require(cfg.entries > 0, "TLB must have entries");
   require(cfg.ways > 0 && cfg.entries % cfg.ways == 0, "TLB entries must divide evenly into ways");
   sets_ = cfg.entries / cfg.ways;
-  if (is_pow2(sets_)) set_mask_ = sets_ - 1;
+  pow2_sets_ = is_pow2(sets_);
   ways_.resize(cfg.entries);
 }
 

@@ -65,16 +65,17 @@ class Tlb {
   };
 
   // Set selection is on every translation's critical path; power-of-two
-  // geometries (all shipped configs) index with a mask instead of a divide.
-  // Both forms compute the same set, so results are unchanged either way.
+  // set counts (one set included: a fully associative TLB) index with a
+  // mask instead of a divide. Both forms compute the same set, so results
+  // are unchanged either way.
   unsigned set_of(u64 vpn) const noexcept {
-    return set_mask_ != 0 ? static_cast<unsigned>(vpn & set_mask_)
-                          : static_cast<unsigned>(vpn % sets_);
+    return pow2_sets_ ? static_cast<unsigned>(vpn & (sets_ - 1))
+                      : static_cast<unsigned>(vpn % sets_);
   }
 
   TlbConfig cfg_;
   unsigned sets_;
-  u64 set_mask_ = 0;  // sets_ - 1 when sets_ is a power of two, else 0
+  bool pow2_sets_;
   std::vector<Way> ways_;  // sets_ x cfg_.ways, row-major
   u64 tick_ = 0;
 

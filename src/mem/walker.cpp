@@ -72,23 +72,28 @@ void PageWalker::note_ad_update(VirtAddr va, bool dirty) {
   if (!leaf || !leaf->pte.valid || !pt_.set_accessed_dirty(*leaf, dirty))
     return;  // unmapped, or no bit flipped: free
   ad_writebacks_.add();
-  bus_.request(BusRequest{leaf->addr, 8, /*is_write=*/true, [] {}});
+  bus_.request(BusRequest{leaf->addr, 8, /*is_write=*/true, nullptr});  // posted
 }
 
-void PageWalker::walk(VirtAddr va, sim::Callback<const WalkResult&> done) {
+void PageWalker::walk(VirtAddr va, sim::Callback<const WalkResult&> done, bool tail_call) {
   Walk* w = walk_pool_.acquire();
   w->va = va;
   w->done = std::move(done);
   w->enqueued = sim_.now();
+  if (active_ < cfg_.ports && queue_.empty()) {
+    begin(w, tail_call);
+    return;
+  }
   queue_.push_back(w);
   try_start();
 }
 
 void PageWalker::try_start() {
-  while (active_ < cfg_.ports && !queue_.empty()) begin(queue_.pop_front());
+  // More work follows each begin in this loop, so none may run ahead.
+  while (active_ < cfg_.ports && !queue_.empty()) begin(queue_.pop_front(), false);
 }
 
-void PageWalker::begin(Walk* w) {
+void PageWalker::begin(Walk* w, bool run_ahead) {
   ++active_;
   queue_wait_.record(sim_.now() - w->enqueued);
   walks_.add();
@@ -104,14 +109,18 @@ void PageWalker::begin(Walk* w) {
     w->level = 0;
     w->base = pt_.root_addr();
   }
-  sim_.schedule_in(cfg_.setup_latency, [this, w] { read_level(w); });
+  const Cycles at = sim_.now() + cfg_.setup_latency;
+  if (run_ahead && sim_.try_advance_to(at))
+    read_level(w);
+  else
+    sim_.schedule_run_ahead(at, [this, w] { read_level(w); });
 }
 
 void PageWalker::read_level(Walk* w) {
   const PhysAddr pa = pt_.pte_addr(w->base, w->level, w->va);
   mem_reads_.add();
   bus_.request(BusRequest{pa, 8, /*is_write=*/false,
-                          [this, w, pa] { on_pte(w, pm_.read_u64(pa)); }});
+                          [this, w, pa] { on_pte(w, pm_.read_u64(pa)); }, /*tail_call=*/true});
 }
 
 void PageWalker::on_pte(Walk* w, u64 raw) {
@@ -126,8 +135,9 @@ void PageWalker::on_pte(Walk* w, u64 raw) {
   if (w->level + 1 == pt_.levels()) {
     // Leaf. The walker sets the accessed bit on fill — the hardware side of
     // the contract the replacement policies consume — and charges the PTE
-    // write-back when the bit flipped.
-    note_ad_update(w->va, /*dirty=*/false);
+    // write-back when the bit flips. `raw` is that leaf PTE, so when A is
+    // already set the funnel would change nothing: skip its re-resolve.
+    if (!pte.accessed) note_ad_update(w->va, /*dirty=*/false);
     // Remember the table it lives in for subsequent same-region walks.
     cache_fill(w->va, w->base);
     WalkResult r;
@@ -147,6 +157,13 @@ void PageWalker::finish(Walk* w, const WalkResult& r) {
   --active_;
   auto done = std::move(w->done);
   walk_pool_.release(w);  // recycle before the continuation starts new walks
+  if (queue_.empty()) {
+    done(r);  // a tail call: it may run ahead
+    return;
+  }
+  // The front waiter starts this cycle, after `done`, so `done` must not
+  // run ahead.
+  sim_.forgo_run_ahead();
   done(r);
   try_start();
 }

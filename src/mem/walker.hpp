@@ -43,18 +43,26 @@ class PageWalker {
 
   /// Starts (or queues) a walk for `va`; `done` fires when the walk
   /// completes, successfully or with a fault.
-  void walk(VirtAddr va, sim::Callback<const WalkResult&> done);
+  ///
+  /// The walk chain runs ahead (sim/simulator.hpp): its setup delay and
+  /// every PTE read complete in place when nothing contends, so `done`
+  /// may run inside a token-holding event and must end in tail calls; a
+  /// continuation that runs foreign code calls forgo_run_ahead first.
+  /// With `tail_call` the caller returns right after walk(), so a walk
+  /// that starts at once may run its setup delay ahead inside this call.
+  void walk(VirtAddr va, sim::Callback<const WalkResult&> done, bool tail_call = false);
 
   /// Drops all cached interior entries. The OS model calls this as part of
   /// TLB shootdown whenever it changes the page tables.
   void flush_cache();
 
   /// Funnel for every hardware accessed/dirty-bit update (walker leaf fills
-  /// and the MMU's TLB-hit refreshes): performs the functional PTE update
-  /// and, when a bit actually changed, posts the 8-byte PTE write at the
-  /// leaf PTE's address on the memory bus, as real MMUs write the bit back
-  /// (fire-and-forget — the walk or translation does not stall on it, but
-  /// the fabric carries the traffic). Re-setting an already-set bit is free.
+  /// whose PTE lacks A, and the MMU's TLB-hit refreshes and write fills):
+  /// performs the functional PTE update and, when a bit actually changed,
+  /// posts the 8-byte PTE write at the leaf PTE's address on the memory
+  /// bus, as real MMUs write the bit back (fire-and-forget — the walk or
+  /// translation does not stall on it and no completion event is queued,
+  /// but the fabric carries the traffic). Re-setting a set bit is free.
   void note_ad_update(VirtAddr va, bool dirty);
 
   const PageTable& page_table() const noexcept { return pt_; }
@@ -81,8 +89,10 @@ class PageWalker {
     u64 lru = 0;
   };
 
+  /// Starts queued walks while ports are free, each on the scheduled path.
   void try_start();
-  void begin(Walk* w);
+  /// Starts `w` now; with `run_ahead`, its setup delay may elapse in place.
+  void begin(Walk* w, bool run_ahead);
   void read_level(Walk* w);
   void on_pte(Walk* w, u64 raw);
   void finish(Walk* w, const WalkResult& r);

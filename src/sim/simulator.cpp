@@ -57,6 +57,12 @@ void Simulator::insert(Cycles when, EventFn& fn, bool token) {
   }
 }
 
+void Simulator::post(Cycles when) {
+  ensure(when >= now_, "cannot post a completion in the past");
+  posted_.push_back(Posted{when, next_seq_});
+  std::push_heap(posted_.begin(), posted_.end(), PostedLater{});
+}
+
 Cycles Simulator::next_wheel_time() const noexcept {
   const u64 start = now_ & kWheelMask;
   const u64 start_word = start >> 6;
@@ -113,6 +119,22 @@ Simulator::EventNode* Simulator::pop_next(Cycles deadline) {
   return n;
 }
 
+bool Simulator::posted_first() const noexcept {
+  const Posted& p = posted_.front();
+  const auto before_p = [&p](const EventNode* n) {
+    return n->when < p.when || (n->when == p.when && (n->seq >> 1) < p.order);
+  };
+  if (wheel_count_ != 0 && before_p(wheel_[next_wheel_time() & kWheelMask].head)) return false;
+  return far_.empty() || !before_p(far_.front());
+}
+
+void Simulator::retire_posted() {
+  std::pop_heap(posted_.begin(), posted_.end(), PostedLater{});
+  const Cycles t = posted_.back().when;
+  posted_.pop_back();
+  if (advance(t)) fail_livelock(*loop_);
+}
+
 bool Simulator::advance(Cycles t) noexcept {
   now_ = t;
   ++events_executed_;
@@ -128,8 +150,8 @@ bool Simulator::advance(Cycles t) noexcept {
 
 void Simulator::fail(const LoopFrame& f, const std::string& why) const {
   throw std::runtime_error("simulator: " + why + " (now " + std::to_string(now_) + ", budget " +
-                           std::to_string(f.budget) + " cycles, " + std::to_string(pending_) +
-                           " events pending)");
+                           std::to_string(f.budget) + " cycles, " +
+                           std::to_string(pending_count()) + " events pending)");
 }
 
 void Simulator::fail_livelock(const LoopFrame& f) const {
@@ -162,11 +184,16 @@ bool Simulator::try_advance_to(Cycles t) {
   if (wheel_count_ != 0 && next_wheel_time() <= t) return false;
   if (!far_.empty() && far_.front()->when <= t) return false;
   if (f->done != nullptr && f->done(f->ctx)) return false;
+  while (!posted_.empty() && posted_.front().when <= t) retire_posted();
   if (advance(t)) fail_livelock(*f);
   return true;
 }
 
 bool Simulator::step() {
+  if (!posted_.empty() && posted_first()) {
+    retire_posted();
+    return true;
+  }
   EventNode* n = pop_next(~0ull);
   if (n == nullptr) return false;
   execute(n);
@@ -188,9 +215,17 @@ bool Simulator::loop(Cycles max_cycles, bool guarded, bool (*done)(void*), void*
   } enter{this, loop_};
   loop_ = &frame;
   while (done == nullptr || !done(ctx)) {
+    if (!posted_.empty() && posted_first()) {
+      if (posted_.front().when > frame.deadline) {
+        if (guarded) fail(frame, "next event lies past the budget");
+        return false;
+      }
+      retire_posted();
+      continue;
+    }
     EventNode* n = pop_next(frame.deadline);
     if (n == nullptr) {
-      if (guarded && pending_ != 0) fail(frame, "next event lies past the budget");
+      if (guarded && pending_count() != 0) fail(frame, "next event lies past the budget");
       return false;
     }
     execute(n);

@@ -28,7 +28,17 @@
 //     only when no pending event, deadline or run_until predicate would
 //     have come between. A granted advance is one logical event:
 //     events_executed() counts it and every simulated result is unchanged;
-//     events_scheduled() does not, so it measures host work.
+//     events_scheduled() does not, so it measures host work. The sites are
+//     the hardware-thread engine's memory issue, the MMU's timed TLB hit,
+//     the page walker's setup delay and a tail_call bus request's
+//     completion (the port's data and the walker's PTE reads).
+//   * Posted completions: a fire-and-forget bus write (an A/D write-back)
+//     has nothing to run when it completes. post(t) stands for the no-op
+//     event it would queue at `t` without queueing it: a small side heap
+//     keyed on (when, insertion count) retires it at its place in the
+//     (time, insertion-order) sequence, so events_executed(), idle(), the
+//     livelock bound and the cycle a drain ends on are what the queued
+//     no-op gave, and events_scheduled() skips it.
 #pragma once
 
 #include <array>
@@ -75,14 +85,30 @@ class Simulator {
   /// that advances the clock returns.
   void schedule_run_ahead(Cycles when, EventFn fn) { insert(when, fn, true); }
 
+  /// A posted completion at `when`: behaves as schedule_at(when, no-op) —
+  /// a logical event that counts in events_executed() when its turn in
+  /// (time, insertion-order) comes, keeps idle() false and a drain running
+  /// until then, and is not counted when run(max) stops first — but takes
+  /// no queue node and no events_scheduled() count.
+  void post(Cycles when);
+
+  /// Gives up the run-ahead token for the rest of the current event:
+  /// try_advance_to fails until it returns. For a token-holding closure
+  /// that reaches a continuation which is not a tail call (more work
+  /// follows it at this cycle) or calls foreign code, such as the OS.
+  void forgo_run_ahead() noexcept { token_ = false; }
+
   /// Moves now() to `t` as one logical event step, so the caller can run in
   /// place the closure it would otherwise schedule at `t`. True only inside
   /// a run()/drain()/run_until() loop, while the current event holds the
   /// run-ahead token, when no pending event is due at or before `t` (an
   /// equal-time one would run first), `t` is within the loop's deadline
-  /// and run_until's predicate does not hold yet. A success counts in
-  /// events_executed() and in the same-cycle livelock bound, not in
-  /// events_scheduled(). On false nothing changed: schedule the fallback.
+  /// and run_until's predicate does not hold yet. Posted completions due
+  /// at or before `t` retire first, as their no-op events would run first
+  /// (the predicate reads simulated state, which they do not change). A
+  /// success counts in events_executed() and in the same-cycle livelock
+  /// bound, not in events_scheduled(). On false nothing changed: schedule
+  /// the fallback.
   bool try_advance_to(Cycles t);
 
   /// Most events drain()/run_until() accept at one cycle; one more is a
@@ -110,16 +136,19 @@ class Simulator {
     return loop(max_cycles, true, call, &done);
   }
 
-  /// Executes the single next event. Returns false if the queue is empty.
-  /// Outside a loop nothing runs ahead.
+  /// Executes the single next event (a posted completion, when it comes
+  /// first). Returns false if nothing is pending. Outside a loop nothing
+  /// runs ahead.
   bool step();
 
-  bool idle() const noexcept { return pending_ == 0; }
+  /// No queued event and no posted completion is pending.
+  bool idle() const noexcept { return pending_ == 0 && posted_.empty(); }
   u64 events_executed() const noexcept { return events_executed_; }
 
   /// Total events ever handed to the scheduler: the host-work counter.
-  /// Inline completion paths (see Mmu) and granted run-ahead steps bypass
-  /// the scheduler entirely; tests assert this does not move on such paths.
+  /// Inline completion paths (see Mmu), granted run-ahead steps and posted
+  /// completions bypass the scheduler entirely; tests assert this does not
+  /// move on such paths.
   u64 events_scheduled() const noexcept { return next_seq_; }
 
   /// Shared statistics registry for all components in this simulation.
@@ -149,6 +178,20 @@ class Simulator {
     bool operator()(const EventNode* a, const EventNode* b) const noexcept {
       if (a->when != b->when) return a->when > b->when;
       return a->seq > b->seq;
+    }
+  };
+  /// A posted completion. `order` is the insertion count when it was
+  /// posted: it runs after every event queued before it at its cycle and
+  /// before every event queued after it.
+  struct Posted {
+    Cycles when = 0;
+    u64 order = 0;
+  };
+  /// Min-heap order on (when, order) for the posted heap.
+  struct PostedLater {
+    bool operator()(const Posted& a, const Posted& b) const noexcept {
+      if (a.when != b.when) return a.when > b.when;
+      return a.order > b.order;
     }
   };
 
@@ -184,6 +227,13 @@ class Simulator {
 
   void execute(EventNode* n);
 
+  /// Whether the earliest posted completion comes before every queued
+  /// event; precondition: posted_ is not empty.
+  bool posted_first() const noexcept;
+  /// Retires the earliest posted completion as one logical event.
+  void retire_posted();
+  u64 pending_count() const noexcept { return pending_ + posted_.size(); }
+
   /// Moves now() to `t` and counts one logical event. Returns true when
   /// that event exceeds the running guarded loop's same-cycle bound.
   bool advance(Cycles t) noexcept;
@@ -200,6 +250,7 @@ class Simulator {
   std::unique_ptr<Slot[]> wheel_;               // lazily sized to kWheelSlots
   std::array<u64, kWheelWords> occupied_{};     // bitmap over wheel slots
   std::vector<EventNode*> far_;                 // heap (FarLater) beyond horizon
+  std::vector<Posted> posted_;                  // heap (PostedLater) of posted completions
   std::vector<std::unique_ptr<EventNode[]>> slabs_;  // pool backing store
   EventNode* free_ = nullptr;                   // recycled-node freelist
   u64 wheel_count_ = 0;

@@ -8,9 +8,12 @@
 //     both runs must agree on cycles, halt times, every stat, the trace
 //     stream and the logical event count (minus the ticker's events).
 //   * Work count: an uncontended pointer chase schedules at most one event
-//     per two memory ops (about three per op without run-ahead).
-//   * Stack bound: long runs of in-place completions, across accesses and
-//     across the chunks of one burst, fit a small fixed host stack.
+//     per two memory ops (about three per op without run-ahead), and at 4
+//     TLB entries, where most accesses walk, at most one per five (a walk
+//     queued about three events before the walk chain ran ahead).
+//   * Stack bound: long runs of in-place completions, across accesses,
+//     across the levels of walks and across the chunks of one burst, fit
+//     a small fixed host stack.
 #include <gtest/gtest.h>
 #include <pthread.h>
 
@@ -419,6 +422,123 @@ TEST(RunAheadEquivalence, FaultingOversubscribedMix) {
   EXPECT_GT(plain.trace_records, 0u);  // the pager and OS emit spans
 }
 
+/// A TLB of `entries` entries on the default geometry; 4 is fully
+/// associative (4 ways, one set), so pointer_chase walks on most accesses.
+mem::TlbConfig small_tlb(unsigned entries = 4) { return mem::TlbConfig{}.with_entries(entries); }
+
+/// `wl` alone on a zynq7020 hardware thread with a 4-entry TLB; with
+/// `cold`, every buffer page starts evicted, so the run faults.
+void run_small_tlb(sim::Simulator& sim, Outcome& o, const workloads::Workload& wl,
+                   bool prefetch = false, bool cold = false) {
+  sls::AppSpec app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
+  app.threads[0].tlb_override = small_tlb();
+  app.threads[0].prefetch_next_page = prefetch;
+  run_app(
+      sim, o, app, sls::zynq7020(),
+      [&](sls::System& sys) {
+        wl.setup(sys);
+        if (cold)
+          for (const auto& buf : sys.image().app().buffers)
+            sys.process().evict(sys.buffer(buf.name), buf.bytes);
+      },
+      [&](sls::System& sys) { EXPECT_TRUE(wl.verify(sys)); });
+}
+
+workloads::Workload chase(u64 n) {
+  workloads::WorkloadParams p;
+  p.n = n;
+  return workloads::make_pointer_chase(p);
+}
+
+TEST(RunAheadEquivalence, SmallTlbPointerChaseWalksInPlace) {
+  const auto wl = chase(2048);
+  const Outcome plain = check_equivalent(
+      [&](sim::Simulator& sim, Outcome& o) { run_small_tlb(sim, o, wl); });
+  EXPECT_GT(plain.stats.at("walker.walks"), 1000.0);
+}
+
+TEST(RunAheadEquivalence, SmallTlbPointerChaseWithNextPagePrefetch) {
+  // The prefetch walk queues behind the demand walk at the same cycle, so
+  // the demand walk stays on the scheduled path; its PTE reads do not.
+  const auto wl = chase(2048);
+  const Outcome plain = check_equivalent([&](sim::Simulator& sim, Outcome& o) {
+    run_small_tlb(sim, o, wl, /*prefetch=*/true);
+  });
+  EXPECT_GT(plain.stats.at("hwt.worker.mmu.prefetches"), 0.0);
+  EXPECT_GT(plain.stats.at("hwt.worker.mmu.prefetch_fills"), 0.0);
+}
+
+/// A read-only hardware-thread kernel: mbox 0 delivers a buffer address
+/// and a length in words; the kernel loads every `stride`-th word, `passes`
+/// times over, and sends the sum to mbox 1.
+hwt::Kernel page_reader(const std::string& name, i64 stride, i64 passes) {
+  constexpr Reg A = 1, N = 2, I = 3, P = 4, V = 5, S = 6, T = 7, R = 8;
+  hwt::KernelBuilder kb(name);
+  kb.mbox_get(A, 0)
+      .mbox_get(N, 0)
+      .li(S, 0)
+      .li(R, passes)
+      .label("pass")
+      .li(I, 0)
+      .label("loop")
+      .slt(T, I, N)
+      .beqz(T, "next")
+      .shli(P, I, 3)
+      .add(P, P, A)
+      .load(V, P)
+      .add(S, S, V)
+      .addi(I, I, stride)
+      .jmp("loop")
+      .label("next")
+      .addi(R, R, -1)
+      .bnez(R, "pass")
+      .mbox_put(1, S)
+      .halt();
+  return kb.build();
+}
+
+TEST(RunAheadEquivalence, WalksQueueOnOneWalkerPort) {
+  // Two readers with 4-entry TLBs, striding about a page per load over 32
+  // pages three times, on one walker port: walks collide, and a finishing
+  // walk hands the port to the next queued one at its finish cycle (so its
+  // own continuation must not run ahead). Loads only, so after the first
+  // pass no A/D write-back occupies the bus and the data could run ahead.
+  constexpr unsigned kThreads = 2;
+  constexpr i64 kWords = 32 * 512, kStride = 509, kPasses = 3;
+  sls::AppSpec app;
+  app.name = "readers";
+  for (unsigned t = 0; t < kThreads; ++t) {
+    const std::string id = std::to_string(t);
+    app.add_mailbox("args" + id, 2);
+    app.add_mailbox("sum" + id, 1);
+    app.add_buffer("buf" + id, static_cast<u64>(kWords) * 8);
+    app.add_hw_thread("r" + id, page_reader("r" + id, kStride, kPasses), {"args" + id, "sum" + id})
+        .tlb_override = small_tlb();
+  }
+  sls::PlatformSpec plat = sls::zynq7020();
+  plat.walker.ports = 1;
+  const Outcome plain = check_equivalent([&](sim::Simulator& sim, Outcome& o) {
+    run_app(sim, o, app, plat,
+            [&](sls::System& sys) { feed_streamers(sys, app, kThreads, kWords); });
+  });
+  EXPECT_GT(plain.stats.at("walker.walks"), 150.0);
+  EXPECT_GT(plain.stats.at("walker.queue_wait.max"), 0.0);
+}
+
+TEST(RunAheadEquivalence, ColdStartedMemberFaultsAndPostsAdWrites) {
+  // Every page starts evicted: walks fault into the OS, which raises from
+  // an event without the run-ahead token, and leaf fills and write fills
+  // post A/D write-backs.
+  workloads::WorkloadParams p;
+  p.n = 512;
+  const auto wl = workloads::make_hash_join(p);
+  const Outcome plain = check_equivalent([&](sim::Simulator& sim, Outcome& o) {
+    run_small_tlb(sim, o, wl, /*prefetch=*/false, /*cold=*/true);
+  });
+  EXPECT_GT(plain.stats.at("hwt.worker.mmu.faults"), 0.0);
+  EXPECT_GT(plain.stats.at("walker.ad_writebacks"), 0.0);
+}
+
 // --- work count and stack bound ------------------------------------------------
 
 struct ChaseRun {
@@ -426,13 +546,14 @@ struct ChaseRun {
   u64 scheduled = 0;
 };
 
-/// One hardware thread chasing pointers over resident (pinned) buffers.
-ChaseRun run_pointer_chase() {
-  workloads::WorkloadParams p;
-  p.n = 4096;
-  const auto wl = workloads::make_pointer_chase(p);
+/// One hardware thread chasing `n` pointers over resident (pinned) buffers,
+/// with the platform's TLB or, when `tlb_entries` is set, one that small.
+ChaseRun run_pointer_chase(u64 n = 4096, unsigned tlb_entries = 0) {
+  const auto wl = chase(n);
+  sls::AppSpec app = workloads::single_thread_app(wl, sls::ThreadKind::kHardware);
+  if (tlb_entries != 0) app.threads[0].tlb_override = small_tlb(tlb_entries);
   sls::SynthesisFlow flow(sls::zynq7020());
-  const auto image = flow.synthesize(workloads::single_thread_app(wl, sls::ThreadKind::kHardware));
+  const auto image = flow.synthesize(app);
   sim::Simulator sim;
   auto system = image.elaborate(sim);
   wl.setup(*system);
@@ -512,9 +633,20 @@ TEST(RunAheadWork, UncontendedPointerChaseSchedulesUnderHalfAnEventPerAccess) {
                          << " memory ops";
 }
 
+TEST(RunAheadWork, SmallTlbPointerChaseSchedulesUnderAFifthOfAnEventPerAccess) {
+  // Most accesses miss a 4-entry TLB: each walk's setup, PTE reads and
+  // fill complete in place. 1.42 events per op queued before they did.
+  const ChaseRun r = run_pointer_chase(8192, 4);
+  ASSERT_GT(r.mem_ops, 8192u);
+  const double per_op = static_cast<double>(r.scheduled) / static_cast<double>(r.mem_ops);
+  EXPECT_LE(per_op, 0.2) << r.scheduled << " events scheduled for " << r.mem_ops
+                         << " memory ops";
+}
+
 TEST(RunAheadWork, LongRunsFitASmallFixedStack) {
   constexpr std::size_t kStack = 1 * MiB;
   on_small_stack(kStack, [] { run_pointer_chase(); });
+  on_small_stack(kStack, [] { run_pointer_chase(8192, 4); });
   on_small_stack(kStack, [] { run_long_bursts(); });
 }
 

@@ -370,6 +370,123 @@ TEST(RunAhead, ZeroTimeRunAheadLoopTripsTheSameCycleGuard) {
   EXPECT_EQ(steps, Simulator::kMaxSameCycleEvents - 1);
 }
 
+TEST(RunAhead, ForgoneTokenRefusesForTheRestOfTheEvent) {
+  Simulator s;
+  std::vector<bool> granted;
+  s.schedule_run_ahead(1, [&] {
+    granted.push_back(s.try_advance_to(2));
+    s.forgo_run_ahead();
+    granted.push_back(s.try_advance_to(3));
+  });
+  s.schedule_run_ahead(4, [&] { granted.push_back(s.try_advance_to(5)); });  // its own token
+  s.drain();
+  EXPECT_EQ(granted, (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(s.now(), 5u);
+}
+
+// --- posted completions: post(t) must behave as a queued no-op at t ---
+
+/// What a scenario leaves observable: logical events, queued events, the
+/// final cycle and whether anything is still pending.
+struct Seen {
+  u64 executed = 0;
+  u64 scheduled = 0;
+  Cycles now = 0;
+  bool idle = false;
+  bool operator==(const Seen&) const = default;
+};
+
+Seen seen(const Simulator& s) {
+  return Seen{s.events_executed(), s.events_scheduled(), s.now(), s.idle()};
+}
+
+TEST(PostedCompletion, CountsOnceInExecutedAndNeverInScheduled) {
+  Simulator s;
+  s.schedule_in(3, [&] { s.post(9); });
+  EXPECT_EQ(s.drain(), 2u);  // the event at 3 and the posted completion at 9
+  EXPECT_EQ(seen(s), (Seen{2, 1, 9, true}));
+
+  Simulator twin;  // the queued no-op it stands for
+  twin.schedule_in(3, [&] { twin.schedule_at(9, [] {}); });
+  EXPECT_EQ(twin.drain(), 2u);
+  EXPECT_EQ(seen(twin), (Seen{2, 2, 9, true}));
+}
+
+TEST(PostedCompletion, DrainEndsAtItsCycleWhenItIsLastPending) {
+  Simulator s;
+  s.schedule_in(2, [&] {
+    s.post(40);
+    s.post(15);
+  });
+  s.schedule_in(20, [] {});
+  EXPECT_EQ(s.run(10), 1u);
+  EXPECT_FALSE(s.idle());  // the posted completions keep it busy
+  EXPECT_EQ(s.drain(), 3u);
+  EXPECT_EQ(s.now(), 40u);
+  EXPECT_TRUE(s.idle());
+
+  // A guarded loop treats one past its budget as any pending event.
+  Simulator late;
+  late.schedule_in(1, [&] { late.post(500); });
+  EXPECT_THROW(late.drain(100), std::runtime_error);
+}
+
+TEST(PostedCompletion, RunStoppingBeforeItHasNotCountedItYet) {
+  Simulator s;
+  s.schedule_in(1, [&] { s.post(8); });
+  EXPECT_EQ(s.run(5), 1u);
+  EXPECT_EQ(seen(s), (Seen{1, 1, 1, false}));  // run() leaves now() at its last event
+  EXPECT_EQ(s.run(), 1u);  // now it retires
+  EXPECT_EQ(seen(s), (Seen{2, 1, 8, true}));
+}
+
+TEST(PostedCompletion, EqualTimeEventsKeepTheirInsertionOrder) {
+  // Queued before the post runs first, queued after it runs after it;
+  // step() shows each logical event alone.
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_at(5, [&] { order.push_back(1); });
+  s.post(5);
+  s.schedule_at(5, [&] { order.push_back(2); });
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  ASSERT_TRUE(s.step());  // the posted completion
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(s.events_executed(), 2u);
+  ASSERT_TRUE(s.step());
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_FALSE(s.step());
+
+  // run_until stops before a posted completion queued after the event
+  // that made its predicate hold, as it would before the no-op.
+  Simulator u;
+  bool stop = false;
+  u.schedule_at(4, [&] {
+    stop = true;
+    u.post(4);
+  });
+  EXPECT_TRUE(u.run_until([&] { return stop; }));
+  EXPECT_EQ(seen(u), (Seen{1, 1, 4, false}));
+  u.drain();
+  EXPECT_EQ(u.events_executed(), 2u);
+}
+
+TEST(PostedCompletion, RunAheadRetiresThoseDueByItsTargetFirst) {
+  // A posted completion does not block a run-ahead step past it: it
+  // retires first, as its no-op would have run before the step's closure.
+  Simulator s;
+  std::vector<bool> granted;
+  s.schedule_run_ahead(1, [&] {
+    s.post(3);
+    s.post(12);
+    granted.push_back(s.try_advance_to(6));
+    granted.push_back(s.events_executed() == 3);  // the token event, 3, the step
+  });
+  s.drain();
+  EXPECT_EQ(granted, (std::vector<bool>{true, true}));
+  EXPECT_EQ(seen(s), (Seen{4, 1, 12, true}));
+}
+
 // --- EventFn: small-buffer, move-only callback type ---
 
 TEST(EventFn, InlineForSmallCallables) {

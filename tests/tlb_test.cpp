@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "mem/tlb.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace vmsls::mem {
@@ -131,6 +136,62 @@ TEST(Tlb, WithEntriesKeepsGeometryLegal) {
 
 TEST(Tlb, WithZeroEntriesThrows) {
   EXPECT_THROW(cfg(16, 4).with_entries(0), std::invalid_argument);
+}
+
+/// Reference model: `sets` true-LRU sets of `ways` vpns, set = vpn % sets.
+struct RefTlb {
+  RefTlb(unsigned sets, unsigned ways) : ways(ways), lru(sets) {}
+  std::vector<u64>& set(u64 vpn) { return lru[vpn % lru.size()]; }  // least recent first
+  bool lookup(u64 vpn) {
+    auto& s = set(vpn);
+    const auto it = std::find(s.begin(), s.end(), vpn);
+    if (it == s.end()) return false;
+    s.erase(it);
+    s.push_back(vpn);
+    return true;
+  }
+  void insert(u64 vpn) {
+    if (lookup(vpn)) return;
+    auto& s = set(vpn);
+    if (s.size() == ways) {
+      s.erase(s.begin());
+      ++evictions;
+    }
+    s.push_back(vpn);
+  }
+  void invalidate(u64 vpn) { std::erase(set(vpn), vpn); }
+
+  unsigned ways;
+  std::vector<std::vector<u64>> lru;
+  u64 evictions = 0;
+};
+
+TEST(Tlb, EveryGeometryPicksTheSetAndVictimOfVpnModSets) {
+  // One set (fully associative: the mask is 0), two sets (mask), and 16 x
+  // 4 resized to 6 (6 x 2, three sets: the divide) each agree with the
+  // vpn % sets reference on every hit, miss and eviction of a seeded mix.
+  for (const TlbConfig& c : {cfg(16, 4).with_entries(4), cfg(4, 2), cfg(16, 4).with_entries(6)}) {
+    const unsigned sets = c.entries / c.ways;
+    SCOPED_TRACE(std::to_string(sets) + " sets of " + std::to_string(c.ways) + " ways");
+    StatRegistry stats;
+    Tlb tlb(c, stats, "t");
+    RefTlb ref(sets, c.ways);
+    Rng rng(sets);
+    for (int i = 0; i < 4000; ++i) {
+      const u64 vpn = rng.below(24) * 0x1'0000'0001ull;  // high bits must not pick the set
+      switch (rng.below(4)) {
+        case 0: tlb.insert(vpn, vpn + 7, true); ref.insert(vpn); break;
+        case 1: tlb.invalidate(vpn); ref.invalidate(vpn); break;
+        default: {
+          const auto hit = tlb.lookup(vpn);
+          ASSERT_EQ(hit.has_value(), ref.lookup(vpn)) << "op " << i << " vpn " << vpn;
+          if (hit) EXPECT_EQ(hit->frame, vpn + 7);
+        }
+      }
+    }
+    EXPECT_EQ(stats.counter_value("t.evictions"), ref.evictions);
+    EXPECT_GT(ref.evictions, 100u);
+  }
 }
 
 // Property sweep: for any geometry, a TLB holding at most `entries`

@@ -271,5 +271,39 @@ TEST_F(MmuFixture, TlbHitDirtyUpdateChargesThroughTheWalkerFunnel) {
   EXPECT_EQ(ms.sim.stats().counter_value("w.ad_writebacks"), 2u);
 }
 
+// --- run-ahead on the miss path ---
+
+TEST_F(WalkerFixture, UncontendedWalkQueuesOnlyItsSetupEvent) {
+  // The setup delay is scheduled (walk() runs outside the loop); its event
+  // holds the run-ahead token, so three PTE reads complete in place and the
+  // A write-back is posted. Five logical events, as when all five queued.
+  wcfg.walk_cache_enabled = false;
+  make_walker();
+  ms.as.populate(0x10000, 4096);
+  const u64 executed = ms.sim.events_executed();
+  const u64 scheduled = ms.sim.events_scheduled();
+  walk_sync(0x10000);
+  EXPECT_EQ(ms.sim.stats().counter_value("w.mem_reads"), 3u);
+  EXPECT_EQ(ms.sim.stats().counter_value("w.ad_writebacks"), 1u);
+  EXPECT_EQ(ms.sim.events_executed() - executed, 5u);
+  EXPECT_EQ(ms.sim.events_scheduled() - scheduled, 1u);
+}
+
+TEST_F(MmuFixture, FaultSinkRunsWithoutTheRunAheadToken) {
+  // The faulting walk's PTE read completes in a token-holding chain, but
+  // raise() is OS code, not a tail call: it must not advance the clock.
+  struct Probe final : FaultSink {
+    sim::Simulator* sim = nullptr;
+    std::vector<bool> granted;
+    void raise(FaultRequest) override { granted.push_back(sim->try_advance_to(sim->now() + 1)); }
+  } probe;
+  probe.sim = &ms.sim;
+  make_mmu();
+  mmu->set_fault_sink(&probe);
+  mmu->translate(0x50000, false, [](PhysAddr) {});
+  ms.run_all();
+  EXPECT_EQ(probe.granted, std::vector<bool>{false});
+}
+
 }  // namespace
 }  // namespace vmsls::mem
