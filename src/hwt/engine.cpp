@@ -1,11 +1,17 @@
 #include "hwt/engine.hpp"
 
+#include <array>
 #include <cstring>
 #include <initializer_list>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 namespace vmsls::hwt {
+
+namespace {
+constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kHalt) + 1;
+}  // namespace
 
 CostModel cpu_cost_model() {
   CostModel c;
@@ -31,15 +37,35 @@ Engine::Engine(sim::Simulator& sim, Kernel kernel, const EngineConfig& cfg, std:
       stat_os_ops_(sim.stats().counter(name_ + ".os_ops")),
       stat_mem_latency_(sim.stats().histogram(name_ + ".mem_latency")) {
   verify(kernel_);
-  // nop and the plain ALU ops cost `alu`; blocking ops never read the table.
-  op_cost_.fill(cfg_.cost.alu);
-  const auto charge = [this](std::initializer_list<Op> ops, Cycles cost) {
-    for (Op op : ops) op_cost_[static_cast<std::size_t>(op)] = cost;
+  require(cfg_.batch_limit > 0, "engine batch_limit must be at least 1");
+  // Raw cost of each non-blocking op, by opcode: nop and the plain ALU ops
+  // cost `alu`; blocking ops never enter a run.
+  std::array<Cycles, kNumOps> op_cost;
+  op_cost.fill(cfg_.cost.alu);
+  const auto charge = [&op_cost](std::initializer_list<Op> ops, Cycles cost) {
+    for (Op op : ops) op_cost[static_cast<std::size_t>(op)] = cost;
   };
   charge({Op::kMul, Op::kMuli}, cfg_.cost.mul);
   charge({Op::kDivU, Op::kRemU}, cfg_.cost.divu);
   charge({Op::kBeqz, Op::kBnez, Op::kJmp}, cfg_.cost.branch);
   charge({Op::kSpadLoad, Op::kSpadStore}, cfg_.cost.spad);
+
+  // Back to front: a non-blocking op starts a run that a branch ends and
+  // that otherwise continues with the run after it (none past a blocking
+  // op or the end of the code, whose own entry stays empty).
+  const std::vector<Instr>& code = kernel_.code;
+  runs_.resize(code.size() + 1);
+  for (u64 pc = code.size(); pc-- > 0;) {
+    const Op op = code[pc].op;
+    if (is_blocking(op)) continue;
+    Run& run = runs_[pc];
+    run = {1, op_cost[static_cast<std::size_t>(op)]};
+    const bool branch = op == Op::kBeqz || op == Op::kBnez || op == Op::kJmp;
+    if (!branch && pc + 1 < code.size()) {
+      run.len += runs_[pc + 1].len;
+      run.cost += runs_[pc + 1].cost;
+    }
+  }
 }
 
 void Engine::attach_mem_port(unsigned index, MemPort* port) {
@@ -125,7 +151,8 @@ void Engine::resume() {
   // `sync` writes it back before any yield or callback; `trap` takes it.
   const Instr* const code = kernel_.code.data();
   const u64 code_size = kernel_.code.size();
-  const Cycles* const op_cost = op_cost_.data();
+  const Run* const runs = runs_.data();
+  i64* const regs = regs_.data();
   u64 pc = pc_;
   u64 instret = instret_;
   const auto sync = [&] {
@@ -135,67 +162,116 @@ void Engine::resume() {
   Cycles local = 0;  // cost accumulated in the engine's own clock domain
   u64 batch_left = cfg_.batch_limit;
 
-  while (true) {
-    if (pc >= code_size) trap(pc, instret, "fell off end of kernel");
-    const Instr& in = code[pc];
-    const Op op = in.op;
+  // One handler per op, in Op order. A run holds no blocking op, so their
+  // slots are never reached.
+  static const void* const kHandler[] = {
+      &&op_nop, &&op_li, &&op_mov,
+      &&op_add, &&op_sub, &&op_mul, &&op_divu, &&op_remu,
+      &&op_and, &&op_or, &&op_xor, &&op_shl, &&op_shr,
+      &&op_addi, &&op_muli, &&op_andi, &&op_shli, &&op_shri,
+      &&op_slt, &&op_sltu, &&op_seq, &&op_sne, &&op_min, &&op_max,
+      &&op_beqz, &&op_bnez, &&op_jmp,
+      &&op_blocking, &&op_blocking, &&op_blocking, &&op_blocking,  // memory ports
+      &&op_spad_load, &&op_spad_store,
+      &&op_blocking, &&op_blocking, &&op_blocking, &&op_blocking,  // OS calls
+      &&op_blocking, &&op_blocking,                                // delay, halt
+  };
+  static_assert(std::size(kHandler) == kNumOps);
 
-    if (batch_left-- == 0) {
+  while (true) {
+    // pc never passes the code size, whose entry is an empty run.
+    const Run run = runs[pc];
+    const u64 k = run.len < batch_left ? run.len : batch_left;
+    if (k > 0) {
+      // The first k ops of the run at pc: only the run's last op can be a
+      // branch, so they sit at pc .. pc + k - 1.
+      const Cycles cost = run.cost - (k == run.len ? 0 : runs[pc + k].cost);
+      const Instr* const first = code + pc;
+      const Instr* const last = first + k;
+      const Instr* in = first;
+      // Operands of an op.
+      const auto a = [regs](const Instr* op) { return regs[op->ra]; };
+      const auto b = [regs](const Instr* op) { return regs[op->rb]; };
+      const auto ua = [regs](const Instr* op) { return static_cast<u64>(regs[op->ra]); };
+      const auto ub = [regs](const Instr* op) { return static_cast<u64>(regs[op->rb]); };
+      const auto rd = [regs](const Instr* op) -> i64& { return regs[op->rd]; };
+#define VMSLS_DISPATCH() goto* kHandler[static_cast<std::size_t>(in->op)]
+#define VMSLS_NEXT()                \
+  do {                              \
+    if (++in == last) goto run_end; \
+    VMSLS_DISPATCH();               \
+  } while (0)
+      VMSLS_DISPATCH();
+    op_nop: VMSLS_NEXT();
+    op_li: rd(in) = in->imm; VMSLS_NEXT();
+    op_mov: rd(in) = a(in); VMSLS_NEXT();
+    op_add: rd(in) = static_cast<i64>(ua(in) + ub(in)); VMSLS_NEXT();
+    op_sub: rd(in) = static_cast<i64>(ua(in) - ub(in)); VMSLS_NEXT();
+    op_mul: rd(in) = static_cast<i64>(ua(in) * ub(in)); VMSLS_NEXT();
+    op_divu: rd(in) = ub(in) == 0 ? -1 : static_cast<i64>(ua(in) / ub(in)); VMSLS_NEXT();
+    op_remu: rd(in) = ub(in) == 0 ? a(in) : static_cast<i64>(ua(in) % ub(in)); VMSLS_NEXT();
+    op_and: rd(in) = static_cast<i64>(ua(in) & ub(in)); VMSLS_NEXT();
+    op_or: rd(in) = static_cast<i64>(ua(in) | ub(in)); VMSLS_NEXT();
+    op_xor: rd(in) = static_cast<i64>(ua(in) ^ ub(in)); VMSLS_NEXT();
+    op_shl: rd(in) = static_cast<i64>(ua(in) << (ub(in) & 63)); VMSLS_NEXT();
+    op_shr: rd(in) = static_cast<i64>(ua(in) >> (ub(in) & 63)); VMSLS_NEXT();
+    op_addi: rd(in) = static_cast<i64>(ua(in) + static_cast<u64>(in->imm)); VMSLS_NEXT();
+    op_muli: rd(in) = static_cast<i64>(ua(in) * static_cast<u64>(in->imm)); VMSLS_NEXT();
+    op_andi: rd(in) = static_cast<i64>(ua(in) & static_cast<u64>(in->imm)); VMSLS_NEXT();
+    op_shli: rd(in) = static_cast<i64>(ua(in) << (in->imm & 63)); VMSLS_NEXT();
+    op_shri: rd(in) = static_cast<i64>(ua(in) >> (in->imm & 63)); VMSLS_NEXT();
+    op_slt: rd(in) = a(in) < b(in) ? 1 : 0; VMSLS_NEXT();
+    op_sltu: rd(in) = ua(in) < ub(in) ? 1 : 0; VMSLS_NEXT();
+    op_seq: rd(in) = a(in) == b(in) ? 1 : 0; VMSLS_NEXT();
+    op_sne: rd(in) = a(in) != b(in) ? 1 : 0; VMSLS_NEXT();
+    op_min: rd(in) = a(in) < b(in) ? a(in) : b(in); VMSLS_NEXT();
+    op_max: rd(in) = a(in) > b(in) ? a(in) : b(in); VMSLS_NEXT();
+    op_spad_load: {
+      const u64 off = ua(in) + static_cast<u64>(in->imm);
+      if (!spad_fits(off, in->size))
+        trap(static_cast<u64>(in - code), instret + static_cast<u64>(in - first),
+             "scratchpad read out of bounds");
+      rd(in) = static_cast<i64>(spad_read(off, in->size));
+      VMSLS_NEXT();
+    }
+    op_spad_store: {
+      const u64 off = ua(in) + static_cast<u64>(in->imm);
+      if (!spad_fits(off, in->size))
+        trap(static_cast<u64>(in - code), instret + static_cast<u64>(in - first),
+             "scratchpad write out of bounds");
+      spad_write(off, in->size, ub(in));
+      VMSLS_NEXT();
+    }
+    // A branch is the last op of its run.
+    op_beqz: pc = a(in) == 0 ? static_cast<u64>(in->imm) : pc + k; goto charge;
+    op_bnez: pc = a(in) != 0 ? static_cast<u64>(in->imm) : pc + k; goto charge;
+    op_jmp: pc = static_cast<u64>(in->imm); goto charge;
+    op_blocking: __builtin_unreachable();
+#undef VMSLS_NEXT
+#undef VMSLS_DISPATCH
+    run_end:
+      pc += k;
+    charge:
+      local += cost;
+      instret += k;
+      batch_left -= k;
+      continue;
+    }
+
+    if (pc >= code_size) trap(pc, instret, "fell off end of kernel");
+    if (batch_left == 0) {
       // Yield to keep single events bounded; resume in the same local cycle
       // budget we accumulated.
       sync();
       yield_then_resume(local);
       return;
     }
-
-    const i64 a = regs_[in.ra];
-    const i64 b = regs_[in.rb];
+    const Instr& in = code[pc];
+    const Op op = in.op;
+    const i64 a = regs[in.ra];
     const u64 ua = static_cast<u64>(a);
-    const u64 ub = static_cast<u64>(b);
-    u64 next = pc + 1;
+    const u64 ub = static_cast<u64>(regs[in.rb]);
     switch (op) {
-      case Op::kNop: break;
-      case Op::kLi: regs_[in.rd] = in.imm; break;
-      case Op::kMov: regs_[in.rd] = a; break;
-      case Op::kAdd: regs_[in.rd] = static_cast<i64>(ua + ub); break;
-      case Op::kSub: regs_[in.rd] = static_cast<i64>(ua - ub); break;
-      case Op::kMul: regs_[in.rd] = static_cast<i64>(ua * ub); break;
-      case Op::kDivU: regs_[in.rd] = ub == 0 ? -1 : static_cast<i64>(ua / ub); break;
-      case Op::kRemU: regs_[in.rd] = ub == 0 ? a : static_cast<i64>(ua % ub); break;
-      case Op::kAnd: regs_[in.rd] = static_cast<i64>(ua & ub); break;
-      case Op::kOr: regs_[in.rd] = static_cast<i64>(ua | ub); break;
-      case Op::kXor: regs_[in.rd] = static_cast<i64>(ua ^ ub); break;
-      case Op::kShl: regs_[in.rd] = static_cast<i64>(ua << (ub & 63)); break;
-      case Op::kShr: regs_[in.rd] = static_cast<i64>(ua >> (ub & 63)); break;
-      case Op::kAddi: regs_[in.rd] = static_cast<i64>(ua + static_cast<u64>(in.imm)); break;
-      case Op::kMuli: regs_[in.rd] = static_cast<i64>(ua * static_cast<u64>(in.imm)); break;
-      case Op::kAndi: regs_[in.rd] = static_cast<i64>(ua & static_cast<u64>(in.imm)); break;
-      case Op::kShli: regs_[in.rd] = static_cast<i64>(ua << (in.imm & 63)); break;
-      case Op::kShri: regs_[in.rd] = static_cast<i64>(ua >> (in.imm & 63)); break;
-      case Op::kSlt: regs_[in.rd] = a < b ? 1 : 0; break;
-      case Op::kSltu: regs_[in.rd] = ua < ub ? 1 : 0; break;
-      case Op::kSeq: regs_[in.rd] = a == b ? 1 : 0; break;
-      case Op::kSne: regs_[in.rd] = a != b ? 1 : 0; break;
-      case Op::kMin: regs_[in.rd] = a < b ? a : b; break;
-      case Op::kMax: regs_[in.rd] = a > b ? a : b; break;
-      case Op::kBeqz: if (a == 0) next = static_cast<u64>(in.imm); break;
-      case Op::kBnez: if (a != 0) next = static_cast<u64>(in.imm); break;
-      case Op::kJmp: next = static_cast<u64>(in.imm); break;
-
-      case Op::kSpadLoad: {
-        const u64 off = ua + static_cast<u64>(in.imm);
-        if (!spad_fits(off, in.size)) trap(pc, instret, "scratchpad read out of bounds");
-        regs_[in.rd] = static_cast<i64>(spad_read(off, in.size));
-        break;
-      }
-
-      case Op::kSpadStore: {
-        const u64 off = ua + static_cast<u64>(in.imm);
-        if (!spad_fits(off, in.size)) trap(pc, instret, "scratchpad write out of bounds");
-        spad_write(off, in.size, ub);
-        break;
-      }
-
       case Op::kDelay: {
         ++instret;
         ++pc;
@@ -242,7 +318,7 @@ void Engine::resume() {
         sync();
         stat_mem_ops_.add();
         const bool load = op == Op::kBurstLoad;
-        const u64 spad_off = static_cast<u64>(regs_[in.rd]);
+        const u64 spad_off = static_cast<u64>(regs[in.rd]);
         const VirtAddr va = static_cast<VirtAddr>(a);
         const u64 bytes = ub;
         if (bytes == 0)
@@ -269,10 +345,9 @@ void Engine::resume() {
         sim_.schedule_in(issue, [this, a] { issue_os(a); });
         return;
       }
+
+      default: __builtin_unreachable();  // non-blocking ops run in the runs above
     }
-    local += op_cost[static_cast<std::size_t>(op)];
-    ++instret;
-    pc = next;
   }
 }
 

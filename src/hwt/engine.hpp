@@ -6,14 +6,33 @@
 // every blocking operation (memory, OS call, delay) and at a batch limit,
 // so component interleaving is exact at every externally visible point.
 //
-// The straight-line loop decodes each instruction once, in one switch, and
-// charges it from a per-opcode cost table filled from the CostModel at
-// construction. Its loop state (pc, retired count, code pointer and size,
-// cost table, batch budget) lives in locals, and pc and retired count are
-// written back to the members before any yield, callback or trap, so
-// callbacks and trap messages see the true pc. Scratchpad loads and
-// stores copy a constant 1, 2, 4 or 8 bytes per case (the widths `verify`
-// admits); loads zero-extend.
+// The engine executes one straight-line run at a time. A run is the
+// longest sequence of non-blocking ops that ends at, and includes, the
+// first beqz/bnez/jmp, and that stops before a blocking op or the end of
+// the code. The constructor builds a per-pc table once: the length of the
+// run starting at that pc and the suffix cost sum from that pc to the end
+// of its run, each op charged its cost class from the CostModel. Each step
+// of the resume loop then handles either one blocking op, or a prefix of
+// k = min(run length, batch budget left) ops of the run at pc, dispatched
+// through a labels-as-values handler table (whose blocking-op slots are
+// never reached) and charged once: cost, retired count and batch budget,
+// the cost being cost[pc] - cost[pc + k], second term dropped when k is the
+// whole run.
+//
+// Batch limit: one event retires at most `batch_limit` ops. Once the
+// budget is spent the loop yields before the next op, blocking or not, and
+// resumes with a fresh budget (as does a memory op that completes in
+// place), so yields fall at the same retired counts as if each op were
+// counted on its own. Traps: a scratchpad op out of bounds reports its own
+// pc and, as retired count, the ops before it, its run's earlier ops
+// included; when pc reaches the code size the engine traps "fell off end"
+// before any yield, with every earlier op retired.
+//
+// Loop state (pc, retired count, code pointer, run table, batch budget)
+// lives in locals, and pc and retired count are written back to the members
+// before any yield, callback or trap, so callbacks and trap messages see
+// the true pc. Scratchpad loads and stores copy a constant 1, 2, 4 or 8
+// bytes per case (the widths `verify` admits); loads zero-extend.
 //
 // A memory op issues in place when the simulator grants the run-ahead step
 // to its issue cycle (sim/simulator.hpp); a port that then completes
@@ -60,7 +79,7 @@ CostModel cpu_cost_model();
 struct EngineConfig {
   CostModel cost{};
   sim::ClockDomain clock{1, 1};  // engine clock relative to the fabric clock
-  u64 batch_limit = 8192;        // max straight-line instructions per event
+  u64 batch_limit = 8192;        // max straight-line instructions per event (>= 1)
 };
 
 class Engine {
@@ -118,8 +137,13 @@ class Engine {
   Kernel kernel_;
   EngineConfig cfg_;
   std::string name_;
-  /// Raw cost of each non-blocking op, by opcode: its cost class from cfg_.cost.
-  std::array<Cycles, static_cast<std::size_t>(Op::kHalt) + 1> op_cost_{};
+  /// The straight-line run starting at a pc: its length in ops (0 at a
+  /// blocking op) and the raw cost of its ops from that pc to its end.
+  struct Run {
+    u64 len = 0;
+    Cycles cost = 0;
+  };
+  std::vector<Run> runs_;  // by pc
 
   std::array<i64, kNumRegs> regs_{};
   std::vector<u8> spad_;

@@ -31,6 +31,7 @@ void verify(const Kernel& k) {
   bool has_halt = false;
   for (std::size_t pc = 0; pc < k.code.size(); ++pc) {
     const Instr& in = k.code[pc];
+    if (in.op > Op::kHalt) fail(k.name, pc, "unknown opcode");
     if (in.rd >= kNumRegs || in.ra >= kNumRegs || in.rb >= kNumRegs)
       fail(k.name, pc, "register index out of range");
     switch (in.op) {

@@ -33,7 +33,7 @@ struct Kernel {
 };
 
 /// Validates structural properties: nonempty, ends in a halt-reachable
-/// form, branch targets in range, sizes in {1,2,4,8}, register indices in
+/// form, known opcodes, branch targets in range, sizes in {1,2,4,8}, register indices in
 /// range, ports/mailboxes/semaphores consistent with the interface block.
 /// Throws std::invalid_argument describing the first violation.
 void verify(const Kernel& kernel);

@@ -1,6 +1,7 @@
 // Size, alignment, and bit-manipulation helpers shared by every module.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -35,12 +36,8 @@ constexpr bool is_aligned(u64 x, u64 a) noexcept { return (x & (a - 1)) == 0; }
 
 /// Floor of log2; log2i(0) is undefined and returns 0.
 constexpr unsigned log2i(u64 x) noexcept {
-  unsigned r = 0;
-  while (x > 1) {
-    x >>= 1;
-    ++r;
-  }
-  return r;
+  // `x | 1` leaves the top bit of a nonzero x alone and maps 0 to 1.
+  return static_cast<unsigned>(std::bit_width(x | 1)) - 1;
 }
 
 constexpr u64 ceil_div(u64 a, u64 b) noexcept { return (a + b - 1) / b; }

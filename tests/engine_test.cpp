@@ -180,18 +180,41 @@ TEST_F(EngineFixture, ScratchpadSubWordSizes) {
 }
 
 TEST_F(EngineFixture, ScratchpadOutOfBoundsTraps) {
+  // A trap reports the trapping op's pc, and the ops before it have
+  // retired, wherever it sits in its straight-line run.
   KernelBuilder overrun("k", 16);
   overrun.li(1, 1).li(2, 12).spad_store(2, 1).halt();  // 8 B store at 12 overruns 16
   KernelBuilder negative("k", 16);
   negative.li(2, -8).spad_load(3, 2).halt();  // -8 + 8 wraps to 0
-  const std::pair<KernelBuilder*, std::string> cases[] = {
-      {&overrun, "eng @pc=2: scratchpad write out of bounds"},
-      {&negative, "eng @pc=1: scratchpad read out of bounds"}};
-  for (const auto& [kb, message] : cases) {
+  KernelBuilder mid_run("k", 16);
+  mid_run.li(1, 1).li(2, 12).addi(3, 3, 1).spad_store(2, 1).addi(3, 3, 1).jmp("end")
+      .label("end").halt();  // the store is op 4 of a 6-op run
+  const Kernel overrun_k = overrun.build(), negative_k = negative.build(),
+               mid_run_k = mid_run.build();
+  struct Case {
+    const Kernel* kernel;
+    u64 batch_limit;
+    std::string message;
+    u64 retired;
+  };
+  const Case cases[] = {
+      {&overrun_k, 8192, "eng @pc=2: scratchpad write out of bounds", 2},
+      {&negative_k, 8192, "eng @pc=1: scratchpad read out of bounds", 1},
+      {&mid_run_k, 8192, "eng @pc=3: scratchpad write out of bounds", 3},
+      // Batch limits 2 and 3 put the store first after a yield; 4 makes it
+      // the last op of a run cut short by the limit.
+      {&overrun_k, 2, "eng @pc=2: scratchpad write out of bounds", 2},
+      {&mid_run_k, 3, "eng @pc=3: scratchpad write out of bounds", 3},
+      {&mid_run_k, 4, "eng @pc=3: scratchpad write out of bounds", 3},
+  };
+  for (const Case& c : cases) {
     sim::Simulator s;
-    Engine e(s, kb->build(), EngineConfig{}, "eng");
+    EngineConfig cfg;
+    cfg.batch_limit = c.batch_limit;
+    Engine e(s, *c.kernel, cfg, "eng");
     e.start([] {});
-    EXPECT_EQ(trap_message(s), message);
+    EXPECT_EQ(trap_message(s), c.message) << "batch_limit " << c.batch_limit;
+    EXPECT_EQ(e.instructions_retired(), c.retired) << c.message;
   }
 }
 
@@ -202,6 +225,7 @@ TEST_F(EngineFixture, FallingOffTheEndTraps) {
   Engine e(s, kb.build(), EngineConfig{}, "eng");
   e.start([] {});
   EXPECT_EQ(trap_message(s), "eng @pc=3: fell off end of kernel");
+  EXPECT_EQ(e.instructions_retired(), 2u);  // the jmp and the li
 }
 
 TEST_F(EngineFixture, LoadStoreThroughPort) {
@@ -379,6 +403,15 @@ TEST_F(EngineFixture, EachOpIsChargedItsCostClass) {
     EXPECT_EQ(e.reg(6), 0) << c.name;
     EXPECT_EQ(e.reg(7), 18) << c.name;
   }
+}
+
+TEST_F(EngineFixture, ZeroBatchLimitRejected) {
+  // With no budget the engine would yield before every op and never retire one.
+  KernelBuilder kb("k");
+  kb.halt();
+  EngineConfig cfg;
+  cfg.batch_limit = 0;
+  EXPECT_THROW(Engine(sim, kb.build(), cfg, "e"), std::invalid_argument);
 }
 
 TEST_F(EngineFixture, DoubleStartRejected) {

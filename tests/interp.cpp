@@ -61,6 +61,7 @@ InterpResult Interpreter::run(u64 max_instructions) {
     if (pc >= kernel_.code.size()) throw std::runtime_error("interp: fell off end");
     const Instr& in = kernel_.code[pc];
     ++st.instructions;
+    st.ops.push_back(in.op);
     const u64 ua = static_cast<u64>(r[in.ra]);
     const u64 ub = static_cast<u64>(r[in.rb]);
     u64 next = pc + 1;

@@ -22,6 +22,7 @@ struct InterpResult {
   std::array<i64, kNumRegs> regs{};
   std::vector<u8> spad;
   u64 instructions = 0;
+  std::vector<Op> ops;  // the opcodes retired, in order, the halt included
   bool halted = false;
 };
 

@@ -1,8 +1,14 @@
 // Differential testing: the cycle-accounted Engine against the reference
 // Interpreter on randomly generated programs. Any divergence in
 // architectural state (registers, scratchpad, retired count) is an ISA
-// semantics bug in one of the two independent implementations.
+// semantics bug in one of the two independent implementations. The
+// interpreter's retired opcode stream is also the oracle for the engine's
+// time: halt time and event count under every batch limit.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "hwt/builder.hpp"
 #include "hwt/engine.hpp"
@@ -62,8 +68,70 @@ TEST_P(RandomPrograms, ClockRatioDoesNotChangeSemantics) {
   EXPECT_EQ(a.spad, b.spad);
 }
 
+/// Raw cost the engine charges one retired op under `cost`; the halt is free.
+Cycles op_cost(Op op, const CostModel& cost) {
+  switch (op) {
+    case Op::kMul:
+    case Op::kMuli: return cost.mul;
+    case Op::kDivU:
+    case Op::kRemU: return cost.divu;
+    case Op::kBeqz:
+    case Op::kBnez:
+    case Op::kJmp: return cost.branch;
+    case Op::kSpadLoad:
+    case Op::kSpadStore: return cost.spad;
+    case Op::kHalt: return 0;
+    default: return cost.alu;
+  }
+}
+
+TEST_P(RandomPrograms, HaltTimeMatchesBatchedCostOracle) {
+  // The engine yields after every `batch_limit` retired ops, so the retired
+  // stream splits into consecutive chunks of that many ops, the last one
+  // ending at the halt. Each chunk costs its raw op costs rounded up to
+  // whole datapath cycles, then converted to the reference clock; one event
+  // runs each chunk and one more fires the halt.
+  const Kernel kernel = random_kernel(GetParam());
+  Interpreter ref(kernel);
+  const std::vector<Op> ops = ref.run().ops;
+  struct Model {
+    const char* name;
+    CostModel cost;
+    sim::ClockDomain clock;
+  };
+  const Model models[] = {{"fabric", CostModel{}, sim::ClockDomain{1, 1}},
+                          {"cpu", cpu_cost_model(), sim::ClockDomain{10, 3}}};
+  for (const Model& m : models) {
+    for (const u64 batch_limit : {1, 2, 3, 7, 8192}) {
+      SCOPED_TRACE(std::string(m.name) + " batch_limit " + std::to_string(batch_limit));
+      Cycles halt_time = 0;
+      u64 chunks = 0;
+      for (std::size_t first = 0; first < ops.size(); first += batch_limit) {
+        const std::size_t end = std::min<std::size_t>(ops.size(), first + batch_limit);
+        Cycles raw = 0;
+        for (std::size_t i = first; i < end; ++i) raw += op_cost(ops[i], m.cost);
+        halt_time += m.clock.to_ref(ceil_div(raw, m.cost.ilp));
+        ++chunks;
+      }
+
+      sim::Simulator sim;
+      EngineConfig cfg;
+      cfg.cost = m.cost;
+      cfg.clock = m.clock;
+      cfg.batch_limit = batch_limit;
+      Engine engine(sim, kernel, cfg, "dut");
+      engine.start([] {});
+      sim.drain();
+      ASSERT_TRUE(engine.halted());
+      EXPECT_EQ(engine.instructions_retired(), ops.size());
+      EXPECT_EQ(engine.halt_time(), halt_time);
+      EXPECT_EQ(sim.events_executed(), chunks + 1);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPrograms,
-                         ::testing::Range<u64>(1, 33));  // 32 random programs x 3 properties
+                         ::testing::Range<u64>(1, 33));  // 32 random programs x 4 properties
 
 TEST(Interpreter, MemoryRoundTrip) {
   KernelBuilder kb("m");

@@ -107,6 +107,14 @@ TEST(Verify, BranchTargetOutOfRangeRejected) {
   EXPECT_THROW(verify(k), std::invalid_argument);
 }
 
+TEST(Verify, UnknownOpcodeRejected) {
+  Kernel k;
+  k.name = "bad";
+  k.code = {Instr{static_cast<Op>(static_cast<u8>(Op::kHalt) + 1), 0, 0, 0, 8, 0, 0},
+            Instr{Op::kHalt, 0, 0, 0, 8, 0, 0}};
+  EXPECT_THROW(verify(k), std::invalid_argument);
+}
+
 TEST(Verify, BadAccessSizeRejected) {
   Kernel k;
   k.name = "bad";

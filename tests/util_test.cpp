@@ -48,6 +48,8 @@ TEST(Units, Log2i) {
   EXPECT_EQ(log2i(3), 1u);
   EXPECT_EQ(log2i(4096), 12u);
   EXPECT_EQ(log2i(1ull << 33), 33u);
+  EXPECT_EQ(log2i(0), 0u);
+  EXPECT_EQ(log2i(~0ull), 63u);
 }
 
 TEST(Units, CeilDiv) {
