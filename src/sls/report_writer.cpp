@@ -88,7 +88,6 @@ void write_pager_summary(std::ostream& os, const StatRegistry& stats,
      << " p50_fault_stall=" << at("fault_stall.p50")
      << " p95_fault_stall=" << at("fault_stall.p95")
      << " p99_fault_stall=" << at("fault_stall.p99")
-     << " fault_stall_overflow=" << at("fault_stall.overflow")
      << " swap_queue_wait=" << at("swap.queue_wait.mean")
      << " faults=" << stats.counter_value(fault_handler_name + ".faults") << "\n";
   if (at("prefetches") > 0) {
@@ -113,7 +112,6 @@ void write_swap_summary(std::ostream& os, const StatRegistry& stats,
   os << "swap: reads=" << at("reads") << " writes=" << at("writes") << " bytes=" << at("bytes")
      << " queue_wait_mean=" << at("queue_wait.mean") << " queue_wait_max=" << at("queue_wait.max")
      << " queue_wait_p95=" << at("queue_wait.p95") << " queue_wait_p99=" << at("queue_wait.p99")
-     << " queue_wait_overflow=" << at("queue_wait.overflow")
      << " queue_depth_mean=" << at("sched.queue_depth.mean")
      << " queue_depth_max=" << at("sched.queue_depth.max") << "\n";
   os << "swap.sched: demand_reads=" << at("sched.demand_reads")

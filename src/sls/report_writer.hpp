@@ -20,7 +20,8 @@ void write_report_markdown(std::ostream& os, const SynthesisReport& report,
                            const std::string& title);
 
 /// CSV of every counter and histogram summary in a registry
-/// (`name,value` rows; histograms contribute .count/.mean/.max).
+/// (`name,value` rows of StatRegistry::snapshot; histograms contribute
+/// .count/.mean/.max/.p50/.p95/.p99).
 void write_stats_csv(std::ostream& os, const StatRegistry& stats);
 
 /// One-line-per-counter summary of the paging subsystem after a run under
@@ -59,9 +60,9 @@ void write_frame_pool_summary(std::ostream& os, const StatRegistry& stats,
 /// Serving-plane summary after a TrafficDriver run: the request ledger
 /// (arrivals / admitted / rejected / completed), latency and queue-wait
 /// percentiles, and mean service time — the open-system counterpart of the
-/// makespan summaries above. Percentiles come from the registry histograms
-/// (bucketed, upper-bound approximations); exact values live in the
-/// driver's Report. Quiet (prints a note) when the registry holds no
+/// makespan summaries above. Percentiles come from the registry histograms:
+/// never below the exact value in the driver's Report, and at most 1/16
+/// above it. Quiet (prints a note) when the registry holds no
 /// counters under `traffic_name`.
 void write_serving_summary(std::ostream& os, const StatRegistry& stats,
                            const std::string& traffic_name = "traffic");

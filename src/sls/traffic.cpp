@@ -1,7 +1,6 @@
 #include "sls/traffic.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,13 +13,7 @@ Cycles TrafficDriver::Report::percentile(const std::vector<Cycles>& values, doub
   if (values.empty()) return 0;
   std::vector<Cycles> sorted = values;
   std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::min(1.0, std::max(0.0, q));
-  // Nearest-rank: the smallest value with at least ceil(q * n) values <= it.
-  std::size_t rank =
-      static_cast<std::size_t>(std::ceil(clamped * static_cast<double>(sorted.size())));
-  if (rank == 0) rank = 1;
-  if (rank > sorted.size()) rank = sorted.size();
-  return sorted[rank - 1];
+  return sorted[nearest_rank(q, sorted.size()) - 1];
 }
 
 TrafficDriver::TrafficDriver(ProcessGroup& group, const TrafficConfig& cfg,

@@ -51,9 +51,8 @@ class TrafficDriver {
   /// Per-run results. The three per-request vectors hold exact values in
   /// completion order — index i is one request across all of them, with
   /// latency[i] == queue_wait[i] + service[i] — so percentiles computed
-  /// from them are exact, unlike the power-of-two-bucketed registry
-  /// histograms (which are also fed, for telemetry and report_writer
-  /// summaries).
+  /// from them are exact. The registry histograms fed alongside (for
+  /// telemetry and report_writer summaries) read at most 1/16 above them.
   struct Report {
     u64 arrivals = 0;
     u64 admitted = 0;
@@ -66,7 +65,7 @@ class TrafficDriver {
     std::vector<Cycles> queue_wait;  ///< arrival -> dispatch, per request
     std::vector<Cycles> service;     ///< dispatch -> completion, per request
 
-    /// Exact q-quantile (0 <= q <= 1) of `values` by nearest-rank; 0 when
+    /// Exact q-quantile (0 <= q <= 1) of `values` by nearest_rank; 0 when
     /// empty. Sorts a copy — report-time only.
     static Cycles percentile(const std::vector<Cycles>& values, double q);
     Cycles latency_p(double q) const { return percentile(latency, q); }

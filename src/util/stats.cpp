@@ -1,15 +1,33 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace vmsls {
 
-void Histogram::record(u64 value) noexcept {
-  unsigned bucket = value == 0 ? 0 : log2i(value) + 1;
-  if (bucket >= buckets_.size()) {
-    bucket = static_cast<unsigned>(buckets_.size()) - 1;
-    ++overflow_;
-  }
+namespace {
+
+// Values below 32 index themselves. Above, each power of two has 16
+// sub-buckets: `shift` drops all but the leading five bits, and
+// `shift * 16 + (v >> shift)` numbers the octaves in order. `v | 16` gives
+// small values shift 0 without a branch.
+unsigned bucket_of(u64 v) noexcept {
+  const unsigned shift = static_cast<unsigned>(std::bit_width(v | 16)) - 5;
+  return shift * 16 + static_cast<unsigned>(v >> shift);
+}
+
+/// Largest value in bucket `b`: its lower bound plus its width minus one,
+/// so the top bucket ends at ~0ull without shifting past bit 63.
+u64 bucket_upper(unsigned b) noexcept {
+  const unsigned shift = std::max(b / 16, 1u) - 1;
+  return (u64{b - shift * 16} << shift) + ((u64{1} << shift) - 1);
+}
+
+}  // namespace
+
+void Histogram::record(u64 value) {
+  const unsigned bucket = bucket_of(value);
+  if (bucket >= buckets_.size()) return grow_and_record(value);
   ++buckets_[bucket];
   ++count_;
   sum_ += value;
@@ -17,15 +35,18 @@ void Histogram::record(u64 value) noexcept {
   max_ = std::max(max_, value);
 }
 
+void Histogram::grow_and_record(u64 value) {
+  buckets_.resize(bucket_of(value) + 1, 0);
+  record(value);
+}
+
 u64 Histogram::percentile(double q) const noexcept {
   if (count_ == 0) return 0;
-  const u64 target = static_cast<u64>(q * static_cast<double>(count_));
+  const u64 rank = nearest_rank(q, count_);
   u64 seen = 0;
-  for (unsigned b = 0; b < buckets_.size(); ++b) {
-    seen += buckets_[b];
-    if (seen > target) return b == 0 ? 0 : (1ull << b) - 1;  // bucket upper bound
-  }
-  return max_;
+  unsigned b = 0;
+  while ((seen += buckets_[b]) < rank) ++b;
+  return std::min(bucket_upper(b), max_);
 }
 
 void Histogram::merge(const Histogram& other) {
@@ -37,7 +58,6 @@ void Histogram::merge(const Histogram& other) {
   // sentinel, which std::min ignores — merging an empty side is a no-op.
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-  overflow_ += other.overflow_;
 }
 
 void Histogram::reset() noexcept {
@@ -46,7 +66,6 @@ void Histogram::reset() noexcept {
   sum_ = 0;
   min_ = ~0ull;
   max_ = 0;
-  overflow_ = 0;
 }
 
 StatRegistry::StatRegistry() {
@@ -74,7 +93,6 @@ std::map<std::string, double> StatRegistry::snapshot() const {
     out[name + ".p50"] = static_cast<double>(h.percentile(0.50));
     out[name + ".p95"] = static_cast<double>(h.percentile(0.95));
     out[name + ".p99"] = static_cast<double>(h.percentile(0.99));
-    out[name + ".overflow"] = static_cast<double>(h.overflow());
   }
   return out;
 }

@@ -5,6 +5,8 @@
 // record latency distributions (page walks, fault service, bus queueing).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -26,25 +28,34 @@ class Counter {
   u64 value_ = 0;
 };
 
-/// Fixed-bucket histogram with power-of-two bucket boundaries, suited to
-/// latency distributions spanning several orders of magnitude.
+/// Nearest-rank position (1-based) of the q-quantile among `n` sorted
+/// samples: max(1, ceil(clamp(q, 0, 1) * n)). The one percentile rule —
+/// Histogram::percentile and the serving driver's exact percentiles share it.
+inline u64 nearest_rank(double q, u64 n) noexcept {
+  const double clamped = std::clamp(q, 0.0, 1.0);
+  return std::max<u64>(1, static_cast<u64>(std::ceil(clamped * static_cast<double>(n))));
+}
+
+/// Latency histogram over all of u64 with one global log-linear layout:
+/// each value below 16 has its own bucket, and every power of two above
+/// has 16 equal sub-buckets (976 buckets in all, the last ending at
+/// ~0ull). A bucket is never wider than 1/16 of its lower bound, so
+/// percentiles stay within 1/16 of the exact value at any magnitude. The
+/// bucket vector grows only as far as the highest bucket recorded.
 class Histogram {
  public:
-  explicit Histogram(unsigned num_buckets = 32) : buckets_(num_buckets, 0) {}
-
-  void record(u64 value) noexcept;
+  void record(u64 value);
 
   u64 count() const noexcept { return count_; }
   u64 sum() const noexcept { return sum_; }
   u64 min() const noexcept { return count_ == 0 ? 0 : min_; }
   u64 max() const noexcept { return max_; }
-  /// Samples clipped into the last bucket because they exceeded its lower
-  /// bound — nonzero means the configured bucket count truncates the tail.
-  u64 overflow() const noexcept { return overflow_; }
   double mean() const noexcept { return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_); }
 
-  /// Value below which `q` (0..1) of the samples fall, resolved to bucket
-  /// upper bounds (approximate, sufficient for reporting).
+  /// The q-quantile (0..1) by nearest rank: the upper bound of the bucket
+  /// holding that rank, capped at max(). Never below the exact
+  /// nearest-rank sample and never more than 1/16 above it; q = 1 gives
+  /// max(). 0 when empty.
   u64 percentile(double q) const noexcept;
 
   const std::vector<u64>& buckets() const noexcept { return buckets_; }
@@ -52,21 +63,22 @@ class Histogram {
 
   /// Folds `other`'s samples into this histogram. Exact, not approximate:
   /// bucket boundaries are global (bucket b always covers the same value
-  /// range), so bucket counts add index-wise; count/sum/overflow add;
-  /// min/max take the extrema across both. Merging grows this histogram to
-  /// `other`'s bucket count when `other` is wider, so no sample is
-  /// re-clipped — overflow carries over exactly as recorded at sample time.
-  /// The shard-aggregation primitive: merging per-shard histograms yields
-  /// the histogram a single serial run would have recorded.
+  /// range), so bucket counts add index-wise; count/sum add; min/max take
+  /// the extrema across both. The shard-aggregation primitive: merging
+  /// per-shard histograms yields the histogram a single serial run would
+  /// have recorded.
   void merge(const Histogram& other);
 
  private:
+  /// record()'s first sample past the last bucket: grows the vector, then
+  /// records. Kept out of line so record() needs no stack frame.
+  void grow_and_record(u64 value);
+
   std::vector<u64> buckets_;
   u64 count_ = 0;
   u64 sum_ = 0;
   u64 min_ = ~0ull;
   u64 max_ = 0;
-  u64 overflow_ = 0;
 };
 
 /// Flat registry mapping "component.stat" names to counters/histograms.
@@ -88,7 +100,7 @@ class StatRegistry {
   Histogram& histogram(const std::string& name);
 
   /// Snapshot of all counter values (histograms contribute
-  /// .count/.mean/.max/.p50/.p95/.p99/.overflow).
+  /// .count/.mean/.max and the .p50/.p95/.p99 of Histogram::percentile).
   /// Returned map is ordered by name — deterministic for reports and tests.
   std::map<std::string, double> snapshot() const;
 

@@ -185,7 +185,9 @@ TEST(Tlb, EveryGeometryPicksTheSetAndVictimOfVpnModSets) {
         default: {
           const auto hit = tlb.lookup(vpn);
           ASSERT_EQ(hit.has_value(), ref.lookup(vpn)) << "op " << i << " vpn " << vpn;
-          if (hit) EXPECT_EQ(hit->frame, vpn + 7);
+          if (hit) {
+            EXPECT_EQ(hit->frame, vpn + 7);
+          }
         }
       }
     }

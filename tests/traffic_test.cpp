@@ -1,7 +1,8 @@
 // Serving-plane tests: the seeded arrival process (same-seed bit-identical,
 // different-seed divergence, burst modulation), the TrafficDriver's
-// admission ledger under a bounded queue and a saturated pool, episode-mix
-// validation, and the rate sweep's monotone first-violation search (tested
+// admission ledger under a bounded queue and a saturated pool, the registry
+// histograms' percentiles against the exact ones, episode-mix validation,
+// and the rate sweep's monotone first-violation search (tested
 // against a synthetic closure — no simulator needed).
 #include <gtest/gtest.h>
 
@@ -117,7 +118,7 @@ struct ServeRig {
   sim::Simulator sim;
   std::unique_ptr<ProcessGroup> group;
 
-  explicit ServeRig(const PlatformSpec& plat, unsigned workers) {
+  ServeRig(const PlatformSpec& plat, unsigned workers, u64 frame_budget = 6) {
     paging::FramePoolConfig pool_cfg;
     pool_cfg.mode = paging::BudgetMode::kPerProcess;
     pool_cfg.policy = plat.pager.policy;
@@ -128,7 +129,7 @@ struct ServeRig {
       p.seed = 1 + i;
       const auto wl = workloads::make_vecadd(p);
       PlatformSpec proc_plat = plat;
-      proc_plat.pager.frame_budget = 6;  // arena is 16 pages: real pressure
+      proc_plat.pager.frame_budget = frame_budget;  // below the arena: real pressure
       SynthesisFlow flow(proc_plat);
       group->add_process(flow.synthesize(workloads::single_thread_app(
                              wl, ThreadKind::kHardware)),
@@ -195,6 +196,43 @@ TEST(TrafficDriver, SaturatedPoolQueuesInsteadOfRejecting) {
   EXPECT_EQ(rep.peak_busy, 2u);
   EXPECT_GT(rep.peak_queue, 0u);
   EXPECT_GT(TrafficDriver::Report::percentile(rep.queue_wait, 0.99), 0u);
+}
+
+TEST(TrafficDriver, RegistryPercentilesStayWithinASixteenthOfExact) {
+  // A fig15-shaped point near the knee: four workers on one shared swap
+  // device, Poisson arrivals at gap 3500, a 20-frame budget under a
+  // 48-page arena. The registry histograms feed every printed summary;
+  // their percentiles must bound the driver's exact ones from above by at
+  // most 1/16.
+  PlatformSpec plat = serve_platform();
+  plat.pager.policy_seed = 7;
+  plat.pager.swap.read_latency = 60;
+  plat.pager.swap.write_latency = 120;
+  plat.traffic.arrival.mean_gap = 3500;
+  plat.traffic.arrival.seed = 99;
+  plat.traffic.requests = 600;
+  plat.traffic.queue_capacity = 64;
+  plat.traffic.episode_touches = 24;
+  plat.traffic.arena_pages = 48;
+  plat.traffic.write_ratio = 0.25;
+  ServeRig rig(plat, 4, /*frame_budget=*/20);
+  TrafficDriver driver(*rig.group, plat.traffic);
+  const auto rep = driver.run();
+  ASSERT_EQ(rep.completed, plat.traffic.requests);
+
+  const std::pair<const char*, const std::vector<Cycles>*> series[] = {
+      {"traffic.latency", &rep.latency},
+      {"traffic.queue_wait", &rep.queue_wait},
+      {"traffic.service", &rep.service}};
+  for (const auto& [name, values] : series) {
+    const Histogram& h = rig.sim.stats().histogram(name);
+    ASSERT_EQ(h.count(), values->size()) << name;
+    for (const double q : {0.5, 0.95, 0.99}) {
+      const Cycles exact = TrafficDriver::Report::percentile(*values, q);
+      EXPECT_GE(h.percentile(q), exact) << name << " q=" << q;
+      EXPECT_LE(h.percentile(q), exact + exact / 16) << name << " q=" << q;
+    }
+  }
 }
 
 TEST(TrafficDriver, RejectsUnknownEpisodeMix) {

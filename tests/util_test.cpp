@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -190,20 +192,40 @@ TEST(Histogram, ResetRestoresExtremaTracking) {
   EXPECT_EQ(h.count(), 1u);
 }
 
-TEST(Histogram, OverflowCountsClippedSamples) {
-  // 4 buckets cover 0, 1, 2-3, 4-7; values >= 8 clip into the last bucket
-  // and must be counted as overflow (4-7 land there legitimately).
-  Histogram h(4);
-  h.record(4);
-  h.record(7);
-  EXPECT_EQ(h.overflow(), 0u);
-  h.record(8);
-  h.record(1000);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.buckets().back(), 4u);  // clipped samples still counted there
-  h.reset();
-  EXPECT_EQ(h.overflow(), 0u);
+TEST(Histogram, PercentilesStayWithinASixteenthOfExactOverAllOfU64) {
+  // Seeded samples at every magnitude, plus the layout's edges: the exact
+  // buckets below 16, the first sub-bucketed octaves, 2^32, 2^63 and the
+  // top bucket ending at ~0ull.
+  std::vector<u64> samples = {0, 1, 15, 16, 31, 32, 1ull << 32, 1ull << 63, ~0ull};
+  Rng rng(34);
+  for (int i = 0; i < 2000; ++i) samples.push_back(rng.next() >> rng.below(64));
+  Histogram h, low, high, serial;
+  for (const u64 v : samples) {
+    h.record(v);
+    serial.record(v);
+    (v < (1ull << 32) ? low : high).record(v);
+  }
+  std::sort(samples.begin(), samples.end());
+  EXPECT_EQ(h.buckets().size(), 976u);
+  for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+    SCOPED_TRACE(q);
+    const u64 exact = samples[nearest_rank(q, samples.size()) - 1];
+    EXPECT_GE(h.percentile(q), exact);
+    const u64 slack = std::min(exact / 16, ~u64{0} - exact);  // no wrap at ~0ull
+    EXPECT_LE(h.percentile(q), std::min(h.max(), exact + slack));
+  }
+  EXPECT_EQ(h.percentile(0), h.min());
+  EXPECT_EQ(h.percentile(1), h.max());
+
+  // Shards with disjoint value ranges merge into the serial histogram.
+  low.merge(high);
+  EXPECT_EQ(low.buckets(), serial.buckets());
+  EXPECT_EQ(low.count(), serial.count());
+  EXPECT_EQ(low.sum(), serial.sum());
+  EXPECT_EQ(low.min(), serial.min());
+  EXPECT_EQ(low.max(), serial.max());
+  for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0})
+    EXPECT_EQ(low.percentile(q), serial.percentile(q)) << q;
 }
 
 TEST(Histogram, MergeMatchesSerialRecording) {
@@ -223,24 +245,9 @@ TEST(Histogram, MergeMatchesSerialRecording) {
   EXPECT_EQ(a.sum(), serial.sum());
   EXPECT_EQ(a.min(), serial.min());
   EXPECT_EQ(a.max(), serial.max());
-  EXPECT_EQ(a.overflow(), serial.overflow());
   EXPECT_EQ(a.buckets(), serial.buckets());
   EXPECT_EQ(a.percentile(0.5), serial.percentile(0.5));
   EXPECT_EQ(a.percentile(0.99), serial.percentile(0.99));
-}
-
-TEST(Histogram, MergePreservesOverflowAndExtrema) {
-  Histogram a(4), b(4);  // values >= 8 clip into the last bucket
-  a.record(2);
-  a.record(100);  // overflow in a
-  b.record(1);
-  b.record(5000);  // overflow in b
-  b.record(9999);  // overflow in b
-  a.merge(b);
-  EXPECT_EQ(a.count(), 5u);
-  EXPECT_EQ(a.overflow(), 3u);
-  EXPECT_EQ(a.min(), 1u);
-  EXPECT_EQ(a.max(), 9999u);
 }
 
 TEST(Histogram, MergeEmptySidesAreNoOps) {
@@ -256,19 +263,6 @@ TEST(Histogram, MergeEmptySidesAreNoOps) {
   EXPECT_EQ(dst.count(), 1u);
   EXPECT_EQ(dst.min(), 7u);  // the ~0 min sentinel must not leak through
   EXPECT_EQ(dst.sum(), 7u);
-}
-
-TEST(Histogram, MergeGrowsToWiderBucketCount) {
-  Histogram narrow(4), wide(32);
-  wide.record(1 << 20);  // legitimate sample in a high bucket, no overflow
-  narrow.record(100);    // clipped: overflow in the narrow histogram
-  narrow.merge(wide);
-  EXPECT_EQ(narrow.buckets().size(), 32u);
-  EXPECT_EQ(narrow.count(), 2u);
-  // The wide histogram's sample stays un-clipped; the narrow histogram's
-  // own clip stays counted. Overflow records sample-time truncation.
-  EXPECT_EQ(narrow.overflow(), 1u);
-  EXPECT_EQ(narrow.max(), u64{1} << 20);
 }
 
 TEST(StatRegistry, MergeAddsCountersAndHistograms) {
@@ -303,7 +297,7 @@ TEST(StatRegistry, MergeWithPrefixNamespacesEntries) {
   EXPECT_EQ(snap.at("p3.pager.fault_stall.max"), 1000.0);
 }
 
-TEST(StatRegistry, SnapshotIncludesPercentilesAndOverflow) {
+TEST(StatRegistry, SnapshotIncludesPercentiles) {
   StatRegistry reg;
   auto& h = reg.histogram("h");
   for (u64 v = 1; v <= 100; ++v) h.record(v);
@@ -313,7 +307,7 @@ TEST(StatRegistry, SnapshotIncludesPercentilesAndOverflow) {
   EXPECT_EQ(snap.at("h.p99"), static_cast<double>(h.percentile(0.99)));
   EXPECT_LE(snap.at("h.p50"), snap.at("h.p95"));
   EXPECT_LE(snap.at("h.p95"), snap.at("h.p99"));
-  EXPECT_EQ(snap.at("h.overflow"), 0.0);
+  EXPECT_EQ(snap.count("h.overflow"), 0u);
 }
 
 TEST(StatRegistry, CountersByName) {
