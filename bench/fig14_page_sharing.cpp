@@ -55,6 +55,7 @@
 
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -124,9 +125,10 @@ struct ShareRig {
     return cfg;
   }
 
-  /// Binds `w` as the next episode worker (worker index == member index).
-  sls::System& bind(sls::System& w) {
-    episodes.add_worker(w.address_space(), w.process(), *w.pager());
+  /// Binds `w` as the next episode worker (worker index == member index);
+  /// a forked worker names its parent's index.
+  sls::System& bind(sls::System& w, std::optional<std::size_t> parent = std::nullopt) {
+    episodes.add_worker(w.address_space(), w.process(), *w.pager(), parent);
     return w;
   }
 
@@ -213,7 +215,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   parent.process().evict(evict_base, E * kPage);  // children inherit backing, parent keeps a slot
 
   // --- fork ------------------------------------------------------------
-  for (u64 i = 1; i <= N; ++i) rig.bind(rig.group.fork(parent, "w" + std::to_string(i)));
+  for (u64 i = 1; i <= N; ++i) rig.bind(rig.group.fork(parent, "w" + std::to_string(i)), 0);
   const std::vector<const paging::Pager*> pagers = rig.group.pagers();
   // Every phase ends drained with the machine ledger balanced.
   const auto drain = [&] { rig.group.drain(bench::kDrainCycles); };

@@ -251,6 +251,12 @@ std::optional<PhysAddr> AddressSpace::translate(VirtAddr va) const {
   return frames_.frame_addr(pte->frame) + offset;
 }
 
+u64 AddressSpace::peek_u64(VirtAddr va) const {
+  const auto pa = translate(va);
+  require(pa.has_value(), "peek_u64 of a page that is not resident");
+  return pm_.read_u64(*pa);
+}
+
 AddressSpace::Access AddressSpace::resolve(VirtAddr va, bool is_write, PhysAddr& pa) {
   auto leaf = pt_.leaf(va);
   if (!leaf || !leaf->pte.valid) return Access::kUnmapped;

@@ -140,6 +140,11 @@ class AddressSpace {
   /// Functional translation; nullopt when unmapped.
   std::optional<PhysAddr> translate(VirtAddr va) const;
 
+  /// The u64 at `va` of a resident page, read without setting the PTE's
+  /// accessed bit (a checker's view, invisible to replacement). Throws when
+  /// the page is not resident.
+  u64 peek_u64(VirtAddr va) const;
+
   /// Software (CPU) data access. Touching an unmapped page maps it on
   /// demand, exactly like a software page fault with zero modeled cost.
   void read(VirtAddr va, std::span<u8> out);

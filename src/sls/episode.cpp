@@ -1,8 +1,17 @@
 #include "sls/episode.hpp"
 
+#include <sstream>
 #include <stdexcept>
 
 namespace vmsls::sls {
+
+std::size_t EpisodeDriver::add_worker(mem::AddressSpace& as, rt::Process& process,
+                                      paging::Pager& pager, std::optional<std::size_t> parent) {
+  Worker wk{&as, &process, &pager};
+  if (parent) wk.stored = workers_.at(*parent).stored;
+  workers_.push_back(std::move(wk));
+  return workers_.size() - 1;
+}
 
 void EpisodeDriver::start(std::size_t w, Cycles delay, sim::Callback<> done) {
   Worker& wk = workers_.at(w);
@@ -36,24 +45,54 @@ bool EpisodeDriver::touch(std::size_t w) {
   const Touch t = wk.touches[wk.pos++];
   u64 value = t.value;
   const auto found = wk.as->access_resident_u64(t.va, t.is_write, value);
-  if (found == mem::AddressSpace::Access::kHit) return true;
+  if (found == mem::AddressSpace::Access::kHit) {
+    if (t.is_write)
+      record(wk, t.va, t.value);
+    else
+      check(w, t.va, value);
+    return true;
+  }
   if (found == mem::AddressSpace::Access::kUnmapped) {
     // Never mapped, or evicted underneath the worker: not a COW fault.
     ++wk.read_faults;
     wk.pager->handle_fault(t.va, t.is_write, [this, w, t] {
       Worker& k = workers_[w];
       if (!k.as->is_mapped(t.va)) k.process->map_in(t.va);
-      if (t.is_write) k.as->write_u64(t.va, t.value);
+      if (t.is_write) {
+        k.as->write_u64(t.va, t.value);
+        record(k, t.va, t.value);
+      } else {
+        // peek: the check must not set the accessed bit the fault left clear.
+        check(w, t.va, k.as->peek_u64(t.va));
+      }
       next(w);
     });
   } else {
     ++wk.cow_faults;
     wk.pager->handle_fault(t.va, /*is_write=*/true, [this, w, t] {
-      workers_[w].as->write_u64(t.va, t.value);
+      Worker& k = workers_[w];
+      k.as->write_u64(t.va, t.value);
+      record(k, t.va, t.value);
       next(w);
     });
   }
   return false;
+}
+
+void EpisodeDriver::record(Worker& wk, VirtAddr va, u64 value) {
+  wk.stored.at(va / wk.as->page_bytes()) = {va, value};
+}
+
+void EpisodeDriver::check(std::size_t w, VirtAddr va, u64 read) const {
+  const Worker& wk = workers_[w];
+  const Stored& s = wk.stored.get(va / wk.as->page_bytes());
+  if (s.va != va || s.value == read) [[likely]]
+    return;
+  std::ostringstream msg;
+  msg << "EpisodeDriver: worker " << w << " (" << wk.process->name() << ") read 0x" << std::hex
+      << read
+      << " at va 0x" << va << ", expected 0x" << s.value << " (the value it last stored there)";
+  throw std::runtime_error(msg.str());
 }
 
 }  // namespace vmsls::sls

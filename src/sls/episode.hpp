@@ -6,16 +6,25 @@
 //   absent -> the unmapped path (a read fault), map_in if still unmapped,
 //             then the store if it is a write;
 //   resident read-only, written -> the COW path, then the store.
+// Every read touch checks what it read: each worker keeps, per page, the
+// last value one of its write touches stored and where (a forked worker
+// starts with its parent's), and a read of that address, on a hit or once
+// its fault completes, must find that value or the touch throws naming the
+// worker, the va, the value expected and the value read. Only one address
+// per page is remembered (every caller touches page-aligned words), and no
+// other writer may store to a touched word.
 // The per-worker read_faults / cow_faults counts are what
 // paging::LedgerExpect needs. A touch cost above 0 runs each touch that
 // long after the previous one (TrafficDriver's touch_cost); at cost 0
 // resident touches run inline (fig14, micro_paging).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "mem/paging/pager.hpp"
 #include "rt/process.hpp"
+#include "util/index_table.hpp"
 
 namespace vmsls::sls {
 
@@ -33,11 +42,11 @@ class EpisodeDriver {
   EpisodeDriver(const EpisodeDriver&) = delete;
   EpisodeDriver& operator=(const EpisodeDriver&) = delete;
 
-  /// Binds a worker; returns its index. Bind all before filling touch lists.
-  std::size_t add_worker(mem::AddressSpace& as, rt::Process& process, paging::Pager& pager) {
-    workers_.push_back({&as, &process, &pager});
-    return workers_.size() - 1;
-  }
+  /// Binds a worker; returns its index. A worker whose process was forked
+  /// from worker `parent`'s starts out expecting the values the parent's
+  /// touches stored. Bind all before filling touch lists.
+  std::size_t add_worker(mem::AddressSpace& as, rt::Process& process, paging::Pager& pager,
+                         std::optional<std::size_t> parent = std::nullopt);
 
   /// The worker's touch list, reused across episodes; fixed while one runs.
   std::vector<Touch>& touches(std::size_t w) { return workers_.at(w).touches; }
@@ -52,6 +61,13 @@ class EpisodeDriver {
   u64 cow_faults(std::size_t w) const { return workers_.at(w).cow_faults; }
 
  private:
+  /// The last value a write touch stored in a page, and its address; va 0
+  /// (the null page, never touched) means none.
+  struct Stored {
+    VirtAddr va = 0;
+    u64 value = 0;
+  };
+
   struct Worker {
     mem::AddressSpace* as;
     rt::Process* process;
@@ -62,11 +78,14 @@ class EpisodeDriver {
     sim::Callback<> done{};
     u64 read_faults = 0;
     u64 cow_faults = 0;
+    IndexTable<Stored> stored{};  // by vpn
   };
 
   void run(std::size_t w);    // touch `pos` now, then next() unless it faulted
   void next(std::size_t w);   // the next touch after the cost (inline at 0), or done
   bool touch(std::size_t w);  // false: suspended on a fault; its callback calls next()
+  void record(Worker& wk, VirtAddr va, u64 value);  // a write touch landed
+  void check(std::size_t w, VirtAddr va, u64 read) const;  // a read touch's value
 
   sim::Simulator& sim_;
   Cycles touch_cost_;

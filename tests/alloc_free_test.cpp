@@ -7,7 +7,8 @@
 // and so do software accesses to resident pages, an address space's
 // evict -> map cycle, a copy-based offload transfer in either copy mode,
 // and the pager's fault -> evict -> dirty writeback -> swap-in cycle in
-// either budget mode and with swap-in readahead.
+// either budget mode, with swap-in readahead and driven by the episode
+// driver, whose read touches check what they read.
 // The count is a deterministic work count, so the gate is exact and
 // host-independent.
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "mem/paging/pager.hpp"
 #include "rt/os.hpp"
 #include "rt/process.hpp"
+#include "sls/episode.hpp"
 #include "test_util.hpp"
 
 namespace vmsls::hwt {
@@ -389,6 +391,31 @@ TEST_F(PagingCycleFixture, GlobalPoolCycleDoesNotAllocate) {
   make(BudgetMode::kGlobal);
   expect_cycles_do_not_allocate();
   EXPECT_GT(pool->evictions(), 0u);
+}
+
+TEST_F(PagingCycleFixture, EpisodeCycleDoesNotAllocate) {
+  // The serving plane's loop over the same pages: each page is read (the
+  // value the previous episode stored is checked) and then written, and
+  // every touch faults through the two-frame budget.
+  make(BudgetMode::kPerProcess);
+  sls::EpisodeDriver driver{ms.sim};
+  driver.add_worker(as, process, *pager);
+  for (unsigned p = 0; p < kPages; ++p) {
+    driver.touches(0).push_back({base + p * 4096ull, false, 0});
+    driver.touches(0).push_back({base + p * 4096ull, true, 100 + p});
+  }
+  auto episode = [&] {
+    driver.start(0, 0);
+    ms.run_all();
+    ASSERT_FALSE(driver.busy(0));
+  };
+  for (int i = 0; i < 8; ++i) episode();
+  const u64 swap_ins = pager->swap_ins();
+  EXPECT_EQ(allocs_during([&] {
+              for (int i = 0; i < 8; ++i) episode();
+            }),
+            0u);
+  EXPECT_EQ(pager->swap_ins() - swap_ins, 8u * kPages);
 }
 
 TEST_F(PagingCycleFixture, ReadaheadCycleDoesNotAllocate) {

@@ -1,12 +1,15 @@
 // The episode driver: its per-touch classification (functional access, read
 // fault, COW fault) and the counts the paging ledger closes with, touch-cost
-// timing, re-arming a worker from its own completion, and the busy-worker
-// guard.
+// timing, re-arming a worker from its own completion, the busy-worker guard,
+// and the check every read touch makes against the worker's last store.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "mem/paging/ledger.hpp"
 #include "sls/episode.hpp"
@@ -39,8 +42,20 @@ struct EpisodeFixture : ::testing::Test {
     ASSERT_EQ(add_worker(parent), 0u);
   }
 
-  std::size_t add_worker(System& s) {
-    return driver->add_worker(s.address_space(), s.process(), *s.pager());
+  std::size_t add_worker(System& s, std::optional<std::size_t> parent = std::nullopt) {
+    return driver->add_worker(s.address_space(), s.process(), *s.pager(), parent);
+  }
+
+  /// Runs worker `w`'s touches to the end; the message of what it threw,
+  /// or "" when it finished.
+  std::string run_worker(std::size_t w) {
+    try {
+      driver->start(w, 0);
+      group.drain();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
   }
 
   /// `n` pages of the parent, each written once so it is resident.
@@ -59,7 +74,7 @@ TEST_F(EpisodeFixture, ClassifiesEachTouchOnAForkedPair) {
   mem::AddressSpace& as1 = child.address_space();
   const paging::Pager& pg1 = *child.pager();
   ASSERT_EQ(as1.resident_pages(), 2u);
-  ASSERT_EQ(add_worker(child), 1u);
+  ASSERT_EQ(add_worker(child, 0), 1u);
   const paging::MachineLedger base = paging::MachineLedger::of(group.pagers());
 
   driver->touches(1) = {
@@ -141,6 +156,54 @@ TEST_F(EpisodeFixture, StartOnABusyWorkerThrows) {
   EXPECT_FALSE(driver->busy(0));
   EXPECT_NO_THROW(driver->start(0, 0));
   group.drain();
+}
+
+TEST_F(EpisodeFixture, ReadTouchesFindTheLastStoredValue) {
+  bind(0);
+  const VirtAddr base = resident_pages(2);
+  driver->touches(0) = {{base, true, 0x11}, {base, false, 0}, {base + kPage, false, 0}};
+  ASSERT_EQ(run_worker(0), "");  // the second page was never stored by a touch: unchecked
+
+  // A hit that reads something else names the worker, the va and both values.
+  as0.write_u64(base, 0x12);
+  driver->touches(0) = {{base, false, 0}};
+  std::ostringstream want;
+  want << "worker 0 (p0.proc) read 0x12 at va 0x" << std::hex << base << ", expected 0x11";
+  const std::string got = run_worker(0);
+  EXPECT_NE(got.find(want.str()), std::string::npos) << got;
+}
+
+TEST_F(EpisodeFixture, ReadFaultsCheckTheFilledPage) {
+  bind(0);
+  const VirtAddr base = resident_pages(1);
+  driver->touches(0) = {{base, true, 0x21}};
+  ASSERT_EQ(run_worker(0), "");
+  // Evicted, it refaults from its saved copy and reads back fine.
+  parent.process().evict(base, kPage);
+  driver->touches(0) = {{base, false, 0}};
+  ASSERT_EQ(run_worker(0), "");
+  EXPECT_EQ(driver->read_faults(0), 1u);
+
+  // A saved copy that lost the store fails the read after its fault.
+  as0.write_u64(base, 0x22);
+  parent.process().evict(base, kPage);
+  EXPECT_NE(run_worker(0).find("read 0x22"), std::string::npos);
+  EXPECT_EQ(driver->read_faults(0), 2u);
+}
+
+TEST_F(EpisodeFixture, AForkedWorkerExpectsItsParentsStores) {
+  bind(0);
+  const VirtAddr base = resident_pages(1);
+  driver->touches(0) = {{base, true, 0x31}};
+  ASSERT_EQ(run_worker(0), "");
+  System& child = group.fork(parent, "p1");
+  ASSERT_EQ(add_worker(child, 0), 1u);
+  driver->touches(1) = {{base, false, 0}};
+  ASSERT_EQ(run_worker(1), "");  // the shared frame holds the parent's store
+
+  child.address_space().write_u64(base, 0x32);  // a COW split the driver never saw
+  EXPECT_NE(run_worker(1).find("worker 1 (p1.proc) read 0x32"), std::string::npos);
+  EXPECT_EQ(run_worker(0), "");  // the parent's copy is untouched
 }
 
 }  // namespace
