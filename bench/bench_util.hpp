@@ -128,9 +128,9 @@ struct RunResult {
 /// against a committed copy.
 class EngineBenchReport {
  public:
-  void add(const std::string& name, Cycles cycles, u64 events, u64 scheduled, u64 faults,
-           double host_ms) {
-    entries_.push_back(Entry{name, cycles, events, scheduled, faults, {}});
+  void add(const std::string& name, Cycles cycles, u64 events, u64 scheduled, u64 copied_pages,
+           u64 faults, double host_ms) {
+    entries_.push_back(Entry{name, cycles, events, scheduled, copied_pages, faults, {}});
     std::cerr << "[host] " << name << " " << host_ms << " ms\n";
   }
 
@@ -154,12 +154,14 @@ class EngineBenchReport {
   }
 
   /// Writes the accumulated entries as a JSON array. Schema per entry:
-  ///   {"name", "cycles", "events", "scheduled", "faults", extras...}
+  ///   {"name", "cycles", "events", "scheduled", "copied_pages", "faults", extras...}
   /// "events" is sim::Simulator::events_executed() over the section (the
   /// logical count), "scheduled" its events_scheduled(): the events that
   /// went through the queue, which run-ahead and posted writes avoid.
+  /// "copied_pages" is the whole pages the section's address spaces copied
+  /// on the host (sls::ProcessGroup::copied_pages).
   /// "cycles" is 0 for host-only sections with no simulated-time span, and
-  /// "scheduled" is 0 for item-rate rows that do not count it.
+  /// "scheduled" and "copied_pages" are 0 for rows that do not count them.
   void write_json(const std::string& path) const {
     std::ofstream out(path);
     if (!out) throw std::runtime_error("cannot write " + path);
@@ -168,7 +170,7 @@ class EngineBenchReport {
       const Entry& e = entries_[i];
       out << "  {\"name\": \"" << e.name << "\", \"cycles\": " << e.cycles
           << ", \"events\": " << e.events << ", \"scheduled\": " << e.scheduled
-          << ", \"faults\": " << e.faults;
+          << ", \"copied_pages\": " << e.copied_pages << ", \"faults\": " << e.faults;
       for (const auto& [key, value] : e.extra) out << ", \"" << key << "\": " << value;
       out << "}" << (i + 1 < entries_.size() ? "," : "") << "\n";
     }
@@ -181,6 +183,7 @@ class EngineBenchReport {
     Cycles cycles = 0;
     u64 events = 0;
     u64 scheduled = 0;
+    u64 copied_pages = 0;
     u64 faults = 0;
     std::vector<std::pair<std::string, double>> extra;
   };

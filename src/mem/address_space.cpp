@@ -32,6 +32,7 @@ void AddressSpace::save_page(u64 vpn, PhysAddr pa) {
   if (tracks_saves() && has_backing(vpn) && pm_.saved(pa, page_bytes())) return;
   auto& store = backing_page(vpn);
   pm_.read(pa, std::span<u8>(store.data(), store.size()));
+  ++copied_pages_;
 }
 
 VirtAddr AddressSpace::mmap(BackingFile& file, u64 offset, u64 bytes, bool shared) {
@@ -94,6 +95,7 @@ void AddressSpace::sync_page(u64 vpn) {
   const auto fp = file_page(vpn);
   if (fp && fp->shared) {
     pm_.read(pa, fp->file->block_data(fp->block));
+    ++copied_pages_;
   } else {
     // Anonymous page, or a private file page whose modifications must land
     // in the process-local copy — never in the shared file.
@@ -132,6 +134,7 @@ u64 AddressSpace::map_page(VirtAddr va, bool writable) {
   if (const auto& saved = backing_.get(vpn); !saved.empty()) {
     pm_.write(pa, std::span<const u8>(saved.data(), saved.size()));
     if (tracks_saves()) pm_.mark_saved(pa, page);
+    ++copied_pages_;
   } else if (fp) {
     pm_.write(pa, fp->file->block_data(fp->block));
   } else {
@@ -227,6 +230,7 @@ AddressSpace::CowResult AddressSpace::cow_resolve(VirtAddr va) {
   if (!frame && observer_ && observer_->reclaim(1) > 0) frame = frames_.alloc();
   if (!frame) throw std::runtime_error("AddressSpace: out of physical frames for a COW copy");
   pm_.copy(frames_.frame_addr(pte->frame), frames_.frame_addr(*frame), page);
+  ++copied_pages_;
   pt_.unmap(base);
   pt_.map(base, *frame, /*writable=*/true);
   frames_.free(pte->frame);  // drop this space's reference on the shared frame

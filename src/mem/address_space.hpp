@@ -182,6 +182,11 @@ class AddressSpace {
   u64 resident_pages() const noexcept { return resident_vpns_.size(); }
   u64 faults_serviced() const noexcept { return demand_maps_; }
 
+  /// Whole pages this space copied on the host: fills from a saved copy,
+  /// saves to one, COW splits and sync_page write-outs. A host-work count,
+  /// kept out of the StatRegistry.
+  u64 copied_pages() const noexcept { return copied_pages_; }
+
   /// Calls fn(vpn) for every resident page, in ascending order. `fn` must
   /// not map or unmap pages.
   template <typename Fn>
@@ -264,6 +269,7 @@ class AddressSpace {
   u64 pinned_pages_ = 0;  // entries of pins_ with a nonzero count
   IndexBitmap resident_vpns_;  // ascending walk: deterministic policy seeding
   u64 demand_maps_ = 0;
+  u64 copied_pages_ = 0;
   ResidencyObserver* observer_ = nullptr;
   FrameShareIndex* share_ = nullptr;
 };

@@ -60,6 +60,14 @@ class ProcessGroup {
     return out;
   }
 
+  /// Whole pages every member's address space has copied so far
+  /// (mem::AddressSpace::copied_pages): host work, not simulated time.
+  u64 copied_pages() const {
+    u64 n = 0;
+    for (const auto& s : systems_) n += s->address_space().copied_pages();
+    return n;
+  }
+
   /// The machine-sizing platform the group was built with (page size,
   /// DRAM, telemetry, traffic knobs) — what a serving driver layers on.
   const PlatformSpec& platform() const noexcept { return machine_.platform(); }
