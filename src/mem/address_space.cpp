@@ -12,6 +12,11 @@ AddressSpace::AddressSpace(PhysicalMemory& pm, FrameAllocator& frames, const Pag
   require(heap_base > 0, "heap must not start at the null page");
 }
 
+AddressSpace::~AddressSpace() {
+  for (u64 i = 0; i < backing_.size(); ++i)
+    if (u8* page = backing_.get(i)) pm_.give_page(page);
+}
+
 VirtAddr AddressSpace::alloc(u64 bytes, u64 align) {
   require(bytes > 0, "cannot allocate zero bytes");
   require(is_pow2(align), "alignment must be a power of two");
@@ -22,16 +27,23 @@ VirtAddr AddressSpace::alloc(u64 bytes, u64 align) {
   return va;
 }
 
-std::vector<u8>& AddressSpace::backing_page(u64 vpn) {
-  auto& page = backing_.at(vpn);
-  if (page.empty()) page.assign(page_bytes(), 0);
-  return page;
+std::span<u8*> AddressSpace::slot(u64 vpn) {
+  const u64 n = slot_chunks();
+  backing_.at((vpn + 1) * n - 1);  // grows the table over the whole slot
+  return {&backing_.at(vpn * n), n};
 }
 
-void AddressSpace::save_page(u64 vpn, PhysAddr pa) {
-  if (tracks_saves() && has_backing(vpn) && pm_.saved(pa, page_bytes())) return;
-  auto& store = backing_page(vpn);
-  pm_.read(pa, std::span<u8>(store.data(), store.size()));
+void AddressSpace::save_page(u64 vpn, PhysAddr pa, bool move) {
+  const std::span<u8*> pages = slot(vpn);
+  if (move) {
+    pm_.swap_pages(pa, pages);
+    return;
+  }
+  const u64 bytes = slot_page_bytes();
+  for (u64 i = 0; i < pages.size(); ++i) {
+    if (pages[i] == nullptr) pages[i] = pm_.take_page();
+    pm_.read(pa + i * bytes, std::span<u8>(pages[i], bytes));
+  }
   ++copied_pages_;
 }
 
@@ -63,12 +75,16 @@ void AddressSpace::bind_file(VirtAddr va, u64 bytes, BackingFile& file, u64 offs
   for (u64 i = 0; i < pages; ++i) {
     const u64 vpn = first_vpn + i;
     auto dst = file.block_data(offset / page + i);
-    if (const auto pte = pt_.lookup(vpn * page)) {
-      pm_.read(frames_.frame_addr(pte->frame), dst);
-    } else if (has_backing(vpn)) {
-      std::memcpy(dst.data(), backing_.get(vpn).data(), dst.size());
+    const auto pte = pt_.lookup(vpn * page);
+    if (pte) pm_.read(frames_.frame_addr(pte->frame), dst);
+    if (!has_backing(vpn)) continue;
+    const u64 bytes = slot_page_bytes();
+    for (u64 c = 0; c < slot_chunks(); ++c) {
+      u8*& held = slot(vpn)[c];
+      if (!pte) std::memcpy(dst.data() + c * bytes, held, bytes);
+      pm_.give_page(held);
+      held = nullptr;
     }
-    if (has_backing(vpn)) backing_.at(vpn) = {};
   }
   FileRegion region{first_vpn, pages, &file, offset / page, shared};
   const auto pos = std::upper_bound(
@@ -98,8 +114,9 @@ void AddressSpace::sync_page(u64 vpn) {
     ++copied_pages_;
   } else {
     // Anonymous page, or a private file page whose modifications must land
-    // in the process-local copy — never in the shared file.
-    save_page(vpn, pa);
+    // in the process-local copy — never in the shared file. The page stays
+    // resident, so its bytes are copied.
+    save_page(vpn, pa, /*move=*/false);
   }
 }
 
@@ -129,12 +146,16 @@ u64 AddressSpace::map_page(VirtAddr va, bool writable) {
     throw std::runtime_error("AddressSpace: out of physical frames and nothing reclaimable");
   const PhysAddr pa = frames_.frame_addr(*frame);
   // Fill order: a saved anonymous/private copy wins over the file (it holds
-  // the page's private modifications), the file wins over zero-fill. A
-  // frame filled from its saved copy matches it until something writes it.
-  if (const auto& saved = backing_.get(vpn); !saved.empty()) {
-    pm_.write(pa, std::span<const u8>(saved.data(), saved.size()));
-    if (tracks_saves()) pm_.mark_saved(pa, page);
-    ++copied_pages_;
+  // the page's private modifications), the file wins over zero-fill. The
+  // fresh frame is this space's alone, so a saved copy moves in whole.
+  if (has_backing(vpn)) {
+    const std::span<u8*> pages = slot(vpn);
+    if (moves_pages()) {
+      pm_.swap_pages(pa, pages);
+    } else {
+      pm_.write(pa, std::span<const u8>(pages[0], page));
+      ++copied_pages_;
+    }
   } else if (fp) {
     pm_.write(pa, fp->file->block_data(fp->block));
   } else {
@@ -164,14 +185,16 @@ u64 AddressSpace::evict(VirtAddr va, u64 bytes) {
     const PhysAddr pa = frames_.frame_addr(pte.frame);
     const u64 vpn = p / page;
     const auto fp = file_page(vpn);
+    // A frame no other space maps is freed below, so its bytes can move.
+    const bool move = moves_pages() && frames_.refcount(pte.frame) == 1;
     if (!fp) {
       // Anonymous: contents always survive in the backing store.
-      save_page(vpn, pa);
+      save_page(vpn, pa, move);
     } else if (!fp->shared) {
       // Private file page: save the process-local copy once it diverges (or
       // has diverged before — a pageout-cleaned page is clean in the PTE but
       // its truth lives in the backing store, which must stay fresh).
-      if (pte.dirty || has_backing(vpn)) save_page(vpn, pa);
+      if (pte.dirty || has_backing(vpn)) save_page(vpn, pa, move);
     } else {
       // Shared file page: dirty writes back to the file; clean drops free.
       if (pte.dirty) pm_.read(pa, fp->file->block_data(fp->block));
@@ -194,7 +217,15 @@ u64 AddressSpace::fork_from(AddressSpace& parent) {
           "fork_from target must be a fresh address space");
   brk_ = parent.brk_;
   regions_ = parent.regions_;
-  backing_ = parent.backing_;  // inherited swap/file-divergence copies
+  // Inherited swap/file-divergence copies, page by page.
+  const u64 bytes = slot_page_bytes();
+  for (u64 i = 0; i < parent.backing_.size(); ++i) {
+    if (const u8* page = parent.backing_.get(i)) {
+      u8* copy = pm_.take_page();
+      std::memcpy(copy, page, bytes);
+      backing_.at(i) = copy;
+    }
+  }
   const u64 page = page_bytes();
   u64 shared = 0;
   parent.resident_vpns_.for_each([&](u64 vpn) {

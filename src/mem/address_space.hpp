@@ -7,8 +7,18 @@
 // are evicted keep their bytes here, and demand-mapping restores them,
 // which is how the residency-sweep experiments create cold pages with real
 // content.
+//
+// A backing slot is one PhysicalMemory host page per 4 KiB chunk of a page
+// (one page, partly used, below 4 KiB). A swap-in, and the eviction of a
+// frame mapped only here, move the page: PhysicalMemory::swap_pages trades
+// the frame's host pages with the slot's. Frames still shared with another
+// space, pages under 4 KiB, sync_page, bind_file, fork_from, file fills,
+// COW splits and DMA copy bytes instead. A page that is not resident always
+// has its current bytes in its slot; a resident page's slot holds whatever
+// the frame held before (nothing reads it until the next save).
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <vector>
@@ -57,6 +67,11 @@ class AddressSpace {
  public:
   AddressSpace(PhysicalMemory& pm, FrameAllocator& frames, const PageTableConfig& cfg,
                VirtAddr heap_base = 0x0001'0000);
+  /// Returns the backing slots' host pages to `pm`, which must outlive it.
+  ~AddressSpace();
+
+  AddressSpace(const AddressSpace&) = delete;
+  AddressSpace& operator=(const AddressSpace&) = delete;
 
   PageTable& page_table() noexcept { return pt_; }
   const PageTable& page_table() const noexcept { return pt_; }
@@ -196,7 +211,7 @@ class AddressSpace {
 
   /// True when the backing store holds saved contents for the page (it has
   /// been evicted at least once).
-  bool has_backing(u64 vpn) const { return !backing_.get(vpn).empty(); }
+  bool has_backing(u64 vpn) const { return backing_.get(vpn * slot_chunks()) != nullptr; }
 
   /// Page-pin refcounts: a hardware port holds a pin across each in-flight
   /// access (translate -> bus completion), and replacement policies skip
@@ -230,15 +245,27 @@ class AddressSpace {
     bool shared = false;
   };
 
-  std::vector<u8>& backing_page(u64 vpn);
+  /// Host pages per backing slot: one per chunk of a page, at least one.
+  u64 slot_chunks() const noexcept {
+    return std::max<u64>(1, page_bytes() / PhysicalMemory::kChunkBytes);
+  }
 
-  /// Copies the resident frame at `pa` into vpn's backing copy, unless that
-  /// copy is already current (see backing_).
-  void save_page(u64 vpn, PhysAddr pa);
+  /// Bytes of a slot's host page a page uses.
+  u64 slot_page_bytes() const noexcept {
+    return std::min(page_bytes(), PhysicalMemory::kChunkBytes);
+  }
 
-  /// True when frames are whole PhysicalMemory chunks, so their saved bits
-  /// belong to them alone.
-  bool tracks_saves() const noexcept { return page_bytes() >= PhysicalMemory::kChunkBytes; }
+  /// True when frames are whole chunks, so swap_pages can move them.
+  bool moves_pages() const noexcept { return page_bytes() >= PhysicalMemory::kChunkBytes; }
+
+  /// vpn's slot, growing the table to hold it; entries are null until the
+  /// first save.
+  std::span<u8*> slot(u64 vpn);
+
+  /// Saves the resident frame at `pa` into vpn's slot: a move when `move`
+  /// (the frame is about to be freed and no other space maps it), else a
+  /// copy.
+  void save_page(u64 vpn, PhysAddr pa, bool move);
 
   /// One software access's page: kHit sets `pa` to the physical address of
   /// `va` and, when an observer or a file region consumes them, the PTE's
@@ -253,15 +280,10 @@ class AddressSpace {
   FrameAllocator& frames_;
   PageTable pt_;
   VirtAddr brk_;
-  // vpn -> saved page contents (swap, or a private file page's divergent
-  // copy); an empty vector means none. A frame that map_page filled from
-  // its copy is marked saved in PhysicalMemory, and any later write to the
-  // frame, from software, the bus or DMA, clears the mark: evict skips
-  // the frame -> copy transfer while the mark holds, so a clean page is not
-  // re-saved. The simulated PTE dirty bit plays no part (hardware A/D
-  // tracking can be off). Only the fill marks: a frame still shared after
-  // one space saved it may differ from another sharer's older copy.
-  IndexTable<std::vector<u8>> backing_;
+  // vpn * slot_chunks() + i -> host page i of vpn's backing slot (swap, or
+  // a private file page's divergent copy); null until the first save, and
+  // never null again until bind_file drops the slot.
+  IndexTable<u8*> backing_;
   std::vector<FileRegion> regions_;  // sorted by first_vpn, non-overlapping
   // vpn -> in-flight access count. A count that drops to 0 keeps its entry,
   // so pinning a page again (once per port access) never allocates.

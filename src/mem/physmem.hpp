@@ -4,29 +4,29 @@
 // DramModel/MemoryBus; every component that completes a memory transaction
 // reads or writes its data here at completion time.
 //
-// Storage model: one private anonymous host mapping of the full memory size,
-// made with MAP_NORESERVE. The host reserves `size()` bytes of address space
-// but commits none of it up front; its kernel supplies a zero-filled page on
-// the first write to each host page, and reads of never-written pages see
-// zeros. A multi-GiB simulated DRAM therefore costs host memory only for the
-// pages the simulation actually writes, and every access is one bounds check
-// plus one memcpy/memset — no per-chunk lookup. A bitmap of written 4 KiB
-// chunks backs touched_chunks(). Hosts that disable overcommit
-// (vm.overcommit_memory=2) ignore MAP_NORESERVE and charge the full size
-// against the commit limit for every instance.
+// Storage model: a table of host pages, one pointer per 4 KiB chunk of
+// simulated memory. A chunk without a host page reads as zeros; the first
+// write to it takes a zeroed page. The table itself is one private
+// anonymous MAP_NORESERVE mapping, so only the table pages that cover
+// touched chunks are ever committed. Every access is one bounds check, one
+// table load and one memcpy/memset per chunk it spans.
 //
-// Saved bits: a second bitmap holds one "saved" bit per chunk, all clear at
-// construction. mark_saved() sets them for whole chunks whose bytes the
-// caller has just filled from a host-side copy; every write, copy
-// or clear that lands in a chunk clears its bit again, whoever issues it —
-// a software store, a bus or DMA completion, a page-table update. While
-// saved() holds, the range is byte-identical to that copy, which is how the
-// address space skips re-saving an unmodified page at eviction without
-// trusting the simulated PTE dirty bit.
+// The host pages come from a pool the memory owns: a free list of returned
+// pages in front of arenas reserved with MAP_NORESERVE (the first, of the
+// memory's size, at construction; more of the same size as they fill), so
+// a multi-GiB simulated DRAM costs host memory only for the pages handed
+// out. Hosts that disable overcommit (vm.overcommit_memory=2) ignore
+// MAP_NORESERVE and charge each arena against the commit limit.
+//
+// The pool also stocks the address spaces' backing stores: a backing slot
+// is one host page per chunk of a simulated page (take_page/give_page), and
+// swap_pages exchanges a whole-chunk frame's host pages with a slot's, which
+// moves a page between DRAM and its slot without copying a byte.
 #pragma once
 
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/units.hpp"
@@ -43,29 +43,33 @@ class PhysicalMemory {
 
   u64 size() const noexcept { return size_; }
 
+  /// Granularity of the host-page table: one host page per chunk.
+  static constexpr u64 kChunkBytes = 4 * KiB;
+
   /// Reads `out.size()` bytes starting at `addr`. Untouched memory reads as
   /// zero. Throws std::out_of_range past the end of memory.
   void read(PhysAddr addr, std::span<u8> out) const {
     check_range(addr, out.size());
-    if (!out.empty()) std::memcpy(out.data(), base_ + addr, out.size());
+    if (out.empty()) return;
+    const u64 off = addr % kChunkBytes;
+    if (off + out.size() > kChunkBytes) return read_chunks(addr, out);
+    if (const u8* p = table_[addr / kChunkBytes])
+      std::memcpy(out.data(), p + off, out.size());
+    else
+      std::memset(out.data(), 0, out.size());
   }
 
   void write(PhysAddr addr, std::span<const u8> data) {
     check_range(addr, data.size());
     if (data.empty()) return;
-    mark_written(addr, data.size());
-    std::memcpy(base_ + addr, data.data(), data.size());
+    const u64 off = addr % kChunkBytes;
+    if (off + data.size() > kChunkBytes) return write_chunks(addr, data);
+    std::memcpy(chunk(addr / kChunkBytes) + off, data.data(), data.size());
   }
 
   /// Copies `bytes` from `src` to `dst` (ranges may overlap), as a read
   /// into a buffer followed by a write would, without the buffer.
-  void copy(PhysAddr src, PhysAddr dst, u64 bytes) {
-    check_range(src, bytes);
-    check_range(dst, bytes);
-    if (bytes == 0) return;
-    mark_written(dst, bytes);
-    std::memmove(base_ + dst, base_ + src, bytes);
-  }
+  void copy(PhysAddr src, PhysAddr dst, u64 bytes);
 
   /// Typed helpers for naturally aligned scalar access.
   template <typename T>
@@ -83,29 +87,35 @@ class PhysicalMemory {
   u64 read_u64(PhysAddr addr) const { return read_scalar<u64>(addr); }
   void write_u64(PhysAddr addr, u64 v) { write_scalar<u64>(addr, v); }
 
-  /// Zeroes a range (releases nothing; just clears contents).
-  void clear(PhysAddr addr, u64 bytes) {
-    check_range(addr, bytes);
-    if (bytes == 0) return;
-    mark_written(addr, bytes);
-    std::memset(base_ + addr, 0, bytes);
-  }
+  /// Zeroes a range. A whole chunk gives its host page back to the pool.
+  void clear(PhysAddr addr, u64 bytes);
 
-  /// Number of 4 KiB chunks ever written or cleared (for tests / memory
-  /// footprint introspection). Reads never count.
+  /// Number of 4 KiB chunks that hold a host page: written since they were
+  /// last cleared whole or swapped with an empty slot entry. Reads never
+  /// count.
   std::size_t touched_chunks() const noexcept { return touched_; }
 
-  /// Granularity of the written and saved bitmaps.
-  static constexpr u64 kChunkBytes = 4 * KiB;
+  /// Host pages handed out and not yet returned: the chunks' and every
+  /// backing slot's.
+  std::size_t pool_pages() const noexcept { return handed_out_; }
 
-  /// Sets the saved bit of every chunk in [addr, addr + bytes): the range
-  /// now matches a host-side copy. It must be whole chunks: nonzero,
-  /// chunk-aligned at both ends.
-  void mark_saved(PhysAddr addr, u64 bytes);
+  /// A host page of kChunkBytes from the pool; its contents are unspecified.
+  u8* take_page();
 
-  /// True when every chunk of the whole-chunk range [addr, addr + bytes) is
-  /// saved: nothing has written it since mark_saved.
-  bool saved(PhysAddr addr, u64 bytes) const;
+  /// Returns a host page from take_page (or one swap_pages placed in a
+  /// slot) to the pool.
+  void give_page(u8* page) {
+    free_.push_back(page);
+    --handed_out_;
+  }
+
+  /// Exchanges the host pages of the whole-chunk range starting at `addr`
+  /// (one chunk per `slot` entry, chunk-aligned) with `slot`'s: the range's
+  /// bytes move into the slot and the slot's into the range, and no byte is
+  /// copied. A null slot entry reads as zeros, like a chunk without a page;
+  /// an entry that would come back null gets a zeroed page, so after a swap
+  /// every slot entry holds a page.
+  void swap_pages(PhysAddr addr, std::span<u8*> slot);
 
  private:
   void check_range(PhysAddr addr, u64 bytes) const {
@@ -114,29 +124,32 @@ class PhysicalMemory {
   }
   [[noreturn]] void throw_out_of_range(PhysAddr addr, u64 bytes) const;
 
-  /// Sets the written bit and clears the saved bit of every chunk in
-  /// [addr, addr + bytes), bytes > 0.
-  void mark_written(PhysAddr addr, u64 bytes) {
-    const u64 last = (addr + bytes - 1) / kChunkBytes;
-    for (u64 c = addr / kChunkBytes; c <= last; ++c) {
-      u64& word = written_[c / 64];
-      const u64 bit = 1ull << (c % 64);
-      if ((word & bit) == 0) {
-        word |= bit;
-        ++touched_;
-      }
-      saved_[c / 64] &= ~bit;
+  /// Chunk `c`'s host page, taking a zeroed one if it has none.
+  u8* chunk(u64 c) {
+    u8*& p = table_[c];
+    if (p == nullptr) [[unlikely]] {
+      p = take_zero_page();
+      ++touched_;
     }
+    return p;
   }
 
-  /// Validates a whole-chunk range for the saved-bit calls.
-  void check_chunks(PhysAddr addr, u64 bytes) const;
+  u8* take_zero_page();
+  void read_chunks(PhysAddr addr, std::span<u8> out) const;
+  void write_chunks(PhysAddr addr, std::span<const u8> data);
+  void map_arena();
 
   u64 size_;
-  u8* base_ = nullptr;
-  std::vector<u64> written_;  ///< one bit per chunk
-  std::vector<u64> saved_;    ///< one bit per chunk
+  u8** table_ = nullptr;  ///< one host page (or null) per chunk
+  u64 table_bytes_ = 0;
   std::size_t touched_ = 0;
+  // The pool: returned pages first, then the unused tail of the newest
+  // arena, whose pages are still zero.
+  std::vector<u8*> free_;
+  std::vector<u8*> arenas_;
+  u8* next_ = nullptr;
+  u8* end_ = nullptr;
+  std::size_t handed_out_ = 0;
 };
 
 }  // namespace vmsls::mem

@@ -207,9 +207,10 @@ TEST_F(AllocFreeFixture, SoftwareAccessToResidentPagesDoesNotAllocate) {
 
 TEST_F(AllocFreeFixture, EvictMapCycleDoesNotAllocate) {
   // Every page is pinned and unpinned, evicted and mapped back; odd pages
-  // are written in between (a fresh save), even pages are not (the saved
-  // copy is current and the save is skipped). Warm-up sizes the vpn-indexed
-  // backing store and pin table; after it neither grows.
+  // are written in between, even pages are not. Either way the eviction
+  // moves the frame's host page into the backing slot and the map moves it
+  // back, so no host page is taken or returned. Warm-up sizes the
+  // vpn-indexed backing store and pin table; after it neither grows.
   auto cycle = [&](u64 value) {
     for (unsigned p = 0; p < kPages; ++p) {
       const VirtAddr va = base + p * 4096ull;

@@ -122,6 +122,26 @@ TEST_F(FileRegionFixture, PrivateWritesDivergeToSwapAndNeverReachTheFile) {
   EXPECT_EQ(ms.as.read_u64(base), 0xBEEF);     // and the mapper sees it
 }
 
+TEST_F(FileRegionFixture, SyncedPrivatePageKeepsItsDivergentBytesThroughEviction) {
+  mem::BackingFile& f = make_file(2);
+  const VirtAddr base = ms.as.mmap(f, 0, 2 * kPage, /*shared=*/false);
+  const u64 vpn = base >> 12;
+  ms.as.write_u64(base, 0xD1FF);
+  ms.as.sync_page(vpn);  // the pageout daemon's clean: a copy into the slot
+  EXPECT_TRUE(ms.as.has_backing(vpn));
+  EXPECT_EQ(ms.as.copied_pages(), 1u);
+  ASSERT_TRUE(ms.as.page_table().test_and_clear_dirty(base));
+  ms.as.write_u64(base + 8, 0xD2FF);  // written again after the clean
+  ASSERT_TRUE(ms.as.page_table().test_and_clear_dirty(base));
+  process.evict(base, kPage);  // clean in the PTE, yet saved: it has a slot
+  EXPECT_EQ(ms.as.copied_pages(), 1u);  // the eviction moved the page
+  EXPECT_EQ(ms.as.read_u64(base), 0xD1FFu);
+  EXPECT_EQ(ms.as.read_u64(base + 8), 0xD2FFu);
+  u64 word = 0;
+  f.read(0, std::span<u8>(reinterpret_cast<u8*>(&word), 8));
+  EXPECT_EQ(word, tag(0));  // the file never sees a private page's bytes
+}
+
 TEST_F(FileRegionFixture, BindFileCapturesExistingAnonContents) {
   // Binding after setup (the fig13 "write the input, then publish it as a
   // file" flow): resident bytes win and become the file's contents.

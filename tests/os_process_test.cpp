@@ -202,30 +202,29 @@ TEST_F(OsFixture, ShootdownAllFlushesEverything) {
 
 // --- eviction and saved copies ---
 //
-// An evicted page's bytes go to the backing store; a page mapped back from
-// it is marked saved, and evicting it again skips the copy while nothing has
-// written the frame. The evidence is PhysicalMemory's write tracking, never
-// the PTE dirty bit: none of the writes below sets it (no observer, no file
-// region, hardware A/D tracking off), yet every one must survive.
+// An evicted page's bytes go to the backing store and come back when it is
+// mapped again: moved, for a frame no other space maps, copied otherwise.
+// Every eviction saves; the PTE dirty bit plays no part, and none of the
+// writes below sets it (no observer, no file region, hardware A/D tracking
+// off), yet every one must survive.
 
-TEST_F(OsFixture, RemappedPageIsSavedUntilItsFrameIsWritten) {
+TEST_F(OsFixture, EvictedPagesMoveToTheirSlotAndBack) {
   make();
   const VirtAddr va = ms.as.alloc(4096, 4096);
   ms.as.write_u64(va, 1);
-  EXPECT_FALSE(ms.pm.saved(*ms.as.translate(va), 4096));  // zero-filled, never saved
   ASSERT_EQ(process->evict(va, 4096), 1u);
+  EXPECT_TRUE(ms.as.has_backing(va / 4096));
   process->map_in(va);
-  EXPECT_TRUE(ms.pm.saved(*ms.as.translate(va), 4096));
-  EXPECT_EQ(ms.as.read_u64(va), 1u);  // reads leave the mark
-  EXPECT_TRUE(ms.pm.saved(*ms.as.translate(va), 4096));
+  EXPECT_TRUE(ms.as.has_backing(va / 4096));  // the slot stays, holding the frame's old page
+  EXPECT_EQ(ms.as.read_u64(va), 1u);
   ms.as.write_u64(va + 8, 2);
-  EXPECT_FALSE(ms.pm.saved(*ms.as.translate(va), 4096));
   // An unmodified round trip keeps the bytes too.
   ASSERT_EQ(process->evict(va, 4096), 1u);
   process->map_in(va);
   ASSERT_EQ(process->evict(va, 4096), 1u);
   EXPECT_EQ(ms.as.read_u64(va), 1u);
   EXPECT_EQ(ms.as.read_u64(va + 8), 2u);
+  EXPECT_EQ(ms.as.copied_pages(), 0u);  // every save and fill was a move
 }
 
 TEST_F(OsFixture, EvictResavesAFrameWrittenBehindThePte) {
@@ -276,6 +275,24 @@ TEST_F(OsFixture, EvictResavesAHardwareWriteWithAdTrackingOff) {
   EXPECT_EQ(ms.as.read_u64(va + 16), 2u);
 }
 
+TEST_F(OsFixture, AForkSharedFrameEvictedByOneSharerIsCopied) {
+  make();
+  mem::AddressSpace child_as(ms.pm, ms.frames, mem::PageTableConfig{});
+  Process child(ms.sim, child_as, "child");
+  const VirtAddr va = ms.as.alloc(4096, 4096);
+  ms.as.write_u64(va, 1);
+  ASSERT_EQ(process->fork(child), 1u);
+  // The parent's eviction leaves the child mapping the frame: a copy.
+  ASSERT_EQ(process->evict(va, 4096), 1u);
+  EXPECT_EQ(ms.as.copied_pages(), 1u);
+  EXPECT_EQ(child_as.read_u64(va), 1u);
+  // The child is now the frame's only mapping: its eviction moves.
+  ASSERT_EQ(child.evict(va, 4096), 1u);
+  EXPECT_EQ(child_as.copied_pages(), 0u);
+  EXPECT_EQ(child_as.read_u64(va), 1u);
+  EXPECT_EQ(ms.as.read_u64(va), 1u);
+}
+
 TEST_F(OsFixture, ForkSharedFramesEvictedFromBothSpacesKeepTheirBytes) {
   make();
   mem::AddressSpace child_as(ms.pm, ms.frames, mem::PageTableConfig{});
@@ -301,9 +318,9 @@ TEST_F(OsFixture, ForkSharedFramesEvictedFromBothSpacesKeepTheirBytes) {
   }
 }
 
-TEST(SubChunkPages, EvictAlwaysSavesAPageSmallerThanAChunk) {
-  // 1 KiB pages share a 4 KiB saved bit with their neighbours, so the bit
-  // cannot speak for one page: these pages are saved on every eviction.
+TEST(SubChunkPages, PagesSmallerThanAChunkAreCopied) {
+  // 1 KiB pages share a 4 KiB host page with their neighbours, so they
+  // cannot move: every save and every fill from a slot copies.
   MemorySystem ms{mem::PageTableConfig{32, 10}};
   const VirtAddr va = ms.as.alloc(2 * 1024, 1024);
   ms.as.write_u64(va, 1);
@@ -315,6 +332,29 @@ TEST(SubChunkPages, EvictAlwaysSavesAPageSmallerThanAChunk) {
   EXPECT_EQ(ms.as.read_u64(va), 1u);
   EXPECT_EQ(ms.as.read_u64(va + 8), 3u);
   EXPECT_EQ(ms.as.read_u64(va + 1024), 2u);
+  // Saves: 2 + 1; fills: map_page, then the two reads that map back.
+  EXPECT_EQ(ms.as.copied_pages(), 6u);
+}
+
+TEST(HugePages, A2MiBPageMovesAsOneSlotOf512HostPages) {
+  MemorySystem ms{mem::PageTableConfig{32, 21}};
+  constexpr u64 kHuge = 2 * MiB;
+  constexpr u64 kOffsets[] = {0, 300 * 4096 + 8, kHuge - 8};  // first, a middle, last chunk
+  const VirtAddr va = ms.as.alloc(kHuge, kHuge);
+  for (const u64 off : kOffsets) ms.as.write_u64(va + off, off + 1);
+  const std::size_t chunks = ms.pm.touched_chunks();
+  ASSERT_EQ(ms.as.evict(va, kHuge), 1u);
+  EXPECT_TRUE(ms.as.has_backing(va / kHuge));
+  EXPECT_EQ(ms.pm.touched_chunks(), chunks - 3);  // the frame's pages left with it
+  ms.as.map_page(va);
+  for (const u64 off : kOffsets) EXPECT_EQ(ms.as.read_u64(va + off), off + 1) << off;
+  EXPECT_EQ(ms.as.read_u64(va + 4096), 0u);  // a chunk never written is still zero
+  EXPECT_EQ(ms.as.copied_pages(), 0u);
+  // Written again and evicted again: the new bytes win.
+  ms.as.write_u64(va + 4096, 7);
+  ASSERT_EQ(ms.as.evict(va, kHuge), 1u);
+  EXPECT_EQ(ms.as.read_u64(va + 4096), 7u);
+  EXPECT_EQ(ms.as.read_u64(va), 1u);
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+#include <vector>
+
 #include "mem/frames.hpp"
 #include "mem/physmem.hpp"
 
@@ -84,42 +89,93 @@ TEST(PhysicalMemory, ReadOfUnwrittenRangeIsZeroAndUntouched) {
   EXPECT_EQ(pm.touched_chunks(), 0u);
 }
 
-TEST(PhysicalMemory, SavedBitsStartClearAndCoverWholeChunks) {
+TEST(PhysicalMemory, ClearingAWholeChunkReturnsItsPage) {
   PhysicalMemory pm(1 * MiB);
-  EXPECT_FALSE(pm.saved(0, 4096));
-  pm.mark_saved(4096, 2 * 4096);
-  EXPECT_TRUE(pm.saved(4096, 2 * 4096));
-  EXPECT_TRUE(pm.saved(8192, 4096));
-  EXPECT_FALSE(pm.saved(0, 2 * 4096));       // chunk 0 was never marked
-  EXPECT_FALSE(pm.saved(8192, 2 * 4096));    // nor chunk 3
-  EXPECT_EQ(pm.touched_chunks(), 0u);        // marking writes nothing
+  pm.write_u64(4096 + 8, 1);
+  pm.write_u64(2 * 4096 + 8, 2);
+  EXPECT_EQ(pm.touched_chunks(), 2u);
+  EXPECT_EQ(pm.pool_pages(), 2u);
+  pm.clear(4096, 4096);           // whole chunk: its page goes back
+  pm.clear(2 * 4096 + 8, 4088);   // a partial clear keeps it
+  EXPECT_EQ(pm.touched_chunks(), 1u);
+  EXPECT_EQ(pm.pool_pages(), 1u);
+  EXPECT_EQ(pm.read_u64(4096 + 8), 0u);
+  EXPECT_EQ(pm.read_u64(2 * 4096 + 8), 0u);
+  pm.write_u64(5 * 4096, 3);      // reuses the returned page, zeroed
+  EXPECT_EQ(pm.read_u64(5 * 4096 + 8), 0u);
+  EXPECT_EQ(pm.touched_chunks(), 2u);
+  EXPECT_EQ(pm.pool_pages(), 2u);
 }
 
-TEST(PhysicalMemory, WritesCopiesAndClearsDropTheSavedBit) {
-  PhysicalMemory pm(1 * MiB);
-  pm.mark_saved(0, 8 * 4096);
-  pm.write_u64(4096 + 100, 1);                // chunk 1
-  pm.copy(0, 2 * 4096 + 8, 16);               // destination chunk 2; the source keeps its bit
-  pm.clear(3 * 4096 + 4000, 200);             // straddles chunks 3 and 4
-  pm.write_scalar<u8>(5 * 4096 + 4095, 0xab);  // last byte of chunk 5
-  for (u64 c = 0; c < 8; ++c) EXPECT_EQ(pm.saved(c * 4096, 4096), c == 0 || c >= 6) << c;
-  // Reads keep it.
-  EXPECT_EQ(pm.read_u64(6 * 4096), 0u);
-  EXPECT_TRUE(pm.saved(6 * 4096, 2 * 4096));
-  // A marked chunk can be marked again after a write.
-  pm.mark_saved(4096, 4096);
-  EXPECT_TRUE(pm.saved(4096, 4096));
+TEST(PhysicalMemory, SpansMatchAFlatModelAcrossChunkBoundaries) {
+  // Every operation is mirrored on a flat byte array; overlapping copies
+  // must behave as a read into a buffer followed by a write.
+  constexpr u64 kBytes = 8 * 4096;
+  PhysicalMemory pm(kBytes);
+  std::vector<u8> model(kBytes, 0);
+  std::vector<u8> data(3 * 4096 + 100);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<u8>(i * 7 + 1);
+  const auto expect_model = [&](const char* step) {
+    std::vector<u8> back(kBytes);
+    pm.read(0, std::span<u8>(back.data(), back.size()));
+    EXPECT_EQ(back, model) << step;
+  };
+  const auto write = [&](u64 at, u64 n) {
+    pm.write(at, std::span<const u8>(data.data(), n));
+    std::copy_n(data.begin(), n, model.begin() + at);
+  };
+  const auto copy = [&](u64 src, u64 dst, u64 n) {
+    pm.copy(src, dst, n);
+    const std::vector<u8> tmp(model.begin() + src, model.begin() + src + n);
+    std::copy(tmp.begin(), tmp.end(), model.begin() + dst);
+  };
+  write(4000, data.size());
+  expect_model("write");
+  copy(4000, 4000 + 1000, 2 * 4096);  // overlapping, destination above
+  expect_model("copy up");
+  copy(5000, 3000, 2 * 4096);         // overlapping, destination below
+  expect_model("copy down");
+  copy(6 * 4096 + 10, 100, 5000);     // from chunks never written: zeros
+  expect_model("copy zeros");
+  copy(100, 6 * 4096, 4096);          // into chunks that have no page yet
+  expect_model("copy into untouched");
+  pm.clear(3000, 2 * 4096 + 500);     // a partial, a whole and a partial chunk
+  std::fill_n(model.begin() + 3000, 2 * 4096 + 500, 0);
+  expect_model("clear");
 }
 
-TEST(PhysicalMemory, SavedBitRangesMustBeWholeChunks) {
-  PhysicalMemory pm(64 * KiB);
-  EXPECT_THROW(pm.mark_saved(0, 0), std::invalid_argument);
-  EXPECT_THROW(pm.mark_saved(0, 100), std::invalid_argument);
-  EXPECT_THROW(pm.mark_saved(512, 4096), std::invalid_argument);
-  EXPECT_THROW(pm.mark_saved(4096, 2048), std::invalid_argument);
-  EXPECT_THROW(pm.saved(512, 4096), std::invalid_argument);
-  EXPECT_THROW(pm.mark_saved(60 * KiB, 8 * KiB), std::out_of_range);
-  EXPECT_NO_THROW(pm.mark_saved(60 * KiB, 4 * KiB));
+TEST(PhysicalMemory, SwapPagesMovesBytesWithoutCopying) {
+  PhysicalMemory pm(1 * MiB);
+  pm.write_u64(4096 + 16, 0xabcd);
+  pm.write_u64(3 * 4096, 0x1234);
+  // Save chunks 1..3 into an empty three-entry slot.
+  std::vector<u8*> slot(3, nullptr);
+  pm.swap_pages(4096, slot);
+  for (u8* p : slot) ASSERT_NE(p, nullptr);  // chunk 2 had no page: the slot got a zeroed one
+  u64 word = 0;
+  std::memcpy(&word, slot[0] + 16, 8);
+  EXPECT_EQ(word, 0xabcdu);
+  std::memcpy(&word, slot[1], 8);
+  EXPECT_EQ(word, 0u);
+  std::memcpy(&word, slot[2], 8);
+  EXPECT_EQ(word, 0x1234u);
+  const u8* saved_page = slot[0];
+  EXPECT_EQ(pm.read_u64(4096 + 16), 0u);  // the frame is empty again
+  EXPECT_EQ(pm.touched_chunks(), 0u);
+  EXPECT_EQ(pm.pool_pages(), 3u);
+  // Fill another frame from the slot: the same host page lands there.
+  pm.swap_pages(8 * 4096, slot);
+  EXPECT_EQ(pm.read_u64(8 * 4096 + 16), 0xabcdu);
+  EXPECT_EQ(pm.read_u64(10 * 4096), 0x1234u);
+  EXPECT_EQ(pm.touched_chunks(), 3u);
+  for (u8* p : slot) EXPECT_NE(p, nullptr);  // never empty once saved
+  EXPECT_NE(slot[0], saved_page);  // it holds the target frame's old (zeroed) pages
+  EXPECT_EQ(pm.pool_pages(), 6u);
+  for (u8* p : slot) pm.give_page(p);
+  EXPECT_EQ(pm.pool_pages(), 3u);
+  // Whole, aligned chunks only.
+  EXPECT_THROW(pm.swap_pages(100, slot), std::invalid_argument);
+  EXPECT_THROW(pm.swap_pages(1 * MiB - 4096, slot), std::out_of_range);
 }
 
 // --- frame allocator ---
