@@ -7,6 +7,7 @@
 
 #include "hwt/builder.hpp"
 #include "sls/synthesis.hpp"
+#include "test_util.hpp"
 
 namespace vmsls::sls {
 namespace {
@@ -107,7 +108,7 @@ TEST(NetlistEmission, InstanceCountsScaleWithThreads) {
   app.add_mailbox("done", 8);
   std::size_t prev = 0;
   for (int t = 0; t < 3; ++t) {
-    app.add_hw_thread("t" + std::to_string(t), mem_kernel("k" + std::to_string(t)),
+    app.add_hw_thread(test::numbered("t", t), mem_kernel(test::numbered("k", t)),
                       {"args", "done"});
     const auto image = flow.synthesize(app);
     EXPECT_GT(image.netlist().instance_count(), prev);

@@ -333,7 +333,7 @@ GroupSnapshot run_group_scenario(paging::BudgetMode mode, unsigned oversub_pct) 
     sls::SynthesisFlow flow(proc_plat);
     auto app = workloads::single_thread_app(wls[i], sls::ThreadKind::kHardware);
     const auto image = flow.synthesize(app);
-    auto& system = group.add_process(image, "p" + std::to_string(i));
+    auto& system = group.add_process(image, test::numbered("p", i));
     wls[i].setup(system);
     // Cold start: every buffer page must come back through the timed fault
     // path under the shared budget.

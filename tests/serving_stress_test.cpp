@@ -16,6 +16,7 @@
 
 #include "sls/process_group.hpp"
 #include "sls/traffic.hpp"
+#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 namespace vmsls::sls {
@@ -67,7 +68,7 @@ TrafficDriver::Report run_once(const PlatformSpec& plat, unsigned workers) {
     SynthesisFlow flow(proc_plat);
     group.add_process(
         flow.synthesize(workloads::single_thread_app(wl, ThreadKind::kHardware)),
-        "p" + std::to_string(i));
+        test::numbered("p", i));
   }
   TrafficDriver driver(group, plat.traffic);
   const auto rep = driver.run();

@@ -95,7 +95,7 @@ std::vector<Scenario> small_grid() {
 std::vector<sls::Shard> make_shards(const std::vector<Scenario>& grid) {
   std::vector<sls::Shard> shards;
   for (std::size_t i = 0; i < grid.size(); ++i)
-    shards.push_back({"g" + std::to_string(i),
+    shards.push_back({test::numbered("g", i),
                       [&grid, i](sim::Simulator& sim) { run_scenario(sim, grid[i]); }});
   return shards;
 }

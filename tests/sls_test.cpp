@@ -6,6 +6,7 @@
 #include "sls/resources.hpp"
 #include "sls/synthesis.hpp"
 #include "sls/system.hpp"
+#include "test_util.hpp"
 #include "workloads/workloads.hpp"
 
 namespace vmsls::sls {
@@ -198,7 +199,7 @@ TEST(Synthesis, SlotBudgetEnforced) {
   PlatformSpec plat = zynq7020();
   plat.max_hw_threads = 2;
   for (int i = 0; i < 3; ++i)
-    app.add_hw_thread("t" + std::to_string(i), trivial_kernel(), {"args", "done"});
+    app.add_hw_thread(test::numbered("t", i), trivial_kernel(), {"args", "done"});
   SynthesisFlow flow(plat);
   EXPECT_THROW(flow.synthesize(app), std::invalid_argument);
 }

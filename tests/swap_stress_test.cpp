@@ -66,7 +66,7 @@ StressSnapshot run_chaos(u64 seed) {
   std::vector<Member> members(kProcs);
   for (unsigned i = 0; i < kProcs; ++i) {
     Member& m = members[i];
-    m.sys = &group.add_process("p" + std::to_string(i));
+    m.sys = &group.add_process(test::numbered("p", i));
     mem::AddressSpace& as = m.sys->address_space();
     // A cold region with known contents: every later touch pays the shared
     // device, and the in-order eviction clusters the slots for readahead.
@@ -153,9 +153,9 @@ TEST(SwapStress, SharedQueueInvariantsHoldAndRunsAreBitIdentical) {
       return it == a.stats.end() ? 0.0 : it->second;
     };
     for (unsigned i = 0; i < kProcs; ++i)
-      prefetches += static_cast<u64>(at("p" + std::to_string(i) + ".pager.prefetches"));
+      prefetches += static_cast<u64>(at(test::numbered("p", i) + ".pager.prefetches"));
     for (unsigned i = 0; i < kProcs; ++i)
-      evictions += static_cast<u64>(at("p" + std::to_string(i) + ".pager.evictions"));
+      evictions += static_cast<u64>(at(test::numbered("p", i) + ".pager.evictions"));
     promotions += static_cast<u64>(at("swap.sched.wb_promotions"));
   }
   // Across the whole gauntlet the machinery under test must have fired.

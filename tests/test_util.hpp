@@ -20,6 +20,13 @@
 
 namespace vmsls::test {
 
+/// `prefix` followed by `i` ("p3"). Built with +=: GCC 12 at -O3 warns
+/// falsely (-Wrestrict) on the inlined `"p" + std::to_string(i)`.
+inline std::string numbered(std::string prefix, u64 i) {
+  prefix += std::to_string(i);
+  return prefix;
+}
+
 /// Simulator + physical memory + DRAM/bus models + one address space, wired
 /// with 4 KiB pages over 64 MiB. Enough substrate for most unit tests.
 struct MemorySystem {
