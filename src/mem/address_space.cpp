@@ -79,11 +79,11 @@ void AddressSpace::bind_file(VirtAddr va, u64 bytes, BackingFile& file, u64 offs
     if (pte) pm_.read(frames_.frame_addr(pte->frame), dst);
     if (!has_backing(vpn)) continue;
     const u64 bytes = slot_page_bytes();
-    for (u64 c = 0; c < slot_chunks(); ++c) {
-      u8*& held = slot(vpn)[c];
-      if (!pte) std::memcpy(dst.data() + c * bytes, held, bytes);
-      pm_.give_page(held);
-      held = nullptr;
+    const std::span<u8*> held = slot(vpn);
+    for (u64 c = 0; c < held.size(); ++c) {
+      if (!pte) std::memcpy(dst.data() + c * bytes, held[c], bytes);
+      pm_.give_page(held[c]);
+      held[c] = nullptr;
     }
   }
   FileRegion region{first_vpn, pages, &file, offset / page, shared};

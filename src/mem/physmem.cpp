@@ -74,6 +74,7 @@ u8* PhysicalMemory::take_zero_page() {
 }
 
 void PhysicalMemory::read_chunks(PhysAddr addr, std::span<u8> out) const {
+  check_range(addr, out.size());
   for (u64 done = 0; done < out.size();) {
     const u64 a = addr + done;
     const u64 n = std::min(kChunkBytes - a % kChunkBytes, out.size() - done);
@@ -86,6 +87,7 @@ void PhysicalMemory::read_chunks(PhysAddr addr, std::span<u8> out) const {
 }
 
 void PhysicalMemory::write_chunks(PhysAddr addr, std::span<const u8> data) {
+  check_range(addr, data.size());
   for (u64 done = 0; done < data.size();) {
     const u64 a = addr + done;
     const u64 n = std::min(kChunkBytes - a % kChunkBytes, data.size() - done);

@@ -49,22 +49,22 @@ class PhysicalMemory {
   /// Reads `out.size()` bytes starting at `addr`. Untouched memory reads as
   /// zero. Throws std::out_of_range past the end of memory.
   void read(PhysAddr addr, std::span<u8> out) const {
-    check_range(addr, out.size());
-    if (out.empty()) return;
-    const u64 off = addr % kChunkBytes;
-    if (off + out.size() > kChunkBytes) return read_chunks(addr, out);
-    if (const u8* p = table_[addr / kChunkBytes])
-      std::memcpy(out.data(), p + off, out.size());
-    else
-      std::memset(out.data(), 0, out.size());
+    if (in_one_chunk(addr, out.size())) [[likely]] {
+      if (const u8* p = table_[addr / kChunkBytes])
+        std::memcpy(out.data(), p + addr % kChunkBytes, out.size());
+      else
+        std::memset(out.data(), 0, out.size());
+      return;
+    }
+    read_chunks(addr, out);
   }
 
   void write(PhysAddr addr, std::span<const u8> data) {
-    check_range(addr, data.size());
-    if (data.empty()) return;
-    const u64 off = addr % kChunkBytes;
-    if (off + data.size() > kChunkBytes) return write_chunks(addr, data);
-    std::memcpy(chunk(addr / kChunkBytes) + off, data.data(), data.size());
+    if (in_one_chunk(addr, data.size()) && !data.empty()) [[likely]] {
+      std::memcpy(chunk(addr / kChunkBytes) + addr % kChunkBytes, data.data(), data.size());
+      return;
+    }
+    write_chunks(addr, data);
   }
 
   /// Copies `bytes` from `src` to `dst` (ranges may overlap), as a read
@@ -124,6 +124,12 @@ class PhysicalMemory {
   }
   [[noreturn]] void throw_out_of_range(PhysAddr addr, u64 bytes) const;
 
+  /// True when [addr, addr + bytes) lies inside memory and within one chunk
+  /// (memory ends on a chunk boundary, so the chunk's start decides).
+  bool in_one_chunk(PhysAddr addr, u64 bytes) const noexcept {
+    return addr < size_ && bytes <= kChunkBytes - addr % kChunkBytes;
+  }
+
   /// Chunk `c`'s host page, taking a zeroed one if it has none.
   u8* chunk(u64 c) {
     u8*& p = table_[c];
@@ -135,6 +141,7 @@ class PhysicalMemory {
   }
 
   u8* take_zero_page();
+  /// read/write for every other range: checked, and split at chunk ends.
   void read_chunks(PhysAddr addr, std::span<u8> out) const;
   void write_chunks(PhysAddr addr, std::span<const u8> data);
   void map_arena();

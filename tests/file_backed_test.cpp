@@ -144,14 +144,23 @@ TEST_F(FileRegionFixture, SyncedPrivatePageKeepsItsDivergentBytesThroughEviction
 
 TEST_F(FileRegionFixture, BindFileCapturesExistingAnonContents) {
   // Binding after setup (the fig13 "write the input, then publish it as a
-  // file" flow): resident bytes win and become the file's contents.
+  // file" flow): resident bytes win and become the file's contents, and
+  // an evicted page's saved copy becomes its block, its slot freed.
   const VirtAddr base = ms.as.alloc(2 * kPage, kPage);
   ms.as.write_u64(base, 0x5EED);
+  ms.as.write_u64(base + kPage, 0x5EEE);
+  process.evict(base + kPage, kPage);
+  ASSERT_TRUE(ms.as.has_backing((base >> 12) + 1));
+  const std::size_t pool_pages = ms.pm.pool_pages();
   mem::BackingFile& f = store.create("captured", 2 * kPage);
   ms.as.bind_file(base, 2 * kPage, f, 0, /*shared=*/true);
   u64 word = 0;
   f.read(0, std::span<u8>(reinterpret_cast<u8*>(&word), 8));
   EXPECT_EQ(word, 0x5EED);
+  f.read(kPage, std::span<u8>(reinterpret_cast<u8*>(&word), 8));
+  EXPECT_EQ(word, 0x5EEE);
+  EXPECT_FALSE(ms.as.has_backing((base >> 12) + 1));
+  EXPECT_EQ(ms.pm.pool_pages(), pool_pages - 1);
   EXPECT_TRUE(ms.as.file_page(base >> 12).has_value());
   EXPECT_THROW(ms.as.bind_file(base, kPage, f, 0, true), std::invalid_argument);  // overlap
 }

@@ -336,6 +336,19 @@ TEST(SubChunkPages, PagesSmallerThanAChunkAreCopied) {
   EXPECT_EQ(ms.as.copied_pages(), 6u);
 }
 
+TEST(BackingSlots, ADestroyedSpaceReturnsItsSlotsToThePool) {
+  MemorySystem ms;
+  {
+    mem::AddressSpace as(ms.pm, ms.frames, mem::PageTableConfig{});
+    const VirtAddr va = as.alloc(4 * 4096, 4096);
+    for (u64 p = 0; p < 4; ++p) as.write_u64(va + p * 4096, p + 1);
+    ASSERT_EQ(as.evict(va, 4 * 4096), 4u);
+    EXPECT_EQ(ms.pm.pool_pages(), ms.pm.touched_chunks() + 4);  // four slot pages
+  }
+  // Only frames' pages (the page tables') are still handed out.
+  EXPECT_EQ(ms.pm.pool_pages(), ms.pm.touched_chunks());
+}
+
 TEST(HugePages, A2MiBPageMovesAsOneSlotOf512HostPages) {
   MemorySystem ms{mem::PageTableConfig{32, 21}};
   constexpr u64 kHuge = 2 * MiB;
