@@ -53,10 +53,9 @@ void PhysicalMemory::map_arena() {
 }
 
 u8* PhysicalMemory::take_page() {
-  u8* p = nullptr;
-  if (!free_.empty()) {
-    p = free_.back();
-    free_.pop_back();
+  u8* p = free_;
+  if (p != nullptr) {
+    std::memcpy(&free_, p, sizeof free_);
   } else {
     if (next_ == end_) map_arena();
     p = next_;
@@ -67,7 +66,7 @@ u8* PhysicalMemory::take_page() {
 }
 
 u8* PhysicalMemory::take_zero_page() {
-  if (free_.empty()) return take_page();  // an arena page nobody has written
+  if (free_ == nullptr) return take_page();  // an arena page nobody has written
   u8* p = take_page();
   std::memset(p, 0, kChunkBytes);
   return p;

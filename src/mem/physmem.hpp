@@ -12,9 +12,10 @@
 // table load and one memcpy/memset per chunk it spans.
 //
 // The host pages come from a pool the memory owns: a free list of returned
-// pages in front of arenas reserved with MAP_NORESERVE (the first, of the
-// memory's size, at construction; more of the same size as they fill), so
-// a multi-GiB simulated DRAM costs host memory only for the pages handed
+// pages (linked through their first bytes, so returning one never
+// allocates) in front of arenas reserved with MAP_NORESERVE (the first, of
+// the memory's size, at construction; more of the same size as they fill),
+// so a multi-GiB simulated DRAM costs host memory only for the pages handed
 // out. Hosts that disable overcommit (vm.overcommit_memory=2) ignore
 // MAP_NORESERVE and charge each arena against the commit limit.
 //
@@ -104,8 +105,9 @@ class PhysicalMemory {
 
   /// Returns a host page from take_page (or one swap_pages placed in a
   /// slot) to the pool.
-  void give_page(u8* page) {
-    free_.push_back(page);
+  void give_page(u8* page) noexcept {
+    std::memcpy(page, &free_, sizeof free_);
+    free_ = page;
     --handed_out_;
   }
 
@@ -150,9 +152,9 @@ class PhysicalMemory {
   u8** table_ = nullptr;  ///< one host page (or null) per chunk
   u64 table_bytes_ = 0;
   std::size_t touched_ = 0;
-  // The pool: returned pages first, then the unused tail of the newest
-  // arena, whose pages are still zero.
-  std::vector<u8*> free_;
+  // The pool: returned pages first (each holds the next one's address),
+  // then the unused tail of the newest arena, whose pages are still zero.
+  u8* free_ = nullptr;
   std::vector<u8*> arenas_;
   u8* next_ = nullptr;
   u8* end_ = nullptr;
