@@ -6,6 +6,7 @@
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace vmsls::mem {
 

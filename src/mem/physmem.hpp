@@ -27,7 +27,6 @@
 
 #include <cstring>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "util/units.hpp"

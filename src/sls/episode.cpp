@@ -90,8 +90,8 @@ void EpisodeDriver::check(std::size_t w, VirtAddr va, u64 read) const {
     return;
   std::ostringstream msg;
   msg << "EpisodeDriver: worker " << w << " (" << wk.process->name() << ") read 0x" << std::hex
-      << read
-      << " at va 0x" << va << ", expected 0x" << s.value << " (the value it last stored there)";
+      << read << " at va 0x" << va << ", expected 0x" << s.value
+      << " (the value it last stored there)";
   throw std::runtime_error(msg.str());
 }
 
