@@ -109,12 +109,33 @@ inline double stat_value(const std::map<std::string, double>& snapshot, const st
   return it == snapshot.end() ? 0.0 : it->second;
 }
 
+/// A section's deterministic host-work counts: the events it handed to the
+/// scheduler (sim::Simulator::events_scheduled()), the run-ahead steps the
+/// scheduler granted it (run_ahead_steps()) and the whole pages its address
+/// spaces copied (sls::ProcessGroup::copied_pages; 0 where a run does not
+/// count them). Take one before and one after, and subtract.
+struct HostWork {
+  u64 scheduled = 0;
+  u64 run_ahead = 0;
+  u64 copied_pages = 0;
+
+  static HostWork of(const sim::Simulator& sim, u64 copied_pages = 0) {
+    return {sim.events_scheduled(), sim.run_ahead_steps(), copied_pages};
+  }
+  HostWork operator-(const HostWork& o) const {
+    return {scheduled - o.scheduled, run_ahead - o.run_ahead, copied_pages - o.copied_pages};
+  }
+  HostWork operator+(const HostWork& o) const {
+    return {scheduled + o.scheduled, run_ahead + o.run_ahead, copied_pages + o.copied_pages};
+  }
+};
+
 struct RunResult {
   Cycles cycles = 0;
   std::map<std::string, double> stats;  // full registry snapshot
   sls::SynthesisReport report;
   u64 events = 0;      // scheduler events executed during the run
-  u64 scheduled = 0;   // events handed to the scheduler during the run
+  HostWork work;       // host work during the run
   double host_ms = 0;  // host wall-clock spent inside run_to_completion
 
   double stat(const std::string& name) const { return stat_value(stats, name); }
@@ -128,9 +149,9 @@ struct RunResult {
 /// against a committed copy.
 class EngineBenchReport {
  public:
-  void add(const std::string& name, Cycles cycles, u64 events, u64 scheduled, u64 copied_pages,
-           u64 faults, double host_ms) {
-    entries_.push_back(Entry{name, cycles, events, scheduled, copied_pages, faults, {}});
+  void add(const std::string& name, Cycles cycles, u64 events, const HostWork& work, u64 faults,
+           double host_ms) {
+    entries_.push_back(Entry{name, cycles, events, work, faults, {}});
     std::cerr << "[host] " << name << " " << host_ms << " ms\n";
   }
 
@@ -154,14 +175,17 @@ class EngineBenchReport {
   }
 
   /// Writes the accumulated entries as a JSON array. Schema per entry:
-  ///   {"name", "cycles", "events", "scheduled", "copied_pages", "faults", extras...}
+  ///   {"name", "cycles", "events", "scheduled", "run_ahead", "copied_pages",
+  ///    "faults", extras...}
   /// "events" is sim::Simulator::events_executed() over the section (the
   /// logical count), "scheduled" its events_scheduled(): the events that
   /// went through the queue, which run-ahead and posted writes avoid.
-  /// "copied_pages" is the whole pages the section's address spaces copied
-  /// on the host (sls::ProcessGroup::copied_pages).
+  /// "run_ahead" is its granted run-ahead steps (run_ahead_steps()), each
+  /// one logical event that ran in place of a queued one. "copied_pages"
+  /// is the whole pages the section's address spaces copied on the host
+  /// (sls::ProcessGroup::copied_pages).
   /// "cycles" is 0 for host-only sections with no simulated-time span, and
-  /// "scheduled" and "copied_pages" are 0 for rows that do not count them.
+  /// the host-work fields are 0 for rows that do not count them.
   void write_json(const std::string& path) const {
     std::ofstream out(path);
     if (!out) throw std::runtime_error("cannot write " + path);
@@ -169,8 +193,9 @@ class EngineBenchReport {
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
       out << "  {\"name\": \"" << e.name << "\", \"cycles\": " << e.cycles
-          << ", \"events\": " << e.events << ", \"scheduled\": " << e.scheduled
-          << ", \"copied_pages\": " << e.copied_pages << ", \"faults\": " << e.faults;
+          << ", \"events\": " << e.events << ", \"scheduled\": " << e.work.scheduled
+          << ", \"run_ahead\": " << e.work.run_ahead
+          << ", \"copied_pages\": " << e.work.copied_pages << ", \"faults\": " << e.faults;
       for (const auto& [key, value] : e.extra) out << ", \"" << key << "\": " << value;
       out << "}" << (i + 1 < entries_.size() ? "," : "") << "\n";
     }
@@ -182,8 +207,7 @@ class EngineBenchReport {
     std::string name;
     Cycles cycles = 0;
     u64 events = 0;
-    u64 scheduled = 0;
-    u64 copied_pages = 0;
+    HostWork work;
     u64 faults = 0;
     std::vector<std::pair<std::string, double>> extra;
   };
@@ -223,12 +247,12 @@ inline RunResult run_image(const workloads::Workload& wl, const sls::SystemImage
 
   RunResult r;
   const u64 events_before = sim.events_executed();
-  const u64 scheduled_before = sim.events_scheduled();
+  const HostWork work_before = HostWork::of(sim);
   WallTimer timer;
   r.cycles = system->run_to_completion(opt.max_cycles);
   r.host_ms = timer.ms();
   r.events = sim.events_executed() - events_before;
-  r.scheduled = sim.events_scheduled() - scheduled_before;
+  r.work = HostWork::of(sim) - work_before;
   if (!wl.verify(*system))
     throw VerificationError("workload '" + wl.name + "' failed verification");
   r.stats = sim.stats().snapshot();
@@ -358,7 +382,7 @@ inline RunResult run_offload(const workloads::Workload& wl, const std::vector<st
   RunResult r;
   const Cycles t0 = sim.now();
   const u64 events_before = sim.events_executed();
-  const u64 scheduled_before = sim.events_scheduled();
+  const HostWork work_before = HostWork::of(sim);
   WallTimer timer;
   copy_buffers(*system, pinned, in, /*to_pinned=*/true);
   for (i64 a : make_args(*system, pinned, seed)) args.put(a, [] {});
@@ -368,7 +392,7 @@ inline RunResult run_offload(const workloads::Workload& wl, const std::vector<st
   r.cycles = sim.now() - t0;
   r.host_ms = timer.ms();
   r.events = sim.events_executed() - events_before;
-  r.scheduled = sim.events_scheduled() - scheduled_before;
+  r.work = HostWork::of(sim) - work_before;
   if (!wl.verify(*system))
     throw VerificationError("workload '" + wl.name + "' failed verification after offload");
 

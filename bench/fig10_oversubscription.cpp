@@ -43,8 +43,7 @@ namespace {
 struct MixResult {
   Cycles cycles = 0;       // makespan: start_all -> last thread halted
   u64 events = 0;          // scheduler events executed over the makespan
-  u64 scheduled = 0;       // events queued over the makespan (host work)
-  u64 copied_pages = 0;    // whole pages copied over the makespan (host work)
+  bench::HostWork work;    // host work over the makespan
   u64 faults = 0;          // aggregate across processes
   u64 swap_ins = 0;
   u64 pool_evictions = 0;  // global mode only
@@ -111,12 +110,10 @@ MixResult run_mix(const MixOptions& opt) {
   group.start_all();
   MixResult r;
   const u64 events_before = sim.events_executed();
-  const u64 scheduled_before = sim.events_scheduled();
-  const u64 copied_before = group.copied_pages();
+  const bench::HostWork work_before = bench::HostWork::of(sim, group.copied_pages());
   r.cycles = group.run_to_completion();
   r.events = sim.events_executed() - events_before;
-  r.scheduled = sim.events_scheduled() - scheduled_before;
-  r.copied_pages = group.copied_pages() - copied_before;
+  r.work = bench::HostWork::of(sim, group.copied_pages()) - work_before;
   // Peak residency before verification: verify's functional reads re-map
   // evicted pages outside the budgeted fault path.
   r.peak_resident = group.pool().peak_resident_pages();
@@ -250,8 +247,7 @@ void run_smoke() {
   bench::WallTimer timer;
   const MixResult r = worked_example();
   bench::EngineBenchReport engine;
-  engine.add("fig10/4p_400_global_clock", r.cycles, r.events, r.scheduled, r.copied_pages,
-             r.faults, timer.ms());
+  engine.add("fig10/4p_400_global_clock", r.cycles, r.events, r.work, r.faults, timer.ms());
   engine.write_json("BENCH_fig10_oversub.json");
 }
 

@@ -96,8 +96,7 @@ struct MixOptions {
 struct MixResult {
   Cycles cycles = 0;  // makespan: start_all -> last thread halted
   u64 events = 0;
-  u64 scheduled = 0;
-  u64 copied_pages = 0;
+  bench::HostWork work;
   double host_ms = 0;
   u64 faults = 0;
   u64 swap_ins = 0;
@@ -180,15 +179,13 @@ MixResult run_mix_on(sim::Simulator& sim, const MixOptions& opt) {
   group.start_all();
   MixResult r;
   const u64 events_before = sim.events_executed();
-  const u64 scheduled_before = sim.events_scheduled();
-  const u64 copied_before = group.copied_pages();
+  const bench::HostWork work_before = bench::HostWork::of(sim, group.copied_pages());
   bench::WallTimer timer;
   r.cycles = group.run_to_completion();
   group.drain(bench::kDrainCycles);
   r.host_ms = timer.ms();
   r.events = sim.events_executed() - events_before;
-  r.scheduled = sim.events_scheduled() - scheduled_before;
-  r.copied_pages = group.copied_pages() - copied_before;
+  r.work = bench::HostWork::of(sim, group.copied_pages()) - work_before;
 
   for (unsigned i = 0; i < opt.processes; ++i)
     if (!wls[i].verify(group.process(i)))
@@ -426,8 +423,8 @@ void run_smoke(const bench::Cli& cli) {
   if (!cli.telemetry.empty()) std::cout << "[smoke] wrote " << cli.telemetry << "\n";
 
   bench::EngineBenchReport engine;
-  engine.add("fig12/4p_shared-priority_ra4", control.cycles, control.events, control.scheduled,
-             control.copied_pages, control.faults, control.host_ms);
+  engine.add("fig12/4p_shared-priority_ra4", control.cycles, control.events, control.work,
+             control.faults, control.host_ms);
   engine.write_json("BENCH_fig12_swap.json");
   alloc_counter::require_per_fault(engine.faults(), kSmokeMallocsPerFault);
 }
@@ -495,8 +492,7 @@ void run_grid(const bench::Cli& cli) {
                          Table::num(static_cast<double>(r.cycles) /
                                         static_cast<double>(private_cycles),
                                     2)});
-        engine.add(grid[gi].label, r.cycles, r.events, r.scheduled, r.copied_pages, r.faults,
-                   r.host_ms);
+        engine.add(grid[gi].label, r.cycles, r.events, r.work, r.faults, r.host_ms);
         ++gi;
       }
     }
@@ -532,8 +528,7 @@ void run_grid(const bench::Cli& cli) {
                        Table::num(r.prefetch_useful), Table::num(r.prefetch_late),
                        Table::num(r.prefetch_wasted), Table::num(r.accuracy(), 2),
                        Table::num(r.coverage(), 2), Table::num(recovered, 2)});
-      engine.add(grid[gi].label, r.cycles, r.events, r.scheduled, r.copied_pages, r.faults,
-                   r.host_ms);
+      engine.add(grid[gi].label, r.cycles, r.events, r.work, r.faults, r.host_ms);
       if (mode == DeviceMode::kSharedPriority && ra == 4 && r.prefetches == 0)
         throw std::runtime_error("fig12: readahead issued no prefetches at depth 4");
       ++gi;

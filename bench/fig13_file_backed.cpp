@@ -65,8 +65,7 @@ struct PointOptions {
 struct PointResult {
   Cycles cycles = 0;  // makespan: start_all -> last thread halted
   u64 events = 0;
-  u64 scheduled = 0;
-  u64 copied_pages = 0;
+  bench::HostWork work;
   double host_ms = 0;
   u64 faults = 0;
   u64 swap_ins = 0;
@@ -136,8 +135,7 @@ PointResult run_point(const PointOptions& opt) {
   group.start_all();
   PointResult r;
   const u64 events_before = sim.events_executed();
-  const u64 scheduled_before = sim.events_scheduled();
-  const u64 copied_before = group.copied_pages();
+  const bench::HostWork work_before = bench::HostWork::of(sim, group.copied_pages());
   bench::WallTimer timer;
   r.cycles = group.run_to_completion();
   group.drain(bench::kDrainCycles);
@@ -145,8 +143,7 @@ PointResult run_point(const PointOptions& opt) {
     throw std::runtime_error("fig13: buffer cache still busy after the event queue drained");
   r.host_ms = timer.ms();
   r.events = sim.events_executed() - events_before;
-  r.scheduled = sim.events_scheduled() - scheduled_before;
-  r.copied_pages = group.copied_pages() - copied_before;
+  r.work = bench::HostWork::of(sim, group.copied_pages()) - work_before;
 
   for (unsigned i = 0; i < kProcs; ++i)
     if (!wls[i].verify(group.process(i)))
@@ -239,8 +236,7 @@ void add_rows(Table& table, bench::EngineBenchReport& engine, unsigned pct, cons
                    Table::num(static_cast<double>(c.anon.cycles) /
                                   static_cast<double>(r->cycles),
                               2)});
-    engine.add(label, r->cycles, r->events, r->scheduled, r->copied_pages, r->faults,
-               r->host_ms);
+    engine.add(label, r->cycles, r->events, r->work, r->faults, r->host_ms);
   }
 }
 

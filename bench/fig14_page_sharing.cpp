@@ -155,13 +155,11 @@ struct PointResult {
   double dedup = 0;
   Cycles share_cycles = 0;  // share-sweep phase makespan
   u64 share_events = 0;
-  u64 share_scheduled = 0;
-  u64 share_copied = 0;  // whole pages copied on the host (host work)
+  bench::HostWork share_work;  // host work of the share phase
   u64 share_faults = 0;
   Cycles cow_cycles = 0;  // divergence phase makespan (children)
   u64 cow_events = 0;
-  u64 cow_scheduled = 0;
-  u64 cow_copied = 0;
+  bench::HostWork cow_work;
   u64 cow_faults = 0;
   u64 evictions = 0;  // pool total (pressure cell only)
   double host_ms = 0;
@@ -245,8 +243,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   {
     const Cycles t0 = sim.now();
     const u64 e0 = sim.events_executed();
-    const u64 s0 = sim.events_scheduled();
-    const u64 c0 = rig.group.copied_pages();
+    const bench::HostWork w0 = bench::HostWork::of(sim, rig.group.copied_pages());
     std::vector<Touch> sweep;
     for (u64 p = 0; p < S; ++p) sweep.push_back({file_base + p * kPage, false, 0});
     for (u64 p = 0; p < E; ++p) sweep.push_back({evict_base + p * kPage, false, 0});
@@ -255,8 +252,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     drain();
     r.share_cycles = sim.now() - t0;
     r.share_events = sim.events_executed() - e0;
-    r.share_scheduled = sim.events_scheduled() - s0;
-    r.share_copied = rig.group.copied_pages() - c0;
+    r.share_work = bench::HostWork::of(sim, rig.group.copied_pages()) - w0;
   }
   r.share_faults = rig.read_faults() - faults_before;
   // Read-only sharing never copies: no COW traffic before anyone writes.
@@ -268,8 +264,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
   {
     const Cycles t0 = sim.now();
     const u64 e0 = sim.events_executed();
-    const u64 s0 = sim.events_scheduled();
-    const u64 c0 = rig.group.copied_pages();
+    const bench::HostWork w0 = bench::HostWork::of(sim, rig.group.copied_pages());
     for (u64 i = 1; i <= N; ++i) {
       std::vector<Touch> writes;
       for (u64 p = 0; p < A; ++p) writes.push_back({anon_base + p * kPage, true, child_word(i, p)});
@@ -278,8 +273,7 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
     drain();
     r.cow_cycles = sim.now() - t0;
     r.cow_events = sim.events_executed() - e0;
-    r.cow_scheduled = sim.events_scheduled() - s0;
-    r.cow_copied = rig.group.copied_pages() - c0;
+    r.cow_work = bench::HostWork::of(sim, rig.group.copied_pages()) - w0;
   }
   // Parent writes last: every child has its private copy, so the parent's
   // refcount-1 faults upgrade in place instead of copying.
@@ -416,8 +410,7 @@ void run_grid(const bench::Cli& cli) {
                    Table::num(r.share_fault_cycles(), 1), Table::num(r.cow_faults),
                    Table::num(r.cow_fault_cycles(), 1), Table::num(r.evictions)});
     engine.add(label, r.share_cycles + r.cow_cycles, r.share_events + r.cow_events,
-               r.share_scheduled + r.cow_scheduled, r.share_copied + r.cow_copied,
-               r.share_faults + r.cow_faults, r.host_ms);
+               r.share_work + r.cow_work, r.share_faults + r.cow_faults, r.host_ms);
     engine.add_metric(label, "dedup_ratio", r.dedup);
     engine.add_metric(label, "share_fault_cycles", r.share_fault_cycles());
     engine.add_metric(label, "cow_fault_cycles", r.cow_fault_cycles());

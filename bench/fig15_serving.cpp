@@ -67,8 +67,7 @@ struct PointOptions {
 struct PointResult {
   sls::TrafficDriver::Report rep;
   u64 events = 0;
-  u64 scheduled = 0;
-  u64 copied_pages = 0;  // whole pages copied on the host (host work)
+  bench::HostWork work;  // host work over the grid point
   u64 faults = 0;  // the workers' pager faults: every read and COW bucket
   double host_ms = 0;
   std::map<std::string, double> snapshot;  // full registry, for bit-identity
@@ -132,13 +131,11 @@ PointResult run_point_on(sim::Simulator& sim, const PointOptions& opt) {
 
   sls::TrafficDriver driver(group, plat.traffic);
   const u64 events_before = sim.events_executed();
-  const u64 scheduled_before = sim.events_scheduled();
-  const u64 copied_before = group.copied_pages();
+  const bench::HostWork work_before = bench::HostWork::of(sim, group.copied_pages());
   PointResult r;
   r.rep = driver.run();
   r.events = sim.events_executed() - events_before;
-  r.scheduled = sim.events_scheduled() - scheduled_before;
-  r.copied_pages = group.copied_pages() - copied_before;
+  r.work = bench::HostWork::of(sim, group.copied_pages()) - work_before;
   r.host_ms = timer.ms();
   for (const paging::Ledger& l : paging::MachineLedger::of(group.pagers()).pagers)
     r.faults += l.swap_ins + l.file_reads + l.zero_fills + l.share_hits + l.inherited_fills +
@@ -239,7 +236,7 @@ void run_grid(const bench::Cli& cli) {
                      Table::num(pt.p99), Table::num(sls::TrafficDriver::Report::percentile(
                                              r.rep.queue_wait, 0.99)),
                      Table::num(pt.rejected), pt.violated ? "VIOLATED" : "ok"});
-      engine.add(label, r.rep.span, r.events, r.scheduled, r.copied_pages, r.faults, r.host_ms);
+      engine.add(label, r.rep.span, r.events, r.work, r.faults, r.host_ms);
       engine.add_metric(label, "p99_latency_cycles", static_cast<double>(pt.p99));
       engine.add_metric(label, "qps_mcycle", pt.qps_mcycle);
       if (!pt.violated) {

@@ -239,7 +239,7 @@ void run(const bench::Cli&) {
   auto row = [&](const std::string& name, const Rate& r) {
     table.add_row({name, Table::num(r.items_per_sec, 0), Table::num(r.host_ms, 1),
                    Table::num(r.items)});
-    report.add(name, r.cycles, r.items, 0, 0, 0, r.host_ms);
+    report.add(name, r.cycles, r.items, {}, 0, r.host_ms);
   };
 
   row("event_queue_1k", bench_event_queue(1024));
@@ -267,7 +267,7 @@ void run(const bench::Cli&) {
                                                          : 0,
                                            0),
                    Table::num(r.host_ms, 1), Table::num(r.events)});
-    report.add("fig_" + wl, r.cycles, r.events, r.scheduled, 0, 0, r.host_ms);
+    report.add("fig_" + wl, r.cycles, r.events, r.work, 0, r.host_ms);
   }
 
   // Parallel DSE scaling (identical results by construction; the
@@ -291,7 +291,7 @@ void run(const bench::Cli&) {
       const std::string name = "dse_tlb_" + std::to_string(threads) + "t";
       table.add_row({name, Table::num(static_cast<double>(candidates.size()) / (ms / 1000.0), 2),
                      Table::num(ms, 1), Table::num(static_cast<u64>(result.candidates.size()))});
-      report.add(name, 0, result.candidates.size(), 0, 0, 0, ms);
+      report.add(name, 0, result.candidates.size(), {}, 0, ms);
     }
   }
 

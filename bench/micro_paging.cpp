@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
     auto row = [&](const std::string& name, const Rate& r) {
       table.add_row({name, Table::num(r.items_per_sec, 0), Table::num(r.host_ms, 1),
                      Table::num(r.items)});
-      report.add(name, r.cycles, r.items, 0, 0, 0, r.host_ms);
+      report.add(name, r.cycles, r.items, {}, 0, r.host_ms);
     };
 
     row("paging_fault_clean_2k", bench_fault_clean(2048, 1024, 2));

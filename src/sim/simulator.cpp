@@ -185,6 +185,7 @@ bool Simulator::try_advance_to(Cycles t) {
   if (!far_.empty() && far_.front()->when <= t) return false;
   if (f->done != nullptr && f->done(f->ctx)) return false;
   while (!posted_.empty() && posted_.front().when <= t) retire_posted();
+  ++run_ahead_steps_;
   if (advance(t)) fail_livelock(*f);
   return true;
 }

@@ -151,6 +151,11 @@ class Simulator {
   /// move on such paths.
   u64 events_scheduled() const noexcept { return next_seq_; }
 
+  /// Granted try_advance_to steps: logical events that ran in place of the
+  /// event their site would have queued. Counted in events_executed(), not
+  /// in events_scheduled().
+  u64 run_ahead_steps() const noexcept { return run_ahead_steps_; }
+
   /// Shared statistics registry for all components in this simulation.
   StatRegistry& stats() noexcept { return stats_; }
   const StatRegistry& stats() const noexcept { return stats_; }
@@ -259,6 +264,7 @@ class Simulator {
   Cycles now_ = 0;
   u64 next_seq_ = 0;
   u64 events_executed_ = 0;
+  u64 run_ahead_steps_ = 0;
   LoopFrame* loop_ = nullptr;  // innermost running loop(), if any
   bool token_ = false;         // the current event holds the run-ahead token
   StatRegistry stats_;

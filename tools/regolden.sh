@@ -3,7 +3,7 @@
 # against: bench/golden/<name>.txt, the committed stdout of a full run of
 # bench_<name>; bench/golden/smoke/<name>.json, the BENCH JSON of
 # `bench_<name> --smoke` (simulated cycles, events, faults and extras, and
-# the host-work counts `scheduled` and `copied_pages`); and
+# the host-work counts `scheduled`, `run_ahead` and `copied_pages`); and
 # bench/golden/example/<name>.txt, the stdout of example_<name>. Run
 # it only for a change that is meant to move a figure or a smoke's work
 # counts, and say in the change log why.
