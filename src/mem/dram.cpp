@@ -1,11 +1,14 @@
 #include "mem/dram.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace vmsls::mem {
 
 DramModel::DramModel(const DramConfig& cfg, StatRegistry& stats, std::string name)
     : cfg_(cfg),
+      row_shift_(static_cast<unsigned>(std::countr_zero(cfg.row_bytes))),
+      banks_pow2_(is_pow2(cfg.banks)),
       banks_(cfg.banks),
       row_hits_(stats.counter(name + ".row_hits")),
       row_misses_(stats.counter(name + ".row_misses")),
@@ -24,9 +27,10 @@ Cycles DramModel::best_case_latency(u32 bytes) const noexcept {
 Cycles DramModel::access_chunk(PhysAddr addr, u32 bytes, Cycles earliest_start) {
   // Row-interleaved bank mapping: consecutive rows land on consecutive
   // banks, which is the common controller configuration and gives streaming
-  // accesses bank-level parallelism.
-  const u64 global_row = addr / cfg_.row_bytes;
-  const unsigned bank_idx = static_cast<unsigned>(global_row % cfg_.banks);
+  // accesses bank-level parallelism. A power-of-two bank count (the usual
+  // one) indexes by mask; any other count wraps by modulo.
+  const u64 global_row = addr >> row_shift_;
+  const u64 bank_idx = banks_pow2_ ? global_row & (cfg_.banks - 1) : global_row % cfg_.banks;
   Bank& bank = banks_[bank_idx];
 
   const Cycles start = std::max(earliest_start, bank.busy_until);

@@ -52,6 +52,8 @@ class DramModel {
   Cycles access_chunk(PhysAddr addr, u32 bytes, Cycles earliest_start);
 
   DramConfig cfg_;
+  unsigned row_shift_;  // log2(row_bytes)
+  bool banks_pow2_;     // index banks by mask, not modulo
   std::vector<Bank> banks_;
   Counter& row_hits_;
   Counter& row_misses_;

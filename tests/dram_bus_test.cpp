@@ -34,6 +34,22 @@ TEST(Dram, ConflictPaysPrecharge) {
   EXPECT_EQ(t2 - t1, cfg.t_rp + cfg.t_rcd + cfg.t_cas + 1);
 }
 
+TEST(Dram, NonPowerOfTwoBankCountWrapsByModulo) {
+  sim::Simulator sim;
+  DramConfig cfg = small_dram();
+  cfg.banks = 6;
+  DramModel dram(cfg, sim.stats(), "d");
+  const Cycles t1 = dram.access(0, 8, false, 0);
+  // Row 6 wraps to bank 0, whose row 0 is open: a conflict.
+  const Cycles t2 = dram.access(6 * cfg.row_bytes, 8, false, t1);
+  EXPECT_EQ(t2 - t1, cfg.t_rp + cfg.t_rcd + cfg.t_cas + 1);
+  // Row 10 lands on bank 4 (a mask of 5 would give bank 0): closed, so a
+  // plain activation that overlaps the conflict.
+  const Cycles t3 = dram.access(10 * cfg.row_bytes, 8, false, t1);
+  EXPECT_EQ(t3 - t1, cfg.t_rcd + cfg.t_cas + 1);
+  EXPECT_EQ(sim.stats().counter_value("d.row_misses"), 3u);
+}
+
 TEST(Dram, BankParallelismOverlaps) {
   sim::Simulator sim;
   const DramConfig cfg = small_dram();
