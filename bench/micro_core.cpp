@@ -3,7 +3,8 @@
 // Not paper data: these measure how fast the host retires simulated work —
 // event-queue throughput (the calendar-wheel fast path, the far-future heap
 // fallback, and zero-allocation recycling), inline-completion translation,
-// TLB lookups, IR execution rate, and end-to-end fig-style workload runs —
+// TLB lookups, IR execution rate, a hardware thread's TLB-hit load through
+// its port, and end-to-end fig-style workload runs —
 // to keep the experiment harness fast enough for wide DSE sweeps.
 //
 // Prints host rates as a table on stdout and writes BENCH_engine.json (see
@@ -17,6 +18,7 @@
 #include "bench_util.hpp"
 #include "hwt/builder.hpp"
 #include "hwt/engine.hpp"
+#include "hwt/hw_port.hpp"
 #include "mem/frames.hpp"
 #include "mem/mmu.hpp"
 #include "mem/pagetable.hpp"
@@ -197,6 +199,64 @@ Rate bench_passthrough_translate(u64 n) {
   return r;
 }
 
+/// A hardware thread streaming `n` 8-byte loads over one resident page
+/// through the full port (MMU, TLB, bus, DRAM): the TLB-hit memory op. Each
+/// repetition runs a fresh engine on a warmed-up system, and throws if it
+/// schedules more events than the same kernel with one load does, i.e. if
+/// any access after warm-up goes through the event queue.
+Rate bench_hwt_load_tlb_hit(u64 n) {
+  sim::Simulator sim;
+  mem::PhysicalMemory pm(16 * MiB);
+  mem::FrameAllocator frames(0, (16 * MiB) / (4 * KiB), 4 * KiB);
+  mem::PageTable pt(pm, frames, mem::PageTableConfig{});
+  const VirtAddr page = 0x10000;
+  pt.map(page, *frames.alloc(), /*writable=*/true);
+  mem::DramModel dram(mem::DramConfig{}, sim.stats(), "dram");
+  mem::MemoryBus bus(sim, dram, mem::BusConfig{}, "bus");
+  mem::PageWalker walker(sim, bus, pm, pt, mem::WalkerConfig{}, "walker");
+  mem::Mmu mmu(sim, walker, mem::MmuConfig{}, "mmu", 0);
+  hwt::HwMemPort port(sim, mmu, bus, pm, hwt::HwPortConfig{}, "port");
+
+  auto kernel = [page](u64 loads) {
+    hwt::KernelBuilder kb("load_stream");
+    kb.li(1, static_cast<i64>(page))
+        .li(2, 0)
+        .li(3, static_cast<i64>(loads))
+        .li(6, 0)  // r6 = offset in the page
+        .label("loop")
+        .seq(4, 2, 3)
+        .bnez(4, "out")
+        .add(7, 1, 6)
+        .load(5, 7)
+        .addi(6, 6, 8)
+        .andi(6, 6, 4095)
+        .addi(2, 2, 1)
+        .jmp("loop")
+        .label("out")
+        .halt();
+    return kb.build();
+  };
+  // Events one run schedules, whatever its length.
+  auto run_once = [&](const hwt::Kernel& k) {
+    const u64 before = sim.events_scheduled();
+    hwt::Engine engine(sim, k, hwt::EngineConfig{}, "eng");
+    engine.attach_mem_port(0, &port);
+    bool halted = false;
+    engine.start([&halted] { halted = true; });
+    sim.drain();
+    if (!halted) throw std::runtime_error("load stream did not halt");
+    return sim.events_scheduled() - before;
+  };
+  const hwt::Kernel one = kernel(1);
+  run_once(one);  // warm-up: TLB fill, walker, pools
+  const u64 per_run = run_once(one);
+  const hwt::Kernel stream = kernel(n);
+  return measure(n, [&] {
+    if (run_once(stream) != per_run)
+      throw std::runtime_error("a TLB-hit load after warm-up scheduled an event");
+  });
+}
+
 Rate bench_engine_alu() {
   hwt::KernelBuilder kb("alu");
   kb.li(1, 0).li(2, 0).li(3, 1'000'000)
@@ -256,6 +316,8 @@ void run(const bench::Cli&) {
   row("tlb_lookup_hit", bench_tlb_lookup(1 << 16));
   row("passthrough_translate", bench_passthrough_translate(1 << 14));
   row("engine_alu_instr", bench_engine_alu());
+  const Rate load_hit = bench_hwt_load_tlb_hit(1 << 14);
+  row("hwt_load_tlb_hit", load_hit);
 
   // End-to-end fig-style runs: simulated events per host second is the
   // number that bounds every sweep in bench/.
@@ -296,6 +358,8 @@ void run(const bench::Cli&) {
   }
 
   table.print(std::cout, "Simulator substrate microbenchmarks");
+  std::cout << "hwt_load_tlb_hit: " << Table::num(1e9 / load_hit.items_per_sec, 1)
+            << " ns per memory op\n";
   report.write_json("BENCH_engine.json");
   std::cout << "wrote BENCH_engine.json\n";
 }

@@ -37,9 +37,9 @@ void DmaEngine::step(Xfer* x) {
     return;
   }
   x->chunk = static_cast<u32>(std::min<u64>(cfg_.chunk_bytes, x->bytes - x->pos));
-  bus_.request(mem::BusRequest{x->src + x->pos, x->chunk, false, [this, x] {
-    bus_.request(mem::BusRequest{x->dst + x->pos, x->chunk, true, [this, x] { on_chunk_done(x); }});
-  }});
+  bus_.request(x->src + x->pos, x->chunk, false, [this, x] {
+    bus_.request(x->dst + x->pos, x->chunk, true, [this, x] { on_chunk_done(x); });
+  });
 }
 
 void DmaEngine::on_chunk_done(Xfer* x) {

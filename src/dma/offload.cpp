@@ -215,12 +215,12 @@ void OffloadDriver::move_next(Transfer* x) {
   // functional copy happens at the write's completion, so partial copies
   // interleave consistently with other masters.
   const u32 piece = static_cast<u32>(n);
-  bus_.request(mem::BusRequest{src, piece, false, [this, x, src, dst, piece] {
-    bus_.request(mem::BusRequest{dst, piece, true, [this, x, src, dst, piece] {
+  bus_.request(src, piece, false, [this, x, src, dst, piece] {
+    bus_.request(dst, piece, true, [this, x, src, dst, piece] {
       pm_.copy(src, dst, piece);
       move_next(x);
-    }});
-  }});
+    });
+  });
 }
 
 void OffloadDriver::finish_chunk(Transfer* x) {

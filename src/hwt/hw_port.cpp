@@ -31,7 +31,7 @@ void HwMemPort::write(VirtAddr va, std::span<const u8> data, sim::Callback<> don
   start(va, nullptr, data.data(), data.size(), std::move(done));
 }
 
-void HwMemPort::start(VirtAddr va, u8* rd, const u8* wr, u64 bytes, sim::Callback<> done) {
+void HwMemPort::start(VirtAddr va, u8* rd, const u8* wr, u64 bytes, sim::Callback<>&& done) {
   bytes_.add(bytes);
   Xfer* x = xfers_.acquire();
   x->va = va;
@@ -60,8 +60,8 @@ void HwMemPort::step(Xfer* x) {
     x->chunk_done = false;
     mmu_.translate(va, x->is_write, [this, x](PhysAddr pa) {
       x->pa = pa;
-      bus_.request(mem::BusRequest{pa, x->chunk, x->is_write, [this, x] { on_chunk_done(x); },
-                                   /*tail_call=*/true});
+      bus_.request(pa, x->chunk, x->is_write, [this, x] { on_chunk_done(x); },
+                   /*tail_call=*/true);
     });
     if (!x->chunk_done) {
       x->stepping = false;  // on_chunk_done re-enters step() when it fires

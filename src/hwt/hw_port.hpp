@@ -12,6 +12,9 @@
 // Every completion on this path ends in a tail call (translate -> bus
 // request -> chunk done -> next chunk or the caller's `done`), so its bus
 // requests are marked tail_call and may run ahead (sim/simulator.hpp).
+// The translation and bus continuations are plain lambdas over `this` and
+// the transfer: a TLB hit on an idle bus calls them directly, and they are
+// type-erased only where the chunk waits (sim/event_fn.hpp).
 // A chunk that completes inside translate() continues step()'s loop
 // instead of recursing, so host stack depth does not grow with a burst's
 // length.
@@ -64,7 +67,9 @@ class HwMemPort final : public MemPort {
     bool chunk_done = false;  // the chunk completed inside that loop
     sim::Callback<> done;
   };
-  void start(VirtAddr va, u8* rd, const u8* wr, u64 bytes, sim::Callback<> done);
+  /// Moves the caller's `done` into the transfer record, its one move
+  /// before it fires.
+  void start(VirtAddr va, u8* rd, const u8* wr, u64 bytes, sim::Callback<>&& done);
   void step(Xfer* x);
   void on_chunk_done(Xfer* x);
 

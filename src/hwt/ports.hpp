@@ -7,8 +7,10 @@
 // description serve as both the accelerator and its software baseline.
 //
 // Completion contract (every per-access interface down to the walker):
-//   * `done` is a move-only sim::Callback; a port keeps it in a pooled
-//     record and fires it exactly once.
+//   * `done` fires exactly once. At a port it is a move-only
+//     sim::Callback, moved once into a pooled record. Below the port,
+//     Mmu::translate and MemoryBus::request take any callable and
+//     type-erase it only when the access waits (sim/event_fn.hpp).
 //   * Buffers belong to the caller. A read lands in `dst`, a write takes
 //     its bytes from `data`; both spans must stay valid and untouched
 //     until `done` fires. Ports never copy or allocate a data buffer.

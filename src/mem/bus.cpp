@@ -18,19 +18,23 @@ MemoryBus::MemoryBus(sim::Simulator& sim, DramModel& dram, const BusConfig& cfg,
   require(cfg.width_bytes > 0, "bus width must be nonzero");
 }
 
-void MemoryBus::request(BusRequest req) {
-  require(req.bytes > 0, "bus request must move at least one byte");
-  require(req.is_write || static_cast<bool>(req.on_done),
-          "bus read needs a completion callback (only a write may be posted)");
-  requests_.add();
-  (req.is_write ? write_requests_ : read_requests_).add();
-  bytes_.add(req.bytes);
+Cycles MemoryBus::occupy(PhysAddr addr, u32 bytes, bool is_write, Cycles enqueued) {
   const Cycles now = sim_.now();
-  if (!pump_scheduled_ && queue_.empty() && channel_free_ <= now) {
-    grant(req, now);  // idle channel: the queue would hand it straight back
-    return;
-  }
-  queue_.push_back(Pending{std::move(req), now});
+  wait_hist_.record(now - enqueued);
+
+  const Cycles beats = ceil_div(bytes, cfg_.width_bytes);
+  const Cycles occupancy = cfg_.header_cycles + beats;
+  channel_free_ = now + occupancy;
+  busy_cycles_ += occupancy;
+
+  // The DRAM access begins after the command phase; the response is ready
+  // when both the device access and the data beats finish.
+  const Cycles dram_done = dram_.access(addr, bytes, is_write, now + cfg_.header_cycles);
+  return std::max(dram_done, channel_free_);
+}
+
+void MemoryBus::enqueue(BusRequest req) {
+  queue_.push_back(std::move(req));
   pump();
 }
 
@@ -44,37 +48,14 @@ void MemoryBus::pump() {
     });
     return;
   }
-  Pending p = queue_.pop_front();
-  grant(p.req, p.enqueued);
+  BusRequest req = queue_.pop_front();
+  grant(req);
 }
 
-void MemoryBus::grant(BusRequest& req, Cycles enqueued) {
-  const Cycles now = sim_.now();
-  wait_hist_.record(now - enqueued);
-
-  const Cycles beats = ceil_div(req.bytes, cfg_.width_bytes);
-  const Cycles occupancy = cfg_.header_cycles + beats;
-  channel_free_ = now + occupancy;
-  busy_cycles_ += occupancy;
-
-  // The DRAM access begins after the command phase; the response is ready
-  // when both the device access and the data beats finish.
-  const Cycles dram_done =
-      dram_.access(req.addr, req.bytes, req.is_write, now + cfg_.header_cycles);
-  const Cycles done = std::max(dram_done, channel_free_);
-  if (!req.on_done) {
-    sim_.post(done);  // a posted write: nothing runs at its completion
-  } else if (!req.tail_call) {
-    sim_.schedule_at(done, std::move(req.on_done));
-  } else if (queue_.empty() && sim_.try_advance_to(done)) {
-    // Alone on the channel, with nothing due before its completion: run it
-    // in place. The queue is empty, so nothing is left to pump.
-    req.on_done();
-    return;
-  } else {
-    sim_.schedule_run_ahead(done, std::move(req.on_done));
-  }
-
+void MemoryBus::grant(BusRequest& req) {
+  const Cycles done = occupy(req.addr, req.bytes, req.is_write, req.enqueued);
+  // Run in place, the queue was empty: nothing is left to pump.
+  if (finish(done, std::move(req.on_done), req.tail_call)) return;
   pump();  // issue or schedule the next transaction
 }
 

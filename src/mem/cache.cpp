@@ -104,11 +104,11 @@ void CacheHierarchy::step(Walk* w) {
   if (o1.writeback) {
     const auto wb = l2_.access(o1.writeback_addr, /*is_write=*/true);
     if (wb.writeback)
-      bus_.request(BusRequest{wb.writeback_addr, static_cast<u32>(line_bytes), true, nullptr});
+      bus_.request(wb.writeback_addr, static_cast<u32>(line_bytes), true, nullptr);
   }
   const auto o2 = l2_.access(line_addr, w->is_write);
   if (o2.writeback)
-    bus_.request(BusRequest{o2.writeback_addr, static_cast<u32>(line_bytes), true, nullptr});
+    bus_.request(o2.writeback_addr, static_cast<u32>(line_bytes), true, nullptr);
   const Cycles lookup_cost = cfg_.l1.hit_latency + cfg_.l2.hit_latency;
   if (o2.hit) {
     sim_.schedule_in(lookup_cost, [this, w] { step(w); });
@@ -116,8 +116,7 @@ void CacheHierarchy::step(Walk* w) {
   }
   // L2 miss: fill the line from DRAM, then continue with the next line.
   sim_.schedule_in(lookup_cost, [this, w, line_addr, line_bytes] {
-    bus_.request(
-        BusRequest{line_addr, static_cast<u32>(line_bytes), false, [this, w] { step(w); }});
+    bus_.request(line_addr, static_cast<u32>(line_bytes), false, [this, w] { step(w); });
   });
 }
 

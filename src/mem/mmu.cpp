@@ -35,7 +35,7 @@ void Mmu::maybe_prefetch(u64 missed_vpn) {
   });
 }
 
-Mmu::Pending* Mmu::park(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done) {
+Mmu::Pending* Mmu::park(VirtAddr va, bool is_write, sim::Callback<PhysAddr>&& done) {
   Pending* p = pending_.acquire();
   p->va = va;
   p->is_write = is_write;
@@ -57,56 +57,20 @@ void Mmu::retry(Pending* p) {
   translate(va, is_write, std::move(done));
 }
 
-void Mmu::translate(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done) {
-  if (!cfg_.translation_enabled) {
-    // Physical pass-through: the "MMU-less" accelerator of the DMA baseline.
-    // Zero modeled latency, so complete inline — no scheduler traffic at
-    // all on this path (inline_completions counts it; tests assert
-    // events_scheduled() stays flat here).
-    inline_completions_.add();
-    done(va);
-    return;
-  }
-  translations_.add();
-  const unsigned page_bits = walker_.page_bits();
-  const u64 vpn = va >> page_bits;
-  const u64 offset = va & ((1ull << page_bits) - 1);
+void Mmu::park_hit(VirtAddr va, bool is_write, PhysAddr pa, Cycles at,
+                   sim::Callback<PhysAddr>&& done) {
+  Pending* p = park(va, is_write, std::move(done));
+  p->pa = pa;
+  sim_.schedule_run_ahead(at, [this, p] { complete(p, p->pa); });
+}
 
-  if (auto entry = tlb_.lookup(vpn)) {
-    if (is_write && !entry->writable) {
-      // Permission fault: stale or read-only mapping. Drop the entry and
-      // take the long path so the OS can upgrade the mapping.
-      tlb_.invalidate(vpn);
-    } else {
-      // Keep the PTE's accessed/dirty bits fresh on TLB hits too, or the
-      // pager's CLOCK hand would evict pages that are hot in the TLB. The
-      // walker funnel charges the PTE write-back when a bit flips.
-      if (cfg_.ad_tracking) walker_.note_ad_update(va, is_write);
-      const PhysAddr pa = (entry->frame << page_bits) | offset;
-      const Cycles hit_latency = tlb_.config().hit_latency;
-      if (hit_latency == 0) {
-        // Combinational TLB: complete inline, same cycle, no event.
-        inline_completions_.add();
-        done(pa);
-      } else if (const Cycles at = sim_.now() + hit_latency; sim_.try_advance_to(at)) {
-        // Nothing is due before the hit completes: run the completion
-        // event's work in place (a run-ahead step, not an inline one).
-        done(pa);
-      } else {
-        Pending* p = park(va, is_write, std::move(done));
-        p->pa = pa;
-        sim_.schedule_run_ahead(at, [this, p] { complete(p, p->pa); });
-      }
-      return;
-    }
-  }
-
+void Mmu::start_walk(VirtAddr va, bool is_write, sim::Callback<PhysAddr>&& done) {
   // The demand walk is a tail call unless a prefetch walk must queue
   // behind it at this cycle.
   Pending* p = park(va, is_write, std::move(done));
   walker_.walk(va, [this, p](const WalkResult& r) { on_walk_done(p, r); },
                /*tail_call=*/!cfg_.prefetch_next_page);
-  maybe_prefetch(vpn);
+  maybe_prefetch(va >> walker_.page_bits());
 }
 
 void Mmu::on_walk_done(Pending* p, const WalkResult& r) {

@@ -13,13 +13,16 @@
 // With `translation_enabled = false` the MMU degenerates to a physical
 // pass-through, which is how the copy-based DMA baseline's kernels run.
 //
-// A translation that cannot complete inline (timed TLB hit, walk, fault)
-// parks its completion in a pooled Pending record; every closure the MMU
-// hands the scheduler, the walker or the fault sink captures only `this`
-// and that record.
+// translate() is a template over its completion: a pass-through, an inline
+// TLB hit or a run-ahead hit calls it directly, and it is type-erased only
+// when the translation has to wait. Such a translation (timed TLB hit that
+// cannot run ahead, walk, fault) parks it as a sim::Callback<PhysAddr> in a
+// pooled Pending record; every closure the MMU hands the scheduler, the
+// walker or the fault sink captures only `this` and that record.
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "mem/tlb.hpp"
 #include "mem/walker.hpp"
@@ -83,7 +86,12 @@ class Mmu {
   /// a miss whose walk runs ahead; neither is an inline completion. Callers
   /// must therefore not assume `done` runs after the current event
   /// returns, and `done` must end in tail calls.
-  void translate(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done);
+  ///
+  /// `done` is any callable taking a PhysAddr. The paths above call it
+  /// directly; it becomes a sim::Callback<PhysAddr> only when the
+  /// translation parks (a timed hit that cannot run ahead, or a miss).
+  template <class Done>
+  void translate(VirtAddr va, bool is_write, Done&& done);
 
   /// Translations completed synchronously (no scheduler round-trip).
   u64 inline_completions() const noexcept { return inline_completions_.value(); }
@@ -106,7 +114,12 @@ class Mmu {
     PhysAddr pa = 0;  // result of a timed TLB hit
     sim::Callback<PhysAddr> done;
   };
-  Pending* park(VirtAddr va, bool is_write, sim::Callback<PhysAddr> done);
+  Pending* park(VirtAddr va, bool is_write, sim::Callback<PhysAddr>&& done);
+  /// A timed TLB hit whose completion at `at` cannot run ahead.
+  void park_hit(VirtAddr va, bool is_write, PhysAddr pa, Cycles at,
+                sim::Callback<PhysAddr>&& done);
+  /// A TLB miss (or a write that lost its read-only entry): walk `va`.
+  void start_walk(VirtAddr va, bool is_write, sim::Callback<PhysAddr>&& done);
   void complete(Pending* p, PhysAddr pa);
   void retry(Pending* p);
   void on_walk_done(Pending* p, const WalkResult& r);
@@ -128,5 +141,49 @@ class Mmu {
   Counter& prefetch_fills_;
   Counter& inline_completions_;
 };
+
+template <class Done>
+void Mmu::translate(VirtAddr va, bool is_write, Done&& done) {
+  if (!cfg_.translation_enabled) {
+    // Physical pass-through: the "MMU-less" accelerator of the DMA baseline.
+    // Zero modeled latency, so complete inline — no scheduler traffic at
+    // all on this path (inline_completions counts it; tests assert
+    // events_scheduled() stays flat here).
+    inline_completions_.add();
+    done(va);
+    return;
+  }
+  translations_.add();
+  const unsigned page_bits = walker_.page_bits();
+  const u64 vpn = va >> page_bits;
+
+  if (auto entry = tlb_.lookup(vpn)) {
+    if (is_write && !entry->writable) {
+      // Permission fault: stale or read-only mapping. Drop the entry and
+      // take the long path so the OS can upgrade the mapping.
+      tlb_.invalidate(vpn);
+    } else {
+      // Keep the PTE's accessed/dirty bits fresh on TLB hits too, or the
+      // pager's CLOCK hand would evict pages that are hot in the TLB. The
+      // walker funnel charges the PTE write-back when a bit flips.
+      if (cfg_.ad_tracking) walker_.note_ad_update(va, is_write);
+      const PhysAddr pa = (entry->frame << page_bits) | (va & ((1ull << page_bits) - 1));
+      const Cycles hit_latency = tlb_.config().hit_latency;
+      if (hit_latency == 0) {
+        // Combinational TLB: complete inline, same cycle, no event.
+        inline_completions_.add();
+        done(pa);
+      } else if (const Cycles at = sim_.now() + hit_latency; sim_.try_advance_to(at)) {
+        // Nothing is due before the hit completes: run the completion
+        // event's work in place (a run-ahead step, not an inline one).
+        done(pa);
+      } else {
+        park_hit(va, is_write, pa, at, std::forward<Done>(done));
+      }
+      return;
+    }
+  }
+  start_walk(va, is_write, std::forward<Done>(done));
+}
 
 }  // namespace vmsls::mem

@@ -299,9 +299,8 @@ void Pager::frame_secured(u64 vpn) {
       if (bus_ != nullptr) {
         // The page copy is real memory traffic: charge one page-sized write
         // burst at the new frame before the store retries.
-        bus_->request(mem::BusRequest{as_.frames().frame_addr(r.frame),
-                                      static_cast<u32>(as_.page_bytes()), true,
-                                      [this, vpn] { complete_fault(vpn); }});
+        bus_->request(as_.frames().frame_addr(r.frame), static_cast<u32>(as_.page_bytes()), true,
+                      [this, vpn] { complete_fault(vpn); });
         return;
       }
       break;

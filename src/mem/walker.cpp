@@ -72,7 +72,7 @@ void PageWalker::note_ad_update(VirtAddr va, bool dirty) {
   if (!leaf || !leaf->pte.valid || !pt_.set_accessed_dirty(*leaf, dirty))
     return;  // unmapped, or no bit flipped: free
   ad_writebacks_.add();
-  bus_.request(BusRequest{leaf->addr, 8, /*is_write=*/true, nullptr});  // posted
+  bus_.request(leaf->addr, 8, /*is_write=*/true, nullptr);  // posted
 }
 
 void PageWalker::walk(VirtAddr va, sim::Callback<const WalkResult&> done, bool tail_call) {
@@ -119,8 +119,8 @@ void PageWalker::begin(Walk* w, bool run_ahead) {
 void PageWalker::read_level(Walk* w) {
   const PhysAddr pa = pt_.pte_addr(w->base, w->level, w->va);
   mem_reads_.add();
-  bus_.request(BusRequest{pa, 8, /*is_write=*/false,
-                          [this, w, pa] { on_pte(w, pm_.read_u64(pa)); }, /*tail_call=*/true});
+  bus_.request(pa, 8, /*is_write=*/false, [this, w, pa] { on_pte(w, pm_.read_u64(pa)); },
+               /*tail_call=*/true);
 }
 
 void PageWalker::on_pte(Walk* w, u64 raw) {

@@ -12,6 +12,12 @@
 // the argument-free case the scheduler stores; the memory path uses the
 // typed forms (Callback<PhysAddr>, Callback<const WalkResult&>, ...).
 //
+// A continuation is type-erased only when it has to wait: parked in a
+// pooled record, queued, or scheduled. Mmu::translate and
+// MemoryBus::request take any callable and call it directly when the
+// access completes in place (an inline or run-ahead TLB hit, a request on
+// an idle channel), so that path builds, moves and calls no Callback.
+//
 // 56 bytes holds `this` plus a handful of words — the shape of every hot
 // closure, which captures an owner and a pointer to a pooled record. It
 // does NOT hold another Callback (64+ bytes with its two function

@@ -28,10 +28,15 @@
 //     only when no pending event, deadline or run_until predicate would
 //     have come between. A granted advance is one logical event:
 //     events_executed() counts it and every simulated result is unchanged;
-//     events_scheduled() does not, so it measures host work. The sites are
-//     the hardware-thread engine's memory issue, the MMU's timed TLB hit,
-//     the page walker's setup delay and a tail_call bus request's
-//     completion (the port's data and the walker's PTE reads).
+//     events_scheduled() does not, so it measures host work, and
+//     run_ahead_steps() counts the granted steps. The sites are the
+//     hardware-thread engine's memory issue (Engine::issue_at), the MMU's
+//     timed TLB hit (Mmu::translate), the page walker's setup delay
+//     (PageWalker::begin) and a tail_call bus request's completion
+//     (MemoryBus::request on an idle channel, MemoryBus::grant from the
+//     queue: the port's data and the walker's PTE reads). The MMU and bus
+//     sites call their caller's continuation directly on a granted step
+//     and type-erase it into an EventFn only for the fallback.
 //   * Posted completions: a fire-and-forget bus write (an A/D write-back)
 //     has nothing to run when it completes. post(t) stands for the no-op
 //     event it would queue at `t` without queueing it: a small side heap

@@ -8,11 +8,15 @@
 // evict -> map cycle, a copy-based offload transfer in either copy mode,
 // and the pager's fault -> evict -> dirty writeback -> swap-in cycle in
 // either budget mode, with swap-in readahead and driven by the episode
-// driver, whose read touches check what they read.
+// driver, whose read touches check what they read. A TLB hit and a
+// tail-call bus request that complete in place call their completion
+// directly, so even one too large for a Callback's inline storage costs
+// nothing there.
 // The count is a deterministic work count, so the gate is exact and
 // host-independent.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -145,6 +149,90 @@ TEST_F(AllocFreeFixture, FaultAndRetryDoesNotAllocate) {
   EXPECT_EQ(faults, 1u);
   EXPECT_EQ(allocs_during(fault_round_trip), 0u);
   EXPECT_EQ(faults, 2u);
+}
+
+// A completion whose captures exceed a Callback's 56 inline bytes spills to
+// the heap once it is type-erased. The MMU and the bus type-erase a
+// completion only when the access waits, so one that completes in place
+// calls even such a completion without allocating.
+using Pad = std::array<u64, 8>;  // 64 bytes of captures
+
+/// An MMU whose TLB hits take `hit_latency` cycles, with every page of the
+/// populated buffer in its TLB.
+void make_warm_mmu(AllocFreeFixture& f, Cycles hit_latency) {
+  f.walker = std::make_unique<mem::PageWalker>(f.ms.sim, f.ms.bus, f.ms.pm,
+                                               f.ms.as.page_table(), mem::WalkerConfig{}, "w");
+  mem::MmuConfig cfg;
+  cfg.tlb.hit_latency = hit_latency;
+  f.mmu = std::make_unique<mem::Mmu>(f.ms.sim, *f.walker, cfg, "mmu", 0);
+  for (unsigned p = 0; p < 4; ++p) f.mmu->translate(f.base + p * 4096ull, false, [](PhysAddr) {});
+  f.ms.run_all();
+}
+
+TEST_F(AllocFreeFixture, InlineTlbHitCallsAWideCompletionWithoutAllocating) {
+  make_warm_mmu(*this, /*hit_latency=*/0);
+  const Pad pad{1};
+  PhysAddr sum = 0;
+  auto wide = [pad, &sum](PhysAddr pa) { sum += pa + pad[0]; };
+  static_assert(!sim::Callback<PhysAddr>::fits_inline<decltype(wide)>());
+  const u64 inline_before = mmu->inline_completions();
+  EXPECT_EQ(allocs_during([&] {
+              for (unsigned i = 0; i < 400; ++i) mmu->translate(base + (i % 4) * 4096ull, false, wide);
+            }),
+            0u);
+  EXPECT_EQ(mmu->inline_completions() - inline_before, 400u);
+  EXPECT_GT(sum, 400u);
+}
+
+TEST_F(AllocFreeFixture, RunAheadTlbHitCallsAWideCompletionWithoutAllocating) {
+  make_warm_mmu(*this, /*hit_latency=*/1);
+  const Pad pad{1};
+  unsigned hits = 0;
+  auto wide = [pad, &hits](PhysAddr) { hits += static_cast<unsigned>(pad[0]); };
+  static_assert(!sim::Callback<PhysAddr>::fits_inline<decltype(wide)>());
+  // Each translation runs inside a token-holding event with nothing else
+  // pending, so its timed hit runs ahead to completion in place.
+  auto round = [&] {
+    for (unsigned i = 0; i < 4; ++i) {
+      ms.sim.schedule_run_ahead(ms.sim.now(),
+                                [&, i] { mmu->translate(base + i * 4096ull, false, wide); });
+      ms.run_all();
+    }
+  };
+  round();  // warm-up: event pool
+  const u64 steps = ms.sim.run_ahead_steps();
+  hits = 0;
+  EXPECT_EQ(allocs_during([&] {
+              for (int r = 0; r < 100; ++r) round();
+            }),
+            0u);
+  EXPECT_EQ(hits, 400u);
+  EXPECT_EQ(ms.sim.run_ahead_steps() - steps, 400u);
+}
+
+TEST_F(AllocFreeFixture, TailCallBusRequestOnAnIdleChannelCallsAWideCompletionDirectly) {
+  const Pad pad{1};
+  unsigned completed = 0;
+  auto wide = [pad, &completed] { completed += static_cast<unsigned>(pad[0]); };
+  static_assert(!sim::EventFn::fits_inline<decltype(wide)>());
+  const PhysAddr pa = *ms.as.translate(base);
+  // The channel is idle at each event (the last drain retired everything),
+  // so the read completes in place inside request().
+  auto round = [&] {
+    ms.sim.schedule_run_ahead(ms.sim.now(), [&] {
+      ms.bus.request(pa, 8, /*is_write=*/false, wide, /*tail_call=*/true);
+    });
+    ms.run_all();
+  };
+  round();  // warm-up: event pool, DRAM row
+  const u64 steps = ms.sim.run_ahead_steps();
+  completed = 0;
+  EXPECT_EQ(allocs_during([&] {
+              for (int r = 0; r < 400; ++r) round();
+            }),
+            0u);
+  EXPECT_EQ(completed, 400u);
+  EXPECT_EQ(ms.sim.run_ahead_steps() - steps, 400u);
 }
 
 /// An engine kernel that runs `iters` rounds of load, store, burst load and

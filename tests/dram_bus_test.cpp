@@ -97,7 +97,7 @@ struct BusFixture : ::testing::Test {
 
   Cycles run_request(PhysAddr addr, u32 bytes, bool write) {
     Cycles done_at = 0;
-    bus.request(BusRequest{addr, bytes, write, [&] { done_at = sim.now(); }});
+    bus.request(addr, bytes, write, [&] { done_at = sim.now(); });
     sim.drain();
     return done_at;
   }
@@ -118,8 +118,8 @@ TEST_F(BusFixture, WritesCounted) {
 
 TEST_F(BusFixture, ContentionSerializes) {
   Cycles first = 0, second = 0;
-  bus.request(BusRequest{0, 256, false, [&] { first = sim.now(); }});
-  bus.request(BusRequest{8 * KiB, 256, false, [&] { second = sim.now(); }});
+  bus.request(0, 256, false, [&] { first = sim.now(); });
+  bus.request(8 * KiB, 256, false, [&] { second = sim.now(); });
   sim.drain();
   EXPECT_GT(second, first);  // shared channel forces ordering
 }
@@ -130,7 +130,7 @@ TEST_F(BusFixture, LargerTransfersTakeLonger) {
   DramModel dram2{small_dram(), sim2.stats(), "d2"};
   MemoryBus bus2{sim2, dram2, BusConfig{}, "bus2"};
   Cycles big = 0;
-  bus2.request(BusRequest{0, 4096, false, [&] { big = sim2.now(); }});
+  bus2.request(0, 4096, false, [&] { big = sim2.now(); });
   sim2.drain();
   EXPECT_GT(big, small);
 }
@@ -138,20 +138,19 @@ TEST_F(BusFixture, LargerTransfersTakeLonger) {
 TEST_F(BusFixture, ManyRequestsAllComplete) {
   int completed = 0;
   for (int i = 0; i < 100; ++i)
-    bus.request(BusRequest{static_cast<PhysAddr>(i) * 64, 64, (i % 2) == 0,
-                           [&] { ++completed; }});
+    bus.request(static_cast<PhysAddr>(i) * 64, 64, (i % 2) == 0, [&] { ++completed; });
   sim.drain();
   EXPECT_EQ(completed, 100);
   EXPECT_GT(bus.busy_cycles(), 0u);
 }
 
 TEST_F(BusFixture, RejectsMalformedRequests) {
-  EXPECT_THROW(bus.request(BusRequest{0, 0, false, [] {}}), std::invalid_argument);
-  EXPECT_THROW(bus.request(BusRequest{0, 8, false, nullptr}), std::invalid_argument);
+  EXPECT_THROW(bus.request(0, 0, false, [] {}), std::invalid_argument);
+  EXPECT_THROW(bus.request(0, 8, false, nullptr), std::invalid_argument);
 }
 
 TEST_F(BusFixture, QueueWaitRecorded) {
-  for (int i = 0; i < 10; ++i) bus.request(BusRequest{0, 512, false, [] {}});
+  for (int i = 0; i < 10; ++i) bus.request(0, 512, false, [] {});
   sim.drain();
   EXPECT_GT(sim.stats().histograms().at("bus.queue_wait").max(), 0u);
 }
