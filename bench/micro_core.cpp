@@ -177,17 +177,27 @@ Rate bench_tlb_lookup(u64 n) {
 
 /// Pass-through translation: the inline-completion path must complete
 /// without any scheduler traffic (asserted here, measured for rate).
-Rate bench_passthrough_translate(u64 n) {
+/// One hardware thread's memory path over 16 MiB: page table, DRAM, bus,
+/// walker and an MMU built from `mmu_cfg`.
+struct MemPath {
   sim::Simulator sim;
-  mem::PhysicalMemory pm(16 * MiB);
-  mem::FrameAllocator frames(0, (16 * MiB) / (4 * KiB), 4 * KiB);
-  mem::PageTable pt(pm, frames, mem::PageTableConfig{});
-  mem::DramModel dram(mem::DramConfig{}, sim.stats(), "dram");
-  mem::MemoryBus bus(sim, dram, mem::BusConfig{}, "bus");
-  mem::PageWalker walker(sim, bus, pm, pt, mem::WalkerConfig{}, "walker");
+  mem::PhysicalMemory pm{16 * MiB};
+  mem::FrameAllocator frames{0, (16 * MiB) / (4 * KiB), 4 * KiB};
+  mem::PageTable pt{pm, frames, mem::PageTableConfig{}};
+  mem::DramModel dram{mem::DramConfig{}, sim.stats(), "dram"};
+  mem::MemoryBus bus{sim, dram, mem::BusConfig{}, "bus"};
+  mem::PageWalker walker{sim, bus, pm, pt, mem::WalkerConfig{}, "walker"};
+  mem::Mmu mmu;
+
+  explicit MemPath(const mem::MmuConfig& mmu_cfg) : mmu(sim, walker, mmu_cfg, "mmu", 0) {}
+};
+
+Rate bench_passthrough_translate(u64 n) {
   mem::MmuConfig mcfg;
   mcfg.translation_enabled = false;
-  mem::Mmu mmu(sim, walker, mcfg, "mmu", 0);
+  MemPath path(mcfg);
+  sim::Simulator& sim = path.sim;
+  mem::Mmu& mmu = path.mmu;
   const u64 scheduled_before = sim.events_scheduled();
   Rate r = measure(n, [&mmu, n] {
     u64 acc = 0;
@@ -205,17 +215,11 @@ Rate bench_passthrough_translate(u64 n) {
 /// schedules more events than the same kernel with one load does, i.e. if
 /// any access after warm-up goes through the event queue.
 Rate bench_hwt_load_tlb_hit(u64 n) {
-  sim::Simulator sim;
-  mem::PhysicalMemory pm(16 * MiB);
-  mem::FrameAllocator frames(0, (16 * MiB) / (4 * KiB), 4 * KiB);
-  mem::PageTable pt(pm, frames, mem::PageTableConfig{});
+  MemPath path(mem::MmuConfig{});
+  sim::Simulator& sim = path.sim;
   const VirtAddr page = 0x10000;
-  pt.map(page, *frames.alloc(), /*writable=*/true);
-  mem::DramModel dram(mem::DramConfig{}, sim.stats(), "dram");
-  mem::MemoryBus bus(sim, dram, mem::BusConfig{}, "bus");
-  mem::PageWalker walker(sim, bus, pm, pt, mem::WalkerConfig{}, "walker");
-  mem::Mmu mmu(sim, walker, mem::MmuConfig{}, "mmu", 0);
-  hwt::HwMemPort port(sim, mmu, bus, pm, hwt::HwPortConfig{}, "port");
+  path.pt.map(page, *path.frames.alloc(), /*writable=*/true);
+  hwt::HwMemPort port(sim, path.mmu, path.bus, path.pm, hwt::HwPortConfig{}, "port");
 
   auto kernel = [page](u64 loads) {
     hwt::KernelBuilder kb("load_stream");

@@ -75,6 +75,18 @@ struct AllocFreeFixture : ::testing::Test, mem::FaultSink {
     port = std::make_unique<HwMemPort>(ms.sim, *mmu, ms.bus, ms.pm, HwPortConfig{}, "port");
   }
 
+  /// An MMU (no port) whose TLB hits take `hit_latency` cycles, with the
+  /// first four pages of the buffer in its TLB.
+  void make_warm_mmu(Cycles hit_latency) {
+    walker = std::make_unique<mem::PageWalker>(ms.sim, ms.bus, ms.pm, ms.as.page_table(),
+                                               mem::WalkerConfig{}, "w");
+    mem::MmuConfig cfg;
+    cfg.tlb.hit_latency = hit_latency;
+    mmu = std::make_unique<mem::Mmu>(ms.sim, *walker, cfg, "mmu", 0);
+    for (unsigned p = 0; p < 4; ++p) mmu->translate(base + p * 4096ull, false, [](PhysAddr) {});
+    ms.run_all();
+  }
+
   // The sink maps the page straight into the page table with a frame set
   // aside up front, then retries from a stored request: no allocation of
   // its own, so the count isolates the MMU/walker/port fault path.
@@ -157,27 +169,16 @@ TEST_F(AllocFreeFixture, FaultAndRetryDoesNotAllocate) {
 // calls even such a completion without allocating.
 using Pad = std::array<u64, 8>;  // 64 bytes of captures
 
-/// An MMU whose TLB hits take `hit_latency` cycles, with every page of the
-/// populated buffer in its TLB.
-void make_warm_mmu(AllocFreeFixture& f, Cycles hit_latency) {
-  f.walker = std::make_unique<mem::PageWalker>(f.ms.sim, f.ms.bus, f.ms.pm,
-                                               f.ms.as.page_table(), mem::WalkerConfig{}, "w");
-  mem::MmuConfig cfg;
-  cfg.tlb.hit_latency = hit_latency;
-  f.mmu = std::make_unique<mem::Mmu>(f.ms.sim, *f.walker, cfg, "mmu", 0);
-  for (unsigned p = 0; p < 4; ++p) f.mmu->translate(f.base + p * 4096ull, false, [](PhysAddr) {});
-  f.ms.run_all();
-}
-
 TEST_F(AllocFreeFixture, InlineTlbHitCallsAWideCompletionWithoutAllocating) {
-  make_warm_mmu(*this, /*hit_latency=*/0);
+  make_warm_mmu(/*hit_latency=*/0);
   const Pad pad{1};
   PhysAddr sum = 0;
   auto wide = [pad, &sum](PhysAddr pa) { sum += pa + pad[0]; };
   static_assert(!sim::Callback<PhysAddr>::fits_inline<decltype(wide)>());
   const u64 inline_before = mmu->inline_completions();
   EXPECT_EQ(allocs_during([&] {
-              for (unsigned i = 0; i < 400; ++i) mmu->translate(base + (i % 4) * 4096ull, false, wide);
+              for (unsigned i = 0; i < 400; ++i)
+                mmu->translate(base + (i % 4) * 4096ull, false, wide);
             }),
             0u);
   EXPECT_EQ(mmu->inline_completions() - inline_before, 400u);
@@ -185,7 +186,7 @@ TEST_F(AllocFreeFixture, InlineTlbHitCallsAWideCompletionWithoutAllocating) {
 }
 
 TEST_F(AllocFreeFixture, RunAheadTlbHitCallsAWideCompletionWithoutAllocating) {
-  make_warm_mmu(*this, /*hit_latency=*/1);
+  make_warm_mmu(/*hit_latency=*/1);
   const Pad pad{1};
   unsigned hits = 0;
   auto wide = [pad, &hits](PhysAddr) { hits += static_cast<unsigned>(pad[0]); };
