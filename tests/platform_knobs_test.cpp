@@ -1,13 +1,16 @@
-// Keeps docs/PLATFORM_KNOBS.md exhaustive: every member of every config
-// struct reachable from PlatformSpec (plus the substrate configs the
-// multi-process harnesses take directly) must appear as a backticked knob
-// inside that struct's own `## StructName` section of the doc. Adding a
-// knob without documenting it — or documenting it under the wrong struct —
+// Keeps docs/PLATFORM_KNOBS.md exhaustive and current: every member of
+// every config struct reachable from PlatformSpec (plus the substrate
+// configs the multi-process harnesses take directly) must appear as a
+// backticked knob inside that struct's own `## StructName` section of the
+// doc, and every backticked knob row of that section must name a member or
+// nested type the struct declares. Adding a knob without documenting it,
+// documenting it under the wrong struct, or removing a knob but not its row
 // fails this test. The structs are parsed from the headers at run time, so
 // the check can never go stale against the code.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <algorithm>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -51,6 +54,28 @@ std::vector<std::string> member_names(const std::string& body) {
   return out;
 }
 
+/// Names of the types a struct body declares (`enum class Kind`, ...).
+std::vector<std::string> nested_type_names(const std::string& body) {
+  static const std::regex type_re(R"(\b(?:enum\s+class|enum|struct|class|using)\s+([A-Za-z_]\w*))");
+  std::vector<std::string> out;
+  for (std::sregex_iterator it(body.begin(), body.end(), type_re), end; it != end; ++it)
+    out.push_back((*it)[1].str());
+  return out;
+}
+
+/// The knobs a doc section's table rows name: `| `knob` | ...`.
+std::vector<std::string> knob_rows(const std::string& section) {
+  static const std::regex row_re(R"(^\| `([^`]+)` \|)");
+  std::vector<std::string> out;
+  std::istringstream lines(section);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::smatch m;
+    if (std::regex_search(line, m, row_re)) out.push_back(m[1].str());
+  }
+  return out;
+}
+
 /// The doc section for one struct: from its `## Name` heading to the next
 /// `## ` heading (or EOF).
 std::string doc_section(const std::string& doc, const std::string& name) {
@@ -63,7 +88,7 @@ std::string doc_section(const std::string& doc, const std::string& name) {
 
 }  // namespace
 
-TEST(PlatformKnobs, EveryConfigStructMemberIsDocumented) {
+TEST(PlatformKnobs, EveryConfigStructMemberIsDocumentedAndEveryRowIsAMember) {
   const std::string src = VMSLS_SOURCE_DIR;
   const std::string doc = slurp(src + "/docs/PLATFORM_KNOBS.md");
   ASSERT_FALSE(doc.empty());
@@ -111,5 +136,12 @@ TEST(PlatformKnobs, EveryConfigStructMemberIsDocumented) {
       EXPECT_NE(section.find("`" + member + "`"), std::string::npos)
           << "knob `" << member << "` of " << name
           << " is undocumented in its PLATFORM_KNOBS.md section";
+    const auto types = nested_type_names(body);
+    for (const auto& row : knob_rows(section)) {
+      const bool declared = std::find(members.begin(), members.end(), row) != members.end() ||
+                            std::find(types.begin(), types.end(), row) != types.end();
+      EXPECT_TRUE(declared) << "PLATFORM_KNOBS.md documents `" << row << "` under " << name
+                            << ", which declares no such member (a stale row?)";
+    }
   }
 }
