@@ -1,4 +1,4 @@
-// Ablation A1 — Page-walk cache on/off.
+// Ablation A1 — Page-walk cache size sweep (0 entries = off).
 //
 // Pointer chasing across far more pages than the TLB holds makes every
 // access walk. The walk cache short-circuits the interior levels for
@@ -14,7 +14,7 @@
 using namespace vmsls;
 
 namespace {
-bench::RunResult run_case(bool cache_on, unsigned cache_entries) {
+bench::RunResult run_case(unsigned cache_entries) {
   workloads::WorkloadParams p;
   p.n = 65536;  // 2 MiB of nodes = 512 pages
   auto wl = workloads::make_pointer_chase(p);
@@ -25,7 +25,6 @@ bench::RunResult run_case(bool cache_on, unsigned cache_entries) {
   app.threads[0].tlb_override = tiny;  // force walks
 
   bench::RunOptions opt;
-  opt.platform.walker.walk_cache_enabled = cache_on;
   opt.platform.walker.walk_cache_entries = cache_entries;
   return bench::run_workload(wl, app, opt);
 }
@@ -34,11 +33,9 @@ bench::RunResult run_case(bool cache_on, unsigned cache_entries) {
 int main() {
   Table table({"walk cache", "cycles", "walks", "walker DRAM reads", "reads/walk",
                "mean walk cyc"});
-  for (const auto& [on, entries, label] :
-       std::vector<std::tuple<bool, unsigned, std::string>>{
-           {false, 0, "off"}, {true, 4, "4 entries"}, {true, 16, "16 entries"},
-           {true, 64, "64 entries"}}) {
-    const auto r = run_case(on, entries);
+  for (const auto& [entries, label] : std::vector<std::pair<unsigned, std::string>>{
+           {0, "off"}, {4, "4 entries"}, {16, "16 entries"}, {64, "64 entries"}}) {
+    const auto r = run_case(entries);
     const double walks = r.stat("walker.walks");
     const double reads = r.stat("walker.mem_reads");
     table.add_row({label, Table::num(r.cycles), Table::num(static_cast<u64>(walks)),

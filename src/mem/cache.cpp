@@ -4,58 +4,45 @@
 
 namespace vmsls::mem {
 
-CacheLevel::CacheLevel(const CacheConfig& cfg, StatRegistry& stats, std::string name)
-    : cfg_(cfg),
-      hits_(stats.counter(name + ".hits")),
-      misses_(stats.counter(name + ".misses")),
-      writebacks_(stats.counter(name + ".writebacks")) {
+namespace {
+
+unsigned cache_sets(const CacheConfig& cfg) {
   require(is_pow2(cfg.line_bytes), "cache line size must be a power of two");
   require(cfg.ways > 0, "cache must have ways");
   const u64 lines = cfg.size_bytes / cfg.line_bytes;
   require(lines % cfg.ways == 0, "cache lines must divide evenly into ways");
-  sets_ = static_cast<unsigned>(lines / cfg.ways);
-  require(sets_ > 0, "cache must have at least one set");
-  ways_.resize(lines);
+  require(lines / cfg.ways > 0, "cache must have at least one set");
+  return static_cast<unsigned>(lines / cfg.ways);
 }
+
+}  // namespace
+
+CacheLevel::CacheLevel(const CacheConfig& cfg, StatRegistry& stats, std::string name)
+    : cfg_(cfg),
+      lines_(cache_sets(cfg), cfg.ways),
+      hits_(stats.counter(name + ".hits")),
+      misses_(stats.counter(name + ".misses")),
+      writebacks_(stats.counter(name + ".writebacks")) {}
 
 CacheLevel::Outcome CacheLevel::access(PhysAddr addr, bool is_write) {
   const u64 line = addr / cfg_.line_bytes;
-  const unsigned set = static_cast<unsigned>(line % sets_);
-  const u64 tag = line / sets_;
-
-  Way* victim = nullptr;
-  for (unsigned w = 0; w < cfg_.ways; ++w) {
-    Way& way = ways_[static_cast<std::size_t>(set) * cfg_.ways + w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++tick_;
-      way.dirty = way.dirty || is_write;
-      hits_.add();
-      return Outcome{true, false, 0};
-    }
-    if (!way.valid) {
-      if (victim == nullptr || victim->valid) victim = &way;
-    } else if (victim == nullptr || (victim->valid && way.lru < victim->lru)) {
-      victim = &way;
-    }
+  if (auto* way = lines_.find(line)) {
+    way->payload = way->payload || is_write;
+    hits_.add();
+    return Outcome{true, false, 0};
   }
-
   misses_.add();
   Outcome out;
-  if (victim->valid && victim->dirty) {
+  const auto victim = lines_.place(line, is_write);
+  if (victim.valid && victim.payload) {
     out.writeback = true;
-    out.writeback_addr = (victim->tag * sets_ + set) * cfg_.line_bytes;
+    out.writeback_addr = victim.key * cfg_.line_bytes;
     writebacks_.add();
   }
-  victim->valid = true;
-  victim->dirty = is_write;
-  victim->tag = tag;
-  victim->lru = ++tick_;
   return out;
 }
 
-void CacheLevel::flush() {
-  for (auto& way : ways_) way.valid = false;
-}
+void CacheLevel::flush() { lines_.clear(); }
 
 CacheHierarchy::CacheHierarchy(sim::Simulator& sim, MemoryBus& bus,
                                const CacheHierarchyConfig& cfg, std::string name)

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "mem/bus.hpp"
+#include "mem/set_assoc.hpp"
 #include "sim/simulator.hpp"
 #include "util/pool.hpp"
 
@@ -46,17 +46,8 @@ class CacheLevel {
   u64 misses() const noexcept { return misses_.value(); }
 
  private:
-  struct Way {
-    bool valid = false;
-    bool dirty = false;
-    u64 tag = 0;
-    u64 lru = 0;
-  };
-
   CacheConfig cfg_;
-  unsigned sets_;
-  std::vector<Way> ways_;
-  u64 tick_ = 0;
+  SetAssoc<bool> lines_;  // keyed by line number; the payload is the dirty bit
 
   Counter& hits_;
   Counter& misses_;

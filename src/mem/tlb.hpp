@@ -3,14 +3,14 @@
 // Each hardware thread's memory port owns one of these (the paper's
 // per-thread TLB design point); the shared-TLB configuration of the scaling
 // experiment attaches several ports to a single instance. True-LRU
-// replacement per set; deterministic.
+// replacement per set (mem::SetAssoc); deterministic.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "mem/set_assoc.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -58,26 +58,8 @@ class Tlb {
   double hit_rate() const noexcept;
 
  private:
-  struct Way {
-    bool valid = false;
-    TlbEntry entry;
-    u64 lru = 0;  // larger = more recently used
-  };
-
-  // Set selection is on every translation's critical path; power-of-two
-  // set counts (one set included: a fully associative TLB) index with a
-  // mask instead of a divide. Both forms compute the same set, so results
-  // are unchanged either way.
-  unsigned set_of(u64 vpn) const noexcept {
-    return pow2_sets_ ? static_cast<unsigned>(vpn & (sets_ - 1))
-                      : static_cast<unsigned>(vpn % sets_);
-  }
-
   TlbConfig cfg_;
-  unsigned sets_;
-  bool pow2_sets_;
-  std::vector<Way> ways_;  // sets_ x cfg_.ways, row-major
-  u64 tick_ = 0;
+  SetAssoc<TlbEntry> ways_;  // keyed by vpn
 
   Counter& hits_;
   Counter& misses_;

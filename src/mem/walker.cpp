@@ -1,6 +1,5 @@
 #include "mem/walker.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace vmsls::mem {
@@ -13,7 +12,7 @@ PageWalker::PageWalker(sim::Simulator& sim, MemoryBus& bus, PhysicalMemory& pm,
       pt_(pt),
       cfg_(cfg),
       name_(std::move(name)),
-      cache_(cfg.walk_cache_enabled ? cfg.walk_cache_entries : 0),
+      cache_(1, cfg.walk_cache_entries),
       walks_(sim.stats().counter(name_ + ".walks")),
       faults_(sim.stats().counter(name_ + ".faults")),
       mem_reads_(sim.stats().counter(name_ + ".mem_reads")),
@@ -29,43 +28,7 @@ u64 PageWalker::cache_tag(VirtAddr va) const noexcept {
   return va >> (pt_.config().page_bits + pt_.index_bits());
 }
 
-bool PageWalker::cache_lookup(VirtAddr va, PhysAddr& base) {
-  if (cache_.empty() || pt_.levels() < 2) return false;
-  const u64 tag = cache_tag(va);
-  for (auto& slot : cache_) {
-    if (slot.valid && slot.tag == tag) {
-      slot.lru = ++cache_tick_;
-      base = slot.base;
-      return true;
-    }
-  }
-  return false;
-}
-
-void PageWalker::cache_fill(VirtAddr va, PhysAddr base) {
-  if (cache_.empty() || pt_.levels() < 2) return;
-  const u64 tag = cache_tag(va);
-  CacheSlot* victim = &cache_.front();
-  for (auto& slot : cache_) {
-    if (slot.valid && slot.tag == tag) {
-      victim = &slot;
-      break;
-    }
-    if (!slot.valid) {
-      if (victim->valid) victim = &slot;
-    } else if (victim->valid && slot.lru < victim->lru) {
-      victim = &slot;
-    }
-  }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->base = base;
-  victim->lru = ++cache_tick_;
-}
-
-void PageWalker::flush_cache() {
-  for (auto& slot : cache_) slot.valid = false;
-}
+void PageWalker::flush_cache() { cache_.clear(); }
 
 void PageWalker::note_ad_update(VirtAddr va, bool dirty) {
   auto leaf = pt_.leaf(va);
@@ -99,13 +62,13 @@ void PageWalker::begin(Walk* w, bool run_ahead) {
   walks_.add();
   w->started = sim_.now();
 
-  PhysAddr cached_base = 0;
-  if (cache_lookup(w->va, cached_base)) {
+  const auto* cached = walk_cache_on() ? cache_.find(cache_tag(w->va)) : nullptr;
+  if (cached != nullptr) {
     cache_hits_.add();
     w->level = pt_.levels() - 1;
-    w->base = cached_base;
+    w->base = cached->payload;
   } else {
-    if (!cache_.empty() && pt_.levels() >= 2) cache_misses_.add();
+    if (walk_cache_on()) cache_misses_.add();
     w->level = 0;
     w->base = pt_.root_addr();
   }
@@ -139,7 +102,7 @@ void PageWalker::on_pte(Walk* w, u64 raw) {
     // already set the funnel would change nothing: skip its re-resolve.
     if (!pte.accessed) note_ad_update(w->va, /*dirty=*/false);
     // Remember the table it lives in for subsequent same-region walks.
-    cache_fill(w->va, w->base);
+    if (walk_cache_on()) cache_.place(cache_tag(w->va), w->base);
     WalkResult r;
     r.frame = pte.frame;
     r.writable = pte.writable;

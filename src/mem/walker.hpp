@@ -4,16 +4,17 @@
 // MMU is a shared fabric block). It services up to `ports` walks
 // concurrently — the default of 1 serializes all misses, which the
 // thread-scaling experiment measures, and ablation A4 adds ports. Each
-// level of the radix walk is one 8-byte read on the memory bus. An optional
-// page-walk cache remembers the last-level interior table for recently
-// walked regions, cutting full walks to a single memory read (ablation A1).
+// level of the radix walk is one 8-byte read on the memory bus. A page-walk
+// cache (fully associative, true LRU; 0 entries turns it off) remembers the
+// last-level interior table for recently walked regions, cutting full walks
+// to a single memory read (ablation A1).
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "mem/bus.hpp"
 #include "mem/pagetable.hpp"
+#include "mem/set_assoc.hpp"
 #include "sim/simulator.hpp"
 #include "util/pool.hpp"
 
@@ -21,8 +22,7 @@ namespace vmsls::mem {
 
 struct WalkerConfig {
   Cycles setup_latency = 2;  // miss-handling handshake before the first read
-  bool walk_cache_enabled = true;
-  unsigned walk_cache_entries = 16;
+  unsigned walk_cache_entries = 16;  // 0 = no walk cache
   unsigned ports = 1;  // concurrent walks serviced
 };
 
@@ -82,12 +82,6 @@ class PageWalker {
     Cycles enqueued = 0;
     Cycles started = 0;
   };
-  struct CacheSlot {
-    bool valid = false;
-    u64 tag = 0;        // va >> (page_bits + index_bits)
-    PhysAddr base = 0;  // leaf table base
-    u64 lru = 0;
-  };
 
   /// Starts queued walks while ports are free, each on the scheduled path.
   void try_start();
@@ -97,8 +91,9 @@ class PageWalker {
   void on_pte(Walk* w, u64 raw);
   void finish(Walk* w, const WalkResult& r);
 
-  bool cache_lookup(VirtAddr va, PhysAddr& base);
-  void cache_fill(VirtAddr va, PhysAddr base);
+  /// The walk cache is in use: it has entries and there is an interior
+  /// level to skip.
+  bool walk_cache_on() const noexcept { return cfg_.walk_cache_entries > 0 && pt_.levels() >= 2; }
   u64 cache_tag(VirtAddr va) const noexcept;
 
   sim::Simulator& sim_;
@@ -112,8 +107,7 @@ class PageWalker {
   unsigned active_ = 0;
   Pool<Walk> walk_pool_;
 
-  std::vector<CacheSlot> cache_;
-  u64 cache_tick_ = 0;
+  SetAssoc<PhysAddr> cache_;  // one set; cache_tag -> leaf table base
 
   Counter& walks_;
   Counter& faults_;

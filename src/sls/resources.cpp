@@ -91,7 +91,7 @@ Resources estimate_mmu_frontend() { return Resources{340, 390, 0.0, 0}; }
 
 Resources estimate_walker(const mem::WalkerConfig& cfg) {
   Resources r{880, 720, 0.0, 0};
-  if (cfg.walk_cache_enabled) r += Resources{26, 96, 0.0, 0}.scaled(cfg.walk_cache_entries);
+  r += Resources{26, 96, 0.0, 0}.scaled(cfg.walk_cache_entries);
   return r;
 }
 

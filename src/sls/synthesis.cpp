@@ -377,7 +377,7 @@ void SynthesisFlow::pass_emit(const AppSpec& app, SystemImage& image) const {
     walker.connections.push_back({"m_axi", "axi_mem"});
     walker.connections.push_back({"walk_req", "ptw_req"});
     walker.parameters.emplace_back("WALK_CACHE",
-                                   platform_.walker.walk_cache_enabled ? "1" : "0");
+                                   platform_.walker.walk_cache_entries > 0 ? "1" : "0");
   }
 
   for (const auto& plan : image.hw_plans_) {

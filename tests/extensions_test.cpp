@@ -183,7 +183,7 @@ Cycles run_concurrent_walks(unsigned ports, unsigned walks) {
   MemorySystem ms;  // fresh system per measurement
   mem::WalkerConfig cfg;
   cfg.ports = ports;
-  cfg.walk_cache_enabled = false;
+  cfg.walk_cache_entries = 0;
   mem::PageWalker walker(ms.sim, ms.bus, ms.pm, ms.as.page_table(), cfg,
                          "w" + std::to_string(ports));
   ms.as.populate(0x100000, walks * 4096);

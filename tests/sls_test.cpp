@@ -65,7 +65,7 @@ TEST(Resources, TlbScalesWithEntries) {
 TEST(Resources, WalkCacheCostsExtra) {
   mem::WalkerConfig with;
   mem::WalkerConfig without;
-  without.walk_cache_enabled = false;
+  without.walk_cache_entries = 0;
   EXPECT_GT(estimate_walker(with).luts, estimate_walker(without).luts);
 }
 

@@ -48,7 +48,7 @@ TEST_F(WalkerFixture, UnmappedPageFaults) {
 }
 
 TEST_F(WalkerFixture, WalkReadsOnePerLevel) {
-  wcfg.walk_cache_enabled = false;
+  wcfg.walk_cache_entries = 0;
   make_walker();
   ms.as.populate(0x10000, 4096);
   walk_sync(0x10000);
@@ -57,7 +57,6 @@ TEST_F(WalkerFixture, WalkReadsOnePerLevel) {
 }
 
 TEST_F(WalkerFixture, WalkCacheShortensRepeatWalks) {
-  wcfg.walk_cache_enabled = true;
   make_walker();
   ms.as.populate(0x10000, 2 * 4096);
   walk_sync(0x10000);
@@ -70,7 +69,6 @@ TEST_F(WalkerFixture, WalkCacheShortensRepeatWalks) {
 }
 
 TEST_F(WalkerFixture, FlushCacheForcesFullWalk) {
-  wcfg.walk_cache_enabled = true;
   make_walker();
   ms.as.populate(0x10000, 4096);
   walk_sync(0x10000);
@@ -277,7 +275,7 @@ TEST_F(WalkerFixture, UncontendedWalkQueuesOnlyItsSetupEvent) {
   // The setup delay is scheduled (walk() runs outside the loop); its event
   // holds the run-ahead token, so three PTE reads complete in place and the
   // A write-back is posted. Five logical events, as when all five queued.
-  wcfg.walk_cache_enabled = false;
+  wcfg.walk_cache_entries = 0;
   make_walker();
   ms.as.populate(0x10000, 4096);
   const u64 executed = ms.sim.events_executed();
