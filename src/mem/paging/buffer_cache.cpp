@@ -1,6 +1,5 @@
 #include "mem/paging/buffer_cache.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/trace.hpp"
@@ -23,6 +22,7 @@ BufferCache::BufferCache(sim::Simulator& sim, const BufferCacheConfig& cfg, u64 
       evictions_(sim.stats().counter(name_ + ".evictions")),
       read_wait_(sim.stats().histogram(name_ + ".read_wait")) {
   require(block_bytes_ > 0, name_ + ": block size must be non-zero");
+  require(cfg.bytes_per_cycle > 0, name_ + ": BufferCacheConfig::bytes_per_cycle must be nonzero");
   trace_track_ = sim_.trace().track(name_);
 }
 
@@ -183,7 +183,7 @@ void BufferCache::pump() {
   VMSLS_TRACE_END(sim_.trace(), trace_track_, "queue", req.trace_id, req.key);
   VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "io", req.trace_id, req.key);
   const Cycles access = req.is_read ? cfg_.read_latency : cfg_.write_latency;
-  const Cycles duration = access + block_bytes_ / std::max(1u, cfg_.bytes_per_cycle);
+  const Cycles duration = access + block_bytes_ / cfg_.bytes_per_cycle;
   if (req.is_read) {
     reads_.add();
     read_wait_.record(sim_.now() - req.enqueued);

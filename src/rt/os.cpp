@@ -13,10 +13,12 @@ OsModel::OsModel(sim::Simulator& sim, const OsConfig& cfg, std::string name)
     : sim_(sim),
       cfg_(cfg),
       name_(std::move(name)),
-      core_free_(std::max(1u, cfg.service_cores), 0),
+      core_free_(cfg.service_cores, 0),
       services_(sim.stats().counter(name_ + ".services")),
       busy_cycles_(sim.stats().counter(name_ + ".busy_cycles")),
-      queue_wait_(sim.stats().histogram(name_ + ".queue_wait")) {}
+      queue_wait_(sim.stats().histogram(name_ + ".queue_wait")) {
+  require(cfg.service_cores > 0, name_ + ": OsConfig::service_cores must be nonzero");
+}
 
 void OsModel::exec_service(Cycles pre_cost, sim::Callback<> work) {
   services_.add();
@@ -36,6 +38,8 @@ FaultHandler::FaultHandler(sim::Simulator& sim, OsModel& os, Process& process, s
       name_(std::move(name)),
       faults_(sim.stats().counter(name_ + ".faults")),
       latency_(sim.stats().histogram(name_ + ".latency")) {
+  require(os.config().copy_bytes_per_cycle > 0,
+          name_ + ": OsConfig::copy_bytes_per_cycle must be nonzero");
   trace_track_ = sim_.trace().track(name_);
 }
 
@@ -72,8 +76,7 @@ void FaultHandler::raise(mem::FaultRequest req) {
   VMSLS_TRACE_BEGIN(sim_.trace(), trace_track_, "service", f->trace_id, req.va);
   f->req = std::move(req);
   const auto& cfg = os_.config();
-  const Cycles copy_cost =
-      process_.address_space().page_bytes() / std::max(1u, cfg.copy_bytes_per_cycle);
+  const Cycles copy_cost = process_.address_space().page_bytes() / cfg.copy_bytes_per_cycle;
   f->post = cfg.map_page_cost + copy_cost + cfg.response_latency;
   if (pager_ == nullptr) {
     // Pressure-free path: the whole kernel VM trip runs on a service core.

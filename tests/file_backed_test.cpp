@@ -250,6 +250,11 @@ TEST_F(BufferCacheFixture, CapacityEvictionWritesBackDirtyVictims) {
   EXPECT_EQ(bc->dirty_blocks(), 2u);
 }
 
+TEST_F(BufferCacheFixture, ZeroBandwidthIsRejected) {
+  cfg.bytes_per_cycle = 0;
+  EXPECT_THROW(make(/*capacity=*/8), std::invalid_argument);
+}
+
 TEST_F(BufferCacheFixture, ZeroCapacityStreamsStraightThrough) {
   make(/*capacity=*/0);
   int done = 0;

@@ -53,6 +53,16 @@ TEST_F(OsFixture, TwoCoresOverlapServices) {
   EXPECT_EQ(b, 100u);
 }
 
+TEST_F(OsFixture, ZeroServiceCoresAreRejected) {
+  EXPECT_THROW(make(/*cores=*/0), std::invalid_argument);
+}
+
+TEST_F(OsFixture, ZeroCopyBandwidthIsRejected) {
+  cfg.copy_bytes_per_cycle = 0;
+  make();
+  EXPECT_THROW(FaultHandler(ms.sim, *os, *process, "fh"), std::invalid_argument);
+}
+
 TEST_F(OsFixture, FaultHandlerMapsAndRetries) {
   make();
   FaultHandler fh(ms.sim, *os, *process, "fh");
