@@ -171,6 +171,7 @@ void OffloadDriver::fault_in(Transfer* x) {
         // A device write into the page (copy_out) needs it writable:
         // is_write mirrors the direction the device accesses user memory.
         pager_->handle_fault(page_va, /*is_write=*/!x->to_pinned, [this, x] {
+          sim_.forgo_run_ahead();  // the driver's own code, not a tail call
           // Re-enter on a fresh stack: handle_fault may complete
           // synchronously (clean evictions, no swap read), and a chunk's
           // worth of such faults must not recurse.

@@ -8,7 +8,7 @@ namespace vmsls::mem {
 
 FrameAllocator::FrameAllocator(PhysAddr base, u64 frame_count, u64 frame_bytes)
     : base_(base), frame_bytes_(frame_bytes), total_(frame_count), free_count_(frame_count),
-      used_(frame_count, false), refs_(frame_count, 0) {
+      refs_(frame_count, 0) {
   require(frame_bytes > 0 && is_pow2(frame_bytes), "frame size must be a power of two");
   require(is_aligned(base, frame_bytes), "frame region base must be frame aligned");
   require(frame_count > 0, "frame region must contain frames");
@@ -22,18 +22,20 @@ u64 FrameAllocator::index_of(u64 frame) const {
 
 std::optional<u64> FrameAllocator::alloc() {
   if (free_count_ == 0) return std::nullopt;
-  for (u64 i = 0; i < total_; ++i) {
-    const u64 idx = (scan_hint_ + i) % total_;
-    if (!used_[idx]) {
-      used_[idx] = true;
-      refs_[idx] = 1;
-      --free_count_;
-      peak_used_ = std::max(peak_used_, total_ - free_count_);
-      scan_hint_ = idx + 1;
-      return (base_ + idx * frame_bytes_) / frame_bytes_;
-    }
-  }
-  throw std::runtime_error("FrameAllocator: inconsistent free count");
+  // First free frame at or after the hint, wrapping once.
+  const u32* refs = refs_.data();
+  const auto first_free = [refs](u64 from, u64 to) {
+    return static_cast<u64>(std::find(refs + from, refs + to, 0u) - refs);
+  };
+  const u64 hint = scan_hint_ < total_ ? scan_hint_ : 0;
+  u64 idx = first_free(hint, total_);
+  if (idx == total_) idx = first_free(0, hint);
+  if (refs_[idx] != 0) throw std::runtime_error("FrameAllocator: inconsistent free count");
+  refs_[idx] = 1;
+  --free_count_;
+  peak_used_ = std::max(peak_used_, total_ - free_count_);
+  scan_hint_ = idx + 1;
+  return (base_ + idx * frame_bytes_) / frame_bytes_;
 }
 
 std::optional<u64> FrameAllocator::alloc_contiguous(u64 count) {
@@ -41,13 +43,10 @@ std::optional<u64> FrameAllocator::alloc_contiguous(u64 count) {
   if (count > free_count_) return std::nullopt;
   u64 run = 0;
   for (u64 idx = 0; idx < total_; ++idx) {
-    run = used_[idx] ? 0 : run + 1;
+    run = refs_[idx] != 0 ? 0 : run + 1;
     if (run == count) {
       const u64 first = idx + 1 - count;
-      for (u64 j = first; j <= idx; ++j) {
-        used_[j] = true;
-        refs_[j] = 1;
-      }
+      for (u64 j = first; j <= idx; ++j) refs_[j] = 1;
       free_count_ -= count;
       peak_used_ = std::max(peak_used_, total_ - free_count_);
       return (base_ + first * frame_bytes_) / frame_bytes_;
@@ -58,16 +57,14 @@ std::optional<u64> FrameAllocator::alloc_contiguous(u64 count) {
 
 void FrameAllocator::ref(u64 frame) {
   const u64 idx = index_of(frame);
-  require(used_[idx], "ref of an unallocated frame");
+  require(refs_[idx] != 0, "ref of an unallocated frame");
   ++refs_[idx];
 }
 
 u64 FrameAllocator::free(u64 frame) {
   const u64 idx = index_of(frame);
-  require(used_[idx], "double free of physical frame");
-  require(refs_[idx] > 0, "frame refcount underflow");
+  require(refs_[idx] != 0, "double free of physical frame");
   if (--refs_[idx] > 0) return refs_[idx];
-  used_[idx] = false;
   ++free_count_;
   scan_hint_ = idx;
   return 0;
@@ -82,11 +79,8 @@ void FrameAllocator::free_contiguous(u64 first_frame, u64 count) {
   }
 }
 
-bool FrameAllocator::is_allocated(u64 frame) const { return used_[index_of(frame)]; }
+bool FrameAllocator::is_allocated(u64 frame) const { return refs_[index_of(frame)] != 0; }
 
-u64 FrameAllocator::refcount(u64 frame) const {
-  const u64 idx = index_of(frame);
-  return used_[idx] ? refs_[idx] : 0;
-}
+u64 FrameAllocator::refcount(u64 frame) const { return refs_[index_of(frame)]; }
 
 }  // namespace vmsls::mem

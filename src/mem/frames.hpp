@@ -62,9 +62,8 @@ class FrameAllocator {
   u64 frame_bytes_;
   u64 total_;
   u64 free_count_;
-  std::vector<bool> used_;  // indexed by local frame index
-  std::vector<u32> refs_;   // sharer count per frame; 0 when unallocated
-  u64 scan_hint_ = 0;       // next index to try, keeps alloc O(1) amortized
+  std::vector<u32> refs_;  // sharer count per local frame index; 0 = free
+  u64 scan_hint_ = 0;      // next index to try, keeps alloc O(1) amortized
   u64 peak_used_ = 0;
 };
 

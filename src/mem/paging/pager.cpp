@@ -343,6 +343,8 @@ void Pager::release_fault(InflightFault& f) {
 void Pager::complete_fault(u64 vpn) {
   InflightFault& f = take_fault(vpn);
   VMSLS_TRACE_END(sim_.trace(), trace_track_, "fault", f.trace_id, vpn);
+  // Waking the primary is a tail call only when no waiter wakes after it.
+  if (!f.waiters.empty()) sim_.forgo_run_ahead();
   wake(f.primary);
   for (Waiter& w : f.waiters) wake(w);
   release_fault(f);
@@ -456,6 +458,7 @@ void Pager::start_prefetch(u64 vpn) {
 }
 
 void Pager::finish_prefetch(u64 vpn) {
+  sim_.forgo_run_ahead();  // the waiters wake one after another
   InflightFault& f = take_fault(vpn);
   std::vector<Waiter>& waiters = f.waiters;
   // Land resident-clean: map_page installs the PTE with accessed and dirty

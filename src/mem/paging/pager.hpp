@@ -174,7 +174,9 @@ class Pager final : public mem::ResidencyObserver, public KeyOwner {
   /// frame: one frame reservation and at most one device read serve all
   /// waiters, even when the first fault suspends on an async writeback.
   /// A demand fault landing on an in-flight *prefetch* coalesces the same
-  /// way (and counts toward `prefetch_late`).
+  /// way (and counts toward `prefetch_late`). A lone waiter's `ready` may
+  /// run inside a swap completion that holds the run-ahead token: it ends
+  /// in tail calls or calls sim::Simulator::forgo_run_ahead() first.
   void handle_fault(VirtAddr va, bool is_write, sim::EventFn ready);
 
   // --- FramePool interface ---

@@ -283,7 +283,10 @@ void SwapScheduler::dispatch(std::vector<Request> batch) {
     reads_.add(batch.size());
   }
   const u64 bytes = batch.size() * page_bytes_;
-  transfer(write ? cfg_.write_latency : cfg_.read_latency, bytes,
+  // A lone request's continuation is the completion's last act, so the
+  // completion may hold the run-ahead token; a batch's run one after another.
+  const bool alone = batch.size() == 1;
+  transfer(write ? cfg_.write_latency : cfg_.read_latency, bytes, alone,
            [this, batch = std::move(batch)]() mutable { complete(batch); });
 }
 
@@ -305,9 +308,13 @@ void SwapScheduler::complete(std::vector<Request>& batch) {
   recycle_batch(std::move(batch));
 }
 
-void SwapScheduler::transfer(Cycles latency, u64 bytes, sim::EventFn done) {
+void SwapScheduler::transfer(Cycles latency, u64 bytes, bool run_ahead, sim::EventFn done) {
   bytes_.add(bytes);
-  sim_.schedule_in(latency + bytes / cfg_.bytes_per_cycle, std::move(done));
+  const Cycles at = sim_.now() + latency + bytes / cfg_.bytes_per_cycle;
+  if (run_ahead)
+    sim_.schedule_run_ahead(at, std::move(done));
+  else
+    sim_.schedule_at(at, std::move(done));
 }
 
 std::vector<SwapScheduler::Request> SwapScheduler::take_batch() {

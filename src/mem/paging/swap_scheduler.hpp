@@ -122,7 +122,8 @@ class SwapScheduler {
   /// as one clustered device operation (one access latency, streamed
   /// bytes) — this is what makes readahead nearly free next to the demand
   /// read it follows. `trace_id` threads the requester's causal id through
-  /// the "queue" and "io" trace spans (0 = untraced).
+  /// the "queue" and "io" trace spans (0 = untraced). `done` follows the
+  /// run-ahead rule of complete().
   void read(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventFn done, u64 trace_id = 0);
 
   /// Runs `fill` with dispatch deferred, then pumps once: requests enqueued
@@ -140,6 +141,7 @@ class SwapScheduler {
   /// Queues a timed page write (swap-out / writeback); `cls` must be
   /// kDemandWrite (fault-path eviction) or kWriteback (background
   /// cleaning). Allocates a slot at enqueue so holds() is immediately true.
+  /// `done` follows the run-ahead rule of complete().
   void write(unsigned owner, u64 vpn, SwapReqClass cls, sim::EventFn done, u64 trace_id = 0);
 
   /// Upgrades a *queued* prefetch read for the page to demand class (a
@@ -211,8 +213,9 @@ class SwapScheduler {
   u64 pack(unsigned owner, u64 vpn) const;
   void free_slot(unsigned owner, u64 vpn);
   /// Occupies the device port for one operation: the access latency plus
-  /// `bytes` at the configured bandwidth; `done` fires at completion.
-  void transfer(Cycles latency, u64 bytes, sim::EventFn done);
+  /// `bytes` at the configured bandwidth; `done` fires at completion,
+  /// holding the run-ahead token with `run_ahead`.
+  void transfer(Cycles latency, u64 bytes, bool run_ahead, sim::EventFn done);
   std::size_t select_next();
   void pump();
   /// Issues one device operation: a single write, or a read batch (the
@@ -220,7 +223,12 @@ class SwapScheduler {
   /// transfer. `batch[0]` is the selected request.
   void dispatch(std::vector<Request> batch);
   /// The operation's completion: frees a read batch's slots, frees the
-  /// port, dispatches the next request, then runs the continuations.
+  /// port, dispatches the next request, then runs the continuations. A
+  /// one-request batch's completion holds the run-ahead token (see
+  /// sim::Simulator::schedule_run_ahead), so its continuation may run the
+  /// requester's next step in place: a continuation that reaches more work
+  /// after a callee that could advance the clock, or that calls foreign
+  /// code (the OS, a DMA driver), calls forgo_run_ahead() first.
   void complete(std::vector<Request>& batch);
   /// Batch-vector recycling: dispatch hands its vector (and the Requests'
   /// heap nodes) back after completion, so steady-state fault traffic

@@ -4,6 +4,10 @@
 
 namespace vmsls::mem {
 
+// Key, LRU stamp, payload and valid flag: a way fills five words, and
+// lookup scans the set's ways inline.
+static_assert(sizeof(SetAssoc<TlbEntry>::Way) == 40);
+
 TlbConfig TlbConfig::with_entries(unsigned n) const {
   require(n > 0, "TLB needs at least one entry");
   TlbConfig c = *this;
@@ -46,7 +50,7 @@ std::optional<TlbEntry> Tlb::peek(u64 vpn) const {
 }
 
 void Tlb::insert(u64 vpn, u64 frame, bool writable) {
-  const auto evicted = ways_.place(vpn, TlbEntry{vpn, frame, writable});
+  const auto evicted = ways_.place(vpn, TlbEntry{frame, writable});
   if (evicted.valid && evicted.key != vpn) evictions_.add();
 }
 

@@ -27,8 +27,8 @@ struct TlbConfig {
   TlbConfig with_entries(unsigned entries) const;
 };
 
+/// A translation's payload; the tag array keys each way by vpn.
 struct TlbEntry {
-  u64 vpn = 0;
   u64 frame = 0;
   bool writable = false;
 };

@@ -89,6 +89,7 @@ void FaultHandler::raise(mem::FaultRequest req) {
   // map/copy/response tail re-acquires a core once the frame is secured.
   os_.exec_service(cfg.irq_latency + cfg.fault_service, [this, f] {
     pager_->handle_fault(f->req.va, f->req.is_write, [this, f] {
+      sim_.forgo_run_ahead();  // the OS is not a tail call
       os_.exec_service(f->post, [this, f] { finish_fault(f); });
     });
   });

@@ -42,6 +42,10 @@ void Simulator::insert(Cycles when, EventFn& fn, bool token) {
   if (when - now_ < kWheelSlots) {
     // A slot holds exactly one cycle's FIFO list: a new event for cycle
     // t + kWheelSlots cannot be scheduled until every event at t has run.
+    if (wheel_count_ == 0 || (wheel_min_known_ && when < wheel_min_)) {
+      wheel_min_ = when;
+      wheel_min_known_ = true;
+    }
     Slot& s = wheel_[when & kWheelMask];
     if (s.head == nullptr) {
       s.head = s.tail = n;
@@ -64,6 +68,14 @@ void Simulator::post(Cycles when) {
 }
 
 Cycles Simulator::next_wheel_time() const noexcept {
+  if (!wheel_min_known_) {
+    wheel_min_ = scan_wheel();
+    wheel_min_known_ = true;
+  }
+  return wheel_min_;
+}
+
+Cycles Simulator::scan_wheel() const noexcept {
   const u64 start = now_ & kWheelMask;
   const u64 start_word = start >> 6;
   u64 w = start_word;
@@ -111,6 +123,7 @@ Simulator::EventNode* Simulator::pop_next(Cycles deadline) {
     if (s.head == nullptr) {
       s.tail = nullptr;
       occupied_[(tw & kWheelMask) >> 6] &= ~(1ull << (tw & 63));
+      wheel_min_known_ = false;
     }
     --wheel_count_;
   }

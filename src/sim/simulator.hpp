@@ -13,7 +13,11 @@
 //   * Near-future events (within kWheelSlots cycles of now) go into a
 //     timing wheel: one FIFO list per cycle slot, with an occupancy bitmap
 //     so the next event is found by a find-first-set scan, not a heap
-//     sift. Same-cycle FIFO order falls out of list append order.
+//     sift. Same-cycle FIFO order falls out of list append order. The
+//     earliest wheel time is cached: an insert sets or lowers it, a pop
+//     that empties a slot forgets it, and only then does the next query
+//     rescan the bitmap, so try_advance_to's "anything due by t?" is O(1)
+//     while the earliest event stays put.
 //   * Far-future events (beyond the wheel horizon) fall back to a binary
 //     heap keyed on (when, seq). When a wheel slot and the heap top tie on
 //     time, the global sequence number arbitrates, so the (time,
@@ -34,8 +38,11 @@
 //     timed TLB hit (Mmu::translate), the page walker's setup delay
 //     (PageWalker::begin) and a tail_call bus request's completion
 //     (MemoryBus::request on an idle channel, MemoryBus::grant from the
-//     queue: the port's data and the walker's PTE reads). The MMU and bus
-//     sites call their caller's continuation directly on a granted step
+//     queue: the port's data and the walker's PTE reads), and on the
+//     serving path an episode's next page touch (sls::EpisodeDriver::next)
+//     and a one-request swap transfer's completion (SwapScheduler::complete,
+//     whose continuation may reach the touch after a swap-in). The MMU and
+//     bus sites call their caller's continuation directly on a granted step
 //     and type-erase it into an EventFn only for the fallback.
 //   * Posted completions: a fire-and-forget bus write (an A/D write-back)
 //     has nothing to run when it completes. post(t) stands for the no-op
@@ -228,8 +235,12 @@ class Simulator {
   void release(EventNode* n) noexcept;
   void grow_pool();
 
-  /// Earliest pending wheel time; precondition: wheel_count_ > 0.
+  /// Earliest pending wheel time; precondition: wheel_count_ > 0. Served
+  /// from wheel_min_ while it is known, else one scan_wheel() refills it.
   Cycles next_wheel_time() const noexcept;
+  /// The bitmap scan behind next_wheel_time: up to kWheelWords words from
+  /// now()'s slot.
+  Cycles scan_wheel() const noexcept;
 
   /// Detaches and returns the next event in (when, seq) order, or nullptr
   /// when the queue is empty or the next event lies beyond `deadline`.
@@ -265,6 +276,11 @@ class Simulator {
   EventNode* free_ = nullptr;                   // recycled-node freelist
   u64 wheel_count_ = 0;
   u64 pending_ = 0;
+  // The earliest wheel time, cached: an insert sets it (first event) or
+  // lowers it, a pop that empties a slot forgets it, and next_wheel_time()
+  // rescans only then. Absolute, so advancing now() keeps it valid.
+  mutable Cycles wheel_min_ = 0;
+  mutable bool wheel_min_known_ = false;
 
   Cycles now_ = 0;
   u64 next_seq_ = 0;

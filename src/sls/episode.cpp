@@ -19,7 +19,7 @@ void EpisodeDriver::start(std::size_t w, Cycles delay, sim::Callback<> done) {
   wk.busy = true;
   wk.pos = 0;
   wk.done = std::move(done);
-  sim_.schedule_in(delay + touch_cost_, [this, w] { run(w); });
+  sim_.schedule_run_ahead(sim_.now() + delay + touch_cost_, [this, w] { run(w); });
 }
 
 void EpisodeDriver::run(std::size_t w) {
@@ -29,14 +29,19 @@ void EpisodeDriver::run(std::size_t w) {
 
 void EpisodeDriver::next(std::size_t w) {
   Worker& wk = workers_[w];
-  if (touch_cost_ > 0 && wk.pos < wk.touches.size()) {
-    sim_.schedule_in(touch_cost_, [this, w] { run(w); });
-    return;
-  }
-  while (wk.pos < wk.touches.size())
+  while (wk.pos < wk.touches.size()) {
+    if (touch_cost_ > 0) {
+      const Cycles at = sim_.now() + touch_cost_;
+      if (!sim_.try_advance_to(at)) {
+        sim_.schedule_run_ahead(at, [this, w] { run(w); });
+        return;
+      }
+    }
     if (!touch(w)) return;
+  }
   wk.busy = false;
   sim::Callback<> done = std::move(wk.done);
+  sim_.forgo_run_ahead();  // `done` is the caller's code, not a tail call
   if (done) done();
 }
 
@@ -52,6 +57,9 @@ bool EpisodeDriver::touch(std::size_t w) {
       check(w, t.va, value);
     return true;
   }
+  // The pager may run its continuation before it returns and is not a
+  // tail call: no touch runs ahead inside it.
+  sim_.forgo_run_ahead();
   if (found == mem::AddressSpace::Access::kUnmapped) {
     // Never mapped, or evicted underneath the worker: not a COW fault.
     ++wk.read_faults;

@@ -17,6 +17,13 @@
 // paging::LedgerExpect needs. A touch cost above 0 runs each touch that
 // long after the previous one (TrafficDriver's touch_cost); at cost 0
 // resident touches run inline (fig14, micro_paging).
+// Run-ahead: the next touch is a run-ahead site (sim/simulator.hpp). next()
+// runs it in place when Simulator::try_advance_to grants the step, else
+// queues it with schedule_run_ahead, so touches between faults, and the
+// touch after a lone swap-in, skip the event queue. Two calls are not tail
+// calls, and the driver gives up the token before each:
+// Pager::handle_fault, which may run its continuation before it returns,
+// and the episode's `done`, the caller's code.
 #pragma once
 
 #include <optional>

@@ -231,6 +231,39 @@ TEST(FrameAllocator, ContiguousFailsWhenFragmented) {
   EXPECT_TRUE(fa.alloc_contiguous(1).has_value());
 }
 
+TEST(FrameAllocator, AllocScansFromTheLastFreeOrAllocAndWraps) {
+  // Frames come out in a fixed order, which every simulated frame number
+  // (and so DRAM row locality) depends on: alloc scans up from where the
+  // last alloc stopped or the last free landed, wrapping once.
+  FrameAllocator fa(0, 8, 4 * KiB);
+  for (u64 i = 0; i < 6; ++i) EXPECT_EQ(fa.alloc(), i);
+  fa.free(2);
+  fa.free(4);
+  EXPECT_EQ(fa.alloc(), 4u);  // the last free, not the lowest
+  EXPECT_EQ(fa.alloc(), 6u);
+  fa.free(1);
+  fa.free(6);
+  EXPECT_EQ(fa.alloc(), 6u);
+  EXPECT_EQ(fa.alloc(), 7u);
+  EXPECT_EQ(fa.alloc(), 1u);  // wrapped past the end
+  EXPECT_EQ(fa.alloc(), 2u);
+  EXPECT_FALSE(fa.alloc().has_value());
+  EXPECT_EQ(fa.free(3), 0u);
+  EXPECT_FALSE(fa.is_allocated(3));
+  EXPECT_EQ(fa.refcount(3), 0u);
+}
+
+TEST(FrameAllocator, ContiguousRunSkipsAHoleAndLeavesTheScanHint) {
+  FrameAllocator fa(0, 8, 4 * KiB);
+  for (u64 i = 0; i < 4; ++i) EXPECT_EQ(fa.alloc(), i);
+  fa.free(2);                           // a one-frame hole
+  EXPECT_EQ(fa.alloc_contiguous(3), 4u);  // first fit past the hole
+  EXPECT_EQ(fa.alloc_contiguous(1), 2u);  // first fit is the hole
+  EXPECT_FALSE(fa.alloc_contiguous(2).has_value());
+  EXPECT_EQ(fa.alloc(), 7u);  // the scan resumes from the last free (2)
+  EXPECT_EQ(fa.used_frames(), 8u);
+}
+
 TEST(FrameAllocator, OutOfRegionFrameThrows) {
   FrameAllocator fa(0, 4, 4 * KiB);
   EXPECT_THROW(fa.free(100), std::invalid_argument);

@@ -11,9 +11,9 @@
 
 #include <fstream>
 #include <algorithm>
-#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,41 +37,101 @@ std::string struct_body(const std::string& header_text, const std::string& name)
   return header_text.substr(begin + key.size(), end - begin - key.size());
 }
 
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool is_word(char c) {
+  return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
+}
+bool is_word_start(char c) { return is_word(c) && !(c >= '0' && c <= '9'); }
+
 /// Member names of an aggregate config struct: one declaration per line,
-/// `type name = default;` / `type name{...};` / `type name;`.
+/// `type name = default;` / `type name{...};` / `type name;`. A line
+/// declares a member when, after leading blanks, a type (word characters,
+/// `:<>,*&` and blanks) is followed by the name, and the name by blanks and
+/// one of `=`, `{`, `;`.
 std::vector<std::string> member_names(const std::string& body) {
-  static const std::regex member_re(
-      R"(^\s*[A-Za-z_][\w:<>,\s\*&]*[\s&\*]([A-Za-z_]\w*)\s*(?:=|\{|;))");
+  const auto in_type = [](char c) {
+    return is_word(c) || is_space(c) || c == ':' || c == '<' || c == '>' || c == ',' ||
+           c == '*' || c == '&';
+  };
   std::vector<std::string> out;
   std::istringstream lines(body);
-  std::string line;
-  while (std::getline(lines, line)) {
-    const auto comment = line.find("//");
-    if (comment != std::string::npos) line = line.substr(0, comment);
-    std::smatch m;
-    if (std::regex_search(line, m, member_re)) out.push_back(m[1].str());
+  std::string text;
+  while (std::getline(lines, text)) {
+    std::string_view line(text);
+    line = line.substr(0, line.find("//"));
+    std::size_t type = 0;
+    while (type < line.size() && is_space(line[type])) ++type;
+    if (type == line.size() || !is_word_start(line[type])) continue;
+    std::size_t stop = type + 1;  // the first character no declaration part has
+    while (stop < line.size() && in_type(line[stop])) ++stop;
+    if (stop == line.size() || (line[stop] != '=' && line[stop] != '{' && line[stop] != ';'))
+      continue;
+    std::size_t name_end = stop;
+    while (name_end > type && is_space(line[name_end - 1])) --name_end;
+    std::size_t name = name_end;
+    while (name > type && is_word(line[name - 1])) --name;
+    // The name starts with a non-digit and follows the type, after a blank,
+    // `*` or `&`.
+    if (name == name_end || !is_word_start(line[name]) || name < type + 2) continue;
+    const char sep = line[name - 1];
+    if (!is_space(sep) && sep != '*' && sep != '&') continue;
+    out.emplace_back(line.substr(name, name_end - name));
   }
   return out;
 }
 
-/// Names of the types a struct body declares (`enum class Kind`, ...).
+/// Names of the types a struct body declares (`enum class Kind`, ...): the
+/// word after `enum class`, `enum`, `struct`, `class` or `using`, each
+/// keyword starting a word and followed by blanks.
 std::vector<std::string> nested_type_names(const std::string& body) {
-  static const std::regex type_re(R"(\b(?:enum\s+class|enum|struct|class|using)\s+([A-Za-z_]\w*))");
+  static constexpr std::string_view kKeywords[] = {"enum class", "enum", "struct", "class",
+                                                   "using"};
   std::vector<std::string> out;
-  for (std::sregex_iterator it(body.begin(), body.end(), type_re), end; it != end; ++it)
-    out.push_back((*it)[1].str());
+  const std::string_view text(body);
+  std::size_t i = 0;
+  while (i < text.size()) {
+    if (i > 0 && is_word(text[i - 1])) {
+      ++i;
+      continue;
+    }
+    std::size_t next = i + 1;
+    for (const std::string_view kw : kKeywords) {
+      // "enum class" matches with any run of blanks between its words.
+      std::size_t at = i;
+      bool match = true;
+      for (std::size_t k = 0; k < kw.size() && match; ++k) {
+        if (kw[k] == ' ') {
+          if (at == text.size() || !is_space(text[at])) match = false;
+          while (at < text.size() && is_space(text[at])) ++at;
+        } else {
+          match = at < text.size() && text[at++] == kw[k];
+        }
+      }
+      std::size_t name = at;
+      while (match && name < text.size() && is_space(text[name])) ++name;
+      if (!match || name == at || name == text.size() || !is_word_start(text[name])) continue;
+      std::size_t end = name;
+      while (end < text.size() && is_word(text[end])) ++end;
+      out.emplace_back(text.substr(name, end - name));
+      next = end;  // matches do not overlap
+      break;
+    }
+    i = next;
+  }
   return out;
 }
 
 /// The knobs a doc section's table rows name: `| `knob` | ...`.
 std::vector<std::string> knob_rows(const std::string& section) {
-  static const std::regex row_re(R"(^\| `([^`]+)` \|)");
   std::vector<std::string> out;
   std::istringstream lines(section);
-  std::string line;
-  while (std::getline(lines, line)) {
-    std::smatch m;
-    if (std::regex_search(line, m, row_re)) out.push_back(m[1].str());
+  std::string text;
+  while (std::getline(lines, text)) {
+    const std::string_view line(text);
+    if (line.substr(0, 3) != "| `") continue;
+    const std::size_t close = line.find('`', 3);
+    if (close == std::string_view::npos || close == 3 || line.substr(close, 3) != "` |") continue;
+    out.emplace_back(line.substr(3, close - 3));
   }
   return out;
 }

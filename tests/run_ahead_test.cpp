@@ -23,6 +23,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hwt/builder.hpp"
@@ -31,6 +32,7 @@
 #include "sls/process_group.hpp"
 #include "sls/synthesis.hpp"
 #include "sls/system.hpp"
+#include "sls/traffic.hpp"
 #include "workloads/workloads.hpp"
 
 namespace vmsls {
@@ -88,6 +90,7 @@ struct Outcome {
   u64 trace_records = 0;
   u64 logical_events = 0;  // events_executed minus the ticker's
   u64 scheduled = 0;       // events_scheduled minus the ticker's
+  std::map<std::string, std::vector<Cycles>> series;  // per-request values
 };
 
 void expect_same(const Outcome& plain, const Outcome& ticked) {
@@ -97,6 +100,7 @@ void expect_same(const Outcome& plain, const Outcome& ticked) {
   EXPECT_EQ(plain.trace_hash, ticked.trace_hash);
   EXPECT_EQ(plain.trace_records, ticked.trace_records);
   EXPECT_EQ(plain.logical_events, ticked.logical_events);
+  EXPECT_EQ(plain.series, ticked.series);
 }
 
 /// Runs `body(sim, outcome)`, which builds, runs and verifies a
@@ -539,6 +543,79 @@ TEST(RunAheadEquivalence, ColdStartedMemberFaultsAndPostsAdWrites) {
   EXPECT_GT(plain.stats.at("walker.ad_writebacks"), 0.0);
 }
 
+/// The serving run's shape: every request is one episode of this many
+/// touches, each `kTouchCost` cycles after the one before.
+constexpr unsigned kEpisodeTouches = 24;
+constexpr Cycles kTouchCost = 20;
+
+/// A 4-worker open-arrival serving run: each worker's frame budget sits
+/// well below its arena and all share one swap device dispatching by
+/// `sched`, so episodes fault, evict, write back and queue on the device.
+sls::TrafficDriver::Report run_serving(sim::Simulator& sim, paging::SwapSchedPolicy sched,
+                                       unsigned readahead) {
+  sls::PlatformSpec plat = sls::zynq7020();
+  plat.pager.budget_mode = paging::BudgetMode::kPerProcess;
+  plat.pager.policy = paging::PolicyKind::kClock;
+  plat.pager.swap.shared = true;
+  plat.pager.swap.sched = sched;
+  plat.pager.swap.readahead = readahead;
+  plat.pager.swap.read_latency = 60;
+  plat.pager.swap.write_latency = 120;
+  plat.pager.swap.bytes_per_cycle = 64;
+  plat.traffic.requests = 120;
+  plat.traffic.queue_capacity = 256;
+  plat.traffic.episode_touches = kEpisodeTouches;
+  plat.traffic.arena_pages = 32;
+  plat.traffic.touch_cost = kTouchCost;
+  plat.traffic.write_ratio = 0.25;
+  plat.traffic.arrival.mean_gap = 1500;
+  plat.traffic.arrival.seed = 5;
+  paging::FramePoolConfig pool_cfg;
+  pool_cfg.mode = paging::BudgetMode::kPerProcess;
+  pool_cfg.policy = plat.pager.policy;
+  sls::ProcessGroup group(sim, plat, pool_cfg);
+  for (unsigned i = 0; i < 4; ++i) {
+    workloads::WorkloadParams p;
+    p.n = 64;
+    p.seed = 1 + i;
+    sls::PlatformSpec proc_plat = plat;
+    proc_plat.pager.frame_budget = 12;
+    sls::SynthesisFlow flow(proc_plat);
+    group.add_process(flow.synthesize(workloads::single_thread_app(workloads::make_vecadd(p),
+                                                                   sls::ThreadKind::kHardware)),
+                      "w" + std::to_string(i));
+  }
+  sls::TrafficDriver driver(group, plat.traffic);
+  return driver.run();
+}
+
+TEST(RunAheadEquivalence, ServingEpisodes) {
+  // Episode touches run ahead between faults, and so does the touch after
+  // a lone swap completion. Priority dispatch also batches readahead reads,
+  // whose completions stay on the queue.
+  const std::pair<paging::SwapSchedPolicy, unsigned> configs[] = {
+      {paging::SwapSchedPolicy::kFifo, 0}, {paging::SwapSchedPolicy::kPriority, 2}};
+  for (const auto& [sched, readahead] : configs) {
+    SCOPED_TRACE(paging::swap_sched_name(sched));
+    const Outcome plain = check_equivalent([&](sim::Simulator& sim, Outcome& o) {
+      const auto rep = run_serving(sim, sched, readahead);
+      o.cycles = sim.now();
+      o.series["latency"] = rep.latency;
+      o.series["queue_wait"] = rep.queue_wait;
+      o.series["service"] = rep.service;
+    });
+    const auto& service = plain.series.at("service");
+    EXPECT_EQ(service.size(), 120u);
+    // Each touch comes a touch cost after the one before, however it ran.
+    for (const Cycles c : service) EXPECT_GE(c, kEpisodeTouches * kTouchCost);
+    EXPECT_GT(plain.stats.at("swap.reads"), 0.0);
+    EXPECT_GT(plain.stats.at("swap.writes"), 0.0);
+    if (readahead > 0) {
+      EXPECT_GT(plain.stats.at("w0.pager.prefetches"), 0.0);
+    }
+  }
+}
+
 // --- work count and stack bound ------------------------------------------------
 
 struct ChaseRun {
@@ -641,6 +718,22 @@ TEST(RunAheadWork, SmallTlbPointerChaseSchedulesUnderAFifthOfAnEventPerAccess) {
   const double per_op = static_cast<double>(r.scheduled) / static_cast<double>(r.mem_ops);
   EXPECT_LE(per_op, 0.2) << r.scheduled << " events scheduled for " << r.mem_ops
                          << " memory ops";
+}
+
+TEST(RunAheadWork, ServingRunsMostTouchesInPlace) {
+  // About 0.7 swap-ins per touch, yet most touches, the one after a lone
+  // swap-in included, run in place; a touch queues when it starts an
+  // episode, follows a batched or coalesced swap-in, or another event is
+  // due first. 1.97 events per touch queued before touches ran ahead.
+  sim::Simulator sim;
+  const auto rep = run_serving(sim, paging::SwapSchedPolicy::kFifo, 0);
+  const double touches = static_cast<double>(rep.completed * kEpisodeTouches);
+  const double queued = static_cast<double>(sim.events_scheduled()) / touches;
+  const double ran_ahead = static_cast<double>(sim.run_ahead_steps()) / touches;
+  EXPECT_LE(queued, 1.25) << sim.events_scheduled() << " events queued for " << touches
+                          << " touches";
+  EXPECT_GE(ran_ahead, 0.8) << sim.run_ahead_steps() << " run-ahead steps for " << touches
+                            << " touches";
 }
 
 TEST(RunAheadWork, LongRunsFitASmallFixedStack) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/clock.hpp"
@@ -382,6 +385,118 @@ TEST(RunAhead, ForgoneTokenRefusesForTheRestOfTheEvent) {
   s.drain();
   EXPECT_EQ(granted, (std::vector<bool>{true, false, true}));
   EXPECT_EQ(s.now(), 5u);
+}
+
+// --- the cached earliest wheel time, against a brute-force model ---
+
+/// Queues token-holding events and probes try_advance_to, checking every
+/// answer against a model that keeps each pending event's time: nothing is
+/// due by `t` when the earliest pending time exceeds it. Events record
+/// (time, insertion id) as they run, which must come out sorted.
+class WheelModel {
+ public:
+  explicit WheelModel(Simulator& s) : s_(s) {}
+
+  /// Queues an event at absolute cycle `when` that runs `body`.
+  void at(Cycles when, std::function<void()> body = {}) {
+    const u64 id = next_id_++;
+    pending_.insert(when);
+    s_.schedule_run_ahead(when, [this, when, id, body = std::move(body)] {
+      EXPECT_EQ(s_.now(), when);
+      pending_.erase(pending_.find(when));
+      ran_.emplace_back(when, id);
+      if (body) body();
+    });
+  }
+
+  /// try_advance_to(t), which must hold exactly when the model has nothing
+  /// due by `t`; returns the answer.
+  bool probe(Cycles t) {
+    const bool expect = pending_.empty() || *pending_.begin() > t;
+    const Cycles was = s_.now();
+    const bool granted = s_.try_advance_to(t);
+    EXPECT_EQ(granted, expect) << "try_advance_to(" << t << ") at cycle " << was
+                               << ", earliest pending "
+                               << (pending_.empty() ? 0 : *pending_.begin());
+    EXPECT_EQ(s_.now(), granted ? t : was);
+    return granted;
+  }
+
+  Cycles earliest() const { return pending_.empty() ? ~0ull : *pending_.begin(); }
+  u64 created() const { return next_id_; }
+  const std::vector<std::pair<Cycles, u64>>& ran() const { return ran_; }
+
+ private:
+  Simulator& s_;
+  std::multiset<Cycles> pending_;
+  std::vector<std::pair<Cycles, u64>> ran_;
+  u64 next_id_ = 0;
+};
+
+TEST(RunAhead, CachedWheelTimeMatchesABruteForceModel) {
+  Simulator s;
+  WheelModel m(s);
+  m.at(1, [&] {
+    // An earlier insert after the earliest time was cached.
+    m.at(200);
+    EXPECT_TRUE(m.probe(150));
+    m.at(170, [&] {
+      // The slot at 170 drained to empty: the next earliest is 200.
+      EXPECT_TRUE(m.probe(190));
+      EXPECT_FALSE(m.probe(200));
+    });
+    EXPECT_FALSE(m.probe(180));
+    EXPECT_TRUE(m.probe(160));
+    m.at(4000, [&] {
+      // The slot at 4000 drained; the earliest wheel time lies past the wrap.
+      EXPECT_TRUE(m.probe(4150));
+      EXPECT_FALSE(m.probe(4200));
+      m.at(4500);  // within the horizon now: a wheel twin of the far event
+    });
+    m.at(4200, [&] {  // slot 104: the scan from slot 4000 wraps to find it
+      // The far heap and the wheel tie at 4500; the far event runs first.
+      EXPECT_TRUE(m.probe(4499));
+      EXPECT_FALSE(m.probe(4500));
+    });
+    m.at(4500, [&] {  // beyond the horizon: the far heap
+      EXPECT_FALSE(m.probe(4500));  // its wheel twin, queued later, is due too
+    });
+  });
+  s.drain();
+  ASSERT_EQ(m.created(), 7u);
+  EXPECT_EQ(m.ran().size(), 7u);
+  EXPECT_TRUE(std::is_sorted(m.ran().begin(), m.ran().end()));
+
+  // Then a seeded mix: events inserted near, around the horizon and far,
+  // probes at and around the earliest pending time, each event doing more.
+  Simulator r;
+  WheelModel mr(r);
+  u64 x = 88172645463325252ull;  // xorshift64
+  const auto rnd = [&x](u64 n) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x % n;
+  };
+  std::function<void()> act = [&] {
+    for (u64 k = rnd(5); k > 0; --k) {
+      if (mr.created() < 3000 && rnd(3) != 0) {
+        const Cycles spans[] = {3, 64, 4096, 9000};
+        const Cycles base = rnd(4) == 0 ? 4090 : 0;
+        mr.at(r.now() + base + rnd(spans[rnd(4)]), act);
+      } else {
+        const Cycles e = mr.earliest();
+        Cycles t = e == ~0ull ? r.now() + rnd(5000) : e - 1 + rnd(3);
+        if (rnd(4) == 0) t = r.now() + rnd(9000);
+        if (t >= r.now()) mr.probe(t);
+      }
+    }
+  };
+  for (Cycles t = 0; t < 8; ++t) mr.at(t * 1000, act);
+  r.drain();
+  EXPECT_GT(mr.created(), 1000u);
+  EXPECT_EQ(mr.ran().size(), mr.created());
+  EXPECT_TRUE(std::is_sorted(mr.ran().begin(), mr.ran().end()));
 }
 
 // --- posted completions: post(t) must behave as a queued no-op at t ---
