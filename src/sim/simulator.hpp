@@ -38,12 +38,12 @@
 //     timed TLB hit (Mmu::translate), the page walker's setup delay
 //     (PageWalker::begin) and a tail_call bus request's completion
 //     (MemoryBus::request on an idle channel, MemoryBus::grant from the
-//     queue: the port's data and the walker's PTE reads), and on the
-//     serving path an episode's next page touch (sls::EpisodeDriver::next)
-//     and a one-request swap transfer's completion (SwapScheduler::complete,
-//     whose continuation may reach the touch after a swap-in). The MMU and
-//     bus sites call their caller's continuation directly on a granted step
-//     and type-erase it into an EventFn only for the fallback.
+//     queue: the port's data and the walker's PTE reads), and an episode's
+//     next page touch (sls::EpisodeDriver::next). A one-request swap
+//     transfer's completion (paging::SwapScheduler::dispatch) also holds
+//     the token, so the touch that follows a swap-in runs ahead too. The
+//     MMU and bus sites call their caller's continuation directly on a
+//     granted step and type-erase it into an EventFn only for the fallback.
 //   * Posted completions: a fire-and-forget bus write (an A/D write-back)
 //     has nothing to run when it completes. post(t) stands for the no-op
 //     event it would queue at `t` without queueing it: a small side heap

@@ -62,7 +62,7 @@ std::vector<std::string> member_names(const std::string& body) {
     std::size_t type = 0;
     while (type < line.size() && is_space(line[type])) ++type;
     if (type == line.size() || !is_word_start(line[type])) continue;
-    std::size_t stop = type + 1;  // the first character no declaration part has
+    std::size_t stop = type + 1;  // the first character outside type and name
     while (stop < line.size() && in_type(line[stop])) ++stop;
     if (stop == line.size() || (line[stop] != '=' && line[stop] != '{' && line[stop] != ';'))
       continue;
@@ -80,43 +80,44 @@ std::vector<std::string> member_names(const std::string& body) {
   return out;
 }
 
+/// The identifier that follows `at` after one or more blanks; empty when
+/// there is none.
+std::string_view name_after(std::string_view text, std::size_t at) {
+  std::size_t name = at;
+  while (name < text.size() && is_space(text[name])) ++name;
+  if (name == at || name == text.size() || !is_word_start(text[name])) return {};
+  std::size_t end = name;
+  while (end < text.size() && is_word(text[end])) ++end;
+  return text.substr(name, end - name);
+}
+
 /// Names of the types a struct body declares (`enum class Kind`, ...): the
-/// word after `enum class`, `enum`, `struct`, `class` or `using`, each
-/// keyword starting a word and followed by blanks.
+/// identifier after the word `enum class`, `enum`, `struct`, `class` or
+/// `using`.
 std::vector<std::string> nested_type_names(const std::string& body) {
-  static constexpr std::string_view kKeywords[] = {"enum class", "enum", "struct", "class",
-                                                   "using"};
   std::vector<std::string> out;
   const std::string_view text(body);
+  const auto end_of = [&text](std::string_view word) {
+    return static_cast<std::size_t>(word.data() - text.data()) + word.size();
+  };
   std::size_t i = 0;
   while (i < text.size()) {
-    if (i > 0 && is_word(text[i - 1])) {
+    if (!is_word(text[i])) {
       ++i;
       continue;
     }
-    std::size_t next = i + 1;
-    for (const std::string_view kw : kKeywords) {
-      // "enum class" matches with any run of blanks between its words.
-      std::size_t at = i;
-      bool match = true;
-      for (std::size_t k = 0; k < kw.size() && match; ++k) {
-        if (kw[k] == ' ') {
-          if (at == text.size() || !is_space(text[at])) match = false;
-          while (at < text.size() && is_space(text[at])) ++at;
-        } else {
-          match = at < text.size() && text[at++] == kw[k];
-        }
-      }
-      std::size_t name = at;
-      while (match && name < text.size() && is_space(text[name])) ++name;
-      if (!match || name == at || name == text.size() || !is_word_start(text[name])) continue;
-      std::size_t end = name;
-      while (end < text.size() && is_word(text[end])) ++end;
-      out.emplace_back(text.substr(name, end - name));
-      next = end;  // matches do not overlap
-      break;
+    std::size_t end = i;
+    while (end < text.size() && is_word(text[end])) ++end;
+    const std::string_view word = text.substr(i, end - i);
+    std::string_view name;
+    if (word == "enum" || word == "struct" || word == "class" || word == "using")
+      name = name_after(text, end);
+    if (word == "enum" && name == "class") {
+      const std::string_view scoped = name_after(text, end_of(name));
+      if (!scoped.empty()) name = scoped;
     }
-    i = next;
+    i = name.empty() ? end : end_of(name);
+    if (!name.empty()) out.emplace_back(name);
   }
   return out;
 }

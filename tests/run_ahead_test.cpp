@@ -410,7 +410,7 @@ TEST(RunAheadEquivalence, FaultingOversubscribedMix) {
       sls::SynthesisFlow flow(proc_plat);
       const auto image =
           flow.synthesize(workloads::single_thread_app(wls[i], sls::ThreadKind::kHardware));
-      auto& sys = group.add_process(image, "p" + std::to_string(i));
+      auto& sys = group.add_process(image, std::string("p") + std::to_string(i));
       wls[i].setup(sys);
       for (const auto& buf : sys.image().app().buffers)
         sys.process().evict(sys.buffer(buf.name), buf.bytes);
